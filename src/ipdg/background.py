@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .mesh import face_slices, jacobian_at, unnormalized_face_normal
+from .mesh import face_slices, jacobian_at
 
 __all__ = [
     "FlatBackground",
@@ -137,14 +137,23 @@ class FaceGeometry:
     coords: np.ndarray
 
 
-def face_geometry(background, element, dim: int, side: int) -> FaceGeometry:
-    """Evaluate normals and the surface measure on one face of an element."""
-    xi = element.logical_grid()[face_slices(element.dim, dim, side)]
-    raw = unnormalized_face_normal(element, dim, side, xi)
-    x = element.map.apply(xi)
+def face_geometry(background, element, dim: int, side: int, volume=None) -> FaceGeometry:
+    """Evaluate normals and the surface measure on one face of an element.
+
+    `volume` is an optional (coords, det J, J^-1) triple already evaluated
+    on the element's whole LGL grid; the face points are grid points, so it
+    is sliced instead of evaluating the map and its Jacobian again.
+    """
+    sl = face_slices(element.dim, dim, side)
+    if volume is None:
+        xi = element.logical_grid()[sl]
+        _, det, inv = jacobian_at(element, xi)
+        x = element.map.apply(xi)
+    else:
+        x, det, inv = (a[sl] for a in volume)
+    raw = float(side) * inv[dim]
     ginv = background.inverse_metric(x)
     mag = np.sqrt(np.einsum("i...,ij...,j...->...", raw, ginv, raw))
-    _, det, _ = jacobian_at(element, xi)
     measure = background.sqrt_det(x) * det * mag
     return FaceGeometry(
         normal=raw / mag,

@@ -91,7 +91,7 @@ def _solution_error(problem, u):
 
 def cmd_solve(args) -> int:
     cfg = load_config(args.config)
-    problem = build_problem(cfg, threads=args.threads)
+    problem = build_problem(cfg)
     u, report = _run_solve(problem, cfg)
     if not report.converged:
         print(
@@ -131,7 +131,7 @@ def cmd_convergence(args) -> int:
     series = ConvergenceSeries(args.mode)
     mesh = None
     for level in range(args.levels):
-        problem = build_problem(cfg, mesh=mesh, threads=args.threads)
+        problem = build_problem(cfg, mesh=mesh)
         u, report = _run_solve(problem, cfg)
         if not report.converged:
             print(
@@ -182,13 +182,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     solve = sub.add_parser("solve", help="solve one configured problem")
     solve.add_argument("--config", required=True, help="YAML configuration file")
-    solve.add_argument("--threads", type=int, default=1)
 
     conv = sub.add_parser("convergence", help="run an hp-refinement study")
     conv.add_argument("--config", required=True)
     conv.add_argument("--mode", required=True, choices=("h", "p"))
     conv.add_argument("--levels", required=True, type=int)
-    conv.add_argument("--threads", type=int, default=1)
 
     asm = sub.add_parser("assemble", help="export the operator matrix")
     asm.add_argument("--config", required=True)

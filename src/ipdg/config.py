@@ -341,6 +341,13 @@ def parse_config(raw) -> RunConfig:
         _fail("domain", "the puncture system needs a 3D domain")
     refinement = _validate_refinement(top["refinement"], dim)
     solution = _validate_solution(top.get("solution"))
+    operator = _validate_operator(top.get("operator"))
+    solver = _validate_solver(top.get("solver"))
+    if solver["method"] == "cg" and not operator["massive"]:
+        _fail(
+            "solver.method",
+            "cg needs operator.massive: true; the massless operator is not symmetric",
+        )
     return RunConfig(
         system=system,
         domain=domain,
@@ -350,8 +357,8 @@ def parse_config(raw) -> RunConfig:
         boundary_conditions=_validate_bcs(
             top["boundary_conditions"], solution is not None
         ),
-        operator=_validate_operator(top.get("operator")),
-        solver=_validate_solver(top.get("solver")),
+        operator=operator,
+        solver=solver,
         newton=_validate_newton(top.get("newton")),
         output=_validate_output(top.get("output")),
     )
@@ -456,7 +463,7 @@ def _build_bc(tag, sec, system, background, solution):
     )
 
 
-def build_problem(cfg: RunConfig, mesh=None, threads: int = 1) -> Problem:
+def build_problem(cfg: RunConfig, mesh=None) -> Problem:
     """Construct the mesh, system, operator handle, and data for one run.
 
     Pass `mesh` to rebuild the same problem on a refined mesh during
@@ -488,6 +495,5 @@ def build_problem(cfg: RunConfig, mesh=None, threads: int = 1) -> Problem:
         form=cfg.operator["form"],
         massive=cfg.operator["massive"],
         penalty_parameter=cfg.operator["penalty_parameter"],
-        threads=threads,
     )
     return Problem(cfg, mesh, system, background, bmap, handle, solution)

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -232,7 +233,14 @@ class Mesh:
 
     @property
     def total_points(self) -> int:
-        return sum(e.n_points for e in self.elements)
+        return int(self.point_offsets[-1])
+
+    @cached_property
+    def point_offsets(self) -> np.ndarray:
+        """Where each element's points start in the flat DoF order, then the
+        total; computed once, as meshes are not modified after construction."""
+        sizes = [e.n_points for e in self.elements]
+        return np.concatenate([[0], np.cumsum(sizes, dtype=np.int64)])
 
     def characteristic_h(self) -> float:
         """Largest physical element extent, from corner-to-corner diagonals."""

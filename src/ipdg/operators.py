@@ -16,12 +16,31 @@ derivative-based and penalty-term data, and assembles the residual in
 strong or strong-weak form.
 
 Flat DoF layout everywhere: variables-major, then elements in mesh order,
-then grid points with the first dimension fastest.
+then grid points with the first dimension fastest. A FieldVector is one
+buffer in that order; its per-element arrays are views into it.
+
+Each phase works in batches, so its cost in Python calls does not grow with
+the element count:
+- elements with the same grid shape form a group whose fields are stacked
+  as (components, elements, n_{d-1}, ..., n_0), grid dimension j on axis
+  -1-j, so flattening the grid axes gives the point order. The system
+  evaluators see the element axis as one more point axis; the tensor-product
+  differentiation is one matrix product per dimension over the whole group
+  (sum factorization, as in Kronbichler & Kormann 2012);
+- face traces of all elements live in one face buffer of shape
+  (components, face points); the face fluxes are evaluated on it in one
+  call per phase;
+- mortars with the same face grids, mortar grid and coverages form a group
+  that gathers its sides from the face buffer with one index array each,
+  prolongs with one matrix product (skipped where it is the identity) and
+  restricts with a stack of extended-precision matrices (skipped likewise);
+- external faces are gathered per boundary-condition object, whose ghost
+  data is computed in one call.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
+from collections import namedtuple
 from dataclasses import dataclass
 from typing import Optional
 
@@ -53,37 +72,30 @@ __all__ = [
 ]
 
 
+def _point_order(arr, k):
+    """Reverse the last k axes: natural grid order <-> point order (a view)."""
+    arr = np.asarray(arr)
+    lead = arr.ndim - k
+    return arr.transpose(tuple(range(lead)) + tuple(range(arr.ndim - 1, lead - 1, -1)))
+
+
 def _flatten_trailing(arr, k):
     """Flatten the last k axes, first of them varying fastest."""
     arr = np.asarray(arr)
     if k == 0:
         return arr[..., None]
-    if k == 1:
-        return arr
-    lead = arr.ndim - k
-    perm = tuple(range(lead)) + tuple(range(arr.ndim - 1, lead - 1, -1))
-    return arr.transpose(perm).reshape(arr.shape[:lead] + (-1,))
+    return _point_order(arr, k).reshape(arr.shape[: arr.ndim - k] + (-1,))
 
 
-def _unflatten_trailing(arr, shape):
-    """Inverse of _flatten_trailing for a known trailing grid shape."""
-    shape = tuple(shape)
-    k = len(shape)
-    if k == 0:
-        return arr[..., 0]
-    if k == 1:
-        return arr
-    lead = arr.ndim - 1
-    rev = arr.reshape(arr.shape[:-1] + tuple(reversed(shape)))
-    perm = tuple(range(lead)) + tuple(range(rev.ndim - 1, lead - 1, -1))
-    return rev.transpose(perm)
-
-
-def _apply_matrix(mat, arr, grid_axis, grid_ndim):
-    """Apply a 1D nodal matrix along one grid axis of a (..., *grid) array."""
-    axis = arr.ndim - grid_ndim + grid_axis
-    out = np.tensordot(mat, arr, axes=(1, axis))
-    return np.moveaxis(out, 0, axis)
+def _apply_1d(mat, arr, dim):
+    """Apply a 1D nodal matrix along grid dimension `dim` of a point-ordered array."""
+    if dim == 0:
+        return arr @ mat.T
+    shape = arr.shape
+    axis = arr.ndim - 1 - dim
+    trail = shape[axis + 1:]
+    out = mat @ arr.reshape(shape[:axis] + (shape[axis], -1))
+    return out.reshape(shape[:axis] + (mat.shape[0],) + trail)
 
 
 def _contract_normal(normal, fluxes):
@@ -92,105 +104,109 @@ def _contract_normal(normal, fluxes):
 
 
 class FieldVector:
-    """Mesh-wide nodal data: one (n_components, *grid) array per element."""
+    """Mesh-wide nodal data in one flat buffer.
 
-    __slots__ = ("mesh", "n_components", "arrays")
+    `data` holds the values in the flat DoF order. `arrays[k]` is element k's
+    (n_components, *grid_shape) view into it, built on first use; writing
+    through a view changes the vector. Rebinding `data` is not supported.
+    """
+
+    __slots__ = ("mesh", "n_components", "data", "_arrays")
 
     def __init__(self, mesh, n_components: int, arrays):
         if len(arrays) != len(mesh.elements):
             raise ValueError("one array per mesh element required")
         for arr, el in zip(arrays, mesh.elements):
-            if arr.shape != (n_components,) + el.grid_shape:
+            if np.shape(arr) != (n_components,) + el.grid_shape:
                 raise ValueError(
-                    f"element array shape {arr.shape} does not match "
+                    f"element array shape {np.shape(arr)} does not match "
                     f"{(n_components,) + el.grid_shape}"
                 )
+        self._init(mesh, n_components, np.empty(n_components * mesh.total_points))
+        for view, arr in zip(self.arrays, arrays):
+            view[...] = arr
+
+    def _init(self, mesh, n_components, data):
         self.mesh = mesh
         self.n_components = n_components
-        self.arrays = list(arrays)
+        self.data = data
+        self._arrays = None
+
+    @classmethod
+    def _wrap(cls, mesh, n_components: int, data) -> "FieldVector":
+        """A vector owning `data`, a flat float array of the right size."""
+        out = cls.__new__(cls)
+        out._init(mesh, n_components, data)
+        return out
+
+    @property
+    def arrays(self) -> tuple:
+        if self._arrays is None:
+            offsets = self.mesh.point_offsets
+            rows = self.data.reshape(self.n_components, -1)
+            self._arrays = tuple(
+                _point_order(
+                    rows[:, offsets[k]:offsets[k + 1]].reshape(
+                        (self.n_components,) + el.grid_shape[::-1]
+                    ),
+                    el.dim,
+                )
+                for k, el in enumerate(self.mesh.elements)
+            )
+        return self._arrays
 
     @classmethod
     def zeros(cls, mesh, n_components: int) -> "FieldVector":
-        return cls(
-            mesh,
-            n_components,
-            [np.zeros((n_components,) + el.grid_shape) for el in mesh.elements],
-        )
+        return cls._wrap(mesh, n_components, np.zeros(n_components * mesh.total_points))
 
     @classmethod
     def from_flat(cls, mesh, n_components: int, flat) -> "FieldVector":
-        flat = np.asarray(flat, dtype=float).ravel()
-        sizes = [el.n_points for el in mesh.elements]
-        total = sum(sizes)
-        if flat.size != n_components * total:
+        flat = np.array(flat, dtype=float).reshape(-1)
+        expected = n_components * mesh.total_points
+        if flat.size != expected:
             raise ValueError(
-                f"flat vector has {flat.size} entries, expected "
-                f"{n_components * total}"
+                f"flat vector has {flat.size} entries, expected {expected}"
             )
-        arrays = [
-            np.empty((n_components,) + el.grid_shape) for el in mesh.elements
-        ]
-        pos = 0
-        for c in range(n_components):
-            for k, el in enumerate(mesh.elements):
-                chunk = flat[pos:pos + sizes[k]]
-                arrays[k][c] = chunk.reshape(el.grid_shape, order="F")
-                pos += sizes[k]
-        return cls(mesh, n_components, arrays)
+        return cls._wrap(mesh, n_components, flat)
 
     def to_flat(self) -> np.ndarray:
-        parts = []
-        for c in range(self.n_components):
-            for arr in self.arrays:
-                parts.append(arr[c].ravel(order="F"))
-        return np.concatenate(parts) if parts else np.zeros(0)
+        return self.data.copy()
 
     @property
     def n_dofs(self) -> int:
-        return self.n_components * sum(el.n_points for el in self.mesh.elements)
+        return self.data.size
 
     def copy(self) -> "FieldVector":
-        return FieldVector(
-            self.mesh, self.n_components, [a.copy() for a in self.arrays]
-        )
+        return self._wrap(self.mesh, self.n_components, self.data.copy())
 
     def __add__(self, other):
-        return FieldVector(
-            self.mesh,
-            self.n_components,
-            [a + b for a, b in zip(self.arrays, other.arrays)],
-        )
+        return self._wrap(self.mesh, self.n_components, self.data + other.data)
 
     def __sub__(self, other):
-        return FieldVector(
-            self.mesh,
-            self.n_components,
-            [a - b for a, b in zip(self.arrays, other.arrays)],
-        )
+        return self._wrap(self.mesh, self.n_components, self.data - other.data)
 
     def __mul__(self, scalar):
-        return FieldVector(
-            self.mesh, self.n_components, [a * scalar for a in self.arrays]
-        )
+        return self._wrap(self.mesh, self.n_components, self.data * scalar)
 
     __rmul__ = __mul__
 
 
 @dataclass
 class BoundaryData:
-    """Per-face exchange payload, sampled on the mortar points.
+    """Exchange payload on face or mortar points.
 
-    aux_flux:     n_i F^i of the auxiliary-variable fluxes, (n_aux, n)
+    aux_flux:     n_i F^i of the auxiliary-variable fluxes, (n_aux, ...)
     deriv_flux:   n_i F^i_u of the strong derivative of those fluxes minus
-                  the extra auxiliary source, (n_primal, n)
-    penalty_flux: n_i F^i_u applied to aux_flux, (n_primal, n); for ghost
+                  the extra auxiliary source, (n_primal, ...)
+    penalty_flux: n_i F^i_u applied to aux_flux, (n_primal, ...); for ghost
                   data this field stores the value the receiving side
                   combines directly
-    trace:        primal trace values, (n_primal, n)
+    trace:        primal trace values, (n_primal, ...)
 
-    All entries are computed with the owning side's outward normal before
-    projection to the mortar. Fields not yet available in a phase may be
-    None.
+    The trailing axes are points: one face's (n,), or a batch of faces
+    stacked as (faces, n) or concatenated. All entries are computed with the
+    owning side's outward normal before projection to the mortar. Fields not
+    yet available in a phase may be None.
     """
 
     aux_flux: Optional[np.ndarray] = None
@@ -239,7 +255,7 @@ def exterior_ghost_data(
     linearized_traces=None,
     aux_boundary=None,
 ) -> BoundaryData:
-    """Ghost exterior data on an external face.
+    """Ghost exterior data on external face points.
 
     Boundary values initialize to the interior data and the condition
     overwrites its kind's slot: dirichlet-kind conditions replace the
@@ -247,7 +263,9 @@ def exterior_ghost_data(
     the derivative flux with the boundary flux value. The exterior is then
     interior minus twice the boundary value. With `linearized_traces`
     (u0, v0) the condition's linearized data is used instead, making the
-    ghost map homogeneous.
+    ghost map homogeneous. Ghost fields whose interior field is None are
+    left None; `aux_boundary` passes in a boundary auxiliary flux computed
+    earlier.
     """
     if aux_boundary is None:
         if bc.kind == "dirichlet":
@@ -261,31 +279,27 @@ def exterior_ghost_data(
             )
         else:
             aux_boundary = interior.aux_flux
-    if bc.kind == "neumann":
-        if linearized_traces is not None:
+    deriv_flux = penalty_flux = None
+    if interior.deriv_flux is not None:
+        if bc.kind != "neumann":
+            deriv_boundary = interior.deriv_flux
+        elif linearized_traces is not None:
             u0, v0 = linearized_traces
             deriv_boundary = bc.linearized_values(
                 x, normal, u0, v0, interior.trace, v_trace
             )
         else:
             deriv_boundary = bc.values(x, normal, interior.trace, v_trace)
-    else:
-        deriv_boundary = interior.deriv_flux
-    penalty_boundary = _contract_normal(
-        normal, system.primal_flux(aux_boundary, x, background)
-    )
+        deriv_flux = interior.deriv_flux - 2.0 * deriv_boundary
+    if interior.penalty_flux is not None:
+        penalty_boundary = _contract_normal(
+            normal, system.primal_flux(aux_boundary, x, background)
+        )
+        penalty_flux = -interior.penalty_flux + 2.0 * penalty_boundary
     return BoundaryData(
         aux_flux=interior.aux_flux - 2.0 * aux_boundary,
-        deriv_flux=(
-            None
-            if interior.deriv_flux is None
-            else interior.deriv_flux - 2.0 * deriv_boundary
-        ),
-        penalty_flux=(
-            None
-            if interior.penalty_flux is None
-            else -interior.penalty_flux + 2.0 * penalty_boundary
-        ),
+        deriv_flux=deriv_flux,
+        penalty_flux=penalty_flux,
         trace=interior.trace,
     )
 
@@ -298,226 +312,334 @@ def penalty_sigma(p_int, p_ext, h_int, h_ext, c):
     return c * (max(int(p_int), int(p_ext)) + 1) ** 2 / h
 
 
-class _FaceOps:
-    """Precomputed geometry of one element face, flattened to points."""
+def _lgl_node_sets(element):
+    node_sets = element.node_sets()
+    if any(ns.kind != "gauss-lobatto" for ns in node_sets):
+        raise UnsupportedFeatureError("mass-lumped lifting requires LGL element grids")
+    return node_sets
 
-    __slots__ = (
-        "fdim", "side", "shape", "n", "slices", "coords", "normal",
-        "h", "measure", "massless_weight", "massive_weight", "counts",
+
+def _lumped_mass(element, background, coords, det, weights):
+    """sqrt(g) J prod(w) at every grid point; raises unless it is positive."""
+    sqrt_g = np.asarray(background.sqrt_det(coords), dtype=float)
+    wprod = np.ones(element.grid_shape)
+    for i, w in enumerate(weights):
+        wprod = wprod * w.reshape([-1 if j == i else 1 for j in range(element.dim)])
+    mass = sqrt_g * det * wprod
+    if not np.all(np.isfinite(mass)) or np.any(mass <= 0.0):
+        raise DegenerateGeometryError(
+            f"nonpositive lumped mass in element {element.id_string()}"
+        )
+    return mass
+
+
+_Face = namedtuple("_Face", "shape n coords normal h measure massless massive")
+
+
+def _face_ops(element, background, weights, fdim, side, volume):
+    """Geometry of one element face, flattened to points (first axis fastest)."""
+    fg = face_geometry(background, element, fdim, side, volume)
+    fsh = face_shape(element.grid_shape, fdim)
+    k = len(fsh)
+    mag = _flatten_trailing(fg.normal_magnitude, k)
+    measure = _flatten_trailing(fg.surface_measure, k)
+    trans = np.ones(fsh)
+    for j, td in enumerate(i for i in range(element.dim) if i != fdim):
+        trans = trans * weights[td].reshape([-1 if i == j else 1 for i in range(k)])
+    return _Face(
+        fsh, int(np.prod(fsh)), _flatten_trailing(fg.coords, k),
+        _flatten_trailing(fg.normal, k), 2.0 / mag, measure,
+        mag / weights[fdim][0 if side < 0 else -1],
+        measure * _flatten_trailing(trans, k),
     )
-
-    def __init__(self, eops, background, fdim, side):
-        el = eops.element
-        fg = face_geometry(background, el, fdim, side)
-        fsh = face_shape(el.grid_shape, fdim)
-        k = len(fsh)
-        self.fdim = fdim
-        self.side = side
-        self.shape = fsh
-        self.n = int(np.prod(fsh)) if k else 1
-        self.slices = face_slices(el.dim, fdim, side)
-        self.coords = _flatten_trailing(fg.coords, k)
-        self.normal = _flatten_trailing(fg.normal, k)
-        mag = _flatten_trailing(fg.normal_magnitude, k)
-        self.measure = _flatten_trailing(fg.surface_measure, k)
-        self.h = 2.0 / mag
-        w_normal = eops.weights[fdim][0 if side < 0 else -1]
-        self.massless_weight = mag / w_normal
-        trans = np.ones(fsh if k else ())
-        tdims = [i for i in range(el.dim) if i != fdim]
-        for j, td in enumerate(tdims):
-            w = eops.weights[td]
-            trans = trans * w.reshape([-1 if i == j else 1 for i in range(k)])
-        self.massive_weight = self.measure * _flatten_trailing(trans, k)
-        self.counts = fsh
 
 
 class _ElementOps:
-    """Per-element geometric precomputation shared between handles."""
+    """Geometry of one element, from one evaluation of its map's Jacobian."""
 
-    __slots__ = (
-        "element", "dim", "grid_shape", "coords", "jinv", "mass",
-        "weights", "diffs", "faces",
-    )
+    __slots__ = ("element", "dim", "grid_shape", "coords", "jinv", "mass", "diffs", "faces")
 
     def __init__(self, element, background):
-        for ns in element.node_sets():
-            if ns.kind != "gauss-lobatto":
-                raise UnsupportedFeatureError(
-                    "mass-lumped lifting requires LGL element grids"
-                )
+        node_sets = _lgl_node_sets(element)
         self.element = element
         self.dim = element.dim
         self.grid_shape = element.grid_shape
-        self.coords = element.coords()
         xi = element.logical_grid()
+        self.coords = element.map.apply(xi)
         _, det, inv = jacobian_at(element, xi)
         self.jinv = inv
-        sqrt_g = np.asarray(background.sqrt_det(self.coords), dtype=float)
-        node_sets = element.node_sets()
-        self.weights = [ns.weights for ns in node_sets]
+        weights = [ns.weights for ns in node_sets]
         self.diffs = [differentiation_matrix(ns) for ns in node_sets]
-        wprod = np.ones(self.grid_shape)
-        for i, w in enumerate(self.weights):
-            wprod = wprod * w.reshape(
-                [-1 if j == i else 1 for j in range(self.dim)]
-            )
-        self.mass = sqrt_g * det * wprod
-        if not np.all(np.isfinite(self.mass)) or np.any(self.mass <= 0.0):
-            raise DegenerateGeometryError(
-                f"nonpositive lumped mass in element {element.id_string()}"
-            )
+        self.mass = _lumped_mass(element, background, self.coords, det, weights)
         self.faces = {
-            (fdim, side): _FaceOps(self, background, fdim, side)
+            (fdim, side): _face_ops(
+                element, background, weights, fdim, side, (self.coords, det, inv)
+            )
             for fdim in range(self.dim)
             for side in (-1, 1)
         }
 
+
+# one face key of a group: `index` selects the face from a point-ordered
+# volume array, `span` its points in the face buffer, `shape` is
+# (elements, *face grid in point order)
+_GroupFace = namedtuple("_GroupFace", "index span shape massless massive")
+
+
+class _Group:
+    """Elements of one grid shape, stacked in point order.
+
+    Volume arrays are (..., elements, n_{d-1}, ..., n_0). `sel` picks the
+    group's points from a (components, points) array: a slice when the
+    members are consecutive in the mesh, else an index array. The group's
+    face points fill [face_start, face_end) of the face buffer, face key by
+    face key, element by element within a key.
+    """
+
+    def __init__(self, members, ops, offsets, face_start):
+        first = ops[0]
+        n_el, n = len(members), int(np.prod(first.grid_shape))
+        starts = np.asarray(offsets)[members]
+        if members[-1] - members[0] + 1 == n_el:
+            self.sel = slice(int(starts[0]), int(starts[0]) + n_el * n)
+        else:
+            self.sel = (starts[:, None] + np.arange(n)).ravel()
+        self.members = members
+        self.dim = dim = first.dim
+        self.shape = (n_el,) + first.grid_shape[::-1]
+        self.coords = np.stack([_point_order(o.coords, dim) for o in ops], axis=1)
+        self.jinv = np.stack([_point_order(o.jinv, dim) for o in ops], axis=2)
+        self.mass = np.stack([_point_order(o.mass, dim) for o in ops])
+        self.diffs = first.diffs
+        self.faces = []
+        for key, face in first.faces.items():
+            shape = (n_el,) + face.shape[::-1]
+            weights = [
+                np.stack([getattr(o.faces[key], w) for o in ops]).reshape(shape)
+                for w in ("massless", "massive")
+            ]
+            self.faces.append(_GroupFace(
+                (Ellipsis, 0 if key[1] < 0 else -1) + (slice(None),) * key[0],
+                slice(face_start, face_start + n_el * face.n), shape, *weights,
+            ))
+            face_start += n_el * face.n
+        self.face_end = face_start
+
+    def take(self, rows):
+        """The group's part of a (components, points) array, point-ordered."""
+        return rows[:, self.sel].reshape((rows.shape[0],) + self.shape)
+
+    def put(self, rows, values):
+        rows[:, self.sel] = values.reshape(rows.shape[0], -1)
+
+    def traces(self, volume, buf):
+        """Copy the face values of a (c, *shape) volume array into the face buffer."""
+        for f in self.faces:
+            buf[:, f.span] = volume[f.index].reshape(volume.shape[0], -1)
+
+    def lift(self, volume, buf, massive):
+        """Add the lifted face-buffer values into a (c, *shape) volume array."""
+        for f in self.faces:
+            weight = f.massive if massive else f.massless
+            volume[f.index] += buf[:, f.span].reshape((buf.shape[0],) + f.shape) * weight
+
     def divergence(self, fluxes):
-        """Strong nodal divergence sum_ij Jinv^j_i d_xi_j F^i, (c, d, *g) -> (c, *g)."""
-        fluxes = np.asarray(fluxes)
-        out = np.zeros((fluxes.shape[0],) + self.grid_shape)
+        """Strong nodal divergence sum_ij Jinv^j_i d_xi_j F^i, (c, d, ...) -> (c, ...)."""
+        out = 0.0
         for j in range(self.dim):
-            df = _apply_matrix(self.diffs[j], fluxes, j, self.dim)
-            out += np.einsum("i...,ci...->c...", self.jinv[j], df)
+            df = _apply_1d(self.diffs[j], fluxes, j)
+            out = out + np.einsum("i...,ci...->c...", self.jinv[j], df)
         return out
 
     def stiffness(self, fluxes, form):
         """Massive divergence (strong) or its negative transpose (weak)."""
         if form == "strong":
             return self.mass * self.divergence(fluxes)
-        if form != "weak":
-            raise ValueError(f"unknown stiffness form {form!r}")
-        fluxes = np.asarray(fluxes)
-        out = np.zeros((fluxes.shape[0],) + self.grid_shape)
+        out = 0.0
         for j in range(self.dim):
-            pre = self.mass * np.einsum(
-                "i...,ci...->c...", self.jinv[j], fluxes
-            )
-            out -= _apply_matrix(self.diffs[j].T, pre, j, self.dim)
+            pre = self.mass * np.einsum("i...,ci...->c...", self.jinv[j], fluxes)
+            out = out - _apply_1d(self.diffs[j].T, pre, j)
         return out
 
-    def face_values(self, volume, key):
-        fops = self.faces[key]
-        return _flatten_trailing(
-            np.asarray(volume)[fops.slices], len(fops.shape)
-        )
 
-    def add_lifted(self, accumulator, key, face_values, massive):
-        """Accumulate a lifted face contribution into a volume array."""
-        fops = self.faces[key]
-        weight = fops.massive_weight if massive else fops.massless_weight
-        accumulator[fops.slices] += _unflatten_trailing(
-            np.asarray(face_values, dtype=float) * weight, fops.shape
-        )
+def _single_group(element, background):
+    eops = _ElementOps(element, background)
+    return eops, _Group([0], [eops], [0], 0)
 
 
 def lumped_mass_diag(element, background):
     """Diagonal mass sqrt(g) J prod(w) at every grid point."""
-    return _ElementOps(element, background).mass
+    node_sets = _lgl_node_sets(element)
+    xi = element.logical_grid()
+    _, det, _ = jacobian_at(element, xi)
+    weights = [ns.weights for ns in node_sets]
+    return _lumped_mass(element, background, element.map.apply(xi), det, weights)
 
 
 def apply_stiffness(element, background, fluxes, form="strong"):
     """Massive strong divergence of nodal fluxes, or the weak transpose."""
-    key = {"strong": "strong", "weak": "weak"}.get(form)
-    if key is None:
+    if form not in ("strong", "weak"):
         raise ValueError(f"unknown stiffness form {form!r}")
-    return _ElementOps(element, background).stiffness(np.asarray(fluxes), key)
+    eops, group = _single_group(element, background)
+    stacked = _point_order(np.asarray(fluxes, dtype=float), eops.dim)[:, :, None]
+    return _point_order(group.stiffness(stacked, form)[:, 0], eops.dim)
 
 
 def apply_lifting(element, background, dim, side, face_values, massive=True):
     """Lift face data to a volume array, nonzero only at the face points."""
-    eops = _ElementOps(element, background)
-    fops = eops.faces[(dim, side)]
+    eops, group = _single_group(element, background)
+    face = eops.faces[(dim, side)]
     fv = np.asarray(face_values, dtype=float)
-    if fv.ndim >= 1 + len(fops.shape) and fv.shape[1:] == fops.shape:
-        fv = _flatten_trailing(fv, len(fops.shape))
-    if fv.shape[-1] != fops.n:
-        raise ValueError(
-            f"face data has {fv.shape[-1]} points, face has {fops.n}"
-        )
-    out = np.zeros(fv.shape[:-1] + eops.grid_shape)
-    eops.add_lifted(out, (dim, side), fv, massive)
-    return out
+    if fv.ndim >= 1 + len(face.shape) and fv.shape[1:] == face.shape:
+        fv = _flatten_trailing(fv, len(face.shape))
+    if fv.shape[-1] != face.n:
+        raise ValueError(f"face data has {fv.shape[-1]} points, face has {face.n}")
+    buf = np.zeros((fv[..., 0].size, group.face_end))
+    buf[:, group.faces[2 * dim + (side > 0)].span] = fv.reshape(-1, face.n)
+    out = np.zeros((buf.shape[0],) + group.shape)
+    group.lift(out, buf, massive)
+    return _point_order(out[:, 0], eops.dim).reshape(fv.shape[:-1] + eops.grid_shape)
 
 
-class _MortarOps:
-    """Transfer matrices and penalty data of one internal mortar."""
+def _is_identity(mat):
+    return mat.shape[0] == mat.shape[1] and np.array_equal(mat, np.eye(mat.shape[0]))
 
-    __slots__ = ("keys", "prolongs", "counts", "measure", "base_sigma")
 
-    def __init__(self, elements, mesh, mortar):
-        self.counts = mortar.counts
-        self.keys = []
-        self.prolongs = []
-        face_ops = []
-        for s in mortar.sides:
-            fops = elements[s.element].faces[(s.dim, s.side)]
-            self.keys.append((s.element, s.dim, s.side))
-            self.prolongs.append(
-                prolongation_matrix(fops.counts, mortar.counts, s.coverage)
-            )
-            face_ops.append(fops)
-        # mortar surface measure from the coarse side: the partially covered
-        # side if any, else the side with fewer face points (ties: side 0)
-        partial = [any(c != "full" for c in s.coverage) for s in mortar.sides]
-        if partial[0] != partial[1]:
-            ci = 0 if partial[0] else 1
-        elif face_ops[0].n != face_ops[1].n:
-            ci = 0 if face_ops[0].n < face_ops[1].n else 1
-        else:
-            ci = 0
-        self.measure = np.asarray(
-            self.prolongs[ci] @ face_ops[ci].measure, dtype=float
-        )
-        hs = [
-            np.asarray(p @ f.h, dtype=float)
-            for p, f in zip(self.prolongs, face_ops)
+class _MortarGroup:
+    """Mortars with the same face grids, mortar grid and coverages.
+
+    Per side: `index` (mortars, face points) into the face buffer, the
+    transposed prolongation and the stacked extended-precision restrictions,
+    both None when the prolongation is the identity. Such a face has no
+    other mortar, so its restriction is P^-1 = I as well.
+    """
+
+    def __init__(self, index, prolongs, restrictions, sigma):
+        self.index = index
+        self.prolong = [None if _is_identity(p) else p.T for p in prolongs]
+        self.restrict = [
+            None if p is None else np.stack(rs) for p, rs in zip(self.prolong, restrictions)
         ]
-        p_norm = max(
-            mesh.elements[s.element].degrees[s.dim] for s in mortar.sides
-        )
-        self.base_sigma = penalty_sigma(p_norm, p_norm, hs[0], hs[1], 1.0)
+        self.sigma = sigma
+
+    def to_mortar(self, side, buf):
+        """Gather one side's face values from the buffer onto the mortars."""
+        data = buf[:, self.index[side]]
+        p = self.prolong[side]
+        return data if p is None else data @ p
+
+    def add_restricted(self, side, values, buf):
+        """Restrict mortar values to one side's faces and add them to the buffer."""
+        r = self.restrict[side]
+        if r is not None:
+            values = np.asarray(np.einsum("mpq,cmq->cmp", r, values), dtype=float)
+        buf[:, self.index[side]] += values
+
+
+def _mortar_measure_sigma(mortar, faces, prolongs, mesh):
+    """Surface measure on the mortar points and the penalty for C = 1."""
+    # mortar surface measure from the coarse side: the partially covered
+    # side if any, else the side with fewer face points (ties: side 0)
+    partial = [any(c != "full" for c in s.coverage) for s in mortar.sides]
+    if partial[0] != partial[1]:
+        ci = 0 if partial[0] else 1
+    elif faces[0].n != faces[1].n:
+        ci = 0 if faces[0].n < faces[1].n else 1
+    else:
+        ci = 0
+    measure = np.asarray(prolongs[ci] @ faces[ci].measure, dtype=float)
+    hs = [np.asarray(p @ f.h, dtype=float) for p, f in zip(prolongs, faces)]
+    p_norm = max(mesh.elements[s.element].degrees[s.dim] for s in mortar.sides)
+    return measure, penalty_sigma(p_norm, p_norm, hs[0], hs[1], 1.0)
+
+
+def _face_key(side):
+    return (side.element, side.dim, side.side)
 
 
 class _MeshCache:
-    """Geometry, topology and transfer matrices shared between handles."""
+    """Geometry, topology and stacked transfer data shared between handles."""
 
     def __init__(self, mesh, background):
         self.mesh = mesh
-        self.background = background
-        self.topology = mortar_topology(mesh)
-        self.elements = [_ElementOps(el, background) for el in mesh.elements]
-        self.mortars = [
-            _MortarOps(self.elements, mesh, m) for m in self.topology.mortars
+        topology = mortar_topology(mesh)
+        self.elements = ops = [_ElementOps(el, background) for el in mesh.elements]
+        offsets = mesh.point_offsets
+        self.n_points = int(offsets[-1])
+
+        by_shape = {}
+        for k, el in enumerate(mesh.elements):
+            by_shape.setdefault(el.grid_shape, []).append(k)
+        self.groups = []
+        face_start = {}  # (element, dim, side) -> first point in the face buffer
+        faces = []  # face geometry in buffer order
+        pos = 0
+        for members in by_shape.values():
+            group = _Group(members, [ops[k] for k in members], offsets, pos)
+            for key, f in zip(ops[members[0]].faces, group.faces):
+                for e, k in enumerate(members):
+                    face_start[(k,) + key] = f.span.start + e * ops[k].faces[key].n
+                    faces.append(ops[k].faces[key])
+            self.groups.append(group)
+            pos = group.face_end
+        self.n_face_points = pos
+        self.face_coords = np.concatenate([f.coords for f in faces], axis=1)
+        self.face_normal = np.concatenate([f.normal for f in faces], axis=1)
+        mass = np.empty((1, self.n_points))
+        for g in self.groups:
+            g.put(mass, g.mass)
+        self.mass = mass[0]
+
+        mortars = topology.mortars
+        side_faces = [[ops[s.element].faces[(s.dim, s.side)] for s in m.sides] for m in mortars]
+        prolongs = [
+            [prolongation_matrix(f.shape, m.counts, s.coverage) for f, s in zip(fs, m.sides)]
+            for m, fs in zip(mortars, side_faces)
         ]
-        self.restrictions = {}
-        for face_key, midxs in self.topology.face_mortars.items():
-            k, fdim, side = face_key
-            fops = self.elements[k].faces[(fdim, side)]
-            specs = []
-            for mi in midxs:
-                mo = self.mortars[mi]
-                si = mo.keys.index(face_key)
-                cov = self.topology.mortars[mi].sides[si].coverage
-                specs.append((mo.counts, cov, mo.measure))
-            family = face_restriction_family(fops.counts, specs)
-            self.restrictions[face_key] = dict(zip(midxs, family))
-        self.external = list(self.topology.external_faces)
-        self.external_sigma = []
-        for ef in self.external:
-            fops = self.elements[ef.element].faces[(ef.dim, ef.side)]
+        measures, sigmas = zip(*[
+            _mortar_measure_sigma(*args, mesh) for args in zip(mortars, side_faces, prolongs)
+        ]) if mortars else ((), ())
+        restrictions = {}  # (mortar, side) -> restriction matrix, unless P = I
+        for face_key, midxs in topology.face_mortars.items():
+            sides = [[_face_key(s) for s in mortars[mi].sides].index(face_key) for mi in midxs]
+            if _is_identity(prolongs[midxs[0]][sides[0]]):
+                continue
+            specs = [
+                (mortars[mi].counts, mortars[mi].sides[si].coverage, measures[mi])
+                for mi, si in zip(midxs, sides)
+            ]
+            family = face_restriction_family(ops[face_key[0]].faces[face_key[1:]].shape, specs)
+            restrictions.update(zip(zip(midxs, sides), family))
+        by_kind = {}
+        for mi, m in enumerate(mortars):
+            kind = (m.counts,) + tuple((f.shape, s.coverage) for f, s in zip(side_faces[mi], m.sides))
+            by_kind.setdefault(kind, []).append(mi)
+        self.mortar_groups = [
+            _MortarGroup(
+                [
+                    np.array([face_start[_face_key(mortars[mi].sides[s])] for mi in midxs])[:, None]
+                    + np.arange(side_faces[midxs[0]][s].n)
+                    for s in (0, 1)
+                ],
+                prolongs[midxs[0]],
+                [[restrictions.get((mi, s)) for mi in midxs] for s in (0, 1)],
+                np.stack([sigmas[mi] for mi in midxs]),
+            )
+            for midxs in by_kind.values()
+        ]
+
+        external = {}  # tag -> (face-buffer indices, penalty for C = 1) per face
+        for ef in topology.external_faces:
+            face = ops[ef.element].faces[(ef.dim, ef.side)]
+            start = face_start[_face_key(ef)]
             p = mesh.elements[ef.element].degrees[ef.dim]
-            self.external_sigma.append(penalty_sigma(p, p, fops.h, fops.h, 1.0))
-        self.external_tags = {ef.tag for ef in self.external}
-
-
-def _prolong(mat, data):
-    return np.asarray(np.einsum("qp,cp->cq", mat, data), dtype=float)
-
-
-def _restrict(mat, data):
-    return np.asarray(np.einsum("pq,cq->cp", mat, data), dtype=float)
+            parts = external.setdefault(ef.tag, ([], []))
+            parts[0].append(np.arange(start, start + face.n))
+            parts[1].append(penalty_sigma(p, p, face.h, face.h, 1.0))
+        self.external = {
+            tag: (np.concatenate(idx), np.concatenate(sig))
+            for tag, (idx, sig) in external.items()
+        }
 
 
 class OperatorHandle:
@@ -540,7 +662,6 @@ class OperatorHandle:
         massive: bool = True,
         penalty_parameter: float = 1.0,
         linearization_point: Optional[FieldVector] = None,
-        threads: int = 1,
         _cache: Optional[_MeshCache] = None,
     ):
         if system.dim != mesh.dim:
@@ -553,8 +674,6 @@ class OperatorHandle:
             raise ConfigurationError(
                 "operator.penalty_parameter", "penalty parameter must be >= 0"
             )
-        if threads < 1:
-            raise ConfigurationError("threads", "thread count must be >= 1")
         self.mesh = mesh
         self.system = system
         self.background = background
@@ -563,34 +682,40 @@ class OperatorHandle:
         self.massive = bool(massive)
         self.penalty_parameter = float(penalty_parameter)
         self.linearization_point = linearization_point
-        self.threads = int(threads)
-        self._cache = _cache if _cache is not None else _MeshCache(mesh, background)
-        self._pool = None
-        self.bcs.validate_tags(self._cache.external_tags)
+        self._cache = cache = _cache if _cache is not None else _MeshCache(mesh, background)
+        self.bcs.validate_tags(cache.external)
         if hasattr(system, "min_puncture_distance"):
-            for eops in self._cache.elements:
-                if system.min_puncture_distance(eops.coords) < 1e-10:
-                    raise SingularPointError(
-                        "a collocation point lies within 1e-10 of a puncture; "
-                        "offset the mesh bounds"
-                    )
+            if min(system.min_puncture_distance(g.coords) for g in cache.groups) < 1e-10:
+                raise SingularPointError(
+                    "a collocation point lies within 1e-10 of a puncture; "
+                    "offset the mesh bounds"
+                )
         if linearization_point is not None:
             if linearization_point.n_components != system.n_primal:
                 raise ValueError("linearization point must be a primal vector")
+        # external face points per condition object: (bc, face-buffer
+        # indices, penalty, coordinates, normals)
+        by_bc = {}
+        for tag, (index, sigma) in cache.external.items():
+            bc = self.bcs.for_tag(tag)
+            by_bc.setdefault(id(bc), (bc, []))[1].append((index, sigma))
+        self._boundaries = []
+        for bc, parts in by_bc.values():
+            index = np.concatenate([p[0] for p in parts])
+            sigma = self.penalty_parameter * np.concatenate([p[1] for p in parts])
+            self._boundaries.append(
+                (bc, index, sigma, cache.face_coords[:, index], cache.face_normal[:, index])
+            )
 
     # -- bookkeeping ---------------------------------------------------
 
     @property
     def n_primal_dofs(self) -> int:
-        return self.system.n_primal * sum(
-            el.n_points for el in self.mesh.elements
-        )
+        return self.system.n_primal * self._cache.n_points
 
     @property
     def n_auxiliary_dofs(self) -> int:
-        return self.system.n_auxiliary * sum(
-            el.n_points for el in self.mesh.elements
-        )
+        return self.system.n_auxiliary * self._cache.n_points
 
     @property
     def is_linearized(self) -> bool:
@@ -609,7 +734,6 @@ class OperatorHandle:
             massive=self.massive,
             penalty_parameter=self.penalty_parameter,
             linearization_point=linearization_point,
-            threads=self.threads,
             _cache=self._cache,
         )
 
@@ -622,27 +746,12 @@ class OperatorHandle:
     def without_linearization(self) -> "OperatorHandle":
         return self._derived(None)
 
-    def _map(self, fn, items):
-        if self.threads == 1:
-            return [fn(i) for i in items]
-        if self._pool is None:
-            self._pool = ThreadPoolExecutor(max_workers=self.threads)
-        return list(self._pool.map(fn, items))
-
-    def _lin_traces(self, k, key):
-        """Linearization-point primal trace on a face (None when not linearized)."""
-        if self.linearization_point is None:
-            return None
-        eops = self._cache.elements[k]
-        u0 = eops.face_values(self.linearization_point.arrays[k], key)
-        return (u0, None)
-
     # -- operator application ------------------------------------------
 
     def apply(self, u: FieldVector) -> FieldVector:
         """Residual A(u) over the primal variables."""
         _, res = self._core(u, None)
-        return FieldVector(self.mesh, self.system.n_primal, res)
+        return FieldVector._wrap(self.mesh, self.system.n_primal, res.reshape(-1))
 
     def matvec(self, flat) -> np.ndarray:
         u = FieldVector.from_flat(self.mesh, self.system.n_primal, flat)
@@ -654,8 +763,8 @@ class OperatorHandle:
             raise ValueError("auxiliary block has wrong component count")
         res_v, res_u = self._core(u, v)
         return (
-            FieldVector(self.mesh, self.system.n_auxiliary, res_v),
-            FieldVector(self.mesh, self.system.n_primal, res_u),
+            FieldVector._wrap(self.mesh, self.system.n_auxiliary, res_v.reshape(-1)),
+            FieldVector._wrap(self.mesh, self.system.n_primal, res_u.reshape(-1)),
         )
 
     def matvec_full(self, flat) -> np.ndarray:
@@ -668,228 +777,169 @@ class OperatorHandle:
 
     def reconstruct_auxiliary(self, u: FieldVector) -> FieldVector:
         """The auxiliary field the compact operator uses internally."""
-        ws, lifts, _, _ = self._phase1(u)
-        return FieldVector(
-            self.mesh,
-            self.system.n_auxiliary,
-            [w + l for w, l in zip(ws, lifts)],
-        )
+        recon = self._phase1(u)[1]
+        out = np.empty((self.system.n_auxiliary, self._cache.n_points))
+        for g, r in zip(self._cache.groups, recon):
+            g.put(out, r)
+        return FieldVector._wrap(self.mesh, self.system.n_auxiliary, out.reshape(-1))
+
+    def _rows(self, field):
+        """A field's flat buffer as (components, points), or None."""
+        return None if field is None else field.data.reshape(-1, self._cache.n_points)
 
     def _phase1(self, u):
-        """Auxiliary fluxes, exchange, and reconstruction ingredients.
+        """Auxiliary fluxes, their exchange and the reconstructed auxiliary field.
 
-        Returns (ws, lifts, face_aux, ghost_aux_b): strong flux divergences
-        minus extra sources, massless-lifted jump corrections, per-face
-        projected auxiliary fluxes and traces, and per-external-face
-        boundary-value auxiliary fluxes.
+        Returns per group the strong flux divergences minus extra sources
+        and the reconstructed fields; as face buffers the primal traces, the
+        linearization-point traces (or None) and the projected auxiliary
+        fluxes; per boundary group the boundary auxiliary flux.
         """
         cache = self._cache
         sys_, bg = self.system, self.background
         lin = self.linearization_point
-
-        def element_work(k):
-            eops = cache.elements[k]
-            uk = u.arrays[k]
-            fv = sys_.auxiliary_flux(uk, eops.coords, bg)
-            div = eops.divergence(fv)
-            if lin is not None:
-                extra = sys_.linearized_auxiliary_source_extra(
-                    lin.arrays[k], uk, eops.coords, bg
-                )
+        u_rows, lin_rows = self._rows(u), self._rows(lin)
+        traces = np.empty((sys_.n_primal, cache.n_face_points))
+        lin_traces = None if lin is None else np.empty_like(traces)
+        ws = []
+        for g in cache.groups:
+            ug = g.take(u_rows)
+            fv = sys_.auxiliary_flux(ug, g.coords, bg)
+            if lin is None:
+                extra = sys_.auxiliary_source_extra(ug, g.coords, bg)
             else:
-                extra = sys_.auxiliary_source_extra(uk, eops.coords, bg)
-            w = div - extra
-            faces = {}
-            for key, fops in eops.faces.items():
-                tr = eops.face_values(uk, key)
-                flux = sys_.auxiliary_flux(tr, fops.coords, bg)
-                faces[key] = (tr, _contract_normal(fops.normal, flux))
-            return w, faces
+                lin_g = g.take(lin_rows)
+                extra = sys_.linearized_auxiliary_source_extra(lin_g, ug, g.coords, bg)
+                g.traces(lin_g, lin_traces)
+            ws.append(g.divergence(fv) - extra)
+            g.traces(ug, traces)
+        aux = _contract_normal(
+            cache.face_normal, sys_.auxiliary_flux(traces, cache.face_coords, bg)
+        )
 
-        results = self._map(element_work, range(len(cache.elements)))
-        ws = [r[0] for r in results]
-        face_aux = [r[1] for r in results]
-
-        lifts = [
-            np.zeros((sys_.n_auxiliary,) + eops.grid_shape)
-            for eops in cache.elements
-        ]
-        for mi, mo in enumerate(cache.mortars):
-            data = [
-                BoundaryData(
-                    aux_flux=_prolong(mo.prolongs[si], face_aux[key[0]][key[1:]][1])
-                )
-                for si, key in enumerate(mo.keys)
-            ]
-            star = auxiliary_numerical_flux(data[0], data[1])
-            for si, key in enumerate(mo.keys):
-                k, fdim, side = key
-                jump = (star if si == 0 else -star) - data[si].aux_flux
-                face_jump = _restrict(cache.restrictions[key][mi], jump)
-                cache.elements[k].add_lifted(
-                    lifts[k], (fdim, side), face_jump, massive=False
-                )
-
-        ghost_aux_b = []
-        for ef in cache.external:
-            key = (ef.element, ef.dim, ef.side)
-            k = ef.element
-            eops = cache.elements[k]
-            fops = eops.faces[key[1:]]
-            tr, aux_int = face_aux[k][key[1:]]
-            bc = self.bcs.for_tag(ef.tag)
-            if bc.kind == "dirichlet":
-                if lin is not None:
-                    u0 = eops.face_values(lin.arrays[k], key[1:])
-                    ub = bc.linearized_values(
-                        fops.coords, fops.normal, u0, None, tr, None
-                    )
-                else:
-                    ub = bc.values(fops.coords, fops.normal, tr, None)
-                flux_b = sys_.auxiliary_flux(ub, fops.coords, bg)
-                aux_b = _contract_normal(fops.normal, flux_b)
-            else:
-                aux_b = aux_int
-            # (n F_v)* - n F_v reduces to aux_b - aux_int on a ghost face
-            eops.add_lifted(
-                lifts[k], key[1:], aux_b - aux_int, massive=False
+        jumps = np.zeros_like(aux)
+        for mg in cache.mortar_groups:
+            sides = [BoundaryData(aux_flux=mg.to_mortar(s, aux)) for s in (0, 1)]
+            star = auxiliary_numerical_flux(sides[0], sides[1])
+            for s, flux in enumerate((star, -star)):
+                mg.add_restricted(s, flux - sides[s].aux_flux, jumps)
+        boundary_aux = []
+        for bc, i, _, x, normal in self._boundaries:
+            interior = BoundaryData(aux_flux=aux[:, i], trace=traces[:, i])
+            ghost = exterior_ghost_data(
+                interior, bc, sys_, bg, x, normal,
+                linearized_traces=None if lin is None else (lin_traces[:, i], None),
             )
-            ghost_aux_b.append(aux_b)
-        return ws, lifts, face_aux, ghost_aux_b
+            # on a ghost face the numerical flux is the boundary value itself
+            star = auxiliary_numerical_flux(interior, ghost)
+            jumps[:, i] += star - interior.aux_flux
+            boundary_aux.append(star)
+
+        recon = [w.copy() for w in ws]
+        for g, r in zip(cache.groups, recon):
+            g.lift(r, jumps, massive=False)
+        return ws, recon, traces, lin_traces, aux, boundary_aux
 
     def _core(self, u, given_v):
-        """Shared implementation of the compact and full operators."""
+        """Shared implementation of the compact and full operators.
+
+        Returns the residuals as (components, points) arrays, the auxiliary
+        one None unless `given_v` is set.
+        """
         cache = self._cache
         sys_, bg = self.system, self.background
         lin = self.linearization_point
         strong = self.form == "strong"
         primal_form = "strong" if strong else "weak"
+        n_u, n_v = sys_.n_primal, sys_.n_auxiliary
 
-        ws, lifts, face_aux, ghost_aux_b = self._phase1(u)
-        recon = [w + l for w, l in zip(ws, lifts)]
-        if given_v is None:
-            vs = recon
-            res_v = None
-        else:
-            vs = given_v.arrays
-            res_v = [
-                eops.mass * (vk - rk)
-                for eops, vk, rk in zip(cache.elements, vs, recon)
-            ]
-
-        def element_work(k):
-            eops = cache.elements[k]
-            vk, uk = vs[k], u.arrays[k]
-            fu = sys_.primal_flux(vk, eops.coords, bg)
-            if lin is not None:
-                src = sys_.linearized_primal_source(
-                    lin.arrays[k], None, uk, vk, eops.coords, bg
-                )
+        ws, recon, traces, lin_traces, aux, boundary_aux = self._phase1(u)
+        u_rows, lin_rows, v_rows = self._rows(u), self._rows(lin), self._rows(given_v)
+        w_traces = np.empty((n_v, cache.n_face_points))
+        v_traces = np.empty_like(w_traces)
+        res_u, res_v = [], []
+        for g, w, rc in zip(cache.groups, ws, recon):
+            if v_rows is None:
+                v = rc
             else:
-                src = sys_.primal_source(uk, vk, eops.coords, bg)
-            res = -eops.stiffness(fu, primal_form)
-            res += eops.mass * src
-            faces = {}
-            for key, fops in eops.faces.items():
-                wf = eops.face_values(ws[k], key)
-                deriv = _contract_normal(
-                    fops.normal, sys_.primal_flux(wf, fops.coords, bg)
-                )
-                pen = _contract_normal(
-                    fops.normal,
-                    sys_.primal_flux(face_aux[k][key][1], fops.coords, bg),
-                )
-                faces[key] = (deriv, pen)
-            return res, faces
+                v = g.take(v_rows)
+                res_v.append(g.mass * (v - rc))
+            ug = g.take(u_rows)
+            fu = sys_.primal_flux(v, g.coords, bg)
+            if lin is None:
+                src = sys_.primal_source(ug, v, g.coords, bg)
+            else:
+                src = sys_.linearized_primal_source(g.take(lin_rows), None, ug, v, g.coords, bg)
+            res = -g.stiffness(fu, primal_form)
+            res += g.mass * src
+            res_u.append(res)
+            g.traces(w, w_traces)
+            g.traces(v, v_traces)
+        normal, x = cache.face_normal, cache.face_coords
+        deriv = _contract_normal(normal, sys_.primal_flux(w_traces, x, bg))
+        pen = _contract_normal(normal, sys_.primal_flux(aux, x, bg))
 
-        results = self._map(element_work, range(len(cache.elements)))
-        res_u = [r[0] for r in results]
-        face_data = [r[1] for r in results]
-
-        for mi, mo in enumerate(cache.mortars):
-            sigma = self.penalty_parameter * mo.base_sigma
-            sides = []
-            for si, key in enumerate(mo.keys):
-                deriv, pen = face_data[key[0]][key[1:]]
-                sides.append(
-                    BoundaryData(
-                        aux_flux=_prolong(
-                            mo.prolongs[si], face_aux[key[0]][key[1:]][1]
-                        ),
-                        deriv_flux=_prolong(mo.prolongs[si], deriv),
-                        penalty_flux=_prolong(mo.prolongs[si], pen),
-                    )
-                )
-            star = primal_numerical_flux(sides[0], sides[1], sigma)
-            for si, key in enumerate(mo.keys):
-                k = key[0]
-                flux = star if si == 0 else -star
+        jumps = np.zeros((n_u, cache.n_face_points))
+        for mg in cache.mortar_groups:
+            sides = [
+                BoundaryData(deriv_flux=mg.to_mortar(s, deriv), penalty_flux=mg.to_mortar(s, pen))
+                for s in (0, 1)
+            ]
+            star = primal_numerical_flux(sides[0], sides[1], self.penalty_parameter * mg.sigma)
+            for s, flux in enumerate((star, -star)):
                 # strong form subtracts the element's own exchanged flux
-                jump = flux - sides[si].deriv_flux if strong else flux
-                face_jump = _restrict(cache.restrictions[key][mi], jump)
-                cache.elements[k].add_lifted(
-                    res_u[k], key[1:], -face_jump, massive=True
-                )
-
-        for ei, ef in enumerate(cache.external):
-            k = ef.element
-            key = (ef.dim, ef.side)
-            eops = cache.elements[k]
-            fops = eops.faces[key]
-            deriv, pen = face_data[k][key]
-            tr, aux_int = face_aux[k][key]
-            data_int = BoundaryData(
-                aux_flux=aux_int, deriv_flux=deriv, penalty_flux=pen, trace=tr
+                jump = flux - sides[s].deriv_flux if strong else flux
+                mg.add_restricted(s, -jump, jumps)
+        for (bc, i, sigma, xb, nb), aux_b in zip(self._boundaries, boundary_aux):
+            interior = BoundaryData(
+                aux_flux=aux[:, i], deriv_flux=deriv[:, i],
+                penalty_flux=pen[:, i], trace=traces[:, i],
             )
-            bc = self.bcs.for_tag(ef.tag)
-            v_tr = eops.face_values(vs[k], key)
-            lin_traces = self._lin_traces(k, key)
             ghost = exterior_ghost_data(
-                data_int,
-                bc,
-                sys_,
-                bg,
-                fops.coords,
-                fops.normal,
-                v_trace=v_tr,
-                linearized_traces=lin_traces,
-                aux_boundary=ghost_aux_b[ei],
+                interior, bc, sys_, bg, xb, nb, v_trace=v_traces[:, i],
+                linearized_traces=None if lin is None else (lin_traces[:, i], None),
+                aux_boundary=aux_b,
             )
-            sigma = self.penalty_parameter * cache.external_sigma[ei]
-            star = primal_numerical_flux(data_int, ghost, sigma)
-            jump = star - deriv if strong else star
-            eops.add_lifted(res_u[k], key, -jump, massive=True)
+            star = primal_numerical_flux(interior, ghost, sigma)
+            jumps[:, i] -= star - interior.deriv_flux if strong else star
 
-        if not self.massive:
-            for k, eops in enumerate(cache.elements):
-                res_u[k] = res_u[k] / eops.mass
-                if res_v is not None:
-                    res_v[k] = res_v[k] / eops.mass
-        for k, eops in enumerate(cache.elements):
-            if not np.all(np.isfinite(res_u[k])):
-                raise FloatingPointError(
-                    f"non-finite residual in element {eops.element.id_string()}"
-                )
-        return res_v, res_u
+        out_u = np.empty((n_u, cache.n_points))
+        out_v = None if v_rows is None else np.empty((n_v, cache.n_points))
+        bad = []
+        for gi, (g, res) in enumerate(zip(cache.groups, res_u)):
+            g.lift(res, jumps, massive=True)
+            if not self.massive:
+                res = res / g.mass
+            finite = np.isfinite(res).reshape(n_u, len(g.members), -1).all(axis=(0, 2))
+            if not finite.all():
+                bad.append(g.members[int(np.argmin(finite))])
+            g.put(out_u, res)
+            if out_v is not None:
+                g.put(out_v, res_v[gi] if self.massive else res_v[gi] / g.mass)
+        if bad:
+            raise FloatingPointError(
+                f"non-finite residual in element {self.mesh.elements[min(bad)].id_string()}"
+            )
+        return out_v, out_u
 
     def build_rhs(self, fixed_source) -> FieldVector:
         """M f minus the zero-field residual with full boundary conditions."""
         sys_ = self.system
-        arrays = []
-        for eops in self._cache.elements:
-            if isinstance(fixed_source, FieldVector):
-                f = fixed_source.arrays[len(arrays)]
-            else:
-                f = np.asarray(fixed_source(eops.coords), dtype=float)
-            if f.shape != (sys_.n_primal,) + eops.grid_shape:
-                raise ValueError(
-                    f"fixed source shape {f.shape} does not match element grid"
-                )
-            arrays.append((f * eops.mass) if self.massive else f.copy())
+        if isinstance(fixed_source, FieldVector):
+            if fixed_source.n_components != sys_.n_primal:
+                raise ValueError("fixed source has the wrong component count")
+            f = fixed_source.data
+        else:
+            arrays = []
+            for eops in self._cache.elements:
+                fk = np.asarray(fixed_source(eops.coords), dtype=float)
+                if fk.shape != (sys_.n_primal,) + eops.grid_shape:
+                    raise ValueError(
+                        f"fixed source shape {fk.shape} does not match element grid"
+                    )
+                arrays.append(fk)
+            f = FieldVector(self.mesh, sys_.n_primal, arrays).data
+        if self.massive:
+            f = (f.reshape(sys_.n_primal, -1) * self._cache.mass).reshape(-1)
         base = self if self.linearization_point is None else self.without_linearization()
-        a0 = base.apply(base.zero_primal())
-        return FieldVector(
-            self.mesh,
-            sys_.n_primal,
-            [f - r for f, r in zip(arrays, a0.arrays)],
-        )
+        return FieldVector._wrap(self.mesh, sys_.n_primal, f - base.apply(base.zero_primal()).data)

@@ -128,9 +128,9 @@ def assemble_explicit(
         )
     lin = handle if handle.is_linearized else handle.linearized_at()
     mesh = handle.mesh
-    sizes = [el.n_points for el in mesh.elements]
-    total = sum(sizes)
-    offsets = np.concatenate([[0], np.cumsum(sizes)])[:-1]
+    offsets = mesh.point_offsets
+    sizes = np.diff(offsets)
+    total = int(offsets[-1])
     n_aux = handle.n_auxiliary_dofs if include_auxiliary else 0
     n = n_aux + handle.n_primal_dofs
     if n > cap:
@@ -146,9 +146,8 @@ def assemble_explicit(
         for m in sorted({k} | nbrs[k]):
             base = 0
             for block in res_blocks:
-                arr = block.arrays[m]
-                for c2 in range(arr.shape[0]):
-                    vals = arr[c2].ravel(order="F")
+                for c2, row in enumerate(block.data.reshape(-1, total)):
+                    vals = row[offsets[m]:offsets[m + 1]]
                     nz = np.flatnonzero(vals)
                     if nz.size:
                         rows_out.append(base + c2 * total + offsets[m] + nz)
@@ -176,10 +175,7 @@ def assemble_explicit(
                 )
                 target = v if is_aux else u
                 for k in members:
-                    idx = np.unravel_index(
-                        p, mesh.elements[k].grid_shape, order="F"
-                    )
-                    target.arrays[k][(c, *idx)] = 1.0
+                    target.data[c * total + offsets[k] + p] = 1.0
                 if include_auxiliary:
                     rv, ru = lin.apply_full(v, u)
                     res_blocks = (rv, ru)
@@ -334,6 +330,16 @@ def solve_linear(
             raise ConfigurationError(
                 "solver.method",
                 "cg requires the strong-weak form of a symmetry-eligible system",
+            )
+        if not handle.massive:
+            raise ConfigurationError(
+                "solver.method",
+                "cg requires the massive operator; without the mass matrix "
+                "the operator M^-1 A is not symmetric",
+            )
+        if preconditioner is not None:
+            raise ConfigurationError(
+                "solver.method", "cg does not take a preconditioner; use gmres"
             )
     elif method != "gmres":
         raise ConfigurationError("solver.method", f"unknown method {method!r}")

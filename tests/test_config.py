@@ -38,6 +38,15 @@ def test_minimal_config_defaults():
     assert cfg.solution is None
 
 
+def test_cg_with_massless_operator_rejected():
+    raw = base_config()
+    raw["operator"] = {"form": "strong-weak", "massive": False}
+    raw["solver"] = {"method": "cg"}
+    expect_error(raw, "solver.method")
+    raw["operator"]["massive"] = True
+    assert parse_config(raw).solver["method"] == "cg"
+
+
 def test_unknown_top_level_key():
     raw = base_config()
     raw["sytsem"] = {}

@@ -513,6 +513,40 @@ def test_fieldvector_layout():
         np.testing.assert_array_equal(a, b)
 
 
+def test_fieldvector_flat_round_trip_mixed_grid_shapes():
+    # three grid shapes, the (2, 3) elements not consecutive in mesh order
+    mesh = build_rectilinear_mesh(
+        [(0.0, 1.0), (0.0, 1.0)], levels=(1, 1), degrees=(1, 2)
+    )
+    mesh = with_degrees(with_degrees(mesh, 1, (3, 1)), 2, (2, 2))
+    sizes = [el.n_points for el in mesh.elements]
+    assert len({el.grid_shape for el in mesh.elements}) == 3
+    flat = np.arange(2.0 * sum(sizes))
+    fv = FieldVector.from_flat(mesh, 2, flat)
+    np.testing.assert_array_equal(fv.to_flat(), flat)
+    offsets = np.concatenate([[0], np.cumsum(sizes)])
+    for k, (arr, el) in enumerate(zip(fv.arrays, mesh.elements)):
+        assert arr.shape == (2,) + el.grid_shape
+        for c in range(2):
+            start = c * sum(sizes) + offsets[k]
+            np.testing.assert_array_equal(
+                arr[c].ravel(order="F"), flat[start:start + sizes[k]]
+            )
+    # writes through an element view reach the flat buffer
+    fv.arrays[2][1, 2, 0] = -7.0
+    pos = sum(sizes) + offsets[2] + 2
+    assert fv.to_flat()[pos] == -7.0
+    # building from element arrays gives the same flat vector
+    again = FieldVector(mesh, 2, [a.copy() for a in fv.arrays])
+    np.testing.assert_array_equal(again.to_flat(), fv.to_flat())
+    # to_flat hands out a copy, from_flat takes one
+    out = fv.to_flat()
+    out[0] = 99.0
+    assert fv.arrays[0][0, 0, 0] == 0.0
+    flat[0] = 99.0
+    assert fv.to_flat()[0] == 0.0
+
+
 def test_fieldvector_size_guard():
     mesh = unit_mesh_1d(2)
     with pytest.raises(ValueError):
@@ -616,8 +650,6 @@ def test_handle_validation():
         OperatorHandle(mesh, POISSON_2D, BG, bcs, form="weak-weak")
     with pytest.raises(ConfigurationError):
         OperatorHandle(mesh, POISSON_2D, BG, bcs, penalty_parameter=-1.0)
-    with pytest.raises(ConfigurationError):
-        OperatorHandle(mesh, POISSON_2D, BG, bcs, threads=0)
     with pytest.raises(ConfigurationError):
         OperatorHandle(
             mesh, POISSON_2D, BG, BoundaryMap({"x-lower": DirichletBC(0.0)})

@@ -237,6 +237,27 @@ def test_cg_requires_symmetric_configuration():
         )
 
 
+def test_cg_rejects_massless_operator():
+    # without the mass matrix the operator M^-1 A is not symmetric, and CG
+    # would return a plausible wrong answer after many iterations
+    mesh = build_rectilinear_mesh([(0.0, 1.0)] * 2, levels=(1, 1), degrees=(3, 3))
+    handle = OperatorHandle(
+        mesh, make_system("poisson-flat", dim=2), BG,
+        BoundaryMap.everywhere(DirichletBC(0.0)), form="strong-weak", massive=False,
+    ).linearized_at()
+    with pytest.raises(ConfigurationError, match="massive"):
+        solve_linear(handle, np.ones(handle.n_primal_dofs), method="cg")
+
+
+def test_cg_rejects_preconditioner():
+    handle = poisson_handle(1, 2, form="strong-weak")
+    with pytest.raises(ConfigurationError, match="preconditioner"):
+        solve_linear(
+            handle, np.ones(handle.n_primal_dofs), method="cg",
+            preconditioner=lambda x: x,
+        )
+
+
 def test_cg_matches_gmres():
     handle = poisson_handle(1, 3, form="strong-weak")
     rng = np.random.default_rng(6)
