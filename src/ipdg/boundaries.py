@@ -8,8 +8,10 @@ dirichlet when their flux coefficient vanishes.
 
 values() receives flattened face arrays: points (d, n), unit normal (d, n),
 primal trace (n_primal, n) and, when already reconstructed, auxiliary trace
-(n_aux, n). Dirichlet-kind conditions are evaluated before auxiliary
-reconstruction and must not depend on the auxiliary trace.
+(n_aux, n). The operator calls it once per condition with the points of all
+the faces it covers, so n spans several faces and values must be pointwise.
+Dirichlet-kind conditions are evaluated before auxiliary reconstruction and
+must not depend on the auxiliary trace.
 """
 
 from __future__ import annotations

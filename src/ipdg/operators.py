@@ -561,7 +561,6 @@ class _MeshCache:
     """Geometry, topology and stacked transfer data shared between handles."""
 
     def __init__(self, mesh, background):
-        self.mesh = mesh
         topology = mortar_topology(mesh)
         self.elements = ops = [_ElementOps(el, background) for el in mesh.elements]
         offsets = mesh.point_offsets
