@@ -319,13 +319,18 @@ def _lgl_node_sets(element):
     return node_sets
 
 
+def _weight_product(weights):
+    """Tensor product of 1D quadrature weights, in natural grid order."""
+    out = np.ones(tuple(w.size for w in weights))
+    for i, w in enumerate(weights):
+        out = out * w.reshape([-1 if j == i else 1 for j in range(len(weights))])
+    return out
+
+
 def _lumped_mass(element, background, coords, det, weights):
     """sqrt(g) J prod(w) at every grid point; raises unless it is positive."""
     sqrt_g = np.asarray(background.sqrt_det(coords), dtype=float)
-    wprod = np.ones(element.grid_shape)
-    for i, w in enumerate(weights):
-        wprod = wprod * w.reshape([-1 if j == i else 1 for j in range(element.dim)])
-    mass = sqrt_g * det * wprod
+    mass = sqrt_g * det * _weight_product(weights)
     if not np.all(np.isfinite(mass)) or np.any(mass <= 0.0):
         raise DegenerateGeometryError(
             f"nonpositive lumped mass in element {element.id_string()}"
@@ -343,9 +348,7 @@ def _face_ops(element, background, weights, fdim, side, volume):
     k = len(fsh)
     mag = _flatten_trailing(fg.normal_magnitude, k)
     measure = _flatten_trailing(fg.surface_measure, k)
-    trans = np.ones(fsh)
-    for j, td in enumerate(i for i in range(element.dim) if i != fdim):
-        trans = trans * weights[td].reshape([-1 if i == j else 1 for i in range(k)])
+    trans = _weight_product([w for i, w in enumerate(weights) if i != fdim])
     return _Face(
         fsh, int(np.prod(fsh)), _flatten_trailing(fg.coords, k),
         _flatten_trailing(fg.normal, k), 2.0 / mag, measure,
