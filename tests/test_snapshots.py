@@ -136,7 +136,7 @@ def puncture():
     return handle.linearized_at(point)
 
 
-# name -> (handle builder, include the auxiliary block)
+# name -> (function making the handle, include the auxiliary block)
 CASES = {
     "poisson-conforming": (poisson_conforming, False),
     "h-nonconforming": (h_nonconforming, False),
