@@ -35,7 +35,6 @@ from .errors import (
     IpdgError,
     ResourceCapError,
     SingularPointError,
-    SolverError,
     TopologyError,
     UnsupportedFeatureError,
 )
@@ -90,7 +89,6 @@ __all__ = [
     "IpdgError",
     "ResourceCapError",
     "SingularPointError",
-    "SolverError",
     "TopologyError",
     "UnsupportedFeatureError",
     "build_annulus_mesh",

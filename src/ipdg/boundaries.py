@@ -10,6 +10,7 @@ values() receives flattened face arrays: points (d, n), unit normal (d, n),
 primal trace (n_primal, n) and, when already reconstructed, auxiliary trace
 (n_aux, n). The operator calls it once per condition with the points of all
 the faces it covers, so n spans several faces and values must be pointwise.
+For a batch of vectors the points repeat once per vector of the batch.
 Dirichlet-kind conditions are evaluated before auxiliary reconstruction and
 must not depend on the auxiliary trace.
 """

@@ -33,9 +33,5 @@ class ConfigurationError(IpdgError):
         super().__init__(f"{path}: {message}" if path else message)
 
 
-class SolverError(IpdgError):
-    """An iterative or direct solve failed to produce a usable solution."""
-
-
 class ResourceCapError(IpdgError):
     """An operation exceeded a hard resource cap (e.g. explicit-assembly size)."""

@@ -501,6 +501,14 @@ def _transverse_relation(seg_a: Segment, seg_b: Segment):
     )
 
 
+def _dyadic(numerator: int, level: int) -> tuple[int, int]:
+    """The fraction numerator / 2^level in lowest terms, as (numerator, level)."""
+    while level > 0 and numerator % 2 == 0:
+        numerator //= 2
+        level -= 1
+    return numerator, level
+
+
 def _at_block_boundary(seg: Segment, side: int) -> bool:
     return seg[1] == 0 if side < 0 else seg[1] == (1 << seg[0]) - 1
 
@@ -514,46 +522,37 @@ def mortar_topology(mesh: Mesh) -> MeshTopology:
     the builders guarantee.
     """
     dim = mesh.dim
-    by_block: dict[int, list[int]] = {}
-    for k, e in enumerate(mesh.elements):
-        by_block.setdefault(e.block, []).append(k)
-
     mortars: list[Mortar] = []
     external: list[ExternalFace] = []
     face_mortars: dict[tuple, list[int]] = {}
     seen: set[frozenset] = set()
 
+    # (block, dim, side, plane) -> elements, in mesh order, whose face on
+    # that side lies on the plane; planes are dyadic fractions of the block
+    faces_at: dict[tuple, list[int]] = {}
+    for k, e in enumerate(mesh.elements):
+        for face_dim, (level, index) in enumerate(e.segments):
+            for side, plane in ((-1, index), (1, index + 1)):
+                key = (e.block, face_dim, side, _dyadic(plane, level))
+                faces_at.setdefault(key, []).append(k)
+
     def candidates(elem_index, face_dim, side):
-        """Element indices that can touch this face, with segment accessors."""
+        """Element indices whose opposite face lies on this face's plane."""
         e = mesh.elements[elem_index]
+        level, index = e.segments[face_dim]
         if _at_block_boundary(e.segments[face_dim], side):
             kind, target = mesh.blocks[e.block].boundary[(face_dim, side)]
             if kind == "external":
                 return None, target
+            plane = (0, 0) if side > 0 else (1, 0)
             pool = [
                 k
-                for k in by_block.get(target, [])
-                if _at_block_boundary(
-                    mesh.elements[k].segments[face_dim], -side
-                )
-                and (target != e.block or k != elem_index)
+                for k in faces_at.get((target, face_dim, -side, plane), [])
+                if target != e.block or k != elem_index
             ]
             return pool, None
-        # within-block: neighbor touches along the face plane
-        level = e.segments[face_dim][0]
-        lo, hi = _seg_bounds_at(e.segments[face_dim], level)
-        plane = hi if side > 0 else lo
-        pool = []
-        for k in by_block[e.block]:
-            if k == elem_index:
-                continue
-            o = mesh.elements[k].segments[face_dim]
-            common = max(level, o[0])
-            olo, ohi = _seg_bounds_at(o, common)
-            scaled_plane = plane << (common - level)
-            if (side > 0 and olo == scaled_plane) or (side < 0 and ohi == scaled_plane):
-                pool.append(k)
-        return pool, None
+        plane = _dyadic(index + (side > 0), level)
+        return faces_at.get((e.block, face_dim, -side, plane), []), None
 
     trans_dims = lambda face_dim: [d for d in range(dim) if d != face_dim]
 

@@ -36,6 +36,14 @@ the element count:
   restricts with a stack of extended-precision matrices (skipped likewise);
 - external faces are gathered per boundary-condition object, whose ghost
   data is computed in one call.
+
+A batch of vectors (FieldVector.batch) rides through the same code as one
+more leading point axis: volume arrays are (components, batch, elements,
+*grid) and the face buffer is (components, batch, face points). Geometry,
+the linearization point and the penalty broadcast over it. A single vector
+simply has no batch axis. Boundary conditions never see the batch axis: it
+is folded into their point axis, with the face geometry repeated once per
+vector.
 """
 
 from __future__ import annotations
@@ -98,6 +106,20 @@ def _apply_1d(mat, arr, dim):
     return out.reshape(shape[:axis] + (mat.shape[0],) + trail)
 
 
+def _fold(buf, index):
+    """Face-buffer values at `index`, a batch folded into the point axis.
+
+    (c, ..., face points) -> (c, points), the selected points of one vector
+    after those of the previous one; boundary conditions see only this form.
+    """
+    return buf[..., index].reshape(buf.shape[0], -1)
+
+
+def _unfold(values, lead):
+    """Inverse of `_fold` for a batch shaped `lead`."""
+    return values.reshape(values.shape[:1] + lead + (-1,))
+
+
 def _contract_normal(normal, fluxes):
     """n_i F^i... over the flux direction axis: (c, d, n) -> (c, n)."""
     return np.einsum("i...,ci...->c...", normal, fluxes)
@@ -109,6 +131,11 @@ class FieldVector:
     `data` holds the values in the flat DoF order. `arrays[k]` is element k's
     (n_components, *grid_shape) view into it, built on first use; writing
     through a view changes the vector. Rebinding `data` is not supported.
+
+    A batch (`FieldVector.batch`) holds several vectors as the rows of a
+    (batch, n_dofs) `data` array; the operator applies all of them in one
+    pass and returns a batch. Per-element `arrays` exist only for a single
+    vector.
     """
 
     __slots__ = ("mesh", "n_components", "data", "_arrays")
@@ -141,6 +168,8 @@ class FieldVector:
 
     @property
     def arrays(self) -> tuple:
+        if self.data.ndim != 1:
+            raise ValueError("per-element arrays exist only for a single vector")
         if self._arrays is None:
             offsets = self.mesh.point_offsets
             rows = self.data.reshape(self.n_components, -1)
@@ -169,12 +198,23 @@ class FieldVector:
             )
         return cls._wrap(mesh, n_components, flat)
 
+    @classmethod
+    def batch(cls, mesh, n_components: int, rows) -> "FieldVector":
+        """A batch of vectors, one per row of `rows` in the flat DoF order."""
+        rows = np.asarray(rows, dtype=float)
+        expected = n_components * mesh.total_points
+        if rows.ndim != 2 or rows.shape[1] != expected:
+            raise ValueError(
+                f"batch has shape {rows.shape}, expected (batch, {expected})"
+            )
+        return cls._wrap(mesh, n_components, rows)
+
     def to_flat(self) -> np.ndarray:
         return self.data.copy()
 
     @property
     def n_dofs(self) -> int:
-        return self.data.size
+        return self.data.shape[-1]
 
     def copy(self) -> "FieldVector":
         return self._wrap(self.mesh, self.n_components, self.data.copy())
@@ -429,22 +469,23 @@ class _Group:
         self.face_end = face_start
 
     def take(self, rows):
-        """The group's part of a (components, points) array, point-ordered."""
-        return rows[:, self.sel].reshape((rows.shape[0],) + self.shape)
+        """The group's part of a (..., points) array, point-ordered."""
+        return rows[..., self.sel].reshape(rows.shape[:-1] + self.shape)
 
     def put(self, rows, values):
-        rows[:, self.sel] = values.reshape(rows.shape[0], -1)
+        rows[..., self.sel] = values.reshape(rows.shape[:-1] + (-1,))
 
     def traces(self, volume, buf):
-        """Copy the face values of a (c, *shape) volume array into the face buffer."""
+        """Copy the face values of a (..., *shape) volume array into the face buffer."""
+        lead = volume.shape[: volume.ndim - len(self.shape)]
         for f in self.faces:
-            buf[:, f.span] = volume[f.index].reshape(volume.shape[0], -1)
+            buf[..., f.span] = volume[f.index].reshape(lead + (-1,))
 
     def lift(self, volume, buf, massive):
-        """Add the lifted face-buffer values into a (c, *shape) volume array."""
+        """Add the lifted face-buffer values into a (..., *shape) volume array."""
         for f in self.faces:
             weight = f.massive if massive else f.massless
-            volume[f.index] += buf[:, f.span].reshape((buf.shape[0],) + f.shape) * weight
+            volume[f.index] += buf[..., f.span].reshape(buf.shape[:-1] + f.shape) * weight
 
     def divergence(self, fluxes):
         """Strong nodal divergence sum_ij Jinv^j_i d_xi_j F^i, (c, d, ...) -> (c, ...)."""
@@ -527,7 +568,7 @@ class _MortarGroup:
 
     def to_mortar(self, side, buf):
         """Gather one side's face values from the buffer onto the mortars."""
-        data = buf[:, self.index[side]]
+        data = buf[..., self.index[side]]
         p = self.prolong[side]
         return data if p is None else data @ p
 
@@ -535,8 +576,8 @@ class _MortarGroup:
         """Restrict mortar values to one side's faces and add them to the buffer."""
         r = self.restrict[side]
         if r is not None:
-            values = np.asarray(np.einsum("mpq,cmq->cmp", r, values), dtype=float)
-        buf[:, self.index[side]] += values
+            values = np.asarray(np.einsum("mpq,...mq->...mp", r, values), dtype=float)
+        buf[..., self.index[side]] += values
 
 
 def _mortar_measure_sigma(mortar, faces, prolongs, mesh):
@@ -564,7 +605,7 @@ class _MeshCache:
     """Geometry, topology and stacked transfer data shared between handles."""
 
     def __init__(self, mesh, background):
-        topology = mortar_topology(mesh)
+        self.topology = topology = mortar_topology(mesh)
         self.elements = ops = [_ElementOps(el, background) for el in mesh.elements]
         offsets = mesh.point_offsets
         self.n_points = int(offsets[-1])
@@ -720,6 +761,11 @@ class OperatorHandle:
         return self.system.n_auxiliary * self._cache.n_points
 
     @property
+    def topology(self):
+        """The mesh's mortars and external faces, computed once per mesh."""
+        return self._cache.topology
+
+    @property
     def is_linearized(self) -> bool:
         return self.linearization_point is not None
 
@@ -751,9 +797,9 @@ class OperatorHandle:
     # -- operator application ------------------------------------------
 
     def apply(self, u: FieldVector) -> FieldVector:
-        """Residual A(u) over the primal variables."""
+        """Residual A(u) over the primal variables; a batch gives a batch."""
         _, res = self._core(u, None)
-        return FieldVector._wrap(self.mesh, self.system.n_primal, res.reshape(-1))
+        return FieldVector._wrap(self.mesh, self.system.n_primal, res)
 
     def matvec(self, flat) -> np.ndarray:
         u = FieldVector.from_flat(self.mesh, self.system.n_primal, flat)
@@ -763,10 +809,12 @@ class OperatorHandle:
         """Residuals of the first-order system over (auxiliary, primal)."""
         if v.n_components != self.system.n_auxiliary:
             raise ValueError("auxiliary block has wrong component count")
+        if v.data.shape[:-1] != u.data.shape[:-1]:
+            raise ValueError("auxiliary and primal blocks differ in batch size")
         res_v, res_u = self._core(u, v)
         return (
-            FieldVector._wrap(self.mesh, self.system.n_auxiliary, res_v.reshape(-1)),
-            FieldVector._wrap(self.mesh, self.system.n_primal, res_u.reshape(-1)),
+            FieldVector._wrap(self.mesh, self.system.n_auxiliary, res_v),
+            FieldVector._wrap(self.mesh, self.system.n_primal, res_u),
         )
 
     def matvec_full(self, flat) -> np.ndarray:
@@ -779,30 +827,40 @@ class OperatorHandle:
 
     def reconstruct_auxiliary(self, u: FieldVector) -> FieldVector:
         """The auxiliary field the compact operator uses internally."""
-        recon = self._phase1(u)[1]
-        out = np.empty((self.system.n_auxiliary, self._cache.n_points))
+        recon = self._phase1(self._rows(u.data))[1]
+        data, out = self._new_rows(self.system.n_auxiliary, u.data.shape[:-1])
         for g, r in zip(self._cache.groups, recon):
             g.put(out, r)
-        return FieldVector._wrap(self.mesh, self.system.n_auxiliary, out.reshape(-1))
+        return FieldVector._wrap(self.mesh, self.system.n_auxiliary, data)
 
-    def _rows(self, field):
-        """A field's flat buffer as (components, points), or None."""
-        return None if field is None else field.data.reshape(-1, self._cache.n_points)
+    def _rows(self, data):
+        """Flat vectors (..., n_dofs) as a (components, ..., points) view."""
+        rows = data.reshape(data.shape[:-1] + (-1, self._cache.n_points))
+        return np.moveaxis(rows, -2, 0)
 
-    def _phase1(self, u):
+    def _new_rows(self, n_components, lead):
+        """A new buffer of flat vectors shaped `lead` and its `_rows` view."""
+        data = np.empty(lead + (n_components * self._cache.n_points,))
+        return data, self._rows(data)
+
+    def _phase1(self, u_rows):
         """Auxiliary fluxes, their exchange and the reconstructed auxiliary field.
 
         Returns per group the strong flux divergences minus extra sources
-        and the reconstructed fields; as face buffers the primal traces, the
-        linearization-point traces (or None) and the projected auxiliary
-        fluxes; per boundary group the boundary auxiliary flux.
+        and the reconstructed fields; as face buffers the primal traces and
+        the projected auxiliary fluxes; per boundary condition (condition,
+        face-buffer index, penalty, points, normals, linearized traces,
+        boundary auxiliary flux), folded as `_fold` does.
         """
         cache = self._cache
         sys_, bg = self.system, self.background
         lin = self.linearization_point
-        u_rows, lin_rows = self._rows(u), self._rows(lin)
-        traces = np.empty((sys_.n_primal, cache.n_face_points))
-        lin_traces = None if lin is None else np.empty_like(traces)
+        lead = u_rows.shape[1:-1]
+        reps = int(np.prod(lead, dtype=int))
+        traces = np.empty((sys_.n_primal,) + lead + (cache.n_face_points,))
+        if lin is not None:
+            lin_rows = self._rows(lin.data)
+            lin_traces = np.empty((sys_.n_primal, cache.n_face_points))
         ws = []
         for g in cache.groups:
             ug = g.take(u_rows)
@@ -825,28 +883,29 @@ class OperatorHandle:
             star = auxiliary_numerical_flux(sides[0], sides[1])
             for s, flux in enumerate((star, -star)):
                 mg.add_restricted(s, flux - sides[s].aux_flux, jumps)
-        boundary_aux = []
-        for bc, i, _, x, normal in self._boundaries:
-            interior = BoundaryData(aux_flux=aux[:, i], trace=traces[:, i])
+        boundaries = []
+        for bc, i, sigma, x, normal in self._boundaries:
+            x, normal, sigma = (np.tile(a, reps) for a in (x, normal, sigma))
+            lin_b = None if lin is None else (np.tile(lin_traces[:, i], reps), None)
+            interior = BoundaryData(aux_flux=_fold(aux, i), trace=_fold(traces, i))
             ghost = exterior_ghost_data(
-                interior, bc, sys_, bg, x, normal,
-                linearized_traces=None if lin is None else (lin_traces[:, i], None),
+                interior, bc, sys_, bg, x, normal, linearized_traces=lin_b
             )
             # on a ghost face the numerical flux is the boundary value itself
             star = auxiliary_numerical_flux(interior, ghost)
-            jumps[:, i] += star - interior.aux_flux
-            boundary_aux.append(star)
+            jumps[..., i] += _unfold(star - interior.aux_flux, lead)
+            boundaries.append((bc, i, sigma, x, normal, lin_b, star))
 
         recon = [w.copy() for w in ws]
         for g, r in zip(cache.groups, recon):
             g.lift(r, jumps, massive=False)
-        return ws, recon, traces, lin_traces, aux, boundary_aux
+        return ws, recon, traces, aux, boundaries
 
     def _core(self, u, given_v):
         """Shared implementation of the compact and full operators.
 
-        Returns the residuals as (components, points) arrays, the auxiliary
-        one None unless `given_v` is set.
+        Returns the residuals as flat data shaped like `u.data`, the
+        auxiliary one None unless `given_v` is set.
         """
         cache = self._cache
         sys_, bg = self.system, self.background
@@ -854,10 +913,13 @@ class OperatorHandle:
         strong = self.form == "strong"
         primal_form = "strong" if strong else "weak"
         n_u, n_v = sys_.n_primal, sys_.n_auxiliary
+        u_rows = self._rows(u.data)
+        lead = u_rows.shape[1:-1]
 
-        ws, recon, traces, lin_traces, aux, boundary_aux = self._phase1(u)
-        u_rows, lin_rows, v_rows = self._rows(u), self._rows(lin), self._rows(given_v)
-        w_traces = np.empty((n_v, cache.n_face_points))
+        ws, recon, traces, aux, boundaries = self._phase1(u_rows)
+        lin_rows = None if lin is None else self._rows(lin.data)
+        v_rows = None if given_v is None else self._rows(given_v.data)
+        w_traces = np.empty((n_v,) + lead + (cache.n_face_points,))
         v_traces = np.empty_like(w_traces)
         res_u, res_v = [], []
         for g, w, rc in zip(cache.groups, ws, recon):
@@ -881,7 +943,7 @@ class OperatorHandle:
         deriv = _contract_normal(normal, sys_.primal_flux(w_traces, x, bg))
         pen = _contract_normal(normal, sys_.primal_flux(aux, x, bg))
 
-        jumps = np.zeros((n_u, cache.n_face_points))
+        jumps = np.zeros((n_u,) + lead + (cache.n_face_points,))
         for mg in cache.mortar_groups:
             sides = [
                 BoundaryData(deriv_flux=mg.to_mortar(s, deriv), penalty_flux=mg.to_mortar(s, pen))
@@ -892,27 +954,27 @@ class OperatorHandle:
                 # strong form subtracts the element's own exchanged flux
                 jump = flux - sides[s].deriv_flux if strong else flux
                 mg.add_restricted(s, -jump, jumps)
-        for (bc, i, sigma, xb, nb), aux_b in zip(self._boundaries, boundary_aux):
+        for bc, i, sigma, xb, nb, lin_b, aux_b in boundaries:
             interior = BoundaryData(
-                aux_flux=aux[:, i], deriv_flux=deriv[:, i],
-                penalty_flux=pen[:, i], trace=traces[:, i],
+                aux_flux=_fold(aux, i), deriv_flux=_fold(deriv, i),
+                penalty_flux=_fold(pen, i), trace=_fold(traces, i),
             )
             ghost = exterior_ghost_data(
-                interior, bc, sys_, bg, xb, nb, v_trace=v_traces[:, i],
-                linearized_traces=None if lin is None else (lin_traces[:, i], None),
-                aux_boundary=aux_b,
+                interior, bc, sys_, bg, xb, nb, v_trace=_fold(v_traces, i),
+                linearized_traces=lin_b, aux_boundary=aux_b,
             )
             star = primal_numerical_flux(interior, ghost, sigma)
-            jumps[:, i] -= star - interior.deriv_flux if strong else star
+            jumps[..., i] -= _unfold(star - interior.deriv_flux if strong else star, lead)
 
-        out_u = np.empty((n_u, cache.n_points))
-        out_v = None if v_rows is None else np.empty((n_v, cache.n_points))
+        data_u, out_u = self._new_rows(n_u, lead)
+        data_v, out_v = (None, None) if v_rows is None else self._new_rows(n_v, lead)
         bad = []
         for gi, (g, res) in enumerate(zip(cache.groups, res_u)):
             g.lift(res, jumps, massive=True)
             if not self.massive:
                 res = res / g.mass
-            finite = np.isfinite(res).reshape(n_u, len(g.members), -1).all(axis=(0, 2))
+            n_el = len(g.members)
+            finite = np.isfinite(res).reshape(-1, n_el, res[0].size // n_el).all(axis=(0, 2))
             if not finite.all():
                 bad.append(g.members[int(np.argmin(finite))])
             g.put(out_u, res)
@@ -922,7 +984,7 @@ class OperatorHandle:
             raise FloatingPointError(
                 f"non-finite residual in element {self.mesh.elements[min(bad)].id_string()}"
             )
-        return out_v, out_u
+        return data_v, data_u
 
     def build_rhs(self, fixed_source) -> FieldVector:
         """M f minus the zero-field residual with full boundary conditions."""

@@ -18,7 +18,6 @@ import scipy.sparse
 import scipy.sparse.linalg
 
 from .errors import ConfigurationError, ResourceCapError
-from .mesh import mortar_topology
 from .operators import FieldVector
 
 __all__ = [
@@ -52,6 +51,7 @@ class SolveReport:
     converged: bool
     wall_time: float
     residual_history: list = field(default_factory=list)
+    inner: list = field(default_factory=list)  # Newton: each step's linear-solve report
 
 
 @dataclass
@@ -86,16 +86,22 @@ class ExplicitMatrix:
                 f.write(f"{r + 1} {c + 1} {v:.17e}\n")
 
 
-def _element_color_groups(mesh):
+# Entries (columns x rows) of one batched probe application. The operator's
+# temporaries take about ten times as many floats (about 5 MB), whatever the
+# DoF count up to the assembly cap; larger batches measured no faster.
+_PROBE_BATCH_ENTRIES = 1 << 16
+
+
+def _element_color_groups(handle):
     """Group elements so same-group members share no neighbor.
 
     Columns of the operator rooted in one element only reach its face
     neighbors, so elements at graph distance >= 3 can share one batched
     unit-vector application.
     """
-    n = len(mesh.elements)
+    n = len(handle.mesh.elements)
     nbrs = [set() for _ in range(n)]
-    for mortar in mortar_topology(mesh).mortars:
+    for mortar in handle.topology.mortars:
         a, b = (s.element for s in mortar.sides)
         if a != b:
             nbrs[a].add(b)
@@ -120,7 +126,14 @@ def _element_color_groups(mesh):
 def assemble_explicit(
     handle, include_auxiliary: bool = False, cap: int = DEFAULT_ASSEMBLY_CAP
 ) -> ExplicitMatrix:
-    """Column-by-column assembly of the handle's linear(ized) action."""
+    """Assembly of the handle's linear(ized) action by probing with unit vectors.
+
+    One probe vector sets the same point of every element of one color.
+    Same-color elements have disjoint closed neighborhoods, so each nonzero
+    of the result belongs to the column of the probed element whose
+    neighborhood holds its row. The probes of one color, for every
+    component and point, go through the operator as batches of columns.
+    """
     if not handle.is_linearized and not handle.system.linear:
         raise ConfigurationError(
             "assemble",
@@ -138,51 +151,43 @@ def assemble_explicit(
             f"operator has {n} DoFs, above the assembly cap {cap}"
         )
 
-    groups, nbrs = _element_color_groups(mesh)
+    groups, nbrs = _element_color_groups(lin)
+    point_element = np.repeat(np.arange(len(sizes)), sizes)
+    n_components = n // total
+    chunk = max(1, _PROBE_BATCH_ENTRIES // n)
     rows_out, cols_out, vals_out = [], [], []
-
-    def scatter(res_blocks, k, col):
-        """Store the nonzero column entries near element k."""
-        for m in sorted({k} | nbrs[k]):
-            base = 0
-            for block in res_blocks:
-                for c2, row in enumerate(block.data.reshape(-1, total)):
-                    vals = row[offsets[m]:offsets[m + 1]]
-                    nz = np.flatnonzero(vals)
-                    if nz.size:
-                        rows_out.append(base + c2 * total + offsets[m] + nz)
-                        cols_out.append(np.full(nz.size, col))
-                        vals_out.append(vals[nz])
-                base += block.n_components * total
-
-    blocks = []  # (is_auxiliary, component, column base offset)
-    if include_auxiliary:
-        blocks += [(True, c) for c in range(handle.system.n_auxiliary)]
-    blocks += [(False, c) for c in range(handle.system.n_primal)]
-
     for group in groups:
-        for is_aux, c in blocks:
-            block_base = (0 if is_aux else n_aux) + c * total
-            for p in range(max(sizes[k] for k in group)):
-                members = [k for k in group if sizes[k] > p]
-                if not members:
-                    continue
-                u = lin.zero_primal()
-                v = (
-                    FieldVector.zeros(mesh, handle.system.n_auxiliary)
-                    if include_auxiliary
-                    else None
+        members = np.array(group)
+        owner = np.full(len(sizes), -1)
+        for k in group:
+            owner[[k, *nbrs[k]]] = k
+        row_owner = owner[point_element]
+        # every (component, point index) probe of this color
+        comp, point = (
+            a.ravel() for a in np.indices((n_components, sizes[members].max()))
+        )
+        for start in range(0, comp.size, chunk):
+            c, p = comp[start:start + chunk], point[start:start + chunk]
+            probes = np.zeros((c.size, n))
+            b, m = np.nonzero(sizes[members] > p[:, None])
+            probes[b, c[b] * total + offsets[members[m]] + p[b]] = 1.0
+            if include_auxiliary:
+                rv, ru = lin.apply_full(
+                    FieldVector.batch(mesh, handle.system.n_auxiliary, probes[:, :n_aux]),
+                    FieldVector.batch(mesh, handle.system.n_primal, probes[:, n_aux:]),
                 )
-                target = v if is_aux else u
-                for k in members:
-                    target.data[c * total + offsets[k] + p] = 1.0
-                if include_auxiliary:
-                    rv, ru = lin.apply_full(v, u)
-                    res_blocks = (rv, ru)
-                else:
-                    res_blocks = (lin.apply(u),)
-                for k in members:
-                    scatter(res_blocks, k, block_base + offsets[k] + p)
+                result = np.concatenate([rv.data, ru.data], axis=1)
+            else:
+                result = lin.apply(
+                    FieldVector.batch(mesh, handle.system.n_primal, probes)
+                ).data
+            b, row = np.nonzero(result)
+            k = row_owner[row % total]
+            keep = (k >= 0) & (sizes[k] > p[b])
+            b, row, k = b[keep], row[keep], k[keep]
+            rows_out.append(row)
+            cols_out.append(c[b] * total + offsets[k] + p[b])
+            vals_out.append(result[b, row])
 
     if rows_out:
         mat = scipy.sparse.coo_matrix(
@@ -389,7 +394,9 @@ def solve_newton(
 
     The Jacobian at each iterate is the handle linearized there. No damping:
     initial guesses are the caller's responsibility. Three consecutive
-    residual increases abort with a failure report.
+    residual increases abort with a failure report. The report's `inner`
+    lists the report of each step's linear solve, so an inner solve that did
+    not converge shows there.
     """
     params = {"method": "gmres", "tol": 1e-12, "max_iter": 10000, "restart": 50}
     if inner:
@@ -407,13 +414,15 @@ def solve_newton(
     history = [rel]
     growth = 0
     its = 0
+    inner_reports = []
     while rel > tol and its < max_iter:
         jac = handle.linearized_at(u)
-        du, _ = solve_linear(
+        du, inner_report = solve_linear(
             jac,
             FieldVector.from_flat(handle.mesh, handle.system.n_primal, res),
             **params,
         )
+        inner_reports.append(inner_report)
         u = u + du
         its += 1
         res = b - handle.apply(u).to_flat()
@@ -428,5 +437,5 @@ def solve_newton(
             growth = 0
         rel = new_rel
     return u, SolveReport(
-        its, rel, rel <= tol, time.perf_counter() - t0, history
+        its, rel, rel <= tol, time.perf_counter() - t0, history, inner_reports
     )

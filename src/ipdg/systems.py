@@ -101,9 +101,6 @@ class EllipticSystem:
         """
         raise NotImplementedError
 
-    def compatible_background(self, bg) -> bool:
-        return True
-
 
 class _PoissonLike(EllipticSystem):
     """Shared flux structure: F^i_{v_j} = u delta^i_j, F^i_u built from v."""
@@ -253,15 +250,37 @@ class Puncture(_PoissonLike):
     linear = False
     symmetric_eligible = True
 
+    # point sets whose background fields are kept; an operator evaluates
+    # them at the same collocation points in every application
+    _FIELDS_KEPT = 4
+
     def __init__(self, punctures):
         super().__init__(3)
         self.punctures = tuple(punctures)
         if not self.punctures:
             raise ValueError("at least one puncture is required")
+        self._fields = {}  # (shape, bytes of x) -> read-only (alpha, beta)
 
     def background_fields(self, x):
-        """(alpha, beta) at points x, shape (d, ...) -> two (...) arrays."""
+        """(alpha, beta) at points x, shape (d, ...) -> two (...) arrays.
+
+        The result is computed once per point set: a later call whose x
+        holds the same values returns the same read-only arrays.
+        """
         x = np.asarray(x, dtype=float)
+        key = (x.shape, x.tobytes())
+        fields = self._fields.get(key)
+        if fields is None:
+            fields = self._compute_fields(x)
+            for arr in fields:
+                if isinstance(arr, np.ndarray):  # a single point gives scalars
+                    arr.flags.writeable = False
+            if len(self._fields) >= self._FIELDS_KEPT:
+                del self._fields[next(iter(self._fields))]
+            self._fields[key] = fields
+        return fields
+
+    def _compute_fields(self, x):
         inv_alpha = np.zeros(x.shape[1:])
         abar = np.zeros((3, 3) + x.shape[1:])
         eye = np.eye(3)

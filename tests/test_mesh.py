@@ -12,6 +12,8 @@ import pytest
 from ipdg.basis import gauss_lobatto_nodes_weights
 from ipdg.errors import DegenerateGeometryError, TopologyError
 from ipdg.mesh import (
+    _at_block_boundary,
+    _transverse_relation,
     AffineMap,
     AnnulusWedgeMap,
     ComposedMap,
@@ -308,6 +310,73 @@ class TestTopology:
                     f *= 1.0 if cov == "full" else 0.5
                 fractions += f
             assert fractions == 1.0
+
+
+def scan_topology(mesh):
+    """Mortars and external faces found by testing every face against every
+    element, the quadratic scan that the face-plane lookup replaces.
+
+    Returns ((side, side, counts) per mortar, (element, dim, side, tag) per
+    external face), each side as (element, dim, side, coverages).
+    """
+    els = mesh.elements
+    level = np.array([[s[0] for s in e.segments] for e in els])
+    index = np.array([[s[1] for s in e.segments] for e in els])
+    block = np.array([e.block for e in els])
+    mortars, external, seen = [], [], set()
+    for k, e in enumerate(els):
+        for fd in range(mesh.dim):
+            for side in (-1, 1):
+                lev, idx = e.segments[fd]
+                if _at_block_boundary(e.segments[fd], side):
+                    kind, target = mesh.blocks[e.block].boundary[(fd, side)]
+                    if kind == "external":
+                        external.append((k, fd, side, target))
+                        continue
+                    last = (1 << level[:, fd]) - 1
+                    mask = (block == target) & (index[:, fd] == (0 if side > 0 else last))
+                    mask[k] &= target != e.block
+                else:
+                    common = np.maximum(lev, level[:, fd])
+                    plane = (idx + (side > 0)) << (common - lev)
+                    other = (index[:, fd] + (side < 0)) << (common - level[:, fd])
+                    mask = (block == e.block) & (other == plane)
+                    mask[k] = False
+                trans = [t for t in range(mesh.dim) if t != fd]
+                for kk in np.flatnonzero(mask):
+                    rel = [_transverse_relation(e.segments[t], els[kk].segments[t]) for t in trans]
+                    key = frozenset([(k, fd, side), (int(kk), fd, -side)])
+                    if None in rel or key in seen:
+                        continue
+                    seen.add(key)
+                    counts = tuple(max(e.degrees[t], els[kk].degrees[t]) + 1 for t in trans)
+                    mortars.append((
+                        (k, fd, side, tuple(r[0] for r in rel)),
+                        (int(kk), fd, -side, tuple(r[1] for r in rel)),
+                        counts,
+                    ))
+    return mortars, external
+
+
+@pytest.mark.parametrize("make", [
+    lambda: build_rectilinear_mesh([(0, 1), (0, 1)], (5, 5), (4, 4)),
+    lambda: with_degrees(split_element(split_element(
+        build_rectilinear_mesh([(0, 1), (0, 1)], (2, 2), (3, 3)), 5), 12), 0, (5, 2)),
+    lambda: split_element(with_degrees(
+        build_rectilinear_mesh([(0, 1)] * 3, (1, 1, 0), (2, 2, 2)), 3, (3, 1, 2)), 0),
+    lambda: split_element(build_annulus_mesh(1.0, 2.0, 3, (1, 0), (2, 2)), 2),
+    lambda: build_annulus_mesh(1.0, 2.0, 2, (0, 1), (2, 2)),
+], ids=["32x32", "split-raised-2d", "split-raised-3d", "annulus-split", "two-wedges"])
+def test_topology_matches_all_pairs_scan(make):
+    mesh = make()
+    topo = mortar_topology(mesh)
+    mortars, external = scan_topology(mesh)
+
+    def side(s):
+        return (s.element, s.dim, s.side, s.coverage)
+
+    assert [(side(m.sides[0]), side(m.sides[1]), m.counts) for m in topo.mortars] == mortars
+    assert [(f.element, f.dim, f.side, f.tag) for f in topo.external_faces] == external
 
 
 class TestIndexingHelpers:

@@ -588,6 +588,44 @@ def test_full_operator_mass_block():
         assert col[j] == pytest.approx(masses[j], rel=1e-14)
 
 
+def test_batch_matches_single_vectors():
+    # point-dependent data for every condition kind, no linearization, two
+    # grid shapes and p-nonconforming mortars: each vector of a batch gets
+    # exactly the residual it gets alone
+    mesh = with_degrees(unit_mesh_2d(3, 1), 3, (4, 2))
+    bcs = BoundaryMap({
+        "x-lower": RobinBC(1.0, 2.0, lambda x: x[1]),
+        "y-upper": NeumannBC(lambda x: np.cos(2.0 * x[0])),
+        "all": DirichletBC(lambda x: np.sin(3.0 * x[0]) * x[1]),
+    })
+    handle = OperatorHandle(mesh, POISSON_2D, BG, bcs, form="strong-weak")
+    rng = np.random.default_rng(4)
+    us = rng.standard_normal((3, handle.n_primal_dofs))
+    vs = rng.standard_normal((3, handle.n_auxiliary_dofs))
+    res = handle.apply(FieldVector.batch(mesh, 1, us)).data
+    assert res.shape == us.shape
+    for u, r in zip(us, res):
+        np.testing.assert_array_equal(r, handle.matvec(u))
+    rv, ru = handle.apply_full(FieldVector.batch(mesh, 2, vs), FieldVector.batch(mesh, 1, us))
+    for v, u, a, b in zip(vs, us, rv.data, ru.data):
+        np.testing.assert_array_equal(
+            np.concatenate([a, b]), handle.matvec_full(np.concatenate([v, u]))
+        )
+
+
+def test_batch_guards():
+    mesh = unit_mesh_1d(2)
+    handle = OperatorHandle(mesh, POISSON_1D, BG, BoundaryMap.everywhere(DirichletBC(0.0)))
+    for rows in (np.zeros((2, 4)), np.zeros(3)):
+        with pytest.raises(ValueError):
+            FieldVector.batch(mesh, 1, rows)
+    batch = FieldVector.batch(mesh, 1, np.zeros((2, 3)))
+    with pytest.raises(ValueError):
+        batch.arrays
+    with pytest.raises(ValueError):
+        handle.apply_full(FieldVector.batch(mesh, 1, np.zeros((3, 3))), batch)
+
+
 def test_build_rhs_homogeneous_dirichlet():
     mesh = unit_mesh_2d(3, 1)
     bcs = BoundaryMap.everywhere(DirichletBC(0.0))

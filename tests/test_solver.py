@@ -356,6 +356,9 @@ def test_newton_divergence_reported():
     )
     assert not report.converged
     assert report.iterations <= 10
+    # every step's one-iteration inner solve failed, and the report says so
+    assert len(report.inner) == report.iterations > 0
+    assert all(not r.converged and r.iterations == 1 for r in report.inner)
 
 
 def test_penalty_removes_near_null_space():

@@ -254,6 +254,26 @@ class TestPuncture:
         # beta = 0 for an unboosted, unspun puncture, so only -lap survives
         np.testing.assert_allclose(res, -3.0)
 
+    def test_background_fields_kept_per_point_set(self):
+        spec = PunctureSpec(1.0, (0.0, 0.0, 0.0), momentum=(0.1, 0.2, 0.3),
+                            spin=(0.0, 0.1, 0.0))
+        sys3 = Puncture([spec])
+        x = 2.0 + np.random.default_rng(5).random((3, 4, 5))
+        first = sys3.background_fields(x)
+        # equal values in another array: the kept arrays, read-only
+        again = sys3.background_fields(x.copy())
+        assert all(a is b for a, b in zip(first, again))
+        assert not first[0].flags.writeable
+        # new points, and new values in the array seen first, get fresh
+        # fields, bit-identical to those of a system that never saw x
+        moved = x + 0.5
+        x[0, 0, 0] += 0.25
+        for points in (moved, x):
+            got = sys3.background_fields(points)
+            fresh = Puncture([spec]).background_fields(points)
+            assert all(np.array_equal(g, f) for g, f in zip(got, fresh))
+            assert not np.array_equal(got[0], first[0])
+
     def test_collocated_puncture_rejected(self):
         sys3 = Puncture([PunctureSpec(1.0, (0.5, 0.5, 0.5))])
         x = np.array([[0.5], [0.5], [0.5]])
