@@ -48,6 +48,7 @@ vector.
 
 from __future__ import annotations
 
+import math
 from collections import namedtuple
 from dataclasses import dataclass
 from typing import Optional
@@ -98,7 +99,9 @@ def _flatten_trailing(arr, k):
 def _apply_1d(mat, arr, dim):
     """Apply a 1D nodal matrix along grid dimension `dim` of a point-ordered array."""
     if dim == 0:
-        return arr @ mat.T
+        # one matrix product over all rows, not one per stacked matrix
+        rows = arr.reshape(-1, arr.shape[-1]) @ mat.T
+        return rows.reshape(arr.shape[:-1] + (mat.shape[0],))
     shape = arr.shape
     axis = arr.ndim - 1 - dim
     trail = shape[axis + 1:]
@@ -113,6 +116,11 @@ def _fold(buf, index):
     after those of the previous one; boundary conditions see only this form.
     """
     return buf[..., index].reshape(buf.shape[0], -1)
+
+
+def _repeat(arr, reps):
+    """`arr` repeated `reps` times along its last axis, as `_fold` lays out."""
+    return arr if reps == 1 else np.tile(arr, reps)
 
 
 def _unfold(values, lead):
@@ -477,9 +485,8 @@ class _Group:
 
     def traces(self, volume, buf):
         """Copy the face values of a (..., *shape) volume array into the face buffer."""
-        lead = volume.shape[: volume.ndim - len(self.shape)]
         for f in self.faces:
-            buf[..., f.span] = volume[f.index].reshape(lead + (-1,))
+            buf[..., f.span] = volume[f.index].reshape(buf.shape[:-1] + (-1,))
 
     def lift(self, volume, buf, massive):
         """Add the lifted face-buffer values into a (..., *shape) volume array."""
@@ -836,7 +843,7 @@ class OperatorHandle:
     def _rows(self, data):
         """Flat vectors (..., n_dofs) as a (components, ..., points) view."""
         rows = data.reshape(data.shape[:-1] + (-1, self._cache.n_points))
-        return np.moveaxis(rows, -2, 0)
+        return rows.swapaxes(0, -2)
 
     def _new_rows(self, n_components, lead):
         """A new buffer of flat vectors shaped `lead` and its `_rows` view."""
@@ -847,16 +854,16 @@ class OperatorHandle:
         """Auxiliary fluxes, their exchange and the reconstructed auxiliary field.
 
         Returns per group the strong flux divergences minus extra sources
-        and the reconstructed fields; as face buffers the primal traces and
-        the projected auxiliary fluxes; per boundary condition (condition,
+        and the reconstructed fields; as a face buffer the projected
+        auxiliary fluxes; per boundary condition (condition,
         face-buffer index, penalty, points, normals, linearized traces,
-        boundary auxiliary flux), folded as `_fold` does.
+        interior data, boundary auxiliary flux), folded as `_fold` does.
         """
         cache = self._cache
         sys_, bg = self.system, self.background
         lin = self.linearization_point
         lead = u_rows.shape[1:-1]
-        reps = int(np.prod(lead, dtype=int))
+        reps = math.prod(lead)
         traces = np.empty((sys_.n_primal,) + lead + (cache.n_face_points,))
         if lin is not None:
             lin_rows = self._rows(lin.data)
@@ -885,8 +892,8 @@ class OperatorHandle:
                 mg.add_restricted(s, flux - sides[s].aux_flux, jumps)
         boundaries = []
         for bc, i, sigma, x, normal in self._boundaries:
-            x, normal, sigma = (np.tile(a, reps) for a in (x, normal, sigma))
-            lin_b = None if lin is None else (np.tile(lin_traces[:, i], reps), None)
+            x, normal, sigma = (_repeat(a, reps) for a in (x, normal, sigma))
+            lin_b = None if lin is None else (_repeat(lin_traces[:, i], reps), None)
             interior = BoundaryData(aux_flux=_fold(aux, i), trace=_fold(traces, i))
             ghost = exterior_ghost_data(
                 interior, bc, sys_, bg, x, normal, linearized_traces=lin_b
@@ -894,12 +901,12 @@ class OperatorHandle:
             # on a ghost face the numerical flux is the boundary value itself
             star = auxiliary_numerical_flux(interior, ghost)
             jumps[..., i] += _unfold(star - interior.aux_flux, lead)
-            boundaries.append((bc, i, sigma, x, normal, lin_b, star))
+            boundaries.append((bc, i, sigma, x, normal, lin_b, interior, star))
 
         recon = [w.copy() for w in ws]
         for g, r in zip(cache.groups, recon):
             g.lift(r, jumps, massive=False)
-        return ws, recon, traces, aux, boundaries
+        return ws, recon, aux, boundaries
 
     def _core(self, u, given_v):
         """Shared implementation of the compact and full operators.
@@ -916,7 +923,7 @@ class OperatorHandle:
         u_rows = self._rows(u.data)
         lead = u_rows.shape[1:-1]
 
-        ws, recon, traces, aux, boundaries = self._phase1(u_rows)
+        ws, recon, aux, boundaries = self._phase1(u_rows)
         lin_rows = None if lin is None else self._rows(lin.data)
         v_rows = None if given_v is None else self._rows(given_v.data)
         w_traces = np.empty((n_v,) + lead + (cache.n_face_points,))
@@ -954,10 +961,10 @@ class OperatorHandle:
                 # strong form subtracts the element's own exchanged flux
                 jump = flux - sides[s].deriv_flux if strong else flux
                 mg.add_restricted(s, -jump, jumps)
-        for bc, i, sigma, xb, nb, lin_b, aux_b in boundaries:
+        for bc, i, sigma, xb, nb, lin_b, first, aux_b in boundaries:
             interior = BoundaryData(
-                aux_flux=_fold(aux, i), deriv_flux=_fold(deriv, i),
-                penalty_flux=_fold(pen, i), trace=_fold(traces, i),
+                aux_flux=first.aux_flux, deriv_flux=_fold(deriv, i),
+                penalty_flux=_fold(pen, i), trace=first.trace,
             )
             ghost = exterior_ghost_data(
                 interior, bc, sys_, bg, xb, nb, v_trace=_fold(v_traces, i),
