@@ -980,8 +980,9 @@ class OperatorHandle:
             g.lift(res, jumps, massive=True)
             if not self.massive:
                 res = res / g.mass
-            n_el = len(g.members)
-            finite = np.isfinite(res).reshape(-1, n_el, res[0].size // n_el).all(axis=(0, 2))
+            # (components and batch, elements, element points)
+            finite = np.isfinite(res).reshape(-1, g.shape[0], math.prod(g.shape[1:]))
+            finite = finite.all(axis=(0, 2))
             if not finite.all():
                 bad.append(g.members[int(np.argmin(finite))])
             g.put(out_u, res)

@@ -12,6 +12,7 @@ Available systems: "poisson-flat", "poisson-curved", "elasticity",
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -250,9 +251,11 @@ class Puncture(_PoissonLike):
     linear = False
     symmetric_eligible = True
 
-    # point sets whose background fields are kept; an operator evaluates
-    # them at the same collocation points in every application
-    _FIELDS_KEPT = 4
+    # collocation points whose background fields are kept, about 40 bytes
+    # each (key and fields): an operator evaluates them at the points of
+    # each same-shape element group in every application, and all groups of
+    # a mesh up to this size stay kept however many shapes it mixes
+    _FIELDS_POINTS = 2**18
 
     def __init__(self, punctures):
         super().__init__(3)
@@ -260,24 +263,33 @@ class Puncture(_PoissonLike):
         if not self.punctures:
             raise ValueError("at least one puncture is required")
         self._fields = {}  # (shape, bytes of x) -> read-only (alpha, beta)
+        self._kept_points = 0
 
     def background_fields(self, x):
         """(alpha, beta) at points x, shape (d, ...) -> two (...) arrays.
 
         The result is computed once per point set: a later call whose x
-        holds the same values returns the same read-only arrays.
+        holds the same values returns the same read-only arrays. The least
+        recently used point sets give way when the kept points would exceed
+        `_FIELDS_POINTS`.
         """
         x = np.asarray(x, dtype=float)
         key = (x.shape, x.tobytes())
-        fields = self._fields.get(key)
+        fields = self._fields.pop(key, None)
         if fields is None:
             fields = self._compute_fields(x)
             for arr in fields:
                 if isinstance(arr, np.ndarray):  # a single point gives scalars
                     arr.flags.writeable = False
-            if len(self._fields) >= self._FIELDS_KEPT:
-                del self._fields[next(iter(self._fields))]
-            self._fields[key] = fields
+            n = math.prod(x.shape[1:])
+            if n > self._FIELDS_POINTS:
+                return fields
+            while self._kept_points + n > self._FIELDS_POINTS:
+                oldest = next(iter(self._fields))
+                del self._fields[oldest]
+                self._kept_points -= math.prod(oldest[0][1:])
+            self._kept_points += n
+        self._fields[key] = fields  # most recently used last
         return fields
 
     def _compute_fields(self, x):

@@ -679,6 +679,22 @@ def test_nan_guard_names_element():
         handle.apply(u)
 
 
+def test_nan_guard_names_element_in_batch():
+    # a NaN in the last element of the second of two vectors: the batch names
+    # the element that this vector alone names, whatever else the batch holds
+    mesh = unit_mesh_1d(2, level=2)
+    handle = OperatorHandle(mesh, POISSON_1D, BG, BoundaryMap.everywhere(DirichletBC(0.0)))
+    rows = np.zeros((2, mesh.total_points))
+    rows[1, -2] = np.nan
+    with pytest.raises(FloatingPointError) as alone:
+        handle.apply(FieldVector.from_flat(mesh, 1, rows[1]))
+    named = alone.value.args[0]
+    assert mesh.elements[0].id_string() not in named
+    with pytest.raises(FloatingPointError) as batch:
+        handle.apply(FieldVector.batch(mesh, 1, rows))
+    assert batch.value.args[0] == named
+
+
 def test_handle_validation():
     mesh = unit_mesh_2d(2, 0)
     bcs = BoundaryMap.everywhere(DirichletBC(0.0))

@@ -274,6 +274,38 @@ class TestPuncture:
             assert all(np.array_equal(g, f) for g, f in zip(got, fresh))
             assert not np.array_equal(got[0], first[0])
 
+    def test_background_fields_kept_by_points_least_recent_first(self, monkeypatch):
+        sys3 = Puncture([PunctureSpec(1.0, (0.0, 0.0, 0.0), momentum=(0.1, 0.2, 0.3))])
+        computed = []
+        compute = sys3._compute_fields
+        monkeypatch.setattr(sys3, "_compute_fields", lambda x: computed.append(1) or compute(x))
+        # twelve groups of an element-shape mix, applied five times over:
+        # each set is computed once
+        sets = [2.0 + k + np.random.default_rng(k).random((3, 4 + k % 3, 5)) for k in range(12)]
+        for _ in range(5):
+            for x in sets:
+                sys3.background_fields(x)
+        assert len(computed) == 12
+        # room for three sets of 20 points: a hit keeps its set from giving
+        # way to the next new one, which evicts the least recently used
+        sys3 = Puncture(sys3.punctures)
+        sys3._FIELDS_POINTS = 60
+        monkeypatch.setattr(sys3, "_compute_fields", lambda x: computed.append(1) or compute(x))
+        a, b, c, d = (2.0 + k + np.zeros((3, 4, 5)) for k in range(4))
+        for x in (a, b, c, a, d):
+            sys3.background_fields(x)
+        computed.clear()
+        for x in (a, c, d):
+            sys3.background_fields(x)
+        assert computed == []
+        sys3.background_fields(b)
+        assert computed == [1]
+        # a set larger than the room is computed but not kept
+        big = 2.0 + np.zeros((3, 61))
+        sys3.background_fields(big)
+        sys3.background_fields(big)
+        assert len(computed) == 3
+
     def test_collocated_puncture_rejected(self):
         sys3 = Puncture([PunctureSpec(1.0, (0.5, 0.5, 0.5))])
         x = np.array([[0.5], [0.5], [0.5]])
