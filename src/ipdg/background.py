@@ -137,21 +137,22 @@ class FaceGeometry:
     coords: np.ndarray
 
 
-def face_geometry(background, element, dim: int, side: int, volume=None) -> FaceGeometry:
-    """Evaluate normals and the surface measure on one face of an element.
+def face_geometry(background, element, dim: int, side: int) -> FaceGeometry:
+    """Evaluate normals and the surface measure on one face of an element."""
+    xi = element.logical_grid()[face_slices(element.dim, dim, side)]
+    _, det, inv = jacobian_at(element, xi)
+    return sampled_face_geometry(background, element.map.apply(xi), det, inv[dim], side)
 
-    `volume` is an optional (coords, det J, J^-1) triple already evaluated
-    on the element's whole LGL grid; the face points are grid points, so it
-    is sliced instead of evaluating the map and its Jacobian again.
+
+def sampled_face_geometry(background, x, det, inv_row, side: int) -> FaceGeometry:
+    """Face geometry from the element map sampled at face points.
+
+    `x` (d, ...) are the points, `det` (...) the Jacobian determinant there
+    and `inv_row` (d, ...) the row of J^-1 for the face's logical direction.
+    The trailing point axes may have any shape, so a stack of faces is one
+    call.
     """
-    sl = face_slices(element.dim, dim, side)
-    if volume is None:
-        xi = element.logical_grid()[sl]
-        _, det, inv = jacobian_at(element, xi)
-        x = element.map.apply(xi)
-    else:
-        x, det, inv = (a[sl] for a in volume)
-    raw = float(side) * inv[dim]
+    raw = float(side) * inv_row
     ginv = background.inverse_metric(x)
     mag = np.sqrt(np.einsum("i...,ij...,j...->...", raw, ginv, raw))
     measure = background.sqrt_det(x) * det * mag

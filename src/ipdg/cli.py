@@ -13,13 +13,10 @@ import argparse
 import os
 import sys
 
-import numpy as np
-
 from .analysis import ConvergenceSeries, convergence_rates, write_convergence_csv, l2_error
 from .config import build_problem, load_config
 from .errors import ConfigurationError, IpdgError, ResourceCapError
 from .mesh import refine_uniform
-from .operators import FieldVector, lumped_mass_diag
 from .solver import assemble_explicit, solve_linear, solve_newton
 
 __all__ = ["main"]
@@ -39,23 +36,10 @@ def _out_path(cfg, filename) -> str:
     return os.path.join(_output_dir(cfg), filename)
 
 
-def _mass_source(handle, solution) -> FieldVector:
-    """The (mass-weighted) fixed source the residual is equated to."""
-    arrays = []
-    for el in handle.mesh.elements:
-        if solution is not None:
-            src = np.asarray(solution.fixed_source(el.coords()), dtype=float)
-        else:
-            src = np.zeros((handle.system.n_primal,) + el.grid_shape)
-        if handle.massive:
-            src = lumped_mass_diag(el, handle.background) * src
-        arrays.append(src)
-    return FieldVector(handle.mesh, handle.system.n_primal, arrays)
-
-
 def _run_solve(problem, cfg):
     handle = problem.handle
-    rhs = _mass_source(handle, problem.solution)
+    source = handle.zero_primal() if problem.solution is None else problem.solution.fixed_source
+    rhs = handle.build_rhs(source)
     if handle.system.linear:
         sp = cfg.solver
         return solve_linear(
@@ -150,7 +134,8 @@ def cmd_convergence(args) -> int:
             f"level {level}: {problem.mesh.total_points} points, "
             f"error {error:.6e}"
         )
-        mesh = refine_uniform(problem.mesh, args.mode)
+        if level + 1 < args.levels:
+            mesh = refine_uniform(problem.mesh, args.mode)
     path = _out_path(cfg, f"{cfg.output['prefix']}-convergence.csv")
     write_convergence_csv(series, path)
     rates = ", ".join(f"{r:.2f}" for r in convergence_rates(series))

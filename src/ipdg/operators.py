@@ -55,7 +55,7 @@ from typing import Optional
 
 import numpy as np
 
-from .background import face_geometry
+from .background import sampled_face_geometry
 from .basis import differentiation_matrix
 from .errors import (
     ConfigurationError,
@@ -64,7 +64,7 @@ from .errors import (
     TopologyError,
     UnsupportedFeatureError,
 )
-from .mesh import face_shape, face_slices, jacobian_at, mortar_topology
+from .mesh import face_shape, jacobian_at, mortar_topology
 from .mortars import face_restriction_family, prolongation_matrix
 
 __all__ = [
@@ -375,81 +375,46 @@ def _weight_product(weights):
     return out
 
 
-def _lumped_mass(element, background, coords, det, weights):
-    """sqrt(g) J prod(w) at every grid point; raises unless it is positive."""
+def _lumped_mass(elements, background, coords, det, weights):
+    """sqrt(g) J prod(w) at every point of stacked elements; raises unless positive.
+
+    The element axis of `det` leads; `weights` broadcasts against it.
+    """
     sqrt_g = np.asarray(background.sqrt_det(coords), dtype=float)
-    mass = sqrt_g * det * _weight_product(weights)
-    if not np.all(np.isfinite(mass)) or np.any(mass <= 0.0):
+    mass = sqrt_g * det * weights
+    good = np.isfinite(mass) & (mass > 0.0)
+    if not good.all():
+        bad = int(np.argmin(good.reshape(len(elements), -1).all(axis=1)))
         raise DegenerateGeometryError(
-            f"nonpositive lumped mass in element {element.id_string()}"
+            f"nonpositive lumped mass in element {elements[bad].id_string()}"
         )
     return mass
 
 
-_Face = namedtuple("_Face", "shape n coords normal h measure massless massive")
-
-
-def _face_ops(element, background, weights, fdim, side, volume):
-    """Geometry of one element face, flattened to points (first axis fastest)."""
-    fg = face_geometry(background, element, fdim, side, volume)
-    fsh = face_shape(element.grid_shape, fdim)
-    k = len(fsh)
-    mag = _flatten_trailing(fg.normal_magnitude, k)
-    measure = _flatten_trailing(fg.surface_measure, k)
-    trans = _weight_product([w for i, w in enumerate(weights) if i != fdim])
-    return _Face(
-        fsh, int(np.prod(fsh)), _flatten_trailing(fg.coords, k),
-        _flatten_trailing(fg.normal, k), 2.0 / mag, measure,
-        mag / weights[fdim][0 if side < 0 else -1],
-        measure * _flatten_trailing(trans, k),
-    )
-
-
-class _ElementOps:
-    """Geometry of one element, from one evaluation of its map's Jacobian."""
-
-    __slots__ = ("element", "dim", "grid_shape", "coords", "jinv", "mass", "diffs", "faces")
-
-    def __init__(self, element, background):
-        node_sets = _lgl_node_sets(element)
-        self.element = element
-        self.dim = element.dim
-        self.grid_shape = element.grid_shape
-        xi = element.logical_grid()
-        self.coords = element.map.apply(xi)
-        _, det, inv = jacobian_at(element, xi)
-        self.jinv = inv
-        weights = [ns.weights for ns in node_sets]
-        self.diffs = [differentiation_matrix(ns) for ns in node_sets]
-        self.mass = _lumped_mass(element, background, self.coords, det, weights)
-        self.faces = {
-            (fdim, side): _face_ops(
-                element, background, weights, fdim, side, (self.coords, det, inv)
-            )
-            for fdim in range(self.dim)
-            for side in (-1, 1)
-        }
-
-
-# one face key of a group: `index` selects the face from a point-ordered
-# volume array, `span` its points in the face buffer, `shape` is
-# (elements, *face grid in point order)
-_GroupFace = namedtuple("_GroupFace", "index span shape massless massive")
+# one face key (dim, side) of a group: `index` selects the face from a
+# point-ordered volume array, `span` its points in the face buffer, `shape`
+# is (elements, *face grid in point order)
+_GroupFace = namedtuple("_GroupFace", "key index span shape massless massive")
 
 
 class _Group:
-    """Elements of one grid shape, stacked in point order.
+    """Elements of one grid shape, stacked in point order, with their geometry.
 
     Volume arrays are (..., elements, n_{d-1}, ..., n_0). `sel` picks the
     group's points from a (components, points) array: a slice when the
     members are consecutive in the mesh, else an index array. The group's
     face points fill [face_start, face_end) of the face buffer, face key by
-    face key, element by element within a key.
+    face key, element by element within a key; `face_geometry` holds per key
+    their coordinates, normals, h = 2/|n~| and surface measure.
+
+    Each member's map and Jacobian are evaluated once on the shared logical
+    grid; everything else is derived from the stack.
     """
 
-    def __init__(self, members, ops, offsets, face_start):
-        first = ops[0]
-        n_el, n = len(members), int(np.prod(first.grid_shape))
+    def __init__(self, elements, members, offsets, background, face_start):
+        first = elements[0]
+        node_sets = _lgl_node_sets(first)
+        n_el, n = len(members), first.n_points
         starts = np.asarray(offsets)[members]
         if members[-1] - members[0] + 1 == n_el:
             self.sel = slice(int(starts[0]), int(starts[0]) + n_el * n)
@@ -458,22 +423,40 @@ class _Group:
         self.members = members
         self.dim = dim = first.dim
         self.shape = (n_el,) + first.grid_shape[::-1]
-        self.coords = np.stack([_point_order(o.coords, dim) for o in ops], axis=1)
-        self.jinv = np.stack([_point_order(o.jinv, dim) for o in ops], axis=2)
-        self.mass = np.stack([_point_order(o.mass, dim) for o in ops])
-        self.diffs = first.diffs
-        self.faces = []
-        for key, face in first.faces.items():
-            shape = (n_el,) + face.shape[::-1]
-            weights = [
-                np.stack([getattr(o.faces[key], w) for o in ops]).reshape(shape)
-                for w in ("massless", "massive")
-            ]
-            self.faces.append(_GroupFace(
-                (Ellipsis, 0 if key[1] < 0 else -1) + (slice(None),) * key[0],
-                slice(face_start, face_start + n_el * face.n), shape, *weights,
-            ))
-            face_start += n_el * face.n
+        xi = first.logical_grid()
+        coords, det, jinv = [], [], []
+        for el in elements:
+            coords.append(_point_order(el.map.apply(xi), dim))
+            _, d, inv = jacobian_at(el, xi)
+            det.append(_point_order(d, dim))
+            jinv.append(_point_order(inv, dim))
+        self.coords = np.stack(coords, axis=1)
+        self.jinv = np.stack(jinv, axis=2)
+        det = np.stack(det)
+        weights = [ns.weights for ns in node_sets]
+        self.mass = _lumped_mass(
+            elements, background, self.coords, det, _point_order(_weight_product(weights), dim)
+        )
+        self.diffs = [differentiation_matrix(ns) for ns in node_sets]
+        self.faces, self.face_geometry = [], []
+        for fdim in range(dim):
+            trans = _weight_product([w for i, w in enumerate(weights) if i != fdim])
+            for side in (-1, 1):
+                index = (Ellipsis, 0 if side < 0 else -1) + (slice(None),) * fdim
+                fg = sampled_face_geometry(
+                    background, self.coords[index], det[index], self.jinv[fdim][index], side
+                )
+                mag = fg.normal_magnitude
+                self.faces.append(_GroupFace(
+                    (fdim, side), index, slice(face_start, face_start + mag.size), mag.shape,
+                    mag / weights[fdim][0 if side < 0 else -1],
+                    fg.surface_measure * _point_order(trans, dim - 1),
+                ))
+                face_start += mag.size
+                self.face_geometry.append((
+                    fg.coords.reshape(dim, -1), fg.normal.reshape(dim, -1),
+                    (2.0 / mag).ravel(), fg.surface_measure.ravel(),
+                ))
         self.face_end = face_start
 
     def take(self, rows):
@@ -513,43 +496,41 @@ class _Group:
         return out
 
 
-def _single_group(element, background):
-    eops = _ElementOps(element, background)
-    return eops, _Group([0], [eops], [0], 0)
-
-
 def lumped_mass_diag(element, background):
     """Diagonal mass sqrt(g) J prod(w) at every grid point."""
-    node_sets = _lgl_node_sets(element)
+    weights = [ns.weights for ns in _lgl_node_sets(element)]
     xi = element.logical_grid()
     _, det, _ = jacobian_at(element, xi)
-    weights = [ns.weights for ns in node_sets]
-    return _lumped_mass(element, background, element.map.apply(xi), det, weights)
+    return _lumped_mass(
+        [element], background, element.map.apply(xi), det, _weight_product(weights)
+    )
 
 
 def apply_stiffness(element, background, fluxes, form="strong"):
     """Massive strong divergence of nodal fluxes, or the weak transpose."""
     if form not in ("strong", "weak"):
         raise ValueError(f"unknown stiffness form {form!r}")
-    eops, group = _single_group(element, background)
-    stacked = _point_order(np.asarray(fluxes, dtype=float), eops.dim)[:, :, None]
-    return _point_order(group.stiffness(stacked, form)[:, 0], eops.dim)
+    group = _Group([element], [0], [0], background, 0)
+    stacked = _point_order(np.asarray(fluxes, dtype=float), element.dim)[:, :, None]
+    return _point_order(group.stiffness(stacked, form)[:, 0], element.dim)
 
 
 def apply_lifting(element, background, dim, side, face_values, massive=True):
     """Lift face data to a volume array, nonzero only at the face points."""
-    eops, group = _single_group(element, background)
-    face = eops.faces[(dim, side)]
+    group = _Group([element], [0], [0], background, 0)
+    face = group.faces[2 * dim + (side > 0)]
+    fsh = face_shape(element.grid_shape, dim)
+    n = face.span.stop - face.span.start
     fv = np.asarray(face_values, dtype=float)
-    if fv.ndim >= 1 + len(face.shape) and fv.shape[1:] == face.shape:
-        fv = _flatten_trailing(fv, len(face.shape))
-    if fv.shape[-1] != face.n:
-        raise ValueError(f"face data has {fv.shape[-1]} points, face has {face.n}")
+    if fv.ndim >= 1 + len(fsh) and fv.shape[1:] == fsh:
+        fv = _flatten_trailing(fv, len(fsh))
+    if fv.shape[-1] != n:
+        raise ValueError(f"face data has {fv.shape[-1]} points, face has {n}")
     buf = np.zeros((fv[..., 0].size, group.face_end))
-    buf[:, group.faces[2 * dim + (side > 0)].span] = fv.reshape(-1, face.n)
+    buf[:, face.span] = fv.reshape(-1, n)
     out = np.zeros((buf.shape[0],) + group.shape)
     group.lift(out, buf, massive)
-    return _point_order(out[:, 0], eops.dim).reshape(fv.shape[:-1] + eops.grid_shape)
+    return _point_order(out[:, 0], element.dim).reshape(fv.shape[:-1] + element.grid_shape)
 
 
 def _is_identity(mat):
@@ -587,19 +568,22 @@ class _MortarGroup:
         buf[..., self.index[side]] += values
 
 
-def _mortar_measure_sigma(mortar, faces, prolongs, mesh):
-    """Surface measure on the mortar points and the penalty for C = 1."""
+def _mortar_measure_sigma(mortar, measures, hs, prolongs, mesh):
+    """Surface measure on the mortar points and the penalty for C = 1.
+
+    `measures` and `hs` are the two side faces' surface measure and h.
+    """
     # mortar surface measure from the coarse side: the partially covered
     # side if any, else the side with fewer face points (ties: side 0)
     partial = [any(c != "full" for c in s.coverage) for s in mortar.sides]
     if partial[0] != partial[1]:
         ci = 0 if partial[0] else 1
-    elif faces[0].n != faces[1].n:
-        ci = 0 if faces[0].n < faces[1].n else 1
+    elif measures[0].size != measures[1].size:
+        ci = 0 if measures[0].size < measures[1].size else 1
     else:
         ci = 0
-    measure = np.asarray(prolongs[ci] @ faces[ci].measure, dtype=float)
-    hs = [np.asarray(p @ f.h, dtype=float) for p, f in zip(prolongs, faces)]
+    measure = np.asarray(prolongs[ci] @ measures[ci], dtype=float)
+    hs = [np.asarray(p @ h, dtype=float) for p, h in zip(prolongs, hs)]
     p_norm = max(mesh.elements[s.element].degrees[s.dim] for s in mortar.sides)
     return measure, penalty_sigma(p_norm, p_norm, hs[0], hs[1], 1.0)
 
@@ -609,11 +593,15 @@ def _face_key(side):
 
 
 class _MeshCache:
-    """Geometry, topology and stacked transfer data shared between handles."""
+    """Geometry, topology and stacked transfer data shared between handles.
+
+    Face geometry is kept in face-buffer order only: `face_coords`,
+    `face_normal`, `face_h` and `face_measure`, with `face_spans` mapping
+    (element, dim, side) to the face's points.
+    """
 
     def __init__(self, mesh, background):
         self.topology = topology = mortar_topology(mesh)
-        self.elements = ops = [_ElementOps(el, background) for el in mesh.elements]
         offsets = mesh.point_offsets
         self.n_points = int(offsets[-1])
 
@@ -621,33 +609,37 @@ class _MeshCache:
         for k, el in enumerate(mesh.elements):
             by_shape.setdefault(el.grid_shape, []).append(k)
         self.groups = []
-        face_start = {}  # (element, dim, side) -> first point in the face buffer
-        faces = []  # face geometry in buffer order
+        self.face_spans = spans = {}
         pos = 0
         for members in by_shape.values():
-            group = _Group(members, [ops[k] for k in members], offsets, pos)
-            for key, f in zip(ops[members[0]].faces, group.faces):
+            group = _Group([mesh.elements[k] for k in members], members, offsets, background, pos)
+            for f in group.faces:
+                n = math.prod(f.shape[1:])
                 for e, k in enumerate(members):
-                    face_start[(k,) + key] = f.span.start + e * ops[k].faces[key].n
-                    faces.append(ops[k].faces[key])
+                    start = f.span.start + e * n
+                    spans[(k,) + f.key] = slice(start, start + n)
             self.groups.append(group)
             pos = group.face_end
         self.n_face_points = pos
-        self.face_coords = np.concatenate([f.coords for f in faces], axis=1)
-        self.face_normal = np.concatenate([f.normal for f in faces], axis=1)
-        mass = np.empty((1, self.n_points))
-        for g in self.groups:
-            g.put(mass, g.mass)
-        self.mass = mass[0]
+        self.face_coords, self.face_normal, self.face_h, self.face_measure = (
+            np.concatenate(parts, axis=-1)
+            for parts in zip(*(key for g in self.groups for key in g.face_geometry))
+        )
+
+        def shape(side):
+            return face_shape(mesh.elements[side.element].grid_shape, side.dim)
 
         mortars = topology.mortars
-        side_faces = [[ops[s.element].faces[(s.dim, s.side)] for s in m.sides] for m in mortars]
+        side_spans = [[spans[_face_key(s)] for s in m.sides] for m in mortars]
         prolongs = [
-            [prolongation_matrix(f.shape, m.counts, s.coverage) for f, s in zip(fs, m.sides)]
-            for m, fs in zip(mortars, side_faces)
+            [prolongation_matrix(shape(s), m.counts, s.coverage) for s in m.sides]
+            for m in mortars
         ]
         measures, sigmas = zip(*[
-            _mortar_measure_sigma(*args, mesh) for args in zip(mortars, side_faces, prolongs)
+            _mortar_measure_sigma(
+                m, [self.face_measure[sp] for sp in sps], [self.face_h[sp] for sp in sps], ps, mesh
+            )
+            for m, sps, ps in zip(mortars, side_spans, prolongs)
         ]) if mortars else ((), ())
         restrictions = {}  # (mortar, side) -> restriction matrix, unless P = I
         for face_key, midxs in topology.face_mortars.items():
@@ -658,17 +650,17 @@ class _MeshCache:
                 (mortars[mi].counts, mortars[mi].sides[si].coverage, measures[mi])
                 for mi, si in zip(midxs, sides)
             ]
-            family = face_restriction_family(ops[face_key[0]].faces[face_key[1:]].shape, specs)
+            family = face_restriction_family(shape(mortars[midxs[0]].sides[sides[0]]), specs)
             restrictions.update(zip(zip(midxs, sides), family))
         by_kind = {}
         for mi, m in enumerate(mortars):
-            kind = (m.counts,) + tuple((f.shape, s.coverage) for f, s in zip(side_faces[mi], m.sides))
+            kind = (m.counts,) + tuple((shape(s), s.coverage) for s in m.sides)
             by_kind.setdefault(kind, []).append(mi)
         self.mortar_groups = [
             _MortarGroup(
                 [
-                    np.array([face_start[_face_key(mortars[mi].sides[s])] for mi in midxs])[:, None]
-                    + np.arange(side_faces[midxs[0]][s].n)
+                    np.array([side_spans[mi][s].start for mi in midxs])[:, None]
+                    + np.arange(math.prod(shape(mortars[midxs[0]].sides[s])))
                     for s in (0, 1)
                 ],
                 prolongs[midxs[0]],
@@ -680,12 +672,12 @@ class _MeshCache:
 
         external = {}  # tag -> (face-buffer indices, penalty for C = 1) per face
         for ef in topology.external_faces:
-            face = ops[ef.element].faces[(ef.dim, ef.side)]
-            start = face_start[_face_key(ef)]
+            sp = spans[_face_key(ef)]
             p = mesh.elements[ef.element].degrees[ef.dim]
+            h = self.face_h[sp]
             parts = external.setdefault(ef.tag, ([], []))
-            parts[0].append(np.arange(start, start + face.n))
-            parts[1].append(penalty_sigma(p, p, face.h, face.h, 1.0))
+            parts[0].append(np.arange(sp.start, sp.stop))
+            parts[1].append(penalty_sigma(p, p, h, h, 1.0))
         self.external = {
             tag: (np.concatenate(idx), np.concatenate(sig))
             for tag, (idx, sig) in external.items()
@@ -995,23 +987,30 @@ class OperatorHandle:
         return data_v, data_u
 
     def build_rhs(self, fixed_source) -> FieldVector:
-        """M f minus the zero-field residual with full boundary conditions."""
+        """M f (f when massless): the value the residual A(u) is equated to.
+
+        `fixed_source` is a primal FieldVector or a callable mapping points
+        (d, ...) to values (n_primal, ...), evaluated once per element group.
+        The inhomogeneous boundary term A(0) stays on the operator's side:
+        solve_linear moves it to the right-hand side itself, and
+        solve_newton equates A(u) to this value as it is.
+        """
         sys_ = self.system
-        if isinstance(fixed_source, FieldVector):
+        given = isinstance(fixed_source, FieldVector)
+        if given:
             if fixed_source.n_components != sys_.n_primal:
                 raise ValueError("fixed source has the wrong component count")
-            f = fixed_source.data
-        else:
-            arrays = []
-            for eops in self._cache.elements:
-                fk = np.asarray(fixed_source(eops.coords), dtype=float)
-                if fk.shape != (sys_.n_primal,) + eops.grid_shape:
+            source_rows = self._rows(fixed_source.data)
+        data, rows = self._new_rows(sys_.n_primal, ())
+        for g in self._cache.groups:
+            if given:
+                fg = g.take(source_rows)
+            else:
+                fg = np.asarray(fixed_source(g.coords), dtype=float)
+                if fg.shape != (sys_.n_primal,) + g.shape:
                     raise ValueError(
-                        f"fixed source shape {fk.shape} does not match element grid"
+                        f"fixed source shape {fg.shape} does not match the "
+                        f"stacked element grids {(sys_.n_primal,) + g.shape}"
                     )
-                arrays.append(fk)
-            f = FieldVector(self.mesh, sys_.n_primal, arrays).data
-        if self.massive:
-            f = (f.reshape(sys_.n_primal, -1) * self._cache.mass).reshape(-1)
-        base = self if self.linearization_point is None else self.without_linearization()
-        return FieldVector._wrap(self.mesh, sys_.n_primal, f - base.apply(base.zero_primal()).data)
+            g.put(rows, g.mass * fg if self.massive else fg)
+        return FieldVector._wrap(self.mesh, sys_.n_primal, data)

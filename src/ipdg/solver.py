@@ -219,7 +219,7 @@ def schur_eliminate(full: ExplicitMatrix, n_auxiliary: int) -> ExplicitMatrix:
         x = scipy.sparse.linalg.spsolve(avv, avu)
     if not scipy.sparse.issparse(x):
         x = scipy.sparse.csc_matrix(np.atleast_2d(x).reshape(na, n - na))
-    if not np.all(np.isfinite(x.toarray() if scipy.sparse.issparse(x) else x)):
+    if not np.all(np.isfinite(x.data)):
         raise FloatingPointError("auxiliary diagonal block is singular")
     s = scipy.sparse.csr_matrix(auu - auv @ x)
     s.sort_indices()

@@ -68,9 +68,15 @@ def sin_sin_problem():
 
 
 def direct_solve(handle, source):
-    """Invert the assembled compact operator for the collocated source."""
+    """Invert the assembled compact operator for the collocated source.
+
+    As solve_linear does, a non-linearized handle's boundary term A(0) is
+    moved to the right-hand side.
+    """
     linear = handle if handle.is_linearized else handle.linearized_at()
     rhs = handle.build_rhs(source)
+    if not handle.is_linearized:
+        rhs = rhs - handle.apply(handle.zero_primal())
     matrix = assemble_explicit(linear).matrix.tocsc()
     flat = scipy.sparse.linalg.spsolve(matrix, rhs.to_flat())
     return FieldVector.from_flat(handle.mesh, handle.system.n_primal, flat)

@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 import yaml
 
+import ipdg.cli
 from ipdg.cli import main
+from ipdg.mesh import refine_uniform
 
 
 @pytest.fixture(autouse=True)
@@ -107,6 +109,22 @@ def test_convergence_h_mode(tmp_path, capsys):
     rates = [float(line.split(",")[5]) for line in lines[2:]]
     assert rates[-1] > 3.0  # degree-3 problem converges at least cubically
     assert "rates:" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("mode", ["h", "p"])
+def test_convergence_refines_only_between_levels(tmp_path, monkeypatch, mode):
+    calls = []
+
+    def counting(mesh, how):
+        calls.append(how)
+        return refine_uniform(mesh, how)
+
+    monkeypatch.setattr(ipdg.cli, "refine_uniform", counting)
+    path = write_config(
+        tmp_path, {"refinement": {"levels": [0, 0], "degrees": [2, 2]}}
+    )
+    assert main(["convergence", "--config", path, "--mode", mode, "--levels", "3"]) == 0
+    assert calls == [mode, mode]
 
 
 def test_convergence_p_mode(tmp_path):

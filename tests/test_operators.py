@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from ipdg.background import FlatBackground
+from ipdg.background import ConformallyFlatBackground, FlatBackground, face_geometry
 from ipdg.basis import gauss_lobatto_nodes_weights, gauss_nodes_weights
 from ipdg.boundaries import (
     BoundaryMap,
@@ -17,7 +17,13 @@ from ipdg.errors import (
     TopologyError,
     UnsupportedFeatureError,
 )
-from ipdg.mesh import build_rectilinear_mesh, face_slices, with_degrees
+from ipdg.mesh import (
+    build_annulus_mesh,
+    build_rectilinear_mesh,
+    face_slices,
+    split_element,
+    with_degrees,
+)
 from ipdg.operators import (
     BoundaryData,
     FieldVector,
@@ -636,18 +642,33 @@ def test_build_rhs_homogeneous_dirichlet():
         np.testing.assert_array_equal(rk[0], lumped_mass_diag(el, BG))
 
 
+@pytest.mark.parametrize("massive", [True, False])
+def test_build_rhs_given_field_on_mixed_grids(massive):
+    # a callable and a FieldVector give the same M f (f when massless), with
+    # the groups of a mixed-degree mesh interleaved in the flat order
+    mesh = with_degrees(with_degrees(unit_mesh_2d(3, 1), 1, (2, 4)), 3, (2, 4))
+    handle = OperatorHandle(
+        mesh, POISSON_2D, BG, BoundaryMap.everywhere(DirichletBC(1.0)), massive=massive
+    )
+    f = lambda x: np.sin(x[:1] + 2.0 * x[1:])
+    given = FieldVector(mesh, 1, [f(el.coords()) for el in mesh.elements])
+    rhs = handle.build_rhs(given)
+    np.testing.assert_array_equal(rhs.data, handle.build_rhs(f).data)
+    for rk, gk, el in zip(rhs.arrays, given.arrays, mesh.elements):
+        np.testing.assert_array_equal(rk, lumped_mass_diag(el, BG) * gk if massive else gk)
+    assert not np.shares_memory(rhs.data, given.data)
+
+
 def test_build_rhs_inhomogeneous_confined_to_boundary_elements():
     mesh = unit_mesh_2d(3, 1)
     inhom = BoundaryMap({"x-lower": DirichletBC(2.0), "all": DirichletBC(0.0)})
     hom = BoundaryMap.everywhere(DirichletBC(0.0))
-    f = lambda x: np.zeros((1,) + x.shape[1:])
-    delta = [
-        a - b
-        for a, b in zip(
-            OperatorHandle(mesh, POISSON_2D, BG, inhom).build_rhs(f).arrays,
-            OperatorHandle(mesh, POISSON_2D, BG, hom).build_rhs(f).arrays,
-        )
+    # build_rhs is M f alone; the boundary term lives in the residual A(0)
+    zero_residual = [
+        OperatorHandle(mesh, POISSON_2D, BG, bcs).apply(FieldVector.zeros(mesh, 1)).arrays
+        for bcs in (inhom, hom)
     ]
+    delta = [a - b for a, b in zip(*zero_residual)]
     touched = {k for k, d in enumerate(delta) if d.any()}
     boundary = {
         k
@@ -655,6 +676,52 @@ def test_build_rhs_inhomogeneous_confined_to_boundary_elements():
         if abs(el.coords()[0].min()) < 1e-12
     }
     assert touched == boundary
+
+
+def point_ordered(arr, k):
+    """Flatten the last k (face grid) axes, the first of them fastest."""
+    lead = arr.ndim - k
+    order = (*range(lead), *range(arr.ndim - 1, lead - 1, -1))
+    return arr.transpose(order).reshape(arr.shape[:lead] + (-1,))
+
+
+def split_annulus():
+    return split_element(build_annulus_mesh(0.5, 1.0, 3, (0, 0), (3, 4)), 1), BG
+
+
+def split_box_3d():
+    mesh = build_rectilinear_mesh([(0.0, 1.0), (0.0, 2.0), (0.0, 0.5)], (1, 0, 0), (2, 3, 2))
+    return split_element(mesh, 0), BG
+
+
+def raised_curved():
+    curved = ConformallyFlatBackground(
+        lambda x: 0.1 * x[0] - 0.05 * x[1],
+        lambda x: np.stack([0.1 * np.ones_like(x[0]), -0.05 * np.ones_like(x[0])]),
+    )
+    return with_degrees(with_degrees(unit_mesh_2d(3, 1), 1, (2, 5)), 2, (4, 4)), curved
+
+
+@pytest.mark.parametrize("case", [split_annulus, split_box_3d, raised_curved])
+def test_face_buffer_geometry_matches_face_geometry(case):
+    # the stacked per-group geometry against the public per-face evaluation
+    mesh, bg = case()
+    system = make_system("poisson-flat", dim=mesh.dim)
+    cache = OperatorHandle(mesh, system, bg, BoundaryMap.everywhere(DirichletBC(0.0)))._cache
+    assert len(cache.face_spans) == 2 * mesh.dim * mesh.n_elements
+    k = mesh.dim - 1
+    for (element, dim, side), span in cache.face_spans.items():
+        fg = face_geometry(bg, mesh.elements[element], dim, side)
+        pairs = [
+            (cache.face_coords[:, span], fg.coords),
+            (cache.face_normal[:, span], fg.normal),
+            (cache.face_h[span], 2.0 / fg.normal_magnitude),
+            (cache.face_measure[span], fg.surface_measure),
+        ]
+        for got, want in pairs:
+            want = point_ordered(want, k)
+            assert got.shape == want.shape
+            assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
 
 
 def test_full_rhs_confined_to_face_points():

@@ -8,7 +8,7 @@ from ipdg.background import FlatBackground
 from ipdg.boundaries import BoundaryMap, DirichletBC
 from ipdg.errors import ConfigurationError, ResourceCapError
 from ipdg.mesh import build_rectilinear_mesh, with_degrees
-from ipdg.operators import FieldVector, OperatorHandle
+from ipdg.operators import FieldVector, OperatorHandle, lumped_mass_diag
 from ipdg.solver import (
     ExplicitMatrix,
     assemble_explicit,
@@ -197,6 +197,26 @@ def test_gmres_round_trip_affine():
     np.testing.assert_allclose(
         u.arrays[0], u_star.arrays[0], atol=1e-8
     )
+
+
+def test_build_rhs_solve_inhomogeneous_dirichlet():
+    # build_rhs gives M f, and solve_linear alone moves the boundary term
+    # A(0) of a non-linearized handle: the solution satisfies A(u) = M f
+    system = make_system("poisson-flat", dim=2)
+    mesh = build_rectilinear_mesh(
+        [(0.0, 1.0), (0.0, 1.0)], levels=(1, 1), degrees=(4, 4)
+    )
+    bcs = BoundaryMap({"x-lower": DirichletBC(2.0), "all": DirichletBC(0.0)})
+    handle = OperatorHandle(mesh, system, BG, bcs, form="strong-weak")
+    f = lambda x: np.sin(3.0 * x[:1]) * x[1:]
+    mf = FieldVector(
+        mesh, 1, [lumped_mass_diag(el, BG) * f(el.coords()) for el in mesh.elements]
+    ).data
+    tol = 1e-11
+    u, report = solve_linear(handle, handle.build_rhs(f), tol=tol)
+    assert report.converged
+    b = mf - handle.apply(handle.zero_primal()).data
+    assert np.linalg.norm(handle.apply(u).data - mf) <= tol * np.linalg.norm(b)
 
 
 def test_gmres_against_direct_solve():
