@@ -483,22 +483,17 @@ class MeshTopology:
     face_mortars: dict
 
 
-def _transverse_relation(seg_a: Segment, seg_b: Segment):
-    """Classify transverse overlap of two segments, or None when disjoint."""
-    level = max(seg_a[0], seg_b[0])
-    a0, a1 = _seg_bounds_at(seg_a, level)
-    b0, b1 = _seg_bounds_at(seg_b, level)
-    if a1 <= b0 or b1 <= a0:
-        return None
-    if seg_a == seg_b:
-        return ("full", "full")
-    if seg_b[0] == seg_a[0] + 1 and seg_b[1] >> 1 == seg_a[1]:
-        return (("lower" if seg_b[1] % 2 == 0 else "upper"), "full")
-    if seg_a[0] == seg_b[0] + 1 and seg_a[1] >> 1 == seg_b[1]:
-        return ("full", ("lower" if seg_a[1] % 2 == 0 else "upper"))
-    raise TopologyError(
-        f"two-to-one balance violated between segments {seg_a} and {seg_b}"
-    )
+def _transverse_matches(seg: Segment):
+    """The segments a two-to-one balanced neighbor's face may have across
+    `seg`, each with the coverages (this side, the neighbor's side)."""
+    level, index = seg
+    out = [(seg, ("full", "full"))]
+    if level > 0:
+        half = "lower" if index % 2 == 0 else "upper"
+        out.append(((level - 1, index >> 1), ("full", half)))
+    for child in _children(seg):
+        out.append((child, ("lower" if child[1] % 2 == 0 else "upper", "full")))
+    return out
 
 
 def _dyadic(numerator: int, level: int) -> tuple[int, int]:
@@ -527,56 +522,64 @@ def mortar_topology(mesh: Mesh) -> MeshTopology:
     face_mortars: dict[tuple, list[int]] = {}
     seen: set[frozenset] = set()
 
-    # (block, dim, side, plane) -> elements, in mesh order, whose face on
-    # that side lies on the plane; planes are dyadic fractions of the block
+    def trans(segments, face_dim):
+        return segments[:face_dim] + segments[face_dim + 1:]
+
+    # (block, dim, side, plane, transverse segments) -> elements, in mesh
+    # order, whose face on that side lies on the plane and spans those
+    # segments; planes are dyadic fractions of the block
     faces_at: dict[tuple, list[int]] = {}
     for k, e in enumerate(mesh.elements):
         for face_dim, (level, index) in enumerate(e.segments):
             for side, plane in ((-1, index), (1, index + 1)):
-                key = (e.block, face_dim, side, _dyadic(plane, level))
+                key = (e.block, face_dim, side, _dyadic(plane, level),
+                       trans(e.segments, face_dim))
                 faces_at.setdefault(key, []).append(k)
 
-    def candidates(elem_index, face_dim, side):
-        """Element indices whose opposite face lies on this face's plane."""
+    conforming = [("full", "full")] * (dim - 1)
+
+    def neighbors(elem_index, face_dim, side):
+        """(element, coverages per transverse dim) of each balanced neighbor
+        across this face, in mesh order; None and the tag when external.
+
+        Under two-to-one balance a neighbor's transverse segment is the
+        same, the parent or a child, per transverse dim; a neighbor that
+        overlaps otherwise leaves the face uncovered, which the coverage
+        check reports. Neighbor faces on the plane do not overlap, so one
+        with the same segments is the only neighbor.
+        """
         e = mesh.elements[elem_index]
         level, index = e.segments[face_dim]
+        block = e.block
         if _at_block_boundary(e.segments[face_dim], side):
-            kind, target = mesh.blocks[e.block].boundary[(face_dim, side)]
+            kind, block = mesh.blocks[e.block].boundary[(face_dim, side)]
             if kind == "external":
-                return None, target
+                return None, block
             plane = (0, 0) if side > 0 else (1, 0)
-            pool = [
-                k
-                for k in faces_at.get((target, face_dim, -side, plane), [])
-                if target != e.block or k != elem_index
+        else:
+            plane = _dyadic(index + (side > 0), level)
+        segments = trans(e.segments, face_dim)
+        same = faces_at.get((block, face_dim, -side, plane, segments), [])
+        found = [(kk, conforming) for kk in same if kk != elem_index]
+        if found:
+            return found, None
+        for combo in itertools.product(*map(_transverse_matches, segments)):
+            key = (block, face_dim, -side, plane, tuple(c[0] for c in combo))
+            found += [
+                (kk, [c[1] for c in combo])
+                for kk in faces_at.get(key, [])
+                if kk != elem_index
             ]
-            return pool, None
-        plane = _dyadic(index + (side > 0), level)
-        return faces_at.get((e.block, face_dim, -side, plane), []), None
-
-    trans_dims = lambda face_dim: [d for d in range(dim) if d != face_dim]
+        return sorted(found), None
 
     for k, e in enumerate(mesh.elements):
         for face_dim in range(dim):
+            trans_dims = trans(tuple(range(dim)), face_dim)
             for side in (-1, 1):
-                pool, tag = candidates(k, face_dim, side)
-                if pool is None:
+                found, tag = neighbors(k, face_dim, side)
+                if found is None:
                     external.append(ExternalFace(k, face_dim, side, tag))
                     continue
-                found = []
-                for kk in pool:
-                    other = mesh.elements[kk]
-                    rel = []
-                    disjoint = False
-                    for t in trans_dims(face_dim):
-                        r = _transverse_relation(e.segments[t], other.segments[t])
-                        if r is None:
-                            disjoint = True
-                            break
-                        rel.append(r)
-                    if disjoint:
-                        continue
-                    found.append((kk, rel))
                 if not found:
                     raise TopologyError(
                         f"face {face_dim}/{side:+d} of element "
@@ -589,8 +592,7 @@ def mortar_topology(mesh: Mesh) -> MeshTopology:
                     seen.add(key)
                     other = mesh.elements[kk]
                     counts = tuple(
-                        max(e.degrees[t], other.degrees[t]) + 1
-                        for t in trans_dims(face_dim)
+                        max(e.degrees[t], other.degrees[t]) + 1 for t in trans_dims
                     )
                     mortar = Mortar(
                         sides=(

@@ -771,7 +771,8 @@ class OperatorHandle:
     def zero_primal(self) -> FieldVector:
         return FieldVector.zeros(self.mesh, self.system.n_primal)
 
-    def _derived(self, linearization_point) -> "OperatorHandle":
+    def linearized_at(self, point: Optional[FieldVector] = None) -> "OperatorHandle":
+        """Handle for the operator linearized about `point` (default zero)."""
         return OperatorHandle(
             self.mesh,
             self.system,
@@ -780,18 +781,9 @@ class OperatorHandle:
             form=self.form,
             massive=self.massive,
             penalty_parameter=self.penalty_parameter,
-            linearization_point=linearization_point,
+            linearization_point=self.zero_primal() if point is None else point,
             _cache=self._cache,
         )
-
-    def linearized_at(self, point: Optional[FieldVector] = None) -> "OperatorHandle":
-        """Handle for the operator linearized about `point` (default zero)."""
-        if point is None:
-            point = self.zero_primal()
-        return self._derived(point)
-
-    def without_linearization(self) -> "OperatorHandle":
-        return self._derived(None)
 
     # -- operator application ------------------------------------------
 

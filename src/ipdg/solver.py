@@ -8,14 +8,12 @@ and Schur-complement checks and are guarded by a DoF cap.
 from __future__ import annotations
 
 import time
-import warnings
 from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
 import scipy.linalg
 import scipy.sparse
-import scipy.sparse.linalg
 
 from .errors import ConfigurationError, ResourceCapError
 from .operators import FieldVector
@@ -82,8 +80,12 @@ class ExplicitMatrix:
         order = np.lexsort((coo.col, coo.row))
         with open(path, "w") as f:
             f.write(f"{self.n_rows} {self.n_cols} {coo.nnz}\n")
-            for r, c, v in zip(coo.row[order], coo.col[order], coo.data[order]):
-                f.write(f"{r + 1} {c + 1} {v:.17e}\n")
+            f.writelines(map(
+                "{} {} {:.17e}\n".format,
+                (coo.row[order] + 1).tolist(),
+                (coo.col[order] + 1).tolist(),
+                coo.data[order].tolist(),
+            ))
 
 
 # Entries (columns x rows) of one batched probe application. The operator's
@@ -128,11 +130,22 @@ def assemble_explicit(
 ) -> ExplicitMatrix:
     """Assembly of the handle's linear(ized) action by probing with unit vectors.
 
-    One probe vector sets the same point of every element of one color.
-    Same-color elements have disjoint closed neighborhoods, so each nonzero
-    of the result belongs to the column of the probed element whose
-    neighborhood holds its row. The probes of one color, for every
-    component and point, go through the operator as batches of columns.
+    Each pass probes one set of elements and components; one probe vector
+    sets the same point of every element of the set. An owner map names,
+    for each element, the probed element whose column may reach its rows,
+    so each nonzero of the result belongs to one column. The probes of one
+    pass, for every component and point, go through the operator as
+    batches of columns.
+
+    Primal columns reach the face neighbors of their element, so their
+    passes are the colors of a distance-3 coloring, each element owning its
+    closed neighborhood. Auxiliary columns reach only their own element: a
+    given v enters the auxiliary residual only as M v, and the primal
+    residual only through the element's own volume terms (the primal flux
+    and source at its points, then its stiffness) and through the v trace
+    of neumann-kind ghosts on its own external faces, lifted back into it.
+    So the auxiliary components of all elements form one pass whose owner
+    map is each element itself.
     """
     if not handle.is_linearized and not handle.system.linear:
         raise ConfigurationError(
@@ -152,20 +165,28 @@ def assemble_explicit(
         )
 
     groups, nbrs = _element_color_groups(lin)
-    point_element = np.repeat(np.arange(len(sizes)), sizes)
-    n_components = n // total
-    chunk = max(1, _PROBE_BATCH_ENTRIES // n)
-    rows_out, cols_out, vals_out = [], [], []
+    n_elements = len(sizes)
+    point_element = np.repeat(np.arange(n_elements), sizes)
+    n_v = n_aux // total
+    primal = np.arange(n_v, n // total)
+    # (probed elements, owner per element, probed components)
+    passes = []
     for group in groups:
-        members = np.array(group)
-        owner = np.full(len(sizes), -1)
+        owner = np.full(n_elements, -1)
         for k in group:
             owner[[k, *nbrs[k]]] = k
+        passes.append((np.array(group), owner, primal))
+    if include_auxiliary:
+        every = np.arange(n_elements)
+        passes.append((every, every, np.arange(n_v)))
+    chunk = max(1, _PROBE_BATCH_ENTRIES // n)
+    rows_out, cols_out, vals_out = [], [], []
+    for members, owner, components in passes:
         row_owner = owner[point_element]
-        # every (component, point index) probe of this color
-        comp, point = (
-            a.ravel() for a in np.indices((n_components, sizes[members].max()))
-        )
+        # every (component, point index) probe of this pass
+        n_probe_points = sizes[members].max()
+        comp = np.repeat(components, n_probe_points)
+        point = np.tile(np.arange(n_probe_points), components.size)
         for start in range(0, comp.size, chunk):
             c, p = comp[start:start + chunk], point[start:start + chunk]
             probes = np.zeros((c.size, n))
@@ -204,22 +225,31 @@ def assemble_explicit(
 
 
 def schur_eliminate(full: ExplicitMatrix, n_auxiliary: int) -> ExplicitMatrix:
-    """Primal-block Schur complement A_uu - A_uv A_vv^-1 A_vu."""
+    """Primal-block Schur complement A_uu - A_uv A_vv^-1 A_vu.
+
+    A_vv must be diagonal. The first-order operator's is: with mass
+    lumping its auxiliary equations read M v = M recon(u), so A_vv is the
+    lumped mass (the identity when massless), and its inverse is a row
+    scaling.
+    """
     n = full.n_rows
     if not 0 < n_auxiliary < n:
         raise ValueError(f"auxiliary block size {n_auxiliary} out of range")
-    a = full.matrix.tocsc()
+    a = full.matrix.tocsr()
     na = n_auxiliary
-    avv = a[:na, :na]
+    avv = a[:na, :na].tocoo()
     avu = a[:na, na:]
     auv = a[na:, :na]
     auu = a[na:, na:]
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", scipy.sparse.linalg.MatrixRankWarning)
-        x = scipy.sparse.linalg.spsolve(avv, avu)
-    if not scipy.sparse.issparse(x):
-        x = scipy.sparse.csc_matrix(np.atleast_2d(x).reshape(na, n - na))
-    if not np.all(np.isfinite(x.data)):
+    if np.any((avv.row != avv.col) & (avv.data != 0.0)):
+        raise ValueError(
+            "auxiliary block A_vv is not diagonal, so it cannot be "
+            "eliminated by scaling"
+        )
+    with np.errstate(divide="ignore"):
+        scale = 1.0 / avv.diagonal()
+    x = scipy.sparse.diags(scale) @ avu
+    if not (np.all(np.isfinite(scale)) and np.all(np.isfinite(x.data))):
         raise FloatingPointError("auxiliary diagonal block is singular")
     s = scipy.sparse.csr_matrix(auu - auv @ x)
     s.sort_indices()

@@ -13,7 +13,6 @@ from ipdg.basis import gauss_lobatto_nodes_weights
 from ipdg.errors import DegenerateGeometryError, TopologyError
 from ipdg.mesh import (
     _at_block_boundary,
-    _transverse_relation,
     AffineMap,
     AnnulusWedgeMap,
     ComposedMap,
@@ -312,6 +311,24 @@ class TestTopology:
             assert fractions == 1.0
 
 
+def transverse_relation(seg_a, seg_b):
+    """Coverages (a's, b's) of two overlapping segments, from interval
+    arithmetic at the finer level; None when they are disjoint."""
+    level = max(seg_a[0], seg_b[0])
+    a0, a1 = (i << (level - seg_a[0]) for i in (seg_a[1], seg_a[1] + 1))
+    b0, b1 = (i << (level - seg_b[0]) for i in (seg_b[1], seg_b[1] + 1))
+    if a1 <= b0 or b1 <= a0:
+        return None
+
+    def coverage(lo, hi, outer_lo, outer_hi):
+        if (lo, hi) == (outer_lo, outer_hi):
+            return "full"
+        return "lower" if lo == outer_lo else "upper"
+
+    lo, hi = max(a0, b0), min(a1, b1)
+    return coverage(lo, hi, a0, a1), coverage(lo, hi, b0, b1)
+
+
 def scan_topology(mesh):
     """Mortars and external faces found by testing every face against every
     element, the quadratic scan that the face-plane lookup replaces.
@@ -344,7 +361,7 @@ def scan_topology(mesh):
                     mask[k] = False
                 trans = [t for t in range(mesh.dim) if t != fd]
                 for kk in np.flatnonzero(mask):
-                    rel = [_transverse_relation(e.segments[t], els[kk].segments[t]) for t in trans]
+                    rel = [transverse_relation(e.segments[t], els[kk].segments[t]) for t in trans]
                     key = frozenset([(k, fd, side), (int(kk), fd, -side)])
                     if None in rel or key in seen:
                         continue
@@ -366,7 +383,12 @@ def scan_topology(mesh):
         build_rectilinear_mesh([(0, 1)] * 3, (1, 1, 0), (2, 2, 2)), 3, (3, 1, 2)), 0),
     lambda: split_element(build_annulus_mesh(1.0, 2.0, 3, (1, 0), (2, 2)), 2),
     lambda: build_annulus_mesh(1.0, 2.0, 2, (0, 1), (2, 2)),
-], ids=["32x32", "split-raised-2d", "split-raised-3d", "annulus-split", "two-wedges"])
+    # level-1 and level-3 elements on the plane x = 1/2 overlap in y but not
+    # in z, so they share no face and the mesh is balanced
+    lambda: split_element(split_element(split_element(
+        build_rectilinear_mesh([(0, 1)] * 3, (1, 0, 1), (1, 1, 1)), 3), 2), 11),
+], ids=["32x32", "split-raised-2d", "split-raised-3d", "annulus-split", "two-wedges",
+        "plane-neighbours-apart-3d"])
 def test_topology_matches_all_pairs_scan(make):
     mesh = make()
     topo = mortar_topology(mesh)

@@ -149,6 +149,31 @@ def test_schur_singular_block():
         schur_eliminate(full, 1)
 
 
+def test_schur_zero_diagonal_with_empty_coupling_row():
+    # the zero pivot's row of A_vu is empty, so only the diagonal shows it
+    full = ExplicitMatrix(
+        scipy.sparse.csr_matrix(
+            np.array([[0.0, 0.0, 0.0], [0.0, 2.0, 1.0], [0.0, 1.0, 3.0]])
+        ),
+        "test",
+    )
+    with pytest.raises(FloatingPointError, match="singular"):
+        schur_eliminate(full, 2)
+
+
+def test_schur_rejects_non_diagonal_auxiliary_block():
+    # invertible, so a general solve would accept it; elimination by
+    # scaling must not
+    full = ExplicitMatrix(
+        scipy.sparse.csr_matrix(
+            np.array([[2.0, 0.5, 1.0], [0.5, 2.0, 1.0], [1.0, 1.0, 3.0]])
+        ),
+        "test",
+    )
+    with pytest.raises(ValueError, match="not diagonal"):
+        schur_eliminate(full, 2)
+
+
 # -- matrix export -----------------------------------------------------
 
 
@@ -167,6 +192,29 @@ def test_coordinate_export(tmp_path):
     assert [(r[0], r[1]) for r in rows] == [("1", "1"), ("2", "1"), ("2", "2")]
     assert float(rows[1][2]) == -2.0 / 3.0  # full precision round trip
     assert "e" in rows[0][2]
+
+
+def test_export_matches_per_line_format(tmp_path):
+    # negative, subnormal, integer-valued, huge and tiny entries
+    values = [-2.0 / 3.0, 5e-324, -2.2250738585072014e-309, 3.0, -7.0, 1.7976931348623157e308,
+              1e-300, 0.1, 123456789.0]
+    rng = np.random.default_rng(4)
+    rows = rng.integers(0, 40, size=len(values))
+    cols = rng.permutation(60)[: len(values)]
+    mat = ExplicitMatrix(
+        scipy.sparse.csr_matrix((values, (rows, cols)), shape=(40, 60)), "test"
+    )
+    path = tmp_path / "mat.txt"
+    mat.write(path)
+    coo = mat.matrix.tocoo()
+    order = np.lexsort((coo.col, coo.row))
+    expected = f"{mat.n_rows} {mat.n_cols} {coo.nnz}\n" + "".join(
+        f"{r + 1} {c + 1} {v:.17e}\n"
+        for r, c, v in zip(coo.row[order], coo.col[order], coo.data[order])
+    )
+    assert coo.nnz == len(values)
+    assert path.read_bytes() == expected.encode()
+    assert "4.94065645841246544e-324" in expected and "3.00000000000000000e+00" in expected
 
 
 def test_export_deterministic(tmp_path):
