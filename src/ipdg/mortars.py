@@ -2,10 +2,12 @@
 
 A mortar carries its own tensor-product LGL grid over the face's transverse
 dimensions. Data moves face -> mortar by polynomial interpolation
-(prolongation) and mortar -> face by a mass-weighted least-squares fit
-(restriction). When a face is split among several mortars, the restrictions
-of all its mortars are built against the combined normal matrix so that
-restricting after prolonging reassembles the identity on the face.
+(prolongation) and, in `project_between`, mortar -> face by a mass-weighted
+least-squares fit (restriction). When a face is split among several mortars,
+the restrictions of all its mortars are built against the combined normal
+matrix so that restricting after prolonging reassembles the identity on the
+face. The DG operator restricts by the adjoint W_f^-1 P^T W_m instead, which
+keeps its symmetric form symmetric but does not invert P.
 
 Coverage per transverse dimension is "full", "lower" or "upper"; half
 coverages map the mortar interval [-1, 1] onto the matching half of the face

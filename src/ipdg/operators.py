@@ -32,8 +32,8 @@ the element count:
   call per phase;
 - mortars with the same face grids, mortar grid and coverages form a group
   that gathers its sides from the face buffer with one index array each,
-  prolongs with one matrix product (skipped where it is the identity) and
-  restricts with a stack of extended-precision matrices (skipped likewise);
+  prolongs with one matrix product P and restricts with its mass-weighted
+  adjoint W_f^-1 P^T W_m (both skipped where P is the identity);
 - external faces are gathered per boundary-condition object, whose ghost
   data is computed in one call.
 
@@ -65,7 +65,7 @@ from .errors import (
     UnsupportedFeatureError,
 )
 from .mesh import face_shape, jacobian_at, mortar_topology
-from .mortars import face_restriction_family, prolongation_matrix
+from .mortars import mortar_logical_weights, prolongation_matrix
 
 __all__ = [
     "FieldVector",
@@ -405,7 +405,7 @@ class _Group:
     members are consecutive in the mesh, else an index array. The group's
     face points fill [face_start, face_end) of the face buffer, face key by
     face key, element by element within a key; `face_geometry` holds per key
-    their coordinates, normals, h = 2/|n~| and surface measure.
+    their coordinates, normals, h = 2/|n~|, surface measure and lumped mass.
 
     Each member's map and Jacobian are evaluated once on the shared logical
     grid; everything else is derived from the stack.
@@ -447,15 +447,15 @@ class _Group:
                     background, self.coords[index], det[index], self.jinv[fdim][index], side
                 )
                 mag = fg.normal_magnitude
+                massive = fg.surface_measure * _point_order(trans, dim - 1)
                 self.faces.append(_GroupFace(
                     (fdim, side), index, slice(face_start, face_start + mag.size), mag.shape,
-                    mag / weights[fdim][0 if side < 0 else -1],
-                    fg.surface_measure * _point_order(trans, dim - 1),
+                    mag / weights[fdim][0 if side < 0 else -1], massive,
                 ))
                 face_start += mag.size
                 self.face_geometry.append((
                     fg.coords.reshape(dim, -1), fg.normal.reshape(dim, -1),
-                    (2.0 / mag).ravel(), fg.surface_measure.ravel(),
+                    (2.0 / mag).ravel(), fg.surface_measure.ravel(), massive.ravel(),
                 ))
         self.face_end = face_start
 
@@ -540,18 +540,21 @@ def _is_identity(mat):
 class _MortarGroup:
     """Mortars with the same face grids, mortar grid and coverages.
 
-    Per side: `index` (mortars, face points) into the face buffer, the
-    transposed prolongation and the stacked extended-precision restrictions,
-    both None when the prolongation is the identity. Such a face has no
-    other mortar, so its restriction is P^-1 = I as well.
+    Per side: `index` (mortars, face points) into the face buffer, P^T and
+    the lumped face mass W_f at `index`, both None where P = I (such a face
+    has no other mortar, and W_m is its W_f up to interpolation). `weights`
+    (mortars, mortar points) is the quadrature W_m both sides share. The
+    restriction R = W_f^-1 P^T W_m is P's adjoint under these masses, which
+    keeps the lifted coupling symmetric; sum R P over a face is not I.
     """
 
-    def __init__(self, index, prolongs, restrictions, sigma):
+    def __init__(self, index, prolongs, weights, face_mass, sigma):
         self.index = index
         self.prolong = [None if _is_identity(p) else p.T for p in prolongs]
-        self.restrict = [
-            None if p is None else np.stack(rs) for p, rs in zip(self.prolong, restrictions)
+        self.face_mass = [
+            None if p is None else face_mass[i] for p, i in zip(self.prolong, index)
         ]
+        self.weights = weights
         self.sigma = sigma
 
     def to_mortar(self, side, buf):
@@ -562,16 +565,18 @@ class _MortarGroup:
 
     def add_restricted(self, side, values, buf):
         """Restrict mortar values to one side's faces and add them to the buffer."""
-        r = self.restrict[side]
-        if r is not None:
-            values = np.asarray(np.einsum("mpq,...mq->...mp", r, values), dtype=float)
+        p = self.prolong[side]
+        if p is not None:
+            values = (values * self.weights) @ p.T / self.face_mass[side]
         buf[..., self.index[side]] += values
 
 
 def _mortar_measure_sigma(mortar, measures, hs, prolongs, mesh):
-    """Surface measure on the mortar points and the penalty for C = 1.
+    """Quadrature weights on the mortar points and the penalty for C = 1.
 
-    `measures` and `hs` are the two side faces' surface measure and h.
+    `measures` and `hs` are the two side faces' surface measure and h. Both
+    sides share the weights: LGL weights in the logical measure of the side
+    the surface measure comes from, times that measure.
     """
     # mortar surface measure from the coarse side: the partially covered
     # side if any, else the side with fewer face points (ties: side 0)
@@ -582,10 +587,11 @@ def _mortar_measure_sigma(mortar, measures, hs, prolongs, mesh):
         ci = 0 if measures[0].size < measures[1].size else 1
     else:
         ci = 0
-    measure = np.asarray(prolongs[ci] @ measures[ci], dtype=float)
+    cov = mortar.sides[ci].coverage
+    weights = mortar_logical_weights(mortar.counts, cov) * (prolongs[ci] @ measures[ci])
     hs = [np.asarray(p @ h, dtype=float) for p, h in zip(prolongs, hs)]
     p_norm = max(mesh.elements[s.element].degrees[s.dim] for s in mortar.sides)
-    return measure, penalty_sigma(p_norm, p_norm, hs[0], hs[1], 1.0)
+    return weights, penalty_sigma(p_norm, p_norm, hs[0], hs[1], 1.0)
 
 
 def _face_key(side):
@@ -596,8 +602,8 @@ class _MeshCache:
     """Geometry, topology and stacked transfer data shared between handles.
 
     Face geometry is kept in face-buffer order only: `face_coords`,
-    `face_normal`, `face_h` and `face_measure`, with `face_spans` mapping
-    (element, dim, side) to the face's points.
+    `face_normal`, `face_h`, `face_measure` and `face_mass` (lumped), with
+    `face_spans` mapping (element, dim, side) to the face's points.
     """
 
     def __init__(self, mesh, background):
@@ -621,7 +627,7 @@ class _MeshCache:
             self.groups.append(group)
             pos = group.face_end
         self.n_face_points = pos
-        self.face_coords, self.face_normal, self.face_h, self.face_measure = (
+        self.face_coords, self.face_normal, self.face_h, self.face_measure, self.face_mass = (
             np.concatenate(parts, axis=-1)
             for parts in zip(*(key for g in self.groups for key in g.face_geometry))
         )
@@ -635,23 +641,12 @@ class _MeshCache:
             [prolongation_matrix(shape(s), m.counts, s.coverage) for s in m.sides]
             for m in mortars
         ]
-        measures, sigmas = zip(*[
+        weights, sigmas = zip(*[
             _mortar_measure_sigma(
                 m, [self.face_measure[sp] for sp in sps], [self.face_h[sp] for sp in sps], ps, mesh
             )
             for m, sps, ps in zip(mortars, side_spans, prolongs)
         ]) if mortars else ((), ())
-        restrictions = {}  # (mortar, side) -> restriction matrix, unless P = I
-        for face_key, midxs in topology.face_mortars.items():
-            sides = [[_face_key(s) for s in mortars[mi].sides].index(face_key) for mi in midxs]
-            if _is_identity(prolongs[midxs[0]][sides[0]]):
-                continue
-            specs = [
-                (mortars[mi].counts, mortars[mi].sides[si].coverage, measures[mi])
-                for mi, si in zip(midxs, sides)
-            ]
-            family = face_restriction_family(shape(mortars[midxs[0]].sides[sides[0]]), specs)
-            restrictions.update(zip(zip(midxs, sides), family))
         by_kind = {}
         for mi, m in enumerate(mortars):
             kind = (m.counts,) + tuple((shape(s), s.coverage) for s in m.sides)
@@ -664,7 +659,8 @@ class _MeshCache:
                     for s in (0, 1)
                 ],
                 prolongs[midxs[0]],
-                [[restrictions.get((mi, s)) for mi in midxs] for s in (0, 1)],
+                np.stack([weights[mi] for mi in midxs]),
+                self.face_mass,
                 np.stack([sigmas[mi] for mi in midxs]),
             )
             for midxs in by_kind.values()

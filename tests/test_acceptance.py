@@ -49,6 +49,7 @@ from ipdg import (
     with_degrees,
 )
 from ipdg.basis import gauss_lobatto_nodes_weights
+from ipdg.mesh import face_shape, mortar_topology
 from ipdg.mortars import face_restriction_family, prolongation_matrix
 
 BG = FlatBackground()
@@ -202,9 +203,10 @@ def test_elements_sharing_no_boundary_never_couple():
 # --- symmetry of the massive operator -------------------------------------
 
 def degree_mismatch_mesh():
-    # two elements sharing a face at different degrees; the mortar projection
-    # makes the strong form visibly asymmetric while the strong-weak form
-    # stays symmetric
+    # two elements whose degrees differ only along the normal of the face
+    # they share: both sides have 4 points across it, so its mortar is
+    # conforming. The strong form is visibly asymmetric even so, while the
+    # strong-weak form is symmetric.
     mesh = build_rectilinear_mesh([(0.0, 1.0), (0.0, 1.0)], (1, 0), (3, 3))
     return with_degrees(mesh, 0, (5, 3))
 
@@ -215,6 +217,33 @@ def test_massive_strong_weak_matrix_is_symmetric():
         form="strong-weak", massive=True,
     )
     defect = symmetry_defect(assemble_explicit(handle).matrix.toarray())
+    assert defect <= 1e-12
+
+
+def nonconforming_mesh(kind):
+    # two elements, one of them split (h) or raised across the shared face (p)
+    dim = int(kind[-2])
+    mesh = build_rectilinear_mesh([(0.0, 1.0)] * dim, (1,) + (0,) * (dim - 1), (2,) * dim)
+    if kind.startswith("h"):
+        return split_element(mesh, 0)
+    return with_degrees(mesh, 0, tuple(range(2, 2 + dim)))
+
+
+@pytest.mark.parametrize("system", ["poisson-flat", "elasticity"])
+@pytest.mark.parametrize("kind", ["h-2d", "p-2d", "h-3d", "p-3d"])
+def test_massive_strong_weak_matrix_is_symmetric_on_nonconforming_meshes(kind, system):
+    mesh = nonconforming_mesh(kind)
+    # every mesh has a mortar whose prolongation is not the identity
+    assert any(
+        s.coverage != ("full",) * (mesh.dim - 1)
+        or m.counts != face_shape(mesh.elements[s.element].grid_shape, s.dim)
+        for m in mortar_topology(mesh).mortars for s in m.sides
+    )
+    handle = OperatorHandle(
+        mesh, make_system(system, dim=mesh.dim), BG, ZERO_DIRICHLET,
+        form="strong-weak", massive=True,
+    )
+    defect = symmetry_defect(assemble_explicit(handle.linearized_at()).matrix.toarray())
     assert defect <= 1e-12
 
 

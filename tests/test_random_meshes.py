@@ -17,7 +17,9 @@ system linearized about a nonzero state:
   auxiliary columns at once;
 - the assembled matrix times a vector equals the matrix-free application;
 - the Schur complement of the full first-order matrix equals the compact
-  matrix.
+  matrix;
+- the massive strong-weak matrix of a symmetry-eligible system is symmetric
+  to round-off, nonconforming faces included.
 """
 
 import numpy as np
@@ -40,6 +42,7 @@ from ipdg import (
     make_system,
     schur_eliminate,
     split_element,
+    symmetry_defect,
     with_degrees,
 )
 from ipdg.boundaries import BoundaryCondition
@@ -236,3 +239,5 @@ def check_invariants(handle, rtol=0.0):
     assert np.abs(a @ x - handle.matvec(x)).max() <= 1e-12 * scale * np.abs(x).max()
     schur = schur_eliminate(full, n_aux)
     assert abs(schur.matrix - a).max() <= 1e-12 * scale
+    if handle.form == "strong-weak" and handle.massive and handle.system.symmetric_eligible:
+        assert symmetry_defect(a) <= 1e-12

@@ -6,9 +6,10 @@ compares it with the matrix stored under tests/snapshots/. A rewrite of the
 operator may reorder floating-point sums but must not change the scheme, so
 the stored matrices are reproduced to 1e-13 relative to their largest entry.
 
-Regenerate the files (only when the scheme itself changes on purpose) with
+Regenerate the files of the named cases (only when the scheme itself
+changes on purpose, and only the cases it changes) with
 
-    PYTHONPATH=src python tests/test_snapshots.py --write
+    PYTHONPATH=src python tests/test_snapshots.py --write NAME [NAME ...]
 """
 
 import os
@@ -165,9 +166,9 @@ def load_snapshot(name):
         )
 
 
-def write_snapshots():
+def write_snapshots(names):
     os.makedirs(SNAPSHOT_DIR, exist_ok=True)
-    for name in CASES:
+    for name in names:
         mat = assemble_case(name)
         np.savez_compressed(
             snapshot_path(name), data=mat.data, indices=mat.indices,
@@ -191,7 +192,29 @@ def test_snapshots_stay_small():
     assert total < 300_000
 
 
+def main(argv):
+    """`--write NAME [NAME ...]` rewrites the named cases' files; anything
+    else, an unknown name included, exits with the usage and writes none."""
+    names = argv[1:]
+    unknown = [name for name in names if name not in CASES]
+    if argv[:1] != ["--write"] or not names or unknown:
+        sys.exit(
+            (f"unknown case(s): {', '.join(unknown)}\n" if unknown else "")
+            + "usage: PYTHONPATH=src python tests/test_snapshots.py --write NAME [NAME ...]\n"
+            + f"cases: {', '.join(CASES)}"
+        )
+    write_snapshots(names)
+
+
+def test_write_rejects_unknown_or_missing_names(monkeypatch):
+    def refuse(names):
+        raise AssertionError(f"would write {names}")
+
+    monkeypatch.setattr(sys.modules[__name__], "write_snapshots", refuse)
+    for argv in ([], ["--write"], ["--write", "annulus", "no-such-case"], ["annulus"]):
+        with pytest.raises(SystemExit, match="usage"):
+            main(argv)
+
+
 if __name__ == "__main__":
-    if sys.argv[1:] != ["--write"]:
-        sys.exit("usage: PYTHONPATH=src python tests/test_snapshots.py --write")
-    write_snapshots()
+    main(sys.argv[1:])
