@@ -69,7 +69,8 @@ def _solution_error(problem, u):
     if problem.solution is None:
         return None
     return l2_error(
-        problem.mesh, u, problem.solution.field.value, problem.background
+        problem.mesh, u, problem.solution.field.value, problem.background,
+        handle=problem.handle,
     )
 
 

@@ -30,12 +30,16 @@ the element count:
 - face traces of all elements live in one face buffer of shape
   (components, face points); the face fluxes are evaluated on it in one
   call per phase;
-- mortars with the same face grids, mortar grid and coverages form a group
-  that gathers its sides from the face buffer with one index array each,
-  prolongs with one matrix product P and restricts with its mass-weighted
-  adjoint W_f^-1 P^T W_m (both skipped where P is the identity);
-- external faces are gathered per boundary-condition object, whose ghost
-  data is computed in one call.
+- the numerical fluxes are pointwise, so each phase exchanges in one pass
+  over the face buffer: one gather through `partner` gives every point of a
+  mortar whose prolongations are both the identity the matching point
+  across, each boundary-condition object writes its ghosts over its
+  external points, and one expression gives the flux and jump everywhere;
+- mortars with a non-identity side replace the jump at their points: those
+  with the same face grids, mortar grid and coverages form a group that
+  gathers its sides from the face buffer with one index array each, prolongs
+  with one matrix product P and restricts with its mass-weighted adjoint
+  W_f^-1 P^T W_m (both skipped on a side where P is the identity).
 
 A batch of vectors (FieldVector.batch) rides through the same code as one
 more leading point axis: volume arrays are (components, batch, elements,
@@ -353,11 +357,12 @@ def exterior_ghost_data(
 
 
 def penalty_sigma(p_int, p_ext, h_int, h_ext, c):
-    """sigma = C (max(p)+1)^2 / min(h), the min taken pointwise."""
+    """sigma = C (max(p)+1)^2 / min(h), both taken pointwise (degrees may be arrays)."""
     h = np.minimum(np.asarray(h_int, dtype=float), np.asarray(h_ext, dtype=float))
     if np.any(h <= 0.0):
         raise DegenerateGeometryError("nonpositive element size h in penalty")
-    return c * (max(int(p_int), int(p_ext)) + 1) ** 2 / h
+    p = np.maximum(np.asarray(p_int, dtype=int), np.asarray(p_ext, dtype=int))
+    return c * (p + 1) ** 2 / h
 
 
 def _lgl_node_sets(element):
@@ -538,7 +543,9 @@ def _is_identity(mat):
 
 
 class _MortarGroup:
-    """Mortars with the same face grids, mortar grid and coverages.
+    """Mortars with a non-identity side and the same face grids, mortar grid
+    and coverages. Mortars whose sides are both the identity are exchanged
+    pointwise through `_MeshCache.partner` instead.
 
     Per side: `index` (mortars, face points) into the face buffer, P^T and
     the lumped face mass W_f at `index`, both None where P = I (such a face
@@ -598,12 +605,25 @@ def _face_key(side):
     return (side.element, side.dim, side.side)
 
 
+def _concat(indices):
+    """One index array from a possibly empty list of them."""
+    return np.concatenate(indices) if indices else np.zeros(0, dtype=int)
+
+
 class _MeshCache:
     """Geometry, topology and stacked transfer data shared between handles.
 
     Face geometry is kept in face-buffer order only: `face_coords`,
     `face_normal`, `face_h`, `face_measure` and `face_mass` (lumped), with
     `face_spans` mapping (element, dim, side) to the face's points.
+
+    The face points fall into three disjoint sets, or set-up raises
+    TopologyError: paired points, where `partner` gives the matching point
+    across a mortar whose prolongations are both the identity (elsewhere it
+    is the point itself); external points, `external` per tag; and the
+    points of mortars with a non-identity side, `restricted`, exchanged by
+    `mortar_groups`. `face_sigma` is the penalty for C = 1 at paired and
+    external points, the same on both points of a pair.
     """
 
     def __init__(self, mesh, background):
@@ -632,52 +652,79 @@ class _MeshCache:
             for parts in zip(*(key for g in self.groups for key in g.face_geometry))
         )
 
-        def shape(side):
-            return face_shape(mesh.elements[side.element].grid_shape, side.dim)
-
         mortars = topology.mortars
         side_spans = [[spans[_face_key(s)] for s in m.sides] for m in mortars]
-        prolongs = [
-            [prolongation_matrix(shape(s), m.counts, s.coverage) for s in m.sides]
+        shapes = [
+            [face_shape(mesh.elements[s.element].grid_shape, s.dim) for s in m.sides]
             for m in mortars
         ]
-        weights, sigmas = zip(*[
-            _mortar_measure_sigma(
-                m, [self.face_measure[sp] for sp in sps], [self.face_h[sp] for sp in sps], ps, mesh
-            )
-            for m, sps, ps in zip(mortars, side_spans, prolongs)
-        ]) if mortars else ((), ())
+        prolongs = [
+            [prolongation_matrix(sh, m.counts, s.coverage) for s, sh in zip(m.sides, shs)]
+            for m, shs in zip(mortars, shapes)
+        ]
+        n = self.n_face_points
+        self.partner = partner = np.arange(n)
+        self.face_sigma = np.zeros(n)
         by_kind = {}
         for mi, m in enumerate(mortars):
-            kind = (m.counts,) + tuple((shape(s), s.coverage) for s in m.sides)
+            kind = (m.counts,) + tuple(zip(shapes[mi], (s.coverage for s in m.sides)))
             by_kind.setdefault(kind, []).append(mi)
-        self.mortar_groups = [
-            _MortarGroup(
-                [
-                    np.array([side_spans[mi][s].start for mi in midxs])[:, None]
-                    + np.arange(math.prod(shape(mortars[midxs[0]].sides[s])))
-                    for s in (0, 1)
-                ],
-                prolongs[midxs[0]],
-                np.stack([weights[mi] for mi in midxs]),
-                self.face_mass,
-                np.stack([sigmas[mi] for mi in midxs]),
-            )
-            for midxs in by_kind.values()
-        ]
+        paired, self.mortar_groups = [], []
+        for midxs in by_kind.values():
+            index = [
+                np.array([side_spans[mi][s].start for mi in midxs])[:, None]
+                + np.arange(math.prod(shapes[midxs[0]][s]))
+                for s in (0, 1)
+            ]
+            if all(_is_identity(p) for p in prolongs[midxs[0]]):
+                # the mortar is the face itself: a pointwise swap
+                a, b = index
+                partner[a], partner[b] = b, a
+                paired += [a.ravel(), b.ravel()]
+                p = np.array([
+                    max(mesh.elements[s.element].degrees[s.dim] for s in mortars[mi].sides)
+                    for mi in midxs
+                ])[:, None]
+                self.face_sigma[a] = self.face_sigma[b] = penalty_sigma(
+                    p, p, self.face_h[a], self.face_h[b], 1.0
+                )
+                continue
+            weights, sigmas = zip(*[
+                _mortar_measure_sigma(
+                    mortars[mi], [self.face_measure[sp] for sp in side_spans[mi]],
+                    [self.face_h[sp] for sp in side_spans[mi]], prolongs[mi], mesh,
+                )
+                for mi in midxs
+            ])
+            self.mortar_groups.append(_MortarGroup(
+                index, prolongs[midxs[0]], np.stack(weights), self.face_mass, np.stack(sigmas)
+            ))
+        self.restricted = np.unique(_concat(
+            [i.ravel() for mg in self.mortar_groups for i in mg.index]
+        ))
 
-        external = {}  # tag -> (face-buffer indices, penalty for C = 1) per face
+        external, faces, degrees = {}, [], []  # tag -> face-buffer indices
         for ef in topology.external_faces:
             sp = spans[_face_key(ef)]
-            p = mesh.elements[ef.element].degrees[ef.dim]
-            h = self.face_h[sp]
-            parts = external.setdefault(ef.tag, ([], []))
-            parts[0].append(np.arange(sp.start, sp.stop))
-            parts[1].append(penalty_sigma(p, p, h, h, 1.0))
-        self.external = {
-            tag: (np.concatenate(idx), np.concatenate(sig))
-            for tag, (idx, sig) in external.items()
-        }
+            faces.append(np.arange(sp.start, sp.stop))
+            external.setdefault(ef.tag, []).append(faces[-1])
+            degrees.append(np.full(len(faces[-1]), mesh.elements[ef.element].degrees[ef.dim]))
+        self.external = {tag: np.concatenate(idx) for tag, idx in external.items()}
+        faces, p = _concat(faces), _concat(degrees)
+        self.face_sigma[faces] = penalty_sigma(p, p, self.face_h[faces], self.face_h[faces], 1.0)
+
+        # every point must be exactly one of: paired, external, or on mortars
+        # with a non-identity side; any other point would get no flux
+        covered = np.bincount(
+            np.concatenate([_concat(paired), faces, self.restricted]), minlength=n
+        )
+        if (covered != 1).any():
+            bad = int(np.argmax(covered != 1))
+            k, dim, side = next(key for key, sp in spans.items() if sp.start <= bad < sp.stop)
+            raise TopologyError(
+                f"face (dim {dim}, side {side}) of element {mesh.elements[k].id_string()} "
+                "is not covered exactly once by mortars and external faces"
+            )
 
 
 class OperatorHandle:
@@ -728,22 +775,33 @@ class OperatorHandle:
                     "a collocation point lies within 1e-10 of a puncture; "
                     "offset the mesh bounds"
                 )
+        self._face_sigma = self.penalty_parameter * cache.face_sigma
+        self._mortar_sigma = [self.penalty_parameter * mg.sigma for mg in cache.mortar_groups]
+        # the linearization point is read here, once: per group and as face traces
+        self._lin_groups = lin_traces = None
         if linearization_point is not None:
             if linearization_point.n_components != system.n_primal:
                 raise ValueError("linearization point must be a primal vector")
+            if linearization_point.data.ndim != 1:
+                raise ValueError("linearization point must be a single vector, not a batch")
+            lin_rows = self._rows(linearization_point.data)
+            self._lin_groups = [g.take(lin_rows).copy() for g in cache.groups]
+            lin_traces = np.empty((system.n_primal, cache.n_face_points))
+            for g, lin_g in zip(cache.groups, self._lin_groups):
+                g.traces(lin_g, lin_traces)
         # external face points per condition object: (bc, face-buffer
-        # indices, penalty, coordinates, normals)
+        # indices, coordinates, normals, linearization point's traces)
         by_bc = {}
-        for tag, (index, sigma) in cache.external.items():
+        for tag, index in cache.external.items():
             bc = self.bcs.for_tag(tag)
-            by_bc.setdefault(id(bc), (bc, []))[1].append((index, sigma))
+            by_bc.setdefault(id(bc), (bc, []))[1].append(index)
         self._boundaries = []
         for bc, parts in by_bc.values():
-            index = np.concatenate([p[0] for p in parts])
-            sigma = self.penalty_parameter * np.concatenate([p[1] for p in parts])
-            self._boundaries.append(
-                (bc, index, sigma, cache.face_coords[:, index], cache.face_normal[:, index])
-            )
+            index = np.concatenate(parts)
+            self._boundaries.append((
+                bc, index, cache.face_coords[:, index], cache.face_normal[:, index],
+                None if lin_traces is None else lin_traces[:, index],
+            ))
 
     # -- bookkeeping ---------------------------------------------------
 
@@ -834,59 +892,58 @@ class OperatorHandle:
         """Auxiliary fluxes, their exchange and the reconstructed auxiliary field.
 
         Returns per group the strong flux divergences minus extra sources
-        and the reconstructed fields; as a face buffer the projected
-        auxiliary fluxes; per boundary condition (condition,
-        face-buffer index, penalty, points, normals, linearized traces,
-        interior data, boundary auxiliary flux), folded as `_fold` does.
+        and the reconstructed fields; as face buffers the projected auxiliary
+        fluxes and their numerical flux; per boundary condition (condition,
+        face-buffer index, points, normals, linearized traces, interior
+        data), folded as `_fold` does.
         """
         cache = self._cache
         sys_, bg = self.system, self.background
-        lin = self.linearization_point
+        lin = self._lin_groups
         lead = u_rows.shape[1:-1]
         reps = math.prod(lead)
         traces = np.empty((sys_.n_primal,) + lead + (cache.n_face_points,))
-        if lin is not None:
-            lin_rows = self._rows(lin.data)
-            lin_traces = np.empty((sys_.n_primal, cache.n_face_points))
         ws = []
-        for g in cache.groups:
+        for gi, g in enumerate(cache.groups):
             ug = g.take(u_rows)
             fv = sys_.auxiliary_flux(ug, g.coords, bg)
             if lin is None:
                 extra = sys_.auxiliary_source_extra(ug, g.coords, bg)
             else:
-                lin_g = g.take(lin_rows)
-                extra = sys_.linearized_auxiliary_source_extra(lin_g, ug, g.coords, bg)
-                g.traces(lin_g, lin_traces)
+                extra = sys_.linearized_auxiliary_source_extra(lin[gi], ug, g.coords, bg)
             ws.append(g.divergence(fv) - extra)
             g.traces(ug, traces)
         aux = _contract_normal(
             cache.face_normal, sys_.auxiliary_flux(traces, cache.face_coords, bg)
         )
 
-        jumps = np.zeros_like(aux)
-        for mg in cache.mortar_groups:
-            sides = [BoundaryData(aux_flux=mg.to_mortar(s, aux)) for s in (0, 1)]
-            star = auxiliary_numerical_flux(sides[0], sides[1])
-            for s, flux in enumerate((star, -star)):
-                mg.add_restricted(s, flux - sides[s].aux_flux, jumps)
+        # the exterior: the partner's value, or the ghost on external faces
+        ext = aux[..., cache.partner]
         boundaries = []
-        for bc, i, sigma, x, normal in self._boundaries:
-            x, normal, sigma = (_repeat(a, reps) for a in (x, normal, sigma))
-            lin_b = None if lin is None else (_repeat(lin_traces[:, i], reps), None)
+        for bc, i, x, normal, lin_b in self._boundaries:
+            x, normal = _repeat(x, reps), _repeat(normal, reps)
+            lin_b = None if lin_b is None else (_repeat(lin_b, reps), None)
             interior = BoundaryData(aux_flux=_fold(aux, i), trace=_fold(traces, i))
             ghost = exterior_ghost_data(
                 interior, bc, sys_, bg, x, normal, linearized_traces=lin_b
             )
-            # on a ghost face the numerical flux is the boundary value itself
-            star = auxiliary_numerical_flux(interior, ghost)
-            jumps[..., i] += _unfold(star - interior.aux_flux, lead)
-            boundaries.append((bc, i, sigma, x, normal, lin_b, interior, star))
+            ext[..., i] = _unfold(ghost.aux_flux, lead)
+            boundaries.append((bc, i, x, normal, lin_b, interior))
+        # on a ghost face the numerical flux is the boundary value itself
+        star = auxiliary_numerical_flux(BoundaryData(aux_flux=aux), BoundaryData(aux_flux=ext))
+        jumps = star - aux
+        # mortars with a non-identity side replace the jump at their points
+        jumps[..., cache.restricted] = 0.0
+        for mg in cache.mortar_groups:
+            sides = [BoundaryData(aux_flux=mg.to_mortar(s, aux)) for s in (0, 1)]
+            star_m = auxiliary_numerical_flux(sides[0], sides[1])
+            for s, flux in enumerate((star_m, -star_m)):
+                mg.add_restricted(s, flux - sides[s].aux_flux, jumps)
 
         recon = [w.copy() for w in ws]
         for g, r in zip(cache.groups, recon):
             g.lift(r, jumps, massive=False)
-        return ws, recon, aux, boundaries
+        return ws, recon, aux, star, boundaries
 
     def _core(self, u, given_v):
         """Shared implementation of the compact and full operators.
@@ -896,20 +953,19 @@ class OperatorHandle:
         """
         cache = self._cache
         sys_, bg = self.system, self.background
-        lin = self.linearization_point
+        lin = self._lin_groups
         strong = self.form == "strong"
         primal_form = "strong" if strong else "weak"
         n_u, n_v = sys_.n_primal, sys_.n_auxiliary
         u_rows = self._rows(u.data)
         lead = u_rows.shape[1:-1]
 
-        ws, recon, aux, boundaries = self._phase1(u_rows)
-        lin_rows = None if lin is None else self._rows(lin.data)
+        ws, recon, aux, aux_star, boundaries = self._phase1(u_rows)
         v_rows = None if given_v is None else self._rows(given_v.data)
         w_traces = np.empty((n_v,) + lead + (cache.n_face_points,))
         v_traces = np.empty_like(w_traces)
         res_u, res_v = [], []
-        for g, w, rc in zip(cache.groups, ws, recon):
+        for gi, (g, w, rc) in enumerate(zip(cache.groups, ws, recon)):
             if v_rows is None:
                 v = rc
             else:
@@ -920,7 +976,7 @@ class OperatorHandle:
             if lin is None:
                 src = sys_.primal_source(ug, v, g.coords, bg)
             else:
-                src = sys_.linearized_primal_source(g.take(lin_rows), None, ug, v, g.coords, bg)
+                src = sys_.linearized_primal_source(lin[gi], None, ug, v, g.coords, bg)
             res = -g.stiffness(fu, primal_form)
             res += g.mass * src
             res_u.append(res)
@@ -930,28 +986,36 @@ class OperatorHandle:
         deriv = _contract_normal(normal, sys_.primal_flux(w_traces, x, bg))
         pen = _contract_normal(normal, sys_.primal_flux(aux, x, bg))
 
-        jumps = np.zeros((n_u,) + lead + (cache.n_face_points,))
-        for mg in cache.mortar_groups:
-            sides = [
-                BoundaryData(deriv_flux=mg.to_mortar(s, deriv), penalty_flux=mg.to_mortar(s, pen))
-                for s in (0, 1)
-            ]
-            star = primal_numerical_flux(sides[0], sides[1], self.penalty_parameter * mg.sigma)
-            for s, flux in enumerate((star, -star)):
-                # strong form subtracts the element's own exchanged flux
-                jump = flux - sides[s].deriv_flux if strong else flux
-                mg.add_restricted(s, -jump, jumps)
-        for bc, i, sigma, xb, nb, lin_b, first, aux_b in boundaries:
+        # the exterior as in phase one
+        ext_d, ext_p = deriv[..., cache.partner], pen[..., cache.partner]
+        for bc, i, xb, nb, lin_b, first in boundaries:
             interior = BoundaryData(
                 aux_flux=first.aux_flux, deriv_flux=_fold(deriv, i),
                 penalty_flux=_fold(pen, i), trace=first.trace,
             )
             ghost = exterior_ghost_data(
                 interior, bc, sys_, bg, xb, nb, v_trace=_fold(v_traces, i),
-                linearized_traces=lin_b, aux_boundary=aux_b,
+                linearized_traces=lin_b, aux_boundary=_fold(aux_star, i),
             )
-            star = primal_numerical_flux(interior, ghost, sigma)
-            jumps[..., i] -= _unfold(star - interior.deriv_flux if strong else star, lead)
+            ext_d[..., i] = _unfold(ghost.deriv_flux, lead)
+            ext_p[..., i] = _unfold(ghost.penalty_flux, lead)
+        star = primal_numerical_flux(
+            BoundaryData(deriv_flux=deriv, penalty_flux=pen),
+            BoundaryData(deriv_flux=ext_d, penalty_flux=ext_p),
+            self._face_sigma,
+        )
+        # strong form subtracts the element's own exchanged flux
+        jumps = deriv - star if strong else -star
+        jumps[..., cache.restricted] = 0.0
+        for mg, sigma in zip(cache.mortar_groups, self._mortar_sigma):
+            sides = [
+                BoundaryData(deriv_flux=mg.to_mortar(s, deriv), penalty_flux=mg.to_mortar(s, pen))
+                for s in (0, 1)
+            ]
+            star_m = primal_numerical_flux(sides[0], sides[1], sigma)
+            for s, flux in enumerate((star_m, -star_m)):
+                jump = flux - sides[s].deriv_flux if strong else flux
+                mg.add_restricted(s, -jump, jumps)
 
         data_u, out_u = self._new_rows(n_u, lead)
         data_v, out_v = (None, None) if v_rows is None else self._new_rows(n_v, lead)

@@ -14,9 +14,18 @@ from ipdg.analysis import (
     symmetry_defect,
     write_convergence_csv,
 )
-from ipdg.background import FlatBackground
-from ipdg.mesh import Mesh, build_rectilinear_mesh
-from ipdg.operators import FieldVector
+from ipdg.background import ConformallyFlatBackground, FlatBackground
+from ipdg.boundaries import BoundaryMap, DirichletBC
+from ipdg.mesh import (
+    Mesh,
+    build_annulus_mesh,
+    build_rectilinear_mesh,
+    split_element,
+    with_degrees,
+)
+from ipdg.operators import FieldVector, OperatorHandle
+from ipdg.solutions import gaussian, sin_product, sin_product_vector
+from ipdg.systems import make_system
 
 BG = FlatBackground()
 
@@ -56,6 +65,61 @@ def test_error_pools_components():
     off = lambda x: np.stack([x[0] + 0.3, x[1] + 0.4])
     u = interpolant(mesh, off, n_components=2)
     assert l2_error(mesh, u, exact, BG) == pytest.approx(0.5, rel=1e-13)
+
+
+def handle_cases():
+    """(handle, analytic field) on mixed grid shapes in 1D, 2D and 3D, and on
+    a curved annulus with a conformally flat background."""
+    curved = ConformallyFlatBackground(
+        lambda x: 0.1 * x[0] - 0.05 * x[1],
+        lambda x: np.stack([0.1 * np.ones_like(x[0]), -0.05 * np.ones_like(x[0])]),
+    )
+    dirichlet = BoundaryMap.everywhere(DirichletBC(0.0))
+    square = with_degrees(with_degrees(mesh_2d(level=2), 1, (2, 4)), 9, (5, 3))
+    cube = build_rectilinear_mesh([(0.0, 1.0)] * 3, (1, 0, 0), (2, 2, 2))
+    cube = with_degrees(cube, 0, (3, 2, 1))
+    line = with_degrees(build_rectilinear_mesh([(0.0, 1.0)], (2,), (3,)), 2, (5,))
+    annulus = split_element(build_annulus_mesh(0.5, 1.0, 3, (0, 0), (3, 4)), 1)
+    # grids long enough that summing in point order instead of natural grid
+    # order changes the last bit
+    fine = build_rectilinear_mesh([(0.0, 1.0), (0.0, 1.0)], (1, 1), (12, 9))
+    return [
+        (OperatorHandle(fine, make_system("poisson-flat", dim=2), BG, dirichlet),
+         gaussian(2, (0.3, 0.3), width=0.3)),
+        (OperatorHandle(square, make_system("poisson-flat", dim=2), BG, dirichlet),
+         gaussian(2, (0.35, 0.6), width=0.3)),
+        (OperatorHandle(square, make_system("elasticity", dim=2), BG, dirichlet),
+         sin_product_vector(2)),
+        (OperatorHandle(cube, make_system("poisson-flat", dim=3), BG, dirichlet),
+         gaussian(3, (0.4, 0.5, 0.6), width=0.5)),
+        (OperatorHandle(line, make_system("poisson-flat", dim=1), BG, dirichlet),
+         sin_product(1, wavenumber=2.0)),
+        (OperatorHandle(annulus, make_system("poisson-curved", dim=2), curved, dirichlet),
+         gaussian(2, (0.3, 0.7), width=0.4)),
+    ]
+
+
+def test_error_with_handle_is_bit_identical():
+    # the handle's per-group mass and points give the error to the last bit
+    for handle, field in handle_cases():
+        mesh, bg = handle.mesh, handle.background
+        u = interpolant(
+            mesh, lambda x: field.value(x) + 0.01 * np.cos(7.0 * x[:1]), field.n_components
+        )
+        want = l2_error(mesh, u, field.value, bg)
+        assert want > 0.0
+        assert l2_error(mesh, u, field.value, bg, handle=handle) == want
+
+
+def test_error_rejects_handle_of_another_mesh():
+    handle, field = handle_cases()[0]
+    other = mesh_2d(level=2)
+    u = interpolant(other, field.value)
+    with pytest.raises(ValueError, match="another mesh"):
+        l2_error(other, u, field.value, BG, handle=handle)
+    with pytest.raises(ValueError, match="another mesh"):
+        l2_error(handle.mesh, interpolant(handle.mesh, field.value), field.value,
+                 FlatBackground(), handle=handle)
 
 
 def test_error_invariant_under_relabeling():

@@ -8,6 +8,7 @@ from ipdg.basis import gauss_lobatto_nodes_weights, gauss_nodes_weights
 from ipdg.boundaries import (
     BoundaryMap,
     DirichletBC,
+    FalloffDirichletBC,
     NeumannBC,
     RobinBC,
 )
@@ -18,12 +19,16 @@ from ipdg.errors import (
     UnsupportedFeatureError,
 )
 from ipdg.mesh import (
+    MeshTopology,
     build_annulus_mesh,
     build_rectilinear_mesh,
+    face_shape,
     face_slices,
+    mortar_topology,
     split_element,
     with_degrees,
 )
+from ipdg.mortars import prolongation_matrix
 from ipdg.operators import (
     BoundaryData,
     FieldVector,
@@ -36,7 +41,7 @@ from ipdg.operators import (
     penalty_sigma,
     primal_numerical_flux,
 )
-from ipdg.systems import make_system
+from ipdg.systems import PunctureSpec, make_system
 
 BG = FlatBackground()
 POISSON_1D = make_system("poisson-flat", dim=1)
@@ -209,6 +214,14 @@ def test_penalty_pointwise_min():
     np.testing.assert_allclose(
         penalty_sigma(2, 2, h_int, h_ext, 1.0), [9.0 / 0.2, 9.0 / 0.1]
     )
+    # a degree per point (or per row) gives what each scalar call gives
+    p_int, p_ext = np.array([[2], [4]]), np.array([[3], [1]])
+    h = np.array([[0.5, 0.1], [0.2, 0.4]])
+    got = penalty_sigma(p_int, p_ext, h, h, 1.5)
+    for i in range(2):
+        np.testing.assert_array_equal(
+            got[i], penalty_sigma(int(p_int[i, 0]), int(p_ext[i, 0]), h[i], h[i], 1.5)
+        )
 
 
 def test_penalty_rejects_nonpositive_h():
@@ -595,28 +608,49 @@ def test_full_operator_mass_block():
 
 
 def test_batch_matches_single_vectors():
+    # each vector of a batch gets exactly the residual it gets alone. 2D:
     # point-dependent data for every condition kind, no linearization, two
-    # grid shapes and p-nonconforming mortars: each vector of a batch gets
-    # exactly the residual it gets alone
+    # grid shapes and p-nonconforming mortars. 3D: the puncture system
+    # linearized about a nonzero state, with falloff conditions, paired and
+    # non-identity mortars
     mesh = with_degrees(unit_mesh_2d(3, 1), 3, (4, 2))
     bcs = BoundaryMap({
         "x-lower": RobinBC(1.0, 2.0, lambda x: x[1]),
         "y-upper": NeumannBC(lambda x: np.cos(2.0 * x[0])),
         "all": DirichletBC(lambda x: np.sin(3.0 * x[0]) * x[1]),
     })
-    handle = OperatorHandle(mesh, POISSON_2D, BG, bcs, form="strong-weak")
+    handles = [OperatorHandle(mesh, POISSON_2D, BG, bcs, form="strong-weak")]
+    cube = with_degrees(
+        build_rectilinear_mesh([(1.0, 2.0)] * 3, (1, 1, 0), (2, 2, 2)), 3, (2, 3, 2)
+    )
+    puncture = make_system("puncture", dim=3, punctures=[
+        PunctureSpec(1.0, (0.1, 0.2, 0.3), momentum=(0.2, 0.0, 0.3), spin=(0.0, 0.1, 0.0)),
+    ])
+    point = FieldVector(cube, 1, [
+        0.1 * np.sin(e.coords()[0] + 2.0 * e.coords()[1] - e.coords()[2])[None]
+        for e in cube.elements
+    ])
+    handles.append(OperatorHandle(
+        cube, puncture, BG, BoundaryMap({"all": FalloffDirichletBC(0.2)}), form="strong-weak",
+    ).linearized_at(point))
+    counts = check_face_partition(handles[1])
+    assert counts["paired"] and counts["restricted"]
     rng = np.random.default_rng(4)
-    us = rng.standard_normal((3, handle.n_primal_dofs))
-    vs = rng.standard_normal((3, handle.n_auxiliary_dofs))
-    res = handle.apply(FieldVector.batch(mesh, 1, us)).data
-    assert res.shape == us.shape
-    for u, r in zip(us, res):
-        np.testing.assert_array_equal(r, handle.matvec(u))
-    rv, ru = handle.apply_full(FieldVector.batch(mesh, 2, vs), FieldVector.batch(mesh, 1, us))
-    for v, u, a, b in zip(vs, us, rv.data, ru.data):
-        np.testing.assert_array_equal(
-            np.concatenate([a, b]), handle.matvec_full(np.concatenate([v, u]))
+    for handle in handles:
+        mesh = handle.mesh
+        us = rng.standard_normal((3, handle.n_primal_dofs))
+        vs = rng.standard_normal((3, handle.n_auxiliary_dofs))
+        res = handle.apply(FieldVector.batch(mesh, 1, us)).data
+        assert res.shape == us.shape
+        for u, r in zip(us, res):
+            np.testing.assert_array_equal(r, handle.matvec(u))
+        rv, ru = handle.apply_full(
+            FieldVector.batch(mesh, handle.system.n_auxiliary, vs), FieldVector.batch(mesh, 1, us)
         )
+        for v, u, a, b in zip(vs, us, rv.data, ru.data):
+            np.testing.assert_array_equal(
+                np.concatenate([a, b]), handle.matvec_full(np.concatenate([v, u]))
+            )
 
 
 def test_batch_guards():
@@ -702,6 +736,98 @@ def raised_curved():
     return with_degrees(with_degrees(unit_mesh_2d(3, 1), 1, (2, 5)), 2, (4, 4)), curved
 
 
+def check_face_partition(handle):
+    """Every face-buffer point is exactly one of: paired, external, or on a
+    mortar with a non-identity side, each set as the topology gives it.
+    `partner` is an involution that fixes exactly the unpaired points, and
+    both points of a pair carry the same penalty. Returns the set sizes."""
+    cache, mesh = handle._cache, handle.mesh
+    n = cache.n_face_points
+    want = {name: np.zeros(n, dtype=int) for name in ("paired", "external", "restricted")}
+    partner = np.arange(n)
+    for m in handle.topology.mortars:
+        spans = [cache.face_spans[(s.element, s.dim, s.side)] for s in m.sides]
+        prolongs = [
+            prolongation_matrix(
+                face_shape(mesh.elements[s.element].grid_shape, s.dim), m.counts, s.coverage
+            )
+            for s in m.sides
+        ]
+        if all(np.array_equal(p, np.eye(len(p))) for p in prolongs):
+            a, b = (np.arange(sp.start, sp.stop) for sp in spans)
+            partner[a], partner[b] = b, a
+            want["paired"][a] += 1
+            want["paired"][b] += 1
+        else:
+            for sp in spans:
+                want["restricted"][sp] = 1
+    for ef in handle.topology.external_faces:
+        want["external"][cache.face_spans[(ef.element, ef.dim, ef.side)]] += 1
+    assert ((want["paired"] + want["external"] + want["restricted"]) == 1).all()
+
+    np.testing.assert_array_equal(cache.partner, partner)
+    paired = cache.partner != np.arange(n)
+    np.testing.assert_array_equal(paired, want["paired"] == 1)
+    np.testing.assert_array_equal(cache.partner[cache.partner], np.arange(n))
+    np.testing.assert_array_equal(cache.face_sigma[cache.partner], cache.face_sigma)
+    external = np.zeros(n, dtype=bool)
+    for index in cache.external.values():
+        external[index] = True
+    np.testing.assert_array_equal(external, want["external"] == 1)
+    restricted = np.zeros(n, dtype=bool)
+    restricted[cache.restricted] = True
+    np.testing.assert_array_equal(restricted, want["restricted"] == 1)
+    assert (cache.face_sigma[paired | external] > 0.0).all()
+    return {name: int((w > 0).sum()) for name, w in want.items()}
+
+
+def conforming_square():
+    return unit_mesh_2d(3, 1), BG
+
+
+def split_square():
+    return split_element(unit_mesh_2d(3, 1), 0), BG
+
+
+def raised_square():
+    return with_degrees(unit_mesh_2d(3, 1), 3, (4, 2)), BG
+
+
+# (mesh case, has paired points, has points on non-identity mortars)
+@pytest.mark.parametrize("case, paired, restricted", [
+    (conforming_square, True, False), (split_square, True, True),
+    (raised_square, True, True), (split_box_3d, True, True),
+    (split_annulus, True, True), (raised_curved, False, True),
+])
+def test_face_buffer_partition(case, paired, restricted):
+    mesh, bg = case()
+    system = make_system("poisson-flat", dim=mesh.dim)
+    handle = OperatorHandle(mesh, system, bg, BoundaryMap.everywhere(DirichletBC(0.0)))
+    counts = check_face_partition(handle)
+    assert counts["external"] > 0
+    assert (counts["paired"] > 0) == paired
+    assert (counts["restricted"] > 0) == restricted
+    assert (len(handle._cache.mortar_groups) > 0) == restricted
+
+
+def test_face_buffer_partition_rejects_uncovered_or_doubled_points(monkeypatch):
+    # a topology that leaves a face out or lists it twice would leave its
+    # points without a flux or give them two: set-up refuses it
+    mesh = unit_mesh_2d(2, 1)
+    topology = mortar_topology(mesh)
+    bcs = BoundaryMap.everywhere(DirichletBC(0.0))
+    for mortars, external in (
+        (topology.mortars, topology.external_faces[1:]),
+        (topology.mortars[1:], topology.external_faces),
+        (topology.mortars, topology.external_faces + topology.external_faces[:1]),
+        (topology.mortars + topology.mortars[:1], topology.external_faces),
+    ):
+        broken = MeshTopology(mortars, external, topology.face_mortars)
+        monkeypatch.setattr("ipdg.operators.mortar_topology", lambda mesh: broken)
+        with pytest.raises(TopologyError, match="not covered exactly once"):
+            OperatorHandle(mesh, POISSON_2D, BG, bcs)
+
+
 @pytest.mark.parametrize("case", [split_annulus, split_box_3d, raised_curved])
 def test_face_buffer_geometry_matches_face_geometry(case):
     # the stacked per-group geometry against the public per-face evaluation
@@ -775,11 +901,15 @@ def test_handle_validation():
         OperatorHandle(
             mesh, POISSON_2D, BG, BoundaryMap({"x-lower": DirichletBC(0.0)})
         )
+    handle = OperatorHandle(mesh, POISSON_2D, BG, bcs)
+    with pytest.raises(ValueError, match="primal vector"):
+        handle.linearized_at(FieldVector.zeros(mesh, 2))
+    with pytest.raises(ValueError, match="not a batch"):
+        handle.linearized_at(FieldVector.batch(mesh, 1, np.zeros((2, handle.n_primal_dofs))))
 
 
 def test_puncture_collocation_guard():
     from ipdg.errors import SingularPointError
-    from ipdg.systems import PunctureSpec
 
     sys_ = make_system(
         "puncture", dim=3, punctures=[PunctureSpec(1.0, (0.0, 0.0, 0.0))]

@@ -19,7 +19,10 @@ system linearized about a nonzero state:
 - the Schur complement of the full first-order matrix equals the compact
   matrix;
 - the massive strong-weak matrix of a symmetry-eligible system is symmetric
-  to round-off, nonconforming faces included.
+  to round-off, nonconforming faces included;
+- every face-buffer point is exactly one of: paired across a mortar whose
+  prolongations are both the identity, external, or on a mortar with a
+  non-identity side.
 """
 
 import numpy as np
@@ -48,6 +51,7 @@ from ipdg import (
 from ipdg.boundaries import BoundaryCondition
 from ipdg.errors import TopologyError
 from ipdg.mesh import mortar_topology
+from test_operators import check_face_partition
 
 BG = FlatBackground()
 CURVED = ConformallyFlatBackground(
@@ -214,6 +218,7 @@ def check_invariants(handle, rtol=0.0):
     for equality."""
     mesh = handle.mesh
     n_aux = handle.n_auxiliary_dofs
+    check_face_partition(handle)
 
     compact = assemble_explicit(handle)
     full = assemble_explicit(handle, include_auxiliary=True)
