@@ -2,9 +2,11 @@
 
 Every condition is either dirichlet-kind (supplies boundary values of the
 primal field) or neumann-kind (supplies the boundary normal flux). The
-operator turns these into ghost exterior data on external faces; robin
-conditions fold the interior trace into a neumann-kind flux, degenerating to
-dirichlet when their flux coefficient vanishes.
+operator turns these into ghost exterior data on external faces
+(`operators.exterior_ghost_data`): the exterior is the interior minus twice
+the boundary value. Robin conditions fold the interior trace into a
+neumann-kind flux, degenerating to dirichlet when their flux coefficient
+vanishes.
 
 values() receives flattened face arrays: points (d, n), unit normal (d, n),
 primal trace (n_primal, n) and, when already reconstructed, auxiliary trace

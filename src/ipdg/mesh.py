@@ -40,7 +40,6 @@ __all__ = [
     "mortar_topology",
     "face_shape",
     "face_slices",
-    "mesh_summary_csv",
 ]
 
 _AXIS_NAMES = ("x", "y", "z")
@@ -623,16 +622,3 @@ def mortar_topology(mesh: Mesh) -> MeshTopology:
             )
     return MeshTopology(mortars, external, face_mortars)
 
-
-def mesh_summary_csv(mesh: Mesh) -> str:
-    """Per-element summary (id, degrees, physical extents) as CSV text."""
-    lines = ["element,block,id,degrees,extents"]
-    for k, e in enumerate(mesh.elements):
-        corners = np.array(list(itertools.product(*[(-1.0, 1.0)] * mesh.dim))).T
-        phys = e.map.apply(corners)
-        extents = "x".join(
-            repr(float(phys[d].max() - phys[d].min())) for d in range(mesh.dim)
-        )
-        degrees = "x".join(str(p) for p in e.degrees)
-        lines.append(f"{k},{e.block},{e.id_string()},{degrees},{extents}")
-    return "\n".join(lines) + "\n"

@@ -33,8 +33,9 @@ the element count:
 - the numerical fluxes are pointwise, so each phase exchanges in one pass
   over the face buffer: one gather through `partner` gives every point of a
   mortar whose prolongations are both the identity the matching point
-  across, each boundary-condition object writes its ghosts over its
-  external points, and one expression gives the flux and jump everywhere;
+  across, each boundary condition's ghosts are written over its external
+  points, and one flux call gives the flux and jump everywhere. The flux
+  and ghost functions take and return plain arrays;
 - mortars with a non-identity side replace the jump at their points: those
   with the same face grids, mortar grid and coverages form a group that
   gathers its sides from the face buffer with one index array each, prolongs
@@ -54,7 +55,6 @@ from __future__ import annotations
 
 import math
 from collections import namedtuple
-from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -73,7 +73,6 @@ from .mortars import mortar_logical_weights, prolongation_matrix
 
 __all__ = [
     "FieldVector",
-    "BoundaryData",
     "OperatorHandle",
     "lumped_mass_diag",
     "apply_stiffness",
@@ -243,117 +242,70 @@ class FieldVector:
     __rmul__ = __mul__
 
 
-@dataclass
-class BoundaryData:
-    """Exchange payload on face or mortar points.
-
-    aux_flux:     n_i F^i of the auxiliary-variable fluxes, (n_aux, ...)
-    deriv_flux:   n_i F^i_u of the strong derivative of those fluxes minus
-                  the extra auxiliary source, (n_primal, ...)
-    penalty_flux: n_i F^i_u applied to aux_flux, (n_primal, ...); for ghost
-                  data this field stores the value the receiving side
-                  combines directly
-    trace:        primal trace values, (n_primal, ...)
-
-    The trailing axes are points: one face's (n,), or a batch of faces
-    stacked as (faces, n) or concatenated. All entries are computed with the
-    owning side's outward normal before projection to the mortar. Fields not
-    yet available in a phase may be None.
-    """
-
-    aux_flux: Optional[np.ndarray] = None
-    deriv_flux: Optional[np.ndarray] = None
-    penalty_flux: Optional[np.ndarray] = None
-    trace: Optional[np.ndarray] = None
-
-
-def _check_match(a, b, what):
-    if a is None or b is None:
-        raise TopologyError(f"missing {what} in boundary data exchange")
-    if np.shape(a) != np.shape(b):
-        raise TopologyError(
-            f"{what} shapes {np.shape(a)} vs {np.shape(b)} do not share "
-            "mortar points"
-        )
-
-
-def auxiliary_numerical_flux(interior: BoundaryData, exterior: BoundaryData):
-    """Average of the two sides' auxiliary boundary fluxes.
+def auxiliary_numerical_flux(aux, ext_aux):
+    """Average of the two sides' auxiliary boundary fluxes n_i F^i_v.
 
     Both sides project with their own outward normal, so the average is a
     difference of the stored values.
     """
-    _check_match(interior.aux_flux, exterior.aux_flux, "auxiliary flux")
-    return 0.5 * (interior.aux_flux - exterior.aux_flux)
+    return 0.5 * (aux - ext_aux)
 
 
-def primal_numerical_flux(interior: BoundaryData, exterior: BoundaryData, sigma):
-    """Averaged derivative-based flux minus the sigma-weighted penalty."""
-    _check_match(interior.deriv_flux, exterior.deriv_flux, "derivative flux")
-    _check_match(interior.penalty_flux, exterior.penalty_flux, "penalty flux")
-    return 0.5 * (interior.deriv_flux - exterior.deriv_flux) - sigma * (
-        interior.penalty_flux - exterior.penalty_flux
-    )
+def primal_numerical_flux(deriv, pen, ext_deriv, ext_pen, sigma):
+    """Averaged derivative-based flux minus the sigma-weighted penalty.
+
+    Per side, with its own outward normal: `deriv` is n_i F^i_u of the strong
+    derivative of the auxiliary fluxes, `pen` n_i F^i_u of the auxiliary flux.
+    """
+    return 0.5 * (deriv - ext_deriv) - sigma * (pen - ext_pen)
 
 
 def exterior_ghost_data(
-    interior: BoundaryData,
-    bc,
-    system,
-    background,
-    x,
-    normal,
-    v_trace=None,
-    linearized_traces=None,
-    aux_boundary=None,
-) -> BoundaryData:
-    """Ghost exterior data on external face points.
+    bc, system, background, x, normal, trace, aux_flux=None, deriv_flux=None,
+    penalty_flux=None, v_trace=None, lin_trace=None, aux_boundary=None,
+):
+    """Ghost exterior (aux_flux, deriv_flux, penalty_flux) on external face points.
 
-    Boundary values initialize to the interior data and the condition
-    overwrites its kind's slot: dirichlet-kind conditions replace the
-    auxiliary boundary flux with n F_v(u_b), neumann-kind conditions replace
-    the derivative flux with the boundary flux value. The exterior is then
-    interior minus twice the boundary value. With `linearized_traces`
-    (u0, v0) the condition's linearized data is used instead, making the
-    ghost map homogeneous. Ghost fields whose interior field is None are
-    left None; `aux_boundary` passes in a boundary auxiliary flux computed
-    earlier.
+    Arrays are (components, points), the fluxes projected on the interior's
+    outward normal as the numerical fluxes take them; `trace` is the primal
+    trace. Dirichlet-kind conditions set the auxiliary boundary flux to
+    n F_v(u_b), neumann-kind ones the derivative flux to their flux value;
+    the other boundary value is the interior one. The exterior is the
+    interior minus twice the boundary value, except that the penalty flux,
+    which the receiving side combines directly, is 2 n F_u(aux boundary)
+    minus the interior. `lin_trace`, the linearization point's primal trace,
+    selects the condition's linearized data: the map is then homogeneous.
+    `aux_boundary` passes in a boundary auxiliary flux computed earlier. A
+    None flux has a None exterior.
     """
     if aux_boundary is None:
         if bc.kind == "dirichlet":
-            if linearized_traces is not None:
-                u0, v0 = linearized_traces
-                ub = bc.linearized_values(x, normal, u0, v0, interior.trace, None)
+            if lin_trace is not None:
+                ub = bc.linearized_values(x, normal, lin_trace, None, trace, None)
             else:
-                ub = bc.values(x, normal, interior.trace, None)
+                ub = bc.values(x, normal, trace, None)
             aux_boundary = _contract_normal(
                 normal, system.auxiliary_flux(ub, x, background)
             )
         else:
-            aux_boundary = interior.aux_flux
-    deriv_flux = penalty_flux = None
-    if interior.deriv_flux is not None:
+            aux_boundary = aux_flux
+    ext_aux = ext_deriv = ext_pen = None
+    if aux_flux is not None:
+        ext_aux = aux_flux - 2.0 * aux_boundary
+    if deriv_flux is not None:
         if bc.kind != "neumann":
-            deriv_boundary = interior.deriv_flux
-        elif linearized_traces is not None:
-            u0, v0 = linearized_traces
-            deriv_boundary = bc.linearized_values(
-                x, normal, u0, v0, interior.trace, v_trace
-            )
+            deriv_boundary = deriv_flux
+        elif lin_trace is not None:
+            deriv_boundary = bc.linearized_values(x, normal, lin_trace, None, trace, v_trace)
         else:
-            deriv_boundary = bc.values(x, normal, interior.trace, v_trace)
-        deriv_flux = interior.deriv_flux - 2.0 * deriv_boundary
-    if interior.penalty_flux is not None:
+            deriv_boundary = bc.values(x, normal, trace, v_trace)
+        ext_deriv = deriv_flux - 2.0 * deriv_boundary
+    if penalty_flux is not None:
         penalty_boundary = _contract_normal(
             normal, system.primal_flux(aux_boundary, x, background)
         )
-        penalty_flux = -interior.penalty_flux + 2.0 * penalty_boundary
-    return BoundaryData(
-        aux_flux=interior.aux_flux - 2.0 * aux_boundary,
-        deriv_flux=deriv_flux,
-        penalty_flux=penalty_flux,
-        trace=interior.trace,
-    )
+        ext_pen = -penalty_flux + 2.0 * penalty_boundary
+    return ext_aux, ext_deriv, ext_pen
 
 
 def penalty_sigma(p_int, p_ext, h_int, h_ext, c):
@@ -891,27 +843,21 @@ class OperatorHandle:
     def _phase1(self, u_rows):
         """Auxiliary fluxes, their exchange and the reconstructed auxiliary field.
 
-        Returns per group the strong flux divergences minus extra sources
-        and the reconstructed fields; as face buffers the projected auxiliary
-        fluxes and their numerical flux; per boundary condition (condition,
-        face-buffer index, points, normals, linearized traces, interior
-        data), folded as `_fold` does.
+        Returns per group the strong flux divergences and the reconstructed
+        fields; as face buffers the projected auxiliary fluxes and their
+        numerical flux; per boundary condition (condition, face-buffer index,
+        points, normals, linearized traces, primal trace), folded as `_fold`
+        does.
         """
         cache = self._cache
         sys_, bg = self.system, self.background
-        lin = self._lin_groups
         lead = u_rows.shape[1:-1]
         reps = math.prod(lead)
         traces = np.empty((sys_.n_primal,) + lead + (cache.n_face_points,))
         ws = []
-        for gi, g in enumerate(cache.groups):
+        for g in cache.groups:
             ug = g.take(u_rows)
-            fv = sys_.auxiliary_flux(ug, g.coords, bg)
-            if lin is None:
-                extra = sys_.auxiliary_source_extra(ug, g.coords, bg)
-            else:
-                extra = sys_.linearized_auxiliary_source_extra(lin[gi], ug, g.coords, bg)
-            ws.append(g.divergence(fv) - extra)
+            ws.append(g.divergence(sys_.auxiliary_flux(ug, g.coords, bg)))
             g.traces(ug, traces)
         aux = _contract_normal(
             cache.face_normal, sys_.auxiliary_flux(traces, cache.face_coords, bg)
@@ -922,23 +868,23 @@ class OperatorHandle:
         boundaries = []
         for bc, i, x, normal, lin_b in self._boundaries:
             x, normal = _repeat(x, reps), _repeat(normal, reps)
-            lin_b = None if lin_b is None else (_repeat(lin_b, reps), None)
-            interior = BoundaryData(aux_flux=_fold(aux, i), trace=_fold(traces, i))
-            ghost = exterior_ghost_data(
-                interior, bc, sys_, bg, x, normal, linearized_traces=lin_b
+            lin_b = None if lin_b is None else _repeat(lin_b, reps)
+            trace = _fold(traces, i)
+            ghost, _, _ = exterior_ghost_data(
+                bc, sys_, bg, x, normal, trace, aux_flux=_fold(aux, i), lin_trace=lin_b
             )
-            ext[..., i] = _unfold(ghost.aux_flux, lead)
-            boundaries.append((bc, i, x, normal, lin_b, interior))
+            ext[..., i] = _unfold(ghost, lead)
+            boundaries.append((bc, i, x, normal, lin_b, trace))
         # on a ghost face the numerical flux is the boundary value itself
-        star = auxiliary_numerical_flux(BoundaryData(aux_flux=aux), BoundaryData(aux_flux=ext))
+        star = auxiliary_numerical_flux(aux, ext)
         jumps = star - aux
         # mortars with a non-identity side replace the jump at their points
         jumps[..., cache.restricted] = 0.0
         for mg in cache.mortar_groups:
-            sides = [BoundaryData(aux_flux=mg.to_mortar(s, aux)) for s in (0, 1)]
-            star_m = auxiliary_numerical_flux(sides[0], sides[1])
+            sides = [mg.to_mortar(s, aux) for s in (0, 1)]
+            star_m = auxiliary_numerical_flux(*sides)
             for s, flux in enumerate((star_m, -star_m)):
-                mg.add_restricted(s, flux - sides[s].aux_flux, jumps)
+                mg.add_restricted(s, flux - sides[s], jumps)
 
         recon = [w.copy() for w in ws]
         for g, r in zip(cache.groups, recon):
@@ -988,33 +934,24 @@ class OperatorHandle:
 
         # the exterior as in phase one
         ext_d, ext_p = deriv[..., cache.partner], pen[..., cache.partner]
-        for bc, i, xb, nb, lin_b, first in boundaries:
-            interior = BoundaryData(
-                aux_flux=first.aux_flux, deriv_flux=_fold(deriv, i),
-                penalty_flux=_fold(pen, i), trace=first.trace,
+        for bc, i, xb, nb, lin_b, trace in boundaries:
+            _, ghost_d, ghost_p = exterior_ghost_data(
+                bc, sys_, bg, xb, nb, trace, deriv_flux=_fold(deriv, i),
+                penalty_flux=_fold(pen, i), v_trace=_fold(v_traces, i),
+                lin_trace=lin_b, aux_boundary=_fold(aux_star, i),
             )
-            ghost = exterior_ghost_data(
-                interior, bc, sys_, bg, xb, nb, v_trace=_fold(v_traces, i),
-                linearized_traces=lin_b, aux_boundary=_fold(aux_star, i),
-            )
-            ext_d[..., i] = _unfold(ghost.deriv_flux, lead)
-            ext_p[..., i] = _unfold(ghost.penalty_flux, lead)
-        star = primal_numerical_flux(
-            BoundaryData(deriv_flux=deriv, penalty_flux=pen),
-            BoundaryData(deriv_flux=ext_d, penalty_flux=ext_p),
-            self._face_sigma,
-        )
+            ext_d[..., i] = _unfold(ghost_d, lead)
+            ext_p[..., i] = _unfold(ghost_p, lead)
+        star = primal_numerical_flux(deriv, pen, ext_d, ext_p, self._face_sigma)
         # strong form subtracts the element's own exchanged flux
         jumps = deriv - star if strong else -star
         jumps[..., cache.restricted] = 0.0
         for mg, sigma in zip(cache.mortar_groups, self._mortar_sigma):
-            sides = [
-                BoundaryData(deriv_flux=mg.to_mortar(s, deriv), penalty_flux=mg.to_mortar(s, pen))
-                for s in (0, 1)
-            ]
-            star_m = primal_numerical_flux(sides[0], sides[1], sigma)
+            d = [mg.to_mortar(s, deriv) for s in (0, 1)]
+            p = [mg.to_mortar(s, pen) for s in (0, 1)]
+            star_m = primal_numerical_flux(d[0], p[0], d[1], p[1], sigma)
             for s, flux in enumerate((star_m, -star_m)):
-                jump = flux - sides[s].deriv_flux if strong else flux
+                jump = flux - d[s] if strong else flux
                 mg.add_restricted(s, -jump, jumps)
 
         data_u, out_u = self._new_rows(n_u, lead)

@@ -39,7 +39,11 @@ def sym_index_pairs(dim: int) -> tuple[tuple[int, int], ...]:
 
 
 class EllipticSystem:
-    """Base class; subclasses fill in components and evaluators."""
+    """Base class; subclasses fill in components and evaluators.
+
+    The auxiliary equations read -d_i F^i_v + v = 0: S_v = v is the whole
+    auxiliary source, so only the primal source is left to the subclass.
+    """
 
     name: str
     dim: int
@@ -64,15 +68,6 @@ class EllipticSystem:
     def primal_flux(self, v, x, bg):
         raise NotImplementedError
 
-    def auxiliary_source_extra(self, u, x, bg):
-        """Extra auxiliary source beyond the auxiliary field itself.
-
-        The full auxiliary source is v + this term; all in-scope systems
-        return zero, the hook exists for systems whose auxiliary equation
-        carries additional algebraic terms.
-        """
-        return np.zeros((self.n_auxiliary,) + np.asarray(u).shape[1:])
-
     def primal_source(self, u, v, x, bg):
         return np.zeros((self.n_primal,) + np.asarray(u).shape[1:])
 
@@ -85,11 +80,6 @@ class EllipticSystem:
         if not self.linear:
             raise NotImplementedError
         return self.primal_source(du, dv, x, bg)
-
-    def linearized_auxiliary_source_extra(self, u0, du, x, bg):
-        if not self.linear:
-            raise NotImplementedError
-        return self.auxiliary_source_extra(du, x, bg)
 
     def auxiliary_from_gradient(self, grad):
         """Map an analytic primal gradient (n_primal, d, ...) to auxiliary values."""
@@ -344,10 +334,6 @@ class Puncture(_PoissonLike):
         alpha, beta = self.background_fields(x)
         factor = 7.0 * alpha * beta * (alpha * (1.0 + np.asarray(u0)[0]) + 1.0) ** -8
         return (factor * np.asarray(du)[0])[None]
-
-    def linearized_auxiliary_source_extra(self, u0, du, x, bg):
-        # the nonlinearity lives entirely in the primal source
-        return self.auxiliary_source_extra(du, x, bg)
 
     def primal_flux(self, v, x, bg):
         return np.asarray(v)[None]

@@ -21,7 +21,6 @@ from ipdg.mesh import (
     face_shape,
     face_slices,
     jacobian_at,
-    mesh_summary_csv,
     mortar_topology,
     refine_uniform,
     split_element,
@@ -416,15 +415,6 @@ class TestIndexingHelpers:
         np.testing.assert_allclose(flat_x, [0.0, 1.0, 0.0, 1.0])
         flat_y = c[1].flatten(order="F")
         np.testing.assert_allclose(flat_y, [0.0, 0.0, 2.0, 2.0])
-
-
-def test_mesh_summary_csv():
-    mesh = build_rectilinear_mesh([(0, 1), (0, 1)], (1, 0), (2, 3))
-    text = mesh_summary_csv(mesh)
-    lines = text.strip().split("\n")
-    assert lines[0] == "element,block,id,degrees,extents"
-    assert len(lines) == 3
-    assert "2x3" in lines[1]
 
 
 def test_characteristic_h_halves_under_refinement():

@@ -30,7 +30,6 @@ from ipdg.mesh import (
 )
 from ipdg.mortars import prolongation_matrix
 from ipdg.operators import (
-    BoundaryData,
     FieldVector,
     OperatorHandle,
     apply_lifting,
@@ -233,124 +232,128 @@ def test_penalty_rejects_nonpositive_h():
 
 
 def sip_sides(u_int, u_ext, g_int, g_ext, normal=1.0):
-    """Flat 1D Poisson data for both sides of a conforming face."""
+    """Flat 1D Poisson (aux, deriv, pen) arrays of both sides of a conforming face."""
     n = np.array([normal])
-    interior = BoundaryData(
-        aux_flux=n * u_int, deriv_flux=n * g_int, penalty_flux=np.array([u_int])
-    )
-    exterior = BoundaryData(
-        aux_flux=-n * u_ext, deriv_flux=-n * g_ext, penalty_flux=np.array([u_ext])
-    )
+    interior = (n * u_int, n * g_int, np.array([u_int]))
+    exterior = (-n * u_ext, -n * g_ext, np.array([u_ext]))
     return interior, exterior
 
 
+def aux_star(interior, exterior):
+    return auxiliary_numerical_flux(interior[0], exterior[0])
+
+
+def primal_star(interior, exterior, sigma):
+    return primal_numerical_flux(*interior[1:], *exterior[1:], sigma)
+
+
 def test_auxiliary_flux_reduces_to_sip_average():
-    interior, exterior = sip_sides(2.0, 3.0, 0.0, 0.0)
-    np.testing.assert_allclose(
-        auxiliary_numerical_flux(interior, exterior), [2.5]
-    )
+    np.testing.assert_allclose(aux_star(*sip_sides(2.0, 3.0, 0.0, 0.0)), [2.5])
 
 
 def test_auxiliary_flux_cancellation():
-    interior, exterior = sip_sides(1.0, -1.0, 0.0, 0.0)
     np.testing.assert_allclose(
-        auxiliary_numerical_flux(interior, exterior), [0.0], atol=1e-15
+        aux_star(*sip_sides(1.0, -1.0, 0.0, 0.0)), [0.0], atol=1e-15
     )
 
 
 def test_primal_flux_continuous_data():
-    interior, exterior = sip_sides(2.0, 2.0, 0.7, 0.7)
     np.testing.assert_allclose(
-        primal_numerical_flux(interior, exterior, 10.0), [0.7]
+        primal_star(*sip_sides(2.0, 2.0, 0.7, 0.7), 10.0), [0.7]
     )
 
 
 def test_primal_flux_canonical_sip():
-    interior, exterior = sip_sides(2.0, 1.0, 0.5, 0.3)
     sigma = 4.0
     expect = 0.5 * (0.5 + 0.3) - sigma * (2.0 - 1.0)
     np.testing.assert_allclose(
-        primal_numerical_flux(interior, exterior, sigma), [expect]
+        primal_star(*sip_sides(2.0, 1.0, 0.5, 0.3), sigma), [expect]
     )
 
 
 def test_primal_flux_pure_jump_gives_minus_sigma():
-    interior, exterior = sip_sides(1.0, 0.0, 0.0, 0.0)
     np.testing.assert_allclose(
-        primal_numerical_flux(interior, exterior, 7.0), [-7.0]
+        primal_star(*sip_sides(1.0, 0.0, 0.0, 0.0), 7.0), [-7.0]
     )
-
-
-def test_flux_guards():
-    interior, _ = sip_sides(1.0, 0.0, 0.0, 0.0)
-    bad = BoundaryData(aux_flux=np.zeros((1, 2)))
-    with pytest.raises(TopologyError):
-        auxiliary_numerical_flux(interior, bad)
-    with pytest.raises(TopologyError):
-        primal_numerical_flux(interior, BoundaryData(), 1.0)
 
 
 # -- ghost data --------------------------------------------------------
 
 
-def ghost_setup(n_points=3):
-    rng = np.random.default_rng(11)
+def ghost_setup(n_points=3, seed=11):
+    """Points, normals and the interior (trace, aux, deriv, pen) of a face."""
+    rng = np.random.default_rng(seed)
     x = np.stack([np.full(n_points, 1.0), np.linspace(0.2, 0.8, n_points)])
     normal = np.stack([np.ones(n_points), np.zeros(n_points)])
     u = rng.normal(size=(1, n_points))
     aux = normal * u  # rows n_j u for flat Poisson
     deriv = rng.normal(size=(1, n_points))
-    pen = u.copy()
-    data = BoundaryData(aux_flux=aux, deriv_flux=deriv, penalty_flux=pen, trace=u)
-    return x, normal, data
+    return x, normal, (u, aux, deriv, u.copy())
+
+
+def ghost(bc, x, normal, data, **kwargs):
+    return exterior_ghost_data(bc, POISSON_2D, BG, x, normal, *data, **kwargs)
 
 
 def test_ghost_homogeneous_dirichlet_keeps_aux():
     x, normal, data = ghost_setup()
-    ghost = exterior_ghost_data(data, DirichletBC(0.0), POISSON_2D, BG, x, normal)
-    np.testing.assert_allclose(ghost.aux_flux, data.aux_flux, atol=1e-15)
+    u, aux, deriv, pen = data
+    g_aux, g_deriv, g_pen = ghost(DirichletBC(0.0), x, normal, data)
+    np.testing.assert_allclose(g_aux, aux, atol=1e-15)
     # derivative data mirrors: exterior = interior - 2*interior
-    np.testing.assert_allclose(ghost.deriv_flux, -data.deriv_flux, atol=1e-15)
+    np.testing.assert_allclose(g_deriv, -deriv, atol=1e-15)
     # penalty combines to -2 sigma u_int against the interior value
-    np.testing.assert_allclose(
-        ghost.penalty_flux, -data.penalty_flux, atol=1e-15
-    )
+    np.testing.assert_allclose(g_pen, -pen, atol=1e-15)
 
 
 def test_ghost_inhomogeneous_dirichlet_penalty():
     x, normal, data = ghost_setup()
+    u, aux, deriv, pen = data
     c = 0.37
-    ghost = exterior_ghost_data(data, DirichletBC(c), POISSON_2D, BG, x, normal)
-    np.testing.assert_allclose(
-        ghost.aux_flux, data.aux_flux - 2.0 * c * normal, atol=1e-14
-    )
-    np.testing.assert_allclose(
-        ghost.penalty_flux, -data.penalty_flux + 2.0 * c, atol=1e-14
-    )
+    g_aux, _, g_pen = ghost(DirichletBC(c), x, normal, data)
+    np.testing.assert_allclose(g_aux, aux - 2.0 * c * normal, atol=1e-14)
+    np.testing.assert_allclose(g_pen, -pen + 2.0 * c, atol=1e-14)
 
 
 def test_ghost_neumann():
     x, normal, data = ghost_setup()
+    u, aux, deriv, pen = data
     g = 1.2
-    ghost = exterior_ghost_data(data, NeumannBC(g), POISSON_2D, BG, x, normal)
-    np.testing.assert_allclose(
-        ghost.deriv_flux, data.deriv_flux - 2.0 * g, atol=1e-14
-    )
+    g_aux, g_deriv, g_pen = ghost(NeumannBC(g), x, normal, data)
+    np.testing.assert_allclose(g_deriv, deriv - 2.0 * g, atol=1e-14)
     # boundary aux value defaults to the interior flux, so exterior flips sign
-    np.testing.assert_allclose(ghost.aux_flux, -data.aux_flux, atol=1e-15)
-    np.testing.assert_allclose(ghost.penalty_flux, data.penalty_flux, atol=1e-14)
+    np.testing.assert_allclose(g_aux, -aux, atol=1e-15)
+    np.testing.assert_allclose(g_pen, pen, atol=1e-14)
 
 
 def test_ghost_robin_b0_degrades_to_dirichlet():
     x, normal, data = ghost_setup()
-    robin = exterior_ghost_data(
-        data, RobinBC(2.0, 0.0, 0.8), POISSON_2D, BG, x, normal
+    robin = ghost(RobinBC(2.0, 0.0, 0.8), x, normal, data)
+    dirichlet = ghost(DirichletBC(0.4), x, normal, data)
+    for r, d in zip(robin, dirichlet):
+        np.testing.assert_allclose(r, d, atol=1e-15)
+
+
+@pytest.mark.parametrize(
+    "bc",
+    [RobinBC(2.0, 0.5, 0.8), DirichletBC(0.37), FalloffDirichletBC(0.7, center=(0.0, 0.0))],
+    ids=["robin", "dirichlet", "falloff"],
+)
+def test_linearized_ghost_is_derivative_of_ghost(bc):
+    # the ghost map at u0 perturbed both ways, against the linearized map
+    # on the perturbation; the data differ from the linearized ones, so a
+    # map that ignored lin_trace would not match
+    x, normal, point = ghost_setup()
+    _, _, pert = ghost_setup(seed=12)
+    step = 1e-6
+    plus, minus = (
+        ghost(bc, x, normal, [p + s * step * d for p, d in zip(point, pert)])
+        for s in (1.0, -1.0)
     )
-    dirichlet = exterior_ghost_data(
-        data, DirichletBC(0.4), POISSON_2D, BG, x, normal
-    )
-    np.testing.assert_allclose(robin.aux_flux, dirichlet.aux_flux, atol=1e-15)
-    np.testing.assert_allclose(robin.deriv_flux, dirichlet.deriv_flux, atol=1e-15)
+    lin = ghost(bc, x, normal, pert, lin_trace=point[0])
+    for got, a, b in zip(lin, plus, minus):
+        fd = (a - b) / (2.0 * step)
+        np.testing.assert_allclose(got, fd, rtol=1e-8, atol=1e-8 * np.abs(fd).max())
 
 
 # -- auxiliary reconstruction ------------------------------------------

@@ -63,7 +63,6 @@ class TestPoissonFlat:
         v = np.ones((2, 4))
         x = np.zeros((2, 4))
         assert not sys2.primal_source(u, v, x, FLAT2).any()
-        assert not sys2.auxiliary_source_extra(u, x, FLAT2).any()
         assert sys2.linear and sys2.symmetric_eligible
 
 
