@@ -8,13 +8,11 @@ the boundary value. Robin conditions fold the interior trace into a
 neumann-kind flux, degenerating to dirichlet when their flux coefficient
 vanishes.
 
-values() receives flattened face arrays: points (d, n), unit normal (d, n),
-primal trace (n_primal, n) and, when already reconstructed, auxiliary trace
-(n_aux, n). The operator calls it once per condition with the points of all
-the faces it covers, so n spans several faces and values must be pointwise.
-For a batch of vectors the points repeat once per vector of the batch.
-Dirichlet-kind conditions are evaluated before auxiliary reconstruction and
-must not depend on the auxiliary trace.
+values() receives flattened face arrays: points (d, n), unit normal (d, n)
+and primal trace (n_primal, n). The operator calls it once per condition
+with the points of all the faces it covers, so n spans several faces and
+values must be pointwise. For a batch of vectors the points repeat once per
+vector of the batch.
 """
 
 from __future__ import annotations
@@ -22,7 +20,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ConfigurationError
-from .solutions import neumann_flux_data
+from .solutions import neumann_flux_data, robin_data
 
 __all__ = [
     "BoundaryCondition",
@@ -58,36 +56,25 @@ class BoundaryCondition:
 
     kind: str  # "dirichlet" or "neumann"
 
-    def values(self, x, normal, u_trace, v_trace):
+    def values(self, x, normal, u_trace):
         raise NotImplementedError
 
-    def linearized_values(self, x, normal, u_trace, v_trace, du_trace, dv_trace):
+    def linearized_values(self, x, normal, u_trace, du_trace):
         """Directional derivative of values() along a trace perturbation.
 
-        Default: central finite differences with step 1e-7 (1 + |trace|),
+        Default: central finite differences with step 1e-7 (1 + max|u_trace|),
         for conditions whose trace dependence has no closed form.
         """
-        scale = float(np.max(np.abs(u_trace))) if u_trace is not None else 0.0
-        if v_trace is not None:
-            scale = max(scale, float(np.max(np.abs(v_trace))))
-        step = 1e-7 * (1.0 + scale)
-
-        def shifted(sign):
-            u = u_trace + sign * step * du_trace
-            v = None
-            if v_trace is not None and dv_trace is not None:
-                v = v_trace + sign * step * dv_trace
-            elif v_trace is not None:
-                v = v_trace
-            return self.values(x, normal, u, v)
-
-        return (shifted(+1.0) - shifted(-1.0)) / (2.0 * step)
+        step = 1e-7 * (1.0 + float(np.max(np.abs(u_trace))))
+        plus = self.values(x, normal, u_trace + step * du_trace)
+        minus = self.values(x, normal, u_trace - step * du_trace)
+        return (plus - minus) / (2.0 * step)
 
 
 class _TraceFree(BoundaryCondition):
     """Conditions whose data ignore the interior traces entirely."""
 
-    def linearized_values(self, x, normal, u_trace, v_trace, du_trace, dv_trace):
+    def linearized_values(self, x, normal, u_trace, du_trace):
         n = np.asarray(x).shape[-1]
         return np.zeros((np.asarray(du_trace).shape[0], n))
 
@@ -98,7 +85,7 @@ class DirichletBC(_TraceFree):
     def __init__(self, value):
         self.value = value
 
-    def values(self, x, normal, u_trace, v_trace):
+    def values(self, x, normal, u_trace):
         return _field(self.value, x, np.asarray(u_trace).shape[0])
 
 
@@ -108,7 +95,7 @@ class NeumannBC(_TraceFree):
     def __init__(self, value):
         self.value = value
 
-    def values(self, x, normal, u_trace, v_trace):
+    def values(self, x, normal, u_trace):
         return _field(self.value, x, np.asarray(u_trace).shape[0])
 
 
@@ -130,14 +117,14 @@ class RobinBC(BoundaryCondition):
     def _g(self, x, normal, n_components):
         return _field(self.g, x, n_components)
 
-    def values(self, x, normal, u_trace, v_trace):
+    def values(self, x, normal, u_trace):
         ncomp = np.asarray(u_trace).shape[0]
         g = self._g(x, normal, ncomp)
         if self.kind == "dirichlet":
             return g / self.a
         return (g - self.a * np.asarray(u_trace)) / self.b
 
-    def linearized_values(self, x, normal, u_trace, v_trace, du_trace, dv_trace):
+    def linearized_values(self, x, normal, u_trace, du_trace):
         if self.kind == "dirichlet":
             return np.zeros_like(np.asarray(du_trace, dtype=float))
         return -(self.a / self.b) * np.asarray(du_trace)
@@ -151,7 +138,7 @@ class AnalyticDirichletBC(_TraceFree):
     def __init__(self, solution):
         self.solution = solution
 
-    def values(self, x, normal, u_trace, v_trace):
+    def values(self, x, normal, u_trace):
         return self.solution.field.value(x)
 
 
@@ -165,7 +152,7 @@ class AnalyticNeumannBC(_TraceFree):
         self.system = system
         self.background = background
 
-    def values(self, x, normal, u_trace, v_trace):
+    def values(self, x, normal, u_trace):
         return neumann_flux_data(self.solution, self.system, self.background, x, normal)
 
 
@@ -176,14 +163,11 @@ class AnalyticRobinBC(RobinBC):
         self.solution = solution
         self.system = system
         self.background = background
-        super().__init__(a, b, self._analytic_g)
-
-    def _analytic_g(self, x):
-        raise AssertionError("normal-dependent; evaluated via _g")
+        super().__init__(a, b, None)
 
     def _g(self, x, normal, n_components):
-        return self.a * self.solution.field.value(x) + self.b * neumann_flux_data(
-            self.solution, self.system, self.background, x, normal
+        return robin_data(
+            self.solution, self.system, self.background, x, normal, self.a, self.b
         )
 
 
@@ -196,7 +180,7 @@ class FalloffDirichletBC(_TraceFree):
         self.amplitude = float(amplitude)
         self.center = np.asarray(center, dtype=float)
 
-    def values(self, x, normal, u_trace, v_trace):
+    def values(self, x, normal, u_trace):
         x = np.asarray(x)
         dx = x - self.center.reshape(-1, *([1] * (x.ndim - 1)))
         r = np.sqrt(np.einsum("i...,i...->...", dx, dx))

@@ -262,7 +262,7 @@ def primal_numerical_flux(deriv, pen, ext_deriv, ext_pen, sigma):
 
 def exterior_ghost_data(
     bc, system, background, x, normal, trace, aux_flux=None, deriv_flux=None,
-    penalty_flux=None, v_trace=None, lin_trace=None, aux_boundary=None,
+    penalty_flux=None, lin_trace=None, aux_boundary=None,
 ):
     """Ghost exterior (aux_flux, deriv_flux, penalty_flux) on external face points.
 
@@ -281,9 +281,9 @@ def exterior_ghost_data(
     if aux_boundary is None:
         if bc.kind == "dirichlet":
             if lin_trace is not None:
-                ub = bc.linearized_values(x, normal, lin_trace, None, trace, None)
+                ub = bc.linearized_values(x, normal, lin_trace, trace)
             else:
-                ub = bc.values(x, normal, trace, None)
+                ub = bc.values(x, normal, trace)
             aux_boundary = _contract_normal(
                 normal, system.auxiliary_flux(ub, x, background)
             )
@@ -296,9 +296,9 @@ def exterior_ghost_data(
         if bc.kind != "neumann":
             deriv_boundary = deriv_flux
         elif lin_trace is not None:
-            deriv_boundary = bc.linearized_values(x, normal, lin_trace, None, trace, v_trace)
+            deriv_boundary = bc.linearized_values(x, normal, lin_trace, trace)
         else:
-            deriv_boundary = bc.values(x, normal, trace, v_trace)
+            deriv_boundary = bc.values(x, normal, trace)
         ext_deriv = deriv_flux - 2.0 * deriv_boundary
     if penalty_flux is not None:
         penalty_boundary = _contract_normal(
@@ -909,7 +909,6 @@ class OperatorHandle:
         ws, recon, aux, aux_star, boundaries = self._phase1(u_rows)
         v_rows = None if given_v is None else self._rows(given_v.data)
         w_traces = np.empty((n_v,) + lead + (cache.n_face_points,))
-        v_traces = np.empty_like(w_traces)
         res_u, res_v = [], []
         for gi, (g, w, rc) in enumerate(zip(cache.groups, ws, recon)):
             if v_rows is None:
@@ -922,12 +921,11 @@ class OperatorHandle:
             if lin is None:
                 src = sys_.primal_source(ug, v, g.coords, bg)
             else:
-                src = sys_.linearized_primal_source(lin[gi], None, ug, v, g.coords, bg)
+                src = sys_.linearized_primal_source(lin[gi], ug, v, g.coords, bg)
             res = -g.stiffness(fu, primal_form)
             res += g.mass * src
             res_u.append(res)
             g.traces(w, w_traces)
-            g.traces(v, v_traces)
         normal, x = cache.face_normal, cache.face_coords
         deriv = _contract_normal(normal, sys_.primal_flux(w_traces, x, bg))
         pen = _contract_normal(normal, sys_.primal_flux(aux, x, bg))
@@ -937,8 +935,8 @@ class OperatorHandle:
         for bc, i, xb, nb, lin_b, trace in boundaries:
             _, ghost_d, ghost_p = exterior_ghost_data(
                 bc, sys_, bg, xb, nb, trace, deriv_flux=_fold(deriv, i),
-                penalty_flux=_fold(pen, i), v_trace=_fold(v_traces, i),
-                lin_trace=lin_b, aux_boundary=_fold(aux_star, i),
+                penalty_flux=_fold(pen, i), lin_trace=lin_b,
+                aux_boundary=_fold(aux_star, i),
             )
             ext_d[..., i] = _unfold(ghost_d, lead)
             ext_p[..., i] = _unfold(ghost_p, lead)

@@ -142,10 +142,9 @@ def assemble_explicit(
     closed neighborhood. Auxiliary columns reach only their own element: a
     given v enters the auxiliary residual only as M v, and the primal
     residual only through the element's own volume terms (the primal flux
-    and source at its points, then its stiffness) and through the v trace
-    of neumann-kind ghosts on its own external faces, lifted back into it.
-    So the auxiliary components of all elements form one pass whose owner
-    map is each element itself.
+    and source at its points, then its stiffness). So the auxiliary
+    components of all elements form one pass whose owner map is each
+    element itself.
     """
     if not handle.is_linearized and not handle.system.linear:
         raise ConfigurationError(

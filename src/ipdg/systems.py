@@ -71,10 +71,12 @@ class EllipticSystem:
     def primal_source(self, u, v, x, bg):
         return np.zeros((self.n_primal,) + np.asarray(u).shape[1:])
 
-    def linearized_primal_source(self, u0, v0, du, dv, x, bg):
-        """Directional derivative of the primal source at (u0, v0).
+    def linearized_primal_source(self, u0, du, dv, x, bg):
+        """Directional derivative of the primal source at u0 along (du, dv).
 
-        Linear systems fall through to the source itself evaluated on the
+        The linearization point is a primal state only, so a nonlinear
+        source must be a function of u plus a term linear in v. Linear
+        systems fall through to the source itself evaluated on the
         perturbation.
         """
         if not self.linear:
@@ -330,7 +332,7 @@ class Puncture(_PoissonLike):
         u = np.asarray(u)
         return (-beta * (alpha * (1.0 + u[0]) + 1.0) ** -7)[None]
 
-    def linearized_primal_source(self, u0, v0, du, dv, x, bg):
+    def linearized_primal_source(self, u0, du, dv, x, bg):
         alpha, beta = self.background_fields(x)
         factor = 7.0 * alpha * beta * (alpha * (1.0 + np.asarray(u0)[0]) + 1.0) ** -8
         return (factor * np.asarray(du)[0])[None]

@@ -6,6 +6,7 @@ import pytest
 from ipdg.background import ConformallyFlatBackground, FlatBackground, face_geometry
 from ipdg.basis import gauss_lobatto_nodes_weights, gauss_nodes_weights
 from ipdg.boundaries import (
+    BoundaryCondition,
     BoundaryMap,
     DirichletBC,
     FalloffDirichletBC,
@@ -280,6 +281,17 @@ def test_primal_flux_pure_jump_gives_minus_sigma():
 # -- ghost data --------------------------------------------------------
 
 
+class QuadraticFluxBC(BoundaryCondition):
+    """Neumann-kind flux -u/2 - u^2/10, linearized by the base class's
+    finite differences."""
+
+    kind = "neumann"
+
+    def values(self, x, normal, u_trace):
+        u = np.asarray(u_trace)
+        return -0.5 * u - 0.1 * u**2
+
+
 def ghost_setup(n_points=3, seed=11):
     """Points, normals and the interior (trace, aux, deriv, pen) of a face."""
     rng = np.random.default_rng(seed)
@@ -406,6 +418,42 @@ def test_linearized_zero_is_zero():
     handle = OperatorHandle(mesh, POISSON_2D, BG, bcs).linearized_at()
     res = handle.apply(handle.zero_primal())
     assert all(not a.any() for a in res.arrays)
+
+
+def split_square_with_every_condition():
+    mesh = split_element(with_degrees(unit_mesh_2d(3, 1), 3, (4, 3)), 0)
+    bcs = BoundaryMap({
+        "x-lower": QuadraticFluxBC(),
+        "y-upper": RobinBC(1.0, 2.0, lambda x: x[0] + 0.5),
+        "all": DirichletBC(lambda x: np.sin(3.0 * x[0]) * x[1]),
+    })
+    return OperatorHandle(mesh, POISSON_2D, BG, bcs, form="strong-weak"), 1.0
+
+
+def puncture_cube():
+    mesh = build_rectilinear_mesh([(1.0, 2.0)] * 3, (1, 0, 0), (2, 2, 2))
+    system = make_system("puncture", dim=3, punctures=[
+        PunctureSpec(1.0, (0.1, 0.2, 0.3), momentum=(0.2, 0.0, 0.3), spin=(0.0, 0.1, 0.0)),
+    ])
+    bcs = BoundaryMap({"all": FalloffDirichletBC(0.2)})
+    return OperatorHandle(mesh, system, BG, bcs, form="strong-weak"), 0.1
+
+
+@pytest.mark.parametrize("case", [split_square_with_every_condition, puncture_cube])
+def test_linearized_apply_is_derivative_of_apply(case):
+    # the whole operator, boundary data and nonlinear source included: the
+    # handle linearized at u0 on du against the central difference of the
+    # nonlinear residual at u0 +- step du
+    handle, scale = case()
+    rng = np.random.default_rng(21)
+    n = handle.n_primal_dofs
+    u0 = FieldVector.from_flat(handle.mesh, 1, scale * rng.standard_normal(n))
+    du = rng.standard_normal(n)
+    step = 1e-6
+    plus, minus = (handle.matvec(u0.to_flat() + s * step * du) for s in (1.0, -1.0))
+    fd = (plus - minus) / (2.0 * step)
+    lin = handle.linearized_at(u0).matvec(du)
+    np.testing.assert_allclose(lin, fd, rtol=0, atol=1e-8 * np.abs(fd).max())
 
 
 def test_polynomial_consistency_poisson():

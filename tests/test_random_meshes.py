@@ -48,27 +48,15 @@ from ipdg import (
     symmetry_defect,
     with_degrees,
 )
-from ipdg.boundaries import BoundaryCondition
 from ipdg.errors import TopologyError
 from ipdg.mesh import mortar_topology
-from test_operators import check_face_partition
+from test_operators import QuadraticFluxBC, check_face_partition
 
 BG = FlatBackground()
 CURVED = ConformallyFlatBackground(
     lambda x: 0.1 * x[0] - 0.05 * x[1],
     lambda x: np.stack([0.1 * np.ones_like(x[0]), -0.05 * np.ones_like(x[0])]),
 )
-
-
-class QuadraticFluxBC(BoundaryCondition):
-    """Neumann-kind flux -u/2 - u^2/10, linearized by the base class's
-    finite differences."""
-
-    kind = "neumann"
-
-    def values(self, x, normal, u_trace, v_trace):
-        u = np.asarray(u_trace)
-        return -0.5 * u - 0.1 * u**2
 
 
 def refined(draw, mesh, max_splits=2, max_degree=6):

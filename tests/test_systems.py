@@ -239,7 +239,7 @@ class TestPuncture:
         plus = sys3.primal_source(u0 + eps * du, None, x, FLAT3)
         minus = sys3.primal_source(u0 - eps * du, None, x, FLAT3)
         oracle = (plus - minus) / (2 * eps)
-        lin = sys3.linearized_primal_source(u0, None, du, None, x, FLAT3)
+        lin = sys3.linearized_primal_source(u0, du, None, x, FLAT3)
         np.testing.assert_allclose(lin, oracle, rtol=1e-7, atol=1e-12)
 
     def test_continuum_residual_includes_source(self):

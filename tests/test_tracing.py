@@ -2,10 +2,12 @@
 
 The tracer wraps functions and methods of ipdg by name. A rename in the
 package that drops a name it wraps as a module-level function would break
-the traced benchmark, so it fails here first.
+the traced benchmark, and one that drops a method name would silently drop
+out of the traced metrics, so both fail here first.
 """
 
 import importlib
+import inspect
 import os
 import sys
 
@@ -33,6 +35,25 @@ def test_traced_functions_exist(tracing):
             continue
         for attr in attrs:
             assert callable(getattr(module, attr, None)), (name, f"{modname}.{attr}")
+
+
+# Listed by the tracer for hooks the package no longer has.
+DELETED_METHODS = {"auxiliary_source_extra", "linearized_auxiliary_source_extra"}
+
+
+def test_traced_methods_exist(tracing):
+    # the tracer wraps a method on its class and on every subclass in the
+    # same module that defines it, and skips a name none of them defines
+    for name, modname, clsname, attrs in tracing.LAYERS:
+        if clsname is None:
+            continue
+        module = importlib.import_module(modname)
+        base = getattr(module, clsname)
+        classes = [c for c in vars(module).values()
+                   if inspect.isclass(c) and issubclass(c, base)
+                   and c.__module__ == module.__name__]
+        for attr in set(attrs) - DELETED_METHODS:
+            assert any(attr in vars(c) for c in classes), (name, f"{clsname}.{attr}")
 
 
 def test_tracer_installs_and_uninstalls(tracing):
