@@ -48,7 +48,17 @@ more leading point axis: volume arrays are (components, batch, elements,
 the linearization point and the penalty broadcast over it. A single vector
 simply has no batch axis. Boundary conditions never see the batch axis: it
 is folded into their point axis, with the face geometry repeated once per
-vector.
+vector. In 2D and 3D each vector of a batch gets bit for bit the residual
+it gets alone. In 1D it may not: there a lone vector on a one-element
+group is a one-row dimension-0 product in `_apply_1d`, which BLAS rounds
+differently from a block of rows, by up to about 1e-13 relative.
+
+Work that is fixed for a handle or provably zero is not redone per
+application: the data of trace-free boundary conditions (`_TraceFree`) are
+evaluated once, when the handle is built, and the volume kernels contract
+only the (reference, physical) direction pairs whose inverse-Jacobian entry
+is not zero everywhere in the group, one per reference direction on
+rectilinear meshes.
 """
 
 from __future__ import annotations
@@ -61,6 +71,7 @@ import numpy as np
 
 from .background import sampled_face_geometry
 from .basis import differentiation_matrix
+from .boundaries import _TraceFree
 from .errors import (
     ConfigurationError,
     DegenerateGeometryError,
@@ -260,9 +271,16 @@ def primal_numerical_flux(deriv, pen, ext_deriv, ext_pen, sigma):
     return 0.5 * (deriv - ext_deriv) - sigma * (pen - ext_pen)
 
 
+def _condition_data(bc, x, normal, trace, lin_trace):
+    """The condition's boundary value, or its linearization about `lin_trace`."""
+    if lin_trace is None:
+        return bc.values(x, normal, trace)
+    return bc.linearized_values(x, normal, lin_trace, trace)
+
+
 def exterior_ghost_data(
     bc, system, background, x, normal, trace, aux_flux=None, deriv_flux=None,
-    penalty_flux=None, lin_trace=None, aux_boundary=None,
+    penalty_flux=None, lin_trace=None, aux_boundary=None, deriv_boundary=None,
 ):
     """Ghost exterior (aux_flux, deriv_flux, penalty_flux) on external face points.
 
@@ -275,15 +293,14 @@ def exterior_ghost_data(
     which the receiving side combines directly, is 2 n F_u(aux boundary)
     minus the interior. `lin_trace`, the linearization point's primal trace,
     selects the condition's linearized data: the map is then homogeneous.
-    `aux_boundary` passes in a boundary auxiliary flux computed earlier. A
-    None flux has a None exterior.
+    `aux_boundary` passes in a boundary auxiliary flux computed earlier, and
+    `deriv_boundary` a neumann-kind condition's flux value; the condition is
+    then not asked for them, and `trace` may be None. A None flux has a None
+    exterior.
     """
     if aux_boundary is None:
         if bc.kind == "dirichlet":
-            if lin_trace is not None:
-                ub = bc.linearized_values(x, normal, lin_trace, trace)
-            else:
-                ub = bc.values(x, normal, trace)
+            ub = _condition_data(bc, x, normal, trace, lin_trace)
             aux_boundary = _contract_normal(
                 normal, system.auxiliary_flux(ub, x, background)
             )
@@ -295,10 +312,8 @@ def exterior_ghost_data(
     if deriv_flux is not None:
         if bc.kind != "neumann":
             deriv_boundary = deriv_flux
-        elif lin_trace is not None:
-            deriv_boundary = bc.linearized_values(x, normal, lin_trace, trace)
-        else:
-            deriv_boundary = bc.values(x, normal, trace)
+        elif deriv_boundary is None:
+            deriv_boundary = _condition_data(bc, x, normal, trace, lin_trace)
         ext_deriv = deriv_flux - 2.0 * deriv_boundary
     if penalty_flux is not None:
         penalty_boundary = _contract_normal(
@@ -389,6 +404,18 @@ class _Group:
             jinv.append(_point_order(inv, dim))
         self.coords = np.stack(coords, axis=1)
         self.jinv = np.stack(jinv, axis=2)
+        # per reference direction j, the physical directions i whose
+        # Jinv^j_i is not zero at every point: the one i = j on rectilinear
+        # meshes, every i on curved ones. The volume kernels skip the others,
+        # whose terms are exact zeros
+        self.directions = [
+            [i for i in range(dim) if np.any(self.jinv[j][i])] for j in range(dim)
+        ]
+        self._terms = []
+        for j, dirs in enumerate(self.directions):
+            lo, hi = dirs[0], dirs[-1] + 1
+            sel = slice(lo, hi) if hi - lo == len(dirs) else dirs
+            self._terms.append((sel, self.jinv[j][sel]))
         det = np.stack(det)
         weights = [ns.weights for ns in node_sets]
         self.mass = _lumped_mass(
@@ -437,9 +464,9 @@ class _Group:
     def divergence(self, fluxes):
         """Strong nodal divergence sum_ij Jinv^j_i d_xi_j F^i, (c, d, ...) -> (c, ...)."""
         out = 0.0
-        for j in range(self.dim):
-            df = _apply_1d(self.diffs[j], fluxes, j)
-            out = out + np.einsum("i...,ci...->c...", self.jinv[j], df)
+        for j, (sel, jinv) in enumerate(self._terms):
+            df = _apply_1d(self.diffs[j], fluxes[:, sel], j)
+            out = out + np.einsum("i...,ci...->c...", jinv, df)
         return out
 
     def stiffness(self, fluxes, form):
@@ -447,8 +474,8 @@ class _Group:
         if form == "strong":
             return self.mass * self.divergence(fluxes)
         out = 0.0
-        for j in range(self.dim):
-            pre = self.mass * np.einsum("i...,ci...->c...", self.jinv[j], fluxes)
+        for j, (sel, jinv) in enumerate(self._terms):
+            pre = self.mass * np.einsum("i...,ci...->c...", jinv, fluxes[:, sel])
             out = out - _apply_1d(self.diffs[j].T, pre, j)
         return out
 
@@ -742,7 +769,11 @@ class OperatorHandle:
             for g, lin_g in zip(cache.groups, self._lin_groups):
                 g.traces(lin_g, lin_traces)
         # external face points per condition object: (bc, face-buffer
-        # indices, coordinates, normals, linearization point's traces)
+        # indices, coordinates, normals, linearization point's traces, fixed
+        # auxiliary boundary flux, fixed derivative boundary flux). The data
+        # of a trace-free condition do not depend on the field, so they are
+        # evaluated here, once: a dirichlet-kind condition's n F_v(u_b), a
+        # neumann-kind one's flux value (zeros when linearized)
         by_bc = {}
         for tag, index in cache.external.items():
             bc = self.bcs.for_tag(tag)
@@ -750,10 +781,19 @@ class OperatorHandle:
         self._boundaries = []
         for bc, parts in by_bc.values():
             index = np.concatenate(parts)
-            self._boundaries.append((
-                bc, index, cache.face_coords[:, index], cache.face_normal[:, index],
-                None if lin_traces is None else lin_traces[:, index],
-            ))
+            x, normal = cache.face_coords[:, index], cache.face_normal[:, index]
+            lin_b = None if lin_traces is None else lin_traces[:, index]
+            aux_b = deriv_b = None
+            if isinstance(bc, _TraceFree):
+                data = _condition_data(
+                    bc, x, normal, np.zeros((system.n_primal, index.size)), lin_b
+                )
+                if bc.kind == "dirichlet":
+                    aux_b = _contract_normal(normal, system.auxiliary_flux(data, x, background))
+                else:
+                    deriv_b = data
+                lin_b = None
+            self._boundaries.append((bc, index, x, normal, lin_b, aux_b, deriv_b))
 
     # -- bookkeeping ---------------------------------------------------
 
@@ -846,8 +886,9 @@ class OperatorHandle:
         Returns per group the strong flux divergences and the reconstructed
         fields; as face buffers the projected auxiliary fluxes and their
         numerical flux; per boundary condition (condition, face-buffer index,
-        points, normals, linearized traces, primal trace), folded as `_fold`
-        does.
+        points, normals, linearized traces, primal trace, fixed derivative
+        boundary flux), folded as `_fold` does. A trace-free condition gets
+        no traces: its data were fixed when the handle was built.
         """
         cache = self._cache
         sys_, bg = self.system, self.background
@@ -866,15 +907,18 @@ class OperatorHandle:
         # the exterior: the partner's value, or the ghost on external faces
         ext = aux[..., cache.partner]
         boundaries = []
-        for bc, i, x, normal, lin_b in self._boundaries:
-            x, normal = _repeat(x, reps), _repeat(normal, reps)
-            lin_b = None if lin_b is None else _repeat(lin_b, reps)
-            trace = _fold(traces, i)
+        for bc, i, x, normal, lin_b, aux_b, deriv_b in self._boundaries:
+            x, normal, lin_b, aux_b, deriv_b = (
+                None if a is None else _repeat(a, reps)
+                for a in (x, normal, lin_b, aux_b, deriv_b)
+            )
+            trace = None if isinstance(bc, _TraceFree) else _fold(traces, i)
             ghost, _, _ = exterior_ghost_data(
-                bc, sys_, bg, x, normal, trace, aux_flux=_fold(aux, i), lin_trace=lin_b
+                bc, sys_, bg, x, normal, trace, aux_flux=_fold(aux, i), lin_trace=lin_b,
+                aux_boundary=aux_b,
             )
             ext[..., i] = _unfold(ghost, lead)
-            boundaries.append((bc, i, x, normal, lin_b, trace))
+            boundaries.append((bc, i, x, normal, lin_b, trace, deriv_b))
         # on a ghost face the numerical flux is the boundary value itself
         star = auxiliary_numerical_flux(aux, ext)
         jumps = star - aux
@@ -932,11 +976,11 @@ class OperatorHandle:
 
         # the exterior as in phase one
         ext_d, ext_p = deriv[..., cache.partner], pen[..., cache.partner]
-        for bc, i, xb, nb, lin_b, trace in boundaries:
+        for bc, i, xb, nb, lin_b, trace, deriv_b in boundaries:
             _, ghost_d, ghost_p = exterior_ghost_data(
                 bc, sys_, bg, xb, nb, trace, deriv_flux=_fold(deriv, i),
                 penalty_flux=_fold(pen, i), lin_trace=lin_b,
-                aux_boundary=_fold(aux_star, i),
+                aux_boundary=_fold(aux_star, i), deriv_boundary=deriv_b,
             )
             ext_d[..., i] = _unfold(ghost_d, lead)
             ext_p[..., i] = _unfold(ghost_p, lead)
@@ -959,11 +1003,11 @@ class OperatorHandle:
             g.lift(res, jumps, massive=True)
             if not self.massive:
                 res = res / g.mass
-            # (components and batch, elements, element points)
-            finite = np.isfinite(res).reshape(-1, g.shape[0], math.prod(g.shape[1:]))
-            finite = finite.all(axis=(0, 2))
-            if not finite.all():
-                bad.append(g.members[int(np.argmin(finite))])
+            # one reduction; the element is located only when it fails
+            if not np.isfinite(res).all():
+                # (components and batch, elements, element points)
+                finite = np.isfinite(res).reshape(-1, g.shape[0], math.prod(g.shape[1:]))
+                bad.append(g.members[int(np.argmin(finite.all(axis=(0, 2))))])
             g.put(out_u, res)
             if out_v is not None:
                 g.put(out_v, res_v[gi] if self.massive else res_v[gi] / g.mass)

@@ -259,88 +259,101 @@ def schur_eliminate(full: ExplicitMatrix, n_auxiliary: int) -> ExplicitMatrix:
 
 
 def _gmres(matvec, b, tol, max_iter, restart, precond):
-    bnorm = np.linalg.norm(b)
+    """Restarted GMRES from x = 0 with modified Gram-Schmidt and Givens rotations.
+
+    Returns x, the iteration count, the residual history, convergence, and
+    the true relative residual of x when it was computed (else None). The
+    Hessenberg column, rotations and least-squares right-hand side are
+    Python floats: each is a scalar operation, and numpy scalars cost more.
+    """
+    bnorm = float(np.linalg.norm(b))
     x = np.zeros_like(b)
+    scratch = np.empty_like(b)
     history = [1.0]  # zero initial guess
     total = 0
     rel = 1.0
+    true_rel = None
     while total < max_iter:
         r = b - matvec(x)
-        beta = np.linalg.norm(r)
+        beta = float(np.linalg.norm(r))
         rel = beta / bnorm
         if rel <= tol:
-            return x, total, history, True
+            return x, total, history, True, rel
         m = min(restart, max_iter - total)
         v = np.empty((m + 1, b.size))
+        rows = list(v)
         v[0] = r / beta
-        h = np.zeros((m + 1, m))
-        cs = np.zeros(m)
-        sn = np.zeros(m)
-        g = np.zeros(m + 1)
-        g[0] = beta
-        j_done = 0
+        h = np.zeros((m, m))  # the rotated, upper triangular Hessenberg matrix
+        cs, sn = [], []
+        g = [beta]
         for j in range(m):
-            w = matvec(precond(v[j]))
+            w = matvec(precond(rows[j]))
+            col = []
             for i in range(j + 1):
-                h[i, j] = v[i] @ w
-                w -= h[i, j] * v[i]
-            h[j + 1, j] = np.linalg.norm(w)
-            if h[j + 1, j] > 0.0:
-                v[j + 1] = w / h[j + 1, j]
+                col.append(float(rows[i] @ w))
+                w -= np.multiply(col[i], rows[i], out=scratch)
+            col.append(float(np.linalg.norm(w)))
+            if col[j + 1] > 0.0:
+                np.divide(w, col[j + 1], out=rows[j + 1])
             for i in range(j):
-                t = cs[i] * h[i, j] + sn[i] * h[i + 1, j]
-                h[i + 1, j] = -sn[i] * h[i, j] + cs[i] * h[i + 1, j]
-                h[i, j] = t
-            denom = np.hypot(h[j, j], h[j + 1, j])
-            cs[j], sn[j] = h[j, j] / denom, h[j + 1, j] / denom
-            h[j, j] = denom
-            h[j + 1, j] = 0.0
-            g[j + 1] = -sn[j] * g[j]
+                t = cs[i] * col[i] + sn[i] * col[i + 1]
+                col[i + 1] = -sn[i] * col[i] + cs[i] * col[i + 1]
+                col[i] = t
+            denom = float(np.hypot(col[j], col[j + 1]))
+            cs.append(col[j] / denom)
+            sn.append(col[j + 1] / denom)
+            col[j] = denom
+            h[:j + 1, j] = col[:j + 1]
+            g.append(-sn[j] * g[j])
             g[j] = cs[j] * g[j]
             total += 1
-            j_done = j + 1
             rel = abs(g[j + 1]) / bnorm
             history.append(rel)
             if rel <= tol:
                 break
+        j_done = len(cs)
         y = scipy.linalg.solve_triangular(
-            h[:j_done, :j_done], g[:j_done], lower=False
+            h[:j_done, :j_done], np.array(g[:j_done]), lower=False
         )
         x = x + precond(v[:j_done].T @ y)
+        true_rel = None
         if rel <= tol:
             true_rel = np.linalg.norm(b - matvec(x)) / bnorm
             if true_rel <= tol:
-                return x, total, history, True
-    return x, total, history, False
+                return x, total, history, True, true_rel
+    return x, total, history, False, true_rel
 
 
 def _cg(matvec, b, tol, max_iter):
+    """Conjugate gradients from x = 0; returns what `_gmres` returns."""
     bnorm = np.linalg.norm(b)
     x = np.zeros_like(b)
     r = b.copy()
     p = r.copy()
     rr = r @ r
     history = [np.sqrt(rr) / bnorm]
+    true_rel = None
     for it in range(1, max_iter + 1):
         ap = matvec(p)
         pap = p @ ap
         if pap <= 0.0:
             # lost positive definiteness; report what we have
-            return x, it - 1, history, False
+            return x, it - 1, history, False, true_rel
         alpha = rr / pap
         x += alpha * p
         r -= alpha * ap
         rr_new = r @ r
         rel = np.sqrt(rr_new) / bnorm
         history.append(rel)
+        true_rel = None
         if rel <= tol:
             true_rel = np.linalg.norm(b - matvec(x)) / bnorm
             if true_rel <= tol:
-                return x, it, history, True
+                return x, it, history, True, true_rel
             rel = true_rel
         p = r + (rr_new / rr) * p
         rr = rr_new
-    return x, max_iter, history, False
+    return x, max_iter, history, False, true_rel
 
 
 def solve_linear(
@@ -400,12 +413,13 @@ def solve_linear(
         )
     precond = preconditioner if preconditioner is not None else (lambda x: x)
     if method == "cg":
-        x, its, history, ok = _cg(lin.matvec, b, tol, max_iter)
+        x, its, history, ok, final = _cg(lin.matvec, b, tol, max_iter)
     else:
-        x, its, history, ok = _gmres(
+        x, its, history, ok, final = _gmres(
             lin.matvec, b, tol, max_iter, restart, precond
         )
-    final = np.linalg.norm(b - lin.matvec(x)) / np.linalg.norm(b)
+    if final is None:  # the driver stopped without the true residual of x
+        final = np.linalg.norm(b - lin.matvec(x)) / np.linalg.norm(b)
     return wrap(x), SolveReport(
         its, final, ok and final <= tol, time.perf_counter() - t0, history
     )

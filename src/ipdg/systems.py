@@ -244,17 +244,19 @@ class Puncture(_PoissonLike):
     symmetric_eligible = True
 
     # collocation points whose background fields are kept, about 40 bytes
-    # each (key and fields): an operator evaluates them at the points of
+    # each (points and fields): an operator evaluates them at the points of
     # each same-shape element group in every application, and all groups of
     # a mesh up to this size stay kept however many shapes it mixes
     _FIELDS_POINTS = 2**18
+    # entries of x sampled for the lookup key
+    _KEY_SAMPLES = 64
 
     def __init__(self, punctures):
         super().__init__(3)
         self.punctures = tuple(punctures)
         if not self.punctures:
             raise ValueError("at least one puncture is required")
-        self._fields = {}  # (shape, bytes of x) -> read-only (alpha, beta)
+        self._fields = {}  # _key(x) -> (copy of x, read-only (alpha, beta))
         self._kept_points = 0
 
     def background_fields(self, x):
@@ -266,23 +268,36 @@ class Puncture(_PoissonLike):
         `_FIELDS_POINTS`.
         """
         x = np.asarray(x, dtype=float)
-        key = (x.shape, x.tobytes())
-        fields = self._fields.pop(key, None)
-        if fields is None:
-            fields = self._compute_fields(x)
-            for arr in fields:
-                if isinstance(arr, np.ndarray):  # a single point gives scalars
-                    arr.flags.writeable = False
-            n = math.prod(x.shape[1:])
-            if n > self._FIELDS_POINTS:
-                return fields
-            while self._kept_points + n > self._FIELDS_POINTS:
-                oldest = next(iter(self._fields))
-                del self._fields[oldest]
-                self._kept_points -= math.prod(oldest[0][1:])
-            self._kept_points += n
-        self._fields[key] = fields  # most recently used last
+        key = self._key(x)
+        n = math.prod(x.shape[1:])
+        kept = self._fields.pop(key, None)
+        if kept is not None and np.array_equal(kept[0], x):
+            self._fields[key] = kept  # most recently used last
+            return kept[1]
+        if kept is not None:  # other points with the same sample
+            self._kept_points -= n
+        fields = self._compute_fields(x)
+        for arr in fields:
+            if isinstance(arr, np.ndarray):  # a single point gives scalars
+                arr.flags.writeable = False
+        if n > self._FIELDS_POINTS:
+            return fields
+        while self._kept_points + n > self._FIELDS_POINTS:
+            oldest = next(iter(self._fields))
+            del self._fields[oldest]
+            self._kept_points -= math.prod(oldest[0][1:])
+        self._kept_points += n
+        self._fields[key] = (x.copy(), fields)
         return fields
+
+    @classmethod
+    def _key(cls, x):
+        """Lookup key of a point set: its shape and a strided sample of x.
+
+        Cheaper than hashing all of x; a hit is confirmed on the full values.
+        """
+        flat = x.reshape(-1)
+        return x.shape, flat[::max(1, flat.size // cls._KEY_SAMPLES)].tobytes()
 
     def _compute_fields(self, x):
         inv_alpha = np.zeros(x.shape[1:])

@@ -33,6 +33,7 @@ from ipdg.mortars import prolongation_matrix
 from ipdg.operators import (
     FieldVector,
     OperatorHandle,
+    _apply_1d,
     apply_lifting,
     apply_stiffness,
     auxiliary_numerical_flux,
@@ -659,11 +660,15 @@ def test_full_operator_mass_block():
 
 
 def test_batch_matches_single_vectors():
-    # each vector of a batch gets exactly the residual it gets alone. 2D:
-    # point-dependent data for every condition kind, no linearization, two
-    # grid shapes and p-nonconforming mortars. 3D: the puncture system
-    # linearized about a nonzero state, with falloff conditions, paired and
-    # non-identity mortars
+    # each vector of a batch gets exactly the residual it gets alone, in 2D
+    # and 3D only. 2D: point-dependent data for every condition kind, no
+    # linearization, two grid shapes and p-nonconforming mortars. 3D: the
+    # puncture system linearized about a nonzero state, with falloff
+    # conditions, paired and non-identity mortars. Not 1D: there a lone
+    # vector on a one-element group is a one-row dimension-0 product in
+    # `_apply_1d`, which BLAS rounds differently from a block, by up to about
+    # 1e-13 relative; the random-mesh oracle compares 1D to 1e-14 of the
+    # largest entry
     mesh = with_degrees(unit_mesh_2d(3, 1), 3, (4, 2))
     bcs = BoundaryMap({
         "x-lower": RobinBC(1.0, 2.0, lambda x: x[1]),
@@ -702,6 +707,140 @@ def test_batch_matches_single_vectors():
             np.testing.assert_array_equal(
                 np.concatenate([a, b]), handle.matvec_full(np.concatenate([v, u]))
             )
+
+
+def _dense_volume_kernels(group, fluxes):
+    """The strong divergence and both stiffness forms, contracting every
+    (reference, physical) direction pair, zero inverse-Jacobian terms too."""
+    div = 0.0
+    for j in range(group.dim):
+        df = _apply_1d(group.diffs[j], fluxes, j)
+        div = div + np.einsum("i...,ci...->c...", group.jinv[j], df)
+    weak = 0.0
+    for j in range(group.dim):
+        pre = group.mass * np.einsum("i...,ci...->c...", group.jinv[j], fluxes)
+        weak = weak - _apply_1d(group.diffs[j].T, pre, j)
+    return div, group.mass * div, weak
+
+
+@pytest.mark.parametrize("case", ["square", "box", "annulus"])
+def test_volume_kernels_skip_only_zero_inverse_jacobian_terms(case):
+    # rectilinear groups keep, per reference direction, only its own
+    # physical direction; curved groups keep every one. Either way the
+    # kernels equal the dense contraction bit for bit, single and batched
+    if case == "annulus":
+        mesh = build_annulus_mesh(0.5, 1.0, 3, (0, 1), (3, 4))
+    else:
+        dim = 2 if case == "square" else 3
+        mesh = with_degrees(
+            build_rectilinear_mesh([(0.0, 1.0), (0.0, 2.0), (0.0, 0.5)][:dim],
+                                   (1,) * dim, (2, 3, 4)[:dim]), 1, (3, 2, 2)[:dim],
+        )
+    dim = mesh.dim
+    handle = OperatorHandle(mesh, make_system("poisson-flat", dim=dim), BG,
+                            BoundaryMap.everywhere(DirichletBC(0.0)))
+    rng = np.random.default_rng(21)
+    assert len(handle._cache.groups) == (1 if case == "annulus" else 2)
+    for g in handle._cache.groups:
+        if case == "annulus":
+            assert g.directions == [[0, 1], [0, 1]]
+        else:
+            assert g.directions == [[0], [1], [2]][:dim]
+        for lead in ((), (3,)):
+            fluxes = rng.standard_normal((2, dim) + lead + g.shape)
+            div, strong, weak = _dense_volume_kernels(g, fluxes)
+            np.testing.assert_array_equal(g.divergence(fluxes), div)
+            np.testing.assert_array_equal(g.stiffness(fluxes, "strong"), strong)
+            np.testing.assert_array_equal(g.stiffness(fluxes, "weak"), weak)
+
+
+class _Counting:
+    """Counts the calls of `values`, the condition's own data."""
+
+    def __init__(self, value):
+        super().__init__(value)
+        self.calls = 0
+
+    def values(self, x, normal, u_trace):
+        self.calls += 1
+        return super().values(x, normal, u_trace)
+
+
+class CountingDirichletBC(_Counting, DirichletBC):
+    pass
+
+
+class CountingNeumannBC(_Counting, NeumannBC):
+    pass
+
+
+class Opaque(BoundaryCondition):
+    """A condition's data served through the base class, with no trace-free
+    promise: the operator asks for them in every application."""
+
+    def __init__(self, bc):
+        self.bc, self.kind = bc, bc.kind
+
+    def values(self, x, normal, u_trace):
+        return self.bc.values(x, normal, u_trace)
+
+    def linearized_values(self, x, normal, u_trace, du_trace):
+        return self.bc.linearized_values(x, normal, u_trace, du_trace)
+
+
+def _fixed_data_cases():
+    # 2D elasticity (two components) with dirichlet- and neumann-kind
+    # conditions on two grid shapes; 3D puncture with falloff data
+    square = with_degrees(unit_mesh_2d(3, 1), 3, (4, 2))
+    elasticity = make_system("elasticity", dim=2, lame_lambda=1.3, shear_modulus=0.6)
+    yield square, elasticity, {
+        "y-upper": CountingNeumannBC(lambda x: np.stack([np.cos(2.0 * x[0]), x[1]])),
+        "all": CountingDirichletBC(lambda x: np.stack([np.sin(3.0 * x[0]) * x[1], x[0]])),
+    }
+    cube = build_rectilinear_mesh([(1.0, 2.0)] * 3, (1, 0, 0), (2, 2, 2))
+    puncture = make_system("puncture", dim=3, punctures=[
+        PunctureSpec(1.0, (0.1, 0.2, 0.3), momentum=(0.2, 0.0, 0.3)),
+    ])
+    yield cube, puncture, {"all": FalloffDirichletBC(0.2)}
+
+
+def test_trace_free_boundary_data_evaluated_once_per_handle():
+    square, elasticity, table = next(_fixed_data_cases())
+    handle = OperatorHandle(square, elasticity, BG, BoundaryMap(table), form="strong-weak")
+    counts = [bc.calls for bc in table.values()]
+    assert counts == [1, 1]
+    rng = np.random.default_rng(22)
+    n, na = handle.n_primal_dofs, handle.n_auxiliary_dofs
+    us = rng.standard_normal((3, n))
+    for h in (handle, handle.linearized_at(FieldVector.from_flat(square, 2, us[0]))):
+        h.matvec(us[1])
+        h.apply(FieldVector.batch(square, 2, us))
+        h.matvec_full(rng.standard_normal(na + n))
+    assert [bc.calls for bc in table.values()] == counts
+
+
+def test_trace_free_boundary_data_match_per_apply_evaluation():
+    rng = np.random.default_rng(23)
+    for mesh, system, table in _fixed_data_cases():
+        n_u, n_v = system.n_primal, system.n_auxiliary
+        fixed, opaque = (
+            OperatorHandle(mesh, system, BG, BoundaryMap(t), form="strong-weak")
+            for t in (table, {tag: Opaque(bc) for tag, bc in table.items()})
+        )
+        point = FieldVector.from_flat(mesh, n_u, 0.1 * rng.standard_normal(fixed.n_primal_dofs))
+        us = rng.standard_normal((3, fixed.n_primal_dofs))
+        vs = rng.standard_normal((3, fixed.n_auxiliary_dofs))
+        for a, b in ((fixed, opaque), (fixed.linearized_at(point), opaque.linearized_at(point))):
+            for u, v in ((us[0], vs[0]), (us, vs)):
+                if u.ndim == 1:
+                    args = (FieldVector.from_flat(mesh, n_u, u),), (
+                        FieldVector.from_flat(mesh, n_v, v), FieldVector.from_flat(mesh, n_u, u))
+                else:
+                    args = (FieldVector.batch(mesh, n_u, u),), (
+                        FieldVector.batch(mesh, n_v, v), FieldVector.batch(mesh, n_u, u))
+                np.testing.assert_array_equal(a.apply(*args[0]).data, b.apply(*args[0]).data)
+                for x, y in zip(a.apply_full(*args[1]), b.apply_full(*args[1])):
+                    np.testing.assert_array_equal(x.data, y.data)
 
 
 def test_batch_guards():

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+import scipy.linalg
 import scipy.sparse
 
 from ipdg.background import FlatBackground
@@ -11,6 +12,7 @@ from ipdg.mesh import build_rectilinear_mesh, with_degrees
 from ipdg.operators import FieldVector, OperatorHandle, lumped_mass_diag
 from ipdg.solver import (
     ExplicitMatrix,
+    _gmres,
     assemble_explicit,
     schur_eliminate,
     solve_linear,
@@ -350,6 +352,120 @@ def test_nonconvergence_is_reported_not_raised():
     assert not report.converged
     assert report.iterations == 3
     assert report.residual_norm > 1e-14
+
+
+def _gmres_reference(matvec, b, tol, max_iter, restart, precond):
+    """An earlier `_gmres`, kept verbatim as an oracle: its Hessenberg matrix,
+    rotations and right-hand side are numpy arrays and scalars."""
+    bnorm = np.linalg.norm(b)
+    x = np.zeros_like(b)
+    history = [1.0]  # zero initial guess
+    total = 0
+    rel = 1.0
+    while total < max_iter:
+        r = b - matvec(x)
+        beta = np.linalg.norm(r)
+        rel = beta / bnorm
+        if rel <= tol:
+            return x, total, history, True
+        m = min(restart, max_iter - total)
+        v = np.empty((m + 1, b.size))
+        v[0] = r / beta
+        h = np.zeros((m + 1, m))
+        cs = np.zeros(m)
+        sn = np.zeros(m)
+        g = np.zeros(m + 1)
+        g[0] = beta
+        j_done = 0
+        for j in range(m):
+            w = matvec(precond(v[j]))
+            for i in range(j + 1):
+                h[i, j] = v[i] @ w
+                w -= h[i, j] * v[i]
+            h[j + 1, j] = np.linalg.norm(w)
+            if h[j + 1, j] > 0.0:
+                v[j + 1] = w / h[j + 1, j]
+            for i in range(j):
+                t = cs[i] * h[i, j] + sn[i] * h[i + 1, j]
+                h[i + 1, j] = -sn[i] * h[i, j] + cs[i] * h[i + 1, j]
+                h[i, j] = t
+            denom = np.hypot(h[j, j], h[j + 1, j])
+            cs[j], sn[j] = h[j, j] / denom, h[j + 1, j] / denom
+            h[j, j] = denom
+            h[j + 1, j] = 0.0
+            g[j + 1] = -sn[j] * g[j]
+            g[j] = cs[j] * g[j]
+            total += 1
+            j_done = j + 1
+            rel = abs(g[j + 1]) / bnorm
+            history.append(rel)
+            if rel <= tol:
+                break
+        y = scipy.linalg.solve_triangular(
+            h[:j_done, :j_done], g[:j_done], lower=False
+        )
+        x = x + precond(v[:j_done].T @ y)
+        if rel <= tol:
+            true_rel = np.linalg.norm(b - matvec(x)) / bnorm
+            if true_rel <= tol:
+                return x, total, history, True
+    return x, total, history, False
+
+
+def _nonsymmetric_matvecs():
+    # a random dense matrix, and the strong-form DG operator on two grid shapes
+    rng = np.random.default_rng(12)
+    a = 3.0 * np.eye(80) + rng.standard_normal((80, 80)) / np.sqrt(80.0)
+    system = make_system("poisson-flat", dim=2)
+    mesh = with_degrees(
+        build_rectilinear_mesh([(0.0, 1.0)] * 2, levels=(1, 1), degrees=(3, 3)), 2, (4, 2)
+    )
+    handle = OperatorHandle(
+        mesh, system, BG, BoundaryMap.everywhere(DirichletBC(0.0)), form="strong"
+    ).linearized_at()
+    return [(lambda x: a @ x, 80), (handle.matvec, handle.n_primal_dofs)]
+
+
+@pytest.mark.parametrize("case", [
+    # (restart, max_iter, tol, preconditioned, converges)
+    pytest.param((6, 4000, 1e-11, False, True), id="restarts"),
+    pytest.param((6, 4000, 1e-11, True, True), id="restarts-preconditioned"),
+    pytest.param((7, 25, 1e-14, False, False), id="max-iter-mid-cycle"),
+])
+def test_gmres_matches_reference_bit_for_bit(case):
+    restart, max_iter, tol, preconditioned, converges = case
+    rng = np.random.default_rng(13)
+    for matvec, n in _nonsymmetric_matvecs():
+        b = rng.standard_normal(n)
+        scale = 1.0 + rng.random(n)
+        precond = (lambda x: scale * x) if preconditioned else (lambda x: x)
+        want = _gmres_reference(matvec, b, tol, max_iter, restart, precond)
+        x, its, history, ok, true_rel = _gmres(matvec, b, tol, max_iter, restart, precond)
+        np.testing.assert_array_equal(x, want[0])
+        assert (its, ok) == (want[1], want[3]) and ok == converges
+        np.testing.assert_array_equal(history, want[2])
+        assert its > restart and (converges or its % restart != 0)
+        if ok:  # the true residual, as solve_linear would compute it
+            assert true_rel == np.linalg.norm(b - matvec(x)) / np.linalg.norm(b)
+
+
+@pytest.mark.parametrize("method", ["gmres", "cg"])
+def test_solve_linear_reuses_the_drivers_true_residual(method):
+    # on convergence the driver has applied the operator to x already: the
+    # report's residual is that value, not the result of one more application
+    handle = poisson_handle(1, 3, form="strong-weak")
+    b = np.sin(np.arange(handle.n_primal_dofs, dtype=float))
+    calls = []
+    matvec = handle.matvec
+    handle.matvec = lambda x: calls.append(1) or matvec(x)
+    u, report = solve_linear(handle, b, method=method, tol=1e-10, restart=200)
+    assert report.converged
+    # gmres: the initial residual, one per iteration and the true residual;
+    # cg: one per iteration and the true residual
+    assert len(calls) == report.iterations + (2 if method == "gmres" else 1)
+    assert report.residual_norm == (
+        np.linalg.norm(b - matvec(u.to_flat())) / np.linalg.norm(b)
+    )
 
 
 # -- newton ------------------------------------------------------------

@@ -273,6 +273,23 @@ class TestPuncture:
             assert all(np.array_equal(g, f) for g, f in zip(got, fresh))
             assert not np.array_equal(got[0], first[0])
 
+    def test_background_fields_key_sample_confirmed_on_all_points(self):
+        # the lookup key samples x; two point sets that agree on every
+        # sampled entry but differ elsewhere still get their own fields
+        spec = PunctureSpec(1.0, (0.0, 0.0, 0.0), momentum=(0.1, 0.2, 0.3))
+        sys3 = Puncture([spec])
+        x = 2.0 + np.random.default_rng(6).random((3, 6, 7, 8))
+        other = x.copy()
+        other[1, 2, 3, 4] += 0.125
+        assert Puncture._key(other) == Puncture._key(x)
+        for points in (x, other, x, other):
+            got = sys3.background_fields(points)
+            fresh = Puncture([spec]).background_fields(points)
+            assert all(np.array_equal(g, f) for g, f in zip(got, fresh))
+        assert not np.array_equal(sys3.background_fields(x)[1], got[1])
+        # the second set took the first one's place: the kept count is one set
+        assert sys3._kept_points == 6 * 7 * 8
+
     def test_background_fields_kept_by_points_least_recent_first(self, monkeypatch):
         sys3 = Puncture([PunctureSpec(1.0, (0.0, 0.0, 0.0), momentum=(0.1, 0.2, 0.3))])
         computed = []
