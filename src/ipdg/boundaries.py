@@ -12,7 +12,9 @@ values() receives flattened face arrays: points (d, n), unit normal (d, n)
 and primal trace (n_primal, n). The operator calls it once per condition
 with the points of all the faces it covers, so n spans several faces and
 values must be pointwise. For a batch of vectors the points repeat once per
-vector of the batch.
+vector of the batch. Trace-free conditions (`_TraceFree`) promise that their
+data ignore the trace: the operator evaluates them once, when a handle is
+built, and reuses them in every application.
 """
 
 from __future__ import annotations
@@ -72,7 +74,11 @@ class BoundaryCondition:
 
 
 class _TraceFree(BoundaryCondition):
-    """Conditions whose data ignore the interior traces entirely."""
+    """Conditions whose data ignore the interior traces entirely.
+
+    The trace passed to values() gives only the component count, so a
+    subclass must not read it: its data are evaluated once per handle.
+    """
 
     def linearized_values(self, x, normal, u_trace, du_trace):
         n = np.asarray(x).shape[-1]

@@ -408,9 +408,8 @@ class _Group:
         # Jinv^j_i is not zero at every point: the one i = j on rectilinear
         # meshes, every i on curved ones. The volume kernels skip the others,
         # whose terms are exact zeros
-        self.directions = [
-            [i for i in range(dim) if np.any(self.jinv[j][i])] for j in range(dim)
-        ]
+        nonzero = self.jinv.reshape(dim, dim, -1).any(axis=2)
+        self.directions = [[i for i in range(dim) if nonzero[j, i]] for j in range(dim)]
         self._terms = []
         for j, dirs in enumerate(self.directions):
             lo, hi = dirs[0], dirs[-1] + 1
