@@ -48,8 +48,6 @@ from .mesh import (
 from .operators import (
     FieldVector,
     OperatorHandle,
-    apply_lifting,
-    apply_stiffness,
     lumped_mass_diag,
     penalty_sigma,
 )
@@ -98,8 +96,6 @@ __all__ = [
     "with_degrees",
     "FieldVector",
     "OperatorHandle",
-    "apply_lifting",
-    "apply_stiffness",
     "lumped_mass_diag",
     "penalty_sigma",
     "make_solution",

@@ -7,6 +7,7 @@ keys are rejected everywhere.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -51,10 +52,25 @@ def _section(raw, path, required=(), optional=()):
     return raw
 
 
+def _float_hint(raw):
+    """How to write a string holding a finite number so that YAML 1.1 reads
+    a float: it reads 1e-10 as a string and wants a dot and a signed
+    exponent, 1.0e-10."""
+    try:
+        val = float(raw)
+    except (TypeError, ValueError):
+        return ""
+    if not isinstance(raw, str) or not math.isfinite(val):
+        return ""
+    return f" (write {np.format_float_scientific(val, trim='0', exp_digits=1)})"
+
+
 def _number(raw, path, minimum=None):
     if isinstance(raw, bool) or not isinstance(raw, (int, float)):
-        _fail(path, f"expected a number, got {type(raw).__name__}")
+        _fail(path, f"expected a number, got {type(raw).__name__}{_float_hint(raw)}")
     val = float(raw)
+    if not math.isfinite(val):
+        _fail(path, f"must be finite, got {val}")
     if minimum is not None and val < minimum:
         _fail(path, f"must be at least {minimum}, got {val}")
     return val
@@ -132,28 +148,33 @@ def _validate_system(raw):
         sec["name"], "system.name",
         {"poisson-flat", "poisson-curved", "elasticity", "puncture"},
     )
-    if name != "elasticity":
-        for key in ("lame_lambda", "shear_modulus"):
-            if key in sec:
-                _fail(f"system.{key}", f"only valid for elasticity, not {name}")
+    out = {"name": name}
+    for key in ("lame_lambda", "shear_modulus"):
+        if name == "elasticity":
+            out[key] = _number(sec.get(key, 1.0), f"system.{key}")
+        elif key in sec:
+            _fail(f"system.{key}", f"only valid for elasticity, not {name}")
     if name == "puncture":
         punctures = sec.get("punctures")
         if not isinstance(punctures, list) or not punctures:
             _fail("system.punctures", "expected a non-empty list")
+        out["punctures"] = []
         for i, p in enumerate(punctures):
+            path = f"system.punctures[{i}]"
             psec = _section(
-                p, f"system.punctures[{i}]",
-                required=("mass", "position"),
-                optional=("momentum", "spin"),
+                p, path, required=("mass", "position"), optional=("momentum", "spin")
             )
-            _number(psec["mass"], f"system.punctures[{i}].mass")
-            _number_list(psec["position"], f"system.punctures[{i}].position", 3)
-            for key in ("momentum", "spin"):
-                if key in psec:
-                    _number_list(psec[key], f"system.punctures[{i}].{key}", 3)
+            out["punctures"].append({
+                "mass": _number(psec["mass"], f"{path}.mass"),
+                "position": tuple(_number_list(psec["position"], f"{path}.position", 3)),
+                **{
+                    key: tuple(_number_list(psec.get(key, [0.0] * 3), f"{path}.{key}", 3))
+                    for key in ("momentum", "spin")
+                },
+            })
     elif "punctures" in sec:
         _fail("system.punctures", f"only valid for puncture, not {name}")
-    return sec
+    return out
 
 
 def _validate_domain(raw):
@@ -208,15 +229,17 @@ def _validate_background(raw):
     kind = _string(
         sec.get("kind", "flat"), "background.kind", {"flat", "conformally-flat"}
     )
-    if kind == "conformally-flat":
-        _string(sec.get("profile", "linear"), "background.profile", {"linear"})
-        _number(sec.get("scale", 0.0), "background.scale")
-        _integer(sec.get("axis", 0), "background.axis", minimum=0)
-    else:
+    if kind == "flat":
         for key in ("profile", "scale", "axis"):
             if key in sec:
                 _fail(f"background.{key}", "only valid for conformally-flat")
-    return {**sec, "kind": kind}
+        return {"kind": kind}
+    return {
+        "kind": kind,
+        "profile": _string(sec.get("profile", "linear"), "background.profile", {"linear"}),
+        "scale": _number(sec.get("scale", 0.0), "background.scale"),
+        "axis": _integer(sec.get("axis", 0), "background.axis", minimum=0),
+    }
 
 
 def _validate_solution(raw):
@@ -243,28 +266,23 @@ def _validate_bcs(raw, has_solution):
         for key in sec:
             if key != "type" and key not in _BC_KEYS[kind]:
                 _fail(f"{path}.{key}", f"not valid for type {kind!r}")
-        analytic = sec.get("analytic", False)
-        if analytic is not False:
-            _boolean(analytic, f"{path}.analytic")
+        analytic = _boolean(sec.get("analytic", False), f"{path}.analytic")
         if analytic and not has_solution:
             _fail(f"{path}.analytic", "needs a configured analytic solution")
-        if kind in ("dirichlet", "neumann"):
-            if analytic and "value" in sec:
-                _fail(f"{path}.value", "give either value or analytic, not both")
-            if not analytic:
-                _number(sec.get("value", 0.0), f"{path}.value")
-        elif kind == "robin":
-            a = _number(sec.get("a", 0.0), f"{path}.a")
-            b = _number(sec.get("b", 0.0), f"{path}.b")
-            if a == 0.0 and b == 0.0:
+        if kind in ("dirichlet", "neumann") and analytic and "value" in sec:
+            _fail(f"{path}.value", "give either value or analytic, not both")
+        bc = {"type": kind, "analytic": analytic}
+        if kind == "robin":
+            bc["a"] = _number(sec.get("a", 0.0), f"{path}.a")
+            bc["b"] = _number(sec.get("b", 0.0), f"{path}.b")
+            if bc["a"] == 0.0 and bc["b"] == 0.0:
                 _fail(f"{path}.a", "robin needs a nonzero coefficient")
-            if not analytic:
-                _number(sec.get("value", 0.0), f"{path}.value")
-        else:  # falloff
-            _number(sec.get("amplitude", 0.0), f"{path}.amplitude")
-            if "center" in sec:
-                _number_list(sec["center"], f"{path}.center", 3)
-        out[tag] = sec
+        if kind == "falloff":
+            bc["amplitude"] = _number(sec.get("amplitude", 0.0), f"{path}.amplitude")
+            bc["center"] = tuple(_number_list(sec.get("center", [0.0] * 3), f"{path}.center", 3))
+        elif not analytic:
+            bc["value"] = _number(sec.get("value", 0.0), f"{path}.value")
+        out[tag] = bc
     return out
 
 
@@ -389,31 +407,16 @@ class Problem:
 
 
 def _build_system(cfg, dim):
-    sec = cfg.system
-    name = sec["name"]
-    params = {}
-    if name == "elasticity":
-        params["lame_lambda"] = float(sec.get("lame_lambda", 1.0))
-        params["shear_modulus"] = float(sec.get("shear_modulus", 1.0))
-    if name == "puncture":
-        params["punctures"] = [
-            {
-                "mass": p["mass"],
-                "position": tuple(p["position"]),
-                "momentum": tuple(p.get("momentum", (0.0, 0.0, 0.0))),
-                "spin": tuple(p.get("spin", (0.0, 0.0, 0.0))),
-            }
-            for p in sec["punctures"]
-        ]
-    return make_system(name, dim=dim, **params)
+    # the validated section holds exactly the system's parameters
+    params = dict(cfg.system)
+    return make_system(params.pop("name"), dim=dim, **params)
 
 
 def _build_background(cfg, dim):
     sec = cfg.background
     if sec["kind"] == "flat":
         return make_background("flat")
-    scale = float(sec.get("scale", 0.0))
-    axis = int(sec.get("axis", 0))
+    scale, axis = sec["scale"], sec["axis"]
     if axis >= dim:
         _fail("background.axis", f"axis {axis} out of range for dimension {dim}")
 
@@ -441,26 +444,20 @@ def _build_mesh(cfg):
 
 
 def _build_bc(tag, sec, system, background, solution):
-    kind = sec["type"]
-    analytic = sec.get("analytic", False)
+    kind, analytic = sec["type"], sec["analytic"]
     if kind == "dirichlet":
         if analytic:
             return AnalyticDirichletBC(solution)
-        return DirichletBC(float(sec.get("value", 0.0)))
+        return DirichletBC(sec["value"])
     if kind == "neumann":
         if analytic:
             return AnalyticNeumannBC(solution, system, background)
-        return NeumannBC(float(sec.get("value", 0.0)))
+        return NeumannBC(sec["value"])
     if kind == "robin":
-        a = float(sec.get("a", 0.0))
-        b = float(sec.get("b", 0.0))
         if analytic:
-            return AnalyticRobinBC(solution, system, background, a, b)
-        return RobinBC(a, b, float(sec.get("value", 0.0)))
-    return FalloffDirichletBC(
-        float(sec.get("amplitude", 0.0)),
-        tuple(sec.get("center", (0.0, 0.0, 0.0))),
-    )
+            return AnalyticRobinBC(solution, system, background, sec["a"], sec["b"])
+        return RobinBC(sec["a"], sec["b"], sec["value"])
+    return FalloffDirichletBC(sec["amplitude"], sec["center"])
 
 
 def build_problem(cfg: RunConfig, mesh=None) -> Problem:

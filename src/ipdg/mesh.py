@@ -36,7 +36,6 @@ __all__ = [
     "split_element",
     "with_degrees",
     "jacobian_at",
-    "unnormalized_face_normal",
     "mortar_topology",
     "face_shape",
     "face_slices",
@@ -430,15 +429,6 @@ def jacobian_at(element: Element, xi) -> tuple[np.ndarray, np.ndarray, np.ndarra
     return jac, np.asarray(det, dtype=float), inv
 
 
-def unnormalized_face_normal(element: Element, dim: int, side: int, xi_face):
-    """Outward unnormalized face one-form: +-(J^-1) row `dim` at face points.
-
-    xi_face has shape (d, ...) with xi_face[dim] pinned to +-1.
-    """
-    _, _, inv = jacobian_at(element, xi_face)
-    return float(side) * inv[dim]
-
-
 def face_shape(grid_shape: tuple[int, ...], dim: int) -> tuple[int, ...]:
     return grid_shape[:dim] + grid_shape[dim + 1 :]
 
@@ -478,8 +468,6 @@ class ExternalFace:
 class MeshTopology:
     mortars: list
     external_faces: list
-    # (element, dim, side) -> list of indices into `mortars`
-    face_mortars: dict
 
 
 def _transverse_matches(seg: Segment):
@@ -518,7 +506,9 @@ def mortar_topology(mesh: Mesh) -> MeshTopology:
     dim = mesh.dim
     mortars: list[Mortar] = []
     external: list[ExternalFace] = []
-    face_mortars: dict[tuple, list[int]] = {}
+    # (element, dim, side) of each internal face -> the fraction of it that
+    # its mortars cover, summed as they are created
+    covered: dict[tuple, float] = {}
     seen: set[frozenset] = set()
 
     def trans(segments, face_dim):
@@ -593,32 +583,22 @@ def mortar_topology(mesh: Mesh) -> MeshTopology:
                     counts = tuple(
                         max(e.degrees[t], other.degrees[t]) + 1 for t in trans_dims
                     )
-                    mortar = Mortar(
-                        sides=(
-                            MortarSide(k, face_dim, side, tuple(r[0] for r in rel)),
-                            MortarSide(kk, face_dim, -side, tuple(r[1] for r in rel)),
-                        ),
-                        counts=counts,
+                    sides = (
+                        MortarSide(k, face_dim, side, tuple(r[0] for r in rel)),
+                        MortarSide(kk, face_dim, -side, tuple(r[1] for r in rel)),
                     )
-                    mortars.append(mortar)
-                    iface = len(mortars) - 1
-                    face_mortars.setdefault((k, face_dim, side), []).append(iface)
-                    face_mortars.setdefault((kk, face_dim, -side), []).append(iface)
+                    mortars.append(Mortar(sides=sides, counts=counts))
+                    for ms in sides:
+                        face = (ms.element, face_dim, ms.side)
+                        covered[face] = covered.get(face, 0.0) + 0.5 ** sum(
+                            cov != "full" for cov in ms.coverage
+                        )
 
     # Coverage check: the mortar pieces of every internal face tile it once.
-    for (k, face_dim, side), idxs in face_mortars.items():
-        total = 0.0
-        for i in idxs:
-            m = mortars[i]
-            s = m.sides[0] if m.sides[0].element == k and m.sides[0].dim == face_dim and m.sides[0].side == side else m.sides[1]
-            frac = 1.0
-            for cov in s.coverage:
-                frac *= 1.0 if cov == "full" else 0.5
-            total += frac
+    for (k, face_dim, side), total in covered.items():
         if total != 1.0:
             raise TopologyError(
                 f"face {face_dim}/{side:+d} of element "
                 f"{mesh.elements[k].id_string()} is covered {total}x by mortars"
             )
-    return MeshTopology(mortars, external, face_mortars)
-
+    return MeshTopology(mortars, external)

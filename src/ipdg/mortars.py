@@ -2,12 +2,11 @@
 
 A mortar carries its own tensor-product LGL grid over the face's transverse
 dimensions. Data moves face -> mortar by polynomial interpolation
-(prolongation) and, in `project_between`, mortar -> face by a mass-weighted
-least-squares fit (restriction). When a face is split among several mortars,
-the restrictions of all its mortars are built against the combined normal
-matrix so that restricting after prolonging reassembles the identity on the
-face. The DG operator restricts by the adjoint W_f^-1 P^T W_m instead, which
-keeps its symmetric form symmetric but does not invert P.
+(prolongation P). The DG operator moves it back by the adjoint
+W_f^-1 P^T W_m, which keeps its symmetric form symmetric but does not invert
+P. `face_restriction_family` keeps the mass-weighted least-squares fit
+instead: built against the combined normal matrix of all mortars sharing a
+face, restricting after prolonging reassembles the identity on the face.
 
 Coverage per transverse dimension is "full", "lower" or "upper"; half
 coverages map the mortar interval [-1, 1] onto the matching half of the face
@@ -26,9 +25,7 @@ __all__ = [
     "coverage_targets",
     "prolongation_matrix",
     "mortar_logical_weights",
-    "restriction_matrix",
     "face_restriction_family",
-    "project_between",
 ]
 
 _HALF = {"lower": -1.0, "upper": 1.0}
@@ -104,39 +101,6 @@ def _mortar_mass(mortar_counts, coverages, measure):
     return m
 
 
-def restriction_matrix(
-    face_counts: tuple[int, ...],
-    mortar_counts: tuple[int, ...],
-    coverages: tuple[str, ...],
-    measure=None,
-) -> np.ndarray:
-    """Mass-weighted least-squares fit from a mortar grid back to its face.
-
-    Satisfies R P = I exactly whenever the mortar resolves the face. An
-    optional flat `measure` array scales the mortar mass pointwise (physical
-    surface measure); without it the fit is in face logical measure.
-    """
-    face_counts = tuple(int(n) for n in face_counts)
-    mortar_counts = tuple(int(n) for n in mortar_counts)
-    coverages = tuple(coverages)
-    if measure is None:
-        return _restriction_flat(face_counts, mortar_counts, coverages)
-    p = prolongation_matrix(face_counts, mortar_counts, coverages)
-    return _solve_normal(
-        [p], [_mortar_mass(mortar_counts, coverages, measure)]
-    )[0]
-
-
-@lru_cache(maxsize=None)
-def _restriction_flat(face_counts, mortar_counts, coverages):
-    p = prolongation_matrix(face_counts, mortar_counts, coverages)
-    out = _solve_normal(
-        [p], [mortar_logical_weights(mortar_counts, coverages)]
-    )[0]
-    out.flags.writeable = False
-    return out
-
-
 def _qr_mgs(a):
     """Thin QR by modified Gram-Schmidt with reorthogonalization.
 
@@ -194,11 +158,15 @@ def _solve_normal(prolongations, masses):
 
 
 def face_restriction_family(face_counts, mortars):
-    """Restrictions for every mortar sharing one face.
+    """Mass-weighted least-squares restrictions for every mortar sharing one face.
 
     `mortars` is a sequence of (mortar_counts, coverages, measure-or-None)
-    triples. The returned matrices R_m satisfy sum_m R_m P_m = I, so jumps
-    restricted from a fully tiled face reassemble exactly.
+    triples. An optional flat `measure` scales that mortar's mass pointwise
+    (physical surface measure); without it the fit is in face logical
+    measure. The returned matrices R_m satisfy sum_m R_m P_m = I, so jumps
+    restricted from a fully tiled face reassemble exactly; with one mortar
+    this is R P = I. Raises ValueError when a mortar has fewer points than
+    the face.
     """
     face_counts = tuple(int(n) for n in face_counts)
     prolongations = []
@@ -209,33 +177,3 @@ def face_restriction_family(face_counts, mortars):
         prolongations.append(prolongation_matrix(face_counts, counts, coverages))
         masses.append(_mortar_mass(counts, coverages, measure))
     return _solve_normal(prolongations, masses)
-
-
-def project_between(
-    data,
-    face_counts,
-    mortar_counts,
-    coverages,
-    direction: str,
-    measure=None,
-):
-    """Move flattened data across one face/mortar link.
-
-    direction "to-mortar" interpolates with P, "from-mortar" fits back with
-    R; the grid point axis is the last axis of `data`.
-    """
-    face_counts = tuple(int(n) for n in face_counts)
-    mortar_counts = tuple(int(n) for n in mortar_counts)
-    coverages = tuple(coverages)
-    if direction == "to-mortar":
-        mat = prolongation_matrix(face_counts, mortar_counts, coverages)
-    elif direction == "from-mortar":
-        mat = restriction_matrix(face_counts, mortar_counts, coverages, measure)
-    else:
-        raise ValueError(f"unknown direction {direction!r}")
-    data = np.asarray(data)
-    if data.shape[-1] != mat.shape[1]:
-        raise ValueError(
-            f"data has {data.shape[-1]} points, expected {mat.shape[1]}"
-        )
-    return np.asarray(np.einsum("ij,...j->...i", mat, data), dtype=float)

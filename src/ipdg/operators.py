@@ -86,8 +86,6 @@ __all__ = [
     "FieldVector",
     "OperatorHandle",
     "lumped_mass_diag",
-    "apply_stiffness",
-    "apply_lifting",
     "penalty_sigma",
     "auxiliary_numerical_flux",
     "primal_numerical_flux",
@@ -100,14 +98,6 @@ def _point_order(arr, k):
     arr = np.asarray(arr)
     lead = arr.ndim - k
     return arr.transpose(tuple(range(lead)) + tuple(range(arr.ndim - 1, lead - 1, -1)))
-
-
-def _flatten_trailing(arr, k):
-    """Flatten the last k axes, first of them varying fastest."""
-    arr = np.asarray(arr)
-    if k == 0:
-        return arr[..., None]
-    return _point_order(arr, k).reshape(arr.shape[: arr.ndim - k] + (-1,))
 
 
 def _apply_1d(mat, arr, dim):
@@ -489,33 +479,6 @@ def lumped_mass_diag(element, background):
     )
 
 
-def apply_stiffness(element, background, fluxes, form="strong"):
-    """Massive strong divergence of nodal fluxes, or the weak transpose."""
-    if form not in ("strong", "weak"):
-        raise ValueError(f"unknown stiffness form {form!r}")
-    group = _Group([element], [0], [0], background, 0)
-    stacked = _point_order(np.asarray(fluxes, dtype=float), element.dim)[:, :, None]
-    return _point_order(group.stiffness(stacked, form)[:, 0], element.dim)
-
-
-def apply_lifting(element, background, dim, side, face_values, massive=True):
-    """Lift face data to a volume array, nonzero only at the face points."""
-    group = _Group([element], [0], [0], background, 0)
-    face = group.faces[2 * dim + (side > 0)]
-    fsh = face_shape(element.grid_shape, dim)
-    n = face.span.stop - face.span.start
-    fv = np.asarray(face_values, dtype=float)
-    if fv.ndim >= 1 + len(fsh) and fv.shape[1:] == fsh:
-        fv = _flatten_trailing(fv, len(fsh))
-    if fv.shape[-1] != n:
-        raise ValueError(f"face data has {fv.shape[-1]} points, face has {n}")
-    buf = np.zeros((fv[..., 0].size, group.face_end))
-    buf[:, face.span] = fv.reshape(-1, n)
-    out = np.zeros((buf.shape[0],) + group.shape)
-    group.lift(out, buf, massive)
-    return _point_order(out[:, 0], element.dim).reshape(fv.shape[:-1] + element.grid_shape)
-
-
 def _is_identity(mat):
     return mat.shape[0] == mat.shape[1] and np.array_equal(mat, np.eye(mat.shape[0]))
 
@@ -733,9 +696,9 @@ class OperatorHandle:
             )
         if form not in ("strong", "strong-weak"):
             raise ConfigurationError("operator.form", f"unknown form {form!r}")
-        if penalty_parameter < 0.0:
+        if not 0.0 <= penalty_parameter < math.inf:
             raise ConfigurationError(
-                "operator.penalty_parameter", "penalty parameter must be >= 0"
+                "operator.penalty_parameter", "penalty parameter must be finite and >= 0"
             )
         self.mesh = mesh
         self.system = system
@@ -747,7 +710,9 @@ class OperatorHandle:
         self.linearization_point = linearization_point
         self._cache = cache = _cache if _cache is not None else _MeshCache(mesh, background)
         self.bcs.validate_tags(cache.external)
-        if hasattr(system, "min_puncture_distance"):
+        # a given `_cache` comes from a handle of the same mesh, system and
+        # background (`linearized_at`), which already checked its points
+        if _cache is None and hasattr(system, "min_puncture_distance"):
             if min(system.min_puncture_distance(g.coords) for g in cache.groups) < 1e-10:
                 raise SingularPointError(
                     "a collocation point lies within 1e-10 of a puncture; "

@@ -64,6 +64,15 @@ def test_solve_invalid_config(tmp_path, capsys):
     assert "solver.tol" in capsys.readouterr().err
 
 
+def test_solve_non_finite_number_exit_code(tmp_path, capsys):
+    # YAML's .nan is a float; without the finiteness check it reached the
+    # operator and failed there with exit code 3
+    path = write_config(tmp_path, {"operator": {"penalty_parameter": float("nan")}})
+    assert ".nan" in open(path).read()
+    assert main(["solve", "--config", path]) == 2
+    assert "operator.penalty_parameter: must be finite" in capsys.readouterr().err
+
+
 def test_solve_missing_file(tmp_path):
     assert main(["solve", "--config", str(tmp_path / "nope.yaml")]) == 2
 

@@ -36,6 +36,45 @@ def test_minimal_config_defaults():
     assert cfg.newton["max_iterations"] == 30
     assert cfg.output == {"directory": ".", "prefix": "ipdg"}
     assert cfg.solution is None
+    assert cfg.background == {"kind": "flat"}
+
+
+def test_section_defaults_filled_once():
+    # validation returns every default; the builders read keys directly
+    raw = base_config()
+    raw["system"] = {"name": "elasticity"}
+    raw["background"] = {"kind": "conformally-flat"}
+    raw["boundary_conditions"] = {
+        "x-lower": {"type": "robin", "a": 1.0},
+        "all": {"type": "dirichlet"},
+    }
+    cfg = parse_config(raw)
+    assert cfg.system == {"name": "elasticity", "lame_lambda": 1.0, "shear_modulus": 1.0}
+    assert cfg.background == {"kind": "conformally-flat", "profile": "linear",
+                              "scale": 0.0, "axis": 0}
+    assert cfg.boundary_conditions == {
+        "x-lower": {"type": "robin", "analytic": False, "a": 1.0, "b": 0.0, "value": 0.0},
+        "all": {"type": "dirichlet", "analytic": False, "value": 0.0},
+    }
+    problem = build_problem(cfg)
+    assert (problem.system.lame_lambda, problem.system.shear_modulus) == (1.0, 1.0)
+    assert isinstance(problem.boundary_map.for_tag("x-lower"), RobinBC)
+    raw = base_config()
+    raw["system"] = {"name": "puncture", "punctures": [{"mass": 1, "position": [0, 0, 0.5]}]}
+    raw["domain"]["bounds"] = [[-1.0, 1.0]] * 3
+    raw["refinement"] = {"levels": [0, 0, 0], "degrees": [2, 2, 2]}
+    raw["boundary_conditions"] = {"all": {"type": "falloff"}}
+    cfg = parse_config(raw)
+    assert cfg.system["punctures"] == [{
+        "mass": 1.0, "position": (0.0, 0.0, 0.5),
+        "momentum": (0.0, 0.0, 0.0), "spin": (0.0, 0.0, 0.0),
+    }]
+    assert cfg.boundary_conditions["all"] == {
+        "type": "falloff", "analytic": False, "amplitude": 0.0, "center": (0.0, 0.0, 0.0),
+    }
+    problem = build_problem(cfg)
+    assert problem.system.punctures[0].position == (0.0, 0.0, 0.5)
+    np.testing.assert_array_equal(problem.boundary_map.for_tag("x-lower").center, 0.0)
 
 
 def test_cg_with_massless_operator_rejected():
@@ -68,19 +107,38 @@ def test_missing_required_key():
 def test_type_errors():
     raw = base_config()
     raw["solver"] = {"tolerance": "tight"}
-    expect_error(raw, "solver.tolerance")
+    with pytest.raises(ConfigurationError, match=r"solver.tolerance: expected a number, got str$"):
+        parse_config(raw)
+    # YAML 1.1 reads 1e-10 as a string; the message says what it reads as a number
+    raw["solver"] = {"tolerance": "1e-10"}
+    with pytest.raises(ConfigurationError, match=r"got str \(write 1\.0e-10\)$"):
+        parse_config(raw)
     raw = base_config()
     raw["operator"] = {"massive": 1}
     expect_error(raw, "operator.massive")
     raw = base_config()
     raw["solver"] = {"max_iterations": True}  # bools are not integers here
     expect_error(raw, "solver.max_iterations")
+    for section, key, value in (
+        ("solver", "tolerance", float("nan")),
+        ("newton", "tolerance", float("inf")),
+        ("background", "scale", float("-inf")),
+    ):
+        raw = base_config()
+        raw[section] = {key: value}
+        if section == "background":
+            raw[section]["kind"] = "conformally-flat"
+        with pytest.raises(ConfigurationError, match="must be finite") as err:
+            parse_config(raw)
+        assert err.value.path == f"{section}.{key}"
 
 
 def test_bounds_validation():
     raw = base_config()
     raw["domain"]["bounds"] = [[0.0, 1.0], [1.0, 0.5]]
     expect_error(raw, "domain.bounds[1]")
+    raw["domain"]["bounds"] = [[0.0, 1.0], [0.0, float("inf")]]
+    expect_error(raw, "domain.bounds[1][1]")
 
 
 def test_refinement_length_must_match_dimension():
@@ -96,9 +154,10 @@ def test_degree_minimum():
 
 
 def test_penalty_below_one_rejected():
-    raw = base_config()
-    raw["operator"] = {"penalty_parameter": 0.5}
-    expect_error(raw, "operator.penalty_parameter")
+    for value in (0.5, float("nan"), float("inf")):
+        raw = base_config()
+        raw["operator"] = {"penalty_parameter": value}
+        expect_error(raw, "operator.penalty_parameter")
 
 
 def test_robin_needs_coefficient():

@@ -9,7 +9,7 @@ import itertools
 import numpy as np
 import pytest
 
-from ipdg.basis import gauss_lobatto_nodes_weights
+from ipdg.background import FlatBackground
 from ipdg.errors import DegenerateGeometryError, TopologyError
 from ipdg.mesh import (
     _at_block_boundary,
@@ -24,9 +24,9 @@ from ipdg.mesh import (
     mortar_topology,
     refine_uniform,
     split_element,
-    unnormalized_face_normal,
     with_degrees,
 )
+from ipdg.operators import _MeshCache
 
 
 def fd_jacobian(cmap, xi, eps=1e-6):
@@ -138,25 +138,25 @@ class TestJacobianAt:
 
 
 class TestNormals:
+    # the outward unnormalized face normal of face (dim, side) is side times
+    # row `dim` of the inverse Jacobian at the face points
+
     def test_unit_square_quarter_element(self):
         mesh = build_rectilinear_mesh([(0, 1), (0, 1)], (1, 1), (2, 2))
         e = mesh.elements[0]  # [0, 0.5]^2
-        xi = np.array([1.0, 0.0])
-        n = unnormalized_face_normal(e, 0, 1, xi)
-        np.testing.assert_allclose(n, [4.0, 0.0])
-        n = unnormalized_face_normal(e, 1, -1, np.array([0.0, -1.0]))
-        np.testing.assert_allclose(n, [0.0, -4.0])
+        _, _, inv = jacobian_at(e, np.array([1.0, 0.0]))
+        np.testing.assert_allclose(+1.0 * inv[0], [4.0, 0.0])
+        _, _, inv = jacobian_at(e, np.array([0.0, -1.0]))
+        np.testing.assert_allclose(-1.0 * inv[1], [0.0, -4.0])
 
     def test_annulus_radial_face_is_radial(self):
+        # as the operator's face buffer holds it: unit and pointing along r
         mesh = build_annulus_mesh(1.0, 2.0, 4, (0, 0), (3, 3))
-        e = mesh.elements[0]
-        eta = gauss_lobatto_nodes_weights(4).nodes
-        xi = np.stack([np.ones_like(eta), eta])
-        n = unnormalized_face_normal(e, 0, 1, xi)
-        x = e.map.apply(xi)
-        rhat = x / np.hypot(*x)
-        cosine = (n * rhat).sum(axis=0) / np.hypot(*n)
-        np.testing.assert_allclose(cosine, 1.0, rtol=1e-12)
+        cache = _MeshCache(mesh, FlatBackground())
+        span = cache.face_spans[(0, 0, 1)]
+        n, x = cache.face_normal[:, span], cache.face_coords[:, span]
+        np.testing.assert_allclose(np.hypot(*n), 1.0, rtol=1e-14)
+        np.testing.assert_allclose((n * x).sum(axis=0), np.hypot(*x), rtol=1e-12)
 
 
 class TestBuildersAndRefinement:
@@ -286,28 +286,31 @@ class TestTopology:
         topo = mortar_topology(mesh)
         assert len(topo.mortars) == 2
 
-    def test_face_mortars_cover_3d_refined_face(self):
+    def test_mortars_cover_3d_refined_face(self):
         mesh = build_rectilinear_mesh(
             [(0, 1), (0, 1), (0, 1)], (0, 0, 0), (2, 2, 2)
         )
         mesh = refine_uniform(mesh, "h")
         mesh = split_element(mesh, 0)
         topo = mortar_topology(mesh)
-        # the split corner element's +x face neighbors see 2x2 mortars
-        for key, idxs in topo.face_mortars.items():
-            fractions = 0.0
-            for i in idxs:
-                m = topo.mortars[i]
-                s = next(
-                    s
-                    for s in m.sides
-                    if (s.element, s.dim, s.side) == key
-                )
+        # the split corner element's +x face neighbors see 2x2 mortars;
+        # every internal face is tiled once by its mortars' coverages
+        fractions = {}
+        for m in topo.mortars:
+            for s in m.sides:
+                key = (s.element, s.dim, s.side)
                 f = 1.0
                 for cov in s.coverage:
                     f *= 1.0 if cov == "full" else 0.5
-                fractions += f
-            assert fractions == 1.0
+                fractions[key] = fractions.get(key, 0.0) + f
+        assert set(fractions.values()) == {1.0}
+        assert any(
+            s.coverage == (c1, c2)
+            for m in topo.mortars for s in m.sides
+            for c1 in ("lower", "upper") for c2 in ("lower", "upper")
+        )
+        external = {(f.element, f.dim, f.side) for f in topo.external_faces}
+        assert len(fractions) + len(external) == 2 * 3 * mesh.n_elements
 
 
 def transverse_relation(seg_a, seg_b):

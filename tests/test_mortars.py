@@ -1,4 +1,8 @@
-"""Face <-> mortar transfer: interpolation, least squares, reassembly."""
+"""Face <-> mortar transfer: interpolation, least squares, reassembly.
+
+The least-squares fit is `face_restriction_family`; with one mortar it is
+the restriction R of that mortar alone, `fit` below.
+"""
 
 import numpy as np
 import pytest
@@ -8,14 +12,18 @@ from ipdg.mortars import (
     coverage_targets,
     face_restriction_family,
     mortar_logical_weights,
-    project_between,
     prolongation_matrix,
-    restriction_matrix,
 )
 
 
 def lgl(n):
     return gauss_lobatto_nodes_weights(n).nodes
+
+
+def fit(face_counts, mortar_counts, coverages, measure=None):
+    """The least-squares restriction of a face's only mortar."""
+    (r,) = face_restriction_family(face_counts, [(mortar_counts, coverages, measure)])
+    return r
 
 
 def test_coverage_targets_map_half_intervals():
@@ -58,7 +66,7 @@ def test_prolongation_kron_ordering_matches_f_order():
 
 def test_point_face_for_1d_meshes():
     assert prolongation_matrix((), (), ()).shape == (1, 1)
-    np.testing.assert_allclose(restriction_matrix((), (), ()), [[1.0]])
+    np.testing.assert_allclose(fit((), (), ()), [[1.0]])
 
 
 def test_logical_weights_integrate_split_intervals():
@@ -82,7 +90,7 @@ def test_restriction_inverts_prolongation_all_degrees_and_coverages():
         for deg_face in range(2, 9):
             for deg_mortar in range(deg_face, 9):
                 nf, nm = deg_face + 1, deg_mortar + 1
-                r = restriction_matrix((nf,), (nm,), (cov,))
+                r = fit((nf,), (nm,), (cov,))
                 p = prolongation_matrix((nf,), (nm,), (cov,))
                 err = np.abs(product(r, p) - np.eye(nf)).max()
                 assert err <= 1e-12, f"cov={cov} P={deg_face} mortar={deg_mortar}: {err}"
@@ -92,7 +100,7 @@ def test_restriction_inverts_prolongation_two_transverse_dims():
     nf = (4, 3)
     nm = (5, 4)
     cov = ("upper", "lower")
-    r = restriction_matrix(nf, nm, cov)
+    r = fit(nf, nm, cov)
     p = prolongation_matrix(nf, nm, cov)
     np.testing.assert_allclose(product(r, p), np.eye(12), atol=1e-12)
 
@@ -100,7 +108,7 @@ def test_restriction_inverts_prolongation_two_transverse_dims():
 def test_restriction_is_weighted_least_squares():
     # normal equations: P^T M (P R u - u) = 0 for arbitrary mortar data
     nf, nm, cov = (4,), (6,), ("lower",)
-    r = restriction_matrix(nf, nm, cov)
+    r = fit(nf, nm, cov)
     p = prolongation_matrix(nf, nm, cov)
     m = mortar_logical_weights(nm, cov)
     rng = np.random.default_rng(2)
@@ -112,7 +120,7 @@ def test_restriction_is_weighted_least_squares():
 def test_restriction_with_measure_changes_fit():
     nf, nm, cov = (3,), (6,), ("full",)
     measure = 1.0 + 0.5 * lgl(6) ** 2
-    r = restriction_matrix(nf, nm, cov, measure=measure)
+    r = fit(nf, nm, cov, measure=measure)
     p = prolongation_matrix(nf, nm, cov)
     np.testing.assert_allclose(r @ p, np.eye(3), atol=1e-12)
     m = mortar_logical_weights(nm, cov) * measure
@@ -120,12 +128,12 @@ def test_restriction_with_measure_changes_fit():
     u = rng.standard_normal(6)
     residual = p @ (r @ u) - u
     np.testing.assert_allclose(p.T @ (m * residual), 0.0, atol=1e-13)
-    assert not np.allclose(r, restriction_matrix(nf, nm, cov))
+    assert not np.allclose(r, fit(nf, nm, cov))
 
 
 def test_mortar_must_resolve_face():
     with pytest.raises(ValueError):
-        restriction_matrix((5,), (4,), ("full",))
+        fit((5,), (4,), ("full",))
 
 
 def test_family_reassembles_identity_split_face():
@@ -156,9 +164,13 @@ def test_family_reassembles_identity_quarter_mortars_3d():
 
 
 def test_family_single_full_mortar_matches_plain_restriction():
+    # the extended-precision fit against the float64 normal equations
+    # (P^T M P) R = P^T M, well conditioned at this size
     nf, nm = (4,), (6,)
     (r,) = face_restriction_family(nf, [(nm, ("full",), None)])
-    np.testing.assert_allclose(r, restriction_matrix(nf, nm, ("full",)), atol=1e-14)
+    p = prolongation_matrix(nf, nm, ("full",))
+    pm = p.T * mortar_logical_weights(nm, ("full",))
+    np.testing.assert_allclose(r, np.linalg.solve(pm @ p, pm), atol=1e-13)
 
 
 def test_family_conserves_integrals_flat_measure():
@@ -180,26 +192,23 @@ def test_family_conserves_integrals_flat_measure():
     assert face_integral == pytest.approx(mortar_integral, rel=1e-12)
 
 
-def test_project_between_round_trip():
+def test_single_mortar_fit_round_trip():
     x = lgl(4)
     data = x**3 - x
-    on_mortar = project_between(data, (4,), (6,), ("upper",), "to-mortar")
+    on_mortar = prolongation_matrix((4,), (6,), ("upper",)) @ data
     t = coverage_targets(lgl(6), "upper")
     np.testing.assert_allclose(on_mortar, t**3 - t, atol=1e-13)
-    back = project_between(on_mortar, (4,), (6,), ("upper",), "from-mortar")
+    back = fit((4,), (6,), ("upper",)) @ on_mortar
     np.testing.assert_allclose(back, data, atol=1e-12)
 
 
-def test_project_between_constants_and_guards():
-    const = np.ones(4)
-    out = project_between(const, (4,), (5,), ("lower",), "to-mortar")
+def test_single_mortar_fit_constants_and_guards():
+    out = prolongation_matrix((4,), (5,), ("lower",)) @ np.ones(4)
     np.testing.assert_allclose(out, 1.0, atol=1e-14)
-    back = project_between(np.ones(5), (4,), (5,), ("lower",), "from-mortar")
+    back = fit((4,), (5,), ("lower",)) @ np.ones(5)
     np.testing.assert_allclose(back, 1.0, atol=1e-12)
-    with pytest.raises(ValueError):
-        project_between(const, (4,), (5,), ("lower",), "sideways")
-    with pytest.raises(ValueError):
-        project_between(np.ones(7), (4,), (5,), ("lower",), "to-mortar")
+    with pytest.raises(ValueError, match="measure length"):
+        fit((4,), (5,), ("lower",), measure=np.ones(7))
 
 
 def test_flat_paths_are_memoized():
@@ -207,6 +216,6 @@ def test_flat_paths_are_memoized():
     b = prolongation_matrix((4,), (5,), ("lower",))
     assert a is b
     assert not a.flags.writeable
-    c = restriction_matrix((4,), (5,), ("lower",))
-    d = restriction_matrix((4,), (5,), ("lower",))
-    assert c is d
+    c = mortar_logical_weights((5,), ("lower",))
+    assert c is mortar_logical_weights((5,), ("lower",))
+    assert not c.flags.writeable

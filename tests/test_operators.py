@@ -24,7 +24,6 @@ from ipdg.mesh import (
     build_annulus_mesh,
     build_rectilinear_mesh,
     face_shape,
-    face_slices,
     mortar_topology,
     split_element,
     with_degrees,
@@ -33,9 +32,8 @@ from ipdg.mortars import prolongation_matrix
 from ipdg.operators import (
     FieldVector,
     OperatorHandle,
+    _Group,
     _apply_1d,
-    apply_lifting,
-    apply_stiffness,
     auxiliary_numerical_flux,
     exterior_ghost_data,
     lumped_mass_diag,
@@ -111,80 +109,92 @@ def test_lumped_mass_rejects_degenerate_background():
 
 
 # -- stiffness ---------------------------------------------------------
+#
+# on one element alone as the operator's `_Group`, whose arrays are stacked in
+# point order, (..., 1 element, n_{d-1}, ..., n_0)
 
 
 def test_stiffness_constant_flux_is_zero():
-    el = unit_mesh_2d(3, 0).elements[0]
-    f = np.ones((1, 2) + el.grid_shape)
-    out = apply_stiffness(el, BG, f, "strong")
+    group = _Group(unit_mesh_2d(3, 0).elements, [0], [0], BG, 0)
+    out = group.stiffness(np.ones((1, 2) + group.shape), "strong")
     assert np.max(np.abs(out)) < 1e-13
 
 
 def test_stiffness_1d_quadratic():
     # F = xi^2 on [-1,1], n=4: exact polynomial differentiation gives M * 2xi
     el = build_rectilinear_mesh([(-1.0, 1.0)], levels=(0,), degrees=(3,)).elements[0]
-    x = el.coords()
-    f = (x[0] ** 2)[None, None]
-    out = apply_stiffness(el, BG, f, "strong")
-    expect = lumped_mass_diag(el, BG) * 2.0 * x[0]
+    group = _Group([el], [0], [0], BG, 0)
+    (x,) = group.coords
+    out = group.stiffness((x**2)[None, None], "strong")
+    expect = lumped_mass_diag(el, BG) * 2.0 * x
     np.testing.assert_allclose(out[0], expect, atol=1e-13)
 
 
 def test_stiffness_2d_polynomial_divergence():
     el = unit_mesh_2d(4, 0).elements[0]
-    x, y = el.coords()
-    f = np.stack([x**2 * y, x * y])[None]
-    out = apply_stiffness(el, BG, f, "strong")
-    expect = lumped_mass_diag(el, BG) * (2 * x * y + x)
+    group = _Group([el], [0], [0], BG, 0)
+    x, y = group.coords
+    out = group.stiffness(np.stack([x**2 * y, x * y])[None], "strong")
+    expect = lumped_mass_diag(el, BG).T * (2 * x * y + x)
     np.testing.assert_allclose(out[0], expect, atol=1e-12)
 
 
 def test_stiffness_strong_plus_weak_is_boundary_flux():
     # discrete Gauss identity: summing both forms leaves the face quadrature
-    # of n_i F^i
-    el = unit_mesh_2d(8, 0).elements[0]
-    x, y = el.coords()
+    # of n_i F^i, the massive lift of the outward normal flux
+    group = _Group(unit_mesh_2d(8, 0).elements, [0], [0], BG, 0)
+    x, y = group.coords
     f = np.stack([np.sin(x + y), np.cos(x - y)])[None]
-    total = (
-        apply_stiffness(el, BG, f, "strong") + apply_stiffness(el, BG, f, "weak")
-    ).sum()
+    total = (group.stiffness(f, "strong") + group.stiffness(f, "weak")).sum()
+    traces = np.empty((1, 2, group.face_end))
+    group.traces(f, traces)
     boundary = 0.0
-    for dim in range(2):
-        for side in (-1, 1):
-            sl = face_slices(2, dim, side)
-            nf = float(side) * f[0, dim][sl[1:]]
-            boundary += apply_lifting(el, BG, dim, side, nf[None]).sum()
+    for face in group.faces:
+        dim, side = face.key
+        boundary += lift_face(group, dim, side, side * traces[:, dim, face.span]).sum()
     assert abs(total - boundary) < 1e-10
 
 
 def test_stiffness_rejects_unknown_form():
-    el = unit_mesh_1d(2).elements[0]
-    with pytest.raises(ValueError):
-        apply_stiffness(el, BG, np.zeros((1, 1, 3)), "flux")
+    with pytest.raises(ConfigurationError, match="operator.form"):
+        OperatorHandle(unit_mesh_1d(2), POISSON_1D, BG,
+                       BoundaryMap.everywhere(DirichletBC(0.0)), form="flux")
 
 
 # -- lifting -----------------------------------------------------------
 
 
+def lift_face(group, dim, side, face_values, massive=True):
+    """(components, face points) data on face (dim, side) of a one-element
+    group, lifted into a new (components, *group.shape) volume array."""
+    face = next(f for f in group.faces if f.key == (dim, side))
+    buf = np.zeros((len(face_values), group.face_end))
+    buf[:, face.span] = face_values
+    out = np.zeros((len(face_values),) + group.shape)
+    group.lift(out, buf, massive)
+    return out
+
+
 def test_lifting_1d_reference_values():
     el = build_rectilinear_mesh([(-1.0, 1.0)], levels=(0,), degrees=(2,)).elements[0]
-    massless = apply_lifting(el, BG, 0, +1, np.array([[1.0]]), massive=False)
-    np.testing.assert_allclose(massless, [[0.0, 0.0, 3.0]], atol=1e-14)
-    massive = apply_lifting(el, BG, 0, +1, np.array([[1.0]]))
-    np.testing.assert_allclose(massive, [[0.0, 0.0, 1.0]], atol=1e-14)
+    group = _Group([el], [0], [0], BG, 0)
+    massless = lift_face(group, 0, +1, np.array([[1.0]]), massive=False)
+    np.testing.assert_allclose(massless[:, 0], [[0.0, 0.0, 3.0]], atol=1e-14)
+    massive = lift_face(group, 0, +1, np.array([[1.0]]))
+    np.testing.assert_allclose(massive[:, 0], [[0.0, 0.0, 1.0]], atol=1e-14)
 
 
 def test_lifting_zero_data():
-    el = unit_mesh_2d(3, 0).elements[0]
-    out = apply_lifting(el, BG, 1, -1, np.zeros((2, 4)))
-    assert not out.any()
+    group = _Group(unit_mesh_2d(3, 0).elements, [0], [0], BG, 0)
+    assert not lift_face(group, 1, -1, np.zeros((2, 4))).any()
 
 
 def test_lifting_interior_points_exactly_zero():
-    el = unit_mesh_2d(4, 0).elements[0]
-    out = apply_lifting(el, BG, 0, +1, np.random.default_rng(3).normal(size=(1, 5)))
-    assert not out[0, :-1, :].any()
-    assert out[0, -1, :].all()
+    # the face dim 0, side +1 is the last point along the fastest axis
+    group = _Group(unit_mesh_2d(4, 0).elements, [0], [0], BG, 0)
+    out = lift_face(group, 0, +1, np.random.default_rng(3).normal(size=(1, 5)))
+    assert not out[0, 0, :, :-1].any()
+    assert out[0, 0, :, -1].all()
 
 
 def test_lifting_rejects_gauss_grids():
@@ -193,7 +203,7 @@ def test_lifting_rejects_gauss_grids():
             return (gauss_nodes_weights(3),)
 
     with pytest.raises(UnsupportedFeatureError):
-        apply_lifting(GaussElement(), BG, 0, +1, np.array([[1.0]]))
+        _Group([GaussElement()], [0], [0], BG, 0)
 
 
 # -- penalty -----------------------------------------------------------
@@ -1012,10 +1022,60 @@ def test_face_buffer_partition_rejects_uncovered_or_doubled_points(monkeypatch):
         (topology.mortars, topology.external_faces + topology.external_faces[:1]),
         (topology.mortars + topology.mortars[:1], topology.external_faces),
     ):
-        broken = MeshTopology(mortars, external, topology.face_mortars)
+        broken = MeshTopology(mortars, external)
         monkeypatch.setattr("ipdg.operators.mortar_topology", lambda mesh: broken)
         with pytest.raises(TopologyError, match="not covered exactly once"):
             OperatorHandle(mesh, POISSON_2D, BG, bcs)
+
+
+@pytest.mark.parametrize(
+    "case", [split_square, raised_square, split_box_3d, split_annulus, raised_curved]
+)
+def test_mortar_restriction_is_the_adjoint_of_prolongation(case):
+    # the restriction as the operator applies it (`add_restricted`), against
+    # P built from the topology and W_f read from the face buffer: W_f R =
+    # P^T W_m on every non-identity side, and P is stored as None exactly
+    # where it is the identity. Summed over a face's mortars, R 1 = 1: to
+    # round-off under a flat background; under the curved one only to the
+    # error of the face's LGL rule on I(measure) times a face polynomial,
+    # which the lumped W_f applies and the finer mortar rule does not
+    # (1.3e-4 on this mesh)
+    mesh, bg = case()
+    handle = OperatorHandle(mesh, make_system("poisson-flat", dim=mesh.dim), bg,
+                            BoundaryMap.everywhere(DirichletBC(0.0)))
+    cache = handle._cache
+    by_starts = {
+        tuple(cache.face_spans[(s.element, s.dim, s.side)].start for s in m.sides): m
+        for m in handle.topology.mortars
+    }
+    constants = np.zeros(cache.n_face_points)
+    n_checked = 0
+    for mg in cache.mortar_groups:
+        n_m, q = mg.weights.shape
+        mortars = [by_starts[(a[0], b[0])] for a, b in zip(*mg.index)]
+        for side in (0, 1):
+            mg.add_restricted(side, np.ones((n_m, q)), constants)
+            # R's columns: the restriction of every unit mortar vector
+            columns = np.zeros((n_m * q, cache.n_face_points))
+            mg.add_restricted(side, np.eye(n_m * q).reshape(n_m * q, n_m, q), columns)
+            for i, m in enumerate(mortars):
+                s = m.sides[side]
+                p = prolongation_matrix(
+                    face_shape(mesh.elements[s.element].grid_shape, s.dim), m.counts, s.coverage
+                )
+                identity = p.shape[0] == p.shape[1] and np.array_equal(p, np.eye(len(p)))
+                assert (mg.prolong[side] is None) == identity
+                if identity:
+                    continue
+                index = mg.index[side][i]
+                r = columns[i * q:(i + 1) * q, index].T
+                want = p.T * mg.weights[i]
+                got = cache.face_mass[index][:, None] * r
+                assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
+                n_checked += 1
+    assert n_checked > 0
+    tol = 1e-3 if case is raised_curved else 1e-14
+    np.testing.assert_allclose(constants[cache.restricted], 1.0, rtol=0, atol=tol)
 
 
 @pytest.mark.parametrize("case", [split_annulus, split_box_3d, raised_curved])
@@ -1085,8 +1145,9 @@ def test_handle_validation():
         OperatorHandle(mesh, POISSON_1D, BG, bcs)
     with pytest.raises(ConfigurationError):
         OperatorHandle(mesh, POISSON_2D, BG, bcs, form="weak-weak")
-    with pytest.raises(ConfigurationError):
-        OperatorHandle(mesh, POISSON_2D, BG, bcs, penalty_parameter=-1.0)
+    for penalty in (-1.0, np.nan, np.inf):
+        with pytest.raises(ConfigurationError, match="penalty_parameter"):
+            OperatorHandle(mesh, POISSON_2D, BG, bcs, penalty_parameter=penalty)
     with pytest.raises(ConfigurationError):
         OperatorHandle(
             mesh, POISSON_2D, BG, BoundaryMap({"x-lower": DirichletBC(0.0)})
@@ -1110,3 +1171,19 @@ def test_puncture_collocation_guard():
     bcs = BoundaryMap.everywhere(DirichletBC(0.0))
     with pytest.raises(SingularPointError):
         OperatorHandle(mesh, sys_, BG, bcs)
+
+
+def test_linearized_handle_does_not_repeat_the_puncture_check(monkeypatch):
+    # a linearized handle shares its parent's points, which the parent's
+    # construction already checked
+    sys_ = make_system("puncture", dim=3, punctures=[PunctureSpec(1.0, (0.1, 0.2, 0.3))])
+    mesh = build_rectilinear_mesh([(-1.0, 1.0)] * 3, levels=(1, 0, 0), degrees=(2, 3, 2))
+    calls = []
+    check = type(sys_).min_puncture_distance
+    monkeypatch.setattr(
+        type(sys_), "min_puncture_distance", lambda self, x: calls.append(x) or check(self, x)
+    )
+    handle = OperatorHandle(mesh, sys_, BG, BoundaryMap.everywhere(DirichletBC(0.0)))
+    assert len(calls) == len(handle._cache.groups) == 1
+    handle.linearized_at().linearized_at(FieldVector.zeros(mesh, 1))
+    assert len(calls) == 1
