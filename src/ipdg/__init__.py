@@ -36,7 +36,6 @@ from .errors import (
     ResourceCapError,
     SingularPointError,
     TopologyError,
-    UnsupportedFeatureError,
 )
 from .mesh import (
     build_annulus_mesh,
@@ -88,7 +87,6 @@ __all__ = [
     "ResourceCapError",
     "SingularPointError",
     "TopologyError",
-    "UnsupportedFeatureError",
     "build_annulus_mesh",
     "build_rectilinear_mesh",
     "refine_uniform",

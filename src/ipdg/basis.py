@@ -1,10 +1,11 @@
 """One-dimensional spectral collocation machinery on the reference interval [-1, 1].
 
-Provides Legendre-Gauss-Lobatto (LGL) and Legendre-Gauss (LG) nodes and
-quadrature weights, barycentric Lagrange interpolation, and nodal
-differentiation matrices. Node/weight/differentiation tables are memoized per
-node count and returned as read-only arrays, so callers may share them freely
-across threads.
+Elements collocate on Legendre-Gauss-Lobatto (LGL) grids only: the interval
+endpoints are nodes, so face traces are nodal values, and the LGL quadrature
+gives the diagonal (lumped) mass matrix. Provides LGL nodes and weights,
+barycentric Lagrange interpolation, and nodal differentiation matrices on LGL
+grids. Node/weight/differentiation tables are memoized per node count and
+returned as read-only arrays, so callers may share them freely across threads.
 """
 
 from __future__ import annotations
@@ -17,7 +18,6 @@ import numpy as np
 __all__ = [
     "NodeSet1D",
     "gauss_lobatto_nodes_weights",
-    "gauss_nodes_weights",
     "barycentric_weights",
     "interpolation_matrix",
     "differentiation_matrix",
@@ -29,12 +29,8 @@ _NEWTON_MAX_ITS = 60
 
 @dataclass(frozen=True)
 class NodeSet1D:
-    """Collocation nodes and quadrature weights on [-1, 1], ascending order.
+    """LGL nodes (endpoints included) and quadrature weights on [-1, 1], ascending."""
 
-    kind is "gauss-lobatto" (endpoints included) or "gauss" (interior only).
-    """
-
-    kind: str
     nodes: np.ndarray
     weights: np.ndarray
 
@@ -98,37 +94,7 @@ def gauss_lobatto_nodes_weights(n: int) -> NodeSet1D:
         p, _ = _legendre_pair(n - 1, x)
         weights[i] = 2.0 / (n * (n - 1) * p * p)
     weights = 0.5 * (weights + weights[::-1])  # enforce exact symmetry
-    return NodeSet1D("gauss-lobatto", _freeze(nodes), _freeze(weights))
-
-
-@lru_cache(maxsize=None)
-def gauss_nodes_weights(n: int) -> NodeSet1D:
-    """LG nodes (roots of P_n) and weights 2 / ((1-x^2) P_n'(x)^2), n >= 1."""
-    if n < 1:
-        raise ValueError(f"gauss node sets need n >= 1, got {n}")
-    nodes = np.zeros(n)
-    for i in range(n // 2):
-        # Standard asymptotic initial guess, descending in magnitude.
-        x = -np.cos(np.pi * (i + 0.75) / (n + 0.5))
-        for _ in range(_NEWTON_MAX_ITS):
-            p, _ = _legendre_pair(n, x)
-            dp = _legendre_deriv(n, x)
-            dx = -p / dp
-            x += dx
-            if abs(dx) <= _NEWTON_TOL:
-                break
-        nodes[i] = x
-        nodes[n - 1 - i] = -x
-    weights = np.empty(n)
-    for i, x in enumerate(nodes):
-        if x == 0.0:
-            # P_n'(0) via recurrence is safe, but the identity needs |x| != 1 only.
-            dp = _legendre_deriv(n, 0.0) if n > 1 else 1.0
-        else:
-            dp = _legendre_deriv(n, x)
-        weights[i] = 2.0 / ((1.0 - x * x) * dp * dp)
-    weights = 0.5 * (weights + weights[::-1])
-    return NodeSet1D("gauss", _freeze(nodes), _freeze(weights))
+    return NodeSet1D(_freeze(nodes), _freeze(weights))
 
 
 def _as_nodes(nodes) -> np.ndarray:
@@ -168,13 +134,8 @@ def interpolation_matrix(source, targets) -> np.ndarray:
 
 
 @lru_cache(maxsize=None)
-def _differentiation_matrix_cached(kind: str, n: int) -> np.ndarray:
-    nodes = (
-        gauss_lobatto_nodes_weights(n)
-        if kind == "gauss-lobatto"
-        else gauss_nodes_weights(n)
-    )
-    x = nodes.nodes
+def _differentiation_matrix_cached(n: int) -> np.ndarray:
+    x = gauss_lobatto_nodes_weights(n).nodes
     lam = barycentric_weights(x)
     d = x[:, None] - x[None, :]
     np.fill_diagonal(d, 1.0)
@@ -185,18 +146,6 @@ def _differentiation_matrix_cached(kind: str, n: int) -> np.ndarray:
     return _freeze(mat)
 
 
-def differentiation_matrix(nodes) -> np.ndarray:
-    """Nodal differentiation matrix D_rq = l_q'(x_r) on the given nodes.
-
-    For NodeSet1D inputs the matrix is memoized per (kind, n).
-    """
-    if isinstance(nodes, NodeSet1D):
-        return _differentiation_matrix_cached(nodes.kind, nodes.n)
-    x = np.asarray(nodes, dtype=float)
-    lam = barycentric_weights(x)
-    d = x[:, None] - x[None, :]
-    np.fill_diagonal(d, 1.0)
-    mat = (lam[None, :] / lam[:, None]) / d
-    np.fill_diagonal(mat, 0.0)
-    np.fill_diagonal(mat, -mat.sum(axis=1))
-    return mat
+def differentiation_matrix(nodes: NodeSet1D) -> np.ndarray:
+    """Nodal differentiation matrix D_rq = l_q'(x_r) on an LGL node set, memoized per n."""
+    return _differentiation_matrix_cached(nodes.n)

@@ -17,10 +17,6 @@ class SingularPointError(IpdgError):
     """A collocation point coincides with a singular point of the problem."""
 
 
-class UnsupportedFeatureError(IpdgError):
-    """A requested combination of options is outside the supported envelope."""
-
-
 class ConfigurationError(IpdgError):
     """A run configuration failed validation.
 

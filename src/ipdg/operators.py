@@ -77,7 +77,6 @@ from .errors import (
     DegenerateGeometryError,
     SingularPointError,
     TopologyError,
-    UnsupportedFeatureError,
 )
 from .mesh import face_shape, jacobian_at, mortar_topology
 from .mortars import mortar_logical_weights, prolongation_matrix
@@ -322,13 +321,6 @@ def penalty_sigma(p_int, p_ext, h_int, h_ext, c):
     return c * (p + 1) ** 2 / h
 
 
-def _lgl_node_sets(element):
-    node_sets = element.node_sets()
-    if any(ns.kind != "gauss-lobatto" for ns in node_sets):
-        raise UnsupportedFeatureError("mass-lumped lifting requires LGL element grids")
-    return node_sets
-
-
 def _weight_product(weights):
     """Tensor product of 1D quadrature weights, in natural grid order."""
     out = np.ones(tuple(w.size for w in weights))
@@ -375,7 +367,7 @@ class _Group:
 
     def __init__(self, elements, members, offsets, background, face_start):
         first = elements[0]
-        node_sets = _lgl_node_sets(first)
+        node_sets = first.node_sets()
         n_el, n = len(members), first.n_points
         starts = np.asarray(offsets)[members]
         if members[-1] - members[0] + 1 == n_el:
@@ -471,7 +463,7 @@ class _Group:
 
 def lumped_mass_diag(element, background):
     """Diagonal mass sqrt(g) J prod(w) at every grid point."""
-    weights = [ns.weights for ns in _lgl_node_sets(element)]
+    weights = [ns.weights for ns in element.node_sets()]
     xi = element.logical_grid()
     _, det, _ = jacobian_at(element, xi)
     return _lumped_mass(

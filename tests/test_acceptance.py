@@ -3,8 +3,8 @@
 Every test here exercises the discretization through its public interface and
 checks a documented numerical property at quantitative tolerance: convergence
 rates of manufactured solutions, equivalence of the first-order and compact
-operators, matrix symmetry and sparsity structure, mortar exactness, and the
-nonlinear puncture solves.
+operators, matrix symmetry and sparsity structure, and the nonlinear puncture
+solves.
 
 Convergence studies invert the assembled compact matrix directly so measured
 errors reflect the discretization alone, not an iterative solver tolerance.
@@ -50,7 +50,6 @@ from ipdg import (
 )
 from ipdg.basis import gauss_lobatto_nodes_weights
 from ipdg.mesh import face_shape, mortar_topology
-from ipdg.mortars import face_restriction_family, prolongation_matrix
 
 BG = FlatBackground()
 POISSON = make_system("poisson-flat", dim=2)
@@ -254,19 +253,6 @@ def test_massive_strong_matrix_is_not_symmetric():
     )
     defect = symmetry_defect(assemble_explicit(handle).matrix.toarray())
     assert defect >= 1e-3
-
-
-# --- mortar projections ----------------------------------------------------
-
-def test_mortar_restriction_inverts_prolongation():
-    # every realizable face/mortar degree pairing, whole face or either half
-    for face_degree in range(2, 9):
-        for mortar_degree in range(face_degree, 9):
-            for coverage in ("full", "lower", "upper"):
-                nf, nm = face_degree + 1, mortar_degree + 1
-                p = prolongation_matrix((nf,), (nm,), (coverage,))
-                (r,) = face_restriction_family((nf,), [((nm,), (coverage,), None)])
-                assert np.abs(r @ p - np.eye(nf)).max() <= 1e-12
 
 
 def test_nonconforming_mesh_converges_at_high_order():

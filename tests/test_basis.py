@@ -1,20 +1,18 @@
 """Unit tests for the 1D spectral basis utilities.
 
 Expected values are either hand-derivable closed forms (frozen below) or
-checked against independent oracles: direct monomial integration for
-quadrature exactness and scipy's Gauss rules for node placement.
+checked against an independent oracle: direct monomial integration for
+quadrature exactness.
 """
 
 import numpy as np
 import pytest
-from scipy.special import roots_legendre
 
 from ipdg.basis import (
     NodeSet1D,
     barycentric_weights,
     differentiation_matrix,
     gauss_lobatto_nodes_weights,
-    gauss_nodes_weights,
     interpolation_matrix,
 )
 
@@ -78,36 +76,6 @@ class TestGaussLobatto:
         assert a.nodes is b.nodes
         with pytest.raises(ValueError):
             a.nodes[0] = 0.0
-
-
-class TestGauss:
-    def test_two_points(self):
-        ns = gauss_nodes_weights(2)
-        r = 1.0 / np.sqrt(3.0)
-        np.testing.assert_allclose(ns.nodes, [-r, r], atol=1e-15)
-        np.testing.assert_allclose(ns.weights, [1.0, 1.0], rtol=1e-15)
-
-    def test_three_points(self):
-        ns = gauss_nodes_weights(3)
-        r = np.sqrt(3.0 / 5.0)
-        np.testing.assert_allclose(ns.nodes, [-r, 0.0, r], atol=1e-15)
-        np.testing.assert_allclose(
-            ns.weights, [5.0 / 9.0, 8.0 / 9.0, 5.0 / 9.0], rtol=1e-14
-        )
-
-    @pytest.mark.parametrize("n", range(1, 13))
-    def test_against_scipy(self, n):
-        ns = gauss_nodes_weights(n)
-        x, w = roots_legendre(n)
-        np.testing.assert_allclose(ns.nodes, x, atol=1e-14)
-        np.testing.assert_allclose(ns.weights, w, atol=1e-14)
-
-    @pytest.mark.parametrize("n", range(1, 11))
-    def test_quadrature_exact_to_degree_2n_minus_1(self, n):
-        ns = gauss_nodes_weights(n)
-        for k in range(0, 2 * n):
-            q = np.dot(ns.weights, ns.nodes**k)
-            assert abs(q - monomial_integral(k)) < 1e-14, (n, k)
 
 
 class TestInterpolation:
@@ -180,7 +148,7 @@ def test_barycentric_weights_equispaced():
 
 
 def test_nodeset_is_frozen():
-    ns = gauss_nodes_weights(4)
+    ns = gauss_lobatto_nodes_weights(4)
     assert isinstance(ns, NodeSet1D)
     with pytest.raises(AttributeError):
-        ns.kind = "other"
+        ns.nodes = np.zeros(4)

@@ -89,6 +89,42 @@ def test_solve_failure_exit_code(tmp_path, capsys):
     assert "solver failed" in capsys.readouterr().err
 
 
+PUNCTURE_OVERRIDES = {
+    "system": {
+        "name": "puncture",
+        "punctures": [
+            {"mass": 0.5, "position": [3.0, 0.0, 0.0], "momentum": [0.0, 0.2, 0.0]},
+            {"mass": 0.5, "position": [-3.0, 0.0, 0.0], "momentum": [0.0, -0.2, 0.0]},
+        ],
+    },
+    "domain": {"kind": "rectilinear", "bounds": [[-10.0, 10.0]] * 3},
+    "refinement": {"levels": [1, 1, 1], "degrees": [3, 3, 3]},
+    "solution": None,
+    "boundary_conditions": {"all": {"type": "falloff"}},
+    "operator": {"form": "strong-weak"},
+}
+
+
+def test_solve_nonlinear_runs_newton(tmp_path, capsys):
+    path = write_config(tmp_path, PUNCTURE_OVERRIDES)
+    assert main(["solve", "--config", path]) == 0
+    error, iterations, residual, converged = read_report(tmp_path)
+    assert error == ""  # no analytic solution to compare with
+    assert iterations == "2"  # Newton steps, not Krylov iterations
+    assert 0.0 <= float(residual) <= 1e-10
+    assert converged == "true"
+    assert "error n/a, 2 iterations" in capsys.readouterr().out
+
+
+def test_solve_nonlinear_failure_exit_code(tmp_path, capsys):
+    overrides = dict(
+        PUNCTURE_OVERRIDES, newton={"tolerance": 1.0e-14, "max_iterations": 1}
+    )
+    assert main(["solve", "--config", write_config(tmp_path, overrides)]) == 3
+    assert "solver failed: 1 iterations" in capsys.readouterr().err
+    assert not (tmp_path / "test-report.csv").exists()
+
+
 def test_solve_deterministic_output(tmp_path):
     path = write_config(tmp_path)
     assert main(["solve", "--config", path]) == 0

@@ -4,18 +4,22 @@ Jacobians are checked against central finite differences of the maps; the
 annulus is checked by integrating its area with the mesh quadrature.
 """
 
+import dataclasses
 import itertools
+import re
 
 import numpy as np
 import pytest
 
 from ipdg.background import FlatBackground
+from ipdg.boundaries import BoundaryMap, DirichletBC
 from ipdg.errors import DegenerateGeometryError, TopologyError
 from ipdg.mesh import (
     _at_block_boundary,
     AffineMap,
     AnnulusWedgeMap,
     ComposedMap,
+    Mesh,
     build_annulus_mesh,
     build_rectilinear_mesh,
     face_shape,
@@ -26,7 +30,8 @@ from ipdg.mesh import (
     split_element,
     with_degrees,
 )
-from ipdg.operators import _MeshCache
+from ipdg.operators import OperatorHandle, _MeshCache
+from ipdg.systems import make_system
 
 
 def fd_jacobian(cmap, xi, eps=1e-6):
@@ -125,6 +130,38 @@ class TestJacobianAt:
         # det = r * dr/dxi * dtheta/deta with dr/dxi = 1/2, dtheta/deta = pi/4
         r = np.hypot(*e.coords())
         np.testing.assert_allclose(det, r * 0.5 * (np.pi / 4), rtol=1e-12)
+
+    def test_reflected_map_rejected(self):
+        class Reflected:
+            """`base` with the first logical axis reversed: det J < 0."""
+
+            def __init__(self, base):
+                self.base = base
+
+            def apply(self, xi):
+                xi = np.array(xi, dtype=float)
+                xi[0] = -xi[0]
+                return self.base.apply(xi)
+
+            def jacobian(self, xi):
+                xi = np.array(xi, dtype=float)
+                xi[0] = -xi[0]
+                jac = self.base.jacobian(xi)
+                jac[:, 0] = -jac[:, 0]
+                return jac
+
+        mesh = build_rectilinear_mesh([(0, 1), (0, 1)], (1, 0), (2, 2))
+        good, el = mesh.elements
+        bad = dataclasses.replace(el, map=Reflected(el.map))
+        message = f"non-positive Jacobian determinant in element {bad.id_string()}"
+        with pytest.raises(DegenerateGeometryError, match=re.escape(message)):
+            jacobian_at(bad, bad.logical_grid())
+        reflected = Mesh(mesh.dim, mesh.blocks, [good, bad])
+        bcs = BoundaryMap.everywhere(DirichletBC(0.0))
+        with pytest.raises(DegenerateGeometryError, match=re.escape(message)):
+            OperatorHandle(
+                reflected, make_system("poisson-flat", dim=2), FlatBackground(), bcs
+            )
 
     def test_annulus_area_by_quadrature(self):
         mesh = build_annulus_mesh(1.0, 2.0, 4, (1, 1), (4, 4))
@@ -271,6 +308,12 @@ class TestTopology:
         mesh = split_element(mesh, 1)
         with pytest.raises(TopologyError):
             mortar_topology(mesh)
+
+    def test_repeated_element_over_covers_its_neighbor(self):
+        mesh = build_rectilinear_mesh([(0, 1), (0, 1)], (1, 0), (2, 2))
+        repeated = Mesh(mesh.dim, mesh.blocks, mesh.elements + mesh.elements[:1])
+        with pytest.raises(TopologyError, match="covered 2.0x by mortars"):
+            mortar_topology(repeated)
 
     def test_annulus_is_periodic(self):
         mesh = build_annulus_mesh(1.0, 2.0, 4, (0, 0), (2, 2))

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from ipdg.background import ConformallyFlatBackground, FlatBackground, face_geometry
-from ipdg.basis import gauss_lobatto_nodes_weights, gauss_nodes_weights
+from ipdg.basis import gauss_lobatto_nodes_weights
 from ipdg.boundaries import (
     BoundaryCondition,
     BoundaryMap,
@@ -17,7 +17,6 @@ from ipdg.errors import (
     ConfigurationError,
     DegenerateGeometryError,
     TopologyError,
-    UnsupportedFeatureError,
 )
 from ipdg.mesh import (
     MeshTopology,
@@ -195,15 +194,6 @@ def test_lifting_interior_points_exactly_zero():
     out = lift_face(group, 0, +1, np.random.default_rng(3).normal(size=(1, 5)))
     assert not out[0, 0, :, :-1].any()
     assert out[0, 0, :, -1].all()
-
-
-def test_lifting_rejects_gauss_grids():
-    class GaussElement:
-        def node_sets(self):
-            return (gauss_nodes_weights(3),)
-
-    with pytest.raises(UnsupportedFeatureError):
-        _Group([GaussElement()], [0], [0], BG, 0)
 
 
 # -- penalty -----------------------------------------------------------

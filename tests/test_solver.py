@@ -6,12 +6,14 @@ import scipy.linalg
 import scipy.sparse
 
 from ipdg.background import FlatBackground
-from ipdg.boundaries import BoundaryMap, DirichletBC
+from ipdg.boundaries import BoundaryMap, DirichletBC, FalloffDirichletBC
 from ipdg.errors import ConfigurationError, ResourceCapError
 from ipdg.mesh import build_rectilinear_mesh, with_degrees
 from ipdg.operators import FieldVector, OperatorHandle, lumped_mass_diag
+import ipdg.solver
 from ipdg.solver import (
     ExplicitMatrix,
+    _cg,
     _gmres,
     assemble_explicit,
     schur_eliminate,
@@ -354,6 +356,34 @@ def test_nonconvergence_is_reported_not_raised():
     assert report.residual_norm > 1e-14
 
 
+def test_cg_stops_when_positive_definiteness_is_lost():
+    # p = b = (1, 1) gives p.Ap = 0 on diag(1, -1) before any step is taken
+    a = np.diag([1.0, -1.0])
+    x, its, history, ok, true_rel = _cg(lambda v: a @ v, np.ones(2), 1e-10, 10)
+    assert not x.any()
+    assert its == 0 and not ok and true_rel is None
+    assert history == [1.0]
+
+
+def test_cg_stops_at_max_iter_without_the_true_residual():
+    a = np.diag([1.0, 2.0, 3.0])
+    x, its, history, ok, true_rel = _cg(lambda v: a @ v, np.ones(3), 1e-10, 1)
+    assert its == 1 and not ok and true_rel is None
+    assert len(history) == 2 and history[1] > 1e-10
+
+
+def test_solve_linear_recomputes_the_residual_after_cg_max_iter():
+    handle = poisson_handle(1, 3, form="strong-weak")
+    b = np.sin(np.arange(handle.n_primal_dofs, dtype=float))
+    u, report = solve_linear(handle, b, method="cg", tol=1e-10, max_iter=1)
+    assert not report.converged and report.iterations == 1
+    # _cg handed back no true residual: solve_linear applied the operator once more
+    assert report.residual_norm == (
+        np.linalg.norm(b - handle.matvec(u.to_flat())) / np.linalg.norm(b)
+    )
+    assert report.residual_norm > 1e-10
+
+
 def _gmres_reference(matvec, b, tol, max_iter, restart, precond):
     """An earlier `_gmres`, kept verbatim as an oracle: its Hessenberg matrix,
     rotations and right-hand side are numpy arrays and scalars."""
@@ -543,6 +573,35 @@ def test_newton_divergence_reported():
     # every step's one-iteration inner solve failed, and the report says so
     assert len(report.inner) == report.iterations > 0
     assert all(not r.converged and r.iterations == 1 for r in report.inner)
+
+
+def test_newton_aborts_after_three_residual_increases(monkeypatch):
+    # every correction is negated, so each step doubles the residual: the
+    # third increase in a row ends the iteration well before max_iter
+    system = make_system(
+        "puncture", dim=3,
+        punctures=[PunctureSpec(1.0, (0.3, 0.2, 0.1), (0.0, 0.2, 0.0))],
+    )
+    mesh = build_rectilinear_mesh(
+        [(-10.0, 10.0)] * 3, levels=(1, 1, 1), degrees=(3, 3, 3)
+    )
+    bcs = BoundaryMap.everywhere(FalloffDirichletBC(0.5))
+    handle = OperatorHandle(mesh, system, BG, bcs, form="strong-weak")
+    inner = ipdg.solver.solve_linear
+
+    def negated(*args, **kwargs):
+        du, report = inner(*args, **kwargs)
+        return -1.0 * du, report
+
+    monkeypatch.setattr(ipdg.solver, "solve_linear", negated)
+    _, report = solve_newton(handle, handle.zero_primal(), max_iter=30)
+    assert not report.converged
+    assert report.iterations == 3
+    assert len(report.inner) == 3
+    h = np.array(report.residual_history)
+    assert len(h) == 4
+    np.testing.assert_allclose(h[1:] / h[:-1], 2.0, rtol=0.02)
+    assert report.residual_norm == h[-1]
 
 
 def test_penalty_removes_near_null_space():
