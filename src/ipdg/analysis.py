@@ -20,7 +20,6 @@ __all__ = [
     "l2_error",
     "convergence_rates",
     "symmetry_defect",
-    "export_sparsity",
     "write_convergence_csv",
 ]
 
@@ -142,13 +141,6 @@ def symmetry_defect(matrix) -> float:
     if scale == 0.0:
         return 0.0
     return float(np.max(np.abs(a - a.T)) / scale)
-
-
-def export_sparsity(matrix, threshold: float = 0.0):
-    """Row-major (row, col) pairs with |entry| above the threshold, 0-based."""
-    a = matrix.toarray() if hasattr(matrix, "toarray") else np.asarray(matrix)
-    rows, cols = np.nonzero(np.abs(a) > threshold)
-    return list(zip(rows.tolist(), cols.tolist()))
 
 
 def write_convergence_csv(series: ConvergenceSeries, path) -> None:

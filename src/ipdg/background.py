@@ -25,8 +25,6 @@ __all__ = [
 class FlatBackground:
     """Euclidean metric: g = delta, vanishing Christoffel symbols."""
 
-    kind = "flat"
-
     def metric(self, x):
         x = np.asarray(x)
         d = x.shape[0]
@@ -61,8 +59,6 @@ class ConformallyFlatBackground:
     Gamma^i_jk = delta^i_j d_k phi + delta^i_k d_j phi - delta_jk d^i phi,
     whose trace is Gamma^j_{ji} = d * d_i phi.
     """
-
-    kind = "conformally-flat"
 
     def __init__(self, phi, grad_phi):
         self.phi = phi

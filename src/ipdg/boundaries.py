@@ -1,12 +1,13 @@
 """Boundary conditions applied through exterior ghost data.
 
-Every condition is either dirichlet-kind (supplies boundary values of the
-primal field) or neumann-kind (supplies the boundary normal flux). The
-operator turns these into ghost exterior data on external faces
-(`operators.exterior_ghost_data`): the exterior is the interior minus twice
-the boundary value. Robin conditions fold the interior trace into a
-neumann-kind flux, degenerating to dirichlet when their flux coefficient
-vanishes.
+Every condition is either dirichlet-kind (supplies boundary values u_b of
+the primal field) or neumann-kind (supplies the boundary normal flux). The
+operator keeps one boundary array per kind over the external face points,
+n F_v(u_b) at dirichlet-kind points and the flux value at neumann-kind ones,
+and forms the ghost exterior data from them (`operators.exterior_ghost_data`):
+the exterior is the interior minus twice the boundary value. Robin
+conditions fold the interior trace into a neumann-kind flux, degenerating to
+dirichlet when their flux coefficient vanishes.
 
 values() receives flattened face arrays: points (d, n), unit normal (d, n)
 and primal trace (n_primal, n). The operator calls it once per condition
@@ -14,7 +15,8 @@ with the points of all the faces it covers, so n spans several faces and
 values must be pointwise. For a batch of vectors the points repeat once per
 vector of the batch. Trace-free conditions (`_TraceFree`) promise that their
 data ignore the trace: the operator evaluates them once, when a handle is
-built, and reuses them in every application.
+built, rejects them there with ConfigurationError unless they are finite,
+and reuses them in every application.
 """
 
 from __future__ import annotations
@@ -191,7 +193,10 @@ class FalloffDirichletBC(_TraceFree):
         dx = x - self.center.reshape(-1, *([1] * (x.ndim - 1)))
         r = np.sqrt(np.einsum("i...,i...->...", dx, dx))
         ncomp = np.asarray(u_trace).shape[0]
-        return np.broadcast_to(self.amplitude / r, (ncomp,) + r.shape).copy()
+        # inf or nan where r = 0, which the operator rejects as non-finite data
+        with np.errstate(divide="ignore", invalid="ignore"):
+            data = self.amplitude / r
+        return np.broadcast_to(data, (ncomp,) + r.shape).copy()
 
 
 class BoundaryMap:

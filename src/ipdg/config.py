@@ -269,7 +269,7 @@ def _validate_bcs(raw, has_solution):
         analytic = _boolean(sec.get("analytic", False), f"{path}.analytic")
         if analytic and not has_solution:
             _fail(f"{path}.analytic", "needs a configured analytic solution")
-        if kind in ("dirichlet", "neumann") and analytic and "value" in sec:
+        if analytic and "value" in sec:
             _fail(f"{path}.value", "give either value or analytic, not both")
         bc = {"type": kind, "analytic": analytic}
         if kind == "robin":

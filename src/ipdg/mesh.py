@@ -52,8 +52,6 @@ def _expand(v: np.ndarray, target_ndim: int) -> np.ndarray:
 class AffineMap:
     """Maps [-1, 1]^d onto the box [lower, upper] componentwise."""
 
-    kind = "affine"
-
     def __init__(self, lower, upper):
         self.lower = np.asarray(lower, dtype=float)
         self.upper = np.asarray(upper, dtype=float)
@@ -89,7 +87,6 @@ class AnnulusWedgeMap:
     theta_min to theta_max (counterclockwise).
     """
 
-    kind = "annulus-wedge"
     dim = 2
 
     def __init__(self, r_inner, r_outer, theta_min, theta_max):
@@ -127,8 +124,6 @@ class AnnulusWedgeMap:
 
 class ComposedMap:
     """Composition second(first(xi)); Jacobian by the chain rule."""
-
-    kind = "composed"
 
     def __init__(self, first, second):
         self.first = first

@@ -33,9 +33,9 @@ the element count:
 - the numerical fluxes are pointwise, so each phase exchanges in one pass
   over the face buffer: one gather through `partner` gives every point of a
   mortar whose prolongations are both the identity the matching point
-  across, each boundary condition's ghosts are written over its external
-  points, and one flux call gives the flux and jump everywhere. The flux
-  and ghost functions take and return plain arrays;
+  across, one ghost expression gives every external point its ghost, and
+  one flux call gives the flux and jump everywhere. The flux and ghost
+  functions take and return plain arrays;
 - mortars with a non-identity side replace the jump at their points: those
   with the same face grids, mortar grid and coverages form a group that
   gathers its sides from the face buffer with one index array each, prolongs
@@ -45,20 +45,28 @@ the element count:
 A batch of vectors (FieldVector.batch) rides through the same code as one
 more leading point axis: volume arrays are (components, batch, elements,
 *grid) and the face buffer is (components, batch, face points). Geometry,
-the linearization point and the penalty broadcast over it. A single vector
-simply has no batch axis. Boundary conditions never see the batch axis: it
-is folded into their point axis, with the face geometry repeated once per
-vector. In 2D and 3D each vector of a batch gets bit for bit the residual
-it gets alone. In 1D it may not: there a lone vector on a one-element
-group is a one-row dimension-0 product in `_apply_1d`, which BLAS rounds
-differently from a block of rows, by up to about 1e-13 relative.
+the linearization point, the penalty and the fixed boundary arrays
+broadcast over it. A single vector simply has no batch axis. Boundary
+conditions never see the batch axis: it is folded into their point axis,
+with the face geometry repeated once per vector. In 2D and 3D each vector
+of a batch gets bit for bit the residual it gets alone. In 1D it may not:
+there a lone vector on a one-element group is a one-row dimension-0
+product in `_apply_1d`, which BLAS rounds differently from a block of
+rows, by up to about 1e-13 relative.
+
+Boundary conditions fill two arrays over the external points, split by
+kind: n F_v(u_b) at dirichlet-kind points, the flux value at neumann-kind
+ones. A ghost is the interior minus twice its boundary value (the
+interior's own where the kind gives none), the penalty ghost 2 n F_u(aux*)
+minus the interior: the numerical flux on an external face is the boundary
+value.
 
 Work that is fixed for a handle or provably zero is not redone per
-application: the data of trace-free boundary conditions (`_TraceFree`) are
-evaluated once, when the handle is built, and the volume kernels contract
-only the (reference, physical) direction pairs whose inverse-Jacobian entry
-is not zero everywhere in the group, one per reference direction on
-rectilinear meshes.
+application: trace-free boundary conditions (`_TraceFree`) fill their part
+of the boundary arrays once, when the handle is built, and the volume
+kernels contract only the (reference, physical) direction pairs whose
+inverse-Jacobian entry is not zero everywhere in the group, one per
+reference direction on rectilinear meshes.
 """
 
 from __future__ import annotations
@@ -116,19 +124,10 @@ def _fold(buf, index):
     """Face-buffer values at `index`, a batch folded into the point axis.
 
     (c, ..., face points) -> (c, points), the selected points of one vector
-    after those of the previous one; boundary conditions see only this form.
+    after those of the previous one; boundary conditions see only this form,
+    with the face geometry tiled once per vector.
     """
     return buf[..., index].reshape(buf.shape[0], -1)
-
-
-def _repeat(arr, reps):
-    """`arr` repeated `reps` times along its last axis, as `_fold` lays out."""
-    return arr if reps == 1 else np.tile(arr, reps)
-
-
-def _unfold(values, lead):
-    """Inverse of `_fold` for a batch shaped `lead`."""
-    return values.reshape(values.shape[:1] + lead + (-1,))
 
 
 def _contract_normal(normal, fluxes):
@@ -260,56 +259,32 @@ def primal_numerical_flux(deriv, pen, ext_deriv, ext_pen, sigma):
     return 0.5 * (deriv - ext_deriv) - sigma * (pen - ext_pen)
 
 
-def _condition_data(bc, x, normal, trace, lin_trace):
-    """The condition's boundary value, or its linearization about `lin_trace`."""
-    if lin_trace is None:
-        return bc.values(x, normal, trace)
-    return bc.linearized_values(x, normal, lin_trace, trace)
-
-
-def exterior_ghost_data(
-    bc, system, background, x, normal, trace, aux_flux=None, deriv_flux=None,
-    penalty_flux=None, lin_trace=None, aux_boundary=None, deriv_boundary=None,
-):
-    """Ghost exterior (aux_flux, deriv_flux, penalty_flux) on external face points.
-
-    Arrays are (components, points), the fluxes projected on the interior's
-    outward normal as the numerical fluxes take them; `trace` is the primal
-    trace. Dirichlet-kind conditions set the auxiliary boundary flux to
-    n F_v(u_b), neumann-kind ones the derivative flux to their flux value;
-    the other boundary value is the interior one. The exterior is the
-    interior minus twice the boundary value, except that the penalty flux,
-    which the receiving side combines directly, is 2 n F_u(aux boundary)
-    minus the interior. `lin_trace`, the linearization point's primal trace,
-    selects the condition's linearized data: the map is then homogeneous.
-    `aux_boundary` passes in a boundary auxiliary flux computed earlier, and
-    `deriv_boundary` a neumann-kind condition's flux value; the condition is
-    then not asked for them, and `trace` may be None. A None flux has a None
-    exterior.
+def _boundary_values(bc, system, background, x, normal, trace, point):
+    """A condition's boundary-array entries at points x: n F_v(u_b) if
+    dirichlet-kind, else its flux value; linearized about `point`, the
+    linearization point's primal trace, unless that is None.
     """
-    if aux_boundary is None:
-        if bc.kind == "dirichlet":
-            ub = _condition_data(bc, x, normal, trace, lin_trace)
-            aux_boundary = _contract_normal(
-                normal, system.auxiliary_flux(ub, x, background)
-            )
-        else:
-            aux_boundary = aux_flux
-    ext_aux = ext_deriv = ext_pen = None
-    if aux_flux is not None:
-        ext_aux = aux_flux - 2.0 * aux_boundary
-    if deriv_flux is not None:
-        if bc.kind != "neumann":
-            deriv_boundary = deriv_flux
-        elif deriv_boundary is None:
-            deriv_boundary = _condition_data(bc, x, normal, trace, lin_trace)
-        ext_deriv = deriv_flux - 2.0 * deriv_boundary
-    if penalty_flux is not None:
-        penalty_boundary = _contract_normal(
-            normal, system.primal_flux(aux_boundary, x, background)
-        )
-        ext_pen = -penalty_flux + 2.0 * penalty_boundary
-    return ext_aux, ext_deriv, ext_pen
+    if point is None:
+        data = bc.values(x, normal, trace)
+    else:
+        data = bc.linearized_values(x, normal, point, trace)
+    if bc.kind == "dirichlet":
+        data = _contract_normal(normal, system.auxiliary_flux(data, x, background))
+    return data
+
+
+def exterior_ghost_data(interior, boundary):
+    """The ghost exterior of normal-projected face data: interior - 2 boundary."""
+    return interior - 2.0 * boundary
+
+
+def _join(a, b):
+    """a and b side by side on the last axis, broadcast over the others; no
+    copy when either is empty."""
+    if not (a.shape[-1] and b.shape[-1]):
+        return a if a.shape[-1] else b
+    lead = np.broadcast_shapes(a.shape[:-1], b.shape[:-1])
+    return np.concatenate([np.broadcast_to(c, lead + c.shape[-1:]) for c in (a, b)], axis=-1)
 
 
 def penalty_sigma(p_int, p_ext, h_int, h_ext, c):
@@ -724,32 +699,41 @@ class OperatorHandle:
             lin_traces = np.empty((system.n_primal, cache.n_face_points))
             for g, lin_g in zip(cache.groups, self._lin_groups):
                 g.traces(lin_g, lin_traces)
-        # external face points per condition object: (bc, face-buffer
-        # indices, coordinates, normals, linearization point's traces, fixed
-        # auxiliary boundary flux, fixed derivative boundary flux). The data
-        # of a trace-free condition do not depend on the field, so they are
-        # evaluated here, once: a dirichlet-kind condition's n F_v(u_b), a
-        # neumann-kind one's flux value (zeros when linearized)
+        # the boundary arrays over the external points, dirichlet-kind first
+        # (`_external`): trace-free conditions fill their positions here,
+        # once; the others (`_live`) overwrite theirs in every application
         by_bc = {}
         for tag, index in cache.external.items():
             bc = self.bcs.for_tag(tag)
             by_bc.setdefault(id(bc), (bc, []))[1].append(index)
-        self._boundaries = []
-        for bc, parts in by_bc.values():
-            index = np.concatenate(parts)
-            x, normal = cache.face_coords[:, index], cache.face_normal[:, index]
-            lin_b = None if lin_traces is None else lin_traces[:, index]
-            aux_b = deriv_b = None
-            if isinstance(bc, _TraceFree):
-                data = _condition_data(
-                    bc, x, normal, np.zeros((system.n_primal, index.size)), lin_b
+        conds = [(bc, np.concatenate(parts)) for bc, parts in by_bc.values()]
+        conds.sort(key=lambda c: c[0].kind == "neumann")  # stable
+        e = self._external = _concat([index for _, index in conds])
+        nd = self._n_dirichlet = sum(i.size for bc, i in conds if bc.kind == "dirichlet")
+        self._x, self._normal = cache.face_coords[:, e], cache.face_normal[:, e]
+        lin_e = None if lin_traces is None else lin_traces[:, e]
+        self._fixed = [
+            np.zeros((system.n_auxiliary, nd)), np.zeros((system.n_primal, e.size - nd))
+        ]
+        self._live, end = [], 0
+        for bc, index in conds:
+            start, end = end, end + index.size
+            k = int(bc.kind == "neumann")
+            pos, span = slice(start - k * nd, end - k * nd), slice(start, end)
+            x, normal = self._x[:, span], self._normal[:, span]
+            lin_b = None if lin_e is None else lin_e[:, span]
+            if not isinstance(bc, _TraceFree):
+                self._live.append((bc, k, pos, index, x, normal, lin_b))
+                continue
+            data = self._fixed[k][:, pos] = _boundary_values(
+                bc, system, background, x, normal, np.zeros((system.n_primal, index.size)), lin_b
+            )
+            if not np.isfinite(data).all():
+                key = next(t for t, c in self.bcs.table.items() if c is bc)
+                where = x[:, np.argmin(np.isfinite(data).all(axis=0))].tolist()
+                raise ConfigurationError(
+                    f"boundary_conditions.{key}", f"non-finite boundary data at x = {where}"
                 )
-                if bc.kind == "dirichlet":
-                    aux_b = _contract_normal(normal, system.auxiliary_flux(data, x, background))
-                else:
-                    deriv_b = data
-                lin_b = None
-            self._boundaries.append((bc, index, x, normal, lin_b, aux_b, deriv_b))
 
     # -- bookkeeping ---------------------------------------------------
 
@@ -841,15 +825,11 @@ class OperatorHandle:
 
         Returns per group the strong flux divergences and the reconstructed
         fields; as face buffers the projected auxiliary fluxes and their
-        numerical flux; per boundary condition (condition, face-buffer index,
-        points, normals, linearized traces, primal trace, fixed derivative
-        boundary flux), folded as `_fold` does. A trace-free condition gets
-        no traces: its data were fixed when the handle was built.
+        numerical flux; and the neumann-kind boundary array.
         """
         cache = self._cache
         sys_, bg = self.system, self.background
         lead = u_rows.shape[1:-1]
-        reps = math.prod(lead)
         traces = np.empty((sys_.n_primal,) + lead + (cache.n_face_points,))
         ws = []
         for g in cache.groups:
@@ -860,21 +840,26 @@ class OperatorHandle:
             cache.face_normal, sys_.auxiliary_flux(traces, cache.face_coords, bg)
         )
 
-        # the exterior: the partner's value, or the ghost on external faces
+        # the fixed boundary arrays, copied only to take the values of the
+        # conditions that read the trace
+        arrays = [a.reshape(a.shape[:1] + (1,) * len(lead) + a.shape[1:]) for a in self._fixed]
+        if self._live:
+            arrays = [np.broadcast_to(a, a.shape[:1] + lead + a.shape[-1:]).copy() for a in arrays]
+            reps = math.prod(lead)
+            for bc, k, pos, index, x, normal, lin_b in self._live:
+                x, normal, lin_b = (
+                    a if a is None or reps == 1 else np.tile(a, reps) for a in (x, normal, lin_b)
+                )
+                values = _boundary_values(bc, sys_, bg, x, normal, _fold(traces, index), lin_b)
+                arrays[k][..., pos] = values.reshape(values.shape[:1] + lead + (-1,))
+        aux_b, flux_b = arrays
+
+        # the exterior: the partner's value, or the ghost on external faces,
+        # whose boundary value is the interior's at neumann-kind points
         ext = aux[..., cache.partner]
-        boundaries = []
-        for bc, i, x, normal, lin_b, aux_b, deriv_b in self._boundaries:
-            x, normal, lin_b, aux_b, deriv_b = (
-                None if a is None else _repeat(a, reps)
-                for a in (x, normal, lin_b, aux_b, deriv_b)
-            )
-            trace = None if isinstance(bc, _TraceFree) else _fold(traces, i)
-            ghost, _, _ = exterior_ghost_data(
-                bc, sys_, bg, x, normal, trace, aux_flux=_fold(aux, i), lin_trace=lin_b,
-                aux_boundary=aux_b,
-            )
-            ext[..., i] = _unfold(ghost, lead)
-            boundaries.append((bc, i, x, normal, lin_b, trace, deriv_b))
+        e, nd = self._external, self._n_dirichlet
+        interior = aux[..., e]
+        ext[..., e] = exterior_ghost_data(interior, _join(aux_b, interior[..., nd:]))
         # on a ghost face the numerical flux is the boundary value itself
         star = auxiliary_numerical_flux(aux, ext)
         jumps = star - aux
@@ -889,7 +874,7 @@ class OperatorHandle:
         recon = [w.copy() for w in ws]
         for g, r in zip(cache.groups, recon):
             g.lift(r, jumps, massive=False)
-        return ws, recon, aux, star, boundaries
+        return ws, recon, aux, star, flux_b
 
     def _core(self, u, given_v):
         """Shared implementation of the compact and full operators.
@@ -906,7 +891,7 @@ class OperatorHandle:
         u_rows = self._rows(u.data)
         lead = u_rows.shape[1:-1]
 
-        ws, recon, aux, aux_star, boundaries = self._phase1(u_rows)
+        ws, recon, aux, aux_star, flux_b = self._phase1(u_rows)
         v_rows = None if given_v is None else self._rows(given_v.data)
         w_traces = np.empty((n_v,) + lead + (cache.n_face_points,))
         res_u, res_v = [], []
@@ -930,16 +915,15 @@ class OperatorHandle:
         deriv = _contract_normal(normal, sys_.primal_flux(w_traces, x, bg))
         pen = _contract_normal(normal, sys_.primal_flux(aux, x, bg))
 
-        # the exterior as in phase one
+        # the exterior as in phase one; the derivative's boundary value is the
+        # interior's at dirichlet-kind points
         ext_d, ext_p = deriv[..., cache.partner], pen[..., cache.partner]
-        for bc, i, xb, nb, lin_b, trace, deriv_b in boundaries:
-            _, ghost_d, ghost_p = exterior_ghost_data(
-                bc, sys_, bg, xb, nb, trace, deriv_flux=_fold(deriv, i),
-                penalty_flux=_fold(pen, i), lin_trace=lin_b,
-                aux_boundary=_fold(aux_star, i), deriv_boundary=deriv_b,
-            )
-            ext_d[..., i] = _unfold(ghost_d, lead)
-            ext_p[..., i] = _unfold(ghost_p, lead)
+        e, nd = self._external, self._n_dirichlet
+        interior = deriv[..., e]
+        ext_d[..., e] = exterior_ghost_data(interior, _join(interior[..., :nd], flux_b))
+        ext_p[..., e] = 2.0 * _contract_normal(
+            self._normal, sys_.primal_flux(aux_star[..., e], self._x, bg)
+        ) - pen[..., e]
         star = primal_numerical_flux(deriv, pen, ext_d, ext_p, self._face_sigma)
         # strong form subtracts the element's own exchanged flux
         jumps = deriv - star if strong else -star

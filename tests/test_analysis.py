@@ -9,7 +9,6 @@ import scipy.sparse
 from ipdg.analysis import (
     ConvergenceSeries,
     convergence_rates,
-    export_sparsity,
     l2_error,
     symmetry_defect,
     write_convergence_csv,
@@ -197,20 +196,6 @@ def test_symmetry_defect_sparse_input():
     assert symmetry_defect(a) == 0.0
     with pytest.raises(ValueError):
         symmetry_defect(np.ones((2, 3)))
-
-
-def test_sparsity_diagonal():
-    entries = export_sparsity(np.diag([1.0, 2.0, 3.0]))
-    assert entries == [(0, 0), (1, 1), (2, 2)]
-
-
-def test_sparsity_row_major_and_threshold_monotone():
-    rng = np.random.default_rng(3)
-    a = rng.normal(size=(6, 6)) * (rng.random((6, 6)) > 0.5)
-    low = export_sparsity(a, 0.1)
-    high = export_sparsity(a, 0.8)
-    assert set(high) <= set(low)
-    assert low == sorted(low)
 
 
 # -- csv ---------------------------------------------------------------

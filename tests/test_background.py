@@ -174,9 +174,9 @@ class TestFaceGeometry:
 
 
 def test_make_background_dispatch():
-    assert make_background("flat").kind == "flat"
+    assert type(make_background("flat")) is FlatBackground
     phi, grad = linear_phi([0.1, 0.0])
-    assert make_background("conformally-flat", phi, grad).kind == "conformally-flat"
+    assert type(make_background("conformally-flat", phi, grad)) is ConformallyFlatBackground
     with pytest.raises(ValueError):
         make_background("spherical")
     with pytest.raises(ValueError):

@@ -116,6 +116,18 @@ def test_solve_nonlinear_runs_newton(tmp_path, capsys):
     assert "error n/a, 2 iterations" in capsys.readouterr().out
 
 
+def test_falloff_singular_on_a_boundary_point_exit_code(tmp_path, capsys):
+    # the default falloff center, the origin, is a corner of the unit cube,
+    # so the data A / r are not finite there: a configuration error, found
+    # when the operator is built, not a non-finite residual in the solve
+    overrides = dict(
+        PUNCTURE_OVERRIDES, domain={"kind": "rectilinear", "bounds": [[0.0, 1.0]] * 3}
+    )
+    assert main(["solve", "--config", write_config(tmp_path, overrides)]) == 2
+    err = capsys.readouterr().err
+    assert "boundary_conditions.all: non-finite boundary data at x = [0.0, 0.0, 0.0]" in err
+
+
 def test_solve_nonlinear_failure_exit_code(tmp_path, capsys):
     overrides = dict(
         PUNCTURE_OVERRIDES, newton={"tolerance": 1.0e-14, "max_iterations": 1}

@@ -185,6 +185,18 @@ def test_value_and_analytic_conflict():
     expect_error(raw, "boundary_conditions.all.value")
 
 
+def test_robin_value_and_analytic_conflict():
+    # the analytic Robin data replace g, so a given value would be dropped
+    raw = base_config()
+    raw["solution"] = {"name": "sin-product"}
+    raw["boundary_conditions"]["all"] = {
+        "type": "robin", "a": 1.0, "b": 1.0, "value": 2.0, "analytic": True,
+    }
+    expect_error(raw, "boundary_conditions.all.value")
+    del raw["boundary_conditions"]["all"]["value"]
+    assert parse_config(raw).boundary_conditions["all"]["analytic"] is True
+
+
 def test_solution_params_validated():
     raw = base_config()
     raw["solution"] = {"name": "sin-product", "params": {"sigma": 2.0}}

@@ -33,6 +33,7 @@ from ipdg.operators import (
     OperatorHandle,
     _Group,
     _apply_1d,
+    _boundary_values,
     auxiliary_numerical_flux,
     exterior_ghost_data,
     lumped_mass_diag,
@@ -304,8 +305,19 @@ def ghost_setup(n_points=3, seed=11):
     return x, normal, (u, aux, deriv, u.copy())
 
 
-def ghost(bc, x, normal, data, **kwargs):
-    return exterior_ghost_data(bc, POISSON_2D, BG, x, normal, *data, **kwargs)
+def ghost(bc, x, normal, data, point=None):
+    """The ghost (aux, deriv, pen) the operator forms from the condition's
+    boundary-array entry: the interior's own value stands in for the one
+    the condition's kind does not give, and the penalty ghost is
+    2 n F_u(aux*) - pen with aux* the auxiliary numerical flux."""
+    u, aux, deriv, pen = data
+    boundary = _boundary_values(bc, POISSON_2D, BG, x, normal, u, point)
+    dirichlet = bc.kind == "dirichlet"
+    g_aux = exterior_ghost_data(aux, boundary if dirichlet else aux)
+    g_deriv = exterior_ghost_data(deriv, deriv if dirichlet else boundary)
+    star = auxiliary_numerical_flux(aux, g_aux)
+    flux = POISSON_2D.primal_flux(star, x, BG)
+    return g_aux, g_deriv, 2.0 * np.einsum("i...,ci...->c...", normal, flux) - pen
 
 
 def test_ghost_homogeneous_dirichlet_keeps_aux():
@@ -355,7 +367,7 @@ def test_ghost_robin_b0_degrades_to_dirichlet():
 def test_linearized_ghost_is_derivative_of_ghost(bc):
     # the ghost map at u0 perturbed both ways, against the linearized map
     # on the perturbation; the data differ from the linearized ones, so a
-    # map that ignored lin_trace would not match
+    # map that ignored the linearization point would not match
     x, normal, point = ghost_setup()
     _, _, pert = ghost_setup(seed=12)
     step = 1e-6
@@ -363,7 +375,7 @@ def test_linearized_ghost_is_derivative_of_ghost(bc):
         ghost(bc, x, normal, [p + s * step * d for p, d in zip(point, pert)])
         for s in (1.0, -1.0)
     )
-    lin = ghost(bc, x, normal, pert, lin_trace=point[0])
+    lin = ghost(bc, x, normal, pert, point=point[0])
     for got, a, b in zip(lin, plus, minus):
         fd = (a - b) / (2.0 * step)
         np.testing.assert_allclose(got, fd, rtol=1e-8, atol=1e-8 * np.abs(fd).max())
@@ -843,6 +855,36 @@ def test_trace_free_boundary_data_match_per_apply_evaluation():
                     np.testing.assert_array_equal(x.data, y.data)
 
 
+def test_live_dirichlet_kind_condition_matches_trace_free_one():
+    # Robin with b = 0 is dirichlet-kind with data g/a, but it is not
+    # trace-free: the handle asks it on every application and writes its
+    # values over the fixed boundary array; the bits equal Dirichlet's
+    mesh = split_element(with_degrees(unit_mesh_2d(3, 1), 3, (4, 3)), 0)
+    elasticity = make_system("elasticity", dim=2, lame_lambda=1.3, shear_modulus=0.6)
+    neumann = NeumannBC(lambda x: np.stack([np.cos(2.0 * x[0]), x[1]]))
+    live, fixed = (
+        OperatorHandle(mesh, elasticity, BG, BoundaryMap({"y-upper": neumann, "all": bc}),
+                       form="strong-weak")
+        for bc in (RobinBC(2.0, 0.0, 0.8), DirichletBC(0.4))
+    )
+    assert len(live._live) == 1 and not fixed._live
+    rng = np.random.default_rng(24)
+    us = rng.standard_normal((3, live.n_primal_dofs))
+    np.testing.assert_array_equal(live.matvec(us[0]), fixed.matvec(us[0]))
+    point = FieldVector.from_flat(mesh, 2, 0.1 * us[0])
+    batch = FieldVector.batch(mesh, 2, us)
+    for a, b in ((live, fixed), (live.linearized_at(point), fixed.linearized_at(point))):
+        np.testing.assert_array_equal(a.apply(batch).data, b.apply(batch).data)
+
+
+@pytest.mark.parametrize("bc_type", [DirichletBC, NeumannBC])
+def test_non_finite_trace_free_data_rejected_at_construction(bc_type):
+    bad = bc_type(lambda x: np.where(x[1] > 0.5, np.nan, x[0]))
+    bcs = BoundaryMap({"x-lower": bad, "all": DirichletBC(0.0)})
+    with pytest.raises(ConfigurationError, match="boundary_conditions.x-lower: non-finite"):
+        OperatorHandle(unit_mesh_2d(2, 1), POISSON_2D, BG, bcs)
+
+
 def test_batch_guards():
     mesh = unit_mesh_1d(2)
     handle = OperatorHandle(mesh, POISSON_1D, BG, BoundaryMap.everywhere(DirichletBC(0.0)))
@@ -1104,8 +1146,14 @@ def test_full_rhs_confined_to_face_points():
 
 
 def test_nan_guard_names_element():
+    # NaN data of a trace-free condition are rejected when the handle is
+    # built; those of a condition that reads the trace (Robin with b = 0,
+    # dirichlet-kind) reach the residual, whose guard names the element
     mesh = unit_mesh_1d(2)
-    bcs = BoundaryMap.everywhere(DirichletBC(lambda x: np.full_like(x, np.nan)))
+    nan = lambda x: np.full_like(x, np.nan)
+    with pytest.raises(ConfigurationError, match="non-finite boundary data"):
+        OperatorHandle(mesh, POISSON_1D, BG, BoundaryMap.everywhere(DirichletBC(nan)))
+    bcs = BoundaryMap.everywhere(RobinBC(1.0, 0.0, nan))
     handle = OperatorHandle(mesh, POISSON_1D, BG, bcs)
     u = FieldVector.zeros(mesh, 1)
     with pytest.raises(FloatingPointError, match="B0"):

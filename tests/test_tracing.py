@@ -82,7 +82,8 @@ def test_tracer_installs_and_uninstalls(tracing):
     assert all(getattr(operators, n) is f for n, f in originals.items())
     assert operators.OperatorHandle.apply is apply
     # per phase: one numerical flux over the face buffer and one per mortar
-    # group with a non-identity side; one ghost per boundary condition
+    # group with a non-identity side; one ghost expression over every
+    # external point, whatever the conditions
     assert names.count("operators.apply") == 1
     assert names.count("operators.face_flux") == 2 * (1 + n_groups)
-    assert names.count("operators.ghost") == 2 * 2
+    assert names.count("operators.ghost") == 2
