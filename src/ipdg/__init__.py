@@ -19,9 +19,6 @@ from .background import (
     make_background,
 )
 from .boundaries import (
-    AnalyticDirichletBC,
-    AnalyticNeumannBC,
-    AnalyticRobinBC,
     BoundaryMap,
     DirichletBC,
     FalloffDirichletBC,
@@ -71,9 +68,6 @@ __all__ = [
     "ConformallyFlatBackground",
     "FlatBackground",
     "make_background",
-    "AnalyticDirichletBC",
-    "AnalyticNeumannBC",
-    "AnalyticRobinBC",
     "BoundaryMap",
     "DirichletBC",
     "FalloffDirichletBC",

@@ -9,6 +9,11 @@ the exterior is the interior minus twice the boundary value. Robin
 conditions fold the interior trace into a neumann-kind flux, degenerating to
 dirichlet when their flux coefficient vanishes.
 
+Each condition takes its data as a number or a callable: Dirichlet data are
+values of u, value(x); Neumann and Robin data, n-projected fluxes, are
+value(x, normal). An `AnalyticSolution` supplies all three: field.value,
+neumann_data and robin_data(a, b).
+
 values() receives flattened face arrays: points (d, n), unit normal (d, n)
 and primal trace (n_primal, n). The operator calls it once per condition
 with the points of all the faces it covers, so n spans several faces and
@@ -24,26 +29,22 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ConfigurationError
-from .solutions import neumann_flux_data, robin_data
 
 __all__ = [
     "BoundaryCondition",
     "DirichletBC",
     "NeumannBC",
     "RobinBC",
-    "AnalyticDirichletBC",
-    "AnalyticNeumannBC",
-    "AnalyticRobinBC",
     "FalloffDirichletBC",
     "BoundaryMap",
 ]
 
 
-def _field(value, x, n_components):
-    """Evaluate a constant or callable boundary field to (n_components, n)."""
+def _field(value, n_components, x, *args):
+    """Evaluate a constant, or a callable of (x, *args), to (n_components, n)."""
     n = np.asarray(x).shape[-1]
     if callable(value):
-        out = np.asarray(value(x), dtype=float)
+        out = np.asarray(value(x, *args), dtype=float)
         if out.ndim == 1:
             out = np.broadcast_to(out, (n_components, n))
         if out.shape != (n_components, n):
@@ -88,27 +89,31 @@ class _TraceFree(BoundaryCondition):
 
 
 class DirichletBC(_TraceFree):
+    """u = value, a number or a callable value(x)."""
+
     kind = "dirichlet"
 
     def __init__(self, value):
         self.value = value
 
     def values(self, x, normal, u_trace):
-        return _field(self.value, x, np.asarray(u_trace).shape[0])
+        return _field(self.value, np.asarray(u_trace).shape[0], x)
 
 
 class NeumannBC(_TraceFree):
+    """n-projected primal flux = value, a number or a callable value(x, normal)."""
+
     kind = "neumann"
 
     def __init__(self, value):
         self.value = value
 
     def values(self, x, normal, u_trace):
-        return _field(self.value, x, np.asarray(u_trace).shape[0])
+        return _field(self.value, np.asarray(u_trace).shape[0], x, normal)
 
 
 class RobinBC(BoundaryCondition):
-    """a u + b (n-projected primal flux) = g.
+    """a u + b (n-projected primal flux) = g, a number or a callable g(x, normal).
 
     For b != 0 imposed as the neumann-kind flux (g - a u)/b using the
     interior trace; for b = 0 degrades to dirichlet data g/a.
@@ -122,12 +127,8 @@ class RobinBC(BoundaryCondition):
         self.g = g
         self.kind = "dirichlet" if b == 0.0 else "neumann"
 
-    def _g(self, x, normal, n_components):
-        return _field(self.g, x, n_components)
-
     def values(self, x, normal, u_trace):
-        ncomp = np.asarray(u_trace).shape[0]
-        g = self._g(x, normal, ncomp)
+        g = _field(self.g, np.asarray(u_trace).shape[0], x, normal)
         if self.kind == "dirichlet":
             return g / self.a
         return (g - self.a * np.asarray(u_trace)) / self.b
@@ -138,65 +139,20 @@ class RobinBC(BoundaryCondition):
         return -(self.a / self.b) * np.asarray(du_trace)
 
 
-class AnalyticDirichletBC(_TraceFree):
-    """Dirichlet data sampled from an analytic solution."""
-
-    kind = "dirichlet"
-
-    def __init__(self, solution):
-        self.solution = solution
-
-    def values(self, x, normal, u_trace):
-        return self.solution.field.value(x)
-
-
-class AnalyticNeumannBC(_TraceFree):
-    """Normal-flux data of an analytic solution."""
-
-    kind = "neumann"
-
-    def __init__(self, solution, system, background):
-        self.solution = solution
-        self.system = system
-        self.background = background
-
-    def values(self, x, normal, u_trace):
-        return neumann_flux_data(self.solution, self.system, self.background, x, normal)
-
-
-class AnalyticRobinBC(RobinBC):
-    """Robin data a u + b n.F_u manufactured from an analytic solution."""
-
-    def __init__(self, solution, system, background, a: float, b: float):
-        self.solution = solution
-        self.system = system
-        self.background = background
-        super().__init__(a, b, None)
-
-    def _g(self, x, normal, n_components):
-        return robin_data(
-            self.solution, self.system, self.background, x, normal, self.a, self.b
-        )
-
-
-class FalloffDirichletBC(_TraceFree):
+class FalloffDirichletBC(DirichletBC):
     """Dirichlet data A / |x - center|, the leading far-field fall-off."""
-
-    kind = "dirichlet"
 
     def __init__(self, amplitude: float = 0.0, center=(0.0, 0.0, 0.0)):
         self.amplitude = float(amplitude)
         self.center = np.asarray(center, dtype=float)
+        super().__init__(self._falloff)
 
-    def values(self, x, normal, u_trace):
-        x = np.asarray(x)
-        dx = x - self.center.reshape(-1, *([1] * (x.ndim - 1)))
+    def _falloff(self, x):
+        dx = x - self.center[:, None]
         r = np.sqrt(np.einsum("i...,i...->...", dx, dx))
-        ncomp = np.asarray(u_trace).shape[0]
         # inf or nan where r = 0, which the operator rejects as non-finite data
         with np.errstate(divide="ignore", invalid="ignore"):
-            data = self.amplitude / r
-        return np.broadcast_to(data, (ncomp,) + r.shape).copy()
+            return self.amplitude / r
 
 
 class BoundaryMap:

@@ -16,9 +16,6 @@ import yaml
 
 from .background import make_background
 from .boundaries import (
-    AnalyticDirichletBC,
-    AnalyticNeumannBC,
-    AnalyticRobinBC,
     BoundaryMap,
     DirichletBC,
     FalloffDirichletBC,
@@ -123,11 +120,13 @@ class RunConfig:
     output: dict
 
 
+# name -> parameter defaults; the lists (center, amplitudes) have none and
+# hold one entry per dimension
 _SOLUTION_PARAMS = {
-    "sin-product": {"amplitude", "wavenumber"},
-    "sin-product-vector": {"amplitudes", "wavenumber"},
-    "gaussian": {"center", "width", "amplitude"},
-    "zero": set(),
+    "sin-product": {"amplitude": 1.0, "wavenumber": 1.0},
+    "sin-product-vector": {"amplitudes": None, "wavenumber": 1.0},
+    "gaussian": {"center": None, "width": 1.0, "amplitude": 1.0},
+    "zero": {},
 }
 
 _BC_KEYS = {
@@ -242,18 +241,35 @@ def _validate_background(raw):
     }
 
 
-def _validate_solution(raw):
+def _validate_solution(raw, dim, n_primal):
     if raw is None:
         return None
     sec = _section(raw, "solution", required=("name",), optional=("params",))
     name = _string(sec["name"], "solution.name", set(_SOLUTION_PARAMS))
-    params = _section(
-        sec.get("params"), "solution.params", optional=tuple(_SOLUTION_PARAMS[name])
+    defaults = _SOLUTION_PARAMS[name]
+    given = _section(
+        sec.get("params"), "solution.params",
+        required=("center",) if name == "gaussian" else (), optional=tuple(defaults),
     )
+    params = {}
+    for key, default in defaults.items():
+        path = f"solution.params.{key}"
+        if default is not None:
+            params[key] = _number(given.get(key, default), path)
+        elif key in given:
+            params[key] = tuple(_number_list(given[key], path, dim))
+    if params.get("width") == 0.0:
+        _fail("solution.params.width", "must be nonzero")
+    components = dim if name == "sin-product-vector" else 1
+    if name != "zero" and components != n_primal:
+        _fail(
+            "solution.name",
+            f"{name!r} has {components} components, the system needs {n_primal}",
+        )
     return {"name": name, "params": params}
 
 
-def _validate_bcs(raw, has_solution):
+def _validate_bcs(raw, has_solution, dim):
     if not isinstance(raw, dict) or not raw:
         _fail("boundary_conditions", "expected a non-empty mapping of tags")
     out = {}
@@ -279,7 +295,9 @@ def _validate_bcs(raw, has_solution):
                 _fail(f"{path}.a", "robin needs a nonzero coefficient")
         if kind == "falloff":
             bc["amplitude"] = _number(sec.get("amplitude", 0.0), f"{path}.amplitude")
-            bc["center"] = tuple(_number_list(sec.get("center", [0.0] * 3), f"{path}.center", 3))
+            bc["center"] = tuple(
+                _number_list(sec.get("center", [0.0] * dim), f"{path}.center", dim)
+            )
         elif not analytic:
             bc["value"] = _number(sec.get("value", 0.0), f"{path}.value")
         out[tag] = bc
@@ -358,7 +376,8 @@ def parse_config(raw) -> RunConfig:
     if system["name"] == "puncture" and dim != 3:
         _fail("domain", "the puncture system needs a 3D domain")
     refinement = _validate_refinement(top["refinement"], dim)
-    solution = _validate_solution(top.get("solution"))
+    n_primal = dim if system["name"] == "elasticity" else 1
+    solution = _validate_solution(top.get("solution"), dim, n_primal)
     operator = _validate_operator(top.get("operator"))
     solver = _validate_solver(top.get("solver"))
     if solver["method"] == "cg" and not operator["massive"]:
@@ -373,7 +392,7 @@ def parse_config(raw) -> RunConfig:
         background=_validate_background(top.get("background")),
         solution=solution,
         boundary_conditions=_validate_bcs(
-            top["boundary_conditions"], solution is not None
+            top["boundary_conditions"], solution is not None, dim
         ),
         operator=operator,
         solver=solver,
@@ -443,21 +462,16 @@ def _build_mesh(cfg):
     )
 
 
-def _build_bc(tag, sec, system, background, solution):
+def _build_bc(sec, solution):
     kind, analytic = sec["type"], sec["analytic"]
-    if kind == "dirichlet":
-        if analytic:
-            return AnalyticDirichletBC(solution)
-        return DirichletBC(sec["value"])
-    if kind == "neumann":
-        if analytic:
-            return AnalyticNeumannBC(solution, system, background)
-        return NeumannBC(sec["value"])
+    if kind == "falloff":
+        return FalloffDirichletBC(sec["amplitude"], sec["center"])
     if kind == "robin":
-        if analytic:
-            return AnalyticRobinBC(solution, system, background, sec["a"], sec["b"])
-        return RobinBC(sec["a"], sec["b"], sec["value"])
-    return FalloffDirichletBC(sec["amplitude"], sec["center"])
+        a, b = sec["a"], sec["b"]
+        return RobinBC(a, b, solution.robin_data(a, b) if analytic else sec["value"])
+    if kind == "dirichlet":
+        return DirichletBC(solution.field.value if analytic else sec["value"])
+    return NeumannBC(solution.neumann_data if analytic else sec["value"])
 
 
 def build_problem(cfg: RunConfig, mesh=None) -> Problem:
@@ -480,7 +494,7 @@ def build_problem(cfg: RunConfig, mesh=None) -> Problem:
     )
     bmap = BoundaryMap(
         {
-            tag: _build_bc(tag, sec, system, background, solution)
+            tag: _build_bc(sec, solution)
             for tag, sec in cfg.boundary_conditions.items()
         }
     )

@@ -273,6 +273,17 @@ def _make_element(block_index, block, segments, degrees) -> Element:
     return Element(block_index, tuple(segments), tuple(degrees), emap)
 
 
+def _levels_degrees(levels, degrees, dim):
+    """Per-dimension refinement levels (>= 0) and degrees (>= 1) as int tuples."""
+    levels = tuple(int(l) for l in levels)
+    degrees = tuple(int(p) for p in degrees)
+    if len(levels) != dim or len(degrees) != dim:
+        raise ValueError(f"levels and degrees need {dim} entries, one per dimension")
+    if any(l < 0 for l in levels) or any(p < 1 for p in degrees):
+        raise ValueError("levels must be >= 0 and degrees >= 1")
+    return levels, degrees
+
+
 def build_rectilinear_mesh(bounds, levels, degrees) -> Mesh:
     """Axis-aligned box mesh on a single affine block.
 
@@ -284,12 +295,7 @@ def build_rectilinear_mesh(bounds, levels, degrees) -> Mesh:
     dim = len(bounds)
     if dim not in (1, 2, 3):
         raise ValueError(f"supported dimensions are 1..3, got {dim}")
-    levels = tuple(int(l) for l in levels)
-    degrees = tuple(int(p) for p in degrees)
-    if len(levels) != dim or len(degrees) != dim:
-        raise ValueError("levels and degrees must match the dimension")
-    if any(l < 0 for l in levels) or any(p < 1 for p in degrees):
-        raise ValueError("levels must be >= 0 and degrees >= 1")
+    levels, degrees = _levels_degrees(levels, degrees, dim)
     block = Block(
         map=AffineMap([b[0] for b in bounds], [b[1] for b in bounds]),
         boundary={
@@ -314,10 +320,7 @@ def build_annulus_mesh(r_inner, r_outer, n_wedges, levels, degrees) -> Mesh:
     n_wedges = int(n_wedges)
     if n_wedges < 2:
         raise ValueError("the annulus needs at least 2 wedges")
-    levels = tuple(int(l) for l in levels)
-    degrees = tuple(int(p) for p in degrees)
-    if len(levels) != 2 or len(degrees) != 2:
-        raise ValueError("annulus meshes are two-dimensional")
+    levels, degrees = _levels_degrees(levels, degrees, 2)
     blocks = []
     for w in range(n_wedges):
         theta0 = 2 * np.pi * w / n_wedges

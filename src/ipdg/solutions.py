@@ -1,10 +1,13 @@
 """Analytic fields and manufactured problems.
 
 An AnalyticField bundles a closed-form primal field with its gradient and
-Hessian; manufactured_problem turns one into an AnalyticSolution whose fixed
-source is the continuum residual of the chosen system, so the discrete
-solution must converge to the field. A small registry exposes named solutions
-to the configuration layer.
+Hessian; manufactured_problem turns one into an AnalyticSolution of a system
+on a background, whose fixed source is the continuum residual of the system,
+so the discrete solution must converge to the field. The solution also gives
+the boundary data the field satisfies, in the signatures of `ipdg.boundaries`:
+field.value(x) for Dirichlet, neumann_data(x, normal) for Neumann, and
+robin_data(a, b), a callable of (x, normal), for Robin. A small registry
+exposes named solutions to the configuration layer.
 """
 
 from __future__ import annotations
@@ -23,8 +26,6 @@ __all__ = [
     "gaussian",
     "zero_field",
     "make_solution",
-    "neumann_flux_data",
-    "robin_data",
 ]
 
 
@@ -46,7 +47,25 @@ class AnalyticField:
 class AnalyticSolution:
     name: str
     field: AnalyticField
-    fixed_source: Callable  # x -> (n_primal, *s)
+    system: object
+    background: object
+
+    def fixed_source(self, x):
+        """The continuum residual of the field: x -> (n_primal, *s)."""
+        f = self.field
+        return self.system.continuum_residual(
+            f.value(x), f.gradient(x), f.hessian(x), x, self.background
+        )
+
+    def neumann_data(self, x, normal):
+        """n_i F^i_u of the field: Neumann data on a boundary."""
+        v = self.system.auxiliary_from_gradient(self.field.gradient(x))
+        flux = self.system.primal_flux(v, x, self.background)
+        return np.einsum("i...,ci...->c...", normal, flux)
+
+    def robin_data(self, a, b):
+        """Robin data a u + b n_i F^i_u of the field, a callable of (x, normal)."""
+        return lambda x, normal: a * self.field.value(x) + b * self.neumann_data(x, normal)
 
 
 def manufactured_problem(system, field: AnalyticField, bg) -> AnalyticSolution:
@@ -56,13 +75,7 @@ def manufactured_problem(system, field: AnalyticField, bg) -> AnalyticSolution:
             f"field has {field.n_components} components, "
             f"system needs {system.n_primal}"
         )
-
-    def fixed_source(x):
-        return system.continuum_residual(
-            field.value(x), field.gradient(x), field.hessian(x), x, bg
-        )
-
-    return AnalyticSolution(f"manufactured({system.name})", field, fixed_source)
+    return AnalyticSolution(f"manufactured({system.name})", field, system, bg)
 
 
 def _separable(dim, factors):
@@ -210,17 +223,3 @@ def make_solution(name, system, bg, params=None) -> AnalyticSolution:
     else:
         raise ValueError(f"unknown analytic solution {name!r}")
     return manufactured_problem(system, field, bg)
-
-
-def neumann_flux_data(solution, system, bg, x, normal):
-    """n_i F^i_u of the analytic solution: Neumann data on a boundary."""
-    v = system.auxiliary_from_gradient(solution.field.gradient(x))
-    flux = system.primal_flux(v, x, bg)
-    return np.einsum("i...,ci...->c...", normal, flux)
-
-
-def robin_data(solution, system, bg, x, normal, a, b):
-    """a u + b n_i F^i_u of the analytic solution."""
-    return a * solution.field.value(x) + b * neumann_flux_data(
-        solution, system, bg, x, normal
-    )

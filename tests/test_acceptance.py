@@ -22,17 +22,16 @@ import pytest
 import scipy.sparse.linalg
 
 from ipdg import (
-    AnalyticDirichletBC,
-    AnalyticNeumannBC,
-    AnalyticRobinBC,
     BoundaryMap,
     ConformallyFlatBackground,
     DirichletBC,
     FalloffDirichletBC,
     FieldVector,
     FlatBackground,
+    NeumannBC,
     OperatorHandle,
     PunctureSpec,
+    RobinBC,
     assemble_explicit,
     build_annulus_mesh,
     build_rectilinear_mesh,
@@ -273,7 +272,7 @@ def test_nonconforming_mesh_converges_at_high_order():
 def test_robin_boundary_h_convergence():
     problem = sin_sin_problem()
     bcs = BoundaryMap({
-        "x-lower": AnalyticRobinBC(problem, POISSON, BG, 1.0, 1.0),
+        "x-lower": RobinBC(1.0, 1.0, problem.robin_data(1.0, 1.0)),
         "all": DirichletBC(0.0),
     })
     errors = h_refinement_errors(
@@ -308,7 +307,7 @@ def test_annulus_h_convergence():
         {"center": [0.5, 0.3], "width": 1.0, "amplitude": 1.0},
     )
     problem = manufactured_problem(POISSON, sol.field, BG)
-    bcs = BoundaryMap({"all": AnalyticDirichletBC(problem)})
+    bcs = BoundaryMap({"all": DirichletBC(problem.field.value)})
     mesh = build_annulus_mesh(1.0, 2.0, 4, (0, 0), (3, 3))
     errors = h_refinement_errors(
         mesh, POISSON, BG, bcs, problem, 4, form="strong", penalty_parameter=1.0
@@ -323,7 +322,7 @@ def elasticity_setup():
     sol = make_solution("sin-product-vector", system, BG, {"wavenumber": 1})
     problem = manufactured_problem(system, sol.field, BG)
     bcs = BoundaryMap({
-        "x-upper": AnalyticNeumannBC(problem, system, BG),
+        "x-upper": NeumannBC(problem.neumann_data),
         "all": DirichletBC(0.0),
     })
     return system, problem, bcs
@@ -400,7 +399,7 @@ def test_puncture_manufactured_h_convergence():
         {"center": [1.5, 1.5, 1.5], "width": 0.6, "amplitude": 0.4},
     )
     problem = manufactured_problem(system, sol.field, BG)
-    bcs = BoundaryMap({"all": AnalyticDirichletBC(problem)})
+    bcs = BoundaryMap({"all": DirichletBC(problem.field.value)})
     mesh = build_rectilinear_mesh([(1.0, 2.0)] * 3, (0, 0, 0), (2, 2, 2))
     errors = []
     for level in range(3):
@@ -450,7 +449,7 @@ def small_configurations():
         ("robin-edge", OperatorHandle(
             unit_square(1, 3), POISSON, BG,
             BoundaryMap({
-                "x-lower": AnalyticRobinBC(robin_problem, POISSON, BG, 1.0, 1.0),
+                "x-lower": RobinBC(1.0, 1.0, robin_problem.robin_data(1.0, 1.0)),
                 "all": DirichletBC(0.0),
             }))),
         ("curved", OperatorHandle(

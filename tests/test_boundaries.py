@@ -5,9 +5,6 @@ import pytest
 
 from ipdg.background import FlatBackground
 from ipdg.boundaries import (
-    AnalyticDirichletBC,
-    AnalyticNeumannBC,
-    AnalyticRobinBC,
     BoundaryMap,
     DirichletBC,
     FalloffDirichletBC,
@@ -15,7 +12,7 @@ from ipdg.boundaries import (
     RobinBC,
 )
 from ipdg.errors import ConfigurationError
-from ipdg.solutions import manufactured_problem, neumann_flux_data, sin_product
+from ipdg.solutions import manufactured_problem, sin_product
 from ipdg.systems import PoissonFlat
 
 FLAT2 = FlatBackground()
@@ -36,9 +33,9 @@ def test_dirichlet_constant_and_callable():
 
 
 def test_neumann_kind_and_zero_linearization():
-    bc = NeumannBC(lambda x: 3.0 * x[1])
+    bc = NeumannBC(lambda x, normal: 3.0 * x[1] + normal[0])
     assert bc.kind == "neumann"
-    np.testing.assert_allclose(bc.values(X, N, U), [[1.5, 2.25]])
+    np.testing.assert_allclose(bc.values(X, N, U), [[1.5, 3.25]])
     np.testing.assert_allclose(
         bc.linearized_values(X, N, U, np.ones_like(U)), 0.0
     )
@@ -74,27 +71,24 @@ def test_robin_linearization_matches_fd_fallback():
 
 
 def _solution():
-    system = PoissonFlat(2)
-    return system, manufactured_problem(system, sin_product(2), FLAT2)
+    return manufactured_problem(PoissonFlat(2), sin_product(2), FLAT2)
 
 
 def test_analytic_dirichlet_and_neumann():
-    system, sol = _solution()
-    bc = AnalyticDirichletBC(sol)
+    sol = _solution()
+    bc = DirichletBC(sol.field.value)
     np.testing.assert_allclose(bc.values(X, N, U), sol.field.value(X))
-    bcn = AnalyticNeumannBC(sol, system, FLAT2)
-    np.testing.assert_allclose(
-        bcn.values(X, N, U), neumann_flux_data(sol, system, FLAT2, X, N)
-    )
+    bcn = NeumannBC(sol.neumann_data)
+    np.testing.assert_allclose(bcn.values(X, N, U), sol.neumann_data(X, N))
 
 
 def test_analytic_robin_consistency():
     # data manufactured so the analytic solution satisfies the condition:
     # values() at the analytic trace equals the analytic normal flux
-    system, sol = _solution()
-    bc = AnalyticRobinBC(sol, system, FLAT2, a=1.0, b=1.0)
+    sol = _solution()
+    bc = RobinBC(1.0, 1.0, sol.robin_data(1.0, 1.0))
     u_an = sol.field.value(X)
-    flux_an = neumann_flux_data(sol, system, FLAT2, X, N)
+    flux_an = sol.neumann_data(X, N)
     np.testing.assert_allclose(bc.values(X, N, u_an), flux_an, atol=1e-14)
 
 

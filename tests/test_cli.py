@@ -68,9 +68,17 @@ def test_solve_non_finite_number_exit_code(tmp_path, capsys):
     # YAML's .nan is a float; without the finiteness check it reached the
     # operator and failed there with exit code 3
     path = write_config(tmp_path, {"operator": {"penalty_parameter": float("nan")}})
-    assert ".nan" in open(path).read()
+    assert ".nan" in (tmp_path / "run.yaml").read_text()
     assert main(["solve", "--config", path]) == 2
     assert "operator.penalty_parameter: must be finite" in capsys.readouterr().err
+
+
+def test_solve_bad_solution_param_exit_code(tmp_path, capsys):
+    # an unchecked centre reached numpy and failed there with exit code 1
+    solution = {"name": "gaussian", "params": {"center": "abc"}}
+    path = write_config(tmp_path, {"solution": solution})
+    assert main(["solve", "--config", path]) == 2
+    assert "solution.params.center" in capsys.readouterr().err
 
 
 def test_solve_missing_file(tmp_path):

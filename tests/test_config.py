@@ -4,9 +4,11 @@ import numpy as np
 import pytest
 
 from ipdg.background import ConformallyFlatBackground, FlatBackground
-from ipdg.boundaries import AnalyticDirichletBC, RobinBC
+from ipdg.boundaries import BoundaryMap, DirichletBC, NeumannBC, RobinBC
 from ipdg.config import build_problem, load_config, parse_config
 from ipdg.errors import ConfigurationError
+from ipdg.operators import OperatorHandle
+from ipdg.solutions import gaussian, manufactured_problem
 
 
 def base_config():
@@ -203,6 +205,53 @@ def test_solution_params_validated():
     expect_error(raw, "solution.params.sigma")
 
 
+@pytest.mark.parametrize("solution, system, path", [
+    ({"name": "gaussian", "params": {"center": "abc"}}, "poisson-flat", "solution.params.center"),
+    ({"name": "gaussian"}, "poisson-flat", "solution.params.center"),
+    ({"name": "gaussian", "params": {"center": [0.5]}}, "poisson-flat", "solution.params.center"),
+    ({"name": "gaussian", "params": {"center": [0.5, float("nan")]}}, "poisson-flat",
+     "solution.params.center[1]"),
+    ({"name": "gaussian", "params": {"center": [0.5, 0.5], "amplitude": "x"}}, "poisson-flat",
+     "solution.params.amplitude"),
+    ({"name": "gaussian", "params": {"center": [0.5, 0.5], "width": 0.0}}, "poisson-flat",
+     "solution.params.width"),
+    ({"name": "sin-product", "params": {"wavenumber": float("inf")}}, "poisson-flat",
+     "solution.params.wavenumber"),
+    ({"name": "sin-product-vector", "params": {"amplitudes": [1.0]}}, "elasticity",
+     "solution.params.amplitudes"),
+    ({"name": "sin-product-vector"}, "poisson-flat", "solution.name"),
+    ({"name": "sin-product"}, "elasticity", "solution.name"),
+])
+def test_solution_param_values_validated(solution, system, path):
+    raw = base_config()
+    raw["system"] = {"name": system}
+    raw["solution"] = solution
+    expect_error(raw, path)
+
+
+def test_falloff_center_has_one_entry_per_dimension():
+    # a 3-entry centre on a 2D domain failed in numpy broadcasting, exit 1
+    raw = base_config()
+    raw["boundary_conditions"] = {"all": {"type": "falloff", "amplitude": 1.0}}
+    assert parse_config(raw).boundary_conditions["all"]["center"] == (0.0, 0.0)
+    raw["boundary_conditions"]["all"]["center"] = [0.0, 0.0, 0.0]
+    expect_error(raw, "boundary_conditions.all.center")
+
+
+def test_solution_param_defaults_filled_once():
+    raw = base_config()
+    raw["solution"] = {"name": "gaussian", "params": {"center": [0.3, 0.4]}}
+    assert parse_config(raw).solution == {
+        "name": "gaussian",
+        "params": {"center": (0.3, 0.4), "width": 1.0, "amplitude": 1.0},
+    }
+    raw["system"] = {"name": "elasticity"}
+    raw["solution"] = {"name": "sin-product-vector"}
+    assert parse_config(raw).solution["params"] == {"wavenumber": 1.0}
+    raw["solution"] = {"name": "zero"}
+    assert parse_config(raw).solution == {"name": "zero", "params": {}}
+
+
 def test_annulus_validation():
     raw = base_config()
     raw["domain"] = {"kind": "annulus", "r_inner": 1.0, "r_outer": 2.0}
@@ -279,8 +328,37 @@ def test_build_problem_bcs_wired():
     }
     problem = build_problem(parse_config(raw))
     assert isinstance(problem.boundary_map.for_tag("x-lower"), RobinBC)
-    assert isinstance(problem.boundary_map.for_tag("y-upper"), AnalyticDirichletBC)
-    assert problem.solution is not None
+    dirichlet = problem.boundary_map.for_tag("y-upper")
+    assert isinstance(dirichlet, DirichletBC)
+    assert dirichlet.value == problem.solution.field.value
+
+
+def test_analytic_conditions_match_explicit_ones_on_a_curved_background():
+    raw = base_config()
+    raw["system"] = {"name": "poisson-curved"}
+    raw["background"] = {"kind": "conformally-flat", "scale": 0.3, "axis": 1}
+    raw["solution"] = {"name": "gaussian", "params": {"center": [0.3, 0.6], "width": 0.7}}
+    raw["boundary_conditions"] = {
+        "x-lower": {"type": "robin", "a": 1.0, "b": 2.0, "analytic": True},
+        "y-upper": {"type": "neumann", "analytic": True},
+        "all": {"type": "dirichlet", "analytic": True},
+    }
+    problem = build_problem(parse_config(raw))
+    sol = manufactured_problem(
+        problem.system, gaussian(2, (0.3, 0.6), width=0.7), problem.background
+    )
+    explicit = OperatorHandle(
+        problem.mesh, problem.system, problem.background,
+        BoundaryMap({
+            "x-lower": RobinBC(1.0, 2.0, sol.robin_data(1.0, 2.0)),
+            "y-upper": NeumannBC(sol.neumann_data),
+            "all": DirichletBC(sol.field.value),
+        }),
+    )
+    zero = problem.handle.zero_primal()
+    assert np.array_equal(problem.handle.apply(zero).data, explicit.apply(zero).data)
+    u = np.random.default_rng(5).standard_normal(explicit.n_primal_dofs)
+    assert np.array_equal(problem.handle.matvec(u), explicit.matvec(u))
 
 
 def test_build_problem_elasticity():

@@ -247,6 +247,16 @@ class TestBuildersAndRefinement:
         with pytest.raises(ValueError):
             refine_uniform(build_rectilinear_mesh([(0, 1)], (0,), (1,)), "hp")
 
+    @pytest.mark.parametrize("levels, degrees", [((0, 0), (0, 2)), ((-1, 0), (2, 2))])
+    def test_both_builders_range_check_levels_and_degrees(self, levels, degrees):
+        message = "levels must be >= 0 and degrees >= 1"
+        with pytest.raises(ValueError, match=message):
+            build_rectilinear_mesh([(0, 1), (0, 1)], levels, degrees)
+        with pytest.raises(ValueError, match=message):
+            build_annulus_mesh(1.0, 2.0, 4, levels, degrees)
+        with pytest.raises(ValueError, match="need 2 entries"):
+            build_annulus_mesh(1.0, 2.0, 4, (0,), (2,))
+
 
 class TestTopology:
     def test_single_element_all_external(self):

@@ -437,7 +437,7 @@ def split_square_with_every_condition():
     mesh = split_element(with_degrees(unit_mesh_2d(3, 1), 3, (4, 3)), 0)
     bcs = BoundaryMap({
         "x-lower": QuadraticFluxBC(),
-        "y-upper": RobinBC(1.0, 2.0, lambda x: x[0] + 0.5),
+        "y-upper": RobinBC(1.0, 2.0, lambda x, normal: x[0] + 0.5),
         "all": DirichletBC(lambda x: np.sin(3.0 * x[0]) * x[1]),
     })
     return OperatorHandle(mesh, POISSON_2D, BG, bcs, form="strong-weak"), 1.0
@@ -683,8 +683,8 @@ def test_batch_matches_single_vectors():
     # largest entry
     mesh = with_degrees(unit_mesh_2d(3, 1), 3, (4, 2))
     bcs = BoundaryMap({
-        "x-lower": RobinBC(1.0, 2.0, lambda x: x[1]),
-        "y-upper": NeumannBC(lambda x: np.cos(2.0 * x[0])),
+        "x-lower": RobinBC(1.0, 2.0, lambda x, normal: x[1]),
+        "y-upper": NeumannBC(lambda x, normal: np.cos(2.0 * x[0])),
         "all": DirichletBC(lambda x: np.sin(3.0 * x[0]) * x[1]),
     })
     handles = [OperatorHandle(mesh, POISSON_2D, BG, bcs, form="strong-weak")]
@@ -806,7 +806,7 @@ def _fixed_data_cases():
     square = with_degrees(unit_mesh_2d(3, 1), 3, (4, 2))
     elasticity = make_system("elasticity", dim=2, lame_lambda=1.3, shear_modulus=0.6)
     yield square, elasticity, {
-        "y-upper": CountingNeumannBC(lambda x: np.stack([np.cos(2.0 * x[0]), x[1]])),
+        "y-upper": CountingNeumannBC(lambda x, normal: np.stack([np.cos(2.0 * x[0]), x[1]])),
         "all": CountingDirichletBC(lambda x: np.stack([np.sin(3.0 * x[0]) * x[1], x[0]])),
     }
     cube = build_rectilinear_mesh([(1.0, 2.0)] * 3, (1, 0, 0), (2, 2, 2))
@@ -861,7 +861,7 @@ def test_live_dirichlet_kind_condition_matches_trace_free_one():
     # values over the fixed boundary array; the bits equal Dirichlet's
     mesh = split_element(with_degrees(unit_mesh_2d(3, 1), 3, (4, 3)), 0)
     elasticity = make_system("elasticity", dim=2, lame_lambda=1.3, shear_modulus=0.6)
-    neumann = NeumannBC(lambda x: np.stack([np.cos(2.0 * x[0]), x[1]]))
+    neumann = NeumannBC(lambda x, normal: np.stack([np.cos(2.0 * x[0]), x[1]]))
     live, fixed = (
         OperatorHandle(mesh, elasticity, BG, BoundaryMap({"y-upper": neumann, "all": bc}),
                        form="strong-weak")
@@ -879,7 +879,8 @@ def test_live_dirichlet_kind_condition_matches_trace_free_one():
 
 @pytest.mark.parametrize("bc_type", [DirichletBC, NeumannBC])
 def test_non_finite_trace_free_data_rejected_at_construction(bc_type):
-    bad = bc_type(lambda x: np.where(x[1] > 0.5, np.nan, x[0]))
+    # Dirichlet data take x, Neumann data (x, normal)
+    bad = bc_type(lambda x, *normal: np.where(x[1] > 0.5, np.nan, x[0]))
     bcs = BoundaryMap({"x-lower": bad, "all": DirichletBC(0.0)})
     with pytest.raises(ConfigurationError, match="boundary_conditions.x-lower: non-finite"):
         OperatorHandle(unit_mesh_2d(2, 1), POISSON_2D, BG, bcs)
@@ -1150,7 +1151,7 @@ def test_nan_guard_names_element():
     # built; those of a condition that reads the trace (Robin with b = 0,
     # dirichlet-kind) reach the residual, whose guard names the element
     mesh = unit_mesh_1d(2)
-    nan = lambda x: np.full_like(x, np.nan)
+    nan = lambda x, *normal: np.full_like(x, np.nan)
     with pytest.raises(ConfigurationError, match="non-finite boundary data"):
         OperatorHandle(mesh, POISSON_1D, BG, BoundaryMap.everywhere(DirichletBC(nan)))
     bcs = BoundaryMap.everywhere(RobinBC(1.0, 0.0, nan))

@@ -3,18 +3,16 @@
 import numpy as np
 import pytest
 
-from ipdg.background import FlatBackground
+from ipdg.background import ConformallyFlatBackground, FlatBackground
 from ipdg.solutions import (
     gaussian,
     make_solution,
     manufactured_problem,
-    neumann_flux_data,
-    robin_data,
     sin_product,
     sin_product_vector,
     zero_field,
 )
-from ipdg.systems import Elasticity, PoissonFlat
+from ipdg.systems import Elasticity, PoissonCurved, PoissonFlat
 
 FLAT2 = FlatBackground()
 FLAT3 = FlatBackground()
@@ -103,23 +101,36 @@ def test_zero_solution_zero_source():
 
 
 def test_neumann_data_is_normal_gradient_for_poisson():
-    system = PoissonFlat(2)
-    sol = manufactured_problem(system, sin_product(2), FLAT2)
+    sol = manufactured_problem(PoissonFlat(2), sin_product(2), FLAT2)
     x = np.array([[1.0], [0.5]])
     n = np.array([[1.0], [0.0]])
-    data = neumann_flux_data(sol, system, FLAT2, x, n)
+    data = sol.neumann_data(x, n)
     np.testing.assert_allclose(data, np.pi * np.cos(np.pi) * 1.0)
 
 
+def test_neumann_data_on_a_conformally_flat_background():
+    # poisson-curved: n_i F^i = n_i g^ij d_j u with g^ij = exp(-2 phi) delta^ij
+    system = PoissonCurved(2)
+    bg = ConformallyFlatBackground(
+        lambda x: 0.3 * x[1],
+        lambda x: np.stack([np.zeros_like(x[0]), 0.3 * np.ones_like(x[0])]),
+    )
+    sol = manufactured_problem(system, sin_product(2), bg)
+    x = np.array([[0.25, 0.5, 1.0], [0.5, 1.0 / 3.0, 0.75]])
+    n = np.array([[0.6, 0.0, 1.0], [0.8, -1.0, 0.0]])
+    s, c = np.sin(np.pi * x), np.cos(np.pi * x)
+    grad = np.pi * np.stack([c[0] * s[1], s[0] * c[1]])
+    g_inv = np.exp(-0.6 * x[1])
+    expected = g_inv * np.einsum("in,in->n", n, grad)
+    np.testing.assert_allclose(sol.neumann_data(x, n), expected[None], rtol=1e-14)
+
+
 def test_robin_data_combines_value_and_flux():
-    system = PoissonFlat(2)
-    sol = manufactured_problem(system, sin_product(2), FLAT2)
+    sol = manufactured_problem(PoissonFlat(2), sin_product(2), FLAT2)
     x = np.array([[0.25], [0.25]])
     n = np.array([[0.0], [-1.0]])
-    expected = 2.0 * sol.field.value(x) + 3.0 * neumann_flux_data(
-        sol, system, FLAT2, x, n
-    )
-    np.testing.assert_allclose(robin_data(sol, system, FLAT2, x, n, 2.0, 3.0), expected)
+    expected = 2.0 * sol.field.value(x) + 3.0 * sol.neumann_data(x, n)
+    np.testing.assert_allclose(sol.robin_data(2.0, 3.0)(x, n), expected)
 
 
 def test_registry_names_and_params():
