@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .operators import _point_order, lumped_mass_diag
+from .operators import _element_groups, _point_order
 
 __all__ = [
     "ConvergenceLevel",
@@ -69,40 +69,29 @@ def _natural(arr, dim):
     return np.ascontiguousarray(_point_order(arr, dim))
 
 
-def _grouped_mass_and_values(handle, analytic_value):
-    """Per element, in mesh order: the handle's lumped mass and the analytic
-    values at its points, evaluated once per element group, each laid out as
-    `lumped_mass_diag` lays out its result."""
-    out = [None] * handle.mesh.n_elements
-    for g in handle._cache.groups:
-        values = np.asarray(analytic_value(g.coords), dtype=float)
-        for e, k in enumerate(g.members):
-            out[k] = _natural(g.mass[e], g.dim), _natural(values[:, e], g.dim)
-    return out
-
-
 def l2_error(mesh, u, analytic_value, background, *, handle=None) -> float:
     """Volume-normalized L2 error pooled over all primal components.
 
-    analytic_value maps coords (d, ...) to field values (n_components, ...).
-    `handle`, an OperatorHandle on this mesh and background, lends its
-    per-group mass and points instead of evaluating each element's map and
-    Jacobian again; the error is the same to the last bit.
+    analytic_value maps coords (d, ...) to field values (n_components, ...);
+    it is called once per element group. `handle`, an OperatorHandle on this
+    mesh and background, lends its element groups, so their geometry is not
+    evaluated again; the error is the same to the last bit. Each element's
+    sums run in its natural grid order.
     """
     if handle is None:
-        parts = [
-            (lumped_mass_diag(el, background), np.asarray(analytic_value(el.coords()), float))
-            for el in mesh.elements
-        ]
+        groups = _element_groups(mesh, background)
     elif handle.mesh is not mesh or handle.background is not background:
         raise ValueError("handle was built for another mesh or background")
     else:
-        parts = _grouped_mass_and_values(handle, analytic_value)
-    num_parts, den_parts = [], []
-    for arr, (w, value) in zip(u.arrays, parts):
-        diff = arr - value
-        num_parts.append(float(np.sum(w * diff**2)))
-        den_parts.append(float(np.sum(w)))
+        groups = handle._cache.groups
+    rows = u.data.reshape(u.n_components, mesh.total_points)
+    num_parts, den_parts = [0.0] * mesh.n_elements, [0.0] * mesh.n_elements
+    for g in groups:
+        diff = g.take(rows) - np.asarray(analytic_value(g.coords), dtype=float)
+        for e, k in enumerate(g.members):
+            w = _natural(g.mass[e], g.dim)
+            num_parts[k] = float(np.sum(w * _natural(diff[:, e], g.dim) ** 2))
+            den_parts[k] = float(np.sum(w))
     return math.sqrt(_pairwise_sum(num_parts) / _pairwise_sum(den_parts))
 
 

@@ -236,7 +236,8 @@ class Mesh:
         return np.concatenate([[0], np.cumsum(sizes, dtype=np.int64)])
 
     def characteristic_h(self) -> float:
-        """Largest physical element extent, from corner-to-corner diagonals."""
+        """Largest per-axis extent of any element's mapped corners (h, not
+        h*sqrt(2), for a square)."""
         h = 0.0
         for e in self.elements:
             corners = np.array(

@@ -17,7 +17,8 @@ strong or strong-weak form.
 
 Flat DoF layout everywhere: variables-major, then elements in mesh order,
 then grid points with the first dimension fastest. A FieldVector is one
-buffer in that order; its per-element arrays are views into it.
+buffer in that order and nothing else; the element groups read and write it
+through their point selections (`_Group.take` and `put`).
 
 Each phase works in batches, so its cost in Python calls does not grow with
 the element count:
@@ -136,88 +137,41 @@ def _contract_normal(normal, fluxes):
 
 
 class FieldVector:
-    """Mesh-wide nodal data in one flat buffer.
+    """Mesh-wide nodal data: one flat buffer in the flat DoF order.
 
-    `data` holds the values in the flat DoF order. `arrays[k]` is element k's
-    (n_components, *grid_shape) view into it, built on first use; writing
-    through a view changes the vector. Rebinding `data` is not supported.
-
-    A batch (`FieldVector.batch`) holds several vectors as the rows of a
-    (batch, n_dofs) `data` array; the operator applies all of them in one
-    pass and returns a batch. Per-element `arrays` exist only for a single
-    vector.
+    `data` is (n_dofs,) for one vector, or (batch, n_dofs) for a batch
+    (`FieldVector.batch`) whose rows the operator applies in one pass and
+    returns as a batch. The constructor wraps `data` without copying it;
+    `from_flat` takes a copy.
     """
 
-    __slots__ = ("mesh", "n_components", "data", "_arrays")
+    __slots__ = ("mesh", "n_components", "data")
 
-    def __init__(self, mesh, n_components: int, arrays):
-        if len(arrays) != len(mesh.elements):
-            raise ValueError("one array per mesh element required")
-        for arr, el in zip(arrays, mesh.elements):
-            if np.shape(arr) != (n_components,) + el.grid_shape:
-                raise ValueError(
-                    f"element array shape {np.shape(arr)} does not match "
-                    f"{(n_components,) + el.grid_shape}"
-                )
-        self._init(mesh, n_components, np.empty(n_components * mesh.total_points))
-        for view, arr in zip(self.arrays, arrays):
-            view[...] = arr
-
-    def _init(self, mesh, n_components, data):
-        self.mesh = mesh
-        self.n_components = n_components
-        self.data = data
-        self._arrays = None
-
-    @classmethod
-    def _wrap(cls, mesh, n_components: int, data) -> "FieldVector":
-        """A vector owning `data`, a flat float array of the right size."""
-        out = cls.__new__(cls)
-        out._init(mesh, n_components, data)
-        return out
-
-    @property
-    def arrays(self) -> tuple:
-        if self.data.ndim != 1:
-            raise ValueError("per-element arrays exist only for a single vector")
-        if self._arrays is None:
-            offsets = self.mesh.point_offsets
-            rows = self.data.reshape(self.n_components, -1)
-            self._arrays = tuple(
-                _point_order(
-                    rows[:, offsets[k]:offsets[k + 1]].reshape(
-                        (self.n_components,) + el.grid_shape[::-1]
-                    ),
-                    el.dim,
-                )
-                for k, el in enumerate(self.mesh.elements)
+    def __init__(self, mesh, n_components: int, data):
+        data = np.asarray(data, dtype=float)
+        expected = n_components * mesh.total_points
+        if data.ndim not in (1, 2) or data.shape[-1] != expected:
+            raise ValueError(
+                f"data has shape {data.shape}, expected ({expected},) or (batch, {expected})"
             )
-        return self._arrays
+        self.mesh, self.n_components, self.data = mesh, n_components, data
 
     @classmethod
     def zeros(cls, mesh, n_components: int) -> "FieldVector":
-        return cls._wrap(mesh, n_components, np.zeros(n_components * mesh.total_points))
+        return cls(mesh, n_components, np.zeros(n_components * mesh.total_points))
 
     @classmethod
     def from_flat(cls, mesh, n_components: int, flat) -> "FieldVector":
-        flat = np.array(flat, dtype=float).reshape(-1)
-        expected = n_components * mesh.total_points
-        if flat.size != expected:
-            raise ValueError(
-                f"flat vector has {flat.size} entries, expected {expected}"
-            )
-        return cls._wrap(mesh, n_components, flat)
+        """One vector holding a copy of `flat`, whatever its shape."""
+        return cls(mesh, n_components, np.array(flat, dtype=float).reshape(-1))
 
     @classmethod
     def batch(cls, mesh, n_components: int, rows) -> "FieldVector":
         """A batch of vectors, one per row of `rows` in the flat DoF order."""
         rows = np.asarray(rows, dtype=float)
-        expected = n_components * mesh.total_points
-        if rows.ndim != 2 or rows.shape[1] != expected:
-            raise ValueError(
-                f"batch has shape {rows.shape}, expected (batch, {expected})"
-            )
-        return cls._wrap(mesh, n_components, rows)
+        if rows.ndim != 2:
+            raise ValueError(f"batch has shape {rows.shape}, expected (batch, n_dofs)")
+        return cls(mesh, n_components, rows)
 
     def to_flat(self) -> np.ndarray:
         return self.data.copy()
@@ -227,16 +181,16 @@ class FieldVector:
         return self.data.shape[-1]
 
     def copy(self) -> "FieldVector":
-        return self._wrap(self.mesh, self.n_components, self.data.copy())
+        return FieldVector(self.mesh, self.n_components, self.data.copy())
 
     def __add__(self, other):
-        return self._wrap(self.mesh, self.n_components, self.data + other.data)
+        return FieldVector(self.mesh, self.n_components, self.data + other.data)
 
     def __sub__(self, other):
-        return self._wrap(self.mesh, self.n_components, self.data - other.data)
+        return FieldVector(self.mesh, self.n_components, self.data - other.data)
 
     def __mul__(self, scalar):
-        return self._wrap(self.mesh, self.n_components, self.data * scalar)
+        return FieldVector(self.mesh, self.n_components, self.data * scalar)
 
     __rmul__ = __mul__
 
@@ -436,6 +390,20 @@ class _Group:
         return out
 
 
+def _element_groups(mesh, background):
+    """One `_Group` per grid shape, in order of first appearance in the mesh,
+    their face points filling one face buffer group after group."""
+    by_shape = {}
+    for k, el in enumerate(mesh.elements):
+        by_shape.setdefault(el.grid_shape, []).append(k)
+    groups, pos = [], 0
+    for members in by_shape.values():
+        elements = [mesh.elements[k] for k in members]
+        groups.append(_Group(elements, members, mesh.point_offsets, background, pos))
+        pos = groups[-1].face_end
+    return groups
+
+
 def lumped_mass_diag(element, background):
     """Diagonal mass sqrt(g) J prod(w) at every grid point."""
     weights = [ns.weights for ns in element.node_sets()]
@@ -536,25 +504,16 @@ class _MeshCache:
 
     def __init__(self, mesh, background):
         self.topology = topology = mortar_topology(mesh)
-        offsets = mesh.point_offsets
-        self.n_points = int(offsets[-1])
-
-        by_shape = {}
-        for k, el in enumerate(mesh.elements):
-            by_shape.setdefault(el.grid_shape, []).append(k)
-        self.groups = []
+        self.n_points = mesh.total_points
+        self.groups = _element_groups(mesh, background)
         self.face_spans = spans = {}
-        pos = 0
-        for members in by_shape.values():
-            group = _Group([mesh.elements[k] for k in members], members, offsets, background, pos)
+        for group in self.groups:
             for f in group.faces:
                 n = math.prod(f.shape[1:])
-                for e, k in enumerate(members):
+                for e, k in enumerate(group.members):
                     start = f.span.start + e * n
                     spans[(k,) + f.key] = slice(start, start + n)
-            self.groups.append(group)
-            pos = group.face_end
-        self.n_face_points = pos
+        self.n_face_points = self.groups[-1].face_end
         self.face_coords, self.face_normal, self.face_h, self.face_measure, self.face_mass = (
             np.concatenate(parts, axis=-1)
             for parts in zip(*(key for g in self.groups for key in g.face_geometry))
@@ -690,8 +649,7 @@ class OperatorHandle:
         # the linearization point is read here, once: per group and as face traces
         self._lin_groups = lin_traces = None
         if linearization_point is not None:
-            if linearization_point.n_components != system.n_primal:
-                raise ValueError("linearization point must be a primal vector")
+            self._check(linearization_point, "primal", "the linearization point")
             if linearization_point.data.ndim != 1:
                 raise ValueError("linearization point must be a single vector, not a batch")
             lin_rows = self._rows(linearization_point.data)
@@ -773,42 +731,56 @@ class OperatorHandle:
 
     # -- operator application ------------------------------------------
 
+    def _check(self, vec, block, what):
+        """Raise unless `vec` is a `block` ("primal" or "auxiliary") vector on
+        this handle's mesh, the same object."""
+        n = getattr(self.system, "n_" + block)
+        if vec.mesh is not self.mesh or vec.n_components != n:
+            raise ValueError(
+                f"{what} must be {'an' if block == 'auxiliary' else 'a'} {block} vector: "
+                f"{n} component(s) on the handle's mesh of {self.mesh.n_elements} elements, "
+                f"not {vec.n_components} on {'that' if vec.mesh is self.mesh else 'another'} mesh"
+            )
+
     def apply(self, u: FieldVector) -> FieldVector:
         """Residual A(u) over the primal variables; a batch gives a batch."""
+        self._check(u, "primal", "u")
         _, res = self._core(u, None)
-        return FieldVector._wrap(self.mesh, self.system.n_primal, res)
+        return FieldVector(self.mesh, self.system.n_primal, res)
 
     def matvec(self, flat) -> np.ndarray:
-        u = FieldVector.from_flat(self.mesh, self.system.n_primal, flat)
-        return self.apply(u).to_flat()
+        """A(u) for flat data, read in place; the result is a new array."""
+        return self.apply(FieldVector(self.mesh, self.system.n_primal, flat)).data
 
     def apply_full(self, v: FieldVector, u: FieldVector):
         """Residuals of the first-order system over (auxiliary, primal)."""
-        if v.n_components != self.system.n_auxiliary:
-            raise ValueError("auxiliary block has wrong component count")
+        self._check(v, "auxiliary", "the auxiliary block")
+        self._check(u, "primal", "the primal block")
         if v.data.shape[:-1] != u.data.shape[:-1]:
             raise ValueError("auxiliary and primal blocks differ in batch size")
         res_v, res_u = self._core(u, v)
         return (
-            FieldVector._wrap(self.mesh, self.system.n_auxiliary, res_v),
-            FieldVector._wrap(self.mesh, self.system.n_primal, res_u),
+            FieldVector(self.mesh, self.system.n_auxiliary, res_v),
+            FieldVector(self.mesh, self.system.n_primal, res_u),
         )
 
     def matvec_full(self, flat) -> np.ndarray:
         na = self.n_auxiliary_dofs
         flat = np.asarray(flat, dtype=float).ravel()
-        v = FieldVector.from_flat(self.mesh, self.system.n_auxiliary, flat[:na])
-        u = FieldVector.from_flat(self.mesh, self.system.n_primal, flat[na:])
-        rv, ru = self.apply_full(v, u)
-        return np.concatenate([rv.to_flat(), ru.to_flat()])
+        rv, ru = self.apply_full(
+            FieldVector(self.mesh, self.system.n_auxiliary, flat[:na]),
+            FieldVector(self.mesh, self.system.n_primal, flat[na:]),
+        )
+        return np.concatenate([rv.data, ru.data])
 
     def reconstruct_auxiliary(self, u: FieldVector) -> FieldVector:
         """The auxiliary field the compact operator uses internally."""
+        self._check(u, "primal", "u")
         recon = self._phase1(self._rows(u.data))[1]
         data, out = self._new_rows(self.system.n_auxiliary, u.data.shape[:-1])
         for g, r in zip(self._cache.groups, recon):
             g.put(out, r)
-        return FieldVector._wrap(self.mesh, self.system.n_auxiliary, data)
+        return FieldVector(self.mesh, self.system.n_auxiliary, data)
 
     def _rows(self, data):
         """Flat vectors (..., n_dofs) as a (components, ..., points) view."""
@@ -969,8 +941,7 @@ class OperatorHandle:
         sys_ = self.system
         given = isinstance(fixed_source, FieldVector)
         if given:
-            if fixed_source.n_components != sys_.n_primal:
-                raise ValueError("fixed source has the wrong component count")
+            self._check(fixed_source, "primal", "the fixed source")
             source_rows = self._rows(fixed_source.data)
         data, rows = self._new_rows(sys_.n_primal, ())
         for g in self._cache.groups:
@@ -984,4 +955,4 @@ class OperatorHandle:
                         f"stacked element grids {(sys_.n_primal,) + g.shape}"
                     )
             g.put(rows, g.mass * fg if self.massive else fg)
-        return FieldVector._wrap(self.mesh, sys_.n_primal, data)
+        return FieldVector(self.mesh, sys_.n_primal, data)

@@ -7,6 +7,7 @@ and Schur-complement checks and are guarded by a DoF cap.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field
 from typing import Optional
@@ -356,6 +357,16 @@ def _cg(matvec, b, tol, max_iter):
     return x, max_iter, history, False, true_rel
 
 
+def _check_iteration(section, tol, max_iter, restart=1):
+    """Raise unless the Krylov solvers can run with these arguments, named by their config keys."""
+    if not 0.0 <= tol < math.inf:
+        raise ConfigurationError(f"{section}.tolerance", f"must be finite and >= 0, got {tol}")
+    if max_iter < 0:
+        raise ConfigurationError(f"{section}.max_iterations", f"must be >= 0, got {max_iter}")
+    if restart < 1:
+        raise ConfigurationError(f"{section}.restart", f"must be >= 1, got {restart}")
+
+
 def solve_linear(
     handle,
     rhs,
@@ -372,6 +383,7 @@ def solve_linear(
     field satisfies the affine equation. Non-convergence is reported, not
     raised.
     """
+    _check_iteration("solver", tol, max_iter, restart)
     if method == "cg":
         if handle.form != "strong-weak" or not handle.system.symmetric_eligible:
             raise ConfigurationError(
@@ -405,7 +417,7 @@ def solve_linear(
         b = b - handle.matvec(np.zeros_like(b))
 
     def wrap(x):
-        return FieldVector.from_flat(handle.mesh, handle.system.n_primal, x)
+        return FieldVector(handle.mesh, handle.system.n_primal, x)
 
     if np.linalg.norm(b) == 0.0:
         return wrap(np.zeros_like(b)), SolveReport(
@@ -444,6 +456,8 @@ def solve_newton(
     params = {"method": "gmres", "tol": 1e-12, "max_iter": 10000, "restart": 50}
     if inner:
         params.update(inner)
+    _check_iteration("newton", tol, max_iter)
+    _check_iteration("solver", params["tol"], params["max_iter"], params["restart"])
     t0 = time.perf_counter()
     b = rhs.to_flat() if isinstance(rhs, FieldVector) else (
         np.asarray(rhs, dtype=float).ravel()
@@ -452,7 +466,7 @@ def solve_newton(
     if scale == 0.0:
         scale = 1.0  # fall back to absolute residuals
     u = initial_guess.copy() if initial_guess is not None else handle.zero_primal()
-    res = b - handle.apply(u).to_flat()
+    res = b - handle.apply(u).data
     rel = np.linalg.norm(res) / scale
     history = [rel]
     growth = 0
@@ -462,13 +476,13 @@ def solve_newton(
         jac = handle.linearized_at(u)
         du, inner_report = solve_linear(
             jac,
-            FieldVector.from_flat(handle.mesh, handle.system.n_primal, res),
+            FieldVector(handle.mesh, handle.system.n_primal, res),
             **params,
         )
         inner_reports.append(inner_report)
         u = u + du
         its += 1
-        res = b - handle.apply(u).to_flat()
+        res = b - handle.apply(u).data
         new_rel = np.linalg.norm(res) / scale
         history.append(new_rel)
         if new_rel >= rel:

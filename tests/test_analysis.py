@@ -8,6 +8,8 @@ import scipy.sparse
 
 from ipdg.analysis import (
     ConvergenceSeries,
+    _natural,
+    _pairwise_sum,
     convergence_rates,
     l2_error,
     symmetry_defect,
@@ -22,9 +24,10 @@ from ipdg.mesh import (
     split_element,
     with_degrees,
 )
-from ipdg.operators import FieldVector, OperatorHandle
+from ipdg.operators import OperatorHandle, lumped_mass_diag
 from ipdg.solutions import gaussian, sin_product, sin_product_vector
 from ipdg.systems import make_system
+from test_operators import interpolant
 
 BG = FlatBackground()
 
@@ -32,12 +35,6 @@ BG = FlatBackground()
 def mesh_2d(level=1, degree=3):
     return build_rectilinear_mesh(
         [(0.0, 1.0), (0.0, 1.0)], levels=(level, level), degrees=(degree, degree)
-    )
-
-
-def interpolant(mesh, fn, n_components=1):
-    return FieldVector(
-        mesh, n_components, [np.asarray(fn(e.coords()), float) for e in mesh.elements]
     )
 
 
@@ -98,15 +95,32 @@ def handle_cases():
     ]
 
 
+def element_by_element_error(mesh, u, analytic_value, background):
+    """The error from each element's own `lumped_mass_diag` and points, each
+    element's sums in natural grid order, pooled by `_pairwise_sum`."""
+    rows = u.data.reshape(u.n_components, -1)
+    offsets = mesh.point_offsets
+    num, den = [], []
+    for k, el in enumerate(mesh.elements):
+        w = lumped_mass_diag(el, background)
+        own = rows[:, offsets[k]:offsets[k + 1]].reshape((-1,) + el.grid_shape[::-1])
+        diff = _natural(own, el.dim) - np.asarray(analytic_value(el.coords()), float)
+        num.append(float(np.sum(w * diff**2)))
+        den.append(float(np.sum(w)))
+    return math.sqrt(_pairwise_sum(num) / _pairwise_sum(den))
+
+
 def test_error_with_handle_is_bit_identical():
-    # the handle's per-group mass and points give the error to the last bit
+    # the element groups, the handle's or new ones, give the error of the
+    # element-by-element geometry to the last bit
     for handle, field in handle_cases():
         mesh, bg = handle.mesh, handle.background
         u = interpolant(
             mesh, lambda x: field.value(x) + 0.01 * np.cos(7.0 * x[:1]), field.n_components
         )
-        want = l2_error(mesh, u, field.value, bg)
+        want = element_by_element_error(mesh, u, field.value, bg)
         assert want > 0.0
+        assert l2_error(mesh, u, field.value, bg) == want
         assert l2_error(mesh, u, field.value, bg, handle=handle) == want
 
 
@@ -128,7 +142,7 @@ def test_error_invariant_under_relabeling():
     e1 = l2_error(mesh, u, fn, BG)
     perm = list(reversed(range(len(mesh.elements))))
     shuffled = Mesh(mesh.dim, mesh.blocks, [mesh.elements[k] for k in perm])
-    u2 = FieldVector(shuffled, 1, [u.arrays[k] for k in perm])
+    u2 = interpolant(shuffled, lambda x: fn(x) + 0.1 * x[0][None])
     e2 = l2_error(shuffled, u2, fn, BG)
     assert e2 == pytest.approx(e1, rel=1e-14)
 

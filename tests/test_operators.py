@@ -33,6 +33,7 @@ from ipdg.operators import (
     OperatorHandle,
     _Group,
     _apply_1d,
+    _element_groups,
     _boundary_values,
     auxiliary_numerical_flux,
     exterior_ghost_data,
@@ -54,6 +55,25 @@ def unit_mesh_1d(degree, level=0, lo=0.0, hi=1.0):
 def unit_mesh_2d(degree, level):
     return build_rectilinear_mesh(
         [(0.0, 1.0), (0.0, 1.0)], levels=(level, level), degrees=(degree, degree)
+    )
+
+
+def flat_points(mesh):
+    """The collocation points (d, points) in the flat DoF order."""
+    return np.concatenate(
+        [el.coords().reshape(mesh.dim, -1, order="F") for el in mesh.elements], axis=1
+    )
+
+
+def interpolant(mesh, fn, n_components=1):
+    """The values of `fn` (points (d, n) to (n_components, n)) at every DoF."""
+    return FieldVector.from_flat(mesh, n_components, fn(flat_points(mesh)))
+
+
+def flat_mass(mesh, background=BG):
+    """The lumped mass of every element in the flat DoF order, from `lumped_mass_diag`."""
+    return np.concatenate(
+        [lumped_mass_diag(el, background).ravel(order="F") for el in mesh.elements]
     )
 
 
@@ -388,20 +408,17 @@ def test_reconstruct_linear_1d():
     mesh = unit_mesh_1d(3, lo=-1.0, hi=1.0)
     bcs = BoundaryMap.everywhere(DirichletBC(lambda x: x[0][None]))
     handle = OperatorHandle(mesh, POISSON_1D, BG, bcs)
-    u = FieldVector(mesh, 1, [mesh.elements[0].coords()[0][None].copy()])
-    v = handle.reconstruct_auxiliary(u)
-    np.testing.assert_allclose(v.arrays[0], np.ones((1, 4)), atol=1e-13)
+    v = handle.reconstruct_auxiliary(interpolant(mesh, lambda x: x))
+    np.testing.assert_allclose(v.data, np.ones(4), atol=1e-13)
 
 
 def test_reconstruct_constant_is_zero():
     mesh = unit_mesh_2d(3, 1)
     bcs = BoundaryMap.everywhere(DirichletBC(4.5))
     handle = OperatorHandle(mesh, POISSON_2D, BG, bcs)
-    u = FieldVector(
-        mesh, 1, [np.full((1,) + e.grid_shape, 4.5) for e in mesh.elements]
-    )
+    u = FieldVector.from_flat(mesh, 1, np.full(mesh.total_points, 4.5))
     v = handle.reconstruct_auxiliary(u)
-    assert max(np.max(np.abs(a)) for a in v.arrays) < 1e-13
+    assert np.max(np.abs(v.data)) < 1e-13
 
 
 def test_reconstruct_polynomial_across_elements():
@@ -412,12 +429,10 @@ def test_reconstruct_polynomial_across_elements():
     poly = lambda x: (x[0] ** 3 * x[1] ** 2)[None]
     bcs = BoundaryMap.everywhere(DirichletBC(poly))
     handle = OperatorHandle(mesh, POISSON_2D, BG, bcs)
-    u = FieldVector(mesh, 1, [poly(e.coords()).copy() for e in mesh.elements])
-    v = handle.reconstruct_auxiliary(u)
-    for vk, el in zip(v.arrays, mesh.elements):
-        x, y = el.coords()
-        np.testing.assert_allclose(vk[0], 3 * x**2 * y**2, atol=1e-11)
-        np.testing.assert_allclose(vk[1], 2 * x**3 * y, atol=1e-11)
+    v = handle.reconstruct_auxiliary(interpolant(mesh, poly)).data.reshape(2, -1)
+    x, y = flat_points(mesh)
+    np.testing.assert_allclose(v[0], 3 * x**2 * y**2, atol=1e-11)
+    np.testing.assert_allclose(v[1], 2 * x**3 * y, atol=1e-11)
 
 
 # -- operator application ----------------------------------------------
@@ -430,7 +445,7 @@ def test_linearized_zero_is_zero():
     )
     handle = OperatorHandle(mesh, POISSON_2D, BG, bcs).linearized_at()
     res = handle.apply(handle.zero_primal())
-    assert all(not a.any() for a in res.arrays)
+    assert not res.data.any()
 
 
 def split_square_with_every_condition():
@@ -474,12 +489,9 @@ def test_polynomial_consistency_poisson():
     poly = lambda x: (x[0] ** 3 * x[1] - 2 * x[0] * x[1] + 5)[None]
     bcs = BoundaryMap.everywhere(DirichletBC(poly))
     handle = OperatorHandle(mesh, POISSON_2D, BG, bcs)
-    u = FieldVector(mesh, 1, [poly(e.coords()).copy() for e in mesh.elements])
-    res = handle.apply(u)
-    for rk, el in zip(res.arrays, mesh.elements):
-        x, y = el.coords()
-        expect = lumped_mass_diag(el, BG) * (-6 * x * y)
-        np.testing.assert_allclose(rk[0], expect, atol=1e-10)
+    res = handle.apply(interpolant(mesh, poly))
+    x, y = flat_points(mesh)
+    np.testing.assert_allclose(res.data, flat_mass(mesh) * (-6 * x * y), atol=1e-10)
 
 
 def test_polynomial_consistency_elasticity():
@@ -488,24 +500,21 @@ def test_polynomial_consistency_elasticity():
     poly = lambda x: np.stack([x[0] ** 2 * x[1], x[0] * x[1] ** 2])
     bcs = BoundaryMap.everywhere(DirichletBC(poly))
     handle = OperatorHandle(mesh, sys_, BG, bcs)
-    u = FieldVector(mesh, 2, [poly(e.coords()).copy() for e in mesh.elements])
-    res = handle.apply(u)
+    res = handle.apply(interpolant(mesh, poly, 2)).data.reshape(2, -1)
     # stress of u = (x^2 y, x y^2) with lambda = mu = 1:
     # T00 = T11 = 8xy, T01 = x^2 + y^2, so -div T = (-10y, -10x)
-    for rk, el in zip(res.arrays, mesh.elements):
-        x, y = el.coords()
-        m = lumped_mass_diag(el, BG)
-        np.testing.assert_allclose(rk[0], m * (-10 * y), atol=1e-10)
-        np.testing.assert_allclose(rk[1], m * (-10 * x), atol=1e-10)
+    x, y = flat_points(mesh)
+    m = flat_mass(mesh)
+    np.testing.assert_allclose(res[0], m * (-10 * y), atol=1e-10)
+    np.testing.assert_allclose(res[1], m * (-10 * x), atol=1e-10)
 
 
 def test_constant_with_homogeneous_neumann_is_zero():
     mesh = unit_mesh_2d(3, 0)
     bcs = BoundaryMap.everywhere(NeumannBC(0.0))
     handle = OperatorHandle(mesh, POISSON_2D, BG, bcs, form="strong")
-    u = FieldVector(mesh, 1, [np.full((1, 4, 4), 2.2)])
-    res = handle.apply(u)
-    assert np.max(np.abs(res.arrays[0])) < 1e-13
+    res = handle.apply(FieldVector.from_flat(mesh, 1, np.full(16, 2.2)))
+    assert np.max(np.abs(res.data)) < 1e-13
 
 
 def test_compact_stencil_exact_zeros():
@@ -513,11 +522,12 @@ def test_compact_stencil_exact_zeros():
     bcs = BoundaryMap.everywhere(DirichletBC(0.0))
     handle = OperatorHandle(mesh, POISSON_2D, BG, bcs).linearized_at()
     u = handle.zero_primal()
-    u.arrays[15][:] = 1.0  # far corner element
-    res = handle.apply(u)
+    offsets = mesh.point_offsets
+    u.data[offsets[15]:] = 1.0  # far corner element
+    res = handle.apply(u).data
     # element 0 shares no face with element 15; arithmetic stays exactly zero
-    assert not res.arrays[0].any()
-    assert res.arrays[15].any()
+    assert not res[:offsets[1]].any()
+    assert res[offsets[15]:].any()
 
 
 def test_high_resolution_residual_matches_source():
@@ -529,16 +539,9 @@ def test_high_resolution_residual_matches_source():
         mesh = unit_mesh_2d(6, level)
         bcs = BoundaryMap.everywhere(DirichletBC(0.0))
         handle = OperatorHandle(mesh, POISSON_2D, BG, bcs)
-        u = FieldVector(
-            mesh, 1, [sol.field.value(e.coords()).copy() for e in mesh.elements]
-        )
-        res = handle.apply(u)
-        err, scale = 0.0, 0.0
-        for rk, el in zip(res.arrays, mesh.elements):
-            mf = lumped_mass_diag(el, BG) * sol.fixed_source(el.coords())[0]
-            err = max(err, np.max(np.abs(rk[0] - mf)))
-            scale = max(scale, np.max(np.abs(mf)))
-        errs.append(err / scale)
+        res = handle.apply(interpolant(mesh, sol.field.value))
+        mf = flat_mass(mesh) * sol.fixed_source(flat_points(mesh))[0]
+        errs.append(np.max(np.abs(res.data - mf)) / np.max(np.abs(mf)))
     assert errs[0] < 1e-4
     assert errs[1] < errs[0] / 2**5  # roughly order P+1 decrease
 
@@ -551,13 +554,10 @@ def test_massless_divides_by_mass():
         mesh, POISSON_2D, BG, bcs, massive=False
     ).linearized_at()
     rng = np.random.default_rng(5)
-    u = FieldVector(
-        mesh, 1, [rng.normal(size=(1,) + e.grid_shape) for e in mesh.elements]
-    )
+    u = FieldVector.from_flat(mesh, 1, rng.normal(size=mesh.total_points))
     ra = massive.apply(u)
     rb = massless.apply(u)
-    for a, b, el in zip(ra.arrays, rb.arrays, mesh.elements):
-        np.testing.assert_allclose(b, a / lumped_mass_diag(el, BG), atol=1e-12)
+    np.testing.assert_allclose(rb.data, ra.data / flat_mass(mesh), atol=1e-12)
 
 
 def test_symmetry_strong_vs_strong_weak():
@@ -581,19 +581,21 @@ def test_symmetry_strong_vs_strong_weak():
 
 
 def test_fieldvector_layout():
+    # the element groups read a flat vector component-major, then by
+    # element, then grid point with the first dimension fastest
     mesh = build_rectilinear_mesh(
         [(0.0, 1.0), (0.0, 1.0)], levels=(1, 0), degrees=(1, 2)
     )
     fv = FieldVector.zeros(mesh, 2)
-    # component 0, element 0: mark grid point (i=1, j=0); first dim fastest
-    fv.arrays[0][0, 1, 0] = 3.0
-    fv.arrays[1][1, 0, 2] = 4.0  # component 1, element 1, point (0, 2)
-    flat = fv.to_flat()
-    assert flat[1] == 3.0
-    assert flat[2 * 6 + 6 + 4] == 4.0
-    back = FieldVector.from_flat(mesh, 2, flat)
-    for a, b in zip(back.arrays, fv.arrays):
-        np.testing.assert_array_equal(a, b)
+    fv.data[1] = 3.0  # component 0, element 0, grid point (i=1, j=0)
+    fv.data[2 * 6 + 6 + 4] = 4.0  # component 1, element 1, point (0, 2)
+    (group,) = _element_groups(mesh, BG)
+    # (components, elements, n_1, n_0): grid dimension j on axis -1-j
+    stacked = group.take(fv.data.reshape(2, -1))
+    assert stacked.shape == (2, 2, 3, 2)
+    assert stacked[0, 0, 0, 1] == 3.0
+    assert stacked[1, 1, 2, 0] == 4.0
+    assert np.count_nonzero(stacked) == 2
 
 
 def test_fieldvector_flat_round_trip_mixed_grid_shapes():
@@ -603,29 +605,32 @@ def test_fieldvector_flat_round_trip_mixed_grid_shapes():
     )
     mesh = with_degrees(with_degrees(mesh, 1, (3, 1)), 2, (2, 2))
     sizes = [el.n_points for el in mesh.elements]
-    assert len({el.grid_shape for el in mesh.elements}) == 3
+    groups = _element_groups(mesh, BG)
+    assert len(groups) == 3
     flat = np.arange(2.0 * sum(sizes))
     fv = FieldVector.from_flat(mesh, 2, flat)
     np.testing.assert_array_equal(fv.to_flat(), flat)
-    offsets = np.concatenate([[0], np.cumsum(sizes)])
-    for k, (arr, el) in enumerate(zip(fv.arrays, mesh.elements)):
-        assert arr.shape == (2,) + el.grid_shape
-        for c in range(2):
-            start = c * sum(sizes) + offsets[k]
+    rows = fv.data.reshape(2, -1)
+    offsets = mesh.point_offsets
+    back = np.full_like(rows, np.nan)
+    for g in groups:
+        stacked = g.take(rows)
+        for e, k in enumerate(g.members):
+            el = mesh.elements[k]
+            # each member's points, and its coordinates, in point order
             np.testing.assert_array_equal(
-                arr[c].ravel(order="F"), flat[start:start + sizes[k]]
+                stacked[:, e].reshape(2, -1), rows[:, offsets[k]:offsets[k + 1]]
             )
-    # writes through an element view reach the flat buffer
-    fv.arrays[2][1, 2, 0] = -7.0
-    pos = sum(sizes) + offsets[2] + 2
-    assert fv.to_flat()[pos] == -7.0
-    # building from element arrays gives the same flat vector
-    again = FieldVector(mesh, 2, [a.copy() for a in fv.arrays])
-    np.testing.assert_array_equal(again.to_flat(), fv.to_flat())
-    # to_flat hands out a copy, from_flat takes one
+            np.testing.assert_array_equal(
+                g.coords[:, e].reshape(2, -1), el.coords().reshape(2, -1, order="F")
+            )
+        g.put(back, stacked)
+    np.testing.assert_array_equal(back, rows)
+    # the constructor wraps its buffer; to_flat hands out a copy, from_flat takes one
+    assert FieldVector(mesh, 2, flat).data is flat
     out = fv.to_flat()
     out[0] = 99.0
-    assert fv.arrays[0][0, 0, 0] == 0.0
+    assert fv.data[0] == 0.0
     flat[0] = 99.0
     assert fv.to_flat()[0] == 0.0
 
@@ -634,6 +639,10 @@ def test_fieldvector_size_guard():
     mesh = unit_mesh_1d(2)
     with pytest.raises(ValueError):
         FieldVector.from_flat(mesh, 1, np.zeros(4))
+    # flat data only: one vector or a batch of rows, never one array per element
+    for data in (np.zeros(4), np.zeros((2, 4)), [np.zeros((1, 3))], np.zeros((1, 1, 3))):
+        with pytest.raises(ValueError, match="expected"):
+            FieldVector(mesh, 1, data)
 
 
 # -- full operator and rhs ---------------------------------------------
@@ -644,15 +653,11 @@ def test_full_operator_consistent_with_compact():
     bcs = BoundaryMap.everywhere(DirichletBC(lambda x: x[0][None]))
     handle = OperatorHandle(mesh, POISSON_2D, BG, bcs)
     rng = np.random.default_rng(9)
-    u = FieldVector(
-        mesh, 1, [rng.normal(size=(1,) + e.grid_shape) for e in mesh.elements]
-    )
+    u = FieldVector.from_flat(mesh, 1, rng.normal(size=mesh.total_points))
     v = handle.reconstruct_auxiliary(u)
     res_v, res_u = handle.apply_full(v, u)
-    assert max(np.max(np.abs(a)) for a in res_v.arrays) < 1e-11
-    compact = handle.apply(u)
-    for a, b in zip(res_u.arrays, compact.arrays):
-        np.testing.assert_allclose(a, b, atol=1e-12)
+    assert np.max(np.abs(res_v.data)) < 1e-11
+    np.testing.assert_allclose(res_u.data, handle.apply(u).data, atol=1e-12)
 
 
 def test_full_operator_mass_block():
@@ -661,9 +666,7 @@ def test_full_operator_mass_block():
     bcs = BoundaryMap.everywhere(DirichletBC(0.0))
     handle = OperatorHandle(mesh, POISSON_1D, BG, bcs).linearized_at()
     na = handle.n_auxiliary_dofs
-    masses = np.concatenate(
-        [lumped_mass_diag(e, BG).ravel(order="F") for e in mesh.elements]
-    )
+    masses = flat_mass(mesh)
     for j in range(na):
         e = np.zeros(na + handle.n_primal_dofs)
         e[j] = 1.0
@@ -694,10 +697,7 @@ def test_batch_matches_single_vectors():
     puncture = make_system("puncture", dim=3, punctures=[
         PunctureSpec(1.0, (0.1, 0.2, 0.3), momentum=(0.2, 0.0, 0.3), spin=(0.0, 0.1, 0.0)),
     ])
-    point = FieldVector(cube, 1, [
-        0.1 * np.sin(e.coords()[0] + 2.0 * e.coords()[1] - e.coords()[2])[None]
-        for e in cube.elements
-    ])
+    point = interpolant(cube, lambda x: 0.1 * np.sin(x[0] + 2.0 * x[1] - x[2])[None])
     handles.append(OperatorHandle(
         cube, puncture, BG, BoundaryMap({"all": FalloffDirichletBC(0.2)}), form="strong-weak",
     ).linearized_at(point))
@@ -708,6 +708,7 @@ def test_batch_matches_single_vectors():
         mesh = handle.mesh
         us = rng.standard_normal((3, handle.n_primal_dofs))
         vs = rng.standard_normal((3, handle.n_auxiliary_dofs))
+        before = us.copy()
         res = handle.apply(FieldVector.batch(mesh, 1, us)).data
         assert res.shape == us.shape
         for u, r in zip(us, res):
@@ -719,6 +720,9 @@ def test_batch_matches_single_vectors():
             np.testing.assert_array_equal(
                 np.concatenate([a, b]), handle.matvec_full(np.concatenate([v, u]))
             )
+        # the operator reads its input in place and never writes to it
+        np.testing.assert_array_equal(us, before)
+        assert not np.shares_memory(handle.matvec(us[0]), us)
 
 
 def _dense_volume_kernels(group, fluxes):
@@ -894,8 +898,6 @@ def test_batch_guards():
             FieldVector.batch(mesh, 1, rows)
     batch = FieldVector.batch(mesh, 1, np.zeros((2, 3)))
     with pytest.raises(ValueError):
-        batch.arrays
-    with pytest.raises(ValueError):
         handle.apply_full(FieldVector.batch(mesh, 1, np.zeros((3, 3))), batch)
 
 
@@ -904,9 +906,7 @@ def test_build_rhs_homogeneous_dirichlet():
     bcs = BoundaryMap.everywhere(DirichletBC(0.0))
     handle = OperatorHandle(mesh, POISSON_2D, BG, bcs)
     f = lambda x: np.ones((1,) + x.shape[1:])
-    rhs = handle.build_rhs(f)
-    for rk, el in zip(rhs.arrays, mesh.elements):
-        np.testing.assert_array_equal(rk[0], lumped_mass_diag(el, BG))
+    np.testing.assert_array_equal(handle.build_rhs(f).data, flat_mass(mesh))
 
 
 @pytest.mark.parametrize("massive", [True, False])
@@ -918,11 +918,12 @@ def test_build_rhs_given_field_on_mixed_grids(massive):
         mesh, POISSON_2D, BG, BoundaryMap.everywhere(DirichletBC(1.0)), massive=massive
     )
     f = lambda x: np.sin(x[:1] + 2.0 * x[1:])
-    given = FieldVector(mesh, 1, [f(el.coords()) for el in mesh.elements])
+    given = interpolant(mesh, f)
     rhs = handle.build_rhs(given)
     np.testing.assert_array_equal(rhs.data, handle.build_rhs(f).data)
-    for rk, gk, el in zip(rhs.arrays, given.arrays, mesh.elements):
-        np.testing.assert_array_equal(rk, lumped_mass_diag(el, BG) * gk if massive else gk)
+    np.testing.assert_array_equal(
+        rhs.data, flat_mass(mesh) * given.data if massive else given.data
+    )
     assert not np.shares_memory(rhs.data, given.data)
 
 
@@ -931,12 +932,12 @@ def test_build_rhs_inhomogeneous_confined_to_boundary_elements():
     inhom = BoundaryMap({"x-lower": DirichletBC(2.0), "all": DirichletBC(0.0)})
     hom = BoundaryMap.everywhere(DirichletBC(0.0))
     # build_rhs is M f alone; the boundary term lives in the residual A(0)
-    zero_residual = [
-        OperatorHandle(mesh, POISSON_2D, BG, bcs).apply(FieldVector.zeros(mesh, 1)).arrays
+    a, b = (
+        OperatorHandle(mesh, POISSON_2D, BG, bcs).apply(FieldVector.zeros(mesh, 1)).data
         for bcs in (inhom, hom)
-    ]
-    delta = [a - b for a, b in zip(*zero_residual)]
-    touched = {k for k, d in enumerate(delta) if d.any()}
+    )
+    offsets = mesh.point_offsets
+    touched = {k for k in range(mesh.n_elements) if (a - b)[offsets[k]:offsets[k + 1]].any()}
     boundary = {
         k
         for k, el in enumerate(mesh.elements)
@@ -1142,8 +1143,9 @@ def test_full_rhs_confined_to_face_points():
     rv, ru = handle.apply_full(
         FieldVector.zeros(mesh, 2), FieldVector.zeros(mesh, 1)
     )
-    for arr in (rv.arrays[0], ru.arrays[0]):
-        assert not arr[..., :-1, :].any()
+    # one element: per component, its 4 x 4 grid in point order (y, x)
+    for data in (rv.data, ru.data):
+        assert not data.reshape(-1, 4, 4)[..., :-1].any()
 
 
 def test_nan_guard_names_element():
@@ -1196,6 +1198,30 @@ def test_handle_validation():
         handle.linearized_at(FieldVector.zeros(mesh, 2))
     with pytest.raises(ValueError, match="not a batch"):
         handle.linearized_at(FieldVector.batch(mesh, 1, np.zeros((2, handle.n_primal_dofs))))
+
+
+def test_vectors_of_another_mesh_or_component_count_rejected():
+    # `twin` has the same DoF count as `mesh`; meshes are compared by identity
+    mesh, twin = unit_mesh_2d(2, 1), unit_mesh_2d(2, 1)
+    handle = OperatorHandle(mesh, POISSON_2D, BG, BoundaryMap.everywhere(DirichletBC(0.0)))
+    u, v = handle.zero_primal(), FieldVector.zeros(mesh, 2)
+    foreign_u, foreign_v = FieldVector.zeros(twin, 1), FieldVector.zeros(twin, 2)
+    primal = r"primal vector: 1 component\(s\) on the handle's mesh of 4 elements"
+    auxiliary = r"an auxiliary vector: 2 component\(s\) on the handle's mesh of 4 elements"
+    cases = [
+        (lambda: handle.apply(foreign_u), primal + ", not 1 on another mesh"),
+        (lambda: handle.apply(v), primal + ", not 2 on that mesh"),
+        (lambda: handle.apply_full(foreign_v, u), auxiliary),
+        (lambda: handle.apply_full(u, u), auxiliary),
+        (lambda: handle.apply_full(v, foreign_u), primal),
+        (lambda: handle.apply_full(v, v), primal),
+        (lambda: handle.build_rhs(foreign_u), primal),
+        (lambda: handle.build_rhs(v), primal),
+        (lambda: handle.linearized_at(foreign_u), primal),
+    ]
+    for call, message in cases:
+        with pytest.raises(ValueError, match=message):
+            call()
 
 
 def test_puncture_collocation_guard():

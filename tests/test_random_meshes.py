@@ -34,7 +34,6 @@ from ipdg import (
     ConformallyFlatBackground,
     DirichletBC,
     FalloffDirichletBC,
-    FieldVector,
     FlatBackground,
     OperatorHandle,
     PunctureSpec,
@@ -50,7 +49,7 @@ from ipdg import (
 )
 from ipdg.errors import TopologyError
 from ipdg.mesh import mortar_topology
-from test_operators import QuadraticFluxBC, check_face_partition
+from test_operators import QuadraticFluxBC, check_face_partition, interpolant
 
 BG = FlatBackground()
 CURVED = ConformallyFlatBackground(
@@ -193,10 +192,7 @@ def test_linearized_puncture_invariants(mesh, form, massive):
         form=form, massive=massive,
     )
     # a nonzero state, so the linearized source matters
-    point = FieldVector(mesh, 1, [
-        0.1 * np.sin(e.coords()[0] + 2.0 * e.coords()[1] - e.coords()[2])[None]
-        for e in mesh.elements
-    ])
+    point = interpolant(mesh, lambda x: 0.1 * np.sin(x[0] + 2.0 * x[1] - x[2])[None])
     check_invariants(handle.linearized_at(point))
 
 

@@ -24,7 +24,6 @@ from ipdg import (
     ConformallyFlatBackground,
     DirichletBC,
     FalloffDirichletBC,
-    FieldVector,
     FlatBackground,
     NeumannBC,
     OperatorHandle,
@@ -37,6 +36,7 @@ from ipdg import (
     split_element,
     with_degrees,
 )
+from test_operators import interpolant
 
 SNAPSHOT_DIR = os.path.join(os.path.dirname(os.path.abspath(__file__)), "snapshots")
 RTOL = 1e-13
@@ -130,10 +130,7 @@ def puncture():
         form="strong-weak",
     )
     # linearize about a nonzero state so the linearized source matters
-    point = FieldVector(mesh, 1, [
-        0.1 * np.sin(el.coords()[0] + 2.0 * el.coords()[1] - el.coords()[2])[None]
-        for el in mesh.elements
-    ])
+    point = interpolant(mesh, lambda x: 0.1 * np.sin(x[0] + 2.0 * x[1] - x[2])[None])
     return handle.linearized_at(point)
 
 

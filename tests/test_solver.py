@@ -4,12 +4,13 @@ import numpy as np
 import pytest
 import scipy.linalg
 import scipy.sparse
+import scipy.sparse.linalg
 
-from ipdg.background import FlatBackground
+from ipdg.background import ConformallyFlatBackground, FlatBackground
 from ipdg.boundaries import BoundaryMap, DirichletBC, FalloffDirichletBC
 from ipdg.errors import ConfigurationError, ResourceCapError
 from ipdg.mesh import build_rectilinear_mesh, with_degrees
-from ipdg.operators import FieldVector, OperatorHandle, lumped_mass_diag
+from ipdg.operators import FieldVector, OperatorHandle
 import ipdg.solver
 from ipdg.solver import (
     ExplicitMatrix,
@@ -21,6 +22,7 @@ from ipdg.solver import (
     solve_newton,
 )
 from ipdg.systems import PunctureSpec, make_system
+from test_operators import flat_mass, flat_points, interpolant
 
 BG = FlatBackground()
 
@@ -242,13 +244,11 @@ def test_gmres_round_trip_affine():
     bcs = BoundaryMap.everywhere(DirichletBC(1.0))
     handle = OperatorHandle(mesh, system, BG, bcs)
     rng = np.random.default_rng(2)
-    u_star = FieldVector(mesh, 1, [rng.normal(size=(1, 5, 5))])
+    u_star = FieldVector.from_flat(mesh, 1, rng.normal(size=25))
     rhs = handle.apply(u_star)
     u, report = solve_linear(handle, rhs, tol=1e-12)
     assert report.converged
-    np.testing.assert_allclose(
-        u.arrays[0], u_star.arrays[0], atol=1e-8
-    )
+    np.testing.assert_allclose(u.data, u_star.data, atol=1e-8)
 
 
 def test_build_rhs_solve_inhomogeneous_dirichlet():
@@ -261,9 +261,7 @@ def test_build_rhs_solve_inhomogeneous_dirichlet():
     bcs = BoundaryMap({"x-lower": DirichletBC(2.0), "all": DirichletBC(0.0)})
     handle = OperatorHandle(mesh, system, BG, bcs, form="strong-weak")
     f = lambda x: np.sin(3.0 * x[:1]) * x[1:]
-    mf = FieldVector(
-        mesh, 1, [lumped_mass_diag(el, BG) * f(el.coords()) for el in mesh.elements]
-    ).data
+    mf = flat_mass(mesh) * f(flat_points(mesh))[0]
     tol = 1e-11
     u, report = solve_linear(handle, handle.build_rhs(f), tol=tol)
     assert report.converged
@@ -297,7 +295,7 @@ def test_zero_rhs_short_circuit():
     assert report.iterations == 0
     assert report.converged
     assert report.residual_norm == 0.0
-    assert not any(a.any() for a in u.arrays)
+    assert not u.data.any()
 
 
 def test_cg_requires_symmetric_configuration():
@@ -345,6 +343,69 @@ def test_unknown_method_rejected():
     handle = poisson_handle(1, 2)
     with pytest.raises(ConfigurationError):
         solve_linear(handle, np.ones(handle.n_primal_dofs), method="lu")
+
+
+# Each bad value is tried on a zero right-hand side, which returns at once
+# without the check, so a missing check fails instead of hanging.
+
+
+def _bad_solver_argument(key, value, match):
+    linear = poisson_handle(1, 2, lin=False)
+    zero = linear.zero_primal()
+    with pytest.raises(ConfigurationError, match=match):
+        solve_linear(linear, zero, **{key: value})
+    with pytest.raises(ConfigurationError, match=match):
+        solve_newton(linear, zero, inner={key: value})
+
+
+def test_restart_below_one_rejected():
+    # restart=0 made GMRES loop forever without counting an iteration
+    for restart in (0, -2):
+        _bad_solver_argument("restart", restart, "solver.restart")
+
+
+def test_negative_max_iterations_rejected():
+    _bad_solver_argument("max_iter", -3, "solver.max_iterations")
+    with pytest.raises(ConfigurationError, match="newton.max_iterations"):
+        solve_newton(poisson_handle(1, 2, lin=False), np.zeros(36), max_iter=-1)
+
+
+def test_negative_or_non_finite_tolerance_rejected():
+    for tol in (-1e-10, np.nan, np.inf):
+        _bad_solver_argument("tol", tol, "solver.tolerance")
+        with pytest.raises(ConfigurationError, match="newton.tolerance"):
+            solve_newton(poisson_handle(1, 2, lin=False), np.zeros(36), tol=tol)
+
+
+def test_gmres_with_preconditioners():
+    # a non-symmetric operator: the strong form on a conformally flat
+    # background, two grid shapes
+    bg = ConformallyFlatBackground(
+        lambda x: 0.3 * x[0] - 0.2 * x[1],
+        lambda x: np.stack([0.3 * np.ones_like(x[0]), -0.2 * np.ones_like(x[0])]),
+    )
+    mesh = with_degrees(
+        build_rectilinear_mesh([(0.0, 1.0)] * 2, levels=(1, 1), degrees=(3, 3)), 2, (4, 2)
+    )
+    handle = OperatorHandle(
+        mesh, make_system("poisson-curved", dim=2), bg,
+        BoundaryMap.everywhere(DirichletBC(0.0)), form="strong",
+    ).linearized_at()
+    a = assemble_explicit(handle).matrix.tocsc()
+    assert abs(a - a.T).max() > 1e-3 * abs(a).max()
+    b = np.random.default_rng(3).standard_normal(handle.n_primal_dofs)
+    tol = 1e-10
+    plain, _ = solve_linear(handle, b, tol=tol)
+    diagonal = a.diagonal()
+    jacobi, report = solve_linear(handle, b, tol=tol, preconditioner=lambda x: x / diagonal)
+    assert report.converged
+    assert np.linalg.norm(b - handle.matvec(jacobi.data)) <= tol * np.linalg.norm(b)
+    assert np.linalg.norm(jacobi.data - plain.data) <= tol * np.linalg.norm(plain.data)
+    # the exact inverse leaves the identity to solve
+    inverse = scipy.sparse.linalg.splu(a).solve
+    exact, report = solve_linear(handle, b, tol=tol, preconditioner=inverse)
+    assert report.converged and report.iterations <= 2
+    assert np.linalg.norm(b - handle.matvec(exact.data)) <= tol * np.linalg.norm(b)
 
 
 def test_nonconvergence_is_reported_not_raised():
@@ -504,11 +565,7 @@ def test_solve_linear_reuses_the_drivers_true_residual(method):
 def test_newton_linear_single_iteration():
     handle = poisson_handle(1, 3, lin=False)
     rng = np.random.default_rng(8)
-    u_star = FieldVector(
-        handle.mesh,
-        1,
-        [rng.normal(size=(1,) + e.grid_shape) for e in handle.mesh.elements],
-    )
+    u_star = FieldVector.from_flat(handle.mesh, 1, rng.normal(size=handle.n_primal_dofs))
     rhs = handle.apply(u_star)
     u, report = solve_newton(handle, rhs, tol=1e-10)
     assert report.converged
@@ -534,7 +591,7 @@ def test_newton_trivial_puncture():
     assert report.converged
     assert report.iterations == 0
     assert report.residual_norm == 0.0
-    assert not any(a.any() for a in u.arrays)
+    assert not u.data.any()
 
 
 def test_newton_nonlinear_quadratic_phase():
@@ -544,7 +601,7 @@ def test_newton_nonlinear_quadratic_phase():
     def smooth(x):
         return (0.1 * np.sin(x[0]) * np.sin(x[1] + x[2]))[None]
 
-    u_star = FieldVector(mesh, 1, [smooth(e.coords()) for e in mesh.elements])
+    u_star = interpolant(mesh, smooth)
     rhs = handle.apply(u_star)
     u, report = solve_newton(handle, rhs, tol=1e-12, max_iter=12)
     assert report.converged
@@ -561,9 +618,7 @@ def test_newton_divergence_reported():
     # inner solve so the correction is useless
     handle = puncture_handle((0.0, 0.0, 0.5))
     rng = np.random.default_rng(12)
-    u_star = FieldVector(
-        handle.mesh, 1, [rng.normal(size=(1, 4, 4, 4))]
-    )
+    u_star = FieldVector.from_flat(handle.mesh, 1, rng.normal(size=64))
     rhs = handle.apply(u_star)
     _, report = solve_newton(
         handle, rhs, tol=1e-12, max_iter=10, inner={"max_iter": 1, "tol": 1e-30}
