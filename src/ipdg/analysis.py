@@ -73,21 +73,37 @@ def l2_error(mesh, u, analytic_value, background, *, handle=None) -> float:
     """Volume-normalized L2 error pooled over all primal components.
 
     analytic_value maps coords (d, ...) to field values (n_components, ...);
-    it is called once per element group. `handle`, an OperatorHandle on this
-    mesh and background, lends its element groups, so their geometry is not
-    evaluated again; the error is the same to the last bit. Each element's
-    sums run in its natural grid order.
+    it is called once per element group. `u` must be one vector on `mesh`
+    (the same object) with one component per primal variable: of the
+    handle's system when given, and of the analytic value. `handle`, an
+    OperatorHandle on this mesh and background, lends its element groups,
+    so their geometry is not evaluated again; without one, groups of points
+    and mass only are built. The error is the same to the last bit either
+    way. Each element's sums run in its natural grid order.
     """
     if handle is None:
-        groups = _element_groups(mesh, background)
+        groups = _element_groups(mesh, background, faces=False)
     elif handle.mesh is not mesh or handle.background is not background:
         raise ValueError("handle was built for another mesh or background")
     else:
         groups = handle._cache.groups
-    rows = u.data.reshape(u.n_components, mesh.total_points)
+    n = u.n_components if handle is None else handle.system.n_primal
+    if u.mesh is not mesh or u.n_components != n or u.data.ndim != 1:
+        raise ValueError(
+            f"u must be a primal vector: {n} component(s) on the mesh of "
+            f"{mesh.n_elements} elements, not {u.n_components} on "
+            f"{'that' if u.mesh is mesh else 'another'} mesh"
+            + ("" if u.data.ndim == 1 else ", and not a batch")
+        )
+    rows = u.data.reshape(n, mesh.total_points)
     num_parts, den_parts = [0.0] * mesh.n_elements, [0.0] * mesh.n_elements
     for g in groups:
-        diff = g.take(rows) - np.asarray(analytic_value(g.coords), dtype=float)
+        exact = np.asarray(analytic_value(g.coords), dtype=float)
+        if exact.shape[:1] != (n,):
+            raise ValueError(
+                f"analytic value has shape {exact.shape}, expected {n} component(s) first"
+            )
+        diff = g.take(rows) - exact
         for e, k in enumerate(g.members):
             w = _natural(g.mass[e], g.dim)
             num_parts[k] = float(np.sum(w * _natural(diff[:, e], g.dim) ** 2))

@@ -36,6 +36,7 @@ __all__ = [
     "split_element",
     "with_degrees",
     "jacobian_at",
+    "jacobian_det",
     "mortar_topology",
     "face_shape",
     "face_slices",
@@ -387,19 +388,40 @@ def with_degrees(mesh: Mesh, index: int, degrees) -> Mesh:
     return Mesh(mesh.dim, mesh.blocks, elements)
 
 
-def jacobian_at(element: Element, xi) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Jacobian dx/dxi, its determinant, and its inverse at logical points.
+def jacobian_det(element: Element, xi) -> tuple[np.ndarray, np.ndarray]:
+    """Jacobian dx/dxi and its determinant at logical points.
 
-    xi has shape (d,) or (d, ...); returns (J, det, J^-1) with J shaped
-    (d, d, ...). Raises DegenerateGeometryError unless det > 0 everywhere.
+    xi has shape (d,) or (d, ...); returns (J, det) with J shaped (d, d, ...).
+    Raises DegenerateGeometryError unless det > 0 everywhere.
     """
     xi = np.asarray(xi, dtype=float)
     jac = element.map.jacobian(xi)
     if element.dim == 1:
         det = jac[0, 0]
-        inv = (1.0 / det)[None, None]
     elif element.dim == 2:
         det = jac[0, 0] * jac[1, 1] - jac[0, 1] * jac[1, 0]
+    else:
+        det = np.einsum(
+            "i...,i...->...",
+            jac[:, 0],
+            np.cross(jac[:, 1], jac[:, 2], axisa=0, axisb=0, axisc=0),
+        )
+    if np.any(np.asarray(det) <= 0):
+        raise DegenerateGeometryError(
+            f"non-positive Jacobian determinant in element {element.id_string()}"
+        )
+    return jac, np.asarray(det, dtype=float)
+
+
+def jacobian_at(element: Element, xi) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Jacobian dx/dxi, its determinant, and its inverse at logical points.
+
+    As `jacobian_det`, which raises unless det > 0; returns (J, det, J^-1).
+    """
+    jac, det = jacobian_det(element, xi)
+    if element.dim == 1:
+        inv = (1.0 / det)[None, None]
+    elif element.dim == 2:
         inv = (
             np.stack(
                 [
@@ -410,22 +432,13 @@ def jacobian_at(element: Element, xi) -> tuple[np.ndarray, np.ndarray, np.ndarra
             / det
         )
     else:
-        det = np.einsum(
-            "i...,i...->...",
-            jac[:, 0],
-            np.cross(jac[:, 1], jac[:, 2], axisa=0, axisb=0, axisc=0),
-        )
         cof = np.empty_like(jac)
         for i in range(3):
             cof[:, i] = np.cross(
                 jac[:, (i + 1) % 3], jac[:, (i + 2) % 3], axisa=0, axisb=0, axisc=0
             )
         inv = np.einsum("ji...->ij...", cof) / det
-    if np.any(np.asarray(det) <= 0):
-        raise DegenerateGeometryError(
-            f"non-positive Jacobian determinant in element {element.id_string()}"
-        )
-    return jac, np.asarray(det, dtype=float), inv
+    return jac, det, inv
 
 
 def face_shape(grid_shape: tuple[int, ...], dim: int) -> tuple[int, ...]:

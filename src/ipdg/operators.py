@@ -67,7 +67,9 @@ application: trace-free boundary conditions (`_TraceFree`) fill their part
 of the boundary arrays once, when the handle is built, and the volume
 kernels contract only the (reference, physical) direction pairs whose
 inverse-Jacobian entry is not zero everywhere in the group, one per
-reference direction on rectilinear meshes.
+reference direction on rectilinear meshes. Nor is it redone per
+linearization: `linearized_at` shares the mesh cache, the penalty and the
+boundary layout of the handle it linearizes, and reads only the point.
 """
 
 from __future__ import annotations
@@ -87,7 +89,7 @@ from .errors import (
     SingularPointError,
     TopologyError,
 )
-from .mesh import face_shape, jacobian_at, mortar_topology
+from .mesh import face_shape, jacobian_at, jacobian_det, mortar_topology
 from .mortars import mortar_logical_weights, prolongation_matrix
 
 __all__ = [
@@ -289,12 +291,14 @@ class _Group:
     face points fill [face_start, face_end) of the face buffer, face key by
     face key, element by element within a key; `face_geometry` holds per key
     their coordinates, normals, h = 2/|n~|, surface measure and lumped mass.
+    Without a `face_start` the group holds only its points, coordinates and
+    mass, what `analysis.l2_error` reads.
 
     Each member's map and Jacobian are evaluated once on the shared logical
     grid; everything else is derived from the stack.
     """
 
-    def __init__(self, elements, members, offsets, background, face_start):
+    def __init__(self, elements, members, offsets, background, face_start=None):
         first = elements[0]
         node_sets = first.node_sets()
         n_el, n = len(members), first.n_points
@@ -306,15 +310,19 @@ class _Group:
         self.members = members
         self.dim = dim = first.dim
         self.shape = (n_el,) + first.grid_shape[::-1]
+        self.face_end = face_start
         xi = first.logical_grid()
-        coords, det, jinv = [], [], []
-        for el in elements:
-            coords.append(_point_order(el.map.apply(xi), dim))
-            _, d, inv = jacobian_at(el, xi)
-            det.append(_point_order(d, dim))
-            jinv.append(_point_order(inv, dim))
-        self.coords = np.stack(coords, axis=1)
-        self.jinv = np.stack(jinv, axis=2)
+        self.coords = np.stack([_point_order(el.map.apply(xi), dim) for el in elements], axis=1)
+        # (J, det) only, or (J, det, J^-1) for the operator
+        jac = [(jacobian_det if face_start is None else jacobian_at)(el, xi) for el in elements]
+        det = np.stack([_point_order(j[1], dim) for j in jac])
+        weights = [ns.weights for ns in node_sets]
+        self.mass = _lumped_mass(
+            elements, background, self.coords, det, _point_order(_weight_product(weights), dim)
+        )
+        if face_start is None:
+            return
+        self.jinv = np.stack([_point_order(j[2], dim) for j in jac], axis=2)
         # per reference direction j, the physical directions i whose
         # Jinv^j_i is not zero at every point: the one i = j on rectilinear
         # meshes, every i on curved ones. The volume kernels skip the others,
@@ -326,11 +334,6 @@ class _Group:
             lo, hi = dirs[0], dirs[-1] + 1
             sel = slice(lo, hi) if hi - lo == len(dirs) else dirs
             self._terms.append((sel, self.jinv[j][sel]))
-        det = np.stack(det)
-        weights = [ns.weights for ns in node_sets]
-        self.mass = _lumped_mass(
-            elements, background, self.coords, det, _point_order(_weight_product(weights), dim)
-        )
         self.diffs = [differentiation_matrix(ns) for ns in node_sets]
         self.faces, self.face_geometry = [], []
         for fdim in range(dim):
@@ -390,13 +393,14 @@ class _Group:
         return out
 
 
-def _element_groups(mesh, background):
+def _element_groups(mesh, background, faces=True):
     """One `_Group` per grid shape, in order of first appearance in the mesh,
-    their face points filling one face buffer group after group."""
+    their face points filling one face buffer group after group; without
+    `faces`, groups of points, coordinates and mass only."""
     by_shape = {}
     for k, el in enumerate(mesh.elements):
         by_shape.setdefault(el.grid_shape, []).append(k)
-    groups, pos = [], 0
+    groups, pos = [], 0 if faces else None
     for members in by_shape.values():
         elements = [mesh.elements[k] for k in members]
         groups.append(_Group(elements, members, mesh.point_offsets, background, pos))
@@ -614,18 +618,8 @@ class OperatorHandle:
         massive: bool = True,
         penalty_parameter: float = 1.0,
         linearization_point: Optional[FieldVector] = None,
-        _cache: Optional[_MeshCache] = None,
+        _parent: Optional["OperatorHandle"] = None,
     ):
-        if system.dim != mesh.dim:
-            raise ConfigurationError(
-                "system", f"system is {system.dim}D but mesh is {mesh.dim}D"
-            )
-        if form not in ("strong", "strong-weak"):
-            raise ConfigurationError("operator.form", f"unknown form {form!r}")
-        if not 0.0 <= penalty_parameter < math.inf:
-            raise ConfigurationError(
-                "operator.penalty_parameter", "penalty parameter must be finite and >= 0"
-            )
         self.mesh = mesh
         self.system = system
         self.background = background
@@ -634,11 +628,57 @@ class OperatorHandle:
         self.massive = bool(massive)
         self.penalty_parameter = float(penalty_parameter)
         self.linearization_point = linearization_point
-        self._cache = cache = _cache if _cache is not None else _MeshCache(mesh, background)
+        if _parent is None:
+            self._setup()
+        else:
+            # `linearized_at`: the same mesh, system, background, conditions
+            # and switches, so everything that does not depend on the point
+            for name in self._SHARED:
+                setattr(self, name, getattr(_parent, name))
+        self._lin_groups = traces = None
+        if linearization_point is not None:
+            # the point is read here, once: per group, and as face traces where
+            # a live condition reads them; trace-free conditions have no
+            # linearized data (`_TraceFree`), and the fluxes are linear in u
+            cache = self._cache
+            self._check(linearization_point, "primal", "the linearization point")
+            if linearization_point.data.ndim != 1:
+                raise ValueError("linearization point must be a single vector, not a batch")
+            lin_rows = self._rows(linearization_point.data)
+            self._lin_groups = [g.take(lin_rows).copy() for g in cache.groups]
+            self._fixed = [np.zeros_like(a) for a in self._fixed]
+            if self._live_layout:
+                traces = np.empty((system.n_primal, cache.n_face_points))
+                for g, lin_g in zip(cache.groups, self._lin_groups):
+                    g.traces(lin_g, traces)
+        self._live = [
+            (bc, k, pos, index, x, normal, None if traces is None else traces[:, index])
+            for bc, k, pos, index, x, normal in self._live_layout
+        ]
+
+    # what `linearized_at` shares with the handle it linearizes
+    _SHARED = (
+        "_cache", "_face_sigma", "_mortar_sigma", "_external", "_n_dirichlet",
+        "_x", "_normal", "_fixed", "_live_layout",
+    )
+
+    def _setup(self):
+        """Check the switches, and build the point-independent state: the mesh
+        cache, the penalty and the boundary layout and arrays."""
+        system, background = self.system, self.background
+        if system.dim != self.mesh.dim:
+            raise ConfigurationError(
+                "system", f"system is {system.dim}D but mesh is {self.mesh.dim}D"
+            )
+        if self.form not in ("strong", "strong-weak"):
+            raise ConfigurationError("operator.form", f"unknown form {self.form!r}")
+        if not 0.0 <= self.penalty_parameter < math.inf:
+            raise ConfigurationError(
+                "operator.penalty_parameter", "penalty parameter must be finite and >= 0"
+            )
+        self._cache = cache = _MeshCache(self.mesh, background)
         self.bcs.validate_tags(cache.external)
-        # a given `_cache` comes from a handle of the same mesh, system and
-        # background (`linearized_at`), which already checked its points
-        if _cache is None and hasattr(system, "min_puncture_distance"):
+        if hasattr(system, "min_puncture_distance"):
             if min(system.min_puncture_distance(g.coords) for g in cache.groups) < 1e-10:
                 raise SingularPointError(
                     "a collocation point lies within 1e-10 of a puncture; "
@@ -646,17 +686,6 @@ class OperatorHandle:
                 )
         self._face_sigma = self.penalty_parameter * cache.face_sigma
         self._mortar_sigma = [self.penalty_parameter * mg.sigma for mg in cache.mortar_groups]
-        # the linearization point is read here, once: per group and as face traces
-        self._lin_groups = lin_traces = None
-        if linearization_point is not None:
-            self._check(linearization_point, "primal", "the linearization point")
-            if linearization_point.data.ndim != 1:
-                raise ValueError("linearization point must be a single vector, not a batch")
-            lin_rows = self._rows(linearization_point.data)
-            self._lin_groups = [g.take(lin_rows).copy() for g in cache.groups]
-            lin_traces = np.empty((system.n_primal, cache.n_face_points))
-            for g, lin_g in zip(cache.groups, self._lin_groups):
-                g.traces(lin_g, lin_traces)
         # the boundary arrays over the external points, dirichlet-kind first
         # (`_external`): trace-free conditions fill their positions here,
         # once; the others (`_live`) overwrite theirs in every application
@@ -669,22 +698,20 @@ class OperatorHandle:
         e = self._external = _concat([index for _, index in conds])
         nd = self._n_dirichlet = sum(i.size for bc, i in conds if bc.kind == "dirichlet")
         self._x, self._normal = cache.face_coords[:, e], cache.face_normal[:, e]
-        lin_e = None if lin_traces is None else lin_traces[:, e]
         self._fixed = [
             np.zeros((system.n_auxiliary, nd)), np.zeros((system.n_primal, e.size - nd))
         ]
-        self._live, end = [], 0
+        self._live_layout, end = [], 0
         for bc, index in conds:
             start, end = end, end + index.size
             k = int(bc.kind == "neumann")
             pos, span = slice(start - k * nd, end - k * nd), slice(start, end)
             x, normal = self._x[:, span], self._normal[:, span]
-            lin_b = None if lin_e is None else lin_e[:, span]
             if not isinstance(bc, _TraceFree):
-                self._live.append((bc, k, pos, index, x, normal, lin_b))
+                self._live_layout.append((bc, k, pos, index, x, normal))
                 continue
             data = self._fixed[k][:, pos] = _boundary_values(
-                bc, system, background, x, normal, np.zeros((system.n_primal, index.size)), lin_b
+                bc, system, background, x, normal, np.zeros((system.n_primal, index.size)), None
             )
             if not np.isfinite(data).all():
                 key = next(t for t, c in self.bcs.table.items() if c is bc)
@@ -726,7 +753,7 @@ class OperatorHandle:
             massive=self.massive,
             penalty_parameter=self.penalty_parameter,
             linearization_point=self.zero_primal() if point is None else point,
-            _cache=self._cache,
+            _parent=self,
         )
 
     # -- operator application ------------------------------------------

@@ -1,4 +1,4 @@
-"""Matrix-free linear solves, explicit assembly, and Newton iteration.
+"""Matrix-free linear solves, explicit assembly, and inexact Newton iteration.
 
 The Krylov drivers only ever call the operator handle's matvec, so they work
 at any resolution; explicit matrices exist for inspection, direct oracles,
@@ -47,6 +47,7 @@ class SolveReport:
 
     iterations: int
     residual_norm: float  # relative to the right-hand side (or absolute if rhs = 0)
+    tolerance: float  # the relative residual the solve was asked for
     converged: bool
     wall_time: float
     residual_history: list = field(default_factory=list)
@@ -367,6 +368,15 @@ def _check_iteration(section, tol, max_iter, restart=1):
         raise ConfigurationError(f"{section}.restart", f"must be >= 1, got {restart}")
 
 
+def _flat_rhs(handle, rhs):
+    """A right-hand side as a new flat array; a FieldVector must be primal
+    and on the handle's mesh."""
+    if isinstance(rhs, FieldVector):
+        handle._check(rhs, "primal", "the right-hand side")
+        return rhs.to_flat()
+    return np.asarray(rhs, dtype=float).ravel().copy()
+
+
 def solve_linear(
     handle,
     rhs,
@@ -409,9 +419,7 @@ def solve_linear(
         )
 
     t0 = time.perf_counter()
-    b = rhs.to_flat() if isinstance(rhs, FieldVector) else (
-        np.asarray(rhs, dtype=float).ravel().copy()
-    )
+    b = _flat_rhs(handle, rhs)
     lin = handle if handle.is_linearized else handle.linearized_at()
     if not handle.is_linearized:
         b = b - handle.matvec(np.zeros_like(b))
@@ -421,7 +429,7 @@ def solve_linear(
 
     if np.linalg.norm(b) == 0.0:
         return wrap(np.zeros_like(b)), SolveReport(
-            0, 0.0, True, time.perf_counter() - t0, [0.0]
+            0, 0.0, tol, True, time.perf_counter() - t0, [0.0]
         )
     precond = preconditioner if preconditioner is not None else (lambda x: x)
     if method == "cg":
@@ -433,8 +441,14 @@ def solve_linear(
     if final is None:  # the driver stopped without the true residual of x
         final = np.linalg.norm(b - lin.matvec(x)) / np.linalg.norm(b)
     return wrap(x), SolveReport(
-        its, final, ok and final <= tol, time.perf_counter() - t0, history
+        its, final, tol, ok and final <= tol, time.perf_counter() - t0, history
     )
+
+
+# Forcing terms of inexact Newton: Eisenstat & Walker (1996), choice 2,
+# eta = gamma (|F_k| / |F_k-1|)^alpha, raised to gamma eta_k-1^alpha when that
+# exceeds _EW_SAFEGUARD, at most _EW_MAX, and _EW_FIRST at the first step
+_EW_GAMMA, _EW_ALPHA, _EW_FIRST, _EW_MAX, _EW_SAFEGUARD = 0.9, 2.0, 0.5, 0.9, 0.1
 
 
 def solve_newton(
@@ -445,13 +459,22 @@ def solve_newton(
     inner: Optional[dict] = None,
     initial_guess: Optional[FieldVector] = None,
 ):
-    """Newton-Raphson on handle(u) = rhs with a matrix-free inner solve.
+    """Inexact Newton on handle(u) = rhs with a matrix-free inner solve.
 
-    The Jacobian at each iterate is the handle linearized there. No damping:
-    initial guesses are the caller's responsibility. Three consecutive
-    residual increases abort with a failure report. The report's `inner`
-    lists the report of each step's linear solve, so an inner solve that did
-    not converge shows there.
+    The Jacobian at each iterate is the handle linearized there. Step k
+    solves it only to the relative residual eta_k = max(inner tol,
+    0.5 tau / |F_k|, EW_k). The inner `tol` is a floor, the tightest an
+    inner solve is ever asked for. tau = tol |rhs| (tol when rhs = 0) is
+    Newton's absolute tolerance; its term keeps the last step from
+    oversolving (Kelley 1995). EW_k is Eisenstat and Walker's choice 2 with
+    its safeguard (the `_EW_*` constants); it is 0 for a linear system,
+    whose Newton model is exact, so that it takes one step.
+
+    No damping: initial guesses are the caller's responsibility. Three
+    consecutive residual increases abort with a failure report. The report's
+    `inner` lists the report of each step's linear solve, with the eta_k it
+    was given as its `tolerance`, so an inner solve that did not converge
+    shows there.
     """
     params = {"method": "gmres", "tol": 1e-12, "max_iter": 10000, "restart": 50}
     if inner:
@@ -459,9 +482,7 @@ def solve_newton(
     _check_iteration("newton", tol, max_iter)
     _check_iteration("solver", params["tol"], params["max_iter"], params["restart"])
     t0 = time.perf_counter()
-    b = rhs.to_flat() if isinstance(rhs, FieldVector) else (
-        np.asarray(rhs, dtype=float).ravel()
-    )
+    b = _flat_rhs(handle, rhs)
     scale = np.linalg.norm(b)
     if scale == 0.0:
         scale = 1.0  # fall back to absolute residuals
@@ -473,11 +494,20 @@ def solve_newton(
     its = 0
     inner_reports = []
     while rel > tol and its < max_iter:
+        if handle.system.linear:
+            ew = 0.0
+        elif its == 0:
+            ew = _EW_FIRST
+        else:
+            ew = _EW_GAMMA * (rel / history[-2]) ** _EW_ALPHA
+            kept = _EW_GAMMA * eta ** _EW_ALPHA
+            ew = min(_EW_MAX, max(ew, kept) if kept > _EW_SAFEGUARD else ew)
+        eta = float(max(params["tol"], 0.5 * tol / rel, ew))
         jac = handle.linearized_at(u)
         du, inner_report = solve_linear(
             jac,
             FieldVector(handle.mesh, handle.system.n_primal, res),
-            **params,
+            **dict(params, tol=eta),
         )
         inner_reports.append(inner_report)
         u = u + du
@@ -494,5 +524,5 @@ def solve_newton(
             growth = 0
         rel = new_rel
     return u, SolveReport(
-        its, rel, rel <= tol, time.perf_counter() - t0, history, inner_reports
+        its, rel, tol, rel <= tol, time.perf_counter() - t0, history, inner_reports
     )

@@ -24,7 +24,7 @@ from ipdg.mesh import (
     split_element,
     with_degrees,
 )
-from ipdg.operators import OperatorHandle, lumped_mass_diag
+from ipdg.operators import FieldVector, OperatorHandle, lumped_mass_diag
 from ipdg.solutions import gaussian, sin_product, sin_product_vector
 from ipdg.systems import make_system
 from test_operators import interpolant
@@ -133,6 +133,46 @@ def test_error_rejects_handle_of_another_mesh():
     with pytest.raises(ValueError, match="another mesh"):
         l2_error(handle.mesh, interpolant(handle.mesh, field.value), field.value,
                  FlatBackground(), handle=handle)
+
+
+def test_error_rejects_field_of_another_mesh_or_component_count():
+    # `twin` has the same DoF count as `mesh`; meshes are compared by identity.
+    # Without a handle the analytic value gives the component count
+    mesh, twin = mesh_2d(), mesh_2d()
+    scalar, vector = lambda x: np.sin(x[:1]), lambda x: np.stack([x[0], x[1]])
+    handle = OperatorHandle(
+        mesh, make_system("poisson-flat", dim=2), BG, BoundaryMap.everywhere(DirichletBC(0.0))
+    )
+    primal = r"u must be a primal vector: 1 component\(s\) on the mesh of 4 elements, not "
+    shape = r"analytic value has shape \({}, 4, 4, 4\), expected {} component\(s\) first"
+    cases = [
+        (FieldVector.zeros(twin, 1), scalar, primal + "1 on another mesh", None),
+        (FieldVector.zeros(mesh, 2), scalar, primal + "2 on that mesh", shape.format(1, 2)),
+        (FieldVector.zeros(mesh, 1), vector, shape.format(2, 1), None),
+        (FieldVector.batch(mesh, 1, np.zeros((2, mesh.total_points))), scalar,
+         primal + "1 on that mesh, and not a batch", None),
+    ]
+    for u, exact, with_handle, without in cases:
+        with pytest.raises(ValueError, match=with_handle):
+            l2_error(mesh, u, exact, BG, handle=handle)
+        with pytest.raises(ValueError, match=without or with_handle):
+            l2_error(mesh, u, exact, BG)
+
+
+def test_error_without_handle_builds_points_and_mass_only(monkeypatch):
+    # neither face geometry nor inverse Jacobians: l2_error reads neither
+    import ipdg.operators
+
+    def unused(*args):
+        raise AssertionError("not needed by l2_error")
+
+    cases = handle_cases()
+    monkeypatch.setattr(ipdg.operators, "sampled_face_geometry", unused)
+    monkeypatch.setattr(ipdg.operators, "jacobian_at", unused)
+    for handle, field in cases:
+        mesh = handle.mesh
+        u = interpolant(mesh, field.value, field.n_components)
+        assert l2_error(mesh, u, field.value, handle.background) < 1e-2
 
 
 def test_error_invariant_under_relabeling():

@@ -881,6 +881,37 @@ def test_live_dirichlet_kind_condition_matches_trace_free_one():
         np.testing.assert_array_equal(a.apply(batch).data, b.apply(batch).data)
 
 
+def test_linearized_at_builds_only_what_depends_on_the_point():
+    # a linearized handle shares the mesh cache, the penalty and the boundary
+    # layout of the handle it linearizes, evaluates no trace-free condition,
+    # and gives the bits of a handle built from scratch at the same point
+    mesh = split_element(with_degrees(unit_mesh_2d(3, 1), 3, (4, 3)), 0)
+    elasticity = make_system("elasticity", dim=2, lame_lambda=1.3, shear_modulus=0.6)
+    table = {
+        "x-lower": RobinBC(1.0, 2.0, lambda x, normal: np.stack([x[1], normal[0]])),
+        "y-upper": CountingNeumannBC(lambda x, normal: np.stack([np.cos(2.0 * x[0]), x[1]])),
+        "all": CountingDirichletBC(lambda x: np.stack([np.sin(3.0 * x[0]) * x[1], x[0]])),
+    }
+    handle = OperatorHandle(mesh, elasticity, BG, BoundaryMap(table), form="strong-weak")
+    rng = np.random.default_rng(25)
+    n, na = handle.n_primal_dofs, handle.n_auxiliary_dofs
+    point = FieldVector.from_flat(mesh, 2, 0.1 * rng.standard_normal(n))
+    fresh = OperatorHandle(
+        mesh, elasticity, BG, BoundaryMap(table), form="strong-weak", linearization_point=point
+    )
+    counts = [bc.calls for bc in table.values() if isinstance(bc, _Counting)]
+    linearized = [handle.linearized_at(point), handle.linearized_at().linearized_at(point)]
+    assert [bc.calls for bc in table.values() if isinstance(bc, _Counting)] == counts
+    batch = FieldVector.batch(mesh, 2, rng.standard_normal((3, n)))
+    full = rng.standard_normal(na + n)
+    for lin in linearized:
+        for name in ("_cache", "_face_sigma", "_external", "_x", "_normal"):
+            assert getattr(lin, name) is getattr(handle, name)
+        assert len(lin._live) == 1
+        np.testing.assert_array_equal(lin.apply(batch).data, fresh.apply(batch).data)
+        np.testing.assert_array_equal(lin.matvec_full(full), fresh.matvec_full(full))
+
+
 @pytest.mark.parametrize("bc_type", [DirichletBC, NeumannBC])
 def test_non_finite_trace_free_data_rejected_at_construction(bc_type):
     # Dirichlet data take x, Neumann data (x, normal)

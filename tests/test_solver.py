@@ -377,6 +377,21 @@ def test_negative_or_non_finite_tolerance_rejected():
             solve_newton(poisson_handle(1, 2, lin=False), np.zeros(36), tol=tol)
 
 
+def test_right_hand_side_of_another_mesh_or_component_count_rejected():
+    # `twin` has the same DoF count as the handle's mesh; meshes are compared
+    # by identity
+    handle = poisson_handle(1, 2, lin=False)
+    twin = poisson_handle(1, 2, lin=False).mesh
+    ones = FieldVector.from_flat(twin, 1, np.ones(handle.n_primal_dofs))
+    two = FieldVector.zeros(handle.mesh, 2)
+    message = r"the right-hand side must be a primal vector: 1 component\(s\) on the handle's mesh"
+    for solve in (solve_linear, solve_newton):
+        with pytest.raises(ValueError, match=message + ".*, not 1 on another mesh"):
+            solve(handle, ones)
+        with pytest.raises(ValueError, match=message + ".*, not 2 on that mesh"):
+            solve(handle, two)
+
+
 def test_gmres_with_preconditioners():
     # a non-symmetric operator: the strong form on a conformally flat
     # background, two grid shapes
@@ -563,14 +578,19 @@ def test_solve_linear_reuses_the_drivers_true_residual(method):
 
 
 def test_newton_linear_single_iteration():
+    # the Newton model of a linear system is exact: one step, solved to the
+    # inner floor or to half of Newton's tolerance, whichever is looser
     handle = poisson_handle(1, 3, lin=False)
     rng = np.random.default_rng(8)
     u_star = FieldVector.from_flat(handle.mesh, 1, rng.normal(size=handle.n_primal_dofs))
     rhs = handle.apply(u_star)
-    u, report = solve_newton(handle, rhs, tol=1e-10)
-    assert report.converged
-    assert report.iterations == 1
-    assert np.max(np.abs(u.to_flat() - u_star.to_flat())) < 1e-7
+    for floor in (1e-12, 1e-20):
+        u, report = solve_newton(handle, rhs, tol=1e-10, inner={"tol": floor})
+        assert report.converged
+        assert report.iterations == 1
+        (inner,) = report.inner
+        assert inner.tolerance == max(floor, 0.5e-10 / report.residual_history[0])
+        assert np.max(np.abs(u.to_flat() - u_star.to_flat())) < 1e-7
 
 
 def puncture_handle(momentum):
@@ -612,6 +632,46 @@ def test_newton_nonlinear_quadratic_phase():
     assert all(h[i + 1] <= h[i] ** 1.5 for i in idx)
 
 
+def two_puncture_handle():
+    # the puncture-newton benchmark's problem on 2^3 elements at p=3
+    system = make_system("puncture", dim=3, punctures=[
+        PunctureSpec(0.5, (s * 3.0, 0.0, 0.0), (0.0, s * 0.2, 0.0), (0.0, 0.0, s * 0.1))
+        for s in (1.0, -1.0)
+    ])
+    mesh = build_rectilinear_mesh(
+        [(-9.6, 10.4)] * 3, levels=(1, 1, 1), degrees=(3, 3, 3)
+    )
+    bcs = BoundaryMap.everywhere(FalloffDirichletBC(0.0))
+    return OperatorHandle(mesh, system, BG, bcs, form="strong-weak")
+
+
+def test_newton_forcing_terms():
+    handle = two_puncture_handle()
+    tol = floor = 1e-10
+    u, report = solve_newton(handle, handle.zero_primal(), tol=tol, inner={"tol": floor})
+    assert report.converged and report.tolerance == tol
+    # the residual is absolute here (rhs = 0), so tau = tol
+    assert np.linalg.norm(handle.apply(u).data) <= tol
+    h = report.residual_history
+    etas = [r.tolerance for r in report.inner]
+    assert len(etas) == report.iterations == len(h) - 1
+    assert all(r.converged and r.residual_norm <= r.tolerance for r in report.inner)
+    assert all(floor <= eta <= 0.9 for eta in etas)
+    # Eisenstat-Walker choice 2 with its safeguard (here it raises step 1
+    # from 0.9 (h1 / h0)^2 = 0.156 to 0.9 * 0.5^2), and no step asked for
+    # less than half of what Newton still needs
+    assert etas[0] == 0.5
+    for k, eta in enumerate(etas):
+        assert eta >= 0.5 * tol / h[k]
+        if k:
+            assert eta >= min(0.9, 0.9 * (h[k] / h[k - 1]) ** 2)
+            if 0.9 * etas[k - 1] ** 2 > 0.1:
+                assert eta >= 0.9 * etas[k - 1] ** 2
+    # measured: 5 steps, 91 inner iterations; 144 when every inner solve
+    # went to the floor
+    assert sum(r.iterations for r in report.inner) <= 100
+
+
 def test_newton_divergence_reported():
     # an operator whose apply grows the residual: wrong-sign update via a
     # handle linearized far from the truth is hard to rig; instead shrink the
@@ -625,14 +685,20 @@ def test_newton_divergence_reported():
     )
     assert not report.converged
     assert report.iterations <= 10
-    # every step's one-iteration inner solve failed, and the report says so
+    # every step took its one inner iteration, and each inner report says
+    # whether that reached the forcing term the step was given: the first,
+    # 0.5, is loose enough for it, and the failures of later steps show
     assert len(report.inner) == report.iterations > 0
-    assert all(not r.converged and r.iterations == 1 for r in report.inner)
+    assert all(r.iterations == 1 for r in report.inner)
+    assert all(r.converged == (r.residual_norm <= r.tolerance) for r in report.inner)
+    assert report.inner[0].tolerance == 0.5 and report.inner[0].converged
+    assert any(not r.converged for r in report.inner[1:])
 
 
 def test_newton_aborts_after_three_residual_increases(monkeypatch):
     # every correction is negated, so each step doubles the residual: the
-    # third increase in a row ends the iteration well before max_iter
+    # third increase in a row ends the iteration well before max_iter. The
+    # inner solves are tight, so each correction is the full Newton step
     system = make_system(
         "puncture", dim=3,
         punctures=[PunctureSpec(1.0, (0.3, 0.2, 0.1), (0.0, 0.2, 0.0))],
@@ -644,8 +710,8 @@ def test_newton_aborts_after_three_residual_increases(monkeypatch):
     handle = OperatorHandle(mesh, system, BG, bcs, form="strong-weak")
     inner = ipdg.solver.solve_linear
 
-    def negated(*args, **kwargs):
-        du, report = inner(*args, **kwargs)
+    def negated(jac, res, **kwargs):
+        du, report = inner(jac, res, **dict(kwargs, tol=1e-12))
         return -1.0 * du, report
 
     monkeypatch.setattr(ipdg.solver, "solve_linear", negated)
