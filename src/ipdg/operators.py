@@ -63,13 +63,26 @@ minus the interior: the numerical flux on an external face is the boundary
 value.
 
 Work that is fixed for a handle or provably zero is not redone per
-application: trace-free boundary conditions (`_TraceFree`) fill their part
-of the boundary arrays once, when the handle is built, and the volume
-kernels contract only the (reference, physical) direction pairs whose
-inverse-Jacobian entry is not zero everywhere in the group, one per
-reference direction on rectilinear meshes. Nor is it redone per
-linearization: `linearized_at` shares the mesh cache, the penalty and the
-boundary layout of the handle it linearizes, and reads only the point.
+application:
+- trace-free boundary conditions (`_TraceFree`) fill their part of the
+  boundary arrays once, when the handle is built;
+- the volume kernels contract only the (reference, physical) direction
+  pairs whose inverse-Jacobian entry is not zero everywhere in the group,
+  one per reference direction on rectilinear meshes;
+- phase one's divergence differentiates, per reference direction, only the
+  auxiliary-flux components that are not zero for its physical directions
+  (`_Group.flux_rows`), found once per handle by evaluating the flux, which
+  is linear in u, on unit primal fields: on a rectilinear Poisson-like
+  group that is one of d components;
+- a linearized handle builds its linearized sources, the maps
+  (du, dv) -> S'(u0)[du, dv], once per group on its first application, so
+  whatever depends only on the point and the coordinates (the puncture's
+  background fields and power of u0) is evaluated once per linearization.
+Nor is it redone per linearization: `linearized_at` shares the mesh cache,
+the penalty, the flux rows and the boundary layout of the handle it
+linearizes, and reads only the point. Gathers from the face buffer through
+an index array use `np.take`, several times faster than `[..., index]` at
+these sizes; scatters keep the indexed assignment.
 """
 
 from __future__ import annotations
@@ -130,7 +143,14 @@ def _fold(buf, index):
     after those of the previous one; boundary conditions see only this form,
     with the face geometry tiled once per vector.
     """
-    return buf[..., index].reshape(buf.shape[0], -1)
+    return np.take(buf, index, axis=-1).reshape(buf.shape[0], -1)
+
+
+def _index(items):
+    """A slice for consecutive nonempty `items`, else the list itself."""
+    if items and items[-1] - items[0] + 1 == len(items):
+        return slice(items[0], items[-1] + 1)
+    return items
 
 
 def _contract_normal(normal, fluxes):
@@ -331,8 +351,7 @@ class _Group:
         self.directions = [[i for i in range(dim) if nonzero[j, i]] for j in range(dim)]
         self._terms = []
         for j, dirs in enumerate(self.directions):
-            lo, hi = dirs[0], dirs[-1] + 1
-            sel = slice(lo, hi) if hi - lo == len(dirs) else dirs
+            sel = _index(dirs)
             self._terms.append((sel, self.jinv[j][sel]))
         self.diffs = [differentiation_matrix(ns) for ns in node_sets]
         self.faces, self.face_geometry = [], []
@@ -374,18 +393,33 @@ class _Group:
             weight = f.massive if massive else f.massless
             volume[f.index] += buf[..., f.span].reshape(buf.shape[:-1] + f.shape) * weight
 
-    def divergence(self, fluxes):
-        """Strong nodal divergence sum_ij Jinv^j_i d_xi_j F^i, (c, d, ...) -> (c, ...)."""
-        out = 0.0
+    def flux_rows(self, fluxes):
+        """Per reference direction j, the components of `fluxes` (c, d, ...)
+        that are not zero everywhere for some physical direction of
+        `directions[j]`: a slice when they are consecutive, else a list."""
+        nonzero = fluxes.reshape(fluxes.shape[:2] + (-1,)).any(axis=2).tolist()
+        return [
+            _index([c for c, row in enumerate(nonzero) if any(row[i] for i in dirs)])
+            for dirs in self.directions
+        ]
+
+    def divergence(self, fluxes, rows):
+        """Strong nodal divergence sum_ij Jinv^j_i d_xi_j F^i, (c, d, ...) -> (c, ...).
+
+        Reference direction j differentiates only the flux components
+        `rows[j]` (`flux_rows`); the others must be exact zeros in all its
+        physical directions, and get nothing from it.
+        """
+        out = np.zeros(fluxes.shape[:1] + fluxes.shape[2:])
         for j, (sel, jinv) in enumerate(self._terms):
-            df = _apply_1d(self.diffs[j], fluxes[:, sel], j)
-            out = out + np.einsum("i...,ci...->c...", jinv, df)
+            df = _apply_1d(self.diffs[j], fluxes[rows[j]][:, sel], j)
+            out[rows[j]] += np.einsum("i...,ci...->c...", jinv, df)
         return out
 
     def stiffness(self, fluxes, form):
         """Massive divergence (strong) or its negative transpose (weak)."""
         if form == "strong":
-            return self.mass * self.divergence(fluxes)
+            return self.mass * self.divergence(fluxes, (slice(None),) * self.dim)
         out = 0.0
         for j, (sel, jinv) in enumerate(self._terms):
             pre = self.mass * np.einsum("i...,ci...->c...", jinv, fluxes[:, sel])
@@ -446,7 +480,7 @@ class _MortarGroup:
 
     def to_mortar(self, side, buf):
         """Gather one side's face values from the buffer onto the mortars."""
-        data = buf[..., self.index[side]]
+        data = np.take(buf, self.index[side], axis=-1)
         p = self.prolong[side]
         return data if p is None else data @ p
 
@@ -635,11 +669,12 @@ class OperatorHandle:
             # and switches, so everything that does not depend on the point
             for name in self._SHARED:
                 setattr(self, name, getattr(_parent, name))
-        self._lin_groups = traces = None
+        self._lin_groups = self._lin_sources = traces = None
         if linearization_point is not None:
             # the point is read here, once: per group, and as face traces where
             # a live condition reads them; trace-free conditions have no
-            # linearized data (`_TraceFree`), and the fluxes are linear in u
+            # linearized data (`_TraceFree`), and the fluxes are linear in u.
+            # The linearized sources are built on the first application
             cache = self._cache
             self._check(linearization_point, "primal", "the linearization point")
             if linearization_point.data.ndim != 1:
@@ -652,19 +687,21 @@ class OperatorHandle:
                 for g, lin_g in zip(cache.groups, self._lin_groups):
                     g.traces(lin_g, traces)
         self._live = [
-            (bc, k, pos, index, x, normal, None if traces is None else traces[:, index])
+            (bc, k, pos, index, x, normal,
+             None if traces is None else np.take(traces, index, axis=-1))
             for bc, k, pos, index, x, normal in self._live_layout
         ]
 
     # what `linearized_at` shares with the handle it linearizes
     _SHARED = (
         "_cache", "_face_sigma", "_mortar_sigma", "_external", "_n_dirichlet",
-        "_x", "_normal", "_fixed", "_live_layout",
+        "_x", "_normal", "_fixed", "_live_layout", "_aux_rows",
     )
 
     def _setup(self):
         """Check the switches, and build the point-independent state: the mesh
-        cache, the penalty and the boundary layout and arrays."""
+        cache, the penalty, the auxiliary-flux rows and the boundary layout
+        and arrays."""
         system, background = self.system, self.background
         if system.dim != self.mesh.dim:
             raise ConfigurationError(
@@ -686,6 +723,15 @@ class OperatorHandle:
                 )
         self._face_sigma = self.penalty_parameter * cache.face_sigma
         self._mortar_sigma = [self.penalty_parameter * mg.sigma for mg in cache.mortar_groups]
+        # the auxiliary flux is linear in u, so its components that are zero
+        # for every unit primal field are zero for every field: phase one's
+        # divergence skips them (`_Group.flux_rows`)
+        n = system.n_primal
+        self._aux_rows = []
+        for g in cache.groups:
+            unit = np.zeros((n, n) + g.shape)  # field c (second axis) is 1 in component c
+            unit[np.arange(n), np.arange(n)] = 1.0
+            self._aux_rows.append(g.flux_rows(system.auxiliary_flux(unit, g.coords, background)))
         # the boundary arrays over the external points, dirichlet-kind first
         # (`_external`): trace-free conditions fill their positions here,
         # once; the others (`_live`) overwrite theirs in every application
@@ -819,6 +865,16 @@ class OperatorHandle:
         data = np.empty(lead + (n_components * self._cache.n_points,))
         return data, self._rows(data)
 
+    def _linearized_sources(self):
+        """Per group the map (du, dv) -> S'(u0)[du, dv] at the linearization
+        point, built on the first application and kept."""
+        if self._lin_sources is None:
+            self._lin_sources = [
+                self.system.linearized_primal_source(u0, g.coords, self.background)
+                for g, u0 in zip(self._cache.groups, self._lin_groups)
+            ]
+        return self._lin_sources
+
     def _phase1(self, u_rows):
         """Auxiliary fluxes, their exchange and the reconstructed auxiliary field.
 
@@ -831,9 +887,9 @@ class OperatorHandle:
         lead = u_rows.shape[1:-1]
         traces = np.empty((sys_.n_primal,) + lead + (cache.n_face_points,))
         ws = []
-        for g in cache.groups:
+        for g, rows in zip(cache.groups, self._aux_rows):
             ug = g.take(u_rows)
-            ws.append(g.divergence(sys_.auxiliary_flux(ug, g.coords, bg)))
+            ws.append(g.divergence(sys_.auxiliary_flux(ug, g.coords, bg), rows))
             g.traces(ug, traces)
         aux = _contract_normal(
             cache.face_normal, sys_.auxiliary_flux(traces, cache.face_coords, bg)
@@ -855,9 +911,9 @@ class OperatorHandle:
 
         # the exterior: the partner's value, or the ghost on external faces,
         # whose boundary value is the interior's at neumann-kind points
-        ext = aux[..., cache.partner]
+        ext = np.take(aux, cache.partner, axis=-1)
         e, nd = self._external, self._n_dirichlet
-        interior = aux[..., e]
+        interior = np.take(aux, e, axis=-1)
         ext[..., e] = exterior_ghost_data(interior, _join(aux_b, interior[..., nd:]))
         # on a ghost face the numerical flux is the boundary value itself
         star = auxiliary_numerical_flux(aux, ext)
@@ -883,7 +939,7 @@ class OperatorHandle:
         """
         cache = self._cache
         sys_, bg = self.system, self.background
-        lin = self._lin_groups
+        sources = None if self._lin_groups is None else self._linearized_sources()
         strong = self.form == "strong"
         primal_form = "strong" if strong else "weak"
         n_u, n_v = sys_.n_primal, sys_.n_auxiliary
@@ -902,10 +958,10 @@ class OperatorHandle:
                 res_v.append(g.mass * (v - rc))
             ug = g.take(u_rows)
             fu = sys_.primal_flux(v, g.coords, bg)
-            if lin is None:
+            if sources is None:
                 src = sys_.primal_source(ug, v, g.coords, bg)
             else:
-                src = sys_.linearized_primal_source(lin[gi], ug, v, g.coords, bg)
+                src = sources[gi](ug, v)
             res = -g.stiffness(fu, primal_form)
             res += g.mass * src
             res_u.append(res)
@@ -916,13 +972,13 @@ class OperatorHandle:
 
         # the exterior as in phase one; the derivative's boundary value is the
         # interior's at dirichlet-kind points
-        ext_d, ext_p = deriv[..., cache.partner], pen[..., cache.partner]
+        ext_d, ext_p = (np.take(a, cache.partner, axis=-1) for a in (deriv, pen))
         e, nd = self._external, self._n_dirichlet
-        interior = deriv[..., e]
+        interior = np.take(deriv, e, axis=-1)
         ext_d[..., e] = exterior_ghost_data(interior, _join(interior[..., :nd], flux_b))
         ext_p[..., e] = 2.0 * _contract_normal(
-            self._normal, sys_.primal_flux(aux_star[..., e], self._x, bg)
-        ) - pen[..., e]
+            self._normal, sys_.primal_flux(np.take(aux_star, e, axis=-1), self._x, bg)
+        ) - np.take(pen, e, axis=-1)
         star = primal_numerical_flux(deriv, pen, ext_d, ext_p, self._face_sigma)
         # strong form subtracts the element's own exchanged flux
         jumps = deriv - star if strong else -star

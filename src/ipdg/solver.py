@@ -440,8 +440,9 @@ def solve_linear(
         )
     if final is None:  # the driver stopped without the true residual of x
         final = np.linalg.norm(b - lin.matvec(x)) / np.linalg.norm(b)
+    # Python scalars, not numpy ones, so that a report converts to JSON
     return wrap(x), SolveReport(
-        its, final, tol, ok and final <= tol, time.perf_counter() - t0, history
+        its, float(final), tol, bool(ok and final <= tol), time.perf_counter() - t0, history
     )
 
 
@@ -524,5 +525,5 @@ def solve_newton(
             growth = 0
         rel = new_rel
     return u, SolveReport(
-        its, rel, tol, rel <= tol, time.perf_counter() - t0, history, inner_reports
+        its, float(rel), tol, bool(rel <= tol), time.perf_counter() - t0, history, inner_reports
     )

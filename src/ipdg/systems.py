@@ -71,17 +71,23 @@ class EllipticSystem:
     def primal_source(self, u, v, x, bg):
         return np.zeros((self.n_primal,) + np.asarray(u).shape[1:])
 
-    def linearized_primal_source(self, u0, du, dv, x, bg):
-        """Directional derivative of the primal source at u0 along (du, dv).
+    def linearized_primal_source(self, u0, x, bg):
+        """The primal source linearized at u0: the map (du, dv) -> S'(u0)[du, dv].
 
-        The linearization point is a primal state only, so a nonlinear
-        source must be a function of u plus a term linear in v. Linear
-        systems fall through to the source itself evaluated on the
-        perturbation.
+        A linearized operator calls this once per element group, on its first
+        application, and then applies the map it returns to every
+        perturbation. So the work that depends on u0 and x only belongs
+        here, and the map does only what depends on (du, dv). The
+        linearization point is a primal state only, so a nonlinear source
+        must be a function of u plus a term linear in v. Linear systems
+        return their source itself, evaluated on the perturbation; nonlinear
+        systems must override this.
         """
         if not self.linear:
-            raise NotImplementedError
-        return self.primal_source(du, dv, x, bg)
+            raise NotImplementedError(
+                f"{type(self).__name__} is nonlinear and must override linearized_primal_source"
+            )
+        return lambda du, dv: self.primal_source(du, dv, x, bg)
 
     def auxiliary_from_gradient(self, grad):
         """Map an analytic primal gradient (n_primal, d, ...) to auxiliary values."""
@@ -347,10 +353,11 @@ class Puncture(_PoissonLike):
         u = np.asarray(u)
         return (-beta * (alpha * (1.0 + u[0]) + 1.0) ** -7)[None]
 
-    def linearized_primal_source(self, u0, du, dv, x, bg):
+    def linearized_primal_source(self, u0, x, bg):
+        # the background fields and the power of u0, once per linearization
         alpha, beta = self.background_fields(x)
         factor = 7.0 * alpha * beta * (alpha * (1.0 + np.asarray(u0)[0]) + 1.0) ** -8
-        return (factor * np.asarray(du)[0])[None]
+        return lambda du, dv: (factor * np.asarray(du)[0])[None]
 
     def primal_flux(self, v, x, bg):
         return np.asarray(v)[None]

@@ -41,7 +41,7 @@ from ipdg.operators import (
     penalty_sigma,
     primal_numerical_flux,
 )
-from ipdg.systems import PunctureSpec, make_system
+from ipdg.systems import Puncture, PunctureSpec, make_system
 
 BG = FlatBackground()
 POISSON_1D = make_system("poisson-flat", dim=1)
@@ -725,6 +725,46 @@ def test_batch_matches_single_vectors():
         assert not np.shares_memory(handle.matvec(us[0]), us)
 
 
+def test_linearized_sources_built_once_per_point(monkeypatch):
+    # a linearized puncture handle evaluates the background fields once per
+    # element group, on its first application, not in `linearized_at` and not
+    # again in later ones; and it applies bit for bit as a handle built from
+    # scratch at the same point
+    cube = with_degrees(
+        build_rectilinear_mesh([(1.0, 2.0)] * 3, (1, 0, 0), (2, 2, 2)), 1, (3, 2, 2)
+    )
+    spec = PunctureSpec(1.0, (0.1, 0.2, 0.3), momentum=(0.2, 0.0, 0.3), spin=(0.0, 0.1, 0.0))
+    bcs = BoundaryMap({"all": FalloffDirichletBC(0.2)})
+    point = interpolant(cube, lambda x: 0.1 * np.sin(x[0] + 2.0 * x[1] - x[2])[None])
+    handle = OperatorHandle(
+        cube, make_system("puncture", dim=3, punctures=[spec]), BG, bcs, form="strong-weak"
+    )
+    calls = []
+    fields = Puncture.background_fields
+
+    def counted(self, x):
+        calls.append(x.shape)
+        return fields(self, x)
+
+    monkeypatch.setattr(Puncture, "background_fields", counted)
+    lin = handle.linearized_at(point)
+    assert calls == []
+    rng = np.random.default_rng(6)
+    us = rng.standard_normal((3, lin.n_primal_dofs))
+    batch = FieldVector.batch(cube, 1, us)
+    singles = [lin.matvec(u) for u in us]
+    batches = [lin.apply(batch).data for _ in range(8)]
+    assert len(lin._cache.groups) == 2 and len(calls) == 2
+    fresh = OperatorHandle(
+        cube, make_system("puncture", dim=3, punctures=[spec]), BG, bcs, form="strong-weak",
+        linearization_point=point,
+    )
+    for u, single in zip(us, singles):
+        assert np.array_equal(single, fresh.matvec(u))
+    for batched in batches:
+        assert np.array_equal(batched, fresh.apply(batch).data)
+
+
 def _dense_volume_kernels(group, fluxes):
     """The strong divergence and both stiffness forms, contracting every
     (reference, physical) direction pair, zero inverse-Jacobian terms too."""
@@ -739,35 +779,51 @@ def _dense_volume_kernels(group, fluxes):
     return div, group.mass * div, weak
 
 
-@pytest.mark.parametrize("case", ["square", "box", "annulus"])
+@pytest.mark.parametrize("case", ["square", "box", "annulus", "elasticity"])
 def test_volume_kernels_skip_only_zero_inverse_jacobian_terms(case):
     # rectilinear groups keep, per reference direction, only its own
-    # physical direction; curved groups keep every one. Either way the
-    # kernels equal the dense contraction bit for bit, single and batched
+    # physical direction; curved groups keep every one. Phase one's
+    # divergence differentiates, per reference direction, only the
+    # auxiliary-flux rows the handle found nonzero there: one own row for
+    # Poisson on rectilinear groups, every row on curved ones, and the two
+    # strain rows with that direction in elasticity. Either way the kernels
+    # equal the dense contraction byte for byte, single and batched, on
+    # auxiliary fluxes whose skipped rows are the system's own zeros
     if case == "annulus":
         mesh = build_annulus_mesh(0.5, 1.0, 3, (0, 1), (3, 4))
     else:
-        dim = 2 if case == "square" else 3
+        dim = 3 if case == "box" else 2
         mesh = with_degrees(
             build_rectilinear_mesh([(0.0, 1.0), (0.0, 2.0), (0.0, 0.5)][:dim],
                                    (1,) * dim, (2, 3, 4)[:dim]), 1, (3, 2, 2)[:dim],
         )
     dim = mesh.dim
-    handle = OperatorHandle(mesh, make_system("poisson-flat", dim=dim), BG,
-                            BoundaryMap.everywhere(DirichletBC(0.0)))
+    system = make_system("elasticity" if case == "elasticity" else "poisson-flat", dim=dim)
+    handle = OperatorHandle(mesh, system, BG, BoundaryMap.everywhere(DirichletBC(0.0)))
     rng = np.random.default_rng(21)
+    every_row = [slice(None)] * dim
     assert len(handle._cache.groups) == (1 if case == "annulus" else 2)
-    for g in handle._cache.groups:
+    for g, rows in zip(handle._cache.groups, handle._aux_rows):
         if case == "annulus":
             assert g.directions == [[0, 1], [0, 1]]
+            assert rows == [slice(0, 2), slice(0, 2)]
         else:
             assert g.directions == [[0], [1], [2]][:dim]
+            if case == "elasticity":  # S_xx, S_xy | S_xy, S_yy
+                assert rows == [slice(0, 2), slice(1, 3)]
+            else:
+                assert rows == [slice(j, j + 1) for j in range(dim)]
         for lead in ((), (3,)):
+            u = rng.standard_normal((system.n_primal,) + lead + g.shape)
+            aux = system.auxiliary_flux(u, g.coords, BG)
+            div = _dense_volume_kernels(g, aux)[0]
+            assert g.divergence(aux, rows).tobytes() == div.tobytes()
+            assert g.divergence(aux, every_row).tobytes() == div.tobytes()
             fluxes = rng.standard_normal((2, dim) + lead + g.shape)
             div, strong, weak = _dense_volume_kernels(g, fluxes)
-            np.testing.assert_array_equal(g.divergence(fluxes), div)
-            np.testing.assert_array_equal(g.stiffness(fluxes, "strong"), strong)
-            np.testing.assert_array_equal(g.stiffness(fluxes, "weak"), weak)
+            assert g.divergence(fluxes, every_row).tobytes() == div.tobytes()
+            assert g.stiffness(fluxes, "strong").tobytes() == strong.tobytes()
+            assert g.stiffness(fluxes, "weak").tobytes() == weak.tobytes()
 
 
 class _Counting:

@@ -1,5 +1,8 @@
 """Krylov drivers, explicit assembly, Schur elimination, Newton iteration."""
 
+import dataclasses
+import json
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -670,6 +673,25 @@ def test_newton_forcing_terms():
     # measured: 5 steps, 91 inner iterations; 144 when every inner solve
     # went to the floor
     assert sum(r.iterations for r in report.inner) <= 100
+
+
+def test_reports_convert_to_json():
+    # converged and residual_norm are Python scalars, not numpy ones, so the
+    # reports of CG, GMRES and Newton, with its inner reports, go through
+    # json as they are
+    handle = poisson_handle(1, 3, form="strong-weak")
+    rhs = handle.build_rhs(lambda x: np.sin(3.0 * x[:1]) * x[1:])
+    reports = [solve_linear(handle, rhs, method=m)[1] for m in ("cg", "gmres")]
+    puncture = puncture_handle((0.0, 0.0, 0.5))
+    u_star = interpolant(puncture.mesh, lambda x: (0.1 * np.sin(x[0] + x[1] - x[2]))[None])
+    newton = solve_newton(puncture, puncture.apply(u_star), tol=1e-10)[1]
+    assert len(newton.inner) == newton.iterations > 0
+    for report in reports + [newton] + newton.inner:
+        assert type(report.converged) is bool and type(report.residual_norm) is float
+        assert report.converged
+        back = json.loads(json.dumps(dataclasses.asdict(report)))
+        assert back["converged"] is True and back["residual_norm"] == report.residual_norm
+        assert len(back["inner"]) == len(report.inner)
 
 
 def test_newton_divergence_reported():

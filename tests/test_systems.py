@@ -89,6 +89,22 @@ class TestPoissonCurved:
         src = PoissonCurved(2).primal_source(None, v, x, bg)
         np.testing.assert_allclose(src[0], -0.2 * np.exp(-0.2) * 3.0)
 
+    def test_linearized_source_is_the_source_of_the_perturbation(self):
+        # a linear system's linearization at any point is its own source;
+        # a nonlinear system that does not override it is refused
+        bg = _curved_bg()
+        rng = np.random.default_rng(2)
+        x, du, dv = rng.random((2, 5)), rng.standard_normal((1, 5)), rng.standard_normal((2, 5))
+        system = PoissonCurved(2)
+        lin = system.linearized_primal_source(rng.standard_normal((1, 5)), x, bg)
+        np.testing.assert_array_equal(lin(du, dv), system.primal_source(du, dv, x, bg))
+
+        class Cubic(PoissonCurved):
+            linear = False
+
+        with pytest.raises(NotImplementedError, match="Cubic is nonlinear and must override"):
+            Cubic(2).linearized_primal_source(du, x, bg)
+
     def test_reduces_to_flat_for_zero_phi(self):
         bg = ConformallyFlatBackground(
             phi=lambda x: np.zeros_like(x[0]),
@@ -239,8 +255,10 @@ class TestPuncture:
         plus = sys3.primal_source(u0 + eps * du, None, x, FLAT3)
         minus = sys3.primal_source(u0 - eps * du, None, x, FLAT3)
         oracle = (plus - minus) / (2 * eps)
-        lin = sys3.linearized_primal_source(u0, du, None, x, FLAT3)
-        np.testing.assert_allclose(lin, oracle, rtol=1e-7, atol=1e-12)
+        lin = sys3.linearized_primal_source(u0, x, FLAT3)
+        np.testing.assert_allclose(lin(du, None), oracle, rtol=1e-7, atol=1e-12)
+        # the map is linear in du and reads nothing else
+        np.testing.assert_array_equal(lin(2.0 * du, None), 2.0 * lin(du, None))
 
     def test_continuum_residual_includes_source(self):
         sys3 = Puncture([PunctureSpec(1.0, (0.0, 0.0, 0.0))])
