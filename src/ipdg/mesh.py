@@ -367,9 +367,16 @@ def refine_uniform(mesh: Mesh, mode: str) -> Mesh:
     return Mesh(mesh.dim, mesh.blocks, _canonical_order(mesh.dim, elements))
 
 
+def _element_index(mesh: Mesh, index: int) -> int:
+    """`index`, unless it is out of 0 <= index < n_elements."""
+    if not 0 <= index < mesh.n_elements:
+        raise ValueError(f"element index {index} out of range for {mesh.n_elements} elements")
+    return index
+
+
 def split_element(mesh: Mesh, index: int) -> Mesh:
     """Replace one element by its 2^d children (for nonconforming meshes)."""
-    e = mesh.elements[index]
+    e = mesh.elements[_element_index(mesh, index)]
     children = [
         _make_element(e.block, mesh.blocks[e.block], combo, e.degrees)
         for combo in itertools.product(*[_children(s) for s in e.segments])
@@ -384,6 +391,7 @@ def with_degrees(mesh: Mesh, index: int, degrees) -> Mesh:
     if len(degrees) != mesh.dim or any(p < 1 for p in degrees):
         raise ValueError(f"bad degrees {degrees} for dimension {mesh.dim}")
     elements = list(mesh.elements)
+    index = _element_index(mesh, index)
     elements[index] = replace(elements[index], degrees=degrees)
     return Mesh(mesh.dim, mesh.blocks, elements)
 

@@ -74,15 +74,18 @@ application:
   (`_Group.flux_rows`), found once per handle by evaluating the flux, which
   is linear in u, on unit primal fields: on a rectilinear Poisson-like
   group that is one of d components;
+- the system's background fields (`background_fields`, the puncture's
+  alpha and beta) are evaluated once per group, on the first application of
+  any handle that shares the set-up, and handed to the sources;
 - a linearized handle builds its linearized sources, the maps
   (du, dv) -> S'(u0)[du, dv], once per group on its first application, so
-  whatever depends only on the point and the coordinates (the puncture's
-  background fields and power of u0) is evaluated once per linearization.
+  whatever depends only on the point, the coordinates and the fields (the
+  puncture's power of u0) is evaluated once per linearization.
 Nor is it redone per linearization: `linearized_at` shares the mesh cache,
-the penalty, the flux rows and the boundary layout of the handle it
-linearizes, and reads only the point. Gathers from the face buffer through
-an index array use `np.take`, several times faster than `[..., index]` at
-these sizes; scatters keep the indexed assignment.
+the penalty, the flux rows, the background fields and the boundary layout
+of the handle it linearizes, and reads only the point. Gathers from the
+face buffer through an index array use `np.take`, several times faster
+than `[..., index]` at these sizes; scatters keep the indexed assignment.
 """
 
 from __future__ import annotations
@@ -205,11 +208,22 @@ class FieldVector:
     def copy(self) -> "FieldVector":
         return FieldVector(self.mesh, self.n_components, self.data.copy())
 
+    def _like(self, other):
+        """`other`'s data; it must have this vector's mesh (object), components and shape."""
+        if not (other.mesh is self.mesh and other.n_components == self.n_components
+                and other.data.shape == self.data.shape):
+            raise ValueError(
+                f"vectors differ: {self.n_components} component(s) of shape {self.data.shape} "
+                f"and {other.n_components} of shape {other.data.shape} on "
+                f"{'the same' if other.mesh is self.mesh else 'another'} mesh"
+            )
+        return other.data
+
     def __add__(self, other):
-        return FieldVector(self.mesh, self.n_components, self.data + other.data)
+        return FieldVector(self.mesh, self.n_components, self.data + self._like(other))
 
     def __sub__(self, other):
-        return FieldVector(self.mesh, self.n_components, self.data - other.data)
+        return FieldVector(self.mesh, self.n_components, self.data - self._like(other))
 
     def __mul__(self, scalar):
         return FieldVector(self.mesh, self.n_components, self.data * scalar)
@@ -676,9 +690,7 @@ class OperatorHandle:
             # linearized data (`_TraceFree`), and the fluxes are linear in u.
             # The linearized sources are built on the first application
             cache = self._cache
-            self._check(linearization_point, "primal", "the linearization point")
-            if linearization_point.data.ndim != 1:
-                raise ValueError("linearization point must be a single vector, not a batch")
+            self._check(linearization_point, "primal", "the linearization point", single=True)
             lin_rows = self._rows(linearization_point.data)
             self._lin_groups = [g.take(lin_rows).copy() for g in cache.groups]
             self._fixed = [np.zeros_like(a) for a in self._fixed]
@@ -695,13 +707,14 @@ class OperatorHandle:
     # what `linearized_at` shares with the handle it linearizes
     _SHARED = (
         "_cache", "_face_sigma", "_mortar_sigma", "_external", "_n_dirichlet",
-        "_x", "_normal", "_fixed", "_live_layout", "_aux_rows",
+        "_x", "_normal", "_fixed", "_live_layout", "_aux_rows", "_fields",
     )
 
     def _setup(self):
         """Check the switches, and build the point-independent state: the mesh
         cache, the penalty, the auxiliary-flux rows and the boundary layout
-        and arrays."""
+        and arrays. The background fields wait for the first application
+        (`_core`)."""
         system, background = self.system, self.background
         if system.dim != self.mesh.dim:
             raise ConfigurationError(
@@ -721,6 +734,7 @@ class OperatorHandle:
                     "a collocation point lies within 1e-10 of a puncture; "
                     "offset the mesh bounds"
                 )
+        self._fields = []
         self._face_sigma = self.penalty_parameter * cache.face_sigma
         self._mortar_sigma = [self.penalty_parameter * mg.sigma for mg in cache.mortar_groups]
         # the auxiliary flux is linear in u, so its components that are zero
@@ -804,9 +818,9 @@ class OperatorHandle:
 
     # -- operator application ------------------------------------------
 
-    def _check(self, vec, block, what):
+    def _check(self, vec, block, what, single=False):
         """Raise unless `vec` is a `block` ("primal" or "auxiliary") vector on
-        this handle's mesh, the same object."""
+        this handle's mesh, the same object, and unless `single`, a batch."""
         n = getattr(self.system, "n_" + block)
         if vec.mesh is not self.mesh or vec.n_components != n:
             raise ValueError(
@@ -814,6 +828,8 @@ class OperatorHandle:
                 f"{n} component(s) on the handle's mesh of {self.mesh.n_elements} elements, "
                 f"not {vec.n_components} on {'that' if vec.mesh is self.mesh else 'another'} mesh"
             )
+        if single and vec.data.ndim != 1:
+            raise ValueError(f"{what} must be a single vector, not a batch")
 
     def apply(self, u: FieldVector) -> FieldVector:
         """Residual A(u) over the primal variables; a batch gives a batch."""
@@ -864,16 +880,6 @@ class OperatorHandle:
         """A new buffer of flat vectors shaped `lead` and its `_rows` view."""
         data = np.empty(lead + (n_components * self._cache.n_points,))
         return data, self._rows(data)
-
-    def _linearized_sources(self):
-        """Per group the map (du, dv) -> S'(u0)[du, dv] at the linearization
-        point, built on the first application and kept."""
-        if self._lin_sources is None:
-            self._lin_sources = [
-                self.system.linearized_primal_source(u0, g.coords, self.background)
-                for g, u0 in zip(self._cache.groups, self._lin_groups)
-            ]
-        return self._lin_sources
 
     def _phase1(self, u_rows):
         """Auxiliary fluxes, their exchange and the reconstructed auxiliary field.
@@ -939,7 +945,17 @@ class OperatorHandle:
         """
         cache = self._cache
         sys_, bg = self.system, self.background
-        sources = None if self._lin_groups is None else self._linearized_sources()
+        # per group, on the first application: the background fields, once per
+        # handle family (the list is shared), and the linearized sources once
+        fields = self._fields
+        if not fields:
+            fields.extend(sys_.background_fields(g.coords) for g in cache.groups)
+        if self._lin_groups is not None and self._lin_sources is None:
+            self._lin_sources = [
+                sys_.linearized_primal_source(u0, g.coords, bg, f)
+                for g, u0, f in zip(cache.groups, self._lin_groups, fields)
+            ]
+        sources = self._lin_sources
         strong = self.form == "strong"
         primal_form = "strong" if strong else "weak"
         n_u, n_v = sys_.n_primal, sys_.n_auxiliary
@@ -959,7 +975,7 @@ class OperatorHandle:
             ug = g.take(u_rows)
             fu = sys_.primal_flux(v, g.coords, bg)
             if sources is None:
-                src = sys_.primal_source(ug, v, g.coords, bg)
+                src = sys_.primal_source(ug, v, g.coords, bg, fields[gi])
             else:
                 src = sources[gi](ug, v)
             res = -g.stiffness(fu, primal_form)

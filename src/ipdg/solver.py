@@ -369,10 +369,10 @@ def _check_iteration(section, tol, max_iter, restart=1):
 
 
 def _flat_rhs(handle, rhs):
-    """A right-hand side as a new flat array; a FieldVector must be primal
-    and on the handle's mesh."""
+    """A right-hand side as a new flat array; a FieldVector must be one
+    primal vector on the handle's mesh."""
     if isinstance(rhs, FieldVector):
-        handle._check(rhs, "primal", "the right-hand side")
+        handle._check(rhs, "primal", "the right-hand side", single=True)
         return rhs.to_flat()
     return np.asarray(rhs, dtype=float).ravel().copy()
 
@@ -477,13 +477,20 @@ def solve_newton(
     was given as its `tolerance`, so an inner solve that did not converge
     shows there.
     """
-    params = {"method": "gmres", "tol": 1e-12, "max_iter": 10000, "restart": 50}
-    if inner:
-        params.update(inner)
+    # every keyword of solve_linear, with its default here
+    params = dict(method="gmres", tol=1e-12, max_iter=10000, restart=50, preconditioner=None)
+    for key in inner or {}:
+        if key not in params:
+            raise ConfigurationError(
+                "inner", f"unknown key {key!r}; the keys are solve_linear's: {', '.join(params)}"
+            )
+    params.update(inner or {})
     _check_iteration("newton", tol, max_iter)
     _check_iteration("solver", params["tol"], params["max_iter"], params["restart"])
     t0 = time.perf_counter()
     b = _flat_rhs(handle, rhs)
+    if initial_guess is not None:
+        handle._check(initial_guess, "primal", "the initial guess", single=True)
     scale = np.linalg.norm(b)
     if scale == 0.0:
         scale = 1.0  # fall back to absolute residuals

@@ -6,13 +6,17 @@ gradient). Fluxes are linear in (u, v); nonlinearity may enter through the
 sources only. Evaluators are vectorized: fields have shape (n_components,
 *grid), points (d, *grid), fluxes (n_components, d, *grid).
 
+Sources may read fixed background fields, such as the puncture's Bowen-York
+alpha and beta: `background_fields(x)` computes them without keeping them,
+the sources get those of their points as an argument, and the operator,
+which owns the points, evaluates them once per element group.
+
 Available systems: "poisson-flat", "poisson-curved", "elasticity",
 "puncture" (3D black-hole puncture initial data).
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -68,10 +72,22 @@ class EllipticSystem:
     def primal_flux(self, v, x, bg):
         raise NotImplementedError
 
-    def primal_source(self, u, v, x, bg):
+    def background_fields(self, x):
+        """The fixed fields the sources read at points x (d, ...), a tuple;
+        none by default.
+
+        An operator evaluates them once per element group, on the first
+        application of any handle that shares its set-up, and hands them to
+        `primal_source` and `linearized_primal_source` with the points they
+        belong to.
+        """
+        return ()
+
+    def primal_source(self, u, v, x, bg, fields):
+        """S_u at points x, given the `background_fields` of x."""
         return np.zeros((self.n_primal,) + np.asarray(u).shape[1:])
 
-    def linearized_primal_source(self, u0, x, bg):
+    def linearized_primal_source(self, u0, x, bg, fields):
         """The primal source linearized at u0: the map (du, dv) -> S'(u0)[du, dv].
 
         A linearized operator calls this once per element group, on its first
@@ -87,7 +103,7 @@ class EllipticSystem:
             raise NotImplementedError(
                 f"{type(self).__name__} is nonlinear and must override linearized_primal_source"
             )
-        return lambda du, dv: self.primal_source(du, dv, x, bg)
+        return lambda du, dv: self.primal_source(du, dv, x, bg, fields)
 
     def auxiliary_from_gradient(self, grad):
         """Map an analytic primal gradient (n_primal, d, ...) to auxiliary values."""
@@ -149,7 +165,7 @@ class PoissonCurved(_PoissonLike):
         ginv = bg.inverse_metric(x)
         return np.einsum("ij...,j...->i...", ginv, np.asarray(v))[None]
 
-    def primal_source(self, u, v, x, bg):
+    def primal_source(self, u, v, x, bg, fields):
         contraction = bg.christoffel_contraction(x)
         ginv = bg.inverse_metric(x)
         return -np.einsum(
@@ -249,63 +265,15 @@ class Puncture(_PoissonLike):
     linear = False
     symmetric_eligible = True
 
-    # collocation points whose background fields are kept, about 40 bytes
-    # each (points and fields): an operator evaluates them at the points of
-    # each same-shape element group in every application, and all groups of
-    # a mesh up to this size stay kept however many shapes it mixes
-    _FIELDS_POINTS = 2**18
-    # entries of x sampled for the lookup key
-    _KEY_SAMPLES = 64
-
     def __init__(self, punctures):
         super().__init__(3)
         self.punctures = tuple(punctures)
         if not self.punctures:
             raise ValueError("at least one puncture is required")
-        self._fields = {}  # _key(x) -> (copy of x, read-only (alpha, beta))
-        self._kept_points = 0
 
     def background_fields(self, x):
-        """(alpha, beta) at points x, shape (d, ...) -> two (...) arrays.
-
-        The result is computed once per point set: a later call whose x
-        holds the same values returns the same read-only arrays. The least
-        recently used point sets give way when the kept points would exceed
-        `_FIELDS_POINTS`.
-        """
+        """(alpha, beta) at points x, shape (d, ...) -> two (...) arrays."""
         x = np.asarray(x, dtype=float)
-        key = self._key(x)
-        n = math.prod(x.shape[1:])
-        kept = self._fields.pop(key, None)
-        if kept is not None and np.array_equal(kept[0], x):
-            self._fields[key] = kept  # most recently used last
-            return kept[1]
-        if kept is not None:  # other points with the same sample
-            self._kept_points -= n
-        fields = self._compute_fields(x)
-        for arr in fields:
-            if isinstance(arr, np.ndarray):  # a single point gives scalars
-                arr.flags.writeable = False
-        if n > self._FIELDS_POINTS:
-            return fields
-        while self._kept_points + n > self._FIELDS_POINTS:
-            oldest = next(iter(self._fields))
-            del self._fields[oldest]
-            self._kept_points -= math.prod(oldest[0][1:])
-        self._kept_points += n
-        self._fields[key] = (x.copy(), fields)
-        return fields
-
-    @classmethod
-    def _key(cls, x):
-        """Lookup key of a point set: its shape and a strided sample of x.
-
-        Cheaper than hashing all of x; a hit is confirmed on the full values.
-        """
-        flat = x.reshape(-1)
-        return x.shape, flat[::max(1, flat.size // cls._KEY_SAMPLES)].tobytes()
-
-    def _compute_fields(self, x):
         inv_alpha = np.zeros(x.shape[1:])
         abar = np.zeros((3, 3) + x.shape[1:])
         eye = np.eye(3)
@@ -348,14 +316,14 @@ class Puncture(_PoissonLike):
             dmin = min(dmin, float(np.min(r)))
         return dmin
 
-    def primal_source(self, u, v, x, bg):
-        alpha, beta = self.background_fields(x)
+    def primal_source(self, u, v, x, bg, fields):
+        alpha, beta = fields
         u = np.asarray(u)
         return (-beta * (alpha * (1.0 + u[0]) + 1.0) ** -7)[None]
 
-    def linearized_primal_source(self, u0, x, bg):
-        # the background fields and the power of u0, once per linearization
-        alpha, beta = self.background_fields(x)
+    def linearized_primal_source(self, u0, x, bg, fields):
+        # the power of u0, once per linearization
+        alpha, beta = fields
         factor = 7.0 * alpha * beta * (alpha * (1.0 + np.asarray(u0)[0]) + 1.0) ** -8
         return lambda du, dv: (factor * np.asarray(du)[0])[None]
 
@@ -364,7 +332,7 @@ class Puncture(_PoissonLike):
 
     def continuum_residual(self, u, grad, hess, x, bg):
         lap = np.einsum("cii...->c...", np.asarray(hess))
-        return -lap + self.primal_source(u, None, x, bg)
+        return -lap + self.primal_source(u, None, x, bg, self.background_fields(x))
 
 
 def make_system(name: str, dim: int, **params) -> EllipticSystem:

@@ -257,6 +257,18 @@ class TestBuildersAndRefinement:
         with pytest.raises(ValueError, match="need 2 entries"):
             build_annulus_mesh(1.0, 2.0, 4, (0,), (2,))
 
+    def test_element_editors_range_check_the_index(self):
+        # a negative index used to count from the end: split_element(mesh, -1)
+        # kept every element and added the children of the last
+        mesh = build_rectilinear_mesh([(0, 1), (0, 1)], (1, 1), (2, 2))
+        for index in (-1, -4, 4, 7):
+            with pytest.raises(ValueError, match=f"element index {index} out of range for 4"):
+                split_element(mesh, index)
+            with pytest.raises(ValueError, match=f"element index {index} out of range for 4"):
+                with_degrees(mesh, index, (3, 3))
+        assert split_element(mesh, 3).n_elements == 7
+        assert with_degrees(mesh, 3, (3, 2)).elements[3].degrees == (3, 2)
+
 
 class TestTopology:
     def test_single_element_all_external(self):

@@ -645,6 +645,26 @@ def test_fieldvector_size_guard():
             FieldVector(mesh, 1, data)
 
 
+def test_fieldvector_arithmetic_needs_the_same_mesh_components_and_shape():
+    # `twin` has the same DoF count as `mesh`; meshes are compared by identity
+    mesh, twin = unit_mesh_2d(2, 1), unit_mesh_2d(2, 1)
+    n = mesh.total_points
+    u = FieldVector(mesh, 1, np.arange(n, dtype=float))
+    assert np.array_equal((u + u).data, 2.0 * u.data) and (u - u).mesh is mesh
+    others = [
+        (FieldVector(twin, 1, np.ones(n)), r"1 of shape \(36,\) on another mesh"),
+        (FieldVector(mesh, 2, np.ones(2 * n)), r"2 of shape \(72,\) on the same mesh"),
+        (FieldVector.batch(mesh, 1, np.ones((2, n))), r"1 of shape \(2, 36\) on the same"),
+    ]
+    for other, message in others:
+        for left, right in ((u, other), (other, u)):
+            for combine in (left.__add__, left.__sub__):
+                with pytest.raises(ValueError, match="vectors differ"):
+                    combine(right)
+        with pytest.raises(ValueError, match=r"1 component\(s\) of shape \(36,\) and " + message):
+            u + other
+
+
 # -- full operator and rhs ---------------------------------------------
 
 
@@ -726,19 +746,25 @@ def test_batch_matches_single_vectors():
 
 
 def test_linearized_sources_built_once_per_point(monkeypatch):
-    # a linearized puncture handle evaluates the background fields once per
-    # element group, on its first application, not in `linearized_at` and not
-    # again in later ones; and it applies bit for bit as a handle built from
-    # scratch at the same point
+    # a puncture handle family (a handle and the handles `linearized_at`
+    # makes of it) evaluates the background fields once per element group,
+    # on its first application, not in `linearized_at` and not again in
+    # later applications, nonlinear or linearized, of any of its handles;
+    # and each applies bit for bit as a handle built from scratch
     cube = with_degrees(
         build_rectilinear_mesh([(1.0, 2.0)] * 3, (1, 0, 0), (2, 2, 2)), 1, (3, 2, 2)
     )
     spec = PunctureSpec(1.0, (0.1, 0.2, 0.3), momentum=(0.2, 0.0, 0.3), spin=(0.0, 0.1, 0.0))
     bcs = BoundaryMap({"all": FalloffDirichletBC(0.2)})
     point = interpolant(cube, lambda x: 0.1 * np.sin(x[0] + 2.0 * x[1] - x[2])[None])
-    handle = OperatorHandle(
-        cube, make_system("puncture", dim=3, punctures=[spec]), BG, bcs, form="strong-weak"
-    )
+
+    def build(**kwargs):
+        return OperatorHandle(
+            cube, make_system("puncture", dim=3, punctures=[spec]), BG, bcs,
+            form="strong-weak", **kwargs,
+        )
+
+    handle = build()
     calls = []
     fields = Puncture.background_fields
 
@@ -754,15 +780,23 @@ def test_linearized_sources_built_once_per_point(monkeypatch):
     batch = FieldVector.batch(cube, 1, us)
     singles = [lin.matvec(u) for u in us]
     batches = [lin.apply(batch).data for _ in range(8)]
-    assert len(lin._cache.groups) == 2 and len(calls) == 2
-    fresh = OperatorHandle(
-        cube, make_system("puncture", dim=3, punctures=[spec]), BG, bcs, form="strong-weak",
-        linearization_point=point,
-    )
+    shapes = sorted(g.coords.shape for g in lin._cache.groups)
+    assert len(shapes) == 2 and sorted(calls) == shapes
+    # the parent's nonlinear applies, a second linearization and its applies
+    residuals = [handle.matvec(u) for u in us] + [handle.apply(batch).data]
+    second = FieldVector(cube, 1, 0.1 * us[0])
+    other = handle.linearized_at(second)
+    others = [other.matvec(u) for u in us] + [other.apply(batch).data]
+    assert sorted(calls) == shapes
+    monkeypatch.undo()
+    fresh = build(linearization_point=point)
     for u, single in zip(us, singles):
         assert np.array_equal(single, fresh.matvec(u))
     for batched in batches:
         assert np.array_equal(batched, fresh.apply(batch).data)
+    for fresh, outs in ((build(), residuals), (build(linearization_point=second), others)):
+        assert all(np.array_equal(out, fresh.matvec(u)) for out, u in zip(outs, us))
+        assert np.array_equal(outs[-1], fresh.apply(batch).data)
 
 
 def _dense_volume_kernels(group, fluxes):

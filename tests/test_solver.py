@@ -395,6 +395,33 @@ def test_right_hand_side_of_another_mesh_or_component_count_rejected():
             solve(handle, two)
 
 
+def test_batches_rejected_as_right_hand_side_or_initial_guess():
+    # a batch used to fail deep inside the solve, or pass when it solved
+    linear = poisson_handle(1, 2, lin=False)
+    mesh = linear.mesh
+    batch = FieldVector.batch(mesh, 1, np.zeros((3, linear.n_primal_dofs)))
+    for solve in (solve_linear, solve_newton):
+        with pytest.raises(ValueError, match="the right-hand side must be a single vector, not a"):
+            solve(linear, batch)
+    zero = linear.zero_primal()
+    with pytest.raises(ValueError, match="the initial guess must be a single vector, not a batch"):
+        solve_newton(linear, zero, initial_guess=batch)
+    with pytest.raises(ValueError, match="the initial guess must be a primal vector"):
+        solve_newton(linear, zero, initial_guess=FieldVector.zeros(mesh, 2))
+
+
+def test_unknown_inner_key_rejected():
+    # the config's spelling is not solve_linear's keyword; it used to reach
+    # solve_linear and raise TypeError there
+    linear = poisson_handle(1, 2, lin=False)
+    message = (
+        r"inner: unknown key 'max_iterations'; the keys are solve_linear's: "
+        "method, tol, max_iter, restart, preconditioner"
+    )
+    with pytest.raises(ConfigurationError, match=message):
+        solve_newton(linear, np.ones(linear.n_primal_dofs), inner={"max_iterations": 3})
+
+
 def test_gmres_with_preconditioners():
     # a non-symmetric operator: the strong form on a conformally flat
     # background, two grid shapes

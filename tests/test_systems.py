@@ -62,7 +62,8 @@ class TestPoissonFlat:
         u = np.ones((1, 4))
         v = np.ones((2, 4))
         x = np.zeros((2, 4))
-        assert not sys2.primal_source(u, v, x, FLAT2).any()
+        assert sys2.background_fields(x) == ()
+        assert not sys2.primal_source(u, v, x, FLAT2, ()).any()
         assert sys2.linear and sys2.symmetric_eligible
 
 
@@ -86,7 +87,7 @@ class TestPoissonCurved:
         bg = _curved_bg()
         x = np.array([[1.0], [0.0]])
         v = np.array([[3.0], [4.0]])
-        src = PoissonCurved(2).primal_source(None, v, x, bg)
+        src = PoissonCurved(2).primal_source(None, v, x, bg, ())
         np.testing.assert_allclose(src[0], -0.2 * np.exp(-0.2) * 3.0)
 
     def test_linearized_source_is_the_source_of_the_perturbation(self):
@@ -96,14 +97,14 @@ class TestPoissonCurved:
         rng = np.random.default_rng(2)
         x, du, dv = rng.random((2, 5)), rng.standard_normal((1, 5)), rng.standard_normal((2, 5))
         system = PoissonCurved(2)
-        lin = system.linearized_primal_source(rng.standard_normal((1, 5)), x, bg)
-        np.testing.assert_array_equal(lin(du, dv), system.primal_source(du, dv, x, bg))
+        lin = system.linearized_primal_source(rng.standard_normal((1, 5)), x, bg, ())
+        np.testing.assert_array_equal(lin(du, dv), system.primal_source(du, dv, x, bg, ()))
 
         class Cubic(PoissonCurved):
             linear = False
 
         with pytest.raises(NotImplementedError, match="Cubic is nonlinear and must override"):
-            Cubic(2).linearized_primal_source(du, x, bg)
+            Cubic(2).linearized_primal_source(du, x, bg, ())
 
     def test_reduces_to_flat_for_zero_phi(self):
         bg = ConformallyFlatBackground(
@@ -143,7 +144,7 @@ class TestPoissonCurved:
             e = np.zeros((2, 1))
             e[i] = h
             div += (flux_of(x0 + e)[i] - flux_of(x0 - e)[i]) / (2 * h)
-        src = sys2.primal_source(None, grad_of(x0), x0, bg)[0]
+        src = sys2.primal_source(None, grad_of(x0), x0, bg, ())[0]
         oracle = -div + src
 
         u0 = u_of(x0)[None]
@@ -252,10 +253,11 @@ class TestPuncture:
         u0 = 0.1 * rng.standard_normal((1, 6))
         du = rng.standard_normal((1, 6))
         eps = 1e-6
-        plus = sys3.primal_source(u0 + eps * du, None, x, FLAT3)
-        minus = sys3.primal_source(u0 - eps * du, None, x, FLAT3)
+        fields = sys3.background_fields(x)
+        plus = sys3.primal_source(u0 + eps * du, None, x, FLAT3, fields)
+        minus = sys3.primal_source(u0 - eps * du, None, x, FLAT3, fields)
         oracle = (plus - minus) / (2 * eps)
-        lin = sys3.linearized_primal_source(u0, x, FLAT3)
+        lin = sys3.linearized_primal_source(u0, x, FLAT3, fields)
         np.testing.assert_allclose(lin(du, None), oracle, rtol=1e-7, atol=1e-12)
         # the map is linear in du and reads nothing else
         np.testing.assert_array_equal(lin(2.0 * du, None), 2.0 * lin(du, None))
@@ -270,75 +272,6 @@ class TestPuncture:
         res = sys3.continuum_residual(u, None, hess, x, FLAT3)
         # beta = 0 for an unboosted, unspun puncture, so only -lap survives
         np.testing.assert_allclose(res, -3.0)
-
-    def test_background_fields_kept_per_point_set(self):
-        spec = PunctureSpec(1.0, (0.0, 0.0, 0.0), momentum=(0.1, 0.2, 0.3),
-                            spin=(0.0, 0.1, 0.0))
-        sys3 = Puncture([spec])
-        x = 2.0 + np.random.default_rng(5).random((3, 4, 5))
-        first = sys3.background_fields(x)
-        # equal values in another array: the kept arrays, read-only
-        again = sys3.background_fields(x.copy())
-        assert all(a is b for a, b in zip(first, again))
-        assert not first[0].flags.writeable
-        # new points, and new values in the array seen first, get fresh
-        # fields, bit-identical to those of a system that never saw x
-        moved = x + 0.5
-        x[0, 0, 0] += 0.25
-        for points in (moved, x):
-            got = sys3.background_fields(points)
-            fresh = Puncture([spec]).background_fields(points)
-            assert all(np.array_equal(g, f) for g, f in zip(got, fresh))
-            assert not np.array_equal(got[0], first[0])
-
-    def test_background_fields_key_sample_confirmed_on_all_points(self):
-        # the lookup key samples x; two point sets that agree on every
-        # sampled entry but differ elsewhere still get their own fields
-        spec = PunctureSpec(1.0, (0.0, 0.0, 0.0), momentum=(0.1, 0.2, 0.3))
-        sys3 = Puncture([spec])
-        x = 2.0 + np.random.default_rng(6).random((3, 6, 7, 8))
-        other = x.copy()
-        other[1, 2, 3, 4] += 0.125
-        assert Puncture._key(other) == Puncture._key(x)
-        for points in (x, other, x, other):
-            got = sys3.background_fields(points)
-            fresh = Puncture([spec]).background_fields(points)
-            assert all(np.array_equal(g, f) for g, f in zip(got, fresh))
-        assert not np.array_equal(sys3.background_fields(x)[1], got[1])
-        # the second set took the first one's place: the kept count is one set
-        assert sys3._kept_points == 6 * 7 * 8
-
-    def test_background_fields_kept_by_points_least_recent_first(self, monkeypatch):
-        sys3 = Puncture([PunctureSpec(1.0, (0.0, 0.0, 0.0), momentum=(0.1, 0.2, 0.3))])
-        computed = []
-        compute = sys3._compute_fields
-        monkeypatch.setattr(sys3, "_compute_fields", lambda x: computed.append(1) or compute(x))
-        # twelve groups of an element-shape mix, applied five times over:
-        # each set is computed once
-        sets = [2.0 + k + np.random.default_rng(k).random((3, 4 + k % 3, 5)) for k in range(12)]
-        for _ in range(5):
-            for x in sets:
-                sys3.background_fields(x)
-        assert len(computed) == 12
-        # room for three sets of 20 points: a hit keeps its set from giving
-        # way to the next new one, which evicts the least recently used
-        sys3 = Puncture(sys3.punctures)
-        sys3._FIELDS_POINTS = 60
-        monkeypatch.setattr(sys3, "_compute_fields", lambda x: computed.append(1) or compute(x))
-        a, b, c, d = (2.0 + k + np.zeros((3, 4, 5)) for k in range(4))
-        for x in (a, b, c, a, d):
-            sys3.background_fields(x)
-        computed.clear()
-        for x in (a, c, d):
-            sys3.background_fields(x)
-        assert computed == []
-        sys3.background_fields(b)
-        assert computed == [1]
-        # a set larger than the room is computed but not kept
-        big = 2.0 + np.zeros((3, 61))
-        sys3.background_fields(big)
-        sys3.background_fields(big)
-        assert len(computed) == 3
 
     def test_collocated_puncture_rejected(self):
         sys3 = Puncture([PunctureSpec(1.0, (0.5, 0.5, 0.5))])
