@@ -77,12 +77,12 @@ def l2_error(mesh, u, analytic_value, background, *, handle=None) -> float:
     (the same object) with one component per primal variable: of the
     handle's system when given, and of the analytic value. `handle`, an
     OperatorHandle on this mesh and background, lends its element groups,
-    so their geometry is not evaluated again; without one, groups of points
-    and mass only are built. The error is the same to the last bit either
-    way. Each element's sums run in its natural grid order.
+    so their geometry is not evaluated again; without one, the groups are
+    built here. The error is the same to the last bit either way. Each
+    element's sums run in its natural grid order.
     """
     if handle is None:
-        groups = _element_groups(mesh, background, faces=False)
+        groups = _element_groups(mesh, background)
     elif handle.mesh is not mesh or handle.background is not background:
         raise ValueError("handle was built for another mesh or background")
     else:

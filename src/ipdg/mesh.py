@@ -36,7 +36,6 @@ __all__ = [
     "split_element",
     "with_degrees",
     "jacobian_at",
-    "jacobian_det",
     "mortar_topology",
     "face_shape",
     "face_slices",
@@ -396,11 +395,11 @@ def with_degrees(mesh: Mesh, index: int, degrees) -> Mesh:
     return Mesh(mesh.dim, mesh.blocks, elements)
 
 
-def jacobian_det(element: Element, xi) -> tuple[np.ndarray, np.ndarray]:
-    """Jacobian dx/dxi and its determinant at logical points.
+def jacobian_at(element: Element, xi) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Jacobian dx/dxi, its determinant, and its inverse at logical points.
 
-    xi has shape (d,) or (d, ...); returns (J, det) with J shaped (d, d, ...).
-    Raises DegenerateGeometryError unless det > 0 everywhere.
+    xi has shape (d,) or (d, ...); returns (J, det, J^-1) with J shaped
+    (d, d, ...). Raises DegenerateGeometryError unless det > 0 everywhere.
     """
     xi = np.asarray(xi, dtype=float)
     jac = element.map.jacobian(xi)
@@ -418,15 +417,7 @@ def jacobian_det(element: Element, xi) -> tuple[np.ndarray, np.ndarray]:
         raise DegenerateGeometryError(
             f"non-positive Jacobian determinant in element {element.id_string()}"
         )
-    return jac, np.asarray(det, dtype=float)
-
-
-def jacobian_at(element: Element, xi) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Jacobian dx/dxi, its determinant, and its inverse at logical points.
-
-    As `jacobian_det`, which raises unless det > 0; returns (J, det, J^-1).
-    """
-    jac, det = jacobian_det(element, xi)
+    det = np.asarray(det, dtype=float)
     if element.dim == 1:
         inv = (1.0 / det)[None, None]
     elif element.dim == 2:

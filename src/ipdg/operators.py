@@ -36,12 +36,17 @@ the element count:
   mortar whose prolongations are both the identity the matching point
   across, one ghost expression gives every external point its ghost, and
   one flux call gives the flux and jump everywhere. The flux and ghost
-  functions take and return plain arrays;
+  functions take and return plain arrays. The penalty
+  sigma = C (p+1)^2 / h is computed once per handle in one expression over
+  the face buffer, with the larger normal degree and the smaller h of each
+  point and its partner (an external point is its own);
 - mortars with a non-identity side replace the jump at their points: those
   with the same face grids, mortar grid and coverages form a group that
   gathers its sides from the face buffer with one index array each, prolongs
   with one matrix product P and restricts with its mass-weighted adjoint
-  W_f^-1 P^T W_m (both skipped on a side where P is the identity).
+  W_f^-1 P^T W_m (both skipped on a side where P is the identity). Each
+  group computes its quadrature weights and penalty on the mortar points
+  once, from face data gathered through the same index arrays.
 
 A batch of vectors (FieldVector.batch) rides through the same code as one
 more leading point axis: volume arrays are (components, batch, elements,
@@ -81,15 +86,18 @@ application:
   (du, dv) -> S'(u0)[du, dv], once per group on its first application, so
   whatever depends only on the point, the coordinates and the fields (the
   puncture's power of u0) is evaluated once per linearization.
-Nor is it redone per linearization: `linearized_at` shares the mesh cache,
-the penalty, the flux rows, the background fields and the boundary layout
-of the handle it linearizes, and reads only the point. Gathers from the
-face buffer through an index array use `np.take`, several times faster
-than `[..., index]` at these sizes; scatters keep the indexed assignment.
+Nor is it redone per linearization: `linearized_at`, the only way to build
+a linearized handle, takes a shallow copy of the handle it linearizes, so
+the copy shares the mesh cache, the penalty, the flux rows, the background
+fields and the boundary layout, and sets only what the point gives.
+Gathers from the face buffer through an index array use `np.take`, several
+times faster than `[..., index]` at these sizes; scatters keep the indexed
+assignment.
 """
 
 from __future__ import annotations
 
+import copy
 import math
 from collections import namedtuple
 from typing import Optional
@@ -105,7 +113,7 @@ from .errors import (
     SingularPointError,
     TopologyError,
 )
-from .mesh import face_shape, jacobian_at, jacobian_det, mortar_topology
+from .mesh import face_shape, jacobian_at, mortar_topology
 from .mortars import mortar_logical_weights, prolongation_matrix
 
 __all__ = [
@@ -171,6 +179,8 @@ class FieldVector:
     """
 
     __slots__ = ("mesh", "n_components", "data")
+    # numpy arrays defer to the vector's operators, which take only scalars
+    __array_ufunc__ = None
 
     def __init__(self, mesh, n_components: int, data):
         data = np.asarray(data, dtype=float)
@@ -201,10 +211,6 @@ class FieldVector:
     def to_flat(self) -> np.ndarray:
         return self.data.copy()
 
-    @property
-    def n_dofs(self) -> int:
-        return self.data.shape[-1]
-
     def copy(self) -> "FieldVector":
         return FieldVector(self.mesh, self.n_components, self.data.copy())
 
@@ -226,6 +232,9 @@ class FieldVector:
         return FieldVector(self.mesh, self.n_components, self.data - self._like(other))
 
     def __mul__(self, scalar):
+        """The vector times a scalar; an array would broadcast it into a batch."""
+        if np.ndim(scalar) != 0:
+            return NotImplemented
         return FieldVector(self.mesh, self.n_components, self.data * scalar)
 
     __rmul__ = __mul__
@@ -324,15 +333,14 @@ class _Group:
     members are consecutive in the mesh, else an index array. The group's
     face points fill [face_start, face_end) of the face buffer, face key by
     face key, element by element within a key; `face_geometry` holds per key
-    their coordinates, normals, h = 2/|n~|, surface measure and lumped mass.
-    Without a `face_start` the group holds only its points, coordinates and
-    mass, what `analysis.l2_error` reads.
+    their coordinates, normals, h = 2/|n~|, surface measure, lumped mass and
+    the degree normal to the face.
 
     Each member's map and Jacobian are evaluated once on the shared logical
     grid; everything else is derived from the stack.
     """
 
-    def __init__(self, elements, members, offsets, background, face_start=None):
+    def __init__(self, elements, members, offsets, background, face_start):
         first = elements[0]
         node_sets = first.node_sets()
         n_el, n = len(members), first.n_points
@@ -344,18 +352,14 @@ class _Group:
         self.members = members
         self.dim = dim = first.dim
         self.shape = (n_el,) + first.grid_shape[::-1]
-        self.face_end = face_start
         xi = first.logical_grid()
         self.coords = np.stack([_point_order(el.map.apply(xi), dim) for el in elements], axis=1)
-        # (J, det) only, or (J, det, J^-1) for the operator
-        jac = [(jacobian_det if face_start is None else jacobian_at)(el, xi) for el in elements]
+        jac = [jacobian_at(el, xi) for el in elements]
         det = np.stack([_point_order(j[1], dim) for j in jac])
         weights = [ns.weights for ns in node_sets]
         self.mass = _lumped_mass(
             elements, background, self.coords, det, _point_order(_weight_product(weights), dim)
         )
-        if face_start is None:
-            return
         self.jinv = np.stack([_point_order(j[2], dim) for j in jac], axis=2)
         # per reference direction j, the physical directions i whose
         # Jinv^j_i is not zero at every point: the one i = j on rectilinear
@@ -386,6 +390,7 @@ class _Group:
                 self.face_geometry.append((
                     fg.coords.reshape(dim, -1), fg.normal.reshape(dim, -1),
                     (2.0 / mag).ravel(), fg.surface_measure.ravel(), massive.ravel(),
+                    np.full(mag.size, first.degrees[fdim]),
                 ))
         self.face_end = face_start
 
@@ -441,14 +446,13 @@ class _Group:
         return out
 
 
-def _element_groups(mesh, background, faces=True):
+def _element_groups(mesh, background):
     """One `_Group` per grid shape, in order of first appearance in the mesh,
-    their face points filling one face buffer group after group; without
-    `faces`, groups of points, coordinates and mass only."""
+    their face points filling one face buffer group after group."""
     by_shape = {}
     for k, el in enumerate(mesh.elements):
         by_shape.setdefault(el.grid_shape, []).append(k)
-    groups, pos = [], 0 if faces else None
+    groups, pos = [], 0
     for members in by_shape.values():
         elements = [mesh.elements[k] for k in members]
         groups.append(_Group(elements, members, mesh.point_offsets, background, pos))
@@ -478,19 +482,38 @@ class _MortarGroup:
     Per side: `index` (mortars, face points) into the face buffer, P^T and
     the lumped face mass W_f at `index`, both None where P = I (such a face
     has no other mortar, and W_m is its W_f up to interpolation). `weights`
-    (mortars, mortar points) is the quadrature W_m both sides share. The
-    restriction R = W_f^-1 P^T W_m is P's adjoint under these masses, which
-    keeps the lifted coupling symmetric; sum R P over a face is not I.
+    (mortars, mortar points) is the quadrature W_m both sides share: LGL
+    weights in the logical measure of the coarse side times its surface
+    measure. The coarse side is the partially covered one if any, else the
+    one with fewer face points (ties: side 0). The restriction
+    R = W_f^-1 P^T W_m is P's adjoint under these masses, which keeps the
+    lifted coupling symmetric; sum R P over a face is not I. `sigma` is the
+    penalty for C = 1 on the mortar points, with the larger normal degree
+    and the smaller prolonged h of the two sides.
     """
 
-    def __init__(self, index, prolongs, weights, face_mass, sigma):
+    def __init__(self, mortar, index, prolongs, cache):
         self.index = index
         self.prolong = [None if _is_identity(p) else p.T for p in prolongs]
         self.face_mass = [
-            None if p is None else face_mass[i] for p, i in zip(self.prolong, index)
+            None if p is None else cache.face_mass[i] for p, i in zip(self.prolong, index)
         ]
-        self.weights = weights
-        self.sigma = sigma
+        partial = [any(c != "full" for c in s.coverage) for s in mortar.sides]
+        sizes = [i.shape[1] for i in index]
+        coarse = int(partial[1] if partial[0] != partial[1] else sizes[1] < sizes[0])
+
+        def prolonged(side, values):
+            # one P @ v per mortar: one matrix product over all of them would
+            # round differently
+            return np.stack([prolongs[side] @ v for v in values[index[side]]])
+
+        self.weights = mortar_logical_weights(
+            mortar.counts, mortar.sides[coarse].coverage
+        ) * prolonged(coarse, cache.face_measure)
+        self.sigma = penalty_sigma(
+            *(cache.face_p[i[:, :1]] for i in index),
+            *(prolonged(s, cache.face_h) for s in (0, 1)), 1.0,
+        )
 
     def to_mortar(self, side, buf):
         """Gather one side's face values from the buffer onto the mortars."""
@@ -506,29 +529,6 @@ class _MortarGroup:
         buf[..., self.index[side]] += values
 
 
-def _mortar_measure_sigma(mortar, measures, hs, prolongs, mesh):
-    """Quadrature weights on the mortar points and the penalty for C = 1.
-
-    `measures` and `hs` are the two side faces' surface measure and h. Both
-    sides share the weights: LGL weights in the logical measure of the side
-    the surface measure comes from, times that measure.
-    """
-    # mortar surface measure from the coarse side: the partially covered
-    # side if any, else the side with fewer face points (ties: side 0)
-    partial = [any(c != "full" for c in s.coverage) for s in mortar.sides]
-    if partial[0] != partial[1]:
-        ci = 0 if partial[0] else 1
-    elif measures[0].size != measures[1].size:
-        ci = 0 if measures[0].size < measures[1].size else 1
-    else:
-        ci = 0
-    cov = mortar.sides[ci].coverage
-    weights = mortar_logical_weights(mortar.counts, cov) * (prolongs[ci] @ measures[ci])
-    hs = [np.asarray(p @ h, dtype=float) for p, h in zip(prolongs, hs)]
-    p_norm = max(mesh.elements[s.element].degrees[s.dim] for s in mortar.sides)
-    return weights, penalty_sigma(p_norm, p_norm, hs[0], hs[1], 1.0)
-
-
 def _face_key(side):
     return (side.element, side.dim, side.side)
 
@@ -542,16 +542,20 @@ class _MeshCache:
     """Geometry, topology and stacked transfer data shared between handles.
 
     Face geometry is kept in face-buffer order only: `face_coords`,
-    `face_normal`, `face_h`, `face_measure` and `face_mass` (lumped), with
-    `face_spans` mapping (element, dim, side) to the face's points.
+    `face_normal`, `face_h`, `face_measure`, `face_mass` (lumped) and
+    `face_p`, the degree normal to the face, with `face_spans` mapping
+    (element, dim, side) to the face's points.
 
     The face points fall into three disjoint sets, or set-up raises
     TopologyError: paired points, where `partner` gives the matching point
     across a mortar whose prolongations are both the identity (elsewhere it
     is the point itself); external points, `external` per tag; and the
     points of mortars with a non-identity side, `restricted`, exchanged by
-    `mortar_groups`. `face_sigma` is the penalty for C = 1 at paired and
-    external points, the same on both points of a pair.
+    `mortar_groups`. `face_sigma` is the penalty for C = 1 at every point,
+    with the larger normal degree and the smaller h of the point and its
+    partner, so the same on both points of a pair. Restricted points, which
+    are their own partners, have a value too, but their jumps come from the
+    mortar groups, with the groups' own penalty.
     """
 
     def __init__(self, mesh, background):
@@ -566,7 +570,8 @@ class _MeshCache:
                     start = f.span.start + e * n
                     spans[(k,) + f.key] = slice(start, start + n)
         self.n_face_points = self.groups[-1].face_end
-        self.face_coords, self.face_normal, self.face_h, self.face_measure, self.face_mass = (
+        (self.face_coords, self.face_normal, self.face_h, self.face_measure, self.face_mass,
+         self.face_p) = (
             np.concatenate(parts, axis=-1)
             for parts in zip(*(key for g in self.groups for key in g.face_geometry))
         )
@@ -583,7 +588,6 @@ class _MeshCache:
         ]
         n = self.n_face_points
         self.partner = partner = np.arange(n)
-        self.face_sigma = np.zeros(n)
         by_kind = {}
         for mi, m in enumerate(mortars):
             kind = (m.counts,) + tuple(zip(shapes[mi], (s.coverage for s in m.sides)))
@@ -600,42 +604,25 @@ class _MeshCache:
                 a, b = index
                 partner[a], partner[b] = b, a
                 paired += [a.ravel(), b.ravel()]
-                p = np.array([
-                    max(mesh.elements[s.element].degrees[s.dim] for s in mortars[mi].sides)
-                    for mi in midxs
-                ])[:, None]
-                self.face_sigma[a] = self.face_sigma[b] = penalty_sigma(
-                    p, p, self.face_h[a], self.face_h[b], 1.0
+            else:
+                self.mortar_groups.append(
+                    _MortarGroup(mortars[midxs[0]], index, prolongs[midxs[0]], self)
                 )
-                continue
-            weights, sigmas = zip(*[
-                _mortar_measure_sigma(
-                    mortars[mi], [self.face_measure[sp] for sp in side_spans[mi]],
-                    [self.face_h[sp] for sp in side_spans[mi]], prolongs[mi], mesh,
-                )
-                for mi in midxs
-            ])
-            self.mortar_groups.append(_MortarGroup(
-                index, prolongs[midxs[0]], np.stack(weights), self.face_mass, np.stack(sigmas)
-            ))
         self.restricted = np.unique(_concat(
             [i.ravel() for mg in self.mortar_groups for i in mg.index]
         ))
 
-        external, faces, degrees = {}, [], []  # tag -> face-buffer indices
+        external, faces = {}, []  # tag -> face-buffer indices
         for ef in topology.external_faces:
             sp = spans[_face_key(ef)]
             faces.append(np.arange(sp.start, sp.stop))
             external.setdefault(ef.tag, []).append(faces[-1])
-            degrees.append(np.full(len(faces[-1]), mesh.elements[ef.element].degrees[ef.dim]))
         self.external = {tag: np.concatenate(idx) for tag, idx in external.items()}
-        faces, p = _concat(faces), _concat(degrees)
-        self.face_sigma[faces] = penalty_sigma(p, p, self.face_h[faces], self.face_h[faces], 1.0)
 
         # every point must be exactly one of: paired, external, or on mortars
         # with a non-identity side; any other point would get no flux
         covered = np.bincount(
-            np.concatenate([_concat(paired), faces, self.restricted]), minlength=n
+            np.concatenate([_concat(paired), _concat(faces), self.restricted]), minlength=n
         )
         if (covered != 1).any():
             bad = int(np.argmax(covered != 1))
@@ -644,6 +631,9 @@ class _MeshCache:
                 f"face (dim {dim}, side {side}) of element {mesh.elements[k].id_string()} "
                 "is not covered exactly once by mortars and external faces"
             )
+        self.face_sigma = penalty_sigma(
+            self.face_p, self.face_p[partner], self.face_h, self.face_h[partner], 1.0
+        )
 
 
 class OperatorHandle:
@@ -665,8 +655,6 @@ class OperatorHandle:
         form: str = "strong",
         massive: bool = True,
         penalty_parameter: float = 1.0,
-        linearization_point: Optional[FieldVector] = None,
-        _parent: Optional["OperatorHandle"] = None,
     ):
         self.mesh = mesh
         self.system = system
@@ -675,58 +663,19 @@ class OperatorHandle:
         self.form = form
         self.massive = bool(massive)
         self.penalty_parameter = float(penalty_parameter)
-        self.linearization_point = linearization_point
-        if _parent is None:
-            self._setup()
-        else:
-            # `linearized_at`: the same mesh, system, background, conditions
-            # and switches, so everything that does not depend on the point
-            for name in self._SHARED:
-                setattr(self, name, getattr(_parent, name))
-        self._lin_groups = self._lin_sources = traces = None
-        if linearization_point is not None:
-            # the point is read here, once: per group, and as face traces where
-            # a live condition reads them; trace-free conditions have no
-            # linearized data (`_TraceFree`), and the fluxes are linear in u.
-            # The linearized sources are built on the first application
-            cache = self._cache
-            self._check(linearization_point, "primal", "the linearization point", single=True)
-            lin_rows = self._rows(linearization_point.data)
-            self._lin_groups = [g.take(lin_rows).copy() for g in cache.groups]
-            self._fixed = [np.zeros_like(a) for a in self._fixed]
-            if self._live_layout:
-                traces = np.empty((system.n_primal, cache.n_face_points))
-                for g, lin_g in zip(cache.groups, self._lin_groups):
-                    g.traces(lin_g, traces)
-        self._live = [
-            (bc, k, pos, index, x, normal,
-             None if traces is None else np.take(traces, index, axis=-1))
-            for bc, k, pos, index, x, normal in self._live_layout
-        ]
-
-    # what `linearized_at` shares with the handle it linearizes
-    _SHARED = (
-        "_cache", "_face_sigma", "_mortar_sigma", "_external", "_n_dirichlet",
-        "_x", "_normal", "_fixed", "_live_layout", "_aux_rows", "_fields",
-    )
-
-    def _setup(self):
-        """Check the switches, and build the point-independent state: the mesh
-        cache, the penalty, the auxiliary-flux rows and the boundary layout
-        and arrays. The background fields wait for the first application
-        (`_core`)."""
-        system, background = self.system, self.background
-        if system.dim != self.mesh.dim:
-            raise ConfigurationError(
-                "system", f"system is {system.dim}D but mesh is {self.mesh.dim}D"
-            )
-        if self.form not in ("strong", "strong-weak"):
-            raise ConfigurationError("operator.form", f"unknown form {self.form!r}")
+        if system.dim != mesh.dim:
+            raise ConfigurationError("system", f"system is {system.dim}D but mesh is {mesh.dim}D")
+        if form not in ("strong", "strong-weak"):
+            raise ConfigurationError("operator.form", f"unknown form {form!r}")
         if not 0.0 <= self.penalty_parameter < math.inf:
             raise ConfigurationError(
                 "operator.penalty_parameter", "penalty parameter must be finite and >= 0"
             )
-        self._cache = cache = _MeshCache(self.mesh, background)
+        # the point-independent state, which `linearized_at` shares: the mesh
+        # cache, the penalty, the auxiliary-flux rows and the boundary layout
+        # and arrays. The background fields wait for the first application
+        # (`_core`)
+        self._cache = cache = _MeshCache(mesh, background)
         self.bcs.validate_tags(cache.external)
         if hasattr(system, "min_puncture_distance"):
             if min(system.min_puncture_distance(g.coords) for g in cache.groups) < 1e-10:
@@ -734,6 +683,7 @@ class OperatorHandle:
                     "a collocation point lies within 1e-10 of a puncture; "
                     "offset the mesh bounds"
                 )
+        self.linearization_point = self._lin_groups = self._lin_sources = None
         self._fields = []
         self._face_sigma = self.penalty_parameter * cache.face_sigma
         self._mortar_sigma = [self.penalty_parameter * mg.sigma for mg in cache.mortar_groups]
@@ -779,6 +729,7 @@ class OperatorHandle:
                 raise ConfigurationError(
                     f"boundary_conditions.{key}", f"non-finite boundary data at x = {where}"
                 )
+        self._live = [layout + (None,) for layout in self._live_layout]
 
     # -- bookkeeping ---------------------------------------------------
 
@@ -803,18 +754,30 @@ class OperatorHandle:
         return FieldVector.zeros(self.mesh, self.system.n_primal)
 
     def linearized_at(self, point: Optional[FieldVector] = None) -> "OperatorHandle":
-        """Handle for the operator linearized about `point` (default zero)."""
-        return OperatorHandle(
-            self.mesh,
-            self.system,
-            self.background,
-            self.bcs,
-            form=self.form,
-            massive=self.massive,
-            penalty_parameter=self.penalty_parameter,
-            linearization_point=self.zero_primal() if point is None else point,
-            _parent=self,
-        )
+        """Handle for the operator linearized about `point` (default zero).
+
+        A shallow copy of this handle: it shares everything that does not
+        depend on the point and reads the point once, per group and as face
+        traces where a live condition reads them. Trace-free conditions have
+        no linearized data (`_TraceFree`), and the fluxes are linear in u. The
+        linearized sources are built on the first application.
+        """
+        point = self.zero_primal() if point is None else point
+        self._check(point, "primal", "the linearization point", single=True)
+        cache, rows = self._cache, self._rows(point.data)
+        lin = copy.copy(self)
+        lin.linearization_point = point
+        lin._lin_groups = [g.take(rows).copy() for g in cache.groups]
+        lin._lin_sources = None
+        lin._fixed = [np.zeros_like(a) for a in self._fixed]
+        if self._live_layout:
+            traces = np.empty((self.system.n_primal, cache.n_face_points))
+            for g, lin_g in zip(cache.groups, lin._lin_groups):
+                g.traces(lin_g, traces)
+            lin._live = [
+                layout + (np.take(traces, layout[3], axis=-1),) for layout in self._live_layout
+            ]
+        return lin
 
     # -- operator application ------------------------------------------
 

@@ -369,12 +369,18 @@ def _check_iteration(section, tol, max_iter, restart=1):
 
 
 def _flat_rhs(handle, rhs):
-    """A right-hand side as a new flat array; a FieldVector must be one
-    primal vector on the handle's mesh."""
+    """A right-hand side as a new flat array: one primal FieldVector on the
+    handle's mesh, or an array of n_primal_dofs values."""
     if isinstance(rhs, FieldVector):
         handle._check(rhs, "primal", "the right-hand side", single=True)
         return rhs.to_flat()
-    return np.asarray(rhs, dtype=float).ravel().copy()
+    b = np.asarray(rhs, dtype=float).ravel().copy()
+    if b.size != handle.n_primal_dofs:
+        raise ValueError(
+            f"the right-hand side has {b.size} values, not the handle's "
+            f"n_primal_dofs = {handle.n_primal_dofs}"
+        )
+    return b
 
 
 def solve_linear(

@@ -159,22 +159,6 @@ def test_error_rejects_field_of_another_mesh_or_component_count():
             l2_error(mesh, u, exact, BG)
 
 
-def test_error_without_handle_builds_points_and_mass_only(monkeypatch):
-    # neither face geometry nor inverse Jacobians: l2_error reads neither
-    import ipdg.operators
-
-    def unused(*args):
-        raise AssertionError("not needed by l2_error")
-
-    cases = handle_cases()
-    monkeypatch.setattr(ipdg.operators, "sampled_face_geometry", unused)
-    monkeypatch.setattr(ipdg.operators, "jacobian_at", unused)
-    for handle, field in cases:
-        mesh = handle.mesh
-        u = interpolant(mesh, field.value, field.n_components)
-        assert l2_error(mesh, u, field.value, handle.background) < 1e-2
-
-
 def test_error_invariant_under_relabeling():
     mesh = mesh_2d(level=2)
     fn = lambda x: np.cos(3 * x[0] + x[1])[None]

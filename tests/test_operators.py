@@ -27,7 +27,7 @@ from ipdg.mesh import (
     split_element,
     with_degrees,
 )
-from ipdg.mortars import prolongation_matrix
+from ipdg.mortars import mortar_logical_weights, prolongation_matrix
 from ipdg.operators import (
     FieldVector,
     OperatorHandle,
@@ -665,6 +665,20 @@ def test_fieldvector_arithmetic_needs_the_same_mesh_components_and_shape():
             u + other
 
 
+def test_fieldvector_times_only_a_scalar():
+    # an array would broadcast the vector into a batch of its rows
+    mesh = unit_mesh_2d(2, 1)
+    u = FieldVector(mesh, 1, np.arange(mesh.total_points, dtype=float))
+    for scaled in (u * 2.0, 2.0 * u, u * np.float64(2.0), np.array(2.0) * u):
+        assert isinstance(scaled, FieldVector) and scaled.mesh is mesh
+        assert np.array_equal(scaled.data, 2.0 * u.data)
+    for array in (np.ones((2, mesh.total_points)), np.ones(mesh.total_points), [2.0]):
+        with pytest.raises(TypeError):
+            u * array
+        with pytest.raises(TypeError):
+            array * u
+
+
 # -- full operator and rhs ---------------------------------------------
 
 
@@ -789,12 +803,12 @@ def test_linearized_sources_built_once_per_point(monkeypatch):
     others = [other.matvec(u) for u in us] + [other.apply(batch).data]
     assert sorted(calls) == shapes
     monkeypatch.undo()
-    fresh = build(linearization_point=point)
+    fresh = build().linearized_at(point)
     for u, single in zip(us, singles):
         assert np.array_equal(single, fresh.matvec(u))
     for batched in batches:
         assert np.array_equal(batched, fresh.apply(batch).data)
-    for fresh, outs in ((build(), residuals), (build(linearization_point=second), others)):
+    for fresh, outs in ((build(), residuals), (build().linearized_at(second), others)):
         assert all(np.array_equal(out, fresh.matvec(u)) for out, u in zip(outs, us))
         assert np.array_equal(outs[-1], fresh.apply(batch).data)
 
@@ -987,16 +1001,20 @@ def test_linearized_at_builds_only_what_depends_on_the_point():
     n, na = handle.n_primal_dofs, handle.n_auxiliary_dofs
     point = FieldVector.from_flat(mesh, 2, 0.1 * rng.standard_normal(n))
     fresh = OperatorHandle(
-        mesh, elasticity, BG, BoundaryMap(table), form="strong-weak", linearization_point=point
-    )
+        mesh, elasticity, BG, BoundaryMap(table), form="strong-weak"
+    ).linearized_at(point)
     counts = [bc.calls for bc in table.values() if isinstance(bc, _Counting)]
     linearized = [handle.linearized_at(point), handle.linearized_at().linearized_at(point)]
     assert [bc.calls for bc in table.values() if isinstance(bc, _Counting)] == counts
     batch = FieldVector.batch(mesh, 2, rng.standard_normal((3, n)))
     full = rng.standard_normal(na + n)
+    assert not handle.is_linearized and handle._lin_groups is None
+    assert any(a.any() for a in handle._fixed)
     for lin in linearized:
-        for name in ("_cache", "_face_sigma", "_external", "_x", "_normal"):
+        for name in ("_cache", "_face_sigma", "_mortar_sigma", "_external", "_x", "_normal",
+                     "_aux_rows", "_fields", "_live_layout"):
             assert getattr(lin, name) is getattr(handle, name)
+        assert lin.linearization_point is point and not any(a.any() for a in lin._fixed)
         assert len(lin._live) == 1
         np.testing.assert_array_equal(lin.apply(batch).data, fresh.apply(batch).data)
         np.testing.assert_array_equal(lin.matvec_full(full), fresh.matvec_full(full))
@@ -1095,11 +1113,19 @@ def check_face_partition(handle):
     """Every face-buffer point is exactly one of: paired, external, or on a
     mortar with a non-identity side, each set as the topology gives it.
     `partner` is an involution that fixes exactly the unpaired points, and
-    both points of a pair carry the same penalty. Returns the set sizes."""
+    both points of a pair carry the same penalty.
+
+    The penalty at paired and external points and each mortar group's
+    weights and penalty are, to the last bit, what the rule per mortar and
+    per external face gives: p the larger normal degree of the two sides, h
+    the smaller, and the weights the coarse side's surface measure (the
+    partially covered side, else the one with fewer points, else side 0)
+    times the logical mortar weights, with one P @ v per mortar. Returns
+    the set sizes."""
     cache, mesh = handle._cache, handle.mesh
     n = cache.n_face_points
     want = {name: np.zeros(n, dtype=int) for name in ("paired", "external", "restricted")}
-    partner = np.arange(n)
+    partner, sigma, on_mortars = np.arange(n), np.zeros(n), {}
     for m in handle.topology.mortars:
         spans = [cache.face_spans[(s.element, s.dim, s.side)] for s in m.sides]
         prolongs = [
@@ -1108,16 +1134,39 @@ def check_face_partition(handle):
             )
             for s in m.sides
         ]
-        if all(np.array_equal(p, np.eye(len(p))) for p in prolongs):
+        p = max(mesh.elements[s.element].degrees[s.dim] for s in m.sides)
+        if all(np.array_equal(P, np.eye(len(P))) for P in prolongs):
             a, b = (np.arange(sp.start, sp.stop) for sp in spans)
             partner[a], partner[b] = b, a
             want["paired"][a] += 1
             want["paired"][b] += 1
+            sigma[a] = sigma[b] = penalty_sigma(p, p, cache.face_h[a], cache.face_h[b], 1.0)
         else:
             for sp in spans:
                 want["restricted"][sp] = 1
+            partial = [any(c != "full" for c in s.coverage) for s in m.sides]
+            sizes = [sp.stop - sp.start for sp in spans]
+            if partial[0] != partial[1]:
+                coarse = 0 if partial[0] else 1
+            else:
+                coarse = 0 if sizes[0] <= sizes[1] else 1
+            weights = mortar_logical_weights(m.counts, m.sides[coarse].coverage) * (
+                prolongs[coarse] @ cache.face_measure[spans[coarse]]
+            )
+            hs = [P @ cache.face_h[sp] for P, sp in zip(prolongs, spans)]
+            key = tuple(sp.start for sp in spans)
+            on_mortars[key] = weights, penalty_sigma(p, p, hs[0], hs[1], 1.0)
     for ef in handle.topology.external_faces:
-        want["external"][cache.face_spans[(ef.element, ef.dim, ef.side)]] += 1
+        sp = cache.face_spans[(ef.element, ef.dim, ef.side)]
+        want["external"][sp] += 1
+        p = mesh.elements[ef.element].degrees[ef.dim]
+        sigma[sp] = penalty_sigma(p, p, cache.face_h[sp], cache.face_h[sp], 1.0)
+    for mg in cache.mortar_groups:
+        for row, key in enumerate(zip(*(i[:, 0].tolist() for i in mg.index))):
+            weights, mortar_sigma = on_mortars.pop(key)
+            assert np.array_equal(mg.weights[row], weights)
+            assert np.array_equal(mg.sigma[row], mortar_sigma)
+    assert not on_mortars
     assert ((want["paired"] + want["external"] + want["restricted"]) == 1).all()
 
     np.testing.assert_array_equal(cache.partner, partner)
@@ -1133,6 +1182,7 @@ def check_face_partition(handle):
     restricted[cache.restricted] = True
     np.testing.assert_array_equal(restricted, want["restricted"] == 1)
     assert (cache.face_sigma[paired | external] > 0.0).all()
+    assert np.array_equal(cache.face_sigma[paired | external], sigma[paired | external])
     return {name: int((w > 0).sum()) for name, w in want.items()}
 
 

@@ -10,6 +10,19 @@ Regenerate the files of the named cases (only when the scheme itself
 changes on purpose, and only the cases it changes) with
 
     PYTHONPATH=src python tests/test_snapshots.py --write NAME [NAME ...]
+
+A change meant to keep every output to the last bit is checked against the
+tree it starts from by dumping the same outputs from both and comparing them
+with `np.array_equal`:
+
+    PYTHONPATH=OLD/src python tests/test_snapshots.py --dump old.npz
+    PYTHONPATH=NEW/src python tests/test_snapshots.py --dump new.npz
+    PYTHONPATH=NEW/src python tests/test_snapshots.py --compare old.npz new.npz
+
+The dump holds, per case, the compact and the full matrix, one seeded batch
+applied to the case's handle and the L2 error of one of its vectors with and
+without the handle. `--compare` lists every array that differs or is in one
+file only, and exits nonzero if there is any.
 """
 
 import os
@@ -24,6 +37,7 @@ from ipdg import (
     ConformallyFlatBackground,
     DirichletBC,
     FalloffDirichletBC,
+    FieldVector,
     FlatBackground,
     NeumannBC,
     OperatorHandle,
@@ -32,6 +46,7 @@ from ipdg import (
     assemble_explicit,
     build_annulus_mesh,
     build_rectilinear_mesh,
+    l2_error,
     make_system,
     split_element,
     with_degrees,
@@ -189,16 +204,60 @@ def test_snapshots_stay_small():
     assert total < 300_000
 
 
+def dump_outputs(path):
+    """Write the outputs `--compare` checks, for every case builder, to `path`."""
+    arrays = {}
+    for build in dict.fromkeys(b for b, _ in CASES.values()):
+        name, handle = build.__name__, build()
+        for block, full in (("compact", False), ("full", True)):
+            mat = assemble_explicit(handle, include_auxiliary=full).matrix
+            for part in ("data", "indices", "indptr"):
+                arrays[f"{name}/{block}/{part}"] = getattr(mat, part)
+        mesh, n = handle.mesh, handle.system.n_primal
+        rows = np.random.default_rng(0).standard_normal((3, handle.n_primal_dofs))
+        arrays[f"{name}/apply"] = handle.apply(FieldVector.batch(mesh, n, rows)).data
+        u = FieldVector.from_flat(mesh, n, rows[0])
+        value = lambda x: np.repeat(np.sin(x[:1] + 0.5 * x[-1:]), n, axis=0)
+        arrays[f"{name}/l2_error"] = np.array([
+            l2_error(mesh, u, value, handle.background),
+            l2_error(mesh, u, value, handle.background, handle=handle),
+        ])
+    np.savez(path, **arrays)
+    print(f"{path}: {len(arrays)} arrays")
+
+
+def compare_outputs(path_a, path_b):
+    """Names of the arrays of two dumps that are not `np.array_equal`, or in one only."""
+    with np.load(path_a) as a, np.load(path_b) as b:
+        return sorted(
+            name for name in set(a.files) | set(b.files)
+            if name not in a.files or name not in b.files or not np.array_equal(a[name], b[name])
+        )
+
+
+USAGE = (
+    "usage: PYTHONPATH=src python tests/test_snapshots.py --write NAME [NAME ...]\n"
+    "       PYTHONPATH=src python tests/test_snapshots.py --dump FILE\n"
+    "       PYTHONPATH=src python tests/test_snapshots.py --compare FILE FILE\n"
+)
+
+
 def main(argv):
-    """`--write NAME [NAME ...]` rewrites the named cases' files; anything
-    else, an unknown name included, exits with the usage and writes none."""
-    names = argv[1:]
+    """`--write NAME [NAME ...]` rewrites the named cases' files, `--dump` and
+    `--compare` check outputs bit for bit; anything else, an unknown name
+    included, exits with the usage and writes nothing."""
+    command, names = argv[:1], argv[1:]
+    if command == ["--dump"] and len(names) == 1:
+        return dump_outputs(names[0])
+    if command == ["--compare"] and len(names) == 2:
+        differ = compare_outputs(*names)
+        print("\n".join(differ) if differ else "all arrays equal")
+        sys.exit(1 if differ else 0)
     unknown = [name for name in names if name not in CASES]
-    if argv[:1] != ["--write"] or not names or unknown:
+    if command != ["--write"] or not names or unknown:
         sys.exit(
             (f"unknown case(s): {', '.join(unknown)}\n" if unknown else "")
-            + "usage: PYTHONPATH=src python tests/test_snapshots.py --write NAME [NAME ...]\n"
-            + f"cases: {', '.join(CASES)}"
+            + USAGE + f"cases: {', '.join(CASES)}"
         )
     write_snapshots(names)
 
@@ -208,9 +267,37 @@ def test_write_rejects_unknown_or_missing_names(monkeypatch):
         raise AssertionError(f"would write {names}")
 
     monkeypatch.setattr(sys.modules[__name__], "write_snapshots", refuse)
-    for argv in ([], ["--write"], ["--write", "annulus", "no-such-case"], ["annulus"]):
+    for argv in ([], ["--write"], ["--write", "annulus", "no-such-case"], ["annulus"],
+                 ["--dump"], ["--compare", "one.npz"]):
         with pytest.raises(SystemExit, match="usage"):
             main(argv)
+
+
+def test_dump_and_compare(tmp_path, monkeypatch, capsys):
+    # two dumps of the same tree are equal; a changed bit, or an array in
+    # one file only, is listed and fails the comparison
+    monkeypatch.setattr(sys.modules[__name__], "CASES", {"elasticity": (elasticity, False)})
+    paths = [str(tmp_path / f"{k}.npz") for k in range(3)]
+    for path in paths[:2]:
+        main(["--dump", path])
+    with np.load(paths[0]) as f:
+        arrays = dict(f)
+    assert sorted(arrays) == sorted(
+        [f"elasticity/{b}/{p}" for b in ("compact", "full") for p in ("data", "indices", "indptr")]
+        + ["elasticity/apply", "elasticity/l2_error"]
+    )
+    with pytest.raises(SystemExit) as exit_info:
+        main(["--compare"] + paths[:2])
+    assert exit_info.value.code == 0
+    arrays["elasticity/apply"][0, 0] = np.nextafter(arrays["elasticity/apply"][0, 0], np.inf)
+    arrays["extra"] = np.zeros(1)
+    np.savez(paths[2], **arrays)
+    assert compare_outputs(paths[0], paths[2]) == ["elasticity/apply", "extra"]
+    capsys.readouterr()
+    with pytest.raises(SystemExit) as exit_info:
+        main(["--compare", paths[0], paths[2]])
+    assert exit_info.value.code == 1
+    assert capsys.readouterr().out.split() == ["elasticity/apply", "extra"]
 
 
 if __name__ == "__main__":

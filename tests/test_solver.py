@@ -395,6 +395,19 @@ def test_right_hand_side_of_another_mesh_or_component_count_rejected():
             solve(handle, two)
 
 
+def test_plain_right_hand_side_of_the_wrong_size_rejected():
+    # it used to fail deep inside the solve, with numpy's broadcast error or
+    # the FieldVector constructor's message
+    handle = poisson_handle(1, 2, lin=False)
+    message = r"the right-hand side has {} values, not the handle's n_primal_dofs = 36"
+    for solve in (solve_linear, solve_newton):
+        for rhs in (np.ones((3, 36)), np.ones(40)):
+            with pytest.raises(ValueError, match=message.format(rhs.size)):
+                solve(handle, rhs)
+    u, report = solve_linear(handle, np.ones((6, 6)))
+    assert report.converged and u.data.shape == (36,)
+
+
 def test_batches_rejected_as_right_hand_side_or_initial_guess():
     # a batch used to fail deep inside the solve, or pass when it solved
     linear = poisson_handle(1, 2, lin=False)
