@@ -21,7 +21,9 @@ values must be pointwise. For a batch of vectors the points repeat once per
 vector of the batch. Trace-free conditions (`_TraceFree`) promise that their
 data ignore the trace: the operator evaluates them once, when a handle is
 built, rejects them there with ConfigurationError unless they are finite,
-and reuses them in every application.
+and reuses them in every application. A condition names a bad argument by
+its key ("a", "center"); the handle and the configuration prefix it with
+the condition's tag, as in boundary_conditions.<tag>.center.
 """
 
 from __future__ import annotations
@@ -121,7 +123,7 @@ class RobinBC(BoundaryCondition):
 
     def __init__(self, a: float, b: float, g):
         if a == 0.0 and b == 0.0:
-            raise ValueError("robin condition needs a nonzero coefficient")
+            raise ConfigurationError("a", "robin condition needs a nonzero coefficient")
         self.a = float(a)
         self.b = float(b)
         self.g = g
@@ -148,6 +150,10 @@ class FalloffDirichletBC(DirichletBC):
         super().__init__(self._falloff)
 
     def _falloff(self, x):
+        if self.center.shape != (len(x),):
+            raise ConfigurationError(
+                "center", f"expected {len(x)} entries, one per dimension, got {self.center.size}"
+            )
         dx = x - self.center[:, None]
         r = np.sqrt(np.einsum("i...,i...->...", dx, dx))
         # inf or nan where r = 0, which the operator rejects as non-finite data

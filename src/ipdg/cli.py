@@ -40,21 +40,14 @@ def _run_solve(problem, cfg):
     handle = problem.handle
     source = handle.zero_primal() if problem.solution is None else problem.solution.fixed_source
     rhs = handle.build_rhs(source)
-    sp = cfg.solver
-    solver = {
-        "method": sp["method"],
-        "tol": sp["tolerance"],
-        "max_iter": sp["max_iterations"],
-        "restart": sp["restart"],
-    }
     if handle.system.linear:
-        return solve_linear(handle, rhs, **solver)
+        return solve_linear(handle, rhs, **problem.solver)
     return solve_newton(
         handle,
         rhs,
         tol=cfg.newton["tolerance"],
         max_iter=cfg.newton["max_iterations"],
-        inner=solver,
+        inner=problem.solver,
     )
 
 

@@ -1,15 +1,19 @@
-"""Run configuration: YAML schema, strict validation, object construction.
+"""Run configuration: the YAML schema, object construction.
 
-Every validation failure raises ConfigurationError carrying the dotted path
-of the offending field, so the CLI can print actionable diagnostics. Unknown
-keys are rejected everywhere.
+`parse_config` checks the shape of a configuration against one table,
+`_SCHEMA`: mappings, unknown and missing keys, types, finite numbers, and
+the key sets of each system, domain, background, solution and boundary
+kind; it fills in every default. Every other rule belongs to the library
+code that needs it, which raises ConfigurationError with the config key as
+its path, so `build_problem` reports those failures. Either way the CLI can
+print the dotted path of the offending field.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 import yaml
@@ -22,10 +26,11 @@ from .boundaries import (
     NeumannBC,
     RobinBC,
 )
-from .errors import ConfigurationError
+from .errors import ConfigurationError, config_section
 from .mesh import build_annulus_mesh, build_rectilinear_mesh
 from .operators import OperatorHandle
 from .solutions import make_solution
+from .solver import check_iteration, check_solver
 from .systems import make_system
 
 __all__ = ["RunConfig", "Problem", "load_config", "build_problem"]
@@ -35,18 +40,95 @@ def _fail(path, message):
     raise ConfigurationError(path, message)
 
 
-def _section(raw, path, required=(), optional=()):
-    if raw is None:
-        raw = {}
-    if not isinstance(raw, dict):
-        _fail(path, "expected a mapping")
-    for key in raw:
-        if key not in required and key not in optional:
-            _fail(f"{path}.{key}", "unknown key")
-    for key in required:
-        if key not in raw:
-            _fail(f"{path}.{key}", "missing required key")
-    return raw
+class _Section(NamedTuple):
+    """A mapping's keys, {key: (type, default)}, and with `kinds` the extra
+    keys {value: keys} that the value of its first key picks.
+
+    A type is float (any finite number), int, bool, str, dict (any mapping),
+    a frozenset of allowed strings, a `_Section`, or a one-tuple (T,) for a
+    list of T. A default of _REQUIRED makes the key required; None leaves it
+    out.
+    """
+
+    keys: dict
+    kinds: Optional[dict] = None
+
+
+_REQUIRED = object()
+_NAMES = {
+    float: "a number", int: "an integer", bool: "a boolean", str: "a string", dict: "a mapping",
+}
+
+_PUNCTURE = _Section({
+    "mass": (float, _REQUIRED),
+    "position": ((float,), _REQUIRED),
+    "momentum": ((float,), (0.0, 0.0, 0.0)),
+    "spin": ((float,), (0.0, 0.0, 0.0)),
+})
+
+_SCHEMA = _Section({
+    "system": (_Section({"name": (str, _REQUIRED)}, {
+        "poisson-flat": {},
+        "poisson-curved": {},
+        "elasticity": {"lame_lambda": (float, 1.0), "shear_modulus": (float, 1.0)},
+        "puncture": {"punctures": ((_PUNCTURE,), _REQUIRED)},
+    }), _REQUIRED),
+    "domain": (_Section({"kind": (str, _REQUIRED)}, {
+        "rectilinear": {"bounds": (((float,),), _REQUIRED)},
+        "annulus": {
+            "r_inner": (float, _REQUIRED),
+            "r_outer": (float, _REQUIRED),
+            "n_wedges": (int, _REQUIRED),
+        },
+    }), _REQUIRED),
+    "refinement": (_Section({
+        "levels": ((int,), _REQUIRED), "degrees": ((int,), _REQUIRED),
+    }), _REQUIRED),
+    "background": (_Section({"kind": (str, "flat")}, {
+        "flat": {},
+        "conformally-flat": {
+            "profile": (frozenset({"linear"}), "linear"),
+            "scale": (float, 0.0),
+            "axis": (int, 0),
+        },
+    }), {}),
+    "solution": (_Section({"name": (str, _REQUIRED)}, {
+        "sin-product": {"params": (_Section({
+            "amplitude": (float, 1.0), "wavenumber": (float, 1.0),
+        }), {})},
+        "sin-product-vector": {"params": (_Section({
+            "amplitudes": ((float,), None), "wavenumber": (float, 1.0),
+        }), {})},
+        "gaussian": {"params": (_Section({
+            "center": ((float,), _REQUIRED), "width": (float, 1.0), "amplitude": (float, 1.0),
+        }), {})},
+        "zero": {"params": (_Section({}), {})},
+    }), None),
+    # tag -> `_CONDITION`, read by `parse_config`
+    "boundary_conditions": (dict, _REQUIRED),
+    "operator": (_Section({
+        "form": (str, "strong"), "penalty_parameter": (float, 1.0), "massive": (bool, True),
+    }), {}),
+    "solver": (_Section({
+        "method": (str, "gmres"),
+        "tolerance": (float, 1e-10),
+        "max_iterations": (int, 10000),
+        "restart": (int, 50),
+    }), {}),
+    "newton": (_Section({"tolerance": (float, 1e-10), "max_iterations": (int, 30)}), {}),
+    "output": (_Section({"directory": (str, "."), "prefix": (str, "ipdg")}), {}),
+})
+
+# `parse_config` fills in the value of a condition that is not analytic, and
+# the falloff centre, the origin of the domain's dimension
+_CONDITION = _Section({"type": (str, _REQUIRED)}, {
+    "dirichlet": {"value": (float, None), "analytic": (bool, False)},
+    "neumann": {"value": (float, None), "analytic": (bool, False)},
+    "robin": {
+        "a": (float, 0.0), "b": (float, 0.0), "value": (float, None), "analytic": (bool, False),
+    },
+    "falloff": {"amplitude": (float, 0.0), "center": ((float,), None)},
+})
 
 
 def _float_hint(raw):
@@ -62,51 +144,67 @@ def _float_hint(raw):
     return f" (write {np.format_float_scientific(val, trim='0', exp_digits=1)})"
 
 
-def _number(raw, path, minimum=None):
-    if isinstance(raw, bool) or not isinstance(raw, (int, float)):
-        _fail(path, f"expected a number, got {type(raw).__name__}{_float_hint(raw)}")
-    val = float(raw)
-    if not math.isfinite(val):
-        _fail(path, f"must be finite, got {val}")
-    if minimum is not None and val < minimum:
-        _fail(path, f"must be at least {minimum}, got {val}")
-    return val
-
-
-def _integer(raw, path, minimum=None):
-    if isinstance(raw, bool) or not isinstance(raw, int):
-        _fail(path, f"expected an integer, got {type(raw).__name__}")
-    if minimum is not None and raw < minimum:
-        _fail(path, f"must be at least {minimum}, got {raw}")
+def _read(raw, path, kind):
+    """`raw` checked to be of type `kind`, in the form the builders read."""
+    if isinstance(kind, _Section):
+        return _walk(raw, path, kind)
+    if isinstance(kind, tuple):
+        if not isinstance(raw, (list, tuple)):
+            _fail(path, "expected a list")
+        vals = [_read(v, f"{path}[{i}]", kind[0]) for i, v in enumerate(raw)]
+        return vals if isinstance(kind[0], _Section) else tuple(vals)
+    if isinstance(kind, frozenset):
+        if _read(raw, path, str) not in kind:
+            _fail(path, f"must be one of {sorted(kind)}, got {raw!r}")
+        return raw
+    if not isinstance(raw, (int, float) if kind is float else kind) or (
+        kind is not bool and isinstance(raw, bool)
+    ):
+        hint = _float_hint(raw) if kind is float else ""
+        _fail(path, f"expected {_NAMES[kind]}, got {type(raw).__name__}{hint}")
+    if kind is float:
+        raw = float(raw)
+        if not math.isfinite(raw):
+            _fail(path, f"must be finite, got {raw}")
     return raw
 
 
-def _boolean(raw, path):
-    if not isinstance(raw, bool):
-        _fail(path, f"expected a boolean, got {type(raw).__name__}")
-    return raw
+def _walk(raw, path, section):
+    """The mapping `raw` checked against `section`, with its defaults filled
+    in; `path` is "" at the top level."""
+    sec = {} if raw is None else raw
+    if not isinstance(sec, dict):
+        _fail(path or "config", "expected a mapping")
+    prefix = f"{path}." if path else ""
+    keys, kinds, out = section.keys, section.kinds, {}
+    if kinds:
+        name = next(iter(keys))
+        out[name] = kind = _get(sec, prefix, name, (frozenset(kinds), keys[name][1]))
+        keys = {**keys, **kinds[kind]}
+    for key in sec:
+        if key not in keys:
+            other = kinds and any(key in k for k in kinds.values())
+            _fail(f"{prefix}{key}", f"not valid for {name} {kind!r}" if other else "unknown key")
+    for key, spec in keys.items():
+        if key not in out:
+            val = _get(sec, prefix, key, spec)
+            if val is not None:
+                out[key] = val
+    return out
 
 
-def _string(raw, path, choices=None):
-    if not isinstance(raw, str):
-        _fail(path, f"expected a string, got {type(raw).__name__}")
-    if choices is not None and raw not in choices:
-        _fail(path, f"must be one of {sorted(choices)}, got {raw!r}")
-    return raw
-
-
-def _number_list(raw, path, length=None):
-    if not isinstance(raw, (list, tuple)):
-        _fail(path, "expected a list of numbers")
-    vals = [_number(v, f"{path}[{i}]") for i, v in enumerate(raw)]
-    if length is not None and len(vals) != length:
-        _fail(path, f"expected {length} entries, got {len(vals)}")
-    return vals
+def _get(sec, prefix, key, spec):
+    kind, default = spec
+    if key in sec:
+        return _read(sec[key], f"{prefix}{key}", kind)
+    if default is _REQUIRED:
+        _fail(f"{prefix}{key}", "missing required key")
+    return None if default is None else _read(default, f"{prefix}{key}", kind)
 
 
 @dataclass
 class RunConfig:
-    """Validated configuration, still in plain-data form."""
+    """Configuration checked against the schema, still in plain-data form."""
 
     system: dict
     domain: dict
@@ -120,293 +218,38 @@ class RunConfig:
     output: dict
 
 
-# name -> parameter defaults; the lists (center, amplitudes) have none and
-# hold one entry per dimension
-_SOLUTION_PARAMS = {
-    "sin-product": {"amplitude": 1.0, "wavenumber": 1.0},
-    "sin-product-vector": {"amplitudes": None, "wavenumber": 1.0},
-    "gaussian": {"center": None, "width": 1.0, "amplitude": 1.0},
-    "zero": {},
-}
-
-_BC_KEYS = {
-    "dirichlet": {"value", "analytic"},
-    "neumann": {"value", "analytic"},
-    "robin": {"a", "b", "value", "analytic"},
-    "falloff": {"amplitude", "center"},
-}
-
-
-def _validate_system(raw):
-    sec = _section(
-        raw, "system",
-        required=("name",),
-        optional=("lame_lambda", "shear_modulus", "punctures"),
-    )
-    name = _string(
-        sec["name"], "system.name",
-        {"poisson-flat", "poisson-curved", "elasticity", "puncture"},
-    )
-    out = {"name": name}
-    for key in ("lame_lambda", "shear_modulus"):
-        if name == "elasticity":
-            out[key] = _number(sec.get(key, 1.0), f"system.{key}")
-        elif key in sec:
-            _fail(f"system.{key}", f"only valid for elasticity, not {name}")
-    if name == "puncture":
-        punctures = sec.get("punctures")
-        if not isinstance(punctures, list) or not punctures:
-            _fail("system.punctures", "expected a non-empty list")
-        out["punctures"] = []
-        for i, p in enumerate(punctures):
-            path = f"system.punctures[{i}]"
-            psec = _section(
-                p, path, required=("mass", "position"), optional=("momentum", "spin")
-            )
-            out["punctures"].append({
-                "mass": _number(psec["mass"], f"{path}.mass"),
-                "position": tuple(_number_list(psec["position"], f"{path}.position", 3)),
-                **{
-                    key: tuple(_number_list(psec.get(key, [0.0] * 3), f"{path}.{key}", 3))
-                    for key in ("momentum", "spin")
-                },
-            })
-    elif "punctures" in sec:
-        _fail("system.punctures", f"only valid for puncture, not {name}")
-    return out
-
-
-def _validate_domain(raw):
-    sec = _section(
-        raw, "domain",
-        required=("kind",),
-        optional=("bounds", "r_inner", "r_outer", "n_wedges"),
-    )
-    kind = _string(sec["kind"], "domain.kind", {"rectilinear", "annulus"})
-    if kind == "rectilinear":
-        if "bounds" not in sec:
-            _fail("domain.bounds", "missing required key")
-        for key in ("r_inner", "r_outer", "n_wedges"):
-            if key in sec:
-                _fail(f"domain.{key}", "only valid for annulus domains")
-        bounds = sec["bounds"]
-        if not isinstance(bounds, list) or not 1 <= len(bounds) <= 3:
-            _fail("domain.bounds", "expected 1 to 3 [lower, upper] pairs")
-        for i, b in enumerate(bounds):
-            lo, hi = _number_list(b, f"domain.bounds[{i}]", 2)
-            if hi <= lo:
-                _fail(f"domain.bounds[{i}]", "upper bound must exceed lower")
-    else:
-        for key in ("r_inner", "r_outer", "n_wedges"):
-            if key not in sec:
-                _fail(f"domain.{key}", "missing required key")
-        if "bounds" in sec:
-            _fail("domain.bounds", "only valid for rectilinear domains")
-        ri = _number(sec["r_inner"], "domain.r_inner", minimum=0.0)
-        ro = _number(sec["r_outer"], "domain.r_outer")
-        if ro <= ri:
-            _fail("domain.r_outer", "must exceed r_inner")
-        _integer(sec["n_wedges"], "domain.n_wedges", minimum=2)
-    return sec
-
-
-def _validate_refinement(raw, dim):
-    sec = _section(raw, "refinement", required=("levels", "degrees"))
-    for key, minimum in (("levels", 0), ("degrees", 1)):
-        vals = sec[key]
-        if not isinstance(vals, list) or len(vals) != dim:
-            _fail(f"refinement.{key}", f"expected {dim} entries")
-        for i, v in enumerate(vals):
-            _integer(v, f"refinement.{key}[{i}]", minimum=minimum)
-    return sec
-
-
-def _validate_background(raw):
-    sec = _section(
-        raw, "background", required=(), optional=("kind", "profile", "scale", "axis")
-    )
-    kind = _string(
-        sec.get("kind", "flat"), "background.kind", {"flat", "conformally-flat"}
-    )
-    if kind == "flat":
-        for key in ("profile", "scale", "axis"):
-            if key in sec:
-                _fail(f"background.{key}", "only valid for conformally-flat")
-        return {"kind": kind}
-    return {
-        "kind": kind,
-        "profile": _string(sec.get("profile", "linear"), "background.profile", {"linear"}),
-        "scale": _number(sec.get("scale", 0.0), "background.scale"),
-        "axis": _integer(sec.get("axis", 0), "background.axis", minimum=0),
-    }
-
-
-def _validate_solution(raw, dim, n_primal):
-    if raw is None:
-        return None
-    sec = _section(raw, "solution", required=("name",), optional=("params",))
-    name = _string(sec["name"], "solution.name", set(_SOLUTION_PARAMS))
-    defaults = _SOLUTION_PARAMS[name]
-    given = _section(
-        sec.get("params"), "solution.params",
-        required=("center",) if name == "gaussian" else (), optional=tuple(defaults),
-    )
-    params = {}
-    for key, default in defaults.items():
-        path = f"solution.params.{key}"
-        if default is not None:
-            params[key] = _number(given.get(key, default), path)
-        elif key in given:
-            params[key] = tuple(_number_list(given[key], path, dim))
-    if params.get("width") == 0.0:
-        _fail("solution.params.width", "must be nonzero")
-    components = dim if name == "sin-product-vector" else 1
-    if name != "zero" and components != n_primal:
-        _fail(
-            "solution.name",
-            f"{name!r} has {components} components, the system needs {n_primal}",
-        )
-    return {"name": name, "params": params}
-
-
-def _validate_bcs(raw, has_solution, dim):
-    if not isinstance(raw, dict) or not raw:
-        _fail("boundary_conditions", "expected a non-empty mapping of tags")
-    out = {}
-    for tag, spec in raw.items():
-        path = f"boundary_conditions.{tag}"
-        sec = _section(spec, path, required=("type",), optional=tuple(
-            set().union(*_BC_KEYS.values())
-        ))
-        kind = _string(sec["type"], f"{path}.type", set(_BC_KEYS))
-        for key in sec:
-            if key != "type" and key not in _BC_KEYS[kind]:
-                _fail(f"{path}.{key}", f"not valid for type {kind!r}")
-        analytic = _boolean(sec.get("analytic", False), f"{path}.analytic")
-        if analytic and not has_solution:
-            _fail(f"{path}.analytic", "needs a configured analytic solution")
-        if analytic and "value" in sec:
-            _fail(f"{path}.value", "give either value or analytic, not both")
-        bc = {"type": kind, "analytic": analytic}
-        if kind == "robin":
-            bc["a"] = _number(sec.get("a", 0.0), f"{path}.a")
-            bc["b"] = _number(sec.get("b", 0.0), f"{path}.b")
-            if bc["a"] == 0.0 and bc["b"] == 0.0:
-                _fail(f"{path}.a", "robin needs a nonzero coefficient")
-        if kind == "falloff":
-            bc["amplitude"] = _number(sec.get("amplitude", 0.0), f"{path}.amplitude")
-            bc["center"] = tuple(
-                _number_list(sec.get("center", [0.0] * dim), f"{path}.center", dim)
-            )
-        elif not analytic:
-            bc["value"] = _number(sec.get("value", 0.0), f"{path}.value")
-        out[tag] = bc
-    return out
-
-
-def _validate_operator(raw):
-    sec = _section(
-        raw, "operator", optional=("form", "penalty_parameter", "massive")
-    )
-    return {
-        "form": _string(
-            sec.get("form", "strong"), "operator.form", {"strong", "strong-weak"}
-        ),
-        "penalty_parameter": _number(
-            sec.get("penalty_parameter", 1.0),
-            "operator.penalty_parameter",
-            minimum=1.0,
-        ),
-        "massive": _boolean(sec.get("massive", True), "operator.massive"),
-    }
-
-
-def _validate_solver(raw):
-    sec = _section(
-        raw, "solver", optional=("method", "tolerance", "max_iterations", "restart")
-    )
-    return {
-        "method": _string(
-            sec.get("method", "gmres"), "solver.method", {"gmres", "cg"}
-        ),
-        "tolerance": _number(sec.get("tolerance", 1e-10), "solver.tolerance", 0.0),
-        "max_iterations": _integer(
-            sec.get("max_iterations", 10000), "solver.max_iterations", 1
-        ),
-        "restart": _integer(sec.get("restart", 50), "solver.restart", 1),
-    }
-
-
-def _validate_newton(raw):
-    sec = _section(raw, "newton", optional=("tolerance", "max_iterations"))
-    return {
-        "tolerance": _number(sec.get("tolerance", 1e-10), "newton.tolerance", 0.0),
-        "max_iterations": _integer(
-            sec.get("max_iterations", 30), "newton.max_iterations", 1
-        ),
-    }
-
-
-def _validate_output(raw):
-    sec = _section(raw, "output", optional=("directory", "prefix"))
-    return {
-        "directory": _string(sec.get("directory", "."), "output.directory"),
-        "prefix": _string(sec.get("prefix", "ipdg"), "output.prefix"),
-    }
-
-
-_TOP_KEYS = (
-    "system", "domain", "refinement", "background", "solution",
-    "boundary_conditions", "operator", "solver", "newton", "output",
-)
-
-
 def parse_config(raw) -> RunConfig:
-    """Validate an already-loaded mapping into a RunConfig."""
-    top = _section(
-        raw, "config",
-        required=("system", "domain", "refinement", "boundary_conditions"),
-        optional=tuple(k for k in _TOP_KEYS if k not in (
-            "system", "domain", "refinement", "boundary_conditions"
-        )),
-    )
-    system = _validate_system(top["system"])
-    domain = _validate_domain(top["domain"])
+    """Check an already-loaded mapping against the schema into a RunConfig."""
+    top = _walk(raw, "", _SCHEMA)
+    domain = top["domain"]
     dim = 2 if domain["kind"] == "annulus" else len(domain["bounds"])
-    if system["name"] == "puncture" and dim != 3:
-        _fail("domain", "the puncture system needs a 3D domain")
-    refinement = _validate_refinement(top["refinement"], dim)
-    n_primal = dim if system["name"] == "elasticity" else 1
-    solution = _validate_solution(top.get("solution"), dim, n_primal)
-    operator = _validate_operator(top.get("operator"))
-    solver = _validate_solver(top.get("solver"))
-    if solver["method"] == "cg" and not operator["massive"]:
-        _fail(
-            "solver.method",
-            "cg needs operator.massive: true; the massless operator is not symmetric",
-        )
-    return RunConfig(
-        system=system,
-        domain=domain,
-        refinement=refinement,
-        background=_validate_background(top.get("background")),
-        solution=solution,
-        boundary_conditions=_validate_bcs(
-            top["boundary_conditions"], solution is not None, dim
-        ),
-        operator=operator,
-        solver=solver,
-        newton=_validate_newton(top.get("newton")),
-        output=_validate_output(top.get("output")),
-    )
+    bcs = {}
+    for tag, spec in top.pop("boundary_conditions").items():
+        path = f"boundary_conditions.{tag}"
+        bc = bcs[tag] = _walk(spec, path, _CONDITION)
+        if bc.setdefault("analytic", False):
+            if "solution" not in top:
+                _fail(f"{path}.analytic", "needs a configured analytic solution")
+            if "value" in bc:
+                _fail(f"{path}.value", "give either value or analytic, not both")
+        elif bc["type"] == "falloff":
+            bc.setdefault("center", (0.0,) * dim)
+        else:
+            bc.setdefault("value", 0.0)
+    # the library accepts C >= 0, which analysis needs (a zero penalty shows
+    # the near null space); a run from a file keeps C >= 1
+    penalty = top["operator"]["penalty_parameter"]
+    if penalty < 1.0:
+        _fail("operator.penalty_parameter", f"must be at least 1.0 in a run file, got {penalty}")
+    return RunConfig(solution=top.pop("solution", None), boundary_conditions=bcs, **top)
 
 
 def load_config(path) -> RunConfig:
     try:
         with open(path) as f:
             raw = yaml.safe_load(f)
-    except FileNotFoundError:
-        _fail("config", f"file not found: {path}")
+    except OSError as exc:  # missing, a directory, unreadable
+        _fail("config", f"cannot read {path}: {exc.strerror}")
     except yaml.YAMLError as exc:
         _fail("config", f"not parseable: {exc}")
     return parse_config(raw)
@@ -423,10 +266,11 @@ class Problem:
     boundary_map: BoundaryMap
     handle: OperatorHandle
     solution: object  # AnalyticSolution or None
+    solver: dict  # the solver section as keywords of `solve_linear`
 
 
 def _build_system(cfg, dim):
-    # the validated section holds exactly the system's parameters
+    # the section holds exactly the system's parameters
     params = dict(cfg.system)
     return make_system(params.pop("name"), dim=dim, **params)
 
@@ -436,7 +280,7 @@ def _build_background(cfg, dim):
     if sec["kind"] == "flat":
         return make_background("flat")
     scale, axis = sec["scale"], sec["axis"]
-    if axis >= dim:
+    if not 0 <= axis < dim:
         _fail("background.axis", f"axis {axis} out of range for dimension {dim}")
 
     def phi(x):
@@ -492,12 +336,11 @@ def build_problem(cfg: RunConfig, mesh=None) -> Problem:
         if cfg.solution
         else None
     )
-    bmap = BoundaryMap(
-        {
-            tag: _build_bc(sec, solution)
-            for tag, sec in cfg.boundary_conditions.items()
-        }
-    )
+    conditions = {}
+    for tag, sec in cfg.boundary_conditions.items():
+        with config_section(f"boundary_conditions.{tag}"):
+            conditions[tag] = _build_bc(sec, solution)
+    bmap = BoundaryMap(conditions)
     handle = OperatorHandle(
         mesh,
         system,
@@ -507,4 +350,13 @@ def build_problem(cfg: RunConfig, mesh=None) -> Problem:
         massive=cfg.operator["massive"],
         penalty_parameter=cfg.operator["penalty_parameter"],
     )
-    return Problem(cfg, mesh, system, background, bmap, handle, solution)
+    sp = cfg.solver
+    solver = dict(
+        method=sp["method"],
+        tol=sp["tolerance"],
+        max_iter=sp["max_iterations"],
+        restart=sp["restart"],
+    )
+    check_solver(handle, **solver)
+    check_iteration("newton", cfg.newton["tolerance"], cfg.newton["max_iterations"])
+    return Problem(cfg, mesh, system, background, bmap, handle, solution, solver)

@@ -1,5 +1,7 @@
 """Exception types shared across the package."""
 
+from contextlib import contextmanager
+
 
 class IpdgError(Exception):
     """Base class for all package-specific errors."""
@@ -17,16 +19,29 @@ class SingularPointError(IpdgError):
     """A collocation point coincides with a singular point of the problem."""
 
 
-class ConfigurationError(IpdgError):
-    """A run configuration failed validation.
+class ConfigurationError(IpdgError, ValueError):
+    """An argument or a run configuration failed validation.
 
-    Carries a ``path`` identifying the offending field, e.g.
-    ``solver.tolerance``.
+    Carries a ``path`` identifying the offending field by its configuration
+    key, e.g. ``solver.tolerance``. A ValueError too, since the library
+    raises it for bad arguments.
     """
 
     def __init__(self, path, message):
         self.path = path
+        self.message = message
         super().__init__(f"{path}: {message}" if path else message)
+
+
+@contextmanager
+def config_section(prefix):
+    """Re-raise a ConfigurationError from the block with its path inside
+    `prefix`: a condition's "center" becomes "boundary_conditions.<tag>.center"."""
+    try:
+        yield
+    except ConfigurationError as exc:
+        path = f"{prefix}.{exc.path}" if exc.path else prefix
+        raise ConfigurationError(path, exc.message) from None
 
 
 class ResourceCapError(IpdgError):

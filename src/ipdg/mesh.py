@@ -18,7 +18,7 @@ from functools import cached_property
 import numpy as np
 
 from .basis import gauss_lobatto_nodes_weights
-from .errors import DegenerateGeometryError, TopologyError
+from .errors import ConfigurationError, DegenerateGeometryError, TopologyError
 
 __all__ = [
     "AffineMap",
@@ -276,13 +276,20 @@ def _make_element(block_index, block, segments, degrees) -> Element:
 
 def _levels_degrees(levels, degrees, dim):
     """Per-dimension refinement levels (>= 0) and degrees (>= 1) as int tuples."""
-    levels = tuple(int(l) for l in levels)
-    degrees = tuple(int(p) for p in degrees)
-    if len(levels) != dim or len(degrees) != dim:
-        raise ValueError(f"levels and degrees need {dim} entries, one per dimension")
-    if any(l < 0 for l in levels) or any(p < 1 for p in degrees):
-        raise ValueError("levels must be >= 0 and degrees >= 1")
-    return levels, degrees
+    out = []
+    for key, values, low in (("levels", levels, 0), ("degrees", degrees, 1)):
+        values = tuple(int(v) for v in values)
+        if len(values) != dim:
+            raise ConfigurationError(
+                f"refinement.{key}", f"levels and degrees need {dim} entries, one per dimension"
+            )
+        for i, v in enumerate(values):
+            if v < low:
+                raise ConfigurationError(
+                    f"refinement.{key}[{i}]", f"levels must be >= 0 and degrees >= 1, got {v}"
+                )
+        out.append(values)
+    return tuple(out)
 
 
 def build_rectilinear_mesh(bounds, levels, degrees) -> Mesh:
@@ -295,7 +302,14 @@ def build_rectilinear_mesh(bounds, levels, degrees) -> Mesh:
     bounds = [tuple(map(float, b)) for b in bounds]
     dim = len(bounds)
     if dim not in (1, 2, 3):
-        raise ValueError(f"supported dimensions are 1..3, got {dim}")
+        raise ConfigurationError(
+            "domain.bounds", f"expected 1 to 3 [lower, upper] pairs, got {dim}"
+        )
+    for i, b in enumerate(bounds):
+        if len(b) != 2 or not b[0] < b[1]:
+            raise ConfigurationError(
+                f"domain.bounds[{i}]", f"expected [lower, upper] with upper > lower, got {list(b)}"
+            )
     levels, degrees = _levels_degrees(levels, degrees, dim)
     block = Block(
         map=AffineMap([b[0] for b in bounds], [b[1] for b in bounds]),
@@ -320,7 +334,11 @@ def build_annulus_mesh(r_inner, r_outer, n_wedges, levels, degrees) -> Mesh:
     """
     n_wedges = int(n_wedges)
     if n_wedges < 2:
-        raise ValueError("the annulus needs at least 2 wedges")
+        raise ConfigurationError("domain.n_wedges", f"must be at least 2, got {n_wedges}")
+    if not r_inner > 0:
+        raise ConfigurationError("domain.r_inner", f"must be > 0, got {r_inner}")
+    if not r_outer > r_inner:
+        raise ConfigurationError("domain.r_outer", f"must exceed r_inner, got {r_outer}")
     levels, degrees = _levels_degrees(levels, degrees, 2)
     blocks = []
     for w in range(n_wedges):

@@ -112,6 +112,7 @@ from .errors import (
     DegenerateGeometryError,
     SingularPointError,
     TopologyError,
+    config_section,
 )
 from .mesh import face_shape, jacobian_at, mortar_topology
 from .mortars import mortar_logical_weights, prolongation_matrix
@@ -720,15 +721,16 @@ class OperatorHandle:
             if not isinstance(bc, _TraceFree):
                 self._live_layout.append((bc, k, pos, index, x, normal))
                 continue
-            data = self._fixed[k][:, pos] = _boundary_values(
-                bc, system, background, x, normal, np.zeros((system.n_primal, index.size)), None
-            )
-            if not np.isfinite(data).all():
-                key = next(t for t, c in self.bcs.table.items() if c is bc)
-                where = x[:, np.argmin(np.isfinite(data).all(axis=0))].tolist()
-                raise ConfigurationError(
-                    f"boundary_conditions.{key}", f"non-finite boundary data at x = {where}"
+            # an error in the data, or their check, is named by the condition's tag
+            key = next(t for t, c in self.bcs.table.items() if c is bc)
+            with config_section(f"boundary_conditions.{key}"):
+                zero = np.zeros((system.n_primal, index.size))
+                data = self._fixed[k][:, pos] = _boundary_values(
+                    bc, system, background, x, normal, zero, None
                 )
+                if not np.isfinite(data).all():
+                    where = x[:, np.argmin(np.isfinite(data).all(axis=0))].tolist()
+                    raise ConfigurationError("", f"non-finite boundary data at x = {where}")
         self._live = [layout + (None,) for layout in self._live_layout]
 
     # -- bookkeeping ---------------------------------------------------

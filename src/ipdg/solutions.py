@@ -17,6 +17,8 @@ from typing import Callable
 
 import numpy as np
 
+from .errors import ConfigurationError
+
 __all__ = [
     "AnalyticField",
     "AnalyticSolution",
@@ -71,9 +73,9 @@ class AnalyticSolution:
 def manufactured_problem(system, field: AnalyticField, bg) -> AnalyticSolution:
     """Fix the source so `field` solves the system exactly."""
     if field.n_components != system.n_primal:
-        raise ValueError(
-            f"field has {field.n_components} components, "
-            f"system needs {system.n_primal}"
+        raise ConfigurationError(
+            "solution.name",
+            f"the field has {field.n_components} components, the system needs {system.n_primal}",
         )
     return AnalyticSolution(f"manufactured({system.name})", field, system, bg)
 
@@ -158,7 +160,9 @@ def sin_product_vector(dim, amplitudes=None, wavenumber=1.0) -> AnalyticField:
     if amplitudes is None:
         amplitudes = (1.0, 0.7, 0.9)[:dim]
     if len(amplitudes) != dim:
-        raise ValueError(f"need {dim} amplitudes, got {len(amplitudes)}")
+        raise ConfigurationError(
+            "solution.params.amplitudes", f"need {dim} amplitudes, got {len(amplitudes)}"
+        )
     return _stack_fields(
         [sin_product(dim, amplitude=a, wavenumber=wavenumber) for a in amplitudes]
     )
@@ -167,9 +171,13 @@ def sin_product_vector(dim, amplitudes=None, wavenumber=1.0) -> AnalyticField:
 def gaussian(dim, center, width=1.0, amplitude=1.0) -> AnalyticField:
     """u = A exp(-|x - c|^2 / w^2)."""
     c = np.asarray(center, dtype=float)
-    if c.size != dim:
-        raise ValueError(f"center must have {dim} entries")
+    if c.shape != (dim,):
+        raise ConfigurationError(
+            "solution.params.center", f"expected {dim} entries, one per dimension, got {c.size}"
+        )
     w2 = float(width) ** 2
+    if w2 == 0.0:
+        raise ConfigurationError("solution.params.width", f"must be nonzero, got {width}")
 
     def shifted(x):
         x = np.asarray(x)

@@ -26,6 +26,8 @@ __all__ = [
     "schur_eliminate",
     "solve_linear",
     "solve_newton",
+    "check_iteration",
+    "check_solver",
     "DEFAULT_ASSEMBLY_CAP",
 ]
 
@@ -358,14 +360,39 @@ def _cg(matvec, b, tol, max_iter):
     return x, max_iter, history, False, true_rel
 
 
-def _check_iteration(section, tol, max_iter, restart=1):
-    """Raise unless the Krylov solvers can run with these arguments, named by their config keys."""
+def check_iteration(section, tol, max_iter, restart=1):
+    """Raise unless an iteration can run with these arguments, named by their
+    config keys under `section`."""
     if not 0.0 <= tol < math.inf:
         raise ConfigurationError(f"{section}.tolerance", f"must be finite and >= 0, got {tol}")
-    if max_iter < 0:
-        raise ConfigurationError(f"{section}.max_iterations", f"must be >= 0, got {max_iter}")
+    if max_iter < 1:
+        raise ConfigurationError(f"{section}.max_iterations", f"must be >= 1, got {max_iter}")
     if restart < 1:
         raise ConfigurationError(f"{section}.restart", f"must be >= 1, got {restart}")
+
+
+def check_solver(handle, method, tol, max_iter, restart, preconditioner=None):
+    """Raise unless `solve_linear` can solve with `handle` and these
+    arguments, named by their `solver.*` config keys."""
+    check_iteration("solver", tol, max_iter, restart)
+    if method == "cg":
+        if handle.form != "strong-weak" or not handle.system.symmetric_eligible:
+            raise ConfigurationError(
+                "solver.method",
+                "cg requires the strong-weak form of a symmetry-eligible system",
+            )
+        if not handle.massive:
+            raise ConfigurationError(
+                "solver.method",
+                "cg requires the massive operator; without the mass matrix "
+                "the operator M^-1 A is not symmetric",
+            )
+        if preconditioner is not None:
+            raise ConfigurationError(
+                "solver.method", "cg does not take a preconditioner; use gmres"
+            )
+    elif method != "gmres":
+        raise ConfigurationError("solver.method", f"unknown method {method!r}")
 
 
 def _flat_rhs(handle, rhs):
@@ -399,25 +426,7 @@ def solve_linear(
     field satisfies the affine equation. Non-convergence is reported, not
     raised.
     """
-    _check_iteration("solver", tol, max_iter, restart)
-    if method == "cg":
-        if handle.form != "strong-weak" or not handle.system.symmetric_eligible:
-            raise ConfigurationError(
-                "solver.method",
-                "cg requires the strong-weak form of a symmetry-eligible system",
-            )
-        if not handle.massive:
-            raise ConfigurationError(
-                "solver.method",
-                "cg requires the massive operator; without the mass matrix "
-                "the operator M^-1 A is not symmetric",
-            )
-        if preconditioner is not None:
-            raise ConfigurationError(
-                "solver.method", "cg does not take a preconditioner; use gmres"
-            )
-    elif method != "gmres":
-        raise ConfigurationError("solver.method", f"unknown method {method!r}")
+    check_solver(handle, method, tol, max_iter, restart, preconditioner)
     if not handle.is_linearized and not handle.system.linear:
         raise ConfigurationError(
             "solver.method",
@@ -491,8 +500,8 @@ def solve_newton(
                 "inner", f"unknown key {key!r}; the keys are solve_linear's: {', '.join(params)}"
             )
     params.update(inner or {})
-    _check_iteration("newton", tol, max_iter)
-    _check_iteration("solver", params["tol"], params["max_iter"], params["restart"])
+    check_iteration("newton", tol, max_iter)
+    check_solver(handle, **params)
     t0 = time.perf_counter()
     b = _flat_rhs(handle, rhs)
     if initial_guess is not None:

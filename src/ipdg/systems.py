@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import SingularPointError
+from .errors import ConfigurationError, SingularPointError
 
 __all__ = [
     "EllipticSystem",
@@ -195,10 +195,18 @@ class Elasticity(EllipticSystem):
 
     def __init__(self, dim: int, lame_lambda: float = 1.0, shear_modulus: float = 1.0):
         if dim not in (2, 3):
-            raise ValueError(f"elasticity supports dimensions 2..3, got {dim}")
+            raise ConfigurationError("domain", f"elasticity supports dimensions 2..3, got {dim}")
         self.dim = dim
-        self.lame_lambda = float(lame_lambda)
-        self.shear_modulus = float(shear_modulus)
+        self.lame_lambda = lam = float(lame_lambda)
+        self.shear_modulus = mu = float(shear_modulus)
+        # where the isotropic elasticity tensor is positive definite
+        if not mu > 0.0:
+            raise ConfigurationError("system.shear_modulus", f"must be > 0, got {mu}")
+        if not dim * lam + 2.0 * mu > 0.0:
+            raise ConfigurationError(
+                "system.lame_lambda",
+                f"needs {dim} lambda + 2 mu > 0, got lambda = {lam}, mu = {mu}",
+            )
         self.pairs = sym_index_pairs(dim)
         self.primal_components = tuple(f"xi_{_AXES[i]}" for i in range(dim))
         self.auxiliary_components = tuple(
@@ -269,7 +277,14 @@ class Puncture(_PoissonLike):
         super().__init__(3)
         self.punctures = tuple(punctures)
         if not self.punctures:
-            raise ValueError("at least one puncture is required")
+            raise ConfigurationError("system.punctures", "at least one puncture is required")
+        for i, p in enumerate(self.punctures):
+            path = f"system.punctures[{i}]"
+            if not p.mass > 0.0:
+                raise ConfigurationError(f"{path}.mass", f"must be > 0, got {p.mass}")
+            for key in ("position", "momentum", "spin"):
+                if np.size(getattr(p, key)) != 3:
+                    raise ConfigurationError(f"{path}.{key}", "expected 3 entries")
 
     def background_fields(self, x):
         """(alpha, beta) at points x, shape (d, ...) -> two (...) arrays."""
@@ -345,7 +360,7 @@ def make_system(name: str, dim: int, **params) -> EllipticSystem:
         return Elasticity(dim, **params)
     if name == "puncture":
         if dim != 3:
-            raise ValueError("the puncture system is three-dimensional")
+            raise ConfigurationError("domain", "the puncture system needs a 3D domain")
         specs = [
             p if isinstance(p, PunctureSpec) else PunctureSpec(**p)
             for p in params.get("punctures", [])

@@ -1,7 +1,12 @@
-"""The library example in README.md runs and gives the accuracy it shows."""
+"""The examples in README.md: the library example runs and gives the
+accuracy it shows, and the YAML example is a valid configuration."""
 
 import os
 import re
+
+import yaml
+
+from ipdg.config import build_problem, parse_config
 
 README = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "README.md")
 
@@ -15,3 +20,16 @@ def test_readme_library_example(tmp_path, monkeypatch, capsys):
     iterations, error = capsys.readouterr().out.split()
     assert int(iterations) > 0
     assert float(error) < 1e-3
+
+
+def test_readme_yaml_example_builds():
+    # the documented configuration passes the schema and builds its problem,
+    # so the schema cannot drift from the example
+    with open(README) as f:
+        blocks = re.findall(r"```yaml\n(.*?)```", f.read(), flags=re.S)
+    assert len(blocks) == 1
+    cfg = parse_config(yaml.safe_load(blocks[0]))
+    problem = build_problem(cfg)
+    assert problem.system.name == "poisson-flat"
+    assert problem.solver == {"method": "cg", "tol": 1e-10, "max_iter": 2000, "restart": 50}
+    assert problem.handle.n_primal_dofs == 100

@@ -4,7 +4,11 @@ import numpy as np
 import pytest
 
 from ipdg.background import ConformallyFlatBackground, FlatBackground
-from ipdg.errors import SingularPointError
+from ipdg.boundaries import BoundaryMap, DirichletBC
+from ipdg.errors import ConfigurationError, SingularPointError
+from ipdg.mesh import build_rectilinear_mesh
+from ipdg.operators import OperatorHandle
+from ipdg.solver import assemble_explicit
 from ipdg.systems import (
     Elasticity,
     PoissonCurved,
@@ -288,6 +292,46 @@ class TestPuncture:
         sys3 = Puncture([PunctureSpec(1.0, (0.0, 0.0, 0.0))])
         assert not sys3.linear
         assert sys3.symmetric_eligible
+
+    def test_mass_and_vectors_checked(self):
+        # a massless puncture made alpha infinite and failed the first
+        # solve with a non-finite residual
+        for mass in (0.0, -1.0):
+            specs = [PunctureSpec(1.0, (0.0, 0.0, 0.0)), PunctureSpec(mass, (1.0, 0.0, 0.0))]
+            with pytest.raises(ConfigurationError) as err:
+                Puncture(specs)
+            assert err.value.path == "system.punctures[1].mass"
+        with pytest.raises(ConfigurationError) as err:
+            Puncture([PunctureSpec(1.0, (0.0, 0.0, 0.0), spin=(0.0, 1.0))])
+        assert err.value.path == "system.punctures[0].spin"
+
+
+@pytest.mark.parametrize("dim, lam, mu, path", [
+    (2, 1.0, 0.0, "system.shear_modulus"),
+    (2, 1.0, -1.0, "system.shear_modulus"),
+    (2, -2.0, 1.0, "system.lame_lambda"),
+    (2, -1.0, 1.0, "system.lame_lambda"),
+    (3, -0.7, 1.0, "system.lame_lambda"),
+    (2, -0.9, 1.0, None),
+    (3, -0.6, 1.0, None),
+    (2, 5.0, 0.1, None),
+])
+def test_elasticity_moduli_keep_the_operator_positive_definite(dim, lam, mu, path):
+    # the isotropic elasticity tensor is positive definite exactly when
+    # mu > 0 and d lambda + 2 mu > 0; outside, the strong-weak operator was
+    # singular or indefinite, yet eligible for CG
+    if path is not None:
+        with pytest.raises(ConfigurationError) as err:
+            Elasticity(dim, lame_lambda=lam, shear_modulus=mu)
+        assert err.value.path == path
+        return
+    mesh = build_rectilinear_mesh([(0.0, 1.0)] * dim, (1,) * dim, (1,) * dim)
+    handle = OperatorHandle(
+        mesh, Elasticity(dim, lame_lambda=lam, shear_modulus=mu), FlatBackground(),
+        BoundaryMap.everywhere(DirichletBC(0.0)), form="strong-weak",
+    )
+    a = assemble_explicit(handle).toarray()
+    assert np.linalg.eigvalsh(0.5 * (a + a.T)).min() > 0.0
 
 
 class TestRegistry:
