@@ -24,16 +24,16 @@ __all__ = ["main"]
 REPORT_HEADER = "error,iterations,residual_norm,converged"
 
 
-def _output_dir(cfg) -> str:
-    out = os.environ.get("IPDG_OUTPUT_DIR") or cfg.output["directory"]
-    os.makedirs(out, exist_ok=True)
-    return out
-
-
 def _out_path(cfg, filename) -> str:
+    """The output file's path; it makes the directory, so call it before the work."""
     if os.path.isabs(filename):
         return filename
-    return os.path.join(_output_dir(cfg), filename)
+    out = os.environ.get("IPDG_OUTPUT_DIR") or cfg.output["directory"]
+    try:
+        os.makedirs(out, exist_ok=True)
+    except OSError as exc:
+        raise ConfigurationError("output.directory", f"cannot create {out}: {exc.strerror}")
+    return os.path.join(out, filename)
 
 
 def _run_solve(problem, cfg):
@@ -63,6 +63,7 @@ def _solution_error(problem, u):
 def cmd_solve(args) -> int:
     cfg = load_config(args.config)
     problem = build_problem(cfg)
+    path = _out_path(cfg, f"{cfg.output['prefix']}-report.csv")
     u, report = _run_solve(problem, cfg)
     if not report.converged:
         print(
@@ -72,7 +73,6 @@ def cmd_solve(args) -> int:
         )
         return 3
     error = _solution_error(problem, u)
-    path = _out_path(cfg, f"{cfg.output['prefix']}-report.csv")
     with open(path, "w") as f:
         f.write(REPORT_HEADER + "\n")
         f.write(
@@ -99,6 +99,7 @@ def cmd_convergence(args) -> int:
         raise ConfigurationError(
             "solution", "convergence studies need an analytic solution"
         )
+    path = _out_path(cfg, f"{cfg.output['prefix']}-convergence.csv")
     series = ConvergenceSeries(args.mode)
     mesh = None
     for level in range(args.levels):
@@ -123,7 +124,6 @@ def cmd_convergence(args) -> int:
         )
         if level + 1 < args.levels:
             mesh = refine_uniform(problem.mesh, args.mode)
-    path = _out_path(cfg, f"{cfg.output['prefix']}-convergence.csv")
     write_convergence_csv(series, path)
     rates = ", ".join(f"{r:.2f}" for r in convergence_rates(series))
     print(f"rates: {rates}")
@@ -134,9 +134,9 @@ def cmd_convergence(args) -> int:
 def cmd_assemble(args) -> int:
     cfg = load_config(args.config)
     problem = build_problem(cfg)
+    path = _out_path(cfg, args.out)
     handle = problem.handle.linearized_at()
     matrix = assemble_explicit(handle, include_auxiliary=args.with_auxiliary)
-    path = _out_path(cfg, args.out)
     matrix.write(path)
     print(
         f"wrote {matrix.n_rows}x{matrix.n_cols} matrix "

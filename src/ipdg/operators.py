@@ -72,27 +72,27 @@ application:
 - trace-free boundary conditions (`_TraceFree`) fill their part of the
   boundary arrays once, when the handle is built;
 - the volume kernels contract only the (reference, physical) direction
-  pairs whose inverse-Jacobian entry is not zero everywhere in the group,
-  one per reference direction on rectilinear meshes;
+  pairs whose inverse-Jacobian entry is not zero everywhere in the group:
+  on rectilinear meshes one per reference direction, a plain product;
 - phase one's divergence differentiates, per reference direction, only the
   auxiliary-flux components that are not zero for its physical directions
   (`_Group.flux_rows`), found once per handle by evaluating the flux, which
-  is linear in u, on unit primal fields: on a rectilinear Poisson-like
-  group that is one of d components;
-- the system's background fields (`background_fields`, the puncture's
-  alpha and beta) are evaluated once per group, on the first application of
-  any handle that shares the set-up, and handed to the sources;
-- a linearized handle builds its linearized sources, the maps
-  (du, dv) -> S'(u0)[du, dv], once per group on its first application, so
-  whatever depends only on the point, the coordinates and the fields (the
-  puncture's power of u0) is evaluated once per linearization.
+  is linear in u, on unit primal fields;
+- the background fields (the puncture's alpha and beta) are evaluated once
+  per group and handle family, and each handle builds its sources once per
+  group on its first application: a linearized one the maps
+  (du, dv) -> S'(u0)[du, dv], with what depends on u0 only (the puncture's
+  power of u0) evaluated then. A source linear in (u, v) and exactly zero
+  on unit fields, as poisson-flat's and elasticity's are, is dropped.
 Nor is it redone per linearization: `linearized_at`, the only way to build
 a linearized handle, takes a shallow copy of the handle it linearizes, so
 the copy shares the mesh cache, the penalty, the flux rows, the background
 fields and the boundary layout, and sets only what the point gives.
-Gathers from the face buffer through an index array use `np.take`, several
-times faster than `[..., index]` at these sizes; scatters keep the indexed
-assignment.
+Each group fills its span of the face buffer with one `np.take` through
+the flat index of its face points, and lifts with one `np.add.at`, which
+adds in index order: a point on several faces gets their terms in face-key
+order. Other gathers through an index array use `np.take` too, several
+times faster than `[..., index]` at these sizes.
 """
 
 from __future__ import annotations
@@ -168,6 +168,11 @@ def _index(items):
 def _contract_normal(normal, fluxes):
     """n_i F^i... over the flux direction axis: (c, d, n) -> (c, n)."""
     return np.einsum("i...,ci...->c...", normal, fluxes)
+
+
+def _project(sel, jinv, fluxes):
+    """Jinv_i F^i over the directions `sel` of F[:, sel]; one (an int) is a product."""
+    return jinv * fluxes if isinstance(sel, int) else _contract_normal(jinv, fluxes)
 
 
 class FieldVector:
@@ -320,10 +325,9 @@ def _lumped_mass(elements, background, coords, det, weights):
     return mass
 
 
-# one face key (dim, side) of a group: `index` selects the face from a
-# point-ordered volume array, `span` its points in the face buffer, `shape`
-# is (elements, *face grid in point order)
-_GroupFace = namedtuple("_GroupFace", "key index span shape massless massive")
+# a face key (dim, side) of a group: its points' `span` in the face buffer and
+# `shape` (elements, *face grid in point order)
+_GroupFace = namedtuple("_GroupFace", "key span shape")
 
 
 class _Group:
@@ -365,15 +369,20 @@ class _Group:
         # per reference direction j, the physical directions i whose
         # Jinv^j_i is not zero at every point: the one i = j on rectilinear
         # meshes, every i on curved ones. The volume kernels skip the others,
-        # whose terms are exact zeros
+        # whose terms are exact zeros, and take one that is left alone (an int
+        # `sel`) as a plain product
         nonzero = self.jinv.reshape(dim, dim, -1).any(axis=2)
         self.directions = [[i for i in range(dim) if nonzero[j, i]] for j in range(dim)]
         self._terms = []
         for j, dirs in enumerate(self.directions):
-            sel = _index(dirs)
+            sel = dirs[0] if len(dirs) == 1 else _index(dirs)
             self._terms.append((sel, self.jinv[j][sel]))
         self.diffs = [differentiation_matrix(ns) for ns in node_sets]
-        self.faces, self.face_geometry = [], []
+        # per face point, in face-buffer order: its flat index into one
+        # component of a point-ordered volume, and its two lifting weights
+        ids = np.arange(n_el * n).reshape(self.shape)
+        self.faces, self.face_geometry, points, lift = [], [], [], ([], [])
+        self.face_start = face_start
         for fdim in range(dim):
             trans = _weight_product([w for i, w in enumerate(weights) if i != fdim])
             for side in (-1, 1):
@@ -383,17 +392,21 @@ class _Group:
                 )
                 mag = fg.normal_magnitude
                 massive = fg.surface_measure * _point_order(trans, dim - 1)
-                self.faces.append(_GroupFace(
-                    (fdim, side), index, slice(face_start, face_start + mag.size), mag.shape,
-                    mag / weights[fdim][0 if side < 0 else -1], massive,
-                ))
+                self.faces.append(
+                    _GroupFace((fdim, side), slice(face_start, face_start + mag.size), mag.shape)
+                )
                 face_start += mag.size
+                points.append(ids[index].ravel())
+                lift[0].append((mag / weights[fdim][0 if side < 0 else -1]).ravel())
+                lift[1].append(massive.ravel())
                 self.face_geometry.append((
                     fg.coords.reshape(dim, -1), fg.normal.reshape(dim, -1),
                     (2.0 / mag).ravel(), fg.surface_measure.ravel(), massive.ravel(),
                     np.full(mag.size, first.degrees[fdim]),
                 ))
         self.face_end = face_start
+        self._face_points = np.concatenate(points)
+        self._lift_weights = [np.concatenate(w) for w in lift]  # massless, massive
 
     def take(self, rows):
         """The group's part of a (..., points) array, point-ordered."""
@@ -403,15 +416,20 @@ class _Group:
         rows[..., self.sel] = values.reshape(rows.shape[:-1] + (-1,))
 
     def traces(self, volume, buf):
-        """Copy the face values of a (..., *shape) volume array into the face buffer."""
-        for f in self.faces:
-            buf[..., f.span] = volume[f.index].reshape(buf.shape[:-1] + (-1,))
+        """Copy the face values of a (..., *shape) volume array into the
+        group's span of the face buffer, in one gather."""
+        flat = volume.reshape(volume.shape[:-self.dim - 1] + (-1,))
+        buf[..., self.face_start:self.face_end] = np.take(flat, self._face_points, axis=-1)
 
     def lift(self, volume, buf, massive):
-        """Add the lifted face-buffer values into a (..., *shape) volume array."""
-        for f in self.faces:
-            weight = f.massive if massive else f.massless
-            volume[f.index] += buf[..., f.span].reshape(buf.shape[:-1] + f.shape) * weight
+        """Add the lifted face-buffer values into a C-contiguous (..., *shape)
+        volume array: one scatter-add on its flat view, indexed in face-key
+        order, which `np.add.at` keeps where faces share a point."""
+        if not volume.flags.c_contiguous:
+            raise ValueError("lifting needs a C-contiguous volume array")
+        values = buf[..., self.face_start:self.face_end] * self._lift_weights[massive]
+        rows = np.arange(0, volume.size, math.prod(self.shape))
+        np.add.at(volume.reshape(-1), (rows[:, None] + self._face_points).ravel(), values.ravel())
 
     def flux_rows(self, fluxes):
         """Per reference direction j, the components of `fluxes` (c, d, ...)
@@ -433,7 +451,7 @@ class _Group:
         out = np.zeros(fluxes.shape[:1] + fluxes.shape[2:])
         for j, (sel, jinv) in enumerate(self._terms):
             df = _apply_1d(self.diffs[j], fluxes[rows[j]][:, sel], j)
-            out[rows[j]] += np.einsum("i...,ci...->c...", jinv, df)
+            out[rows[j]] += _project(sel, jinv, df)
         return out
 
     def stiffness(self, fluxes, form):
@@ -442,7 +460,7 @@ class _Group:
             return self.mass * self.divergence(fluxes, (slice(None),) * self.dim)
         out = 0.0
         for j, (sel, jinv) in enumerate(self._terms):
-            pre = self.mass * np.einsum("i...,ci...->c...", jinv, fluxes[:, sel])
+            pre = self.mass * _project(sel, jinv, fluxes[:, sel])
             out = out - _apply_1d(self.diffs[j].T, pre, j)
         return out
 
@@ -675,7 +693,7 @@ class OperatorHandle:
         # the point-independent state, which `linearized_at` shares: the mesh
         # cache, the penalty, the auxiliary-flux rows and the boundary layout
         # and arrays. The background fields wait for the first application
-        # (`_core`)
+        # (`_source_maps`)
         self._cache = cache = _MeshCache(mesh, background)
         self.bcs.validate_tags(cache.external)
         if hasattr(system, "min_puncture_distance"):
@@ -684,7 +702,7 @@ class OperatorHandle:
                     "a collocation point lies within 1e-10 of a puncture; "
                     "offset the mesh bounds"
                 )
-        self.linearization_point = self._lin_groups = self._lin_sources = None
+        self.linearization_point = self._lin_groups = self._sources = None
         self._fields = []
         self._face_sigma = self.penalty_parameter * cache.face_sigma
         self._mortar_sigma = [self.penalty_parameter * mg.sigma for mg in cache.mortar_groups]
@@ -770,7 +788,7 @@ class OperatorHandle:
         lin = copy.copy(self)
         lin.linearization_point = point
         lin._lin_groups = [g.take(rows).copy() for g in cache.groups]
-        lin._lin_sources = None
+        lin._sources = None
         lin._fixed = [np.zeros_like(a) for a in self._fixed]
         if self._live_layout:
             traces = np.empty((self.system.n_primal, cache.n_face_points))
@@ -830,7 +848,7 @@ class OperatorHandle:
     def reconstruct_auxiliary(self, u: FieldVector) -> FieldVector:
         """The auxiliary field the compact operator uses internally."""
         self._check(u, "primal", "u")
-        recon = self._phase1(self._rows(u.data))[1]
+        recon = self._phase1(self._rows(u.data))[2]
         data, out = self._new_rows(self.system.n_auxiliary, u.data.shape[:-1])
         for g, r in zip(self._cache.groups, recon):
             g.put(out, r)
@@ -846,22 +864,39 @@ class OperatorHandle:
         data = np.empty(lead + (n_components * self._cache.n_points,))
         return data, self._rows(data)
 
+    def _source_maps(self):
+        """Per group the primal source as a map (u, v) -> S, linearized on a
+        linearized handle, or None where it is provably zero: linear (a linear
+        system's or a linearized one) and zero on every unit field of u and v."""
+        sys_, bg, lin, fields = self.system, self.background, self._lin_groups, self._fields
+        if not fields:  # once per handle family, which shares the list
+            fields.extend(sys_.background_fields(g.coords) for g in self._cache.groups)
+        n, k, maps = sys_.n_primal, sys_.n_primal + sys_.n_auxiliary, []
+        for g, f, u0 in zip(self._cache.groups, fields, lin or [None] * len(fields)):
+            maps.append(sys_.linearized_primal_source(u0, g.coords, bg, f) if lin else
+                        lambda u, v, x=g.coords, f=f: sys_.primal_source(u, v, x, bg, f))
+            if sys_.linear or lin:
+                unit = np.zeros((k, k) + g.shape)  # field c (second axis) is 1 in component c
+                unit[np.arange(k), np.arange(k)] = 1.0
+                maps[-1] = maps[-1] if maps[-1](unit[:n], unit[n:]).any() else None
+        return maps
+
     def _phase1(self, u_rows):
         """Auxiliary fluxes, their exchange and the reconstructed auxiliary field.
 
-        Returns per group the strong flux divergences and the reconstructed
-        fields; as face buffers the projected auxiliary fluxes and their
-        numerical flux; and the neumann-kind boundary array.
+        Returns per group the primal field, the strong flux divergences and
+        the reconstructed fields; as face buffers the projected auxiliary
+        fluxes and their numerical flux; and the neumann-kind boundary array.
         """
         cache = self._cache
         sys_, bg = self.system, self.background
         lead = u_rows.shape[1:-1]
         traces = np.empty((sys_.n_primal,) + lead + (cache.n_face_points,))
-        ws = []
+        ugs, ws = [], []
         for g, rows in zip(cache.groups, self._aux_rows):
-            ug = g.take(u_rows)
-            ws.append(g.divergence(sys_.auxiliary_flux(ug, g.coords, bg), rows))
-            g.traces(ug, traces)
+            ugs.append(g.take(u_rows))
+            ws.append(g.divergence(sys_.auxiliary_flux(ugs[-1], g.coords, bg), rows))
+            g.traces(ugs[-1], traces)
         aux = _contract_normal(
             cache.face_normal, sys_.auxiliary_flux(traces, cache.face_coords, bg)
         )
@@ -890,7 +925,8 @@ class OperatorHandle:
         star = auxiliary_numerical_flux(aux, ext)
         jumps = star - aux
         # mortars with a non-identity side replace the jump at their points
-        jumps[..., cache.restricted] = 0.0
+        if cache.mortar_groups:
+            jumps[..., cache.restricted] = 0.0
         for mg in cache.mortar_groups:
             sides = [mg.to_mortar(s, aux) for s in (0, 1)]
             star_m = auxiliary_numerical_flux(*sides)
@@ -900,7 +936,7 @@ class OperatorHandle:
         recon = [w.copy() for w in ws]
         for g, r in zip(cache.groups, recon):
             g.lift(r, jumps, massive=False)
-        return ws, recon, aux, star, flux_b
+        return ugs, ws, recon, aux, star, flux_b
 
     def _core(self, u, given_v):
         """Shared implementation of the compact and full operators.
@@ -910,41 +946,28 @@ class OperatorHandle:
         """
         cache = self._cache
         sys_, bg = self.system, self.background
-        # per group, on the first application: the background fields, once per
-        # handle family (the list is shared), and the linearized sources once
-        fields = self._fields
-        if not fields:
-            fields.extend(sys_.background_fields(g.coords) for g in cache.groups)
-        if self._lin_groups is not None and self._lin_sources is None:
-            self._lin_sources = [
-                sys_.linearized_primal_source(u0, g.coords, bg, f)
-                for g, u0, f in zip(cache.groups, self._lin_groups, fields)
-            ]
-        sources = self._lin_sources
+        if self._sources is None:  # on the first application
+            self._sources = self._source_maps()
         strong = self.form == "strong"
         primal_form = "strong" if strong else "weak"
         n_u, n_v = sys_.n_primal, sys_.n_auxiliary
         u_rows = self._rows(u.data)
         lead = u_rows.shape[1:-1]
 
-        ws, recon, aux, aux_star, flux_b = self._phase1(u_rows)
+        ugs, ws, recon, aux, aux_star, flux_b = self._phase1(u_rows)
         v_rows = None if given_v is None else self._rows(given_v.data)
         w_traces = np.empty((n_v,) + lead + (cache.n_face_points,))
         res_u, res_v = [], []
-        for gi, (g, w, rc) in enumerate(zip(cache.groups, ws, recon)):
+        for g, ug, w, rc, source in zip(cache.groups, ugs, ws, recon, self._sources):
             if v_rows is None:
                 v = rc
             else:
                 v = g.take(v_rows)
                 res_v.append(g.mass * (v - rc))
-            ug = g.take(u_rows)
             fu = sys_.primal_flux(v, g.coords, bg)
-            if sources is None:
-                src = sys_.primal_source(ug, v, g.coords, bg, fields[gi])
-            else:
-                src = sources[gi](ug, v)
             res = -g.stiffness(fu, primal_form)
-            res += g.mass * src
+            if source is not None:
+                res += g.mass * source(ug, v)
             res_u.append(res)
             g.traces(w, w_traces)
         normal, x = cache.face_normal, cache.face_coords
@@ -963,7 +986,8 @@ class OperatorHandle:
         star = primal_numerical_flux(deriv, pen, ext_d, ext_p, self._face_sigma)
         # strong form subtracts the element's own exchanged flux
         jumps = deriv - star if strong else -star
-        jumps[..., cache.restricted] = 0.0
+        if cache.mortar_groups:
+            jumps[..., cache.restricted] = 0.0
         for mg, sigma in zip(cache.mortar_groups, self._mortar_sigma):
             d = [mg.to_mortar(s, deriv) for s in (0, 1)]
             p = [mg.to_mortar(s, pen) for s in (0, 1)]

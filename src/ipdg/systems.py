@@ -84,7 +84,8 @@ class EllipticSystem:
         return ()
 
     def primal_source(self, u, v, x, bg, fields):
-        """S_u at points x, given the `background_fields` of x."""
+        """S_u at points x, given the `background_fields` of x: pointwise, and in
+        a linear system linear in (u, v) (the operator probes it on unit fields)."""
         return np.zeros((self.n_primal,) + np.asarray(u).shape[1:])
 
     def linearized_primal_source(self, u0, x, bg, fields):

@@ -174,6 +174,28 @@ def test_output_dir_override(tmp_path, monkeypatch):
     assert not (tmp_path / "test-report.csv").exists()
 
 
+@pytest.mark.parametrize("command", [
+    ["solve"], ["convergence", "--mode", "h", "--levels", "2"], ["assemble", "--out", "m.txt"],
+])
+def test_output_directory_that_cannot_be_made(tmp_path, capsys, monkeypatch, command):
+    # a directory under a regular file cannot be made: the run names the
+    # key with exit code 2 before it solves or assembles anything; it used
+    # to exit 1 with a traceback after the whole solve
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    path = write_config(tmp_path, {"output": {"directory": str(blocker / "out")}})
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the work ran before the output directory was made")
+
+    monkeypatch.setattr(ipdg.cli, "_run_solve", refuse)
+    monkeypatch.setattr(ipdg.cli, "assemble_explicit", refuse)
+    assert main([command[0], "--config", path] + command[1:]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"invalid configuration: output.directory: cannot create {blocker}"), err
+    assert "Traceback" not in err
+
+
 def test_convergence_h_mode(tmp_path, capsys):
     path = write_config(
         tmp_path, {"refinement": {"levels": [0, 0], "degrees": [3, 3]}}

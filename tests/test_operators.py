@@ -217,6 +217,71 @@ def test_lifting_interior_points_exactly_zero():
     assert out[0, 0, :, -1].all()
 
 
+def _face_index(face):
+    """The face of `face.key` as an index into a point-ordered volume array."""
+    dim, side = face.key
+    return (Ellipsis, 0 if side < 0 else -1) + (slice(None),) * dim
+
+
+def per_face_traces(group, volume, buf):
+    """Reference for `_Group.traces`: one strided copy per face key."""
+    for face in group.faces:
+        buf[..., face.span] = volume[_face_index(face)].reshape(buf.shape[:-1] + (-1,))
+
+
+def per_face_lift(group, volume, buf, massive):
+    """Reference for `_Group.lift`: one strided update per face key, in
+    face-key order, with the group's lifting weights of that face."""
+    for face in group.faces:
+        span = slice(face.span.start - group.face_start, face.span.stop - group.face_start)
+        weight = group._lift_weights[massive][span].reshape(face.shape)
+        values = buf[..., face.span].reshape(buf.shape[:-1] + face.shape)
+        volume[_face_index(face)] += values * weight
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+@pytest.mark.parametrize("seed", [0, 1])
+def test_gather_and_scatter_match_the_per_face_loop(dim, seed):
+    # one gather and one scatter-add per group give bit for bit what one
+    # strided copy or update per face key gives, on meshes with split and
+    # raised elements (several groups), for one vector and a batch of 3,
+    # massive and massless; a point on several faces (an edge or corner)
+    # gets their terms in the same order
+    rng = np.random.default_rng(seed)
+    mesh = build_rectilinear_mesh([(0.0, 1.0)] * dim, (1,) * dim, tuple(rng.integers(1, 4, dim)))
+    mesh = split_element(mesh, int(rng.integers(mesh.n_elements)))
+    for _ in range(2):
+        k = int(rng.integers(mesh.n_elements))
+        mesh = with_degrees(mesh, k, tuple(int(p) for p in rng.integers(1, 5, dim)))
+    groups = _element_groups(mesh, BG)
+    assert len(groups) > 1
+    n_face_points = groups[-1].face_end
+    for lead in ((2,), (2, 3)):
+        buf = rng.standard_normal(lead + (n_face_points,))
+        traces, expected = buf.copy(), buf.copy()
+        for g in groups:
+            volume = rng.standard_normal(lead + g.shape)
+            g.traces(volume, traces)
+            per_face_traces(g, volume, expected)
+            for massive in (False, True):
+                lifted, reference = volume.copy(), volume.copy()
+                g.lift(lifted, buf, massive)
+                per_face_lift(g, reference, buf, massive)
+                assert np.array_equal(lifted, reference)
+                assert not np.array_equal(lifted, volume)
+        assert np.array_equal(traces, expected)
+        assert not np.array_equal(traces, buf)
+
+
+def test_lift_rejects_a_non_contiguous_volume():
+    # its flat view would be a copy, and the lifted terms would be lost
+    group = _Group(unit_mesh_2d(3, 0).elements, [0], [0], BG, 0)
+    volume = np.zeros((4,) + group.shape)[::2]
+    with pytest.raises(ValueError, match="C-contiguous"):
+        group.lift(volume, np.ones((2, group.face_end)), True)
+    assert not volume.any()
+
+
 # -- penalty -----------------------------------------------------------
 
 
@@ -811,6 +876,68 @@ def test_linearized_sources_built_once_per_point(monkeypatch):
     for fresh, outs in ((build(), residuals), (build().linearized_at(second), others)):
         assert all(np.array_equal(out, fresh.matvec(u)) for out, u in zip(outs, us))
         assert np.array_equal(outs[-1], fresh.apply(batch).data)
+
+
+CONFORMAL = ConformallyFlatBackground(
+    lambda x: 0.1 * x[0] - 0.05 * x[1],
+    lambda x: np.stack([0.1 * np.ones_like(x[0]), -0.05 * np.ones_like(x[0])]),
+)
+
+
+@pytest.mark.parametrize("name, background, linearize, per_apply", [
+    ("poisson-flat", BG, True, False),
+    ("poisson-flat", BG, False, False),
+    ("elasticity", BG, True, False),
+    ("poisson-curved", BG, True, False),  # zero Christoffel symbols
+    ("poisson-curved", CONFORMAL, True, True),
+    ("poisson-curved", CONFORMAL, False, True),
+    ("puncture", BG, True, True),
+    ("puncture", BG, False, True),  # nonlinear: never probed
+])
+def test_provably_zero_sources_are_not_evaluated_per_apply(
+    monkeypatch, name, background, linearize, per_apply
+):
+    # a source linear in (u, v), as a linear system's and every linearized
+    # one is, that is exactly zero on every unit field is zero on every
+    # field: the handle probes it once, on its first application, and then
+    # drops it. A source that is not zero, or not linear, is evaluated in
+    # every application
+    dim = 3 if name == "puncture" else 2
+    mesh = build_rectilinear_mesh([(1.0, 2.0)] * dim, (1,) + (0,) * (dim - 1), (2,) * dim)
+    spec = PunctureSpec(1.0, (0.1, 0.2, 0.3), momentum=(0.2, 0.0, 0.3))
+    params = {"punctures": [spec]} if name == "puncture" else {}
+    system = make_system(name, dim=dim, **params)
+    handle = OperatorHandle(
+        mesh, system, background, BoundaryMap.everywhere(DirichletBC(0.0)), form="strong-weak"
+    )
+    calls = []
+    cls = type(system)
+    if linearize:  # count the linearized map's calls
+        build = cls.linearized_primal_source
+
+        def counted(self, u0, x, bg, fields):
+            source = build(self, u0, x, bg, fields)
+            return lambda du, dv: calls.append(1) or source(du, dv)
+
+        monkeypatch.setattr(cls, "linearized_primal_source", counted)
+        n = system.n_primal
+        handle = handle.linearized_at(interpolant(mesh, lambda x: 0.1 * x[:n], n))
+    else:
+        source = cls.primal_source
+
+        def counted(self, u, v, x, bg, fields):
+            calls.append(1)
+            return source(self, u, v, x, bg, fields)
+
+        monkeypatch.setattr(cls, "primal_source", counted)
+    u = FieldVector.batch(mesh, system.n_primal, np.ones((2, handle.n_primal_dofs)))
+    handle.apply(u)
+    probed = linearize or system.linear
+    assert len(calls) == probed + per_apply
+    for _ in range(3):
+        handle.apply(u)
+    assert len(calls) == probed + 4 * per_apply
+    assert (handle._sources == [None]) == (not per_apply)
 
 
 def _dense_volume_kernels(group, fluxes):

@@ -21,7 +21,9 @@ with `np.array_equal`:
 
 The dump holds, per case, the compact and the full matrix, one seeded batch
 applied to the case's handle and the L2 error of one of its vectors with and
-without the handle. `--compare` lists every array that differs or is in one
+without the handle; and the solution and report of the solves in `SOLVES`:
+CG on poisson-conforming, and Newton on puncture with every inner report.
+Wall times are left out. `--compare` lists every array that differs or is in one
 file only, and exits nonzero if there is any.
 """
 
@@ -48,6 +50,8 @@ from ipdg import (
     build_rectilinear_mesh,
     l2_error,
     make_system,
+    solve_linear,
+    solve_newton,
     split_element,
     with_degrees,
 )
@@ -132,7 +136,7 @@ def elasticity():
     return handle.linearized_at()
 
 
-def puncture():
+def puncture_handle():
     system = make_system(
         "puncture", dim=3,
         punctures=[PunctureSpec(1.0, (0.1, 0.2, 0.3), momentum=(0.2, 0.0, 0.3),
@@ -140,12 +144,16 @@ def puncture():
     )
     mesh = build_rectilinear_mesh([(1.0, 2.0), (1.0, 2.0), (1.0, 2.0)],
                                   (1, 0, 0), (2, 2, 2))
-    handle = OperatorHandle(
+    return OperatorHandle(
         mesh, system, BG, BoundaryMap({"all": FalloffDirichletBC(0.2)}),
         form="strong-weak",
     )
+
+
+def puncture():
+    handle = puncture_handle()
     # linearize about a nonzero state so the linearized source matters
-    point = interpolant(mesh, lambda x: 0.1 * np.sin(x[0] + 2.0 * x[1] - x[2])[None])
+    point = interpolant(handle.mesh, lambda x: 0.1 * np.sin(x[0] + 2.0 * x[1] - x[2])[None])
     return handle.linearized_at(point)
 
 
@@ -160,6 +168,36 @@ CASES = {
     "elasticity": (elasticity, False),
     "puncture": (puncture, False),
 }
+
+
+def cg_solve():
+    """CG on the poisson-conforming case's handle, seeded right-hand side."""
+    handle = poisson_conforming()
+    rhs = np.random.default_rng(1).standard_normal(handle.n_primal_dofs)
+    return solve_linear(handle, FieldVector(handle.mesh, 1, rhs), method="cg", tol=1e-12)
+
+
+def newton_solve():
+    """Newton with GMRES inner solves on the puncture case's nonlinear handle."""
+    handle = puncture_handle()
+    return solve_newton(handle, handle.zero_primal(), tol=1e-12, inner={"tol": 1e-12})
+
+
+# case name -> a solve on that case that `--dump` records
+SOLVES = {"poisson-conforming": cg_solve, "puncture": newton_solve}
+
+
+def report_arrays(prefix, report):
+    """A solve report's numbers, wall time left out, inner reports included."""
+    arrays = {
+        f"{prefix}/summary": np.array(
+            [report.iterations, report.residual_norm, report.tolerance, report.converged]
+        ),
+        f"{prefix}/history": np.array(report.residual_history),
+    }
+    for k, inner in enumerate(report.inner):
+        arrays.update(report_arrays(f"{prefix}/inner/{k}", inner))
+    return arrays
 
 
 def assemble_case(name):
@@ -222,6 +260,11 @@ def dump_outputs(path):
             l2_error(mesh, u, value, handle.background),
             l2_error(mesh, u, value, handle.background, handle=handle),
         ])
+    for name, solve in SOLVES.items():
+        if name in CASES:
+            u, report = solve()
+            arrays[f"{solve.__name__}/u"] = u.data
+            arrays.update(report_arrays(solve.__name__, report))
     np.savez(path, **arrays)
     print(f"{path}: {len(arrays)} arrays")
 
@@ -298,6 +341,25 @@ def test_dump_and_compare(tmp_path, monkeypatch, capsys):
         main(["--compare", paths[0], paths[2]])
     assert exit_info.value.code == 1
     assert capsys.readouterr().out.split() == ["elasticity/apply", "extra"]
+
+
+def test_dump_records_the_solves_of_its_cases(tmp_path, monkeypatch):
+    # a case in `SOLVES` adds its solve's solution, summary and residual
+    # history; Newton adds those of every inner solve as well
+    monkeypatch.setattr(sys.modules[__name__], "CASES", {name: CASES[name] for name in SOLVES})
+    path = str(tmp_path / "solves.npz")
+    main(["--dump", path])
+    with np.load(path) as f:
+        arrays = dict(f)
+    for solve in SOLVES.values():
+        u, report = solve()
+        name = solve.__name__
+        assert np.array_equal(arrays[f"{name}/u"], u.data)
+        assert np.array_equal(arrays[f"{name}/history"], report.residual_history)
+        assert arrays[f"{name}/summary"][-1] == 1.0  # converged
+        inner = [key for key in arrays if key.startswith(f"{name}/inner/")]
+        assert len(inner) == 2 * len(report.inner)
+    assert report.inner  # Newton's
 
 
 if __name__ == "__main__":
