@@ -72,9 +72,9 @@ def _natural(arr, dim):
 def l2_error(mesh, u, analytic_value, background, *, handle=None) -> float:
     """Volume-normalized L2 error pooled over all primal components.
 
-    analytic_value maps coords (d, ...) to field values (n_components, ...);
-    it is called once per element group. `u` must be one vector on `mesh`
-    (the same object) with one component per primal variable: of the
+    analytic_value maps coords (d, ...) to field values of exactly the shape
+    (n_components, ...), once per element group. `u` must be one vector on
+    `mesh` (the same object) with one component per primal variable: of the
     handle's system when given, and of the analytic value. `handle`, an
     OperatorHandle on this mesh and background, lends its element groups,
     so their geometry is not evaluated again; without one, the groups are
@@ -99,9 +99,10 @@ def l2_error(mesh, u, analytic_value, background, *, handle=None) -> float:
     num_parts, den_parts = [0.0] * mesh.n_elements, [0.0] * mesh.n_elements
     for g in groups:
         exact = np.asarray(analytic_value(g.coords), dtype=float)
-        if exact.shape[:1] != (n,):
+        if exact.shape != (n,) + g.shape:
             raise ValueError(
-                f"analytic value has shape {exact.shape}, expected {n} component(s) first"
+                f"analytic value has shape {exact.shape}, expected {n} component(s) first "
+                f"and the stacked element grids {(n,) + g.shape}"
             )
         diff = g.take(rows) - exact
         for e, k in enumerate(g.members):

@@ -1,8 +1,9 @@
 """Fixed background geometries the elliptic operators are formulated on.
 
-Supports the flat Euclidean metric and conformally-flat metrics
-g_ij = exp(2 phi) delta_ij with a user-supplied conformal factor phi(x).
-All evaluators are vectorized over point arrays shaped (d, ...).
+Supports conformally-flat metrics g_ij = exp(2 phi) delta_ij with a
+user-supplied conformal factor phi(x); the flat Euclidean metric is the
+phi = 0 case of these, not a second implementation. All evaluators are
+vectorized over point arrays shaped (d, ...).
 """
 
 from __future__ import annotations
@@ -22,32 +23,12 @@ __all__ = [
 ]
 
 
-class FlatBackground:
-    """Euclidean metric: g = delta, vanishing Christoffel symbols."""
-
-    def metric(self, x):
-        x = np.asarray(x)
-        d = x.shape[0]
-        g = np.zeros((d, d) + x.shape[1:])
-        for i in range(d):
-            g[i, i] = 1.0
-        return g
-
-    inverse_metric = metric
-
-    def sqrt_det(self, x):
-        x = np.asarray(x)
-        return np.ones(x.shape[1:])
-
-    def christoffel(self, x):
-        x = np.asarray(x)
-        d = x.shape[0]
-        return np.zeros((d, d, d) + x.shape[1:])
-
-    def christoffel_contraction(self, x):
-        """Gamma^j_{ji} as a covector field; identically zero here."""
-        x = np.asarray(x)
-        return np.zeros(x.shape)
+def _scaled_identity(factor, d):
+    """factor * delta_ij, shaped (d, d, ...) for a factor shaped (...)."""
+    g = np.zeros((d, d) + np.shape(factor))
+    for i in range(d):
+        g[i, i] = factor
+    return g
 
 
 class ConformallyFlatBackground:
@@ -66,21 +47,11 @@ class ConformallyFlatBackground:
 
     def metric(self, x):
         x = np.asarray(x)
-        d = x.shape[0]
-        factor = np.exp(2.0 * self.phi(x))
-        g = np.zeros((d, d) + x.shape[1:])
-        for i in range(d):
-            g[i, i] = factor
-        return g
+        return _scaled_identity(np.exp(2.0 * self.phi(x)), x.shape[0])
 
     def inverse_metric(self, x):
         x = np.asarray(x)
-        d = x.shape[0]
-        factor = np.exp(-2.0 * self.phi(x))
-        g = np.zeros((d, d) + x.shape[1:])
-        for i in range(d):
-            g[i, i] = factor
-        return g
+        return _scaled_identity(np.exp(-2.0 * self.phi(x)), x.shape[0])
 
     def sqrt_det(self, x):
         x = np.asarray(x)
@@ -103,6 +74,14 @@ class ConformallyFlatBackground:
         x = np.asarray(x)
         d = x.shape[0]
         return d * np.asarray(self.grad_phi(x))
+
+
+class FlatBackground(ConformallyFlatBackground):
+    """Euclidean metric: the conformally flat background with phi = 0, whose
+    metric is the identity and Christoffel symbols zero exactly (exp(0) = 1)."""
+
+    def __init__(self):
+        super().__init__(lambda x: np.zeros(x.shape[1:]), lambda x: np.zeros(x.shape))
 
 
 def make_background(kind: str, phi=None, grad_phi=None):

@@ -24,16 +24,18 @@ __all__ = ["main"]
 REPORT_HEADER = "error,iterations,residual_norm,converged"
 
 
-def _out_path(cfg, filename) -> str:
-    """The output file's path; it makes the directory, so call it before the work."""
-    if os.path.isabs(filename):
-        return filename
+def _out_path(cfg, filename, key) -> str:
+    """The output file's path. It makes the output directory and the file's
+    own, so call it before the work; `key` names `filename`'s source."""
     out = os.environ.get("IPDG_OUTPUT_DIR") or cfg.output["directory"]
-    try:
-        os.makedirs(out, exist_ok=True)
-    except OSError as exc:
-        raise ConfigurationError("output.directory", f"cannot create {out}: {exc.strerror}")
-    return os.path.join(out, filename)
+    path = os.path.join(out, filename)  # `filename` alone if absolute
+    made = [] if os.path.isabs(filename) else [("output.directory", out)]
+    for name, directory in made + [(key, os.path.dirname(path))]:
+        try:
+            os.makedirs(directory or ".", exist_ok=True)
+        except OSError as exc:
+            raise ConfigurationError(name, f"cannot create {directory}: {exc.strerror}")
+    return path
 
 
 def _run_solve(problem, cfg):
@@ -63,7 +65,7 @@ def _solution_error(problem, u):
 def cmd_solve(args) -> int:
     cfg = load_config(args.config)
     problem = build_problem(cfg)
-    path = _out_path(cfg, f"{cfg.output['prefix']}-report.csv")
+    path = _out_path(cfg, f"{cfg.output['prefix']}-report.csv", "output.prefix")
     u, report = _run_solve(problem, cfg)
     if not report.converged:
         print(
@@ -99,7 +101,7 @@ def cmd_convergence(args) -> int:
         raise ConfigurationError(
             "solution", "convergence studies need an analytic solution"
         )
-    path = _out_path(cfg, f"{cfg.output['prefix']}-convergence.csv")
+    path = _out_path(cfg, f"{cfg.output['prefix']}-convergence.csv", "output.prefix")
     series = ConvergenceSeries(args.mode)
     mesh = None
     for level in range(args.levels):
@@ -134,7 +136,7 @@ def cmd_convergence(args) -> int:
 def cmd_assemble(args) -> int:
     cfg = load_config(args.config)
     problem = build_problem(cfg)
-    path = _out_path(cfg, args.out)
+    path = _out_path(cfg, args.out, "cli.out")
     handle = problem.handle.linearized_at()
     matrix = assemble_explicit(handle, include_auxiliary=args.with_auxiliary)
     matrix.write(path)

@@ -421,40 +421,24 @@ def jacobian_at(element: Element, xi) -> tuple[np.ndarray, np.ndarray, np.ndarra
     """
     xi = np.asarray(xi, dtype=float)
     jac = element.map.jacobian(xi)
+    # the adjugate adj J = det J * J^-1, the transposed cofactors
     if element.dim == 1:
-        det = jac[0, 0]
+        adj = np.ones_like(jac)
     elif element.dim == 2:
-        det = jac[0, 0] * jac[1, 1] - jac[0, 1] * jac[1, 0]
+        adj = np.stack([np.stack([jac[1, 1], -jac[0, 1]]), np.stack([-jac[1, 0], jac[0, 0]])])
     else:
-        det = np.einsum(
-            "i...,i...->...",
-            jac[:, 0],
-            np.cross(jac[:, 1], jac[:, 2], axisa=0, axisb=0, axisc=0),
-        )
-    if np.any(np.asarray(det) <= 0):
+        # row i is the cross product of columns i + 1 and i + 2
+        adj = np.stack([
+            np.cross(jac[:, (i + 1) % 3], jac[:, (i + 2) % 3], axisa=0, axisb=0, axisc=0)
+            for i in range(3)
+        ])
+    # det J = (adj J)[0] . J[:, 0], the expansion along the first column
+    det = np.asarray(np.einsum("i...,i...->...", jac[:, 0], adj[0]), dtype=float)
+    if np.any(det <= 0):
         raise DegenerateGeometryError(
             f"non-positive Jacobian determinant in element {element.id_string()}"
         )
-    det = np.asarray(det, dtype=float)
-    if element.dim == 1:
-        inv = (1.0 / det)[None, None]
-    elif element.dim == 2:
-        inv = (
-            np.stack(
-                [
-                    np.stack([jac[1, 1], -jac[0, 1]]),
-                    np.stack([-jac[1, 0], jac[0, 0]]),
-                ]
-            )
-            / det
-        )
-    else:
-        cof = np.empty_like(jac)
-        for i in range(3):
-            cof[:, i] = np.cross(
-                jac[:, (i + 1) % 3], jac[:, (i + 2) % 3], axisa=0, axisb=0, axisc=0
-            )
-        inv = np.einsum("ji...->ij...", cof) / det
+    inv = adj / det
     return jac, det, inv
 
 

@@ -680,6 +680,9 @@ class OperatorHandle:
         self.background = background
         self.bcs = boundary_conditions
         self.form = form
+        # bool("false") is True: only a real bool says which operator is meant
+        if not isinstance(massive, (bool, np.bool_)):
+            raise ConfigurationError("operator.massive", f"must be a bool, got {massive!r}")
         self.massive = bool(massive)
         self.penalty_parameter = float(penalty_parameter)
         if system.dim != mesh.dim:
@@ -1020,16 +1023,16 @@ class OperatorHandle:
     def build_rhs(self, fixed_source) -> FieldVector:
         """M f (f when massless): the value the residual A(u) is equated to.
 
-        `fixed_source` is a primal FieldVector or a callable mapping points
-        (d, ...) to values (n_primal, ...), evaluated once per element group.
-        The inhomogeneous boundary term A(0) stays on the operator's side:
-        solve_linear moves it to the right-hand side itself, and
-        solve_newton equates A(u) to this value as it is.
+        `fixed_source` is one primal FieldVector, not a batch, or a callable
+        mapping points (d, ...) to values (n_primal, ...), evaluated once per
+        element group. The inhomogeneous boundary term A(0) stays on the
+        operator's side: solve_linear moves it to the right-hand side itself,
+        and solve_newton equates A(u) to this value as it is.
         """
         sys_ = self.system
         given = isinstance(fixed_source, FieldVector)
         if given:
-            self._check(fixed_source, "primal", "the fixed source")
+            self._check(fixed_source, "primal", "the fixed source", single=True)
             source_rows = self._rows(fixed_source.data)
         data, rows = self._new_rows(sys_.n_primal, ())
         for g in self._cache.groups:

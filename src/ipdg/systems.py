@@ -12,7 +12,9 @@ the sources get those of their points as an argument, and the operator,
 which owns the points, evaluates them once per element group.
 
 Available systems: "poisson-flat", "poisson-curved", "elasticity",
-"puncture" (3D black-hole puncture initial data).
+"puncture" (3D black-hole puncture initial data). The puncture system is flat
+Poisson plus its nonlinear source: it inherits `PoissonFlat`'s fluxes,
+symmetry flag and Laplacian.
 """
 
 from __future__ import annotations
@@ -261,18 +263,17 @@ class PunctureSpec:
     spin: tuple[float, float, float] = (0.0, 0.0, 0.0)
 
 
-class Puncture(_PoissonLike):
+class Puncture(PoissonFlat):
     """Puncture initial-data equation -d_i d^i u = beta (alpha (1+u) + 1)^-7.
 
+    Flat Poisson plus the nonlinear source S_u = -beta (alpha (1 + u) + 1)^-7.
     The background fields alpha and beta derive from a Bowen-York extrinsic
     curvature for a collection of punctures with masses, linear momenta and
-    spins. The nonlinearity sits entirely in the source
-    S_u = -beta (alpha (1 + u) + 1)^-7.
+    spins.
     """
 
     name = "puncture"
     linear = False
-    symmetric_eligible = True
 
     def __init__(self, punctures):
         super().__init__(3)
@@ -287,18 +288,23 @@ class Puncture(_PoissonLike):
                 if np.size(getattr(p, key)) != 3:
                     raise ConfigurationError(f"{path}.{key}", "expected 3 entries")
 
+    def _offsets(self, x):
+        """(puncture, x - position, |x - position|) per puncture, at points x (d, ...)."""
+        x = np.asarray(x, dtype=float)
+        for p in self.punctures:
+            pos = np.asarray(p.position, dtype=float)
+            dx = x - pos.reshape(3, *([1] * (x.ndim - 1)))
+            yield p, dx, np.sqrt(np.einsum("i...,i...->...", dx, dx))
+
     def background_fields(self, x):
         """(alpha, beta) at points x, shape (d, ...) -> two (...) arrays."""
         x = np.asarray(x, dtype=float)
         inv_alpha = np.zeros(x.shape[1:])
         abar = np.zeros((3, 3) + x.shape[1:])
         eye = np.eye(3)
-        for p in self.punctures:
-            pos = np.asarray(p.position, dtype=float)
+        for p, dx, r in self._offsets(x):
             mom = np.asarray(p.momentum, dtype=float)
             spin = np.asarray(p.spin, dtype=float)
-            dx = x - pos.reshape(3, *([1] * (x.ndim - 1)))
-            r = np.sqrt(np.einsum("i...,i...->...", dx, dx))
             if np.any(r < 1e-10):
                 raise SingularPointError(
                     "collocation point within 1e-10 of a puncture"
@@ -323,14 +329,7 @@ class Puncture(_PoissonLike):
         return alpha, beta
 
     def min_puncture_distance(self, x) -> float:
-        x = np.asarray(x, dtype=float)
-        dmin = np.inf
-        for p in self.punctures:
-            pos = np.asarray(p.position, dtype=float)
-            dx = x - pos.reshape(3, *([1] * (x.ndim - 1)))
-            r = np.sqrt(np.einsum("i...,i...->...", dx, dx))
-            dmin = min(dmin, float(np.min(r)))
-        return dmin
+        return min(float(np.min(r)) for _, _, r in self._offsets(x))
 
     def primal_source(self, u, v, x, bg, fields):
         alpha, beta = fields
@@ -343,12 +342,9 @@ class Puncture(_PoissonLike):
         factor = 7.0 * alpha * beta * (alpha * (1.0 + np.asarray(u0)[0]) + 1.0) ** -8
         return lambda du, dv: (factor * np.asarray(du)[0])[None]
 
-    def primal_flux(self, v, x, bg):
-        return np.asarray(v)[None]
-
     def continuum_residual(self, u, grad, hess, x, bg):
-        lap = np.einsum("cii...->c...", np.asarray(hess))
-        return -lap + self.primal_source(u, None, x, bg, self.background_fields(x))
+        source = self.primal_source(u, None, x, bg, self.background_fields(x))
+        return super().continuum_residual(u, grad, hess, x, bg) + source
 
 
 def make_system(name: str, dim: int, **params) -> EllipticSystem:

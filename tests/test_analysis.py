@@ -1,6 +1,7 @@
 """Error norm, rate extraction, and matrix diagnostics."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -152,6 +153,14 @@ def test_error_rejects_field_of_another_mesh_or_component_count():
         (FieldVector.batch(mesh, 1, np.zeros((2, mesh.total_points))), scalar,
          primal + "1 on that mesh, and not a batch", None),
     ]
+    # values that only broadcast against the stacked grids (1, 4, 4, 4) used
+    # to give a plausible error: 1.0 for each of these
+    for value_shape in ((1,), (1, 4), (1, 1, 4, 4)):
+        cases.append((
+            FieldVector.zeros(mesh, 1), lambda x, s=value_shape: np.ones(s),
+            rf"analytic value has shape {re.escape(str(value_shape))}, expected 1 component\(s\) "
+            r"first and the stacked element grids \(1, 4, 4, 4\)", None,
+        ))
     for u, exact, with_handle, without in cases:
         with pytest.raises(ValueError, match=with_handle):
             l2_error(mesh, u, exact, BG, handle=handle)

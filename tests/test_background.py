@@ -73,13 +73,21 @@ def fd_christoffel(bg, x0, eps=1e-3):
 
 class TestFlat:
     def test_metric_identity(self):
+        # the phi = 0 conformally flat background: the identity and zeros,
+        # exactly, so it computes the same bits as a dedicated flat one
         bg = FlatBackground()
-        x = np.random.default_rng(0).standard_normal((3, 4))
-        g = bg.metric(x)
-        assert g.shape == (3, 3, 4)
-        np.testing.assert_array_equal(g[:, :, 0], np.eye(3))
-        np.testing.assert_array_equal(bg.sqrt_det(x), np.ones(4))
-        np.testing.assert_array_equal(bg.christoffel(x), np.zeros((3, 3, 3, 4)))
+        rng = np.random.default_rng(0)
+        shapes = [(1, 5), (2, 4, 3), (3, 4), (3, 2, 2, 2), (1,), (2,), (3,)]
+        for shape in shapes:
+            x = rng.standard_normal(shape)
+            d, points = shape[0], shape[1:]
+            eye = np.eye(d).reshape((d, d) + (1,) * len(points))
+            for g in (bg.metric(x), bg.inverse_metric(x)):
+                assert g.shape == (d, d) + points
+                assert np.array_equal(g, np.broadcast_to(eye, g.shape))
+            assert np.array_equal(bg.sqrt_det(x), np.ones(points))
+            assert np.array_equal(bg.christoffel(x), np.zeros((d, d, d) + points))
+            assert np.array_equal(bg.christoffel_contraction(x), np.zeros(shape))
 
 
 class TestConformallyFlat:

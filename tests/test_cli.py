@@ -174,26 +174,55 @@ def test_output_dir_override(tmp_path, monkeypatch):
     assert not (tmp_path / "test-report.csv").exists()
 
 
-@pytest.mark.parametrize("command", [
-    ["solve"], ["convergence", "--mode", "h", "--levels", "2"], ["assemble", "--out", "m.txt"],
+@pytest.mark.parametrize("command, output, key, made", [
+    pytest.param(["solve"], {"directory": "{blocker}/out"}, "output.directory", "{blocker}/out",
+                 id="command0"),
+    pytest.param(["convergence", "--mode", "h", "--levels", "2"], {"directory": "{blocker}/out"},
+                 "output.directory", "{blocker}/out", id="command1"),
+    pytest.param(["assemble", "--out", "m.txt"], {"directory": "{blocker}/out"},
+                 "output.directory", "{blocker}/out", id="command2"),
+    # a file's own directory, named by what put the subdirectory in its path
+    pytest.param(["assemble", "--out", "{blocker}/missing/m.txt"], {}, "cli.out",
+                 "{blocker}/missing", id="absolute-out"),
+    pytest.param(["assemble", "--out", "file/m.txt"], {}, "cli.out", "{blocker}",
+                 id="relative-out"),
+    pytest.param(["solve"], {"prefix": "file/run"}, "output.prefix", "{blocker}", id="prefix"),
 ])
-def test_output_directory_that_cannot_be_made(tmp_path, capsys, monkeypatch, command):
+def test_output_directory_that_cannot_be_made(tmp_path, capsys, monkeypatch, command, output,
+                                              key, made):
     # a directory under a regular file cannot be made: the run names the
     # key with exit code 2 before it solves or assembles anything; it used
     # to exit 1 with a traceback after the whole solve
     blocker = tmp_path / "file"
     blocker.write_text("")
-    path = write_config(tmp_path, {"output": {"directory": str(blocker / "out")}})
+    fill = lambda text: text.replace("{blocker}", str(blocker))
+    output = {"directory": str(tmp_path), "prefix": "test"} | {
+        name: fill(value) for name, value in output.items()
+    }
+    path = write_config(tmp_path, {"output": output})
 
     def refuse(*args, **kwargs):
         raise AssertionError("the work ran before the output directory was made")
 
     monkeypatch.setattr(ipdg.cli, "_run_solve", refuse)
     monkeypatch.setattr(ipdg.cli, "assemble_explicit", refuse)
-    assert main([command[0], "--config", path] + command[1:]) == 2
+    assert main([command[0], "--config", path] + [fill(arg) for arg in command[1:]]) == 2
     err = capsys.readouterr().err
-    assert err.startswith(f"invalid configuration: output.directory: cannot create {blocker}"), err
+    assert err.startswith(f"invalid configuration: {key}: cannot create {fill(made)}:"), err
     assert "Traceback" not in err
+
+
+def test_output_file_directories_are_made(tmp_path):
+    # an output file in a subdirectory that does not exist yet, given by the
+    # prefix, a relative --out or an absolute one, used to exit 1 with a
+    # traceback after the whole solve or assembly
+    path = write_config(tmp_path, {"output": {"directory": str(tmp_path), "prefix": "sub/run"}})
+    assert main(["solve", "--config", path]) == 0
+    assert (tmp_path / "sub" / "run-report.csv").is_file()
+    absolute = tmp_path / "abs" / "missing" / "m.txt"
+    for out, written in (("rel/m.txt", tmp_path / "rel" / "m.txt"), (str(absolute), absolute)):
+        assert main(["assemble", "--config", path, "--out", out]) == 0
+        assert written.is_file()
 
 
 def test_convergence_h_mode(tmp_path, capsys):

@@ -1491,11 +1491,21 @@ def test_handle_validation():
         OperatorHandle(
             mesh, POISSON_2D, BG, BoundaryMap({"x-lower": DirichletBC(0.0)})
         )
+    # bool("false") is True: the string used to build a massive operator
+    for massive in ("false", "true", 0, 1, None, np.float64(0.0)):
+        with pytest.raises(ConfigurationError, match="operator.massive: must be a bool, got"):
+            OperatorHandle(mesh, POISSON_2D, BG, bcs, massive=massive)
+    for flag in (False, True, np.False_, np.True_):
+        assert OperatorHandle(mesh, POISSON_2D, BG, bcs, massive=flag).massive is bool(flag)
     handle = OperatorHandle(mesh, POISSON_2D, BG, bcs)
     with pytest.raises(ValueError, match="primal vector"):
         handle.linearized_at(FieldVector.zeros(mesh, 2))
-    with pytest.raises(ValueError, match="not a batch"):
-        handle.linearized_at(FieldVector.batch(mesh, 1, np.zeros((2, handle.n_primal_dofs))))
+    # a batch used to fail deep in build_rhs, in a numpy broadcast
+    batch = FieldVector.batch(mesh, 1, np.zeros((2, handle.n_primal_dofs)))
+    for call, what in ((handle.linearized_at, "the linearization point"),
+                       (handle.build_rhs, "the fixed source")):
+        with pytest.raises(ValueError, match=f"{what} must be a single vector, not a batch"):
+            call(batch)
 
 
 def test_vectors_of_another_mesh_or_component_count_rejected():

@@ -21,19 +21,29 @@ with `np.array_equal`:
 
 The dump holds, per case, the compact and the full matrix, one seeded batch
 applied to the case's handle and the L2 error of one of its vectors with and
-without the handle; and the solution and report of the solves in `SOLVES`:
-CG on poisson-conforming, and Newton on puncture with every inner report.
-Wall times are left out. `--compare` lists every array that differs or is in one
-file only, and exits nonzero if there is any.
+without the handle; the solution and report of the solves in `SOLVES`:
+CG on poisson-conforming, and Newton on puncture with every inner report,
+wall times left out; and the bytes of every file that `ipdg solve`, a
+2-level h-`convergence` and compact and full `assemble` write for the
+configurations in `CLI_CONFIGS`: a rectilinear Poisson Gaussian, and a
+curved annulus on a conformally flat background with Neumann and Robin
+data. `--compare` lists every array that differs or is in one file only,
+and exits nonzero if there is any.
 """
 
+import contextlib
+import io
 import os
 import sys
+import tempfile
+from unittest import mock
 
 import numpy as np
 import pytest
 import scipy.sparse
+import yaml
 
+import ipdg.cli
 from ipdg import (
     BoundaryMap,
     ConformallyFlatBackground,
@@ -187,6 +197,62 @@ def newton_solve():
 SOLVES = {"poisson-conforming": cg_solve, "puncture": newton_solve}
 
 
+# case name -> a CLI configuration like the case's problem, whose output files
+# `--dump` records byte for byte after the runs in `CLI_RUNS`
+CLI_CONFIGS = {
+    "poisson-conforming": {
+        "system": {"name": "poisson-flat"},
+        "domain": {"kind": "rectilinear", "bounds": [[0.0, 1.0], [0.0, 1.0]]},
+        "refinement": {"levels": [1, 1], "degrees": [3, 3]},
+        "solution": {
+            "name": "gaussian",
+            "params": {"center": [0.35, 0.35], "width": 0.15, "amplitude": 1.0},
+        },
+        "boundary_conditions": {"all": {"type": "dirichlet", "analytic": True}},
+        "operator": {"form": "strong-weak"},
+        "solver": {"method": "cg", "tolerance": 1.0e-10},
+    },
+    "annulus": {
+        "system": {"name": "poisson-curved"},
+        "domain": {"kind": "annulus", "r_inner": 0.5, "r_outer": 1.0, "n_wedges": 3},
+        "refinement": {"levels": [0, 0], "degrees": [3, 3]},
+        "background": {"kind": "conformally-flat", "scale": 0.1, "axis": 0},
+        "solution": {"name": "sin-product"},
+        "boundary_conditions": {
+            "inner": {"type": "neumann", "analytic": True},
+            "outer": {"type": "robin", "a": 1.0, "b": 2.0, "analytic": True},
+        },
+        "operator": {"form": "strong-weak"},
+        "solver": {"method": "gmres", "tolerance": 1.0e-10},
+    },
+}
+CLI_RUNS = (
+    ["solve"],
+    ["convergence", "--mode", "h", "--levels", "2"],
+    ["assemble", "--out", "compact.txt"],
+    ["assemble", "--with-auxiliary", "--out", "full.txt"],
+)
+
+
+def cli_files(name):
+    """File name -> bytes (uint8) of every file `CLI_RUNS` write for the case's
+    configuration, run by `ipdg.cli.main` into a temporary directory."""
+    with tempfile.TemporaryDirectory() as out:
+        path = os.path.join(out, "run.yaml")
+        with open(path, "w") as f:
+            yaml.safe_dump({**CLI_CONFIGS[name], "output": {"prefix": "run"}}, f)
+        with mock.patch.dict(os.environ, {"IPDG_OUTPUT_DIR": out}), \
+                contextlib.redirect_stdout(io.StringIO()):
+            for argv in CLI_RUNS:
+                code = ipdg.cli.main([argv[0], "--config", path] + argv[1:])
+                if code != 0:
+                    raise RuntimeError(f"{name}: ipdg {' '.join(argv)} exited {code}")
+        return {
+            file: np.fromfile(os.path.join(out, file), dtype=np.uint8)
+            for file in sorted(os.listdir(out)) if file != "run.yaml"
+        }
+
+
 def report_arrays(prefix, report):
     """A solve report's numbers, wall time left out, inner reports included."""
     arrays = {
@@ -265,6 +331,10 @@ def dump_outputs(path):
             u, report = solve()
             arrays[f"{solve.__name__}/u"] = u.data
             arrays.update(report_arrays(solve.__name__, report))
+    for name in CLI_CONFIGS:
+        if name in CASES:
+            for file, data in cli_files(name).items():
+                arrays[f"cli/{name}/{file}"] = data
     np.savez(path, **arrays)
     print(f"{path}: {len(arrays)} arrays")
 
@@ -345,8 +415,10 @@ def test_dump_and_compare(tmp_path, monkeypatch, capsys):
 
 def test_dump_records_the_solves_of_its_cases(tmp_path, monkeypatch):
     # a case in `SOLVES` adds its solve's solution, summary and residual
-    # history; Newton adds those of every inner solve as well
-    monkeypatch.setattr(sys.modules[__name__], "CASES", {name: CASES[name] for name in SOLVES})
+    # history; Newton adds those of every inner solve as well. A case in
+    # `CLI_CONFIGS` adds the bytes of every file its CLI runs write
+    names = set(SOLVES) | set(CLI_CONFIGS)
+    monkeypatch.setattr(sys.modules[__name__], "CASES", {name: CASES[name] for name in names})
     path = str(tmp_path / "solves.npz")
     main(["--dump", path])
     with np.load(path) as f:
@@ -360,6 +432,18 @@ def test_dump_records_the_solves_of_its_cases(tmp_path, monkeypatch):
         inner = [key for key in arrays if key.startswith(f"{name}/inner/")]
         assert len(inner) == 2 * len(report.inner)
     assert report.inner  # Newton's
+    for name in CLI_CONFIGS:
+        files = cli_files(name)
+        assert sorted(files) == ["compact.txt", "full.txt", "run-convergence.csv",
+                                 "run-report.csv"]
+        assert sorted(k for k in arrays if k.startswith(f"cli/{name}/")) == [
+            f"cli/{name}/{file}" for file in files
+        ]
+        for file, data in files.items():
+            assert data.size > 0 and np.array_equal(arrays[f"cli/{name}/{file}"], data)
+        report = files["run-report.csv"].tobytes().decode().splitlines()
+        assert report[0] == "error,iterations,residual_norm,converged"
+        assert report[1].endswith(",true")
 
 
 if __name__ == "__main__":
