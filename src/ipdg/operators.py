@@ -78,9 +78,10 @@ application:
   auxiliary-flux components that are not zero for its physical directions
   (`_Group.flux_rows`), found once per handle by evaluating the flux, which
   is linear in u, on unit primal fields;
-- the background fields (the puncture's alpha and beta) are evaluated once
-  per group and handle family, and each handle builds its sources once per
-  group on its first application: a linearized one the maps
+- the background fields, the only fixed data the fluxes and sources read,
+  are evaluated once per group and handle family and gathered from there
+  onto the face buffer; each handle builds its sources once per group on
+  its first application: a linearized one the maps
   (du, dv) -> S'(u0)[du, dv], with what depends on u0 only (the puncture's
   power of u0) evaluated then. A source linear in (u, v) and exactly zero
   on unit fields, as poisson-flat's and elasticity's are, is dropped.
@@ -163,6 +164,11 @@ def _index(items):
     if items and items[-1] - items[0] + 1 == len(items):
         return slice(items[0], items[-1] + 1)
     return items
+
+
+def _unit_fields(n, shape):
+    """n fields over points `shape`: field c (the first axis) is 1 in component c, else 0."""
+    return np.broadcast_to(np.eye(n).reshape((n, n) + (1,) * len(shape)), (n, n) + shape)
 
 
 def _contract_normal(normal, fluxes):
@@ -264,7 +270,7 @@ def primal_numerical_flux(deriv, pen, ext_deriv, ext_pen, sigma):
     return 0.5 * (deriv - ext_deriv) - sigma * (pen - ext_pen)
 
 
-def _boundary_values(bc, system, background, x, normal, trace, point):
+def _boundary_values(bc, system, x, normal, trace, point):
     """A condition's boundary-array entries at points x: n F_v(u_b) if
     dirichlet-kind, else its flux value; linearized about `point`, the
     linearization point's primal trace, unless that is None.
@@ -274,7 +280,7 @@ def _boundary_values(bc, system, background, x, normal, trace, point):
     else:
         data = bc.linearized_values(x, normal, point, trace)
     if bc.kind == "dirichlet":
-        data = _contract_normal(normal, system.auxiliary_flux(data, x, background))
+        data = _contract_normal(normal, system.auxiliary_flux(data))
     return data
 
 
@@ -654,6 +660,13 @@ class _MeshCache:
             self.face_p, self.face_p[partner], self.face_h, self.face_h[partner], 1.0
         )
 
+    def face_values(self, volumes):
+        """The face buffer (..., face points) of per-group arrays (..., *group shape)."""
+        buf = np.empty(volumes[0].shape[:-len(self.groups[0].shape)] + (self.n_face_points,))
+        for g, volume in zip(self.groups, volumes):
+            g.traces(volume, buf)
+        return buf
+
 
 class OperatorHandle:
     """The DG operator with all its discretization choices fixed.
@@ -696,7 +709,7 @@ class OperatorHandle:
         # the point-independent state, which `linearized_at` shares: the mesh
         # cache, the penalty, the auxiliary-flux rows and the boundary layout
         # and arrays. The background fields wait for the first application
-        # (`_source_maps`)
+        # (`_background`)
         self._cache = cache = _MeshCache(mesh, background)
         self.bcs.validate_tags(cache.external)
         if hasattr(system, "min_puncture_distance"):
@@ -712,12 +725,8 @@ class OperatorHandle:
         # the auxiliary flux is linear in u, so its components that are zero
         # for every unit primal field are zero for every field: phase one's
         # divergence skips them (`_Group.flux_rows`)
-        n = system.n_primal
-        self._aux_rows = []
-        for g in cache.groups:
-            unit = np.zeros((n, n) + g.shape)  # field c (second axis) is 1 in component c
-            unit[np.arange(n), np.arange(n)] = 1.0
-            self._aux_rows.append(g.flux_rows(system.auxiliary_flux(unit, g.coords, background)))
+        self._aux_rows = [g.flux_rows(system.auxiliary_flux(_unit_fields(system.n_primal, g.shape)))
+                          for g in cache.groups]
         # the boundary arrays over the external points, dirichlet-kind first
         # (`_external`): trace-free conditions fill their positions here,
         # once; the others (`_live`) overwrite theirs in every application
@@ -747,7 +756,7 @@ class OperatorHandle:
             with config_section(f"boundary_conditions.{key}"):
                 zero = np.zeros((system.n_primal, index.size))
                 data = self._fixed[k][:, pos] = _boundary_values(
-                    bc, system, background, x, normal, zero, None
+                    bc, system, x, normal, zero, None
                 )
                 if not np.isfinite(data).all():
                     where = x[:, np.argmin(np.isfinite(data).all(axis=0))].tolist()
@@ -794,9 +803,7 @@ class OperatorHandle:
         lin._sources = None
         lin._fixed = [np.zeros_like(a) for a in self._fixed]
         if self._live_layout:
-            traces = np.empty((self.system.n_primal, cache.n_face_points))
-            for g, lin_g in zip(cache.groups, lin._lin_groups):
-                g.traces(lin_g, traces)
+            traces = cache.face_values(lin._lin_groups)
             lin._live = [
                 layout + (np.take(traces, layout[3], axis=-1),) for layout in self._live_layout
             ]
@@ -867,20 +874,27 @@ class OperatorHandle:
         data = np.empty(lead + (n_components * self._cache.n_points,))
         return data, self._rows(data)
 
-    def _source_maps(self):
+    def _background(self):
+        """The background fields per group, on the face buffer and at the
+        external points: evaluated once per handle family, which shares the list."""
+        if not self._fields:
+            groups = [self.system.background_fields(g.coords, self.background)
+                      for g in self._cache.groups]
+            face = [self._cache.face_values(f) for f in zip(*groups)]
+            self._fields.extend((groups, face, [np.take(f, self._external, axis=-1) for f in face]))
+        return self._fields
+
+    def _source_maps(self, fields):
         """Per group the primal source as a map (u, v) -> S, linearized on a
         linearized handle, or None where it is provably zero: linear (a linear
         system's or a linearized one) and zero on every unit field of u and v."""
-        sys_, bg, lin, fields = self.system, self.background, self._lin_groups, self._fields
-        if not fields:  # once per handle family, which shares the list
-            fields.extend(sys_.background_fields(g.coords) for g in self._cache.groups)
-        n, k, maps = sys_.n_primal, sys_.n_primal + sys_.n_auxiliary, []
+        sys_, lin = self.system, self._lin_groups
+        n, maps = sys_.n_primal, []
         for g, f, u0 in zip(self._cache.groups, fields, lin or [None] * len(fields)):
-            maps.append(sys_.linearized_primal_source(u0, g.coords, bg, f) if lin else
-                        lambda u, v, x=g.coords, f=f: sys_.primal_source(u, v, x, bg, f))
+            maps.append(sys_.linearized_primal_source(u0, f) if lin else
+                        lambda u, v, f=f: sys_.primal_source(u, v, f))
             if sys_.linear or lin:
-                unit = np.zeros((k, k) + g.shape)  # field c (second axis) is 1 in component c
-                unit[np.arange(k), np.arange(k)] = 1.0
+                unit = _unit_fields(n + sys_.n_auxiliary, g.shape)
                 maps[-1] = maps[-1] if maps[-1](unit[:n], unit[n:]).any() else None
         return maps
 
@@ -891,18 +905,13 @@ class OperatorHandle:
         the reconstructed fields; as face buffers the projected auxiliary
         fluxes and their numerical flux; and the neumann-kind boundary array.
         """
-        cache = self._cache
-        sys_, bg = self.system, self.background
+        cache, sys_ = self._cache, self.system
         lead = u_rows.shape[1:-1]
-        traces = np.empty((sys_.n_primal,) + lead + (cache.n_face_points,))
-        ugs, ws = [], []
-        for g, rows in zip(cache.groups, self._aux_rows):
-            ugs.append(g.take(u_rows))
-            ws.append(g.divergence(sys_.auxiliary_flux(ugs[-1], g.coords, bg), rows))
-            g.traces(ugs[-1], traces)
-        aux = _contract_normal(
-            cache.face_normal, sys_.auxiliary_flux(traces, cache.face_coords, bg)
-        )
+        ugs = [g.take(u_rows) for g in cache.groups]
+        ws = [g.divergence(sys_.auxiliary_flux(ug), rows)
+              for g, ug, rows in zip(cache.groups, ugs, self._aux_rows)]
+        traces = cache.face_values(ugs)
+        aux = _contract_normal(cache.face_normal, sys_.auxiliary_flux(traces))
 
         # the fixed boundary arrays, copied only to take the values of the
         # conditions that read the trace
@@ -914,7 +923,7 @@ class OperatorHandle:
                 x, normal, lin_b = (
                     a if a is None or reps == 1 else np.tile(a, reps) for a in (x, normal, lin_b)
                 )
-                values = _boundary_values(bc, sys_, bg, x, normal, _fold(traces, index), lin_b)
+                values = _boundary_values(bc, sys_, x, normal, _fold(traces, index), lin_b)
                 arrays[k][..., pos] = values.reshape(values.shape[:1] + lead + (-1,))
         aux_b, flux_b = arrays
 
@@ -947,10 +956,10 @@ class OperatorHandle:
         Returns the residuals as flat data shaped like `u.data`, the
         auxiliary one None unless `given_v` is set.
         """
-        cache = self._cache
-        sys_, bg = self.system, self.background
+        cache, sys_ = self._cache, self.system
+        fields, face_fields, ext_fields = self._background()
         if self._sources is None:  # on the first application
-            self._sources = self._source_maps()
+            self._sources = self._source_maps(fields)
         strong = self.form == "strong"
         primal_form = "strong" if strong else "weak"
         n_u, n_v = sys_.n_primal, sys_.n_auxiliary
@@ -959,23 +968,21 @@ class OperatorHandle:
 
         ugs, ws, recon, aux, aux_star, flux_b = self._phase1(u_rows)
         v_rows = None if given_v is None else self._rows(given_v.data)
-        w_traces = np.empty((n_v,) + lead + (cache.n_face_points,))
         res_u, res_v = [], []
-        for g, ug, w, rc, source in zip(cache.groups, ugs, ws, recon, self._sources):
+        for g, ug, rc, f, source in zip(cache.groups, ugs, recon, fields, self._sources):
             if v_rows is None:
                 v = rc
             else:
                 v = g.take(v_rows)
                 res_v.append(g.mass * (v - rc))
-            fu = sys_.primal_flux(v, g.coords, bg)
+            fu = sys_.primal_flux(v, f)
             res = -g.stiffness(fu, primal_form)
             if source is not None:
                 res += g.mass * source(ug, v)
             res_u.append(res)
-            g.traces(w, w_traces)
-        normal, x = cache.face_normal, cache.face_coords
-        deriv = _contract_normal(normal, sys_.primal_flux(w_traces, x, bg))
-        pen = _contract_normal(normal, sys_.primal_flux(aux, x, bg))
+        normal = cache.face_normal
+        deriv = _contract_normal(normal, sys_.primal_flux(cache.face_values(ws), face_fields))
+        pen = _contract_normal(normal, sys_.primal_flux(aux, face_fields))
 
         # the exterior as in phase one; the derivative's boundary value is the
         # interior's at dirichlet-kind points
@@ -984,7 +991,7 @@ class OperatorHandle:
         interior = np.take(deriv, e, axis=-1)
         ext_d[..., e] = exterior_ghost_data(interior, _join(interior[..., :nd], flux_b))
         ext_p[..., e] = 2.0 * _contract_normal(
-            self._normal, sys_.primal_flux(np.take(aux_star, e, axis=-1), self._x, bg)
+            self._normal, sys_.primal_flux(np.take(aux_star, e, axis=-1), ext_fields)
         ) - np.take(pen, e, axis=-1)
         star = primal_numerical_flux(deriv, pen, ext_d, ext_p, self._face_sigma)
         # strong form subtracts the element's own exchanged flux

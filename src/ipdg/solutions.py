@@ -62,7 +62,7 @@ class AnalyticSolution:
     def neumann_data(self, x, normal):
         """n_i F^i_u of the field: Neumann data on a boundary."""
         v = self.system.auxiliary_from_gradient(self.field.gradient(x))
-        flux = self.system.primal_flux(v, x, self.background)
+        flux = self.system.primal_flux(v, self.system.background_fields(x, self.background))
         return np.einsum("i...,ci...->c...", normal, flux)
 
     def robin_data(self, a, b):

@@ -397,16 +397,18 @@ def check_solver(handle, method, tol, max_iter, restart, preconditioner=None):
 
 def _flat_rhs(handle, rhs):
     """A right-hand side as a new flat array: one primal FieldVector on the
-    handle's mesh, or an array of n_primal_dofs values."""
+    handle's mesh, or an array of n_primal_dofs values; all finite."""
     if isinstance(rhs, FieldVector):
         handle._check(rhs, "primal", "the right-hand side", single=True)
-        return rhs.to_flat()
+        rhs = rhs.data
     b = np.asarray(rhs, dtype=float).ravel().copy()
     if b.size != handle.n_primal_dofs:
         raise ValueError(
             f"the right-hand side has {b.size} values, not the handle's "
             f"n_primal_dofs = {handle.n_primal_dofs}"
         )
+    if not np.isfinite(b).all():
+        raise FloatingPointError(f"non-finite right-hand side at DoF {np.argmin(np.isfinite(b))}")
     return b
 
 

@@ -6,10 +6,10 @@ gradient). Fluxes are linear in (u, v); nonlinearity may enter through the
 sources only. Evaluators are vectorized: fields have shape (n_components,
 *grid), points (d, *grid), fluxes (n_components, d, *grid).
 
-Sources may read fixed background fields, such as the puncture's Bowen-York
-alpha and beta: `background_fields(x)` computes them without keeping them,
-the sources get those of their points as an argument, and the operator,
-which owns the points, evaluates them once per element group.
+The flux and source read fixed data only as background fields, such as
+poisson-curved's inverse metric or the puncture's Bowen-York alpha and beta:
+`background_fields(x, bg)` computes them without keeping them, the evaluators
+get those of their points, and the operator evaluates them once per group.
 
 Available systems: "poisson-flat", "poisson-curved", "elasticity",
 "puncture" (3D black-hole puncture initial data). The puncture system is flat
@@ -68,29 +68,32 @@ class EllipticSystem:
     def n_auxiliary(self) -> int:
         return len(self.auxiliary_components)
 
-    def auxiliary_flux(self, u, x, bg):
+    def auxiliary_flux(self, u):
+        """F_v(u), which reads no background."""
         raise NotImplementedError
 
-    def primal_flux(self, v, x, bg):
+    def primal_flux(self, v, fields):
+        """F_u(v), given the `background_fields` of v's points."""
         raise NotImplementedError
 
-    def background_fields(self, x):
-        """The fixed fields the sources read at points x (d, ...), a tuple;
-        none by default.
+    def background_fields(self, x, bg):
+        """The fixed fields the primal flux and source read at points x
+        (d, ...) on background bg, a tuple; none by default.
 
-        An operator evaluates them once per element group, on the first
-        application of any handle that shares its set-up, and hands them to
-        `primal_source` and `linearized_primal_source` with the points they
-        belong to.
+        Pointwise: the fields of a subset of the points are that subset of
+        the fields, each ending in x's point axes. An operator evaluates
+        them once per element group, on the first application of any handle
+        that shares its set-up, takes the face values from those, and hands
+        every evaluator the fields of its points.
         """
         return ()
 
-    def primal_source(self, u, v, x, bg, fields):
-        """S_u at points x, given the `background_fields` of x: pointwise, and in
+    def primal_source(self, u, v, fields):
+        """S_u, given the `background_fields` of the points: pointwise, and in
         a linear system linear in (u, v) (the operator probes it on unit fields)."""
         return np.zeros((self.n_primal,) + np.asarray(u).shape[1:])
 
-    def linearized_primal_source(self, u0, x, bg, fields):
+    def linearized_primal_source(self, u0, fields):
         """The primal source linearized at u0: the map (du, dv) -> S'(u0)[du, dv].
 
         A linearized operator calls this once per element group, on its first
@@ -106,7 +109,7 @@ class EllipticSystem:
             raise NotImplementedError(
                 f"{type(self).__name__} is nonlinear and must override linearized_primal_source"
             )
-        return lambda du, dv: self.primal_source(du, dv, x, bg, fields)
+        return lambda du, dv: self.primal_source(du, dv, fields)
 
     def auxiliary_from_gradient(self, grad):
         """Map an analytic primal gradient (n_primal, d, ...) to auxiliary values."""
@@ -130,7 +133,7 @@ class _PoissonLike(EllipticSystem):
         self.primal_components = ("u",)
         self.auxiliary_components = tuple(f"v_{_AXES[i]}" for i in range(dim))
 
-    def auxiliary_flux(self, u, x, bg):
+    def auxiliary_flux(self, u):
         u = np.asarray(u)
         out = np.zeros((self.dim, self.dim) + u.shape[1:])
         for j in range(self.dim):
@@ -147,7 +150,7 @@ class PoissonFlat(_PoissonLike):
     name = "poisson-flat"
     symmetric_eligible = True
 
-    def primal_flux(self, v, x, bg):
+    def primal_flux(self, v, fields):
         return np.asarray(v)[None]
 
     def continuum_residual(self, u, grad, hess, x, bg):
@@ -164,19 +167,22 @@ class PoissonCurved(_PoissonLike):
     name = "poisson-curved"
     symmetric_eligible = False
 
-    def primal_flux(self, v, x, bg):
-        ginv = bg.inverse_metric(x)
+    def background_fields(self, x, bg):
+        """(g^ij, Gamma^j_{ji}) at points x, shape (d, ...)."""
+        return bg.inverse_metric(x), bg.christoffel_contraction(x)
+
+    def primal_flux(self, v, fields):
+        ginv, _ = fields
         return np.einsum("ij...,j...->i...", ginv, np.asarray(v))[None]
 
-    def primal_source(self, u, v, x, bg, fields):
-        contraction = bg.christoffel_contraction(x)
-        ginv = bg.inverse_metric(x)
+    def primal_source(self, u, v, fields):
+        ginv, contraction = fields
         return -np.einsum(
             "j...,jk...,k...->...", contraction, ginv, np.asarray(v)
         )[None]
 
     def continuum_residual(self, u, grad, hess, x, bg):
-        ginv = bg.inverse_metric(x)
+        ginv, _ = self.background_fields(x, bg)
         gamma = bg.christoffel(x)
         lap = np.einsum("ij...,cij...->c...", ginv, np.asarray(hess))
         lap -= np.einsum(
@@ -216,7 +222,7 @@ class Elasticity(EllipticSystem):
             f"S_{_AXES[j]}{_AXES[k]}" for j, k in self.pairs
         )
 
-    def auxiliary_flux(self, u, x, bg):
+    def auxiliary_flux(self, u):
         u = np.asarray(u)
         out = np.zeros((len(self.pairs), self.dim) + u.shape[1:])
         for a, (j, k) in enumerate(self.pairs):
@@ -232,7 +238,7 @@ class Elasticity(EllipticSystem):
             s[k, j] = v[a]
         return s
 
-    def primal_flux(self, v, x, bg):
+    def primal_flux(self, v, fields):
         s = self._full_strain(v)
         trace = np.einsum("ii...->...", s)
         out = 2.0 * self.shear_modulus * s
@@ -296,7 +302,7 @@ class Puncture(PoissonFlat):
             dx = x - pos.reshape(3, *([1] * (x.ndim - 1)))
             yield p, dx, np.sqrt(np.einsum("i...,i...->...", dx, dx))
 
-    def background_fields(self, x):
+    def background_fields(self, x, bg):
         """(alpha, beta) at points x, shape (d, ...) -> two (...) arrays."""
         x = np.asarray(x, dtype=float)
         inv_alpha = np.zeros(x.shape[1:])
@@ -331,19 +337,19 @@ class Puncture(PoissonFlat):
     def min_puncture_distance(self, x) -> float:
         return min(float(np.min(r)) for _, _, r in self._offsets(x))
 
-    def primal_source(self, u, v, x, bg, fields):
+    def primal_source(self, u, v, fields):
         alpha, beta = fields
         u = np.asarray(u)
         return (-beta * (alpha * (1.0 + u[0]) + 1.0) ** -7)[None]
 
-    def linearized_primal_source(self, u0, x, bg, fields):
+    def linearized_primal_source(self, u0, fields):
         # the power of u0, once per linearization
         alpha, beta = fields
         factor = 7.0 * alpha * beta * (alpha * (1.0 + np.asarray(u0)[0]) + 1.0) ** -8
         return lambda du, dv: (factor * np.asarray(du)[0])[None]
 
     def continuum_residual(self, u, grad, hess, x, bg):
-        source = self.primal_source(u, None, x, bg, self.background_fields(x))
+        source = self.primal_source(u, None, self.background_fields(x, bg))
         return super().continuum_residual(u, grad, hess, x, bg) + source
 
 

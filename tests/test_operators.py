@@ -396,12 +396,12 @@ def ghost(bc, x, normal, data, point=None):
     the condition's kind does not give, and the penalty ghost is
     2 n F_u(aux*) - pen with aux* the auxiliary numerical flux."""
     u, aux, deriv, pen = data
-    boundary = _boundary_values(bc, POISSON_2D, BG, x, normal, u, point)
+    boundary = _boundary_values(bc, POISSON_2D, x, normal, u, point)
     dirichlet = bc.kind == "dirichlet"
     g_aux = exterior_ghost_data(aux, boundary if dirichlet else aux)
     g_deriv = exterior_ghost_data(deriv, deriv if dirichlet else boundary)
     star = auxiliary_numerical_flux(aux, g_aux)
-    flux = POISSON_2D.primal_flux(star, x, BG)
+    flux = POISSON_2D.primal_flux(star, POISSON_2D.background_fields(x, BG))
     return g_aux, g_deriv, 2.0 * np.einsum("i...,ci...->c...", normal, flux) - pen
 
 
@@ -824,46 +824,69 @@ def test_batch_matches_single_vectors():
         assert not np.shares_memory(handle.matvec(us[0]), us)
 
 
-def test_linearized_sources_built_once_per_point(monkeypatch):
-    # a puncture handle family (a handle and the handles `linearized_at`
-    # makes of it) evaluates the background fields once per element group,
-    # on its first application, not in `linearized_at` and not again in
-    # later applications, nonlinear or linearized, of any of its handles;
-    # and each applies bit for bit as a handle built from scratch
+CONFORMAL = ConformallyFlatBackground(
+    lambda x: 0.1 * x[0] - 0.05 * x[1],
+    lambda x: np.stack([0.1 * np.ones_like(x[0]), -0.05 * np.ones_like(x[0])]),
+)
+
+
+def _puncture_family():
+    """A 3D puncture handle family's mesh, system, background, conditions,
+    linearization point, and the background-field evaluators to count."""
     cube = with_degrees(
         build_rectilinear_mesh([(1.0, 2.0)] * 3, (1, 0, 0), (2, 2, 2)), 1, (3, 2, 2)
     )
     spec = PunctureSpec(1.0, (0.1, 0.2, 0.3), momentum=(0.2, 0.0, 0.3), spin=(0.0, 0.1, 0.0))
-    bcs = BoundaryMap({"all": FalloffDirichletBC(0.2)})
     point = interpolant(cube, lambda x: 0.1 * np.sin(x[0] + 2.0 * x[1] - x[2])[None])
+    system = make_system("puncture", dim=3, punctures=[spec])
+    bcs = BoundaryMap({"all": FalloffDirichletBC(0.2)})
+    return cube, system, BG, bcs, point, (Puncture, ("background_fields",))
 
-    def build(**kwargs):
-        return OperatorHandle(
-            cube, make_system("puncture", dim=3, punctures=[spec]), BG, bcs,
-            form="strong-weak", **kwargs,
-        )
+
+def _curved_family():
+    """The same for poisson-curved on a conformally flat background, with a
+    condition that reads the trace (Robin) next to a trace-free one."""
+    square = with_degrees(build_rectilinear_mesh([(1.0, 2.0)] * 2, (1, 0), (2, 3)), 1, (3, 2))
+    point = interpolant(square, lambda x: 0.1 * np.sin(x[0] + 2.0 * x[1])[None])
+    bcs = BoundaryMap({"x-lower": RobinBC(1.0, 2.0, 0.3), "all": DirichletBC(0.1)})
+    return (square, make_system("poisson-curved", dim=2), CONFORMAL, bcs, point,
+            (ConformallyFlatBackground, ("inverse_metric", "christoffel_contraction")))
+
+
+@pytest.mark.parametrize("family", [_puncture_family, _curved_family],
+                         ids=["puncture", "poisson-curved"])
+def test_linearized_sources_built_once_per_point(monkeypatch, family):
+    # a handle family (a handle and the handles `linearized_at` makes of it)
+    # evaluates the background fields once per element group, on its first
+    # application, not in `linearized_at` and not again in later
+    # applications, nonlinear or linearized, of any of its handles: the
+    # face and external-point values are gathered from the groups'. And
+    # each applies bit for bit as a handle built from scratch
+    mesh, system, background, bcs, point, (owner, names) = family()
+
+    def build():
+        return OperatorHandle(mesh, system, background, bcs, form="strong-weak")
 
     handle = build()
     calls = []
-    fields = Puncture.background_fields
+    for name in names:
+        def counted(self, x, *args, method=getattr(owner, name), name=name):
+            calls.append((name, x.shape))
+            return method(self, x, *args)
 
-    def counted(self, x):
-        calls.append(x.shape)
-        return fields(self, x)
-
-    monkeypatch.setattr(Puncture, "background_fields", counted)
+        monkeypatch.setattr(owner, name, counted)
     lin = handle.linearized_at(point)
     assert calls == []
     rng = np.random.default_rng(6)
     us = rng.standard_normal((3, lin.n_primal_dofs))
-    batch = FieldVector.batch(cube, 1, us)
+    batch = FieldVector.batch(mesh, 1, us)
     singles = [lin.matvec(u) for u in us]
     batches = [lin.apply(batch).data for _ in range(8)]
-    shapes = sorted(g.coords.shape for g in lin._cache.groups)
-    assert len(shapes) == 2 and sorted(calls) == shapes
+    shapes = sorted((n, g.coords.shape) for n in names for g in lin._cache.groups)
+    assert len(lin._cache.groups) == 2 and sorted(calls) == shapes
     # the parent's nonlinear applies, a second linearization and its applies
     residuals = [handle.matvec(u) for u in us] + [handle.apply(batch).data]
-    second = FieldVector(cube, 1, 0.1 * us[0])
+    second = FieldVector(mesh, 1, 0.1 * us[0])
     other = handle.linearized_at(second)
     others = [other.matvec(u) for u in us] + [other.apply(batch).data]
     assert sorted(calls) == shapes
@@ -876,12 +899,6 @@ def test_linearized_sources_built_once_per_point(monkeypatch):
     for fresh, outs in ((build(), residuals), (build().linearized_at(second), others)):
         assert all(np.array_equal(out, fresh.matvec(u)) for out, u in zip(outs, us))
         assert np.array_equal(outs[-1], fresh.apply(batch).data)
-
-
-CONFORMAL = ConformallyFlatBackground(
-    lambda x: 0.1 * x[0] - 0.05 * x[1],
-    lambda x: np.stack([0.1 * np.ones_like(x[0]), -0.05 * np.ones_like(x[0])]),
-)
 
 
 @pytest.mark.parametrize("name, background, linearize, per_apply", [
@@ -915,8 +932,8 @@ def test_provably_zero_sources_are_not_evaluated_per_apply(
     if linearize:  # count the linearized map's calls
         build = cls.linearized_primal_source
 
-        def counted(self, u0, x, bg, fields):
-            source = build(self, u0, x, bg, fields)
+        def counted(self, u0, fields):
+            source = build(self, u0, fields)
             return lambda du, dv: calls.append(1) or source(du, dv)
 
         monkeypatch.setattr(cls, "linearized_primal_source", counted)
@@ -925,9 +942,9 @@ def test_provably_zero_sources_are_not_evaluated_per_apply(
     else:
         source = cls.primal_source
 
-        def counted(self, u, v, x, bg, fields):
+        def counted(self, u, v, fields):
             calls.append(1)
-            return source(self, u, v, x, bg, fields)
+            return source(self, u, v, fields)
 
         monkeypatch.setattr(cls, "primal_source", counted)
     u = FieldVector.batch(mesh, system.n_primal, np.ones((2, handle.n_primal_dofs)))
@@ -990,7 +1007,7 @@ def test_volume_kernels_skip_only_zero_inverse_jacobian_terms(case):
                 assert rows == [slice(j, j + 1) for j in range(dim)]
         for lead in ((), (3,)):
             u = rng.standard_normal((system.n_primal,) + lead + g.shape)
-            aux = system.auxiliary_flux(u, g.coords, BG)
+            aux = system.auxiliary_flux(u)
             div = _dense_volume_kernels(g, aux)[0]
             assert g.divergence(aux, rows).tobytes() == div.tobytes()
             assert g.divergence(aux, every_row).tobytes() == div.tobytes()

@@ -408,6 +408,20 @@ def test_plain_right_hand_side_of_the_wrong_size_rejected():
     assert report.converged and u.data.shape == (36,)
 
 
+def test_non_finite_right_hand_side_named():
+    # it used to be blamed on the operator ("non-finite residual in element
+    # B0[...]") by solve_linear, and gave solve_newton a NaN report
+    handle = poisson_handle(1, 2, form="strong-weak", lin=False)
+    rhs = np.ones(handle.n_primal_dofs)
+    rhs[[7, 20]] = [np.inf, np.nan]
+    for solve, kwargs in ((solve_linear, {"method": "cg"}), (solve_linear, {}), (solve_newton, {})):
+        with pytest.raises(FloatingPointError, match=r"^non-finite right-hand side at DoF 7$"):
+            solve(handle, rhs, **kwargs)
+        nan = FieldVector.from_flat(handle.mesh, 1, np.full(rhs.size, np.nan))
+        with pytest.raises(FloatingPointError, match=r"^non-finite right-hand side at DoF 0$"):
+            solve(handle, nan, **kwargs)
+
+
 def test_batches_rejected_as_right_hand_side_or_initial_guess():
     # a batch used to fail deep inside the solve, or pass when it solved
     linear = poisson_handle(1, 2, lin=False)

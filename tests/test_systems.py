@@ -30,12 +30,38 @@ def test_sym_index_pairs():
     )
 
 
+@pytest.mark.parametrize("name, dim", [
+    ("poisson-flat", 2), ("poisson-curved", 2), ("poisson-curved", 3), ("elasticity", 3),
+    ("puncture", 3),
+])
+def test_background_fields_are_pointwise(name, dim):
+    # the operator takes the fields of face and external points from those
+    # of the volume points, so the fields of a subset of the points must be
+    # that subset of the fields, each ending in the points' own axes
+    bg = ConformallyFlatBackground(
+        lambda x: 0.1 * np.sin(x).sum(axis=0), lambda x: 0.1 * np.cos(x)
+    )
+    spec = PunctureSpec(1.0, (0.1, 0.2, 0.3), momentum=(0.2, 0.0, 0.3), spin=(0.0, 0.1, 0.0))
+    system = make_system(name, dim, **({"punctures": [spec]} if name == "puncture" else {}))
+    x = 1.0 + np.random.default_rng(8).random((dim, 4, 3, 5))
+    fields = system.background_fields(x, bg)
+    assert len(fields) == {"poisson-curved": 2, "puncture": 2}.get(name, 0)
+    for pick in ((slice(1, 3), [2, 0], slice(None, None, 2)), (1, slice(None), slice(4, 0, -3))):
+        sub = x[(slice(None),) + pick]
+        parts = system.background_fields(sub, bg)
+        assert len(parts) == len(fields)
+        for whole, part in zip(fields, parts):
+            lead = whole.ndim - x.ndim + 1
+            assert whole.shape[lead:] == x.shape[1:]
+            assert part.shape == whole.shape[:lead] + sub.shape[1:]
+            assert np.array_equal(whole[(slice(None),) * lead + pick], part)
+
+
 class TestPoissonFlat:
     def test_auxiliary_flux_is_diagonal_embedding(self):
         sys2 = PoissonFlat(2)
         u = np.full((1, 3), 2.0)
-        x = np.zeros((2, 3))
-        flux = sys2.auxiliary_flux(u, x, FLAT2)
+        flux = sys2.auxiliary_flux(u)
         assert flux.shape == (2, 2, 3)
         np.testing.assert_allclose(flux[0, 0], 2.0)
         np.testing.assert_allclose(flux[1, 1], 2.0)
@@ -45,7 +71,7 @@ class TestPoissonFlat:
     def test_primal_flux_is_identity_on_auxiliary(self):
         sys2 = PoissonFlat(2)
         v = np.array([[1.0], [2.0]])
-        flux = sys2.primal_flux(v, np.zeros((2, 1)), FLAT2)
+        flux = sys2.primal_flux(v, ())
         np.testing.assert_array_equal(flux, v[None])
 
     def test_continuum_residual_of_sin_product(self):
@@ -66,8 +92,8 @@ class TestPoissonFlat:
         u = np.ones((1, 4))
         v = np.ones((2, 4))
         x = np.zeros((2, 4))
-        assert sys2.background_fields(x) == ()
-        assert not sys2.primal_source(u, v, x, FLAT2, ()).any()
+        assert sys2.background_fields(x, FLAT2) == ()
+        assert not sys2.primal_source(u, v, ()).any()
         assert sys2.linear and sys2.symmetric_eligible
 
 
@@ -83,7 +109,8 @@ class TestPoissonCurved:
         bg = _curved_bg()
         x = np.array([[1.0], [2.0]])
         v = np.array([[3.0], [4.0]])
-        flux = PoissonCurved(2).primal_flux(v, x, bg)
+        system = PoissonCurved(2)
+        flux = system.primal_flux(v, system.background_fields(x, bg))
         np.testing.assert_allclose(flux[0], np.exp(-0.2) * v)
 
     def test_source_contracts_christoffel(self):
@@ -91,7 +118,8 @@ class TestPoissonCurved:
         bg = _curved_bg()
         x = np.array([[1.0], [0.0]])
         v = np.array([[3.0], [4.0]])
-        src = PoissonCurved(2).primal_source(None, v, x, bg, ())
+        system = PoissonCurved(2)
+        src = system.primal_source(None, v, system.background_fields(x, bg))
         np.testing.assert_allclose(src[0], -0.2 * np.exp(-0.2) * 3.0)
 
     def test_linearized_source_is_the_source_of_the_perturbation(self):
@@ -101,14 +129,15 @@ class TestPoissonCurved:
         rng = np.random.default_rng(2)
         x, du, dv = rng.random((2, 5)), rng.standard_normal((1, 5)), rng.standard_normal((2, 5))
         system = PoissonCurved(2)
-        lin = system.linearized_primal_source(rng.standard_normal((1, 5)), x, bg, ())
-        np.testing.assert_array_equal(lin(du, dv), system.primal_source(du, dv, x, bg, ()))
+        fields = system.background_fields(x, bg)
+        lin = system.linearized_primal_source(rng.standard_normal((1, 5)), fields)
+        np.testing.assert_array_equal(lin(du, dv), system.primal_source(du, dv, fields))
 
         class Cubic(PoissonCurved):
             linear = False
 
         with pytest.raises(NotImplementedError, match="Cubic is nonlinear and must override"):
-            Cubic(2).linearized_primal_source(du, x, bg, ())
+            Cubic(2).linearized_primal_source(du, fields)
 
     def test_reduces_to_flat_for_zero_phi(self):
         bg = ConformallyFlatBackground(
@@ -139,7 +168,7 @@ class TestPoissonCurved:
                              -np.sin(x[0]) * np.sin(x[1])])
 
         def flux_of(x):
-            return sys2.primal_flux(grad_of(x), x, bg)[0]
+            return sys2.primal_flux(grad_of(x), sys2.background_fields(x, bg))[0]
 
         x0 = np.array([[0.3], [0.7]])
         h = 1e-6
@@ -148,7 +177,7 @@ class TestPoissonCurved:
             e = np.zeros((2, 1))
             e[i] = h
             div += (flux_of(x0 + e)[i] - flux_of(x0 - e)[i]) / (2 * h)
-        src = sys2.primal_source(None, grad_of(x0), x0, bg, ())[0]
+        src = sys2.primal_source(None, grad_of(x0), sys2.background_fields(x0, bg))[0]
         oracle = -div + src
 
         u0 = u_of(x0)[None]
@@ -165,7 +194,7 @@ class TestElasticity:
     def test_strain_flux_of_unit_x_displacement(self):
         sys2 = Elasticity(2)
         u = np.array([[1.0], [0.0]])
-        flux = sys2.auxiliary_flux(u, np.zeros((2, 1)), FLAT2)
+        flux = sys2.auxiliary_flux(u)
         # components ordered S_xx, S_xy, S_yy
         np.testing.assert_allclose(flux[0, 0], 1.0)   # F^x_{S_xx}
         np.testing.assert_allclose(flux[0, 1], 0.0)
@@ -177,7 +206,7 @@ class TestElasticity:
     def test_stress_flux_lame(self):
         sys2 = Elasticity(2, lame_lambda=1.0, shear_modulus=1.0)
         v = np.array([[1.0], [0.5], [2.0]])  # S_xx, S_xy, S_yy
-        stress = sys2.primal_flux(v, np.zeros((2, 1)), FLAT2)
+        stress = sys2.primal_flux(v, ())
         np.testing.assert_allclose(stress[0, 0], 2.0 * 1.0 + 3.0)
         np.testing.assert_allclose(stress[1, 1], 2.0 * 2.0 + 3.0)
         np.testing.assert_allclose(stress[0, 1], 1.0)
@@ -211,7 +240,7 @@ class TestPuncture:
     def test_alpha_single_mass(self):
         sys3 = Puncture([PunctureSpec(1.0, (0.0, 0.0, 0.0))])
         x = np.array([[2.0], [0.0], [0.0]])
-        alpha, beta = sys3.background_fields(x)
+        alpha, beta = sys3.background_fields(x, FLAT3)
         np.testing.assert_allclose(alpha, 2.0)
         np.testing.assert_allclose(beta, 0.0)
 
@@ -223,7 +252,7 @@ class TestPuncture:
             [PunctureSpec(1.0, (0.0, 0.0, 0.0), momentum=(0.0, 0.0, 0.5))]
         )
         x = np.array([[2.0], [0.0], [0.0]])
-        alpha, beta = sys3.background_fields(x)
+        alpha, beta = sys3.background_fields(x, FLAT3)
         np.testing.assert_allclose(alpha, 2.0)
         np.testing.assert_allclose(beta, 2.0**7 / 8.0 * 2.0 * (3.0 / 16.0) ** 2)
 
@@ -234,7 +263,7 @@ class TestPuncture:
             [PunctureSpec(1.0, (0.0, 0.0, 0.0), spin=(0.0, 0.0, 1.0))]
         )
         x = np.array([[2.0], [0.0], [0.0]])
-        _, beta = sys3.background_fields(x)
+        _, beta = sys3.background_fields(x, FLAT3)
         np.testing.assert_allclose(beta, 2.0**7 / 8.0 * 2.0 * (3.0 / 8.0) ** 2)
 
     def test_two_punctures_superpose_inverse_alpha(self):
@@ -245,7 +274,7 @@ class TestPuncture:
             ]
         )
         x = np.array([[0.0], [0.0], [0.0]])
-        alpha, _ = sys3.background_fields(x)
+        alpha, _ = sys3.background_fields(x, FLAT3)
         np.testing.assert_allclose(alpha, 1.0 / 3.0)
 
     def test_linearized_source_matches_difference_quotient(self):
@@ -257,11 +286,11 @@ class TestPuncture:
         u0 = 0.1 * rng.standard_normal((1, 6))
         du = rng.standard_normal((1, 6))
         eps = 1e-6
-        fields = sys3.background_fields(x)
-        plus = sys3.primal_source(u0 + eps * du, None, x, FLAT3, fields)
-        minus = sys3.primal_source(u0 - eps * du, None, x, FLAT3, fields)
+        fields = sys3.background_fields(x, FLAT3)
+        plus = sys3.primal_source(u0 + eps * du, None, fields)
+        minus = sys3.primal_source(u0 - eps * du, None, fields)
         oracle = (plus - minus) / (2 * eps)
-        lin = sys3.linearized_primal_source(u0, x, FLAT3, fields)
+        lin = sys3.linearized_primal_source(u0, fields)
         np.testing.assert_allclose(lin(du, None), oracle, rtol=1e-7, atol=1e-12)
         # the map is linear in du and reads nothing else
         np.testing.assert_array_equal(lin(2.0 * du, None), 2.0 * lin(du, None))
@@ -281,7 +310,7 @@ class TestPuncture:
         sys3 = Puncture([PunctureSpec(1.0, (0.5, 0.5, 0.5))])
         x = np.array([[0.5], [0.5], [0.5]])
         with pytest.raises(SingularPointError):
-            sys3.background_fields(x)
+            sys3.background_fields(x, FLAT3)
 
     def test_min_puncture_distance(self):
         sys3 = Puncture([PunctureSpec(1.0, (1.0, 0.0, 0.0))])
