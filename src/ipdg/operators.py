@@ -8,12 +8,12 @@ background, boundary conditions and the discretization switches, and can
 also apply the full first-order operator over (auxiliary, primal) blocks
 for Schur-complement checks.
 
-Application runs in two phases. Phase one forms auxiliary fluxes of the
-primal field, exchanges their normal projections across mortars (ghosts on
-external faces) and reconstructs the auxiliary field with mass-lumped
-lifting of the flux jumps. Phase two forms primal fluxes, exchanges
-derivative-based and penalty-term data, and assembles the residual in
-strong or strong-weak form.
+Application runs in two phases. Phase one maps the primal gradient to the
+auxiliary variables G(grad u), exchanges their fluxes' normal projections
+G(u (x) n) across mortars (ghosts on external faces) and reconstructs the
+auxiliary field with mass-lumped lifting of the flux jumps. Phase two forms
+primal fluxes, exchanges derivative-based and penalty-term data, and
+assembles the residual in strong or strong-weak form.
 
 Flat DoF layout everywhere: variables-major, then elements in mesh order,
 then grid points with the first dimension fastest. A FieldVector is one
@@ -61,8 +61,8 @@ product in `_apply_1d`, which BLAS rounds differently from a block of
 rows, by up to about 1e-13 relative.
 
 Boundary conditions fill two arrays over the external points, split by
-kind: n F_v(u_b) at dirichlet-kind points, the flux value at neumann-kind
-ones. A ghost is the interior minus twice its boundary value (the
+kind: n F_v(u_b) = G(u_b (x) n) at dirichlet-kind points, the flux value at
+neumann-kind ones. A ghost is the interior minus twice its boundary value (the
 interior's own where the kind gives none), the penalty ghost 2 n F_u(aux*)
 minus the interior: the numerical flux on an external face is the boundary
 value.
@@ -74,10 +74,8 @@ application:
 - the volume kernels contract only the (reference, physical) direction
   pairs whose inverse-Jacobian entry is not zero everywhere in the group:
   on rectilinear meshes one per reference direction, a plain product;
-- phase one's divergence differentiates, per reference direction, only the
-  auxiliary-flux components that are not zero for its physical directions
-  (`_Group.flux_rows`), found once per handle by evaluating the flux, which
-  is linear in u, on unit primal fields;
+- phase one differentiates the primal field, not its auxiliary flux, and
+  applies G once to the gradient (`_Group.gradient`);
 - the background fields, the only fixed data the fluxes and sources read,
   are evaluated once per group and handle family and gathered from there
   onto the face buffer; each handle builds its sources once per group on
@@ -87,8 +85,8 @@ application:
   on unit fields, as poisson-flat's and elasticity's are, is dropped.
 Nor is it redone per linearization: `linearized_at`, the only way to build
 a linearized handle, takes a shallow copy of the handle it linearizes, so
-the copy shares the mesh cache, the penalty, the flux rows, the background
-fields and the boundary layout, and sets only what the point gives.
+the copy shares the mesh cache, the penalty, the background fields and the
+boundary layout, and sets only what the point gives.
 Each group fills its span of the face buffer with one `np.take` through
 the flat index of its face points, and lifts with one `np.add.at`, which
 adds in index order: a point on several faces gets their terms in face-key
@@ -117,6 +115,7 @@ from .errors import (
 )
 from .mesh import face_shape, jacobian_at, mortar_topology
 from .mortars import mortar_logical_weights, prolongation_matrix
+from .systems import EllipticSystem
 
 __all__ = [
     "FieldVector",
@@ -169,6 +168,11 @@ def _index(items):
 def _unit_fields(n, shape):
     """n fields over points `shape`: field c (the first axis) is 1 in component c, else 0."""
     return np.broadcast_to(np.eye(n).reshape((n, n) + (1,) * len(shape)), (n, n) + shape)
+
+
+def _normal_auxiliary(system, u, normal):
+    """n_i F^i_v(u) = G(u (x) n): u (c, ..., points), normal (d, points)."""
+    return system.auxiliary_from_gradient(np.einsum("c...,i...->ci...", u, normal))
 
 
 def _contract_normal(normal, fluxes):
@@ -238,9 +242,13 @@ class FieldVector:
         return other.data
 
     def __add__(self, other):
+        if not isinstance(other, FieldVector):
+            return NotImplemented
         return FieldVector(self.mesh, self.n_components, self.data + self._like(other))
 
     def __sub__(self, other):
+        if not isinstance(other, FieldVector):
+            return NotImplemented
         return FieldVector(self.mesh, self.n_components, self.data - self._like(other))
 
     def __mul__(self, scalar):
@@ -279,9 +287,7 @@ def _boundary_values(bc, system, x, normal, trace, point):
         data = bc.values(x, normal, trace)
     else:
         data = bc.linearized_values(x, normal, point, trace)
-    if bc.kind == "dirichlet":
-        data = _contract_normal(normal, system.auxiliary_flux(data))
-    return data
+    return _normal_auxiliary(system, data, normal) if bc.kind == "dirichlet" else data
 
 
 def exterior_ghost_data(interior, boundary):
@@ -437,33 +443,26 @@ class _Group:
         rows = np.arange(0, volume.size, math.prod(self.shape))
         np.add.at(volume.reshape(-1), (rows[:, None] + self._face_points).ravel(), values.ravel())
 
-    def flux_rows(self, fluxes):
-        """Per reference direction j, the components of `fluxes` (c, d, ...)
-        that are not zero everywhere for some physical direction of
-        `directions[j]`: a slice when they are consecutive, else a list."""
-        nonzero = fluxes.reshape(fluxes.shape[:2] + (-1,)).any(axis=2).tolist()
-        return [
-            _index([c for c, row in enumerate(nonzero) if any(row[i] for i in dirs)])
-            for dirs in self.directions
-        ]
+    def gradient(self, u):
+        """Nodal gradient sum_j Jinv^j_i d_xi_j u_c, (c, ...) -> (c, d, ...)."""
+        out = np.zeros(u.shape[:1] + (self.dim,) + u.shape[1:])
+        for j, (sel, jinv) in enumerate(self._terms):
+            du = _apply_1d(self.diffs[j], u, j)
+            out[:, sel] += (jinv * du if isinstance(sel, int)
+                            else np.einsum("i...,c...->ci...", jinv, du))
+        return out
 
-    def divergence(self, fluxes, rows):
-        """Strong nodal divergence sum_ij Jinv^j_i d_xi_j F^i, (c, d, ...) -> (c, ...).
-
-        Reference direction j differentiates only the flux components
-        `rows[j]` (`flux_rows`); the others must be exact zeros in all its
-        physical directions, and get nothing from it.
-        """
+    def divergence(self, fluxes):
+        """Strong nodal divergence sum_ij Jinv^j_i d_xi_j F^i, (c, d, ...) -> (c, ...)."""
         out = np.zeros(fluxes.shape[:1] + fluxes.shape[2:])
         for j, (sel, jinv) in enumerate(self._terms):
-            df = _apply_1d(self.diffs[j], fluxes[rows[j]][:, sel], j)
-            out[rows[j]] += _project(sel, jinv, df)
+            out += _project(sel, jinv, _apply_1d(self.diffs[j], fluxes[:, sel], j))
         return out
 
     def stiffness(self, fluxes, form):
         """Massive divergence (strong) or its negative transpose (weak)."""
         if form == "strong":
-            return self.mass * self.divergence(fluxes, (slice(None),) * self.dim)
+            return self.mass * self.divergence(fluxes)
         out = 0.0
         for j, (sel, jinv) in enumerate(self._terms):
             pre = self.mass * _project(sel, jinv, fluxes[:, sel])
@@ -700,6 +699,10 @@ class OperatorHandle:
         self.penalty_parameter = float(penalty_parameter)
         if system.dim != mesh.dim:
             raise ConfigurationError("system", f"system is {system.dim}D but mesh is {mesh.dim}D")
+        owner = next((c for c in type(system).__mro__ if "auxiliary_flux" in vars(c)), None)
+        if owner not in (None, EllipticSystem):  # ignored: the operator reads G only
+            raise ConfigurationError("system", f"{owner.__name__} overrides auxiliary_flux: define "
+                                     "auxiliary_from_gradient; auxiliary_flux is derived from it")
         if form not in ("strong", "strong-weak"):
             raise ConfigurationError("operator.form", f"unknown form {form!r}")
         if not 0.0 <= self.penalty_parameter < math.inf:
@@ -707,9 +710,8 @@ class OperatorHandle:
                 "operator.penalty_parameter", "penalty parameter must be finite and >= 0"
             )
         # the point-independent state, which `linearized_at` shares: the mesh
-        # cache, the penalty, the auxiliary-flux rows and the boundary layout
-        # and arrays. The background fields wait for the first application
-        # (`_background`)
+        # cache, the penalty and the boundary layout and arrays. The background
+        # fields wait for the first application (`_background`)
         self._cache = cache = _MeshCache(mesh, background)
         self.bcs.validate_tags(cache.external)
         if hasattr(system, "min_puncture_distance"):
@@ -722,11 +724,6 @@ class OperatorHandle:
         self._fields = []
         self._face_sigma = self.penalty_parameter * cache.face_sigma
         self._mortar_sigma = [self.penalty_parameter * mg.sigma for mg in cache.mortar_groups]
-        # the auxiliary flux is linear in u, so its components that are zero
-        # for every unit primal field are zero for every field: phase one's
-        # divergence skips them (`_Group.flux_rows`)
-        self._aux_rows = [g.flux_rows(system.auxiliary_flux(_unit_fields(system.n_primal, g.shape)))
-                          for g in cache.groups]
         # the boundary arrays over the external points, dirichlet-kind first
         # (`_external`): trace-free conditions fill their positions here,
         # once; the others (`_live`) overwrite theirs in every application
@@ -738,7 +735,7 @@ class OperatorHandle:
         conds.sort(key=lambda c: c[0].kind == "neumann")  # stable
         e = self._external = _concat([index for _, index in conds])
         nd = self._n_dirichlet = sum(i.size for bc, i in conds if bc.kind == "dirichlet")
-        self._x, self._normal = cache.face_coords[:, e], cache.face_normal[:, e]
+        x_ext, self._normal = cache.face_coords[:, e], cache.face_normal[:, e]
         self._fixed = [
             np.zeros((system.n_auxiliary, nd)), np.zeros((system.n_primal, e.size - nd))
         ]
@@ -747,7 +744,7 @@ class OperatorHandle:
             start, end = end, end + index.size
             k = int(bc.kind == "neumann")
             pos, span = slice(start - k * nd, end - k * nd), slice(start, end)
-            x, normal = self._x[:, span], self._normal[:, span]
+            x, normal = x_ext[:, span], self._normal[:, span]
             if not isinstance(bc, _TraceFree):
                 self._live_layout.append((bc, k, pos, index, x, normal))
                 continue
@@ -901,17 +898,16 @@ class OperatorHandle:
     def _phase1(self, u_rows):
         """Auxiliary fluxes, their exchange and the reconstructed auxiliary field.
 
-        Returns per group the primal field, the strong flux divergences and
-        the reconstructed fields; as face buffers the projected auxiliary
-        fluxes and their numerical flux; and the neumann-kind boundary array.
+        Returns per group the primal field, G(grad u) and the reconstructed
+        fields; as face buffers the projected auxiliary fluxes G(u (x) n) and
+        their numerical flux; and the neumann-kind boundary array.
         """
         cache, sys_ = self._cache, self.system
         lead = u_rows.shape[1:-1]
         ugs = [g.take(u_rows) for g in cache.groups]
-        ws = [g.divergence(sys_.auxiliary_flux(ug), rows)
-              for g, ug, rows in zip(cache.groups, ugs, self._aux_rows)]
+        ws = [sys_.auxiliary_from_gradient(g.gradient(ug)) for g, ug in zip(cache.groups, ugs)]
         traces = cache.face_values(ugs)
-        aux = _contract_normal(cache.face_normal, sys_.auxiliary_flux(traces))
+        aux = _normal_auxiliary(sys_, traces, cache.face_normal)
 
         # the fixed boundary arrays, copied only to take the values of the
         # conditions that read the trace

@@ -6,6 +6,9 @@ gradient). Fluxes are linear in (u, v); nonlinearity may enter through the
 sources only. Evaluators are vectorized: fields have shape (n_components,
 *grid), points (d, *grid), fluxes (n_components, d, *grid).
 
+A system defines its auxiliary variables once, v = G(grad u) with G linear
+(`auxiliary_from_gradient`); the flux F^i_v(u) = G(u (x) e_i) derives from it.
+
 The flux and source read fixed data only as background fields, such as
 poisson-curved's inverse metric or the puncture's Bowen-York alpha and beta:
 `background_fields(x, bg)` computes them without keeping them, the evaluators
@@ -49,6 +52,8 @@ class EllipticSystem:
 
     The auxiliary equations read -d_i F^i_v + v = 0: S_v = v is the whole
     auxiliary source, so only the primal source is left to the subclass.
+    `auxiliary_from_gradient` (G) is the one auxiliary hook: the operator
+    refuses a subclass that overrides `auxiliary_flux`, which derives from it.
     """
 
     name: str
@@ -67,10 +72,6 @@ class EllipticSystem:
     @property
     def n_auxiliary(self) -> int:
         return len(self.auxiliary_components)
-
-    def auxiliary_flux(self, u):
-        """F_v(u), which reads no background."""
-        raise NotImplementedError
 
     def primal_flux(self, v, fields):
         """F_u(v), given the `background_fields` of v's points."""
@@ -112,8 +113,18 @@ class EllipticSystem:
         return lambda du, dv: self.primal_source(du, dv, fields)
 
     def auxiliary_from_gradient(self, grad):
-        """Map an analytic primal gradient (n_primal, d, ...) to auxiliary values."""
+        """v = G(grad u) of a primal gradient (n_primal, d, ...) -> (n_auxiliary,
+        ...): linear, and pointwise over the trailing axes."""
         raise NotImplementedError
+
+    def auxiliary_flux(self, u):
+        """F^i_v(u) = G(u (x) e_i), (n_auxiliary, d, ...), so div F_v = G(grad u);
+        the operator calls G itself, never this."""
+        u = np.asarray(u)
+        outer = np.zeros(u.shape[:1] + (self.dim, self.dim) + u.shape[1:])
+        for i in range(self.dim):
+            outer[:, i, i] = u
+        return self.auxiliary_from_gradient(outer)
 
     def continuum_residual(self, u, grad, hess, x, bg):
         """-d_i F^i_u + S_u for a smooth field given its derivatives.
@@ -124,7 +135,7 @@ class EllipticSystem:
 
 
 class _PoissonLike(EllipticSystem):
-    """Shared flux structure: F^i_{v_j} = u delta^i_j, F^i_u built from v."""
+    """Shared flux structure: v = grad u, F^i_u built from v."""
 
     def __init__(self, dim: int):
         if dim not in (1, 2, 3):
@@ -132,13 +143,6 @@ class _PoissonLike(EllipticSystem):
         self.dim = dim
         self.primal_components = ("u",)
         self.auxiliary_components = tuple(f"v_{_AXES[i]}" for i in range(dim))
-
-    def auxiliary_flux(self, u):
-        u = np.asarray(u)
-        out = np.zeros((self.dim, self.dim) + u.shape[1:])
-        for j in range(self.dim):
-            out[j, j] = u[0]
-        return out
 
     def auxiliary_from_gradient(self, grad):
         return np.asarray(grad)[0]
@@ -221,14 +225,6 @@ class Elasticity(EllipticSystem):
         self.auxiliary_components = tuple(
             f"S_{_AXES[j]}{_AXES[k]}" for j, k in self.pairs
         )
-
-    def auxiliary_flux(self, u):
-        u = np.asarray(u)
-        out = np.zeros((len(self.pairs), self.dim) + u.shape[1:])
-        for a, (j, k) in enumerate(self.pairs):
-            out[a, j] += 0.5 * u[k]
-            out[a, k] += 0.5 * u[j]
-        return out
 
     def _full_strain(self, v):
         v = np.asarray(v)

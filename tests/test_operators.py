@@ -728,6 +728,12 @@ def test_fieldvector_arithmetic_needs_the_same_mesh_components_and_shape():
                     combine(right)
         with pytest.raises(ValueError, match=r"1 component\(s\) of shape \(36,\) and " + message):
             u + other
+    # anything that is not a vector is refused by both operands
+    for other in (1.0, np.ones(n), [1.0] * n):
+        for combine in (lambda a, b: a + b, lambda a, b: a - b):
+            for left, right in ((u, other), (other, u)):
+                with pytest.raises(TypeError):
+                    combine(left, right)
 
 
 def test_fieldvector_times_only_a_scalar():
@@ -957,6 +963,16 @@ def test_provably_zero_sources_are_not_evaluated_per_apply(
     assert (handle._sources == [None]) == (not per_apply)
 
 
+def _dense_gradient(group, u):
+    """The nodal gradient over every (reference, physical) direction pair,
+    zero inverse-Jacobian terms too."""
+    grad = 0.0
+    for j in range(group.dim):
+        du = _apply_1d(group.diffs[j], u, j)
+        grad = grad + np.einsum("i...,c...->ci...", group.jinv[j], du)
+    return grad
+
+
 def _dense_volume_kernels(group, fluxes):
     """The strong divergence and both stiffness forms, contracting every
     (reference, physical) direction pair, zero inverse-Jacobian terms too."""
@@ -974,13 +990,10 @@ def _dense_volume_kernels(group, fluxes):
 @pytest.mark.parametrize("case", ["square", "box", "annulus", "elasticity"])
 def test_volume_kernels_skip_only_zero_inverse_jacobian_terms(case):
     # rectilinear groups keep, per reference direction, only its own
-    # physical direction; curved groups keep every one. Phase one's
-    # divergence differentiates, per reference direction, only the
-    # auxiliary-flux rows the handle found nonzero there: one own row for
-    # Poisson on rectilinear groups, every row on curved ones, and the two
-    # strain rows with that direction in elasticity. Either way the kernels
-    # equal the dense contraction byte for byte, single and batched, on
-    # auxiliary fluxes whose skipped rows are the system's own zeros
+    # physical direction; curved groups keep every one. Either way the
+    # gradient and the kernels equal the dense contraction byte for byte,
+    # single and batched, and G of the gradient is the divergence of the
+    # auxiliary flux derived from G
     if case == "annulus":
         mesh = build_annulus_mesh(0.5, 1.0, 3, (0, 1), (3, 4))
     else:
@@ -993,27 +1006,22 @@ def test_volume_kernels_skip_only_zero_inverse_jacobian_terms(case):
     system = make_system("elasticity" if case == "elasticity" else "poisson-flat", dim=dim)
     handle = OperatorHandle(mesh, system, BG, BoundaryMap.everywhere(DirichletBC(0.0)))
     rng = np.random.default_rng(21)
-    every_row = [slice(None)] * dim
     assert len(handle._cache.groups) == (1 if case == "annulus" else 2)
-    for g, rows in zip(handle._cache.groups, handle._aux_rows):
+    for g in handle._cache.groups:
         if case == "annulus":
             assert g.directions == [[0, 1], [0, 1]]
-            assert rows == [slice(0, 2), slice(0, 2)]
         else:
             assert g.directions == [[0], [1], [2]][:dim]
-            if case == "elasticity":  # S_xx, S_xy | S_xy, S_yy
-                assert rows == [slice(0, 2), slice(1, 3)]
-            else:
-                assert rows == [slice(j, j + 1) for j in range(dim)]
         for lead in ((), (3,)):
             u = rng.standard_normal((system.n_primal,) + lead + g.shape)
-            aux = system.auxiliary_flux(u)
-            div = _dense_volume_kernels(g, aux)[0]
-            assert g.divergence(aux, rows).tobytes() == div.tobytes()
-            assert g.divergence(aux, every_row).tobytes() == div.tobytes()
+            grad = g.gradient(u)
+            assert grad.shape == (system.n_primal, dim) + lead + g.shape
+            assert grad.tobytes() == _dense_gradient(g, u).tobytes()
+            div = g.divergence(system.auxiliary_flux(u))
+            assert system.auxiliary_from_gradient(grad).tobytes() == div.tobytes()
             fluxes = rng.standard_normal((2, dim) + lead + g.shape)
             div, strong, weak = _dense_volume_kernels(g, fluxes)
-            assert g.divergence(fluxes, every_row).tobytes() == div.tobytes()
+            assert g.divergence(fluxes).tobytes() == div.tobytes()
             assert g.stiffness(fluxes, "strong").tobytes() == strong.tobytes()
             assert g.stiffness(fluxes, "weak").tobytes() == weak.tobytes()
 
@@ -1155,8 +1163,8 @@ def test_linearized_at_builds_only_what_depends_on_the_point():
     assert not handle.is_linearized and handle._lin_groups is None
     assert any(a.any() for a in handle._fixed)
     for lin in linearized:
-        for name in ("_cache", "_face_sigma", "_mortar_sigma", "_external", "_x", "_normal",
-                     "_aux_rows", "_fields", "_live_layout"):
+        for name in ("_cache", "_face_sigma", "_mortar_sigma", "_external", "_normal",
+                     "_fields", "_live_layout"):
             assert getattr(lin, name) is getattr(handle, name)
         assert lin.linearization_point is point and not any(a.any() for a in lin._fixed)
         assert len(lin._live) == 1

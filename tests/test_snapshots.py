@@ -146,6 +146,18 @@ def elasticity():
     return handle.linearized_at()
 
 
+def curved_elasticity():
+    # the one case where taking the gradient before the strain map
+    # re-associates the sums of the auxiliary divergence
+    mesh = build_annulus_mesh(0.5, 1.0, 3, (0, 0), (3, 3))
+    handle = OperatorHandle(
+        mesh, make_system("elasticity", dim=2, lame_lambda=1.5, shear_modulus=0.7),
+        BG, BoundaryMap({"inner": DirichletBC(0.0), "outer": NeumannBC(0.0)}),
+        form="strong-weak",
+    )
+    return handle.linearized_at()
+
+
 def puncture_handle():
     system = make_system(
         "puncture", dim=3,
@@ -176,6 +188,7 @@ CASES = {
     "nonconforming-3d": (nonconforming_3d, False),
     "annulus": (annulus, False),
     "elasticity": (elasticity, False),
+    "curved-elasticity": (curved_elasticity, False),
     "puncture": (puncture, False),
 }
 

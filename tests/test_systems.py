@@ -7,10 +7,11 @@ from ipdg.background import ConformallyFlatBackground, FlatBackground
 from ipdg.boundaries import BoundaryMap, DirichletBC
 from ipdg.errors import ConfigurationError, SingularPointError
 from ipdg.mesh import build_rectilinear_mesh
-from ipdg.operators import OperatorHandle
+from ipdg.operators import OperatorHandle, _normal_auxiliary
 from ipdg.solver import assemble_explicit
 from ipdg.systems import (
     Elasticity,
+    EllipticSystem,
     PoissonCurved,
     PoissonFlat,
     Puncture,
@@ -55,6 +56,66 @@ def test_background_fields_are_pointwise(name, dim):
             assert whole.shape[lead:] == x.shape[1:]
             assert part.shape == whole.shape[:lead] + sub.shape[1:]
             assert np.array_equal(whole[(slice(None),) * lead + pick], part)
+
+
+def _poisson_auxiliary_flux(system, u):
+    """F^i_{v_j} = u delta^i_j, as the Poisson-like systems wrote it by hand."""
+    u = np.asarray(u)
+    out = np.zeros((system.dim, system.dim) + u.shape[1:])
+    for j in range(system.dim):
+        out[j, j] = u[0]
+    return out
+
+
+def _elasticity_auxiliary_flux(system, u):
+    """F^i_{S_jk} = (u_k delta^i_j + u_j delta^i_k) / 2, as elasticity wrote it by hand."""
+    u = np.asarray(u)
+    out = np.zeros((len(system.pairs), system.dim) + u.shape[1:])
+    for a, (j, k) in enumerate(system.pairs):
+        out[a, j] += 0.5 * u[k]
+        out[a, k] += 0.5 * u[j]
+    return out
+
+
+@pytest.mark.parametrize("name, dim", [
+    ("poisson-flat", 1), ("poisson-flat", 2), ("poisson-flat", 3), ("poisson-curved", 1),
+    ("poisson-curved", 2), ("poisson-curved", 3), ("elasticity", 2), ("elasticity", 3),
+    ("puncture", 3),
+])
+def test_auxiliary_flux_and_its_normal_projection_derive_from_g(name, dim):
+    # every system defines G only: the flux derived from it, and the operator's
+    # n_i F^i_v = G(u (x) n), give the bits of the hand-written fluxes, for one
+    # vector and a batch
+    params = {"punctures": [PunctureSpec(1.0, (0.1, 0.2, 0.3))]} if name == "puncture" else {}
+    system = make_system(name, dim, **params)
+    reference = (_elasticity_auxiliary_flux if isinstance(system, Elasticity)
+                 else _poisson_auxiliary_flux)
+    rng = np.random.default_rng(9)
+    normal = rng.standard_normal((dim, 7))
+    for lead in ((), (3,)):
+        u = rng.standard_normal((system.n_primal,) + lead + (7,))
+        flux = reference(system, u)
+        assert flux.shape == (system.n_auxiliary, dim) + lead + (7,)
+        assert system.auxiliary_flux(u).tobytes() == flux.tobytes()
+        projected = np.einsum("i...,ci...->c...", normal, flux)
+        assert _normal_auxiliary(system, u, normal).tobytes() == projected.tobytes()
+
+
+def test_an_auxiliary_flux_override_is_refused(monkeypatch):
+    # the operator reads G only, so an override would be ignored without a
+    # word; a wrapper on the base class itself, as a tracer installs, is none
+    class Doubled(PoissonFlat):
+        def auxiliary_flux(self, u):
+            return 2.0 * super().auxiliary_flux(u)
+
+    mesh = build_rectilinear_mesh([(0.0, 1.0)] * 2, (1, 1), (2, 2))
+    bcs = BoundaryMap.everywhere(DirichletBC(0.0))
+    with pytest.raises(ConfigurationError, match="^system: Doubled overrides auxiliary_flux: "
+                       "define auxiliary_from_gradient; auxiliary_flux is derived from it$"):
+        OperatorHandle(mesh, Doubled(2), FLAT2, bcs)
+    derived = EllipticSystem.auxiliary_flux
+    monkeypatch.setattr(EllipticSystem, "auxiliary_flux", lambda self, u: derived(self, u))
+    OperatorHandle(mesh, PoissonFlat(2), FLAT2, bcs)
 
 
 class TestPoissonFlat:
