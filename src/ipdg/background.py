@@ -12,13 +12,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .mesh import face_slices, jacobian_at
-
 __all__ = [
     "FlatBackground",
     "ConformallyFlatBackground",
     "FaceGeometry",
-    "face_geometry",
     "make_background",
 ]
 
@@ -110,13 +107,6 @@ class FaceGeometry:
     normal_magnitude: np.ndarray
     surface_measure: np.ndarray
     coords: np.ndarray
-
-
-def face_geometry(background, element, dim: int, side: int) -> FaceGeometry:
-    """Evaluate normals and the surface measure on one face of an element."""
-    xi = element.logical_grid()[face_slices(element.dim, dim, side)]
-    _, det, inv = jacobian_at(element, xi)
-    return sampled_face_geometry(background, element.map.apply(xi), det, inv[dim], side)
 
 
 def sampled_face_geometry(background, x, det, inv_row, side: int) -> FaceGeometry:

@@ -413,18 +413,48 @@ def with_degrees(mesh: Mesh, index: int, degrees) -> Mesh:
     return Mesh(mesh.dim, mesh.blocks, elements)
 
 
-def jacobian_at(element: Element, xi) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Jacobian dx/dxi, its determinant, and its inverse at logical points.
+def _split_map(emap, dim):
+    """(outer map, inner mid, inner half) of an element map: a block map after
+    its affine segment map, or any other map after the identity."""
+    if isinstance(emap, ComposedMap) and isinstance(emap.first, AffineMap):
+        return emap.second, emap.first.mid, emap.first.half
+    return emap, np.zeros(dim), np.ones(dim)
 
-    xi has shape (d,) or (d, ...); returns (J, det, J^-1) with J shaped
-    (d, d, ...). Raises DegenerateGeometryError unless det > 0 everywhere.
+
+def jacobian_at(elements, xi):
+    """Points x, Jacobian dx/dxi, its determinant and its inverse for a stack
+    of elements at shared logical points.
+
+    xi has shape (d,) or (d, ...); returns (x, J, det, J^-1) with the element
+    axis first among the point axes: x (d, elements, ...), J and J^-1
+    (d, d, elements, ...), det (elements, ...), all C-contiguous. Each
+    distinct outer map (`_split_map`) is evaluated once, on the stacked inner
+    points of its members. Raises DegenerateGeometryError unless det > 0
+    everywhere, naming the first element in the given order where it is not.
     """
     xi = np.asarray(xi, dtype=float)
-    jac = element.map.jacobian(xi)
+    dim, n, pts = xi.shape[0], len(elements), xi.shape[1:]
+    parts = [_split_map(el.map, dim) for el in elements]
+    outers = {}
+    for k, (outer, _, _) in enumerate(parts):
+        outers.setdefault(id(outer), (outer, []))[1].append(k)
+    # (d, elements, 1, ...): the inner maps' parameters over the point axes
+    mid, half = (
+        np.stack([p[i] for p in parts], axis=1).reshape((dim, n) + (1,) * len(pts))
+        for i in (1, 2)
+    )
+    x = np.empty((dim, n) + pts)
+    jac = np.empty((dim, dim, n) + pts)
+    for outer, members in outers.values():
+        h = half[:, members]
+        inner = mid[:, members] + h * xi[:, None]
+        x[:, members] = outer.apply(inner)
+        # the chain rule with a diagonal inner Jacobian scales J's columns
+        jac[:, :, members] = outer.jacobian(inner) * h
     # the adjugate adj J = det J * J^-1, the transposed cofactors
-    if element.dim == 1:
+    if dim == 1:
         adj = np.ones_like(jac)
-    elif element.dim == 2:
+    elif dim == 2:
         adj = np.stack([np.stack([jac[1, 1], -jac[0, 1]]), np.stack([-jac[1, 0], jac[0, 0]])])
     else:
         # row i is the cross product of columns i + 1 and i + 2
@@ -433,13 +463,15 @@ def jacobian_at(element: Element, xi) -> tuple[np.ndarray, np.ndarray, np.ndarra
             for i in range(3)
         ])
     # det J = (adj J)[0] . J[:, 0], the expansion along the first column
-    det = np.asarray(np.einsum("i...,i...->...", jac[:, 0], adj[0]), dtype=float)
-    if np.any(det <= 0):
+    det = np.einsum("i...,i...->...", jac[:, 0], adj[0])
+    bad = (det <= 0).reshape(n, -1).any(axis=1)
+    if bad.any():
+        first = elements[int(np.argmax(bad))]
         raise DegenerateGeometryError(
-            f"non-positive Jacobian determinant in element {element.id_string()}"
+            f"non-positive Jacobian determinant in element {first.id_string()}"
         )
-    inv = adj / det
-    return jac, det, inv
+    # J^-1 in J's C order, which the 3D adjugate's cross products do not have
+    return x, jac, det, np.divide(adj, det, out=np.empty_like(jac))
 
 
 def face_shape(grid_shape: tuple[int, ...], dim: int) -> tuple[int, ...]:

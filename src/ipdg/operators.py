@@ -27,7 +27,8 @@ the element count:
   -1-j, so flattening the grid axes gives the point order. The system
   evaluators see the element axis as one more point axis; the tensor-product
   differentiation is one matrix product per dimension over the whole group
-  (sum factorization, as in Kronbichler & Kormann 2012);
+  (sum factorization, as in Kronbichler & Kormann 2012). Set-up evaluates
+  a group's geometry in one `jacobian_at` call;
 - face traces of all elements live in one face buffer of shape
   (components, face points); the face fluxes are evaluated on it in one
   call per phase;
@@ -43,8 +44,8 @@ the element count:
 - mortars with a non-identity side replace the jump at their points: those
   with the same face grids, mortar grid and coverages form a group that
   gathers its sides from the face buffer with one index array each, prolongs
-  with one matrix product P and restricts with its mass-weighted adjoint
-  W_f^-1 P^T W_m (both skipped on a side where P is the identity). Each
+  with one matrix product P, made once per group, and restricts with its
+  mass-weighted adjoint W_f^-1 P^T W_m (both skipped where P = I). Each
   group computes its quadrature weights and penalty on the mortar points
   once, from face data gathered through the same index arrays.
 
@@ -99,6 +100,7 @@ from __future__ import annotations
 import copy
 import math
 from collections import namedtuple
+from operator import attrgetter
 from typing import Optional
 
 import numpy as np
@@ -353,8 +355,9 @@ class _Group:
     their coordinates, normals, h = 2/|n~|, surface measure, lumped mass and
     the degree normal to the face.
 
-    Each member's map and Jacobian are evaluated once on the shared logical
-    grid; everything else is derived from the stack.
+    The members' points, Jacobians, determinants and inverses come from one
+    `jacobian_at` call on the shared logical grid; everything else is
+    derived from the stack.
     """
 
     def __init__(self, elements, members, offsets, background, face_start):
@@ -369,15 +372,15 @@ class _Group:
         self.members = members
         self.dim = dim = first.dim
         self.shape = (n_el,) + first.grid_shape[::-1]
-        xi = first.logical_grid()
-        self.coords = np.stack([_point_order(el.map.apply(xi), dim) for el in elements], axis=1)
-        jac = [jacobian_at(el, xi) for el in elements]
-        det = np.stack([_point_order(j[1], dim) for j in jac])
+        # evaluated on the logical grid in point order, so that the stacked
+        # arrays come out C-contiguous in point order
+        self.coords, _, det, self.jinv = jacobian_at(
+            elements, _point_order(first.logical_grid(), dim)
+        )
         weights = [ns.weights for ns in node_sets]
         self.mass = _lumped_mass(
             elements, background, self.coords, det, _point_order(_weight_product(weights), dim)
         )
-        self.jinv = np.stack([_point_order(j[2], dim) for j in jac], axis=2)
         # per reference direction j, the physical directions i whose
         # Jinv^j_i is not zero at every point: the one i = j on rectilinear
         # meshes, every i on curved ones. The volume kernels skip the others,
@@ -487,11 +490,8 @@ def _element_groups(mesh, background):
 def lumped_mass_diag(element, background):
     """Diagonal mass sqrt(g) J prod(w) at every grid point."""
     weights = [ns.weights for ns in element.node_sets()]
-    xi = element.logical_grid()
-    _, det, _ = jacobian_at(element, xi)
-    return _lumped_mass(
-        [element], background, element.map.apply(xi), det, _weight_product(weights)
-    )
+    x, _, det, _ = jacobian_at([element], element.logical_grid())
+    return _lumped_mass([element], background, x[:, 0], det[0], _weight_product(weights))
 
 
 def _is_identity(mat):
@@ -600,38 +600,31 @@ class _MeshCache:
             for parts in zip(*(key for g in self.groups for key in g.face_geometry))
         )
 
-        mortars = topology.mortars
-        side_spans = [[spans[_face_key(s)] for s in m.sides] for m in mortars]
-        shapes = [
-            [face_shape(mesh.elements[s.element].grid_shape, s.dim) for s in m.sides]
-            for m in mortars
-        ]
-        prolongs = [
-            [prolongation_matrix(sh, m.counts, s.coverage) for s, sh in zip(m.sides, shs)]
-            for m, shs in zip(mortars, shapes)
-        ]
+        # mortars of one kind share their face shapes, mortar grid and
+        # coverages, so their prolongations are made once per kind
+        by_kind, grids = {}, [e.grid_shape for e in mesh.elements]
+        for m in topology.mortars:
+            kind = (m.counts,) + tuple(
+                (face_shape(grids[s.element], s.dim), s.coverage) for s in m.sides
+            )
+            by_kind.setdefault(kind, []).append(m)
         n = self.n_face_points
         self.partner = partner = np.arange(n)
-        by_kind = {}
-        for mi, m in enumerate(mortars):
-            kind = (m.counts,) + tuple(zip(shapes[mi], (s.coverage for s in m.sides)))
-            by_kind.setdefault(kind, []).append(mi)
         paired, self.mortar_groups = [], []
-        for midxs in by_kind.values():
+        for (counts, *sides), members in by_kind.items():
             index = [
-                np.array([side_spans[mi][s].start for mi in midxs])[:, None]
-                + np.arange(math.prod(shapes[midxs[0]][s]))
+                np.array([spans[_face_key(m.sides[s])].start for m in members])[:, None]
+                + np.arange(math.prod(sides[s][0]))
                 for s in (0, 1)
             ]
-            if all(_is_identity(p) for p in prolongs[midxs[0]]):
+            prolongs = [prolongation_matrix(shape, counts, cov) for shape, cov in sides]
+            if all(_is_identity(p) for p in prolongs):
                 # the mortar is the face itself: a pointwise swap
                 a, b = index
                 partner[a], partner[b] = b, a
                 paired += [a.ravel(), b.ravel()]
             else:
-                self.mortar_groups.append(
-                    _MortarGroup(mortars[midxs[0]], index, prolongs[midxs[0]], self)
-                )
+                self.mortar_groups.append(_MortarGroup(members[0], index, prolongs, self))
         self.restricted = np.unique(_concat(
             [i.ravel() for mg in self.mortar_groups for i in mg.index]
         ))
@@ -673,8 +666,15 @@ class OperatorHandle:
     With a linearization point set, applications compute the directional
     derivative of the operator (linearized sources and boundary conditions);
     otherwise the full, possibly nonlinear and boundary-inhomogeneous,
-    residual A(u).
+    residual A(u). The settings it was built from are read-only, so they
+    cannot drift from the operator.
     """
+
+    mesh, system, background, bcs, form, massive, penalty_parameter, linearization_point = (
+        property(attrgetter("_" + name)) for name in (
+            "mesh", "system", "background", "bcs", "form", "massive", "penalty_parameter",
+            "linearization_point")
+    )
 
     def __init__(
         self,
@@ -687,16 +687,14 @@ class OperatorHandle:
         massive: bool = True,
         penalty_parameter: float = 1.0,
     ):
-        self.mesh = mesh
-        self.system = system
-        self.background = background
-        self.bcs = boundary_conditions
-        self.form = form
+        self._mesh, self._system, self._background, self._bcs, self._form = (
+            mesh, system, background, boundary_conditions, form
+        )
         # bool("false") is True: only a real bool says which operator is meant
         if not isinstance(massive, (bool, np.bool_)):
             raise ConfigurationError("operator.massive", f"must be a bool, got {massive!r}")
-        self.massive = bool(massive)
-        self.penalty_parameter = float(penalty_parameter)
+        self._massive = bool(massive)
+        self._penalty_parameter = float(penalty_parameter)
         if system.dim != mesh.dim:
             raise ConfigurationError("system", f"system is {system.dim}D but mesh is {mesh.dim}D")
         owner = next((c for c in type(system).__mro__ if "auxiliary_flux" in vars(c)), None)
@@ -711,7 +709,7 @@ class OperatorHandle:
             )
         # the point-independent state, which `linearized_at` shares: the mesh
         # cache, the penalty and the boundary layout and arrays. The background
-        # fields wait for the first application (`_background`)
+        # fields wait for the first application (`_background_fields`)
         self._cache = cache = _MeshCache(mesh, background)
         self.bcs.validate_tags(cache.external)
         if hasattr(system, "min_puncture_distance"):
@@ -720,7 +718,7 @@ class OperatorHandle:
                     "a collocation point lies within 1e-10 of a puncture; "
                     "offset the mesh bounds"
                 )
-        self.linearization_point = self._lin_groups = self._sources = None
+        self._linearization_point = self._lin_groups = self._sources = None
         self._fields = []
         self._face_sigma = self.penalty_parameter * cache.face_sigma
         self._mortar_sigma = [self.penalty_parameter * mg.sigma for mg in cache.mortar_groups]
@@ -789,13 +787,16 @@ class OperatorHandle:
         depend on the point and reads the point once, per group and as face
         traces where a live condition reads them. Trace-free conditions have
         no linearized data (`_TraceFree`), and the fluxes are linear in u. The
-        linearized sources are built on the first application.
+        linearized sources are built on the first application. The handle
+        keeps a read-only copy of the point.
         """
         point = self.zero_primal() if point is None else point
         self._check(point, "primal", "the linearization point", single=True)
+        point = point.copy()
+        point.data.flags.writeable = False
         cache, rows = self._cache, self._rows(point.data)
         lin = copy.copy(self)
-        lin.linearization_point = point
+        lin._linearization_point = point
         lin._lin_groups = [g.take(rows).copy() for g in cache.groups]
         lin._sources = None
         lin._fixed = [np.zeros_like(a) for a in self._fixed]
@@ -871,7 +872,7 @@ class OperatorHandle:
         data = np.empty(lead + (n_components * self._cache.n_points,))
         return data, self._rows(data)
 
-    def _background(self):
+    def _background_fields(self):
         """The background fields per group, on the face buffer and at the
         external points: evaluated once per handle family, which shares the list."""
         if not self._fields:
@@ -953,7 +954,7 @@ class OperatorHandle:
         auxiliary one None unless `given_v` is set.
         """
         cache, sys_ = self._cache, self.system
-        fields, face_fields, ext_fields = self._background()
+        fields, face_fields, ext_fields = self._background_fields()
         if self._sources is None:  # on the first application
             self._sources = self._source_maps(fields)
         strong = self.form == "strong"

@@ -10,10 +10,10 @@ import pytest
 from ipdg.background import (
     ConformallyFlatBackground,
     FlatBackground,
-    face_geometry,
     make_background,
 )
 from ipdg.mesh import build_annulus_mesh, build_rectilinear_mesh
+from ipdg.operators import _element_groups
 
 
 def linear_phi(c):
@@ -143,41 +143,44 @@ class TestConformallyFlat:
         np.testing.assert_allclose(bg.christoffel_contraction(x), trace, atol=1e-14)
 
 
+def face_geometry(background, mesh, dim, side):
+    """(coords, normal, h, surface measure) of face (dim, side) of every
+    element of the mesh's first element group, as the group stores them."""
+    group = _element_groups(mesh, background)[0]
+    return group.face_geometry[2 * dim + (side > 0)][:4]
+
+
 class TestFaceGeometry:
     def test_flat_quarter_square(self):
         mesh = build_rectilinear_mesh([(0, 1), (0, 1)], (1, 1), (4, 4))
-        fg = face_geometry(FlatBackground(), mesh.elements[0], 0, 1)
-        np.testing.assert_allclose(fg.normal[0], 1.0)
-        np.testing.assert_allclose(fg.normal[1], 0.0, atol=1e-15)
-        np.testing.assert_allclose(fg.normal_magnitude, 4.0)
+        _, normal, h, measure = face_geometry(FlatBackground(), mesh, 0, 1)
+        np.testing.assert_allclose(normal[0], 1.0)
+        np.testing.assert_allclose(normal[1], 0.0, atol=1e-15)
+        np.testing.assert_allclose(h, 0.5)  # |n~| = 4
         # quarter element: J = 1/16, |n~| = 4 -> measure 1/4 per unit logical
-        np.testing.assert_allclose(fg.surface_measure, 0.25)
+        np.testing.assert_allclose(measure, 0.25)
 
     def test_face_element_size(self):
         # h = 2 / |n~| recovers the physical extent normal to the face
         mesh = build_rectilinear_mesh([(0, 1), (0, 2)], (1, 0), (3, 3))
-        fg = face_geometry(FlatBackground(), mesh.elements[0], 0, 1)
-        np.testing.assert_allclose(2.0 / fg.normal_magnitude, 0.5)
-        fg = face_geometry(FlatBackground(), mesh.elements[0], 1, 1)
-        np.testing.assert_allclose(2.0 / fg.normal_magnitude, 2.0)
+        _, _, h, _ = face_geometry(FlatBackground(), mesh, 0, 1)
+        np.testing.assert_allclose(h, 0.5)
+        _, _, h, _ = face_geometry(FlatBackground(), mesh, 1, 1)
+        np.testing.assert_allclose(h, 2.0)
 
     def test_annulus_outer_measure_integrates_to_circumference(self):
         mesh = build_annulus_mesh(1.0, 3.0, 4, (0, 0), (5, 5))
-        bg = FlatBackground()
-        total = 0.0
-        for e in mesh.elements:
-            fg = face_geometry(bg, e, 0, 1)
-            w = e.node_sets()[1].weights
-            total += float((fg.surface_measure * w).sum())
-        np.testing.assert_allclose(total, 2 * np.pi * 3.0, rtol=1e-12)
+        _, _, _, measure = face_geometry(FlatBackground(), mesh, 0, 1)
+        w = np.tile(mesh.elements[0].node_sets()[1].weights, mesh.n_elements)
+        np.testing.assert_allclose((measure * w).sum(), 2 * np.pi * 3.0, rtol=1e-12)
 
     def test_normal_is_unit_in_curved_metric(self):
         phi, grad = linear_phi([0.1, 0.0])
         bg = ConformallyFlatBackground(phi, grad)
         mesh = build_rectilinear_mesh([(0, 1), (0, 1)], (0, 0), (3, 3))
-        fg = face_geometry(bg, mesh.elements[0], 0, 1)
-        ginv = bg.inverse_metric(fg.coords)
-        norm = np.einsum("i...,ij...,j...->...", fg.normal, ginv, fg.normal)
+        coords, normal, _, _ = face_geometry(bg, mesh, 0, 1)
+        ginv = bg.inverse_metric(coords)
+        norm = np.einsum("i...,ij...,j...->...", normal, ginv, normal)
         np.testing.assert_allclose(norm, 1.0, rtol=1e-13)
 
 

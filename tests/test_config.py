@@ -1,9 +1,14 @@
 """Configuration schema validation and problem construction."""
 
+import os
+import re
+
 import numpy as np
 import pytest
+import yaml
 
 from ipdg.background import ConformallyFlatBackground, FlatBackground
+from ipdg.cli import main
 from ipdg.boundaries import BoundaryMap, DirichletBC, NeumannBC, RobinBC
 from ipdg.config import build_problem, load_config, parse_config
 from ipdg.errors import ConfigurationError
@@ -410,3 +415,37 @@ def test_load_config_directory(tmp_path):
     with pytest.raises(ConfigurationError, match="Is a directory") as err:
         load_config(tmp_path)
     assert err.value.path == "config"
+
+
+def test_load_config_parses_like_pyyaml_safe_load(tmp_path):
+    # the file loader (libyaml's where PyYAML has it) builds the same
+    # configuration as PyYAML's pure-Python safe loader, on the README's
+    # example and on an h-convergence study's file
+    readme = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "README.md")
+    with open(readme) as f:
+        (example,) = re.findall(r"```yaml\n(.*?)```", f.read(), flags=re.S)
+    study = yaml.safe_dump({
+        **base_config(),
+        "refinement": {"levels": [1, 1], "degrees": [4, 4]},
+        "solution": {
+            "name": "gaussian", "params": {"center": [0.35, 0.65], "width": 0.15, "amplitude": 1.0},
+        },
+        "boundary_conditions": {"all": {"type": "dirichlet", "analytic": True}},
+        "operator": {"form": "strong-weak", "massive": True, "penalty_parameter": 1.0},
+        "solver": {"method": "cg", "tolerance": 1e-10, "max_iterations": 20000},
+        "output": {"directory": str(tmp_path), "prefix": "hconv"},
+    })
+    for name, text in (("example.yaml", example), ("study.yaml", study)):
+        path = tmp_path / name
+        path.write_text(text)
+        assert load_config(path) == parse_config(yaml.safe_load(text))
+
+
+def test_malformed_yaml_rejected(tmp_path, capsys):
+    path = tmp_path / "run.yaml"
+    path.write_text("system: {name: poisson-flat\ndomain: [\n")
+    with pytest.raises(ConfigurationError) as err:
+        load_config(path)
+    assert err.value.path == "config" and err.value.message.startswith("not parseable: ")
+    assert main(["solve", "--config", str(path)]) == 2
+    assert "config: not parseable" in capsys.readouterr().err

@@ -105,31 +105,31 @@ class TestJacobianAt:
     def test_affine_element_inverse_and_det(self):
         mesh = build_rectilinear_mesh([(0, 1), (0, 1)], (1, 1), (2, 2))
         e = mesh.elements[0]
-        jac, det, inv = jacobian_at(e, np.array([0.1, 0.2]))
-        np.testing.assert_allclose(jac, [[0.25, 0.0], [0.0, 0.25]])
-        np.testing.assert_allclose(det, 0.0625)
-        np.testing.assert_allclose(inv, [[4.0, 0.0], [0.0, 4.0]])
+        _, jac, det, inv = jacobian_at([e], np.array([0.1, 0.2]))
+        np.testing.assert_allclose(jac[..., 0], [[0.25, 0.0], [0.0, 0.25]])
+        np.testing.assert_allclose(det, [0.0625])
+        np.testing.assert_allclose(inv[..., 0], [[4.0, 0.0], [0.0, 4.0]])
 
     def test_3d_inverse(self):
         mesh = build_rectilinear_mesh(
             [(0, 1), (0, 2), (0, 4)], (0, 0, 0), (1, 1, 1)
         )
         e = mesh.elements[0]
-        jac, det, inv = jacobian_at(e, np.zeros(3))
-        np.testing.assert_allclose(det, 0.5 * 1.0 * 2.0)
+        _, jac, det, inv = jacobian_at([e], np.zeros(3))
+        np.testing.assert_allclose(det, [0.5 * 1.0 * 2.0])
         np.testing.assert_allclose(
-            np.einsum("ij...,jk...->ik...", inv, jac), np.eye(3), atol=1e-14
+            np.einsum("ij...,jk...->ik...", inv, jac)[..., 0], np.eye(3), atol=1e-14
         )
 
     def test_annulus_determinant_positive_and_correct(self):
         mesh = build_annulus_mesh(1.0, 2.0, 4, (0, 0), (3, 3))
         e = mesh.elements[0]
         xi = e.logical_grid()
-        jac, det, inv = jacobian_at(e, xi)
+        _, jac, det, inv = jacobian_at([e], xi)
         assert np.all(det > 0)
         # det = r * dr/dxi * dtheta/deta with dr/dxi = 1/2, dtheta/deta = pi/4
         r = np.hypot(*e.coords())
-        np.testing.assert_allclose(det, r * 0.5 * (np.pi / 4), rtol=1e-12)
+        np.testing.assert_allclose(det[0], r * 0.5 * (np.pi / 4), rtol=1e-12)
 
     def test_reflected_map_rejected(self):
         class Reflected:
@@ -155,7 +155,7 @@ class TestJacobianAt:
         bad = dataclasses.replace(el, map=Reflected(el.map))
         message = f"non-positive Jacobian determinant in element {bad.id_string()}"
         with pytest.raises(DegenerateGeometryError, match=re.escape(message)):
-            jacobian_at(bad, bad.logical_grid())
+            jacobian_at([bad], bad.logical_grid())
         reflected = Mesh(mesh.dim, mesh.blocks, [good, bad])
         bcs = BoundaryMap.everywhere(DirichletBC(0.0))
         with pytest.raises(DegenerateGeometryError, match=re.escape(message)):
@@ -169,8 +169,8 @@ class TestJacobianAt:
         for e in mesh.elements:
             ns = e.node_sets()
             w = np.multiply.outer(ns[0].weights, ns[1].weights)
-            _, det, _ = jacobian_at(e, e.logical_grid())
-            total += float((w * det).sum())
+            _, _, det, _ = jacobian_at([e], e.logical_grid())
+            total += float((w * det[0]).sum())
         np.testing.assert_allclose(total, np.pi * (4.0 - 1.0), rtol=1e-12)
 
 
@@ -181,10 +181,10 @@ class TestNormals:
     def test_unit_square_quarter_element(self):
         mesh = build_rectilinear_mesh([(0, 1), (0, 1)], (1, 1), (2, 2))
         e = mesh.elements[0]  # [0, 0.5]^2
-        _, _, inv = jacobian_at(e, np.array([1.0, 0.0]))
-        np.testing.assert_allclose(+1.0 * inv[0], [4.0, 0.0])
-        _, _, inv = jacobian_at(e, np.array([0.0, -1.0]))
-        np.testing.assert_allclose(-1.0 * inv[1], [0.0, -4.0])
+        _, _, _, inv = jacobian_at([e], np.array([1.0, 0.0]))
+        np.testing.assert_allclose(+1.0 * inv[0, :, 0], [4.0, 0.0])
+        _, _, _, inv = jacobian_at([e], np.array([0.0, -1.0]))
+        np.testing.assert_allclose(-1.0 * inv[1, :, 0], [0.0, -4.0])
 
     def test_annulus_radial_face_is_radial(self):
         # as the operator's face buffer holds it: unit and pointing along r

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from ipdg.background import ConformallyFlatBackground, FlatBackground, face_geometry
+from ipdg.background import ConformallyFlatBackground, FlatBackground, sampled_face_geometry
 from ipdg.basis import gauss_lobatto_nodes_weights
 from ipdg.boundaries import (
     BoundaryCondition,
@@ -23,10 +23,13 @@ from ipdg.mesh import (
     build_annulus_mesh,
     build_rectilinear_mesh,
     face_shape,
+    face_slices,
+    jacobian_at,
     mortar_topology,
     split_element,
     with_degrees,
 )
+from ipdg import operators
 from ipdg.mortars import mortar_logical_weights, prolongation_matrix
 from ipdg.operators import (
     FieldVector,
@@ -1166,7 +1169,8 @@ def test_linearized_at_builds_only_what_depends_on_the_point():
         for name in ("_cache", "_face_sigma", "_mortar_sigma", "_external", "_normal",
                      "_fields", "_live_layout"):
             assert getattr(lin, name) is getattr(handle, name)
-        assert lin.linearization_point is point and not any(a.any() for a in lin._fixed)
+        assert lin.linearization_point is not point and not any(a.any() for a in lin._fixed)
+        np.testing.assert_array_equal(lin.linearization_point.data, point.data)
         assert len(lin._live) == 1
         np.testing.assert_array_equal(lin.apply(batch).data, fresh.apply(batch).data)
         np.testing.assert_array_equal(lin.matvec_full(full), fresh.matvec_full(full))
@@ -1242,6 +1246,13 @@ def point_ordered(arr, k):
     lead = arr.ndim - k
     order = (*range(lead), *range(arr.ndim - 1, lead - 1, -1))
     return arr.transpose(order).reshape(arr.shape[:lead] + (-1,))
+
+
+def face_geometry(background, element, dim, side):
+    """One face's geometry on its own, from a one-element `jacobian_at`."""
+    xi = element.logical_grid()[face_slices(element.dim, dim, side)]
+    x, _, det, inv = jacobian_at([element], xi)
+    return sampled_face_geometry(background, x[:, 0], det[0], inv[dim][:, 0], side)
 
 
 def split_annulus():
@@ -1437,7 +1448,7 @@ def test_mortar_restriction_is_the_adjoint_of_prolongation(case):
 
 @pytest.mark.parametrize("case", [split_annulus, split_box_3d, raised_curved])
 def test_face_buffer_geometry_matches_face_geometry(case):
-    # the stacked per-group geometry against the public per-face evaluation
+    # the stacked per-group geometry against each face evaluated on its own
     mesh, bg = case()
     system = make_system("poisson-flat", dim=mesh.dim)
     cache = OperatorHandle(mesh, system, bg, BoundaryMap.everywhere(DirichletBC(0.0)))._cache
@@ -1455,6 +1466,51 @@ def test_face_buffer_geometry_matches_face_geometry(case):
             want = point_ordered(want, k)
             assert got.shape == want.shape
             assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
+
+
+def test_geometry_is_one_jacobian_call_per_group(monkeypatch):
+    # set-up evaluates each element group's geometry in one batched call, so
+    # a loop over the elements cannot come back unnoticed
+    calls = []
+
+    def counted(elements, xi):
+        calls.append(len(elements))
+        return jacobian_at(elements, xi)
+
+    monkeypatch.setattr(operators, "jacobian_at", counted)
+    mesh = with_degrees(split_element(unit_mesh_2d(2, 1), 0), 4, (3, 3))
+    handle = OperatorHandle(mesh, POISSON_2D, BG, BoundaryMap.everywhere(DirichletBC(0.0)))
+    assert len(handle._cache.groups) == 2
+    assert calls == [len(g.members) for g in handle._cache.groups]
+
+
+def test_handle_settings_are_read_only():
+    # a setting changed after construction would no longer describe the
+    # operator the handle applies (the penalty is formed once, the solver
+    # checks read form and massive), so none can be assigned
+    mesh = unit_mesh_2d(3, 1)
+    bcs = BoundaryMap({"x-upper": QuadraticFluxBC(), "all": DirichletBC(0.0)})
+    handle = OperatorHandle(mesh, POISSON_2D, BG, bcs, form="strong-weak")
+    rng = np.random.default_rng(26)
+    point = FieldVector.from_flat(mesh, 1, rng.standard_normal(handle.n_primal_dofs))
+    lin = handle.linearized_at(point)
+    settings = {
+        "mesh": mesh, "system": POISSON_2D, "background": BG, "bcs": bcs, "form": "strong",
+        "massive": False, "penalty_parameter": 5.0, "linearization_point": point,
+    }
+    for h in (handle, lin):
+        for name, value in settings.items():
+            with pytest.raises(AttributeError):
+                setattr(h, name, value)
+    # the linearized handle keeps its own read-only copy of the point
+    u = FieldVector.from_flat(mesh, 1, rng.standard_normal(handle.n_primal_dofs))
+    kept, applied = point.data.copy(), lin.apply(u).data
+    assert not np.array_equal(applied, handle.linearized_at().apply(u).data)
+    point.data[:] = 0.0
+    np.testing.assert_array_equal(lin.linearization_point.data, kept)
+    np.testing.assert_array_equal(lin.apply(u).data, applied)
+    with pytest.raises(ValueError, match="read-only"):
+        lin.linearization_point.data[0] = 1.0
 
 
 def test_full_rhs_confined_to_face_points():

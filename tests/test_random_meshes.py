@@ -22,8 +22,12 @@ system linearized about a nonzero state:
   to round-off, nonconforming faces included;
 - every face-buffer point is exactly one of: paired across a mortar whose
   prolongations are both the identity, external, or on a mortar with a
-  non-identity side.
+  non-identity side;
+- each element group's geometry, from one batched `jacobian_at` call, is
+  bit for bit the one from a call per member.
 """
+
+import dataclasses
 
 import numpy as np
 from hypothesis import HealthCheck, given, settings
@@ -47,8 +51,10 @@ from ipdg import (
     symmetry_defect,
     with_degrees,
 )
+from ipdg.background import sampled_face_geometry
 from ipdg.errors import TopologyError
-from ipdg.mesh import mortar_topology
+from ipdg.mesh import Mesh, jacobian_at, mortar_topology
+from ipdg.operators import _element_groups, _point_order, lumped_mass_diag
 from test_operators import QuadraticFluxBC, check_face_partition, interpolant
 
 BG = FlatBackground()
@@ -99,6 +105,87 @@ def cube_meshes(draw, lower=0.0):
 def annulus_meshes(draw):
     base, wedges = draw(st.integers(1, 3)), draw(st.integers(2, 3))
     return refined(draw, build_annulus_mesh(0.5, 1.0, wedges, (0, 0), (base, base)))
+
+
+@st.composite
+def raised_cube_meshes(draw):
+    base = draw(st.integers(1, 3))
+    mesh = build_rectilinear_mesh([(0.0, 1.0)] * 3, (1, 1, 0), (base,) * 3)
+    return refined(draw, mesh, max_degree=4)
+
+
+class Flipped:
+    """`base` with both logical axes reversed, so det J keeps its sign: a map
+    of a type the mesh builders do not make."""
+
+    def __init__(self, base):
+        self.base = base
+
+    def apply(self, xi):
+        return self.base.apply(-np.asarray(xi))
+
+    def jacobian(self, xi):
+        return -self.base.jacobian(-np.asarray(xi))
+
+
+def flipped_meshes():
+    """A split 2x2 square with two elements' maps wrapped in `Flipped`: one
+    group holds their maps beside the composed maps of the others."""
+    mesh = split_element(build_rectilinear_mesh([(0.0, 1.0), (0.0, 1.0)], (1, 1), (3, 3)), 0)
+    elements = [
+        dataclasses.replace(e, map=Flipped(e.map)) if k in (1, 4) else e
+        for k, e in enumerate(mesh.elements)
+    ]
+    return Mesh(mesh.dim, mesh.blocks, elements)
+
+
+def check_group_geometry(mesh, background):
+    """Every group's coordinates, mass, J^-1 and face geometry equal, with
+    np.array_equal, those stacked from one `jacobian_at` call per member on
+    the logical grid in natural order; coordinates and J^-1 are C-contiguous."""
+    dim = mesh.dim
+    for group in _element_groups(mesh, background):
+        elements = [mesh.elements[k] for k in group.members]
+        x, _, det, inv = zip(*(jacobian_at([e], e.logical_grid()) for e in elements))
+        coords = np.stack([_point_order(a[:, 0], dim) for a in x], axis=1)
+        det = np.stack([_point_order(a[0], dim) for a in det])
+        jinv = np.stack([_point_order(a[:, :, 0], dim) for a in inv], axis=2)
+        mass = np.stack([_point_order(lumped_mass_diag(e, background), dim) for e in elements])
+        for got, want in ((group.coords, coords), (group.jinv, jinv), (group.mass, mass)):
+            assert np.array_equal(got, want)
+        assert group.coords.flags.c_contiguous and group.jinv.flags.c_contiguous
+        keys = [(fdim, side) for fdim in range(dim) for side in (-1, 1)]
+        for (fdim, side), stored in zip(keys, group.face_geometry):
+            index = (Ellipsis, 0 if side < 0 else -1) + (slice(None),) * fdim
+            fg = sampled_face_geometry(
+                background, coords[index], det[index], jinv[fdim][index], side
+            )
+            want = (fg.coords.reshape(dim, -1), fg.normal.reshape(dim, -1),
+                    (2.0 / fg.normal_magnitude).ravel(), fg.surface_measure.ravel())
+            for got, w in zip(stored, want):
+                assert np.array_equal(got, w)
+
+
+@settings(max_examples=20, deadline=None, derandomize=True, database=None)
+@given(
+    case=st.one_of(
+        interval_meshes().map(lambda m: (m, BG)),
+        meshes().map(lambda m: (m, CURVED)),
+        raised_cube_meshes().map(lambda m: (m, BG)),
+        annulus_meshes().map(lambda m: (m, CURVED)),
+    )
+)
+def test_batched_geometry_equals_per_element(case):
+    check_group_geometry(*case)
+
+
+def test_batched_geometry_mixes_map_kinds():
+    # bare wedge maps beside the composed maps of a split wedge's children,
+    # and maps of another type beside composed ones, in one group each
+    annulus = split_element(build_annulus_mesh(0.5, 1.0, 3, (0, 0), (3, 4)), 1)
+    for mesh, background in ((annulus, CURVED), (flipped_meshes(), BG)):
+        assert len(_element_groups(mesh, background)) == 1
+        check_group_geometry(mesh, background)
 
 
 def probe_columns(matvec, n):
