@@ -38,7 +38,6 @@ __all__ = [
     "jacobian_at",
     "mortar_topology",
     "face_shape",
-    "face_slices",
 ]
 
 _AXIS_NAMES = ("x", "y", "z")
@@ -237,18 +236,10 @@ class Mesh:
 
     def characteristic_h(self) -> float:
         """Largest per-axis extent of any element's mapped corners (h, not
-        h*sqrt(2), for a square)."""
-        h = 0.0
-        for e in self.elements:
-            corners = np.array(
-                list(itertools.product(*[(-1.0, 1.0)] * self.dim))
-            ).T
-            phys = e.map.apply(corners)
-            for d in range(self.dim):
-                lo = phys[d].min()
-                hi = phys[d].max()
-                h = max(h, hi - lo)
-        return h
+        h*sqrt(2), for a square), from one evaluation of every corner."""
+        corners = np.array(list(itertools.product(*[(-1.0, 1.0)] * self.dim))).T
+        phys = jacobian_at(self.elements, corners)[0]  # (d, elements, corners)
+        return float((phys.max(axis=2) - phys.min(axis=2)).max())
 
 
 def _element_sort_key(mesh_max_levels, element: Element):
@@ -476,13 +467,6 @@ def jacobian_at(elements, xi):
 
 def face_shape(grid_shape: tuple[int, ...], dim: int) -> tuple[int, ...]:
     return grid_shape[:dim] + grid_shape[dim + 1 :]
-
-
-def face_slices(ndim_grid: int, dim: int, side: int):
-    """Index tuple selecting one face of a grid-shaped array's last ndim axes."""
-    idx = [slice(None)] * ndim_grid
-    idx[dim] = 0 if side < 0 else -1
-    return (Ellipsis, *idx)
 
 
 @dataclass(frozen=True)

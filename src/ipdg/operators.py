@@ -88,11 +88,16 @@ Nor is it redone per linearization: `linearized_at`, the only way to build
 a linearized handle, takes a shallow copy of the handle it linearizes, so
 the copy shares the mesh cache, the penalty, the background fields and the
 boundary layout, and sets only what the point gives.
-Each group fills its span of the face buffer with one `np.take` through
-the flat index of its face points, and lifts with one `np.add.at`, which
-adds in index order: a point on several faces gets their terms in face-key
-order. Other gathers through an index array use `np.take` too, several
-times faster than `[..., index]` at these sizes.
+Each group gathers its span of the face buffer with one `take` through the
+flat index of its face points; on a one-group mesh that gather is the face
+buffer. It lifts with one `np.add.at`, which adds in index order, so a
+point on several faces gets their terms in face-key order; a single
+vector's scatter index is built once per group and component count, a
+batch's per call. Phase one gathers the face values of G(grad u) before it
+lifts into them, so the reconstructed field is G(grad u)'s own array, and a
+single vector's residual on a one-group mesh is its group's array, already
+in the flat order. Other gathers through an index array use the `take`
+method too, several times faster than `[..., index]` at these sizes.
 """
 
 from __future__ import annotations
@@ -157,7 +162,7 @@ def _fold(buf, index):
     after those of the previous one; boundary conditions see only this form,
     with the face geometry tiled once per vector.
     """
-    return np.take(buf, index, axis=-1).reshape(buf.shape[0], -1)
+    return buf.take(index, axis=-1).reshape(buf.shape[0], -1)
 
 
 def _index(items):
@@ -392,6 +397,9 @@ class _Group:
         for j, dirs in enumerate(self.directions):
             sel = dirs[0] if len(dirs) == 1 else _index(dirs)
             self._terms.append((sel, self.jinv[j][sel]))
+        # every reference direction j its own physical direction j: the
+        # gradient writes each term once, into an output it need not zero
+        self._diagonal = all(sel == j for j, (sel, _) in enumerate(self._terms))
         self.diffs = [differentiation_matrix(ns) for ns in node_sets]
         # per face point, in face-buffer order: its flat index into one
         # component of a point-ordered volume, and its two lifting weights
@@ -422,6 +430,7 @@ class _Group:
         self.face_end = face_start
         self._face_points = np.concatenate(points)
         self._lift_weights = [np.concatenate(w) for w in lift]  # massless, massive
+        self._scatter = {}  # component count -> one vector's scatter index
 
     def take(self, rows):
         """The group's part of a (..., points) array, point-ordered."""
@@ -430,29 +439,42 @@ class _Group:
     def put(self, rows, values):
         rows[..., self.sel] = values.reshape(rows.shape[:-1] + (-1,))
 
-    def traces(self, volume, buf):
-        """Copy the face values of a (..., *shape) volume array into the
-        group's span of the face buffer, in one gather."""
+    def traces(self, volume):
+        """The face values (..., group face points) of a (..., *shape) volume
+        array, in face-buffer order: one gather, a new array."""
         flat = volume.reshape(volume.shape[:-self.dim - 1] + (-1,))
-        buf[..., self.face_start:self.face_end] = np.take(flat, self._face_points, axis=-1)
+        return flat.take(self._face_points, axis=-1)
 
     def lift(self, volume, buf, massive):
         """Add the lifted face-buffer values into a C-contiguous (..., *shape)
         volume array: one scatter-add on its flat view, indexed in face-key
-        order, which `np.add.at` keeps where faces share a point."""
+        order, which `np.add.at` keeps where faces share a point. The flat
+        index of one vector's (components, *shape) array is built once per
+        component count and kept; a batch's is built per call, so that no
+        kept state grows with the batch size."""
         if not volume.flags.c_contiguous:
             raise ValueError("lifting needs a C-contiguous volume array")
         values = buf[..., self.face_start:self.face_end] * self._lift_weights[massive]
-        rows = np.arange(0, volume.size, math.prod(self.shape))
-        np.add.at(volume.reshape(-1), (rows[:, None] + self._face_points).ravel(), values.ravel())
+        single = volume.ndim == self.dim + 2
+        index = self._scatter.get(len(volume)) if single else None
+        if index is None:
+            rows = np.arange(0, volume.size, math.prod(self.shape))
+            index = (rows[:, None] + self._face_points).ravel()
+            if single:
+                self._scatter[len(volume)] = index
+        np.add.at(volume.reshape(-1), index, values.ravel())
 
     def gradient(self, u):
         """Nodal gradient sum_j Jinv^j_i d_xi_j u_c, (c, ...) -> (c, d, ...)."""
-        out = np.zeros(u.shape[:1] + (self.dim,) + u.shape[1:])
+        shape = u.shape[:1] + (self.dim,) + u.shape[1:]
+        out = np.empty(shape) if self._diagonal else np.zeros(shape)
         for j, (sel, jinv) in enumerate(self._terms):
             du = _apply_1d(self.diffs[j], u, j)
-            out[:, sel] += (jinv * du if isinstance(sel, int)
-                            else np.einsum("i...,c...->ci...", jinv, du))
+            if self._diagonal:
+                np.multiply(jinv, du, out=out[:, j])
+            else:
+                out[:, sel] += (jinv * du if isinstance(sel, int)
+                                else np.einsum("i...,c...->ci...", jinv, du))
         return out
 
     def divergence(self, fluxes):
@@ -541,7 +563,7 @@ class _MortarGroup:
 
     def to_mortar(self, side, buf):
         """Gather one side's face values from the buffer onto the mortars."""
-        data = np.take(buf, self.index[side], axis=-1)
+        data = buf.take(self.index[side], axis=-1)
         p = self.prolong[side]
         return data if p is None else data @ p
 
@@ -653,11 +675,10 @@ class _MeshCache:
         )
 
     def face_values(self, volumes):
-        """The face buffer (..., face points) of per-group arrays (..., *group shape)."""
-        buf = np.empty(volumes[0].shape[:-len(self.groups[0].shape)] + (self.n_face_points,))
-        for g, volume in zip(self.groups, volumes):
-            g.traces(volume, buf)
-        return buf
+        """The face buffer (..., face points) of per-group arrays (..., *group
+        shape), a new array: on a one-group mesh the group's gather itself."""
+        traces = [g.traces(volume) for g, volume in zip(self.groups, volumes)]
+        return traces[0] if len(traces) == 1 else np.concatenate(traces, axis=-1)
 
 
 class OperatorHandle:
@@ -803,7 +824,7 @@ class OperatorHandle:
         if self._live_layout:
             traces = cache.face_values(lin._lin_groups)
             lin._live = [
-                layout + (np.take(traces, layout[3], axis=-1),) for layout in self._live_layout
+                layout + (traces.take(layout[3], axis=-1),) for layout in self._live_layout
             ]
         return lin
 
@@ -856,11 +877,8 @@ class OperatorHandle:
     def reconstruct_auxiliary(self, u: FieldVector) -> FieldVector:
         """The auxiliary field the compact operator uses internally."""
         self._check(u, "primal", "u")
-        recon = self._phase1(self._rows(u.data))[2]
-        data, out = self._new_rows(self.system.n_auxiliary, u.data.shape[:-1])
-        for g, r in zip(self._cache.groups, recon):
-            g.put(out, r)
-        return FieldVector(self.mesh, self.system.n_auxiliary, data)
+        n, recon = self.system.n_auxiliary, self._phase1(self._rows(u.data))[1]
+        return FieldVector(self.mesh, n, self._flat(n, recon))
 
     def _rows(self, data):
         """Flat vectors (..., n_dofs) as a (components, ..., points) view."""
@@ -872,6 +890,19 @@ class OperatorHandle:
         data = np.empty(lead + (n_components * self._cache.n_points,))
         return data, self._rows(data)
 
+    def _flat(self, n_components, volumes):
+        """Flat vectors of per-group (components, ..., *group shape) arrays,
+        which must be new: one vector on a one-group mesh is its group's
+        array itself, whose C order is the flat DoF order."""
+        groups = self._cache.groups
+        lead = volumes[0].shape[1:-len(groups[0].shape)]
+        if len(groups) == 1 and not lead:
+            return volumes[0].reshape(-1)
+        data, rows = self._new_rows(n_components, lead)
+        for g, volume in zip(groups, volumes):
+            g.put(rows, volume)
+        return data
+
     def _background_fields(self):
         """The background fields per group, on the face buffer and at the
         external points: evaluated once per handle family, which shares the list."""
@@ -879,7 +910,7 @@ class OperatorHandle:
             groups = [self.system.background_fields(g.coords, self.background)
                       for g in self._cache.groups]
             face = [self._cache.face_values(f) for f in zip(*groups)]
-            self._fields.extend((groups, face, [np.take(f, self._external, axis=-1) for f in face]))
+            self._fields.extend((groups, face, [f.take(self._external, axis=-1) for f in face]))
         return self._fields
 
     def _source_maps(self, fields):
@@ -899,9 +930,10 @@ class OperatorHandle:
     def _phase1(self, u_rows):
         """Auxiliary fluxes, their exchange and the reconstructed auxiliary field.
 
-        Returns per group the primal field, G(grad u) and the reconstructed
-        fields; as face buffers the projected auxiliary fluxes G(u (x) n) and
-        their numerical flux; and the neumann-kind boundary array.
+        Returns per group the primal field and the reconstructed fields; as
+        face buffers the face values of G(grad u), the projected auxiliary
+        fluxes G(u (x) n) and their numerical flux; and the neumann-kind
+        boundary array.
         """
         cache, sys_ = self._cache, self.system
         lead = u_rows.shape[1:-1]
@@ -926,9 +958,9 @@ class OperatorHandle:
 
         # the exterior: the partner's value, or the ghost on external faces,
         # whose boundary value is the interior's at neumann-kind points
-        ext = np.take(aux, cache.partner, axis=-1)
+        ext = aux.take(cache.partner, axis=-1)
         e, nd = self._external, self._n_dirichlet
-        interior = np.take(aux, e, axis=-1)
+        interior = aux.take(e, axis=-1)
         ext[..., e] = exterior_ghost_data(interior, _join(aux_b, interior[..., nd:]))
         # on a ghost face the numerical flux is the boundary value itself
         star = auxiliary_numerical_flux(aux, ext)
@@ -942,10 +974,12 @@ class OperatorHandle:
             for s, flux in enumerate((star_m, -star_m)):
                 mg.add_restricted(s, flux - sides[s], jumps)
 
-        recon = [w.copy() for w in ws]
-        for g, r in zip(cache.groups, recon):
-            g.lift(r, jumps, massive=False)
-        return ugs, ws, recon, aux, star, flux_b
+        # G(grad u) is new on every application: gathered first, then lifted
+        # in place into the reconstructed field
+        w_faces = cache.face_values(ws)
+        for g, w in zip(cache.groups, ws):
+            g.lift(w, jumps, massive=False)
+        return ugs, ws, w_faces, aux, star, flux_b
 
     def _core(self, u, given_v):
         """Shared implementation of the compact and full operators.
@@ -960,10 +994,7 @@ class OperatorHandle:
         strong = self.form == "strong"
         primal_form = "strong" if strong else "weak"
         n_u, n_v = sys_.n_primal, sys_.n_auxiliary
-        u_rows = self._rows(u.data)
-        lead = u_rows.shape[1:-1]
-
-        ugs, ws, recon, aux, aux_star, flux_b = self._phase1(u_rows)
+        ugs, recon, w_faces, aux, aux_star, flux_b = self._phase1(self._rows(u.data))
         v_rows = None if given_v is None else self._rows(given_v.data)
         res_u, res_v = [], []
         for g, ug, rc, f, source in zip(cache.groups, ugs, recon, fields, self._sources):
@@ -978,18 +1009,18 @@ class OperatorHandle:
                 res += g.mass * source(ug, v)
             res_u.append(res)
         normal = cache.face_normal
-        deriv = _contract_normal(normal, sys_.primal_flux(cache.face_values(ws), face_fields))
+        deriv = _contract_normal(normal, sys_.primal_flux(w_faces, face_fields))
         pen = _contract_normal(normal, sys_.primal_flux(aux, face_fields))
 
         # the exterior as in phase one; the derivative's boundary value is the
         # interior's at dirichlet-kind points
-        ext_d, ext_p = (np.take(a, cache.partner, axis=-1) for a in (deriv, pen))
+        ext_d, ext_p = deriv.take(cache.partner, axis=-1), pen.take(cache.partner, axis=-1)
         e, nd = self._external, self._n_dirichlet
-        interior = np.take(deriv, e, axis=-1)
+        interior = deriv.take(e, axis=-1)
         ext_d[..., e] = exterior_ghost_data(interior, _join(interior[..., :nd], flux_b))
         ext_p[..., e] = 2.0 * _contract_normal(
-            self._normal, sys_.primal_flux(np.take(aux_star, e, axis=-1), ext_fields)
-        ) - np.take(pen, e, axis=-1)
+            self._normal, sys_.primal_flux(aux_star.take(e, axis=-1), ext_fields)
+        ) - pen.take(e, axis=-1)
         star = primal_numerical_flux(deriv, pen, ext_d, ext_p, self._face_sigma)
         # strong form subtracts the element's own exchanged flux
         jumps = deriv - star if strong else -star
@@ -1003,26 +1034,23 @@ class OperatorHandle:
                 jump = flux - d[s] if strong else flux
                 mg.add_restricted(s, -jump, jumps)
 
-        data_u, out_u = self._new_rows(n_u, lead)
-        data_v, out_v = (None, None) if v_rows is None else self._new_rows(n_v, lead)
         bad = []
         for gi, (g, res) in enumerate(zip(cache.groups, res_u)):
             g.lift(res, jumps, massive=True)
             if not self.massive:
-                res = res / g.mass
+                res_u[gi] = res = res / g.mass
             # one reduction; the element is located only when it fails
             if not np.isfinite(res).all():
                 # (components and batch, elements, element points)
                 finite = np.isfinite(res).reshape(-1, g.shape[0], math.prod(g.shape[1:]))
                 bad.append(g.members[int(np.argmin(finite.all(axis=(0, 2))))])
-            g.put(out_u, res)
-            if out_v is not None:
-                g.put(out_v, res_v[gi] if self.massive else res_v[gi] / g.mass)
         if bad:
             raise FloatingPointError(
                 f"non-finite residual in element {self.mesh.elements[min(bad)].id_string()}"
             )
-        return data_v, data_u
+        if not self.massive:
+            res_v = [r / g.mass for g, r in zip(cache.groups, res_v)]
+        return (None if v_rows is None else self._flat(n_v, res_v)), self._flat(n_u, res_u)
 
     def build_rhs(self, fixed_source) -> FieldVector:
         """M f (f when massless): the value the residual A(u) is equated to.

@@ -23,7 +23,6 @@ from ipdg.mesh import (
     build_annulus_mesh,
     build_rectilinear_mesh,
     face_shape,
-    face_slices,
     jacobian_at,
     mortar_topology,
     refine_uniform,
@@ -32,6 +31,7 @@ from ipdg.mesh import (
 )
 from ipdg.operators import OperatorHandle, _MeshCache
 from ipdg.systems import make_system
+from test_operators import face_slices
 
 
 def fd_jacobian(cmap, xi, eps=1e-6):
@@ -491,3 +491,27 @@ def test_characteristic_h_halves_under_refinement():
     h1 = refine_uniform(mesh, "h").characteristic_h()
     np.testing.assert_allclose(h0, 1.0)
     np.testing.assert_allclose(h1, 0.5)
+
+
+def per_element_h(mesh):
+    """Reference for `Mesh.characteristic_h`: one `map.apply` per element."""
+    corners = np.array(list(itertools.product(*[(-1.0, 1.0)] * mesh.dim))).T
+    h = 0.0
+    for e in mesh.elements:
+        phys = e.map.apply(corners)
+        for d in range(mesh.dim):
+            h = max(h, phys[d].max() - phys[d].min())
+    return h
+
+
+@pytest.mark.parametrize("mesh", [
+    build_rectilinear_mesh([(0.0, 0.7)], (3,), (2,)),
+    split_element(build_rectilinear_mesh([(0.0, 1.0), (-0.3, 2.0)], (1, 2), (2, 3)), 5),
+    split_element(build_annulus_mesh(0.3, 1.1, 4, (1, 0), (3, 3)), 2),
+    refine_uniform(build_rectilinear_mesh([(1.0, 2.0)] * 3, (0, 1, 0), (2, 2, 2)), "h"),
+], ids=["1d", "2d-split", "annulus-split", "3d"])
+def test_characteristic_h_equals_per_element_loop(mesh):
+    # one evaluation of every element's corners gives bit for bit the loop's h
+    h = mesh.characteristic_h()
+    assert type(h) is float and h > 0.0
+    assert h == per_element_h(mesh)

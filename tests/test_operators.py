@@ -23,7 +23,6 @@ from ipdg.mesh import (
     build_annulus_mesh,
     build_rectilinear_mesh,
     face_shape,
-    face_slices,
     jacobian_at,
     mortar_topology,
     split_element,
@@ -169,8 +168,7 @@ def test_stiffness_strong_plus_weak_is_boundary_flux():
     x, y = group.coords
     f = np.stack([np.sin(x + y), np.cos(x - y)])[None]
     total = (group.stiffness(f, "strong") + group.stiffness(f, "weak")).sum()
-    traces = np.empty((1, 2, group.face_end))
-    group.traces(f, traces)
+    traces = group.traces(f)
     boundary = 0.0
     for face in group.faces:
         dim, side = face.key
@@ -264,7 +262,7 @@ def test_gather_and_scatter_match_the_per_face_loop(dim, seed):
         traces, expected = buf.copy(), buf.copy()
         for g in groups:
             volume = rng.standard_normal(lead + g.shape)
-            g.traces(volume, traces)
+            traces[..., g.face_start:g.face_end] = g.traces(volume)
             per_face_traces(g, volume, expected)
             for massive in (False, True):
                 lifted, reference = volume.copy(), volume.copy()
@@ -785,13 +783,13 @@ def test_full_operator_mass_block():
 def test_batch_matches_single_vectors():
     # each vector of a batch gets exactly the residual it gets alone, in 2D
     # and 3D only. 2D: point-dependent data for every condition kind, no
-    # linearization, two grid shapes and p-nonconforming mortars. 3D: the
-    # puncture system linearized about a nonzero state, with falloff
-    # conditions, paired and non-identity mortars. Not 1D: there a lone
-    # vector on a one-element group is a one-row dimension-0 product in
-    # `_apply_1d`, which BLAS rounds differently from a block, by up to about
-    # 1e-13 relative; the random-mesh oracle compares 1D to 1e-14 of the
-    # largest entry
+    # linearization, two grid shapes and p-nonconforming mortars, then one
+    # grid shape, massless. 3D: the puncture system linearized about a
+    # nonzero state, with falloff conditions, paired and non-identity
+    # mortars. Not 1D: there a lone vector on a one-element group is a
+    # one-row dimension-0 product in `_apply_1d`, which BLAS rounds
+    # differently from a block, by up to about 1e-13 relative; the
+    # random-mesh oracle compares 1D to 1e-14 of the largest entry
     mesh = with_degrees(unit_mesh_2d(3, 1), 3, (4, 2))
     bcs = BoundaryMap({
         "x-lower": RobinBC(1.0, 2.0, lambda x, normal: x[1]),
@@ -799,6 +797,8 @@ def test_batch_matches_single_vectors():
         "all": DirichletBC(lambda x: np.sin(3.0 * x[0]) * x[1]),
     })
     handles = [OperatorHandle(mesh, POISSON_2D, BG, bcs, form="strong-weak")]
+    # one grid shape: a lone vector's residual is its group's array itself
+    handles.append(OperatorHandle(unit_mesh_2d(3, 1), POISSON_2D, BG, bcs, massive=False))
     cube = with_degrees(
         build_rectilinear_mesh([(1.0, 2.0)] * 3, (1, 1, 0), (2, 2, 2)), 3, (2, 3, 2)
     )
@@ -809,7 +809,7 @@ def test_batch_matches_single_vectors():
     handles.append(OperatorHandle(
         cube, puncture, BG, BoundaryMap({"all": FalloffDirichletBC(0.2)}), form="strong-weak",
     ).linearized_at(point))
-    counts = check_face_partition(handles[1])
+    counts = check_face_partition(handles[2])
     assert counts["paired"] and counts["restricted"]
     rng = np.random.default_rng(4)
     for handle in handles:
@@ -831,6 +831,63 @@ def test_batch_matches_single_vectors():
         # the operator reads its input in place and never writes to it
         np.testing.assert_array_equal(us, before)
         assert not np.shares_memory(handle.matvec(us[0]), us)
+
+
+def _kept_bytes(handle):
+    """Bytes of the distinct arrays a handle, its mesh cache and its groups
+    keep, through lists, tuples and dicts."""
+    seen, total = set(), 0
+    todo = [vars(handle), vars(handle._cache)] + [vars(g) for g in handle._cache.groups]
+    while todo:
+        item = todo.pop()
+        if isinstance(item, np.ndarray):
+            if id(item) not in seen:
+                seen.add(id(item))
+                total += item.nbytes
+        elif isinstance(item, dict):
+            todo.extend(item.values())
+        elif isinstance(item, (list, tuple)):
+            todo.extend(item)
+    return total
+
+
+@pytest.mark.parametrize("case", ["one-group", "one-group-massless", "two-groups"])
+def test_applies_leave_nothing_behind(case):
+    # a result is new memory, an apply changes nothing a later one reads,
+    # and no kept state grows with the batch size
+    mesh = unit_mesh_2d(3, 1)
+    if case == "two-groups":
+        mesh = with_degrees(mesh, 2, (4, 2))
+    bcs = BoundaryMap({
+        "y-upper": NeumannBC(lambda x, normal: np.cos(2.0 * x[0])),
+        "all": DirichletBC(lambda x: np.sin(3.0 * x[0]) * x[1]),
+    })
+    handle = OperatorHandle(
+        mesh, POISSON_2D, BG, bcs, form="strong-weak", massive=case != "one-group-massless"
+    )
+    assert (len(handle._cache.groups) == 1) == case.startswith("one-group")
+    rng = np.random.default_rng(5)
+    x = rng.standard_normal(handle.n_primal_dofs)
+    before = x.copy()
+    u = FieldVector(mesh, 1, x)
+    aux = handle.reconstruct_auxiliary(u).data.copy()
+    first = handle.matvec(x)
+    assert not np.shares_memory(first, x)
+    kept = first.copy()
+    second = handle.matvec(x)
+    np.testing.assert_array_equal(second, kept)
+    np.testing.assert_array_equal(first, kept)
+    assert not np.shares_memory(first, second)
+    again = handle.reconstruct_auxiliary(u).data
+    np.testing.assert_array_equal(again, aux)
+    assert not np.shares_memory(again, x)
+    np.testing.assert_array_equal(x, before)
+    size = _kept_bytes(handle)
+    for n in (1, 3, 7):
+        rows = rng.standard_normal((n, handle.n_primal_dofs))
+        handle.apply(FieldVector.batch(mesh, 1, rows))
+        assert _kept_bytes(handle) == size, n
+    np.testing.assert_array_equal(handle.matvec(x), kept)
 
 
 CONFORMAL = ConformallyFlatBackground(
@@ -1246,6 +1303,13 @@ def point_ordered(arr, k):
     lead = arr.ndim - k
     order = (*range(lead), *range(arr.ndim - 1, lead - 1, -1))
     return arr.transpose(order).reshape(arr.shape[:lead] + (-1,))
+
+
+def face_slices(ndim_grid, dim, side):
+    """Index tuple selecting one face of a grid-shaped array's last ndim axes."""
+    idx = [slice(None)] * ndim_grid
+    idx[dim] = 0 if side < 0 else -1
+    return (Ellipsis, *idx)
 
 
 def face_geometry(background, element, dim, side):

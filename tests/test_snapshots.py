@@ -334,6 +334,9 @@ def dump_outputs(path):
         rows = np.random.default_rng(0).standard_normal((3, handle.n_primal_dofs))
         arrays[f"{name}/apply"] = handle.apply(FieldVector.batch(mesh, n, rows)).data
         u = FieldVector.from_flat(mesh, n, rows[0])
+        # a single vector takes its own path through the operator's layout
+        arrays[f"{name}/matvec"] = handle.matvec(rows[0])
+        arrays[f"{name}/reconstruct_auxiliary"] = handle.reconstruct_auxiliary(u).data
         value = lambda x: np.repeat(np.sin(x[:1] + 0.5 * x[-1:]), n, axis=0)
         arrays[f"{name}/l2_error"] = np.array([
             l2_error(mesh, u, value, handle.background),
@@ -410,7 +413,8 @@ def test_dump_and_compare(tmp_path, monkeypatch, capsys):
         arrays = dict(f)
     assert sorted(arrays) == sorted(
         [f"elasticity/{b}/{p}" for b in ("compact", "full") for p in ("data", "indices", "indptr")]
-        + ["elasticity/apply", "elasticity/l2_error"]
+        + ["elasticity/apply", "elasticity/l2_error", "elasticity/matvec",
+           "elasticity/reconstruct_auxiliary"]
     )
     with pytest.raises(SystemExit) as exit_info:
         main(["--compare"] + paths[:2])
