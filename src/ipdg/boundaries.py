@@ -118,10 +118,14 @@ class RobinBC(BoundaryCondition):
     """a u + b (n-projected primal flux) = g, a number or a callable g(x, normal).
 
     For b != 0 imposed as the neumann-kind flux (g - a u)/b using the
-    interior trace; for b = 0 degrades to dirichlet data g/a.
+    interior trace; for b = 0 degrades to dirichlet data g/a. a, b and a
+    numeric g must be finite.
     """
 
     def __init__(self, a: float, b: float, g):
+        for key, number in [("a", a), ("b", b)] + ([] if callable(g) else [("value", g)]):
+            if not np.isfinite(float(number)):
+                raise ConfigurationError(key, f"must be finite, got {number}")
         if a == 0.0 and b == 0.0:
             raise ConfigurationError("a", "robin condition needs a nonzero coefficient")
         self.a = float(a)

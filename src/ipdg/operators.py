@@ -32,12 +32,14 @@ the element count:
 - face traces of all elements live in one face buffer of shape
   (components, face points); the face fluxes are evaluated on it in one
   call per phase;
-- the numerical fluxes are pointwise, so each phase exchanges in one pass
-  over the face buffer: one gather through `partner` gives every point of a
+- both phases exchange through one routine (`OperatorHandle._exchange`).
+  The numerical fluxes are pointwise, so it works in one pass over a
+  phase's face buffers: one gather through `partner` gives every point of a
   mortar whose prolongations are both the identity the matching point
-  across, one ghost expression gives every external point its ghost, and
-  one flux call gives the flux and jump everywhere. The flux and ghost
-  functions take and return plain arrays. The penalty
+  across, the phase's ghosts go to the external points, and one flux call
+  gives the numerical flux star everywhere. The jump to lift is star - own
+  in strong form, star alone in weak form: phase one is always strong,
+  phase two follows the form and lifts the negated jump. The penalty
   sigma = C (p+1)^2 / h is computed once per handle in one expression over
   the face buffer, with the larger normal degree and the smaller h of each
   point and its partner (an external point is its own);
@@ -212,6 +214,8 @@ class FieldVector:
             raise ValueError(
                 f"data has shape {data.shape}, expected ({expected},) or (batch, {expected})"
             )
+        if not data.size:
+            raise ValueError("a batch needs at least one vector, got 0 rows")
         self.mesh, self.n_components, self.data = mesh, n_components, data
 
     @classmethod
@@ -741,8 +745,9 @@ class OperatorHandle:
                 )
         self._linearization_point = self._lin_groups = self._sources = None
         self._fields = []
-        self._face_sigma = self.penalty_parameter * cache.face_sigma
-        self._mortar_sigma = [self.penalty_parameter * mg.sigma for mg in cache.mortar_groups]
+        # the penalty on the face buffer, then on each mortar group
+        sigmas = [cache.face_sigma] + [mg.sigma for mg in cache.mortar_groups]
+        self._sigma_args = [(self.penalty_parameter * s,) for s in sigmas]
         # the boundary arrays over the external points, dirichlet-kind first
         # (`_external`): trace-free conditions fill their positions here,
         # once; the others (`_live`) overwrite theirs in every application
@@ -927,14 +932,33 @@ class OperatorHandle:
                 maps[-1] = maps[-1] if maps[-1](unit[:n], unit[n:]).any() else None
         return maps
 
+    def _exchange(self, own, ghosts, flux, flux_args, strong):
+        """One phase's numerical flux star (strong form only, else None) and jumps
+        on the face buffer: star is flux(*own, *exterior, *args) on its buffers
+        `own`, exterior being the partner's value or, at the external points,
+        `ghosts`, and args flux_args[0], or flux_args[k] on mortar group k's
+        points, which set their jumps; elsewhere star - own[0] if `strong`, else star."""
+        cache = self._cache
+        ext = [buf.take(cache.partner, axis=-1) for buf in own]
+        for x, ghost in zip(ext, ghosts):
+            x[..., self._external] = ghost
+        star = flux(*own, *ext, *flux_args[0])
+        jumps = star - own[0] if strong else star
+        if cache.mortar_groups:
+            jumps[..., cache.restricted] = 0.0
+            for mg, args in zip(cache.mortar_groups, flux_args[1:]):
+                sides = [mg.to_mortar(s, buf) for buf in own for s in (0, 1)]  # (buffer, side)
+                star_m = flux(*sides[::2], *sides[1::2], *args)
+                for s, f in enumerate((star_m, -star_m)):
+                    mg.add_restricted(s, f - sides[s] if strong else f, jumps)
+        return (star if strong else None), jumps
+
     def _phase1(self, u_rows):
         """Auxiliary fluxes, their exchange and the reconstructed auxiliary field.
 
         Returns per group the primal field and the reconstructed fields; as
         face buffers the face values of G(grad u), the projected auxiliary
-        fluxes G(u (x) n) and their numerical flux; and the neumann-kind
-        boundary array.
-        """
+        fluxes G(u (x) n) and their numerical flux; and the neumann-kind boundary array."""
         cache, sys_ = self._cache, self.system
         lead = u_rows.shape[1:-1]
         ugs = [g.take(u_rows) for g in cache.groups]
@@ -956,23 +980,11 @@ class OperatorHandle:
                 arrays[k][..., pos] = values.reshape(values.shape[:1] + lead + (-1,))
         aux_b, flux_b = arrays
 
-        # the exterior: the partner's value, or the ghost on external faces,
-        # whose boundary value is the interior's at neumann-kind points
-        ext = aux.take(cache.partner, axis=-1)
-        e, nd = self._external, self._n_dirichlet
-        interior = aux.take(e, axis=-1)
-        ext[..., e] = exterior_ghost_data(interior, _join(aux_b, interior[..., nd:]))
-        # on a ghost face the numerical flux is the boundary value itself
-        star = auxiliary_numerical_flux(aux, ext)
-        jumps = star - aux
-        # mortars with a non-identity side replace the jump at their points
-        if cache.mortar_groups:
-            jumps[..., cache.restricted] = 0.0
-        for mg in cache.mortar_groups:
-            sides = [mg.to_mortar(s, aux) for s in (0, 1)]
-            star_m = auxiliary_numerical_flux(*sides)
-            for s, flux in enumerate((star_m, -star_m)):
-                mg.add_restricted(s, flux - sides[s], jumps)
+        # the ghosts, whose boundary value is the interior's at neumann-kind points
+        interior = aux.take(self._external, axis=-1)
+        ghost = exterior_ghost_data(interior, _join(aux_b, interior[..., self._n_dirichlet:]))
+        star, jumps = self._exchange([aux], [ghost], auxiliary_numerical_flux,
+                                     [()] * len(self._sigma_args), strong=True)
 
         # G(grad u) is new on every application: gathered first, then lifted
         # in place into the reconstructed field
@@ -1012,27 +1024,15 @@ class OperatorHandle:
         deriv = _contract_normal(normal, sys_.primal_flux(w_faces, face_fields))
         pen = _contract_normal(normal, sys_.primal_flux(aux, face_fields))
 
-        # the exterior as in phase one; the derivative's boundary value is the
-        # interior's at dirichlet-kind points
-        ext_d, ext_p = deriv.take(cache.partner, axis=-1), pen.take(cache.partner, axis=-1)
-        e, nd = self._external, self._n_dirichlet
-        interior = deriv.take(e, axis=-1)
-        ext_d[..., e] = exterior_ghost_data(interior, _join(interior[..., :nd], flux_b))
-        ext_p[..., e] = 2.0 * _contract_normal(
-            self._normal, sys_.primal_flux(aux_star.take(e, axis=-1), ext_fields)
-        ) - pen.take(e, axis=-1)
-        star = primal_numerical_flux(deriv, pen, ext_d, ext_p, self._face_sigma)
-        # strong form subtracts the element's own exchanged flux
-        jumps = deriv - star if strong else -star
-        if cache.mortar_groups:
-            jumps[..., cache.restricted] = 0.0
-        for mg, sigma in zip(cache.mortar_groups, self._mortar_sigma):
-            d = [mg.to_mortar(s, deriv) for s in (0, 1)]
-            p = [mg.to_mortar(s, pen) for s in (0, 1)]
-            star_m = primal_numerical_flux(d[0], p[0], d[1], p[1], sigma)
-            for s, flux in enumerate((star_m, -star_m)):
-                jump = flux - d[s] if strong else flux
-                mg.add_restricted(s, -jump, jumps)
+        # the ghosts: the derivative's boundary value is the interior's at dirichlet-kind points
+        e = self._external
+        d_e, aux_e = deriv.take(e, axis=-1), aux_star.take(e, axis=-1)
+        ghosts = [exterior_ghost_data(d_e, _join(d_e[..., :self._n_dirichlet], flux_b)),
+                  2.0 * _contract_normal(self._normal, sys_.primal_flux(aux_e, ext_fields))
+                  - pen.take(e, axis=-1)]
+        _, jumps = self._exchange([deriv, pen], ghosts, primal_numerical_flux,
+                                  self._sigma_args, strong)
+        np.negative(jumps, out=jumps)  # the residual lifts deriv - star, or -star
 
         bad = []
         for gi, (g, res) in enumerate(zip(cache.groups, res_u)):

@@ -8,6 +8,7 @@ and Schur-complement checks and are guarded by a DoF cap.
 from __future__ import annotations
 
 import math
+import numbers
 import time
 from dataclasses import dataclass, field
 from typing import Optional
@@ -365,10 +366,10 @@ def check_iteration(section, tol, max_iter, restart=1):
     config keys under `section`."""
     if not 0.0 <= tol < math.inf:
         raise ConfigurationError(f"{section}.tolerance", f"must be finite and >= 0, got {tol}")
-    if max_iter < 1:
-        raise ConfigurationError(f"{section}.max_iterations", f"must be >= 1, got {max_iter}")
-    if restart < 1:
-        raise ConfigurationError(f"{section}.restart", f"must be >= 1, got {restart}")
+    for key, count in (("max_iterations", max_iter), ("restart", restart)):
+        # a bool is an int, and a float count fails only deep in the loops
+        if isinstance(count, bool) or not isinstance(count, numbers.Integral) or count < 1:
+            raise ConfigurationError(f"{section}.{key}", f"must be an integer >= 1, got {count!r}")
 
 
 def check_solver(handle, method, tol, max_iter, restart, preconditioner=None):

@@ -11,6 +11,7 @@ from ipdg.boundaries import (
     NeumannBC,
     RobinBC,
 )
+from ipdg.config import build_problem, parse_config
 from ipdg.errors import ConfigurationError
 from ipdg.solutions import manufactured_problem, sin_product
 from ipdg.systems import PoissonFlat
@@ -60,6 +61,36 @@ def test_robin_b_zero_degrades_to_dirichlet():
     )
     with pytest.raises(ValueError):
         RobinBC(0.0, 0.0, 1.0)
+
+
+ROBIN_RUN = {
+    "system": {"name": "poisson-flat"},
+    "domain": {"kind": "rectilinear", "bounds": [[0.0, 1.0], [0.0, 1.0]]},
+    "refinement": {"levels": [0, 0], "degrees": [2, 2]},
+    "boundary_conditions": {
+        "x-lower": {"type": "robin", "a": 1.0, "b": 1.0, "value": 0.0},
+        "all": {"type": "dirichlet", "value": 0.0},
+    },
+}
+
+
+@pytest.mark.parametrize("a, b, g, key", [
+    (1.0, 1.0, np.nan, "value"), (np.nan, 1.0, 0.0, "a"), (1.0, -np.inf, 0.0, "b"),
+    (np.inf, 0.0, 1.0, "a"),
+])
+def test_robin_rejects_non_finite_numbers(a, b, g, key):
+    # a non-finite coefficient or value is named by its key, not left to
+    # surface as a non-finite residual (or, for a = inf, as zero data)
+    with pytest.raises(ConfigurationError, match="must be finite") as err:
+        RobinBC(a, b, g)
+    assert err.value.path == key
+    # a configuration's condition is built under its tag; the schema already
+    # refuses non-finite numbers in a file, so they are set after parsing
+    cfg = parse_config(ROBIN_RUN)
+    cfg.boundary_conditions["x-lower"].update(a=a, b=b, value=g)
+    with pytest.raises(ConfigurationError) as err:
+        build_problem(cfg)
+    assert err.value.path == f"boundary_conditions.x-lower.{key}"
 
 
 def test_robin_linearization_matches_fd_fallback():

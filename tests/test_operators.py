@@ -1223,7 +1223,7 @@ def test_linearized_at_builds_only_what_depends_on_the_point():
     assert not handle.is_linearized and handle._lin_groups is None
     assert any(a.any() for a in handle._fixed)
     for lin in linearized:
-        for name in ("_cache", "_face_sigma", "_mortar_sigma", "_external", "_normal",
+        for name in ("_cache", "_sigma_args", "_external", "_normal",
                      "_fields", "_live_layout"):
             assert getattr(lin, name) is getattr(handle, name)
         assert lin.linearization_point is not point and not any(a.any() for a in lin._fixed)
@@ -1251,6 +1251,14 @@ def test_batch_guards():
     batch = FieldVector.batch(mesh, 1, np.zeros((2, 3)))
     with pytest.raises(ValueError):
         handle.apply_full(FieldVector.batch(mesh, 1, np.zeros((3, 3))), batch)
+
+
+def test_empty_batch_rejected():
+    # a batch of no vectors would reach the operator and fail in its layout
+    mesh = unit_mesh_2d(2, 2)
+    for make in (FieldVector.batch, FieldVector):
+        with pytest.raises(ValueError, match="at least one vector, got 0 rows"):
+            make(mesh, 1, np.zeros((0, mesh.total_points)))
 
 
 def test_build_rhs_homogeneous_dirichlet():

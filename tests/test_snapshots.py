@@ -21,14 +21,15 @@ with `np.array_equal`:
 
 The dump holds, per case, the compact and the full matrix, one seeded batch
 applied to the case's handle and the L2 error of one of its vectors with and
-without the handle; the solution and report of the solves in `SOLVES`:
-CG on poisson-conforming, and Newton on puncture with every inner report,
-wall times left out; and the bytes of every file that `ipdg solve`, a
-2-level h-`convergence` and compact and full `assemble` write for the
-configurations in `CLI_CONFIGS`: a rectilinear Poisson Gaussian, and a
-curved annulus on a conformally flat background with Neumann and Robin
-data. `--compare` lists every array that differs or is in one file only,
-and exits nonzero if there is any.
+without the handle; for the cases in `UNLINEARIZED`, a batch, a single
+vector and a full vector applied to the handle before linearization; the
+solution and report of the solves in `SOLVES`: CG on poisson-conforming,
+and Newton on puncture with every inner report, wall times left out; and
+the bytes of every file that `ipdg solve`, a 2-level h-`convergence` and
+compact and full `assemble` write for the configurations in `CLI_CONFIGS`:
+a rectilinear Poisson Gaussian, and a curved annulus on a conformally flat
+background with Neumann and Robin data. `--compare` lists every array that
+differs or is in one file only, and exits nonzero if there is any.
 """
 
 import contextlib
@@ -158,6 +159,28 @@ def curved_elasticity():
     return handle.linearized_at()
 
 
+def mortar_elasticity_handle():
+    # strong form across mortars with a non-identity side (a split element
+    # next to a raised one), with a trace-reading Robin condition beside
+    # Neumann and Dirichlet data
+    mesh = split_element(with_degrees(unit_square(1, 2), 3, (3, 3)), 0)
+    return OperatorHandle(
+        mesh, make_system("elasticity", dim=2, lame_lambda=1.5, shear_modulus=0.7), BG,
+        BoundaryMap({
+            "x-lower": RobinBC(1.0, 2.0, 0.3),
+            "y-upper": NeumannBC(lambda x, normal: np.stack([x[0], -0.5 * x[1]])),
+            "all": DirichletBC(lambda x: np.stack([np.sin(x[0]), x[0] * x[1]])),
+        }),
+        form="strong",
+    )
+
+
+def mortar_elasticity():
+    handle = mortar_elasticity_handle()
+    point = interpolant(handle.mesh, lambda x: 0.1 * np.stack([np.sin(x[0]), np.cos(x[1])]), 2)
+    return handle.linearized_at(point)
+
+
 def puncture_handle():
     system = make_system(
         "puncture", dim=3,
@@ -189,6 +212,7 @@ CASES = {
     "annulus": (annulus, False),
     "elasticity": (elasticity, False),
     "curved-elasticity": (curved_elasticity, False),
+    "mortar-elasticity": (mortar_elasticity, False),
     "puncture": (puncture, False),
 }
 
@@ -208,6 +232,11 @@ def newton_solve():
 
 # case name -> a solve on that case that `--dump` records
 SOLVES = {"poisson-conforming": cg_solve, "puncture": newton_solve}
+
+
+# case name -> the case's handle before linearization, whose residuals A(u)
+# and full residuals `--dump` records
+UNLINEARIZED = {"mortar-elasticity": mortar_elasticity_handle}
 
 
 # case name -> a CLI configuration like the case's problem, whose output files
@@ -342,6 +371,17 @@ def dump_outputs(path):
             l2_error(mesh, u, value, handle.background),
             l2_error(mesh, u, value, handle.background, handle=handle),
         ])
+    for name, build in UNLINEARIZED.items():
+        if name in CASES:
+            handle, key = build(), build.__name__
+            rows = np.random.default_rng(0).standard_normal((3, handle.n_primal_dofs))
+            batch = FieldVector.batch(handle.mesh, handle.system.n_primal, rows)
+            arrays[f"{key}/apply"] = handle.apply(batch).data
+            arrays[f"{key}/matvec"] = handle.matvec(rows[0])
+            full = np.random.default_rng(1).standard_normal(
+                handle.n_auxiliary_dofs + handle.n_primal_dofs
+            )
+            arrays[f"{key}/matvec_full"] = handle.matvec_full(full)
     for name, solve in SOLVES.items():
         if name in CASES:
             u, report = solve()

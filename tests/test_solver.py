@@ -373,6 +373,20 @@ def test_negative_max_iterations_rejected():
         solve_newton(poisson_handle(1, 2, lin=False), np.zeros(36), max_iter=-1)
 
 
+def test_non_integer_iteration_counts_rejected():
+    # a float count failed inside GMRES or CG with a TypeError, and Newton
+    # ran with it; a bool is no count either
+    for value in (10.0, 3.5, True):
+        _bad_solver_argument("max_iter", value, "solver.max_iterations: must be an integer")
+        _bad_solver_argument("restart", value, "solver.restart: must be an integer")
+        with pytest.raises(ConfigurationError, match="newton.max_iterations: must be an integer"):
+            solve_newton(poisson_handle(1, 2, lin=False), np.zeros(36), max_iter=value)
+    # numpy integers are integers
+    _, report = solve_linear(poisson_handle(1, 2), np.ones(36), max_iter=np.int64(3),
+                             restart=np.int32(2))
+    assert report.iterations <= 3
+
+
 def test_negative_or_non_finite_tolerance_rejected():
     for tol in (-1e-10, np.nan, np.inf):
         _bad_solver_argument("tol", tol, "solver.tolerance")
