@@ -3,15 +3,16 @@
 A mesh is a list of blocks, each carrying a coordinate map from the reference
 cube [-1, 1]^d into physical space, plus a list of elements. An element is
 identified by its block and one (level, index) segment per dimension, so
-element ids encode the full refinement history; child maps compose the block
-map with the affine map onto the element's logical sub-cube. Meshes stay
-two-to-one balanced across faces, which keeps mortar coverages decidable from
-segment arithmetic alone.
+element ids encode the full refinement history. An element keeps only its
+block's map: its own points are the block map of its segments' box in the
+block's logical cube (`jacobian_at`). Meshes stay two-to-one balanced across
+faces, which keeps mortar coverages decidable from segment arithmetic alone.
 """
 
 from __future__ import annotations
 
 import itertools
+import numbers
 from dataclasses import dataclass, replace
 from functools import cached_property
 
@@ -23,7 +24,6 @@ from .errors import ConfigurationError, DegenerateGeometryError, TopologyError
 __all__ = [
     "AffineMap",
     "AnnulusWedgeMap",
-    "ComposedMap",
     "Element",
     "Mesh",
     "Mortar",
@@ -63,18 +63,15 @@ class AffineMap:
         self.half = 0.5 * (self.upper - self.lower)
         self.mid = 0.5 * (self.upper + self.lower)
 
-    @property
-    def dim(self):
-        return self.lower.size
-
     def apply(self, xi):
         xi = np.asarray(xi, dtype=float)
         return _expand(self.mid, xi.ndim) + _expand(self.half, xi.ndim) * xi
 
     def jacobian(self, xi):
         xi = np.asarray(xi, dtype=float)
-        jac = np.zeros((self.dim, self.dim) + xi.shape[1:])
-        for i in range(self.dim):
+        dim = self.half.size
+        jac = np.zeros((dim, dim) + xi.shape[1:])
+        for i in range(dim):
             jac[i, i] = self.half[i]
         return jac
 
@@ -85,8 +82,6 @@ class AnnulusWedgeMap:
     xi_0 runs radially from r_inner to r_outer, xi_1 runs in angle from
     theta_min to theta_max (counterclockwise).
     """
-
-    dim = 2
 
     def __init__(self, r_inner, r_outer, theta_min, theta_max):
         if r_inner <= 0 or r_outer <= r_inner:
@@ -121,40 +116,17 @@ class AnnulusWedgeMap:
         return np.stack([row0, row1])
 
 
-class ComposedMap:
-    """Composition second(first(xi)); Jacobian by the chain rule."""
-
-    def __init__(self, first, second):
-        self.first = first
-        self.second = second
-
-    @property
-    def dim(self):
-        return self.second.dim
-
-    def apply(self, xi):
-        return self.second.apply(self.first.apply(xi))
-
-    def jacobian(self, xi):
-        inner = self.first.apply(xi)
-        j_outer = self.second.jacobian(inner)
-        j_inner = self.first.jacobian(xi)
-        return np.einsum("ij...,jk...->ik...", j_outer, j_inner)
-
-
 Segment = tuple[int, int]  # (refinement level, index within 0 .. 2^level - 1)
 
 
-def _segment_logical_bounds(seg: Segment) -> tuple[float, float]:
-    level, index = seg
-    width = 2.0 / (1 << level)
-    lo = -1.0 + index * width
-    return lo, lo + width
-
-
-def _segment_map(segments: tuple[Segment, ...]) -> AffineMap:
-    bounds = [_segment_logical_bounds(s) for s in segments]
-    return AffineMap([b[0] for b in bounds], [b[1] for b in bounds])
+def _boxes(segments):
+    """Centers and half-widths, each (d, elements), of the boxes that
+    elements' segments (elements, d) span in their blocks' logical cube:
+    segment (level, index) spans -1 + [index, index + 1] * 2 / 2^level. Every
+    number is dyadic, so the arithmetic is exact."""
+    level, index = np.array(segments).T
+    half = np.ldexp(1.0, -level)
+    return (2 * index + 1) * half - 1.0, half
 
 
 def _seg_bounds_at(seg: Segment, level: int) -> tuple[int, int]:
@@ -170,12 +142,14 @@ def _children(seg: Segment) -> tuple[Segment, Segment]:
 
 @dataclass(frozen=True)
 class Element:
-    """One deformed-cube element: its id, per-dimension degrees, and map."""
+    """One deformed-cube element: its id (block and segments), per-dimension
+    degrees, and its block's map. The element is the box its segments span
+    in the block's logical cube, taken into physical space by `block_map`."""
 
     block: int
     segments: tuple[Segment, ...]
     degrees: tuple[int, ...]
-    map: object
+    block_map: object
 
     @property
     def dim(self) -> int:
@@ -199,7 +173,7 @@ class Element:
 
     def coords(self) -> np.ndarray:
         """Physical collocation points, shape (d, *grid_shape)."""
-        return self.map.apply(self.logical_grid())
+        return jacobian_at([self], self.logical_grid())[0][:, 0]
 
     def id_string(self) -> str:
         segs = ",".join(f"L{l}I{i}" for l, i in self.segments)
@@ -257,30 +231,38 @@ def _canonical_order(dim, elements):
     return sorted(elements, key=lambda e: _element_sort_key(max_levels, e))
 
 
-def _make_element(block_index, block, segments, degrees) -> Element:
-    if all(s == (0, 0) for s in segments):
-        emap = block.map
-    else:
-        emap = ComposedMap(_segment_map(segments), block.map)
-    return Element(block_index, tuple(segments), tuple(degrees), emap)
+def _is_number(value, kind) -> bool:
+    """Whether `value` is a number of the `numbers` class `kind`, such as
+    Integral or Real: numpy's numbers are, a bool is not (int(2.7) and
+    int(True) would be read as counts without a word)."""
+    return isinstance(value, kind) and not isinstance(value, bool)
 
 
 def _levels_degrees(levels, degrees, dim):
     """Per-dimension refinement levels (>= 0) and degrees (>= 1) as int tuples."""
     out = []
     for key, values, low in (("levels", levels, 0), ("degrees", degrees, 1)):
-        values = tuple(int(v) for v in values)
+        values = tuple(values)
         if len(values) != dim:
             raise ConfigurationError(
                 f"refinement.{key}", f"levels and degrees need {dim} entries, one per dimension"
             )
         for i, v in enumerate(values):
-            if v < low:
+            if not _is_number(v, numbers.Integral) or v < low:
                 raise ConfigurationError(
-                    f"refinement.{key}[{i}]", f"levels must be >= 0 and degrees >= 1, got {v}"
+                    f"refinement.{key}[{i}]",
+                    f"levels must be >= 0 and degrees >= 1, as integers, got {v!r}",
                 )
-        out.append(values)
+        out.append(tuple(map(int, values)))
     return tuple(out)
+
+
+def _uniform_mesh(dim, blocks, levels, degrees) -> Mesh:
+    """The mesh of `blocks`, each cut into 2^levels[d] segments along each
+    dimension d, every element of the given degrees."""
+    grid = list(itertools.product(*[[(l, i) for i in range(1 << l)] for l in levels]))
+    elements = [Element(b, s, degrees, block.map) for b, block in enumerate(blocks) for s in grid]
+    return Mesh(dim, blocks, _canonical_order(dim, elements))
 
 
 def build_rectilinear_mesh(bounds, levels, degrees) -> Mesh:
@@ -290,16 +272,17 @@ def build_rectilinear_mesh(bounds, levels, degrees) -> Mesh:
     refinement levels (2^level elements per dimension); degrees: per-dimension
     polynomial degrees. External boundary tags are "x-lower", "x-upper", ...
     """
-    bounds = [tuple(map(float, b)) for b in bounds]
+    bounds = list(bounds)
     dim = len(bounds)
     if dim not in (1, 2, 3):
         raise ConfigurationError(
             "domain.bounds", f"expected 1 to 3 [lower, upper] pairs, got {dim}"
         )
     for i, b in enumerate(bounds):
-        if len(b) != 2 or not b[0] < b[1]:
+        pair = isinstance(b, (list, tuple, np.ndarray)) and len(b) == 2
+        if not (pair and all(_is_number(v, numbers.Real) for v in b) and b[0] < b[1]):
             raise ConfigurationError(
-                f"domain.bounds[{i}]", f"expected [lower, upper] with upper > lower, got {list(b)}"
+                f"domain.bounds[{i}]", f"expected [lower, upper] with upper > lower, got {b!r}"
             )
     levels, degrees = _levels_degrees(levels, degrees, dim)
     block = Block(
@@ -310,11 +293,7 @@ def build_rectilinear_mesh(bounds, levels, degrees) -> Mesh:
             for side, name in ((-1, "lower"), (1, "upper"))
         },
     )
-    elements = []
-    for idx in itertools.product(*[range(1 << l) for l in levels]):
-        segments = tuple((levels[d], idx[d]) for d in range(dim))
-        elements.append(_make_element(0, block, segments, degrees))
-    return Mesh(dim, [block], _canonical_order(dim, elements))
+    return _uniform_mesh(dim, [block], levels, degrees)
 
 
 def build_annulus_mesh(r_inner, r_outer, n_wedges, levels, degrees) -> Mesh:
@@ -323,9 +302,9 @@ def build_annulus_mesh(r_inner, r_outer, n_wedges, levels, degrees) -> Mesh:
     Dimension 0 is radial (external tags "inner"/"outer"), dimension 1 angular
     and periodic across blocks.
     """
+    if not _is_number(n_wedges, numbers.Integral) or n_wedges < 2:
+        raise ConfigurationError("domain.n_wedges", f"must be an integer >= 2, got {n_wedges!r}")
     n_wedges = int(n_wedges)
-    if n_wedges < 2:
-        raise ConfigurationError("domain.n_wedges", f"must be at least 2, got {n_wedges}")
     if not r_inner > 0:
         raise ConfigurationError("domain.r_inner", f"must be > 0, got {r_inner}")
     if not r_outer > r_inner:
@@ -346,12 +325,7 @@ def build_annulus_mesh(r_inner, r_outer, n_wedges, levels, degrees) -> Mesh:
                 },
             )
         )
-    elements = []
-    for w, block in enumerate(blocks):
-        for idx in itertools.product(*[range(1 << l) for l in levels]):
-            segments = tuple((levels[d], idx[d]) for d in range(2))
-            elements.append(_make_element(w, block, segments, degrees))
-    return Mesh(2, blocks, _canonical_order(2, elements))
+    return _uniform_mesh(2, blocks, levels, degrees)
 
 
 def refine_uniform(mesh: Mesh, mode: str) -> Mesh:
@@ -366,27 +340,29 @@ def refine_uniform(mesh: Mesh, mode: str) -> Mesh:
         return Mesh(mesh.dim, mesh.blocks, elements)
     if mode != "h":
         raise ValueError(f"refinement mode must be 'h' or 'p', got {mode!r}")
-    elements = []
-    for e in mesh.elements:
-        for combo in itertools.product(*[_children(s) for s in e.segments]):
-            elements.append(
-                _make_element(e.block, mesh.blocks[e.block], combo, e.degrees)
-            )
+    elements = [
+        Element(e.block, combo, e.degrees, e.block_map)
+        for e in mesh.elements
+        for combo in itertools.product(*[_children(s) for s in e.segments])
+    ]
     return Mesh(mesh.dim, mesh.blocks, _canonical_order(mesh.dim, elements))
 
 
 def _element_index(mesh: Mesh, index: int) -> int:
-    """`index`, unless it is out of 0 <= index < n_elements."""
+    """`index` as an int, unless it is not an integer in 0 <= index < n_elements."""
+    if not _is_number(index, numbers.Integral):
+        raise ValueError(f"element index must be an integer, got {index!r}")
     if not 0 <= index < mesh.n_elements:
         raise ValueError(f"element index {index} out of range for {mesh.n_elements} elements")
-    return index
+    return int(index)
 
 
 def split_element(mesh: Mesh, index: int) -> Mesh:
     """Replace one element by its 2^d children (for nonconforming meshes)."""
-    e = mesh.elements[_element_index(mesh, index)]
+    index = _element_index(mesh, index)
+    e = mesh.elements[index]
     children = [
-        _make_element(e.block, mesh.blocks[e.block], combo, e.degrees)
+        Element(e.block, combo, e.degrees, e.block_map)
         for combo in itertools.product(*[_children(s) for s in e.segments])
     ]
     elements = mesh.elements[:index] + children + mesh.elements[index + 1 :]
@@ -395,21 +371,15 @@ def split_element(mesh: Mesh, index: int) -> Mesh:
 
 def with_degrees(mesh: Mesh, index: int, degrees) -> Mesh:
     """Return a mesh with one element's degrees replaced."""
-    degrees = tuple(int(p) for p in degrees)
-    if len(degrees) != mesh.dim or any(p < 1 for p in degrees):
-        raise ValueError(f"bad degrees {degrees} for dimension {mesh.dim}")
+    degrees = tuple(degrees)
+    if len(degrees) != mesh.dim or not all(
+        _is_number(p, numbers.Integral) and p >= 1 for p in degrees
+    ):
+        raise ValueError(f"bad degrees {degrees} for dimension {mesh.dim}: need integers >= 1")
     elements = list(mesh.elements)
     index = _element_index(mesh, index)
-    elements[index] = replace(elements[index], degrees=degrees)
+    elements[index] = replace(elements[index], degrees=tuple(map(int, degrees)))
     return Mesh(mesh.dim, mesh.blocks, elements)
-
-
-def _split_map(emap, dim):
-    """(outer map, inner mid, inner half) of an element map: a block map after
-    its affine segment map, or any other map after the identity."""
-    if isinstance(emap, ComposedMap) and isinstance(emap.first, AffineMap):
-        return emap.second, emap.first.mid, emap.first.half
-    return emap, np.zeros(dim), np.ones(dim)
 
 
 def jacobian_at(elements, xi):
@@ -418,30 +388,30 @@ def jacobian_at(elements, xi):
 
     xi has shape (d,) or (d, ...); returns (x, J, det, J^-1) with the element
     axis first among the point axes: x (d, elements, ...), J and J^-1
-    (d, d, elements, ...), det (elements, ...), all C-contiguous. Each
-    distinct outer map (`_split_map`) is evaluated once, on the stacked inner
-    points of its members. Raises DegenerateGeometryError unless det > 0
-    everywhere, naming the first element in the given order where it is not.
+    (d, d, elements, ...), det (elements, ...), all C-contiguous. An
+    element's point is its block map at mid + half * xi, its box in the
+    block's logical cube (`_boxes`, one expression for the whole stack); each
+    distinct block map is evaluated once, on the stacked points of its
+    members. Raises DegenerateGeometryError unless det > 0 everywhere, naming
+    the first element in the given order where it is not.
     """
     xi = np.asarray(xi, dtype=float)
     dim, n, pts = xi.shape[0], len(elements), xi.shape[1:]
-    parts = [_split_map(el.map, dim) for el in elements]
-    outers = {}
-    for k, (outer, _, _) in enumerate(parts):
-        outers.setdefault(id(outer), (outer, []))[1].append(k)
-    # (d, elements, 1, ...): the inner maps' parameters over the point axes
+    maps = {}
+    for k, el in enumerate(elements):
+        maps.setdefault(id(el.block_map), (el.block_map, []))[1].append(k)
+    # (d, elements, 1, ...): the boxes over the point axes
     mid, half = (
-        np.stack([p[i] for p in parts], axis=1).reshape((dim, n) + (1,) * len(pts))
-        for i in (1, 2)
+        a.reshape((dim, n) + (1,) * len(pts)) for a in _boxes([el.segments for el in elements])
     )
     x = np.empty((dim, n) + pts)
     jac = np.empty((dim, dim, n) + pts)
-    for outer, members in outers.values():
+    for block_map, members in maps.values():
         h = half[:, members]
-        inner = mid[:, members] + h * xi[:, None]
-        x[:, members] = outer.apply(inner)
-        # the chain rule with a diagonal inner Jacobian scales J's columns
-        jac[:, :, members] = outer.jacobian(inner) * h
+        logical = mid[:, members] + h * xi[:, None]
+        x[:, members] = block_map.apply(logical)
+        # the chain rule with the box's diagonal Jacobian scales J's columns
+        jac[:, :, members] = block_map.jacobian(logical) * h
     # the adjugate adj J = det J * J^-1, the transposed cofactors
     if dim == 1:
         adj = np.ones_like(jac)

@@ -106,6 +106,7 @@ from __future__ import annotations
 
 import copy
 import math
+import numbers
 from collections import namedtuple
 from operator import attrgetter
 from typing import Optional
@@ -122,7 +123,7 @@ from .errors import (
     TopologyError,
     config_section,
 )
-from .mesh import face_shape, jacobian_at, mortar_topology
+from .mesh import _is_number, face_shape, jacobian_at, mortar_topology
 from .mortars import mortar_logical_weights, prolongation_matrix
 from .systems import EllipticSystem
 
@@ -719,6 +720,11 @@ class OperatorHandle:
         if not isinstance(massive, (bool, np.bool_)):
             raise ConfigurationError("operator.massive", f"must be a bool, got {massive!r}")
         self._massive = bool(massive)
+        # float(True) is 1.0 and float("2") is 2.0: only a real number is a penalty
+        if not _is_number(penalty_parameter, numbers.Real):
+            raise ConfigurationError(
+                "operator.penalty_parameter", f"must be a real number, got {penalty_parameter!r}"
+            )
         self._penalty_parameter = float(penalty_parameter)
         if system.dim != mesh.dim:
             raise ConfigurationError("system", f"system is {system.dim}D but mesh is {mesh.dim}D")

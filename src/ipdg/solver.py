@@ -18,6 +18,7 @@ import scipy.linalg
 import scipy.sparse
 
 from .errors import ConfigurationError, ResourceCapError
+from .mesh import _is_number
 from .operators import FieldVector
 
 __all__ = [
@@ -368,7 +369,7 @@ def check_iteration(section, tol, max_iter, restart=1):
         raise ConfigurationError(f"{section}.tolerance", f"must be finite and >= 0, got {tol}")
     for key, count in (("max_iterations", max_iter), ("restart", restart)):
         # a bool is an int, and a float count fails only deep in the loops
-        if isinstance(count, bool) or not isinstance(count, numbers.Integral) or count < 1:
+        if not _is_number(count, numbers.Integral) or count < 1:
             raise ConfigurationError(f"{section}.{key}", f"must be an integer >= 1, got {count!r}")
 
 

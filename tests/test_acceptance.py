@@ -48,7 +48,7 @@ from ipdg import (
     with_degrees,
 )
 from ipdg.basis import gauss_lobatto_nodes_weights
-from ipdg.mesh import face_shape, mortar_topology
+from ipdg.mesh import face_shape, jacobian_at, mortar_topology
 
 BG = FlatBackground()
 POISSON = make_system("poisson-flat", dim=2)
@@ -171,7 +171,7 @@ def element_dof_ranges(mesh, n_vars):
 
 
 def diagonal_element_pairs(mesh):
-    centers = [el.map.apply(np.zeros(mesh.dim)) for el in mesh.elements]
+    centers = jacobian_at(mesh.elements, np.zeros(mesh.dim))[0].T
     pairs = []
     for i in range(len(centers)):
         for j in range(i + 1, len(centers)):

@@ -13,12 +13,11 @@ import pytest
 
 from ipdg.background import FlatBackground
 from ipdg.boundaries import BoundaryMap, DirichletBC
-from ipdg.errors import DegenerateGeometryError, TopologyError
+from ipdg.errors import ConfigurationError, DegenerateGeometryError, TopologyError
 from ipdg.mesh import (
     _at_block_boundary,
     AffineMap,
     AnnulusWedgeMap,
-    ComposedMap,
     Mesh,
     build_annulus_mesh,
     build_rectilinear_mesh,
@@ -72,10 +71,6 @@ class TestMaps:
         [
             AffineMap([0.0, 0.0], [1.0, 2.0]),
             AnnulusWedgeMap(1.0, 2.0, 0.2, 1.3),
-            ComposedMap(
-                AffineMap([-1.0, 0.0], [0.0, 1.0]),
-                AnnulusWedgeMap(0.5, 3.0, 0.0, np.pi),
-            ),
         ],
     )
     def test_jacobian_matches_finite_differences(self, cmap):
@@ -86,14 +81,6 @@ class TestMaps:
                 cmap.jacobian(xi), fd_jacobian(cmap, xi), rtol=1e-7, atol=1e-8
             )
 
-    def test_composed_jacobian_is_chain_rule_product(self):
-        inner = AffineMap([-1.0, -1.0], [0.0, 0.0])
-        outer = AnnulusWedgeMap(1.0, 4.0, 0.1, 2.0)
-        comp = ComposedMap(inner, outer)
-        xi = np.array([0.25, -0.6])
-        expected = outer.jacobian(inner.apply(xi)) @ inner.jacobian(xi)
-        np.testing.assert_allclose(comp.jacobian(xi), expected, rtol=1e-12)
-
     def test_degenerate_wedge_rejected(self):
         with pytest.raises(DegenerateGeometryError):
             AnnulusWedgeMap(0.0, 1.0, 0.0, 1.0)
@@ -101,7 +88,53 @@ class TestMaps:
             AnnulusWedgeMap(2.0, 1.0, 0.0, 1.0)
 
 
+def element_points(e, xi):
+    """Reference for an element's points: its block map at its box in the
+    block's logical cube, the box worked out from the segments by hand."""
+    half = np.array([0.5 ** level for level, _ in e.segments])
+    mid = np.array([(2 * index + 1) * 0.5 ** level - 1.0 for level, index in e.segments])
+    xi = np.asarray(xi, dtype=float)
+    shape = (-1,) + (1,) * (xi.ndim - 1)
+    return e.block_map.apply(mid.reshape(shape) + half.reshape(shape) * xi)
+
+
+# elements of several levels in one mesh: split annulus wedges at levels 0-2
+# and a refined box
+BOX_MESHES = [
+    split_element(build_annulus_mesh(0.5, 3.0, 3, (level, level), (2, 2)), 1)
+    for level in range(3)
+] + [
+    refine_uniform(
+        build_rectilinear_mesh([(0.0, 1.0), (-0.5, 2.0), (1.0, 1.5)], (1, 0, 1), (1, 1, 1)), "h"
+    )
+]
+BOX_IDS = [f"annulus-split-L{level}" for level in range(3)] + ["3d-refined"]
+
+
 class TestJacobianAt:
+    @pytest.mark.parametrize("mesh", BOX_MESHES, ids=BOX_IDS)
+    def test_jacobian_matches_finite_differences_of_its_points(self, mesh):
+        # J is the derivative of x: the block map's Jacobian at the box's
+        # point times the box's half-widths, by the chain rule
+        xi = np.random.default_rng(5).uniform(-0.9, 0.9, size=(mesh.dim, 4))
+        _, jac, _, _ = jacobian_at(mesh.elements, xi)
+        eps = 1e-6
+        for j in range(mesh.dim):
+            step = np.zeros((mesh.dim, 1))
+            step[j] = eps
+            ahead, behind = (jacobian_at(mesh.elements, xi + s)[0] for s in (step, -step))
+            np.testing.assert_allclose(jac[:, j], (ahead - behind) / (2 * eps),
+                                       rtol=1e-7, atol=1e-8)
+
+    @pytest.mark.parametrize("mesh", BOX_MESHES, ids=BOX_IDS)
+    def test_points_are_the_block_map_of_the_box(self, mesh):
+        # bit for bit, for the stack and for each element's `coords`
+        xi = mesh.elements[0].logical_grid()
+        x = jacobian_at(mesh.elements, xi)[0]
+        for k, e in enumerate(mesh.elements):
+            assert np.array_equal(x[:, k], element_points(e, xi))
+            assert np.array_equal(e.coords(), element_points(e, e.logical_grid()))
+
     def test_affine_element_inverse_and_det(self):
         mesh = build_rectilinear_mesh([(0, 1), (0, 1)], (1, 1), (2, 2))
         e = mesh.elements[0]
@@ -152,7 +185,7 @@ class TestJacobianAt:
 
         mesh = build_rectilinear_mesh([(0, 1), (0, 1)], (1, 0), (2, 2))
         good, el = mesh.elements
-        bad = dataclasses.replace(el, map=Reflected(el.map))
+        bad = dataclasses.replace(el, block_map=Reflected(el.block_map))
         message = f"non-positive Jacobian determinant in element {bad.id_string()}"
         with pytest.raises(DegenerateGeometryError, match=re.escape(message)):
             jacobian_at([bad], bad.logical_grid())
@@ -256,6 +289,52 @@ class TestBuildersAndRefinement:
             build_annulus_mesh(1.0, 2.0, 4, levels, degrees)
         with pytest.raises(ValueError, match="need 2 entries"):
             build_annulus_mesh(1.0, 2.0, 4, (0,), (2,))
+
+    def test_builders_require_integer_levels_degrees_and_wedges(self):
+        # int() used to truncate these without a word: degree 2.7 built
+        # degree 2, level True level 1 and 2.5 wedges two
+        square = [(0, 1), (0, 1)]
+        for levels, degrees, path in (
+            ((1, 1), (2.7, 2), "refinement.degrees[0]"),
+            ((1.9, 1), (2, 2), "refinement.levels[0]"),
+            ((True, 1), (2, 2), "refinement.levels[0]"),
+            ((1, 1), (2, "3"), "refinement.degrees[1]"),
+        ):
+            for build in (lambda: build_rectilinear_mesh(square, levels, degrees),
+                          lambda: build_annulus_mesh(1.0, 2.0, 4, levels, degrees)):
+                with pytest.raises(ConfigurationError, match="as integers, got") as err:
+                    build()
+                assert err.value.path == path
+        for n_wedges in (2.5, 4.0, True):
+            with pytest.raises(ConfigurationError, match="must be an integer >= 2") as err:
+                build_annulus_mesh(1.0, 2.0, n_wedges, (0, 0), (2, 2))
+            assert err.value.path == "domain.n_wedges"
+        # a bounds entry that is not a pair of numbers is named
+        for bounds, i in (([0, 1], 0), ([(0, 1), "ab"], 1), ([(0, 1), (0, True)], 1)):
+            with pytest.raises(ConfigurationError, match="expected .lower, upper.") as err:
+                build_rectilinear_mesh(bounds, (0,) * len(bounds), (1,) * len(bounds))
+            assert err.value.path == f"domain.bounds[{i}]"
+        # numpy integers are integers
+        mesh = build_rectilinear_mesh(np.array(square), np.array([1, 1]), (np.int64(2), 2))
+        assert mesh.n_elements == 4 and mesh.elements[0].degrees == (2, 2)
+        assert type(mesh.elements[0].degrees[0]) is int
+        assert build_annulus_mesh(1.0, 2.0, np.int64(3), (0, 0), (2, 2)).n_elements == 3
+
+    def test_element_editors_require_integers(self):
+        # split_element(mesh, True) split element 1 and with_degrees truncated
+        # degree 3.9 to 3
+        mesh = build_rectilinear_mesh([(0, 1), (0, 1)], (1, 1), (2, 2))
+        for index in (True, 1.5, 1.0, "1"):
+            with pytest.raises(ValueError, match="element index must be an integer, got"):
+                split_element(mesh, index)
+            with pytest.raises(ValueError, match="element index must be an integer, got"):
+                with_degrees(mesh, index, (3, 3))
+        for degrees in ((3.9, 2), (True, 2), (3, "2")):
+            with pytest.raises(ValueError, match="need integers >= 1"):
+                with_degrees(mesh, 0, degrees)
+        assert split_element(mesh, np.int64(1)).n_elements == 7
+        raised = with_degrees(mesh, np.int64(0), np.array([3, 4]))
+        assert raised.elements[0].degrees == (3, 4) and type(raised.elements[0].degrees[0]) is int
 
     def test_element_editors_range_check_the_index(self):
         # a negative index used to count from the end: split_element(mesh, -1)
@@ -494,11 +573,11 @@ def test_characteristic_h_halves_under_refinement():
 
 
 def per_element_h(mesh):
-    """Reference for `Mesh.characteristic_h`: one `map.apply` per element."""
+    """Reference for `Mesh.characteristic_h`: one `element_points` per element."""
     corners = np.array(list(itertools.product(*[(-1.0, 1.0)] * mesh.dim))).T
     h = 0.0
     for e in mesh.elements:
-        phys = e.map.apply(corners)
+        phys = element_points(e, corners)
         for d in range(mesh.dim):
             h = max(h, phys[d].max() - phys[d].min())
     return h

@@ -1630,6 +1630,19 @@ def test_nan_guard_names_element_in_batch():
     assert batch.value.args[0] == named
 
 
+def test_penalty_parameter_must_be_a_real_number():
+    # float() used to read True as C = 1 and "2" as C = 2.0
+    mesh = unit_mesh_2d(2, 0)
+    bcs = BoundaryMap.everywhere(DirichletBC(0.0))
+    for penalty in (True, False, np.bool_(True), "2", None, 1j):
+        with pytest.raises(ConfigurationError,
+                           match="operator.penalty_parameter: must be a real number, got"):
+            OperatorHandle(mesh, POISSON_2D, BG, bcs, penalty_parameter=penalty)
+    for penalty in (2, np.int64(2), np.float32(2.0), 2.0):
+        handle = OperatorHandle(mesh, POISSON_2D, BG, bcs, penalty_parameter=penalty)
+        assert type(handle.penalty_parameter) is float and handle.penalty_parameter == 2.0
+
+
 def test_handle_validation():
     mesh = unit_mesh_2d(2, 0)
     bcs = BoundaryMap.everywhere(DirichletBC(0.0))

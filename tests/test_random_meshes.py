@@ -129,11 +129,11 @@ class Flipped:
 
 
 def flipped_meshes():
-    """A split 2x2 square with two elements' maps wrapped in `Flipped`: one
-    group holds their maps beside the composed maps of the others."""
+    """A split 2x2 square with two elements' block maps wrapped in `Flipped`:
+    one group holds three block maps, their two beside the others' one."""
     mesh = split_element(build_rectilinear_mesh([(0.0, 1.0), (0.0, 1.0)], (1, 1), (3, 3)), 0)
     elements = [
-        dataclasses.replace(e, map=Flipped(e.map)) if k in (1, 4) else e
+        dataclasses.replace(e, block_map=Flipped(e.block_map)) if k in (1, 4) else e
         for k, e in enumerate(mesh.elements)
     ]
     return Mesh(mesh.dim, mesh.blocks, elements)
@@ -180,8 +180,9 @@ def test_batched_geometry_equals_per_element(case):
 
 
 def test_batched_geometry_mixes_map_kinds():
-    # bare wedge maps beside the composed maps of a split wedge's children,
-    # and maps of another type beside composed ones, in one group each
+    # whole-wedge elements beside a split wedge's children, so three block
+    # maps and boxes of two levels, and block maps of another type beside
+    # the builder's, in one group each
     annulus = split_element(build_annulus_mesh(0.5, 1.0, 3, (0, 0), (3, 4)), 1)
     for mesh, background in ((annulus, CURVED), (flipped_meshes(), BG)):
         assert len(_element_groups(mesh, background)) == 1

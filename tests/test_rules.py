@@ -52,6 +52,24 @@ CASES = [
      lambda: build_annulus_mesh(0.0, 2.0, 4, (0, 0), (2, 2)),
      {"domain": {"kind": "annulus", "r_inner": 0.0, "r_outer": 2.0, "n_wedges": 4}},
      False),
+    # int() used to truncate these, and bounds that were no pair failed in
+    # float(); the schema already refuses them in a file
+    ("refinement.levels[0]",
+     lambda: build_rectilinear_mesh(SQUARE, (1.5, 1), (2, 2)),
+     {"refinement": {"levels": [1.5, 1], "degrees": [2, 2]}},
+     False),
+    ("refinement.degrees[1]",
+     lambda: build_rectilinear_mesh(SQUARE, (1, 1), (2, 2.5)),
+     {"refinement": {"levels": [1, 1], "degrees": [2, 2.5]}},
+     False),
+    ("domain.n_wedges",
+     lambda: build_annulus_mesh(1.0, 2.0, 2.5, (0, 0), (2, 2)),
+     {"domain": {"kind": "annulus", "r_inner": 1.0, "r_outer": 2.0, "n_wedges": 2.5}},
+     False),
+    ("domain.bounds[0]",
+     lambda: build_rectilinear_mesh([0, 1], (1, 1), (2, 2)),
+     {"domain": {"kind": "rectilinear", "bounds": [0, 1]}},
+     False),
     ("solver.method",
      lambda: solve_linear(handle(form="strong"), ones(handle()), method="cg"),
      {"operator": {"form": "strong"}, "solver": {"method": "cg"}},

@@ -21,8 +21,11 @@ with `np.array_equal`:
 
 The dump holds, per case, the compact and the full matrix, one seeded batch
 applied to the case's handle and the L2 error of one of its vectors with and
-without the handle; for the cases in `UNLINEARIZED`, a batch, a single
-vector and a full vector applied to the handle before linearization; the
+without the handle, and the mesh geometry (`geometry_arrays`): every
+element group's coordinates, J^-1 and mass, the mesh cache's face arrays,
+the characteristic h and every element's `coords()`; for the cases in
+`UNLINEARIZED`, a batch, a single vector and a full vector applied to the
+handle before linearization; the
 solution and report of the solves in `SOLVES`: CG on poisson-conforming,
 and Newton on puncture with every inner report, wall times left out; and
 the bytes of every file that `ipdg solve`, a 2-level h-`convergence` and
@@ -230,6 +233,26 @@ def newton_solve():
     return solve_newton(handle, handle.zero_primal(), tol=1e-12, inner={"tol": 1e-12})
 
 
+# the face arrays of the mesh cache that `--dump` records per case
+FACE_ARRAYS = ("face_coords", "face_normal", "face_h", "face_measure", "face_mass", "face_p",
+               "face_sigma")
+
+
+def geometry_arrays(name, handle):
+    """The geometry a handle's operator is built from, under `name/geometry/`."""
+    cache, mesh = handle._cache, handle.mesh
+    arrays = {
+        f"{name}/geometry/group{g}/{attr}": getattr(group, attr)
+        for g, group in enumerate(cache.groups) for attr in ("coords", "jinv", "mass")
+    }
+    arrays.update({f"{name}/geometry/{attr}": getattr(cache, attr) for attr in FACE_ARRAYS})
+    arrays[f"{name}/geometry/characteristic_h"] = np.array(mesh.characteristic_h())
+    arrays[f"{name}/geometry/element_coords"] = np.concatenate(
+        [e.coords().reshape(mesh.dim, -1) for e in mesh.elements], axis=1
+    )
+    return arrays
+
+
 # case name -> a solve on that case that `--dump` records
 SOLVES = {"poisson-conforming": cg_solve, "puncture": newton_solve}
 
@@ -359,6 +382,7 @@ def dump_outputs(path):
             mat = assemble_explicit(handle, include_auxiliary=full).matrix
             for part in ("data", "indices", "indptr"):
                 arrays[f"{name}/{block}/{part}"] = getattr(mat, part)
+        arrays.update(geometry_arrays(name, handle))
         mesh, n = handle.mesh, handle.system.n_primal
         rows = np.random.default_rng(0).standard_normal((3, handle.n_primal_dofs))
         arrays[f"{name}/apply"] = handle.apply(FieldVector.batch(mesh, n, rows)).data
@@ -455,6 +479,9 @@ def test_dump_and_compare(tmp_path, monkeypatch, capsys):
         [f"elasticity/{b}/{p}" for b in ("compact", "full") for p in ("data", "indices", "indptr")]
         + ["elasticity/apply", "elasticity/l2_error", "elasticity/matvec",
            "elasticity/reconstruct_auxiliary"]
+        + [f"elasticity/geometry/group0/{a}" for a in ("coords", "jinv", "mass")]
+        + [f"elasticity/geometry/{a}" for a in FACE_ARRAYS]
+        + ["elasticity/geometry/characteristic_h", "elasticity/geometry/element_coords"]
     )
     with pytest.raises(SystemExit) as exit_info:
         main(["--compare"] + paths[:2])
