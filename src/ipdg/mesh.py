@@ -12,6 +12,7 @@ faces, which keeps mortar coverages decidable from segment arithmetic alone.
 from __future__ import annotations
 
 import itertools
+import math
 import numbers
 from dataclasses import dataclass, replace
 from functools import cached_property
@@ -19,7 +20,7 @@ from functools import cached_property
 import numpy as np
 
 from .basis import gauss_lobatto_nodes_weights
-from .errors import ConfigurationError, DegenerateGeometryError, TopologyError
+from .errors import ConfigurationError, DegenerateGeometryError, ResourceCapError, TopologyError
 
 __all__ = [
     "AffineMap",
@@ -41,6 +42,8 @@ __all__ = [
 ]
 
 _AXIS_NAMES = ("x", "y", "z")
+# the most elements a builder makes: 2^20 take about 3 s and 300 MB to build
+MAX_ELEMENTS = 1 << 20
 
 
 def _expand(v: np.ndarray, target_ndim: int) -> np.ndarray:
@@ -238,8 +241,9 @@ def _is_number(value, kind) -> bool:
     return isinstance(value, kind) and not isinstance(value, bool)
 
 
-def _levels_degrees(levels, degrees, dim):
-    """Per-dimension refinement levels (>= 0) and degrees (>= 1) as int tuples."""
+def _levels_degrees(levels, degrees, dim, n_blocks=1):
+    """Per-dimension refinement levels (>= 0) and degrees (>= 1) as int tuples;
+    ResourceCapError if n_blocks blocks of them make over MAX_ELEMENTS elements."""
     out = []
     for key, values, low in (("levels", levels, 0), ("degrees", degrees, 1)):
         values = tuple(values)
@@ -254,6 +258,10 @@ def _levels_degrees(levels, degrees, dim):
                     f"levels must be >= 0 and degrees >= 1, as integers, got {v!r}",
                 )
         out.append(tuple(map(int, values)))
+    total = sum(out[0])  # 2^total is formed only below the cap
+    if total >= MAX_ELEMENTS.bit_length() or n_blocks << total > MAX_ELEMENTS:
+        key = f"refinement.levels[{out[0].index(max(out[0]))}]" if total else "domain.n_wedges"
+        raise ResourceCapError(f"{key}: {n_blocks} x 2^{total} elements, over {MAX_ELEMENTS}")
     return tuple(out)
 
 
@@ -280,10 +288,10 @@ def build_rectilinear_mesh(bounds, levels, degrees) -> Mesh:
         )
     for i, b in enumerate(bounds):
         pair = isinstance(b, (list, tuple, np.ndarray)) and len(b) == 2
-        if not (pair and all(_is_number(v, numbers.Real) for v in b) and b[0] < b[1]):
-            raise ConfigurationError(
-                f"domain.bounds[{i}]", f"expected [lower, upper] with upper > lower, got {b!r}"
-            )
+        if not (pair and all(_is_number(v, numbers.Real) and math.isfinite(v) for v in b)
+                and b[0] < b[1]):
+            raise ConfigurationError(f"domain.bounds[{i}]", "expected [lower, upper], finite "
+                                     f"numbers with upper > lower, got {b!r}")
     levels, degrees = _levels_degrees(levels, degrees, dim)
     block = Block(
         map=AffineMap([b[0] for b in bounds], [b[1] for b in bounds]),
@@ -305,11 +313,10 @@ def build_annulus_mesh(r_inner, r_outer, n_wedges, levels, degrees) -> Mesh:
     if not _is_number(n_wedges, numbers.Integral) or n_wedges < 2:
         raise ConfigurationError("domain.n_wedges", f"must be an integer >= 2, got {n_wedges!r}")
     n_wedges = int(n_wedges)
-    if not r_inner > 0:
-        raise ConfigurationError("domain.r_inner", f"must be > 0, got {r_inner}")
-    if not r_outer > r_inner:
-        raise ConfigurationError("domain.r_outer", f"must exceed r_inner, got {r_outer}")
-    levels, degrees = _levels_degrees(levels, degrees, 2)
+    for key, r, low in (("r_inner", r_inner, 0), ("r_outer", r_outer, r_inner)):
+        if not (_is_number(r, numbers.Real) and low < r < math.inf):
+            raise ConfigurationError(f"domain.{key}", f"must be a finite number > {low}, got {r!r}")
+    levels, degrees = _levels_degrees(levels, degrees, 2, n_wedges)
     blocks = []
     for w in range(n_wedges):
         theta0 = 2 * np.pi * w / n_wedges

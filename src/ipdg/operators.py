@@ -36,7 +36,8 @@ the element count:
   The numerical fluxes are pointwise, so it works in one pass over a
   phase's face buffers: one gather through `partner` gives every point of a
   mortar whose prolongations are both the identity the matching point
-  across, the phase's ghosts go to the external points, and one flux call
+  across and an external point itself, times the phase's sign, the boundary
+  terms are added where they may not be zero, and one flux call
   gives the numerical flux star everywhere. The jump to lift is star - own
   in strong form, star alone in weak form: phase one is always strong,
   phase two follows the form and lifts the negated jump. The penalty
@@ -68,12 +69,16 @@ kind: n F_v(u_b) = G(u_b (x) n) at dirichlet-kind points, the flux value at
 neumann-kind ones. A ghost is the interior minus twice its boundary value (the
 interior's own where the kind gives none), the penalty ghost 2 n F_u(aux*)
 minus the interior: the numerical flux on an external face is the boundary
-value.
+value. For finite values that is a sign times the interior, -1 in phase one
+at neumann-kind points and in phase two at dirichlet-kind ones (a - 2a = -a,
+and aux* = 0 there), else 1, plus the boundary terms: -2 aux_b in phase one,
+-2 flux_b and 2 n F_u(aux*) in phase two.
 
 Work that is fixed for a handle or provably zero is not redone per
 application:
 - trace-free boundary conditions (`_TraceFree`) fill their part of the
-  boundary arrays once, when the handle is built;
+  boundary arrays once, when the handle is built; with zero arrays and no
+  live condition, as on linearizing them, no boundary term is formed;
 - the volume kernels contract only the (reference, physical) direction
   pairs whose inverse-Jacobian entry is not zero everywhere in the group:
   on rectilinear meshes one per reference direction, a plain product;
@@ -305,15 +310,6 @@ def _boundary_values(bc, system, x, normal, trace, point):
 def exterior_ghost_data(interior, boundary):
     """The ghost exterior of normal-projected face data: interior - 2 boundary."""
     return interior - 2.0 * boundary
-
-
-def _join(a, b):
-    """a and b side by side on the last axis, broadcast over the others; no
-    copy when either is empty."""
-    if not (a.shape[-1] and b.shape[-1]):
-        return a if a.shape[-1] else b
-    lead = np.broadcast_shapes(a.shape[:-1], b.shape[:-1])
-    return np.concatenate([np.broadcast_to(c, lead + c.shape[-1:]) for c in (a, b)], axis=-1)
 
 
 def penalty_sigma(p_int, p_ext, h_int, h_ext, c):
@@ -789,6 +785,12 @@ class OperatorHandle:
                     where = x[:, np.argmin(np.isfinite(data).all(axis=0))].tolist()
                     raise ConfigurationError("", f"non-finite boundary data at x = {where}")
         self._live = [layout + (None,) for layout in self._live_layout]
+        # per phase the exterior's sign: -1 at the external points whose ghost is
+        # minus the interior when the boundary data are zero, else 1; None if all 1
+        signs = np.ones((2, cache.n_face_points))
+        signs[0, e[nd:]] = signs[1, e[:nd]] = -1.0
+        self._signs = [sign if (sign < 0).any() else None for sign in signs]
+        self._zero_boundary = not self._live and not any(a.any() for a in self._fixed)
 
     # -- bookkeeping ---------------------------------------------------
 
@@ -832,6 +834,7 @@ class OperatorHandle:
         lin._lin_groups = [g.take(rows).copy() for g in cache.groups]
         lin._sources = None
         lin._fixed = [np.zeros_like(a) for a in self._fixed]
+        lin._zero_boundary = not self._live_layout
         if self._live_layout:
             traces = cache.face_values(lin._lin_groups)
             lin._live = [
@@ -938,16 +941,20 @@ class OperatorHandle:
                 maps[-1] = maps[-1] if maps[-1](unit[:n], unit[n:]).any() else None
         return maps
 
-    def _exchange(self, own, ghosts, flux, flux_args, strong):
+    def _exchange(self, own, sign, boundary, flux, flux_args, strong):
         """One phase's numerical flux star (strong form only, else None) and jumps
-        on the face buffer: star is flux(*own, *exterior, *args) on its buffers
-        `own`, exterior being the partner's value or, at the external points,
-        `ghosts`, and args flux_args[0], or flux_args[k] on mortar group k's
-        points, which set their jumps; elsewhere star - own[0] if `strong`, else star."""
+        on the face buffer: star is flux(*own, *ext, *args) on its buffers `own`,
+        ext being `sign` times the partner's value plus what `boundary`, unless
+        None, adds in place, and args flux_args[0], or flux_args[k] on mortar
+        group k's points, which set their jumps; elsewhere star - own[0] if
+        `strong`, else star."""
         cache = self._cache
         ext = [buf.take(cache.partner, axis=-1) for buf in own]
-        for x, ghost in zip(ext, ghosts):
-            x[..., self._external] = ghost
+        if sign is not None:  # None: every sign is 1
+            for x in ext:
+                x *= sign
+        if boundary is not None:
+            boundary(ext)
         star = flux(*own, *ext, *flux_args[0])
         jumps = star - own[0] if strong else star
         if cache.mortar_groups:
@@ -964,7 +971,8 @@ class OperatorHandle:
 
         Returns per group the primal field and the reconstructed fields; as
         face buffers the face values of G(grad u), the projected auxiliary
-        fluxes G(u (x) n) and their numerical flux; and the neumann-kind boundary array."""
+        fluxes G(u (x) n) and their numerical flux; and the neumann-kind
+        boundary array, None where the boundary data are provably zero."""
         cache, sys_ = self._cache, self.system
         lead = u_rows.shape[1:-1]
         ugs = [g.take(u_rows) for g in cache.groups]
@@ -972,9 +980,10 @@ class OperatorHandle:
         traces = cache.face_values(ugs)
         aux = _normal_auxiliary(sys_, traces, cache.face_normal)
 
-        # the fixed boundary arrays, copied only to take the values of the
-        # conditions that read the trace
-        arrays = [a.reshape(a.shape[:1] + (1,) * len(lead) + a.shape[1:]) for a in self._fixed]
+        # the fixed boundary arrays, none where they are provably zero, copied
+        # only to take the values of the conditions that read the trace
+        arrays = None if self._zero_boundary else [
+            a.reshape(a.shape[:1] + (1,) * len(lead) + a.shape[1:]) for a in self._fixed]
         if self._live:
             arrays = [np.broadcast_to(a, a.shape[:1] + lead + a.shape[-1:]).copy() for a in arrays]
             reps = math.prod(lead)
@@ -984,13 +993,15 @@ class OperatorHandle:
                 )
                 values = _boundary_values(bc, sys_, x, normal, _fold(traces, index), lin_b)
                 arrays[k][..., pos] = values.reshape(values.shape[:1] + lead + (-1,))
-        aux_b, flux_b = arrays
+        aux_b, flux_b = arrays or (None, None)
 
-        # the ghosts, whose boundary value is the interior's at neumann-kind points
-        interior = aux.take(self._external, axis=-1)
-        ghost = exterior_ghost_data(interior, _join(aux_b, interior[..., self._n_dirichlet:]))
-        star, jumps = self._exchange([aux], [ghost], auxiliary_numerical_flux,
-                                     [()] * len(self._sigma_args), strong=True)
+        def boundary(ext):  # the ghost's -2 aux_b at dirichlet-kind points
+            d = self._external[:self._n_dirichlet]
+            ext[0][..., d] = exterior_ghost_data(ext[0].take(d, axis=-1), aux_b)
+
+        star, jumps = self._exchange([aux], self._signs[0], boundary if arrays else None,
+                                     auxiliary_numerical_flux, [()] * len(self._sigma_args),
+                                     strong=True)
 
         # G(grad u) is new on every application: gathered first, then lifted
         # in place into the reconstructed field
@@ -1030,14 +1041,16 @@ class OperatorHandle:
         deriv = _contract_normal(normal, sys_.primal_flux(w_faces, face_fields))
         pen = _contract_normal(normal, sys_.primal_flux(aux, face_fields))
 
-        # the ghosts: the derivative's boundary value is the interior's at dirichlet-kind points
-        e = self._external
-        d_e, aux_e = deriv.take(e, axis=-1), aux_star.take(e, axis=-1)
-        ghosts = [exterior_ghost_data(d_e, _join(d_e[..., :self._n_dirichlet], flux_b)),
-                  2.0 * _contract_normal(self._normal, sys_.primal_flux(aux_e, ext_fields))
-                  - pen.take(e, axis=-1)]
-        _, jumps = self._exchange([deriv, pen], ghosts, primal_numerical_flux,
-                                  self._sigma_args, strong)
+        def boundary(ext):  # the ghosts' -2 flux_b in deriv, 2 n F_u(aux*) in pen
+            nd = self._n_dirichlet
+            d, n = self._external[:nd], self._external[nd:]
+            ext[0][..., n] = exterior_ghost_data(ext[0].take(n, axis=-1), flux_b)
+            fluxes = sys_.primal_flux(aux_star.take(d, axis=-1), [f[..., :nd] for f in ext_fields])
+            ext[1][..., d] += 2.0 * _contract_normal(self._normal[:, :nd], fluxes)
+
+        _, jumps = self._exchange([deriv, pen], self._signs[1],
+                                  None if flux_b is None else boundary,
+                                  primal_numerical_flux, self._sigma_args, strong)
         np.negative(jumps, out=jumps)  # the residual lifts deriv - star, or -star
 
         bad = []

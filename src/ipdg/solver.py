@@ -331,29 +331,29 @@ def _gmres(matvec, b, tol, max_iter, restart, precond):
 
 
 def _cg(matvec, b, tol, max_iter):
-    """Conjugate gradients from x = 0; returns what `_gmres` returns."""
-    bnorm = np.linalg.norm(b)
+    """Conjugate gradients from x = 0, on Python floats; returns what `_gmres` returns."""
+    bnorm = float(np.linalg.norm(b))
     x = np.zeros_like(b)
     r = b.copy()
     p = r.copy()
-    rr = r @ r
-    history = [np.sqrt(rr) / bnorm]
+    rr = float(r @ r)
+    history = [math.sqrt(rr) / bnorm]
     true_rel = None
     for it in range(1, max_iter + 1):
         ap = matvec(p)
-        pap = p @ ap
+        pap = float(p @ ap)
         if pap <= 0.0:
             # lost positive definiteness; report what we have
             return x, it - 1, history, False, true_rel
         alpha = rr / pap
         x += alpha * p
         r -= alpha * ap
-        rr_new = r @ r
-        rel = np.sqrt(rr_new) / bnorm
+        rr_new = float(r @ r)
+        rel = math.sqrt(rr_new) / bnorm
         history.append(rel)
         true_rel = None
         if rel <= tol:
-            true_rel = np.linalg.norm(b - matvec(x)) / bnorm
+            true_rel = float(np.linalg.norm(b - matvec(x))) / bnorm
             if true_rel <= tol:
                 return x, it, history, True, true_rel
             rel = true_rel

@@ -320,6 +320,23 @@ class TestBuildersAndRefinement:
         assert type(mesh.elements[0].degrees[0]) is int
         assert build_annulus_mesh(1.0, 2.0, np.int64(3), (0, 0), (2, 2)).n_elements == 3
 
+    def test_builders_require_finite_extents_and_number_radii(self):
+        # an infinite extent used to build a mesh whose handle failed on its
+        # lumped mass, and a string radius raised TypeError in a comparison
+        for bounds, i in (([(0.0, np.inf)], 0), ([(0, 1), (-np.inf, 1.0)], 1)):
+            with pytest.raises(ConfigurationError, match=".lower, upper., finite numbers") as err:
+                build_rectilinear_mesh(bounds, (0,) * len(bounds), (2,) * len(bounds))
+            assert err.value.path == f"domain.bounds[{i}]"
+        for r_inner, r_outer, path in (
+            (np.inf, np.inf, "domain.r_inner"), ("1", 2.0, "domain.r_inner"),
+            (True, 2.0, "domain.r_inner"), (1.0, np.inf, "domain.r_outer"),
+            (1.0, "2", "domain.r_outer"),
+        ):
+            with pytest.raises(ConfigurationError, match="must be a finite number") as err:
+                build_annulus_mesh(r_inner, r_outer, 4, (0, 0), (2, 2))
+            assert err.value.path == path
+        assert build_annulus_mesh(np.float64(1.0), 2, 4, (0, 0), (2, 2)).n_elements == 4
+
     def test_element_editors_require_integers(self):
         # split_element(mesh, True) split element 1 and with_degrees truncated
         # degree 3.9 to 3

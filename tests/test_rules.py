@@ -8,6 +8,8 @@ the library call and the same path, with exit code 2 and no traceback, from
 the command line. Solver-section rules are checked by `assemble` as well.
 """
 
+import re
+
 import numpy as np
 import pytest
 import yaml
@@ -15,8 +17,8 @@ import yaml
 from ipdg.background import FlatBackground
 from ipdg.boundaries import BoundaryMap, DirichletBC, FalloffDirichletBC
 from ipdg.cli import main
-from ipdg.errors import ConfigurationError
-from ipdg.mesh import build_annulus_mesh, build_rectilinear_mesh
+from ipdg.errors import ConfigurationError, ResourceCapError
+from ipdg.mesh import MAX_ELEMENTS, build_annulus_mesh, build_rectilinear_mesh
 from ipdg.operators import OperatorHandle
 from ipdg.solutions import gaussian
 from ipdg.solver import solve_linear, solve_newton
@@ -136,3 +138,28 @@ def test_library_and_cli_name_the_same_key(tmp_path, capsys, path, call, changes
         assert err.startswith(f"invalid configuration: {path}: "), err
         assert "Traceback" not in err
     assert not (tmp_path / "m.txt").exists()
+
+
+@pytest.mark.parametrize("levels, domain, path", [
+    ([40, 0], None, "refinement.levels[0]"),
+    ([11, 10], None, "refinement.levels[0]"),
+    ([0, 19], {"kind": "annulus", "r_inner": 1.0, "r_outer": 2.0, "n_wedges": 4},
+     "refinement.levels[1]"),
+], ids=["levels-40", "levels-11-10", "annulus-wedges-and-levels"])
+def test_mesh_size_cap_names_the_level(tmp_path, capsys, levels, domain, path):
+    # a level that would build more than MAX_ELEMENTS elements is refused
+    # before any is made; levels (40,) used to run out of memory
+    build = (
+        (lambda: build_rectilinear_mesh(SQUARE, tuple(levels), (2, 2))) if domain is None
+        else (lambda: build_annulus_mesh(1.0, 2.0, 4, tuple(levels), (2, 2)))
+    )
+    message = rf"^{re.escape(path)}: \d+ x 2\^\d+ elements, over {MAX_ELEMENTS}$"
+    with pytest.raises(ResourceCapError, match=message):
+        build()
+    changes = {"refinement": {"levels": levels, "degrees": [2, 2]}}
+    if domain is not None:
+        changes["domain"] = domain
+    assert main(["solve", "--config", write_config(tmp_path, changes)]) == 4
+    err = capsys.readouterr().err
+    assert err.startswith(f"resource cap exceeded: {path}: "), err
+    assert "Traceback" not in err

@@ -32,7 +32,9 @@ the bytes of every file that `ipdg solve`, a 2-level h-`convergence` and
 compact and full `assemble` write for the configurations in `CLI_CONFIGS`:
 a rectilinear Poisson Gaussian, and a curved annulus on a conformally flat
 background with Neumann and Robin data. `--compare` lists every array that
-differs or is in one file only, and exits nonzero if there is any.
+differs or is in one file only, and exits nonzero if there is any; it also
+lists, without failing, every array that is equal but not byte for byte,
+such as one with a zero of the other sign.
 """
 
 import contextlib
@@ -428,6 +430,18 @@ def compare_outputs(path_a, path_b):
         )
 
 
+def byte_only_differences(path_a, path_b):
+    """Names of the arrays in both dumps that are `np.array_equal` but differ
+    in dtype, shape or bytes, such as the sign of a zero."""
+    with np.load(path_a) as a, np.load(path_b) as b:
+        return sorted(
+            name for name in set(a.files) & set(b.files)
+            if np.array_equal(a[name], b[name]) and (
+                a[name].dtype != b[name].dtype or a[name].shape != b[name].shape
+                or a[name].tobytes() != b[name].tobytes())
+        )
+
+
 USAGE = (
     "usage: PYTHONPATH=src python tests/test_snapshots.py --write NAME [NAME ...]\n"
     "       PYTHONPATH=src python tests/test_snapshots.py --dump FILE\n"
@@ -437,14 +451,17 @@ USAGE = (
 
 def main(argv):
     """`--write NAME [NAME ...]` rewrites the named cases' files, `--dump` and
-    `--compare` check outputs bit for bit; anything else, an unknown name
-    included, exits with the usage and writes nothing."""
+    `--compare` check outputs bit for bit (`--compare` also lists, without
+    failing, the arrays that are equal but not byte for byte); anything
+    else, an unknown name included, exits with the usage and writes nothing."""
     command, names = argv[:1], argv[1:]
     if command == ["--dump"] and len(names) == 1:
         return dump_outputs(names[0])
     if command == ["--compare"] and len(names) == 2:
         differ = compare_outputs(*names)
         print("\n".join(differ) if differ else "all arrays equal")
+        for name in byte_only_differences(*names):
+            print(f"equal, but not byte for byte: {name}")
         sys.exit(1 if differ else 0)
     unknown = [name for name in names if name not in CASES]
     if command != ["--write"] or not names or unknown:
@@ -495,6 +512,26 @@ def test_dump_and_compare(tmp_path, monkeypatch, capsys):
         main(["--compare", paths[0], paths[2]])
     assert exit_info.value.code == 1
     assert capsys.readouterr().out.split() == ["elasticity/apply", "extra"]
+
+
+def test_compare_lists_byte_only_differences(tmp_path, capsys):
+    # a zero of the other sign, or another dtype of the same values, is
+    # listed but does not fail the comparison; a changed value does
+    paths = [str(tmp_path / f"{k}.npz") for k in range(3)]
+    np.savez(paths[0], a=np.array([0.0, 1.0]), b=np.arange(3), c=np.ones(2))
+    np.savez(paths[1], a=np.array([-0.0, 1.0]), b=np.arange(3.0), c=np.ones(2))
+    np.savez(paths[2], a=np.array([-0.0, 1.0]), b=np.arange(3), c=np.zeros(2))
+    assert byte_only_differences(paths[0], paths[1]) == ["a", "b"]
+    with pytest.raises(SystemExit) as exit_info:
+        main(["--compare"] + paths[:2])
+    assert exit_info.value.code == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "all arrays equal", "equal, but not byte for byte: a", "equal, but not byte for byte: b",
+    ]
+    with pytest.raises(SystemExit) as exit_info:
+        main(["--compare", paths[0], paths[2]])
+    assert exit_info.value.code == 1
+    assert capsys.readouterr().out.splitlines() == ["c", "equal, but not byte for byte: a"]
 
 
 def test_dump_records_the_solves_of_its_cases(tmp_path, monkeypatch):

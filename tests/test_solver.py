@@ -519,6 +519,18 @@ def test_cg_stops_at_max_iter_without_the_true_residual():
     assert len(history) == 2 and history[1] > 1e-10
 
 
+def test_cg_scalars_are_python_floats():
+    # as in _gmres: the history, and the true residual that ends the solve,
+    # are Python floats, not numpy scalars
+    handle = poisson_handle(1, 3, form="strong-weak")
+    b = np.sin(np.arange(handle.n_primal_dofs, dtype=float))
+    x, its, history, ok, true_rel = _cg(handle.matvec, b, 1e-10, 200)
+    assert ok and its + 1 == len(history)
+    assert all(type(h) is float for h in history) and type(true_rel) is float
+    _, report = solve_linear(handle, b, method="cg", tol=1e-10)
+    assert report.residual_history == history
+
+
 def test_solve_linear_recomputes_the_residual_after_cg_max_iter():
     handle = poisson_handle(1, 3, form="strong-weak")
     b = np.sin(np.arange(handle.n_primal_dofs, dtype=float))
