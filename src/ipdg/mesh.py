@@ -3,10 +3,12 @@
 A mesh is a list of blocks, each carrying a coordinate map from the reference
 cube [-1, 1]^d into physical space, plus a list of elements. An element is
 identified by its block and one (level, index) segment per dimension, so
-element ids encode the full refinement history. An element keeps only its
-block's map: its own points are the block map of its segments' box in the
-block's logical cube (`jacobian_at`). Meshes stay two-to-one balanced across
-faces, which keeps mortar coverages decidable from segment arithmetic alone.
+element ids encode the full refinement history. An element's place is the box
+its segments span in the block's logical cube (`_boxes`), exact dyadic floats:
+its points are the block map of that box (`jacobian_at`), the mesh order sorts
+by its lower corner, and its faces lie on the planes of its bounds. Meshes stay
+two-to-one balanced across faces, which keeps mortar coverages decidable from
+segment arithmetic alone.
 """
 
 from __future__ import annotations
@@ -42,7 +44,8 @@ __all__ = [
 ]
 
 _AXIS_NAMES = ("x", "y", "z")
-# the most elements a builder makes: 2^20 take about 3 s and 300 MB to build
+# the most elements a builder, refine_uniform or split_element makes: 2^20
+# take about 3 s and 300 MB to build
 MAX_ELEMENTS = 1 << 20
 
 
@@ -126,19 +129,16 @@ def _boxes(segments):
     """Centers and half-widths, each (d, elements), of the boxes that
     elements' segments (elements, d) span in their blocks' logical cube:
     segment (level, index) spans -1 + [index, index + 1] * 2 / 2^level. Every
-    number is dyadic, so the arithmetic is exact."""
-    level, index = np.array(segments).T
+    number is dyadic, so the arithmetic is exact, and so are the bounds
+    mid -+ half, which are -1 and 1 on the block's own faces."""
+    # one flat pass over the nested tuples, which np.array reads far slower
+    chain = itertools.chain.from_iterable
+    level, index = np.fromiter(chain(chain(segments)), np.int64).reshape(len(segments), -1, 2).T
     half = np.ldexp(1.0, -level)
     return (2 * index + 1) * half - 1.0, half
 
 
-def _seg_bounds_at(seg: Segment, level: int) -> tuple[int, int]:
-    """Integer interval of a segment rescaled to a common finer level."""
-    scale = 1 << (level - seg[0])
-    return seg[1] * scale, (seg[1] + 1) * scale
-
-
-def _children(seg: Segment) -> tuple[Segment, Segment]:
+def _halves(seg: Segment) -> tuple[Segment, Segment]:
     level, index = seg
     return (level + 1, 2 * index), (level + 1, 2 * index + 1)
 
@@ -164,7 +164,7 @@ class Element:
 
     @property
     def n_points(self) -> int:
-        return int(np.prod(self.grid_shape))
+        return math.prod(self.grid_shape)
 
     def node_sets(self):
         return tuple(gauss_lobatto_nodes_weights(p + 1) for p in self.degrees)
@@ -219,19 +219,13 @@ class Mesh:
         return float((phys.max(axis=2) - phys.min(axis=2)).max())
 
 
-def _element_sort_key(mesh_max_levels, element: Element):
-    pos = []
-    for d in reversed(range(element.dim)):
-        lo, _ = _seg_bounds_at(element.segments[d], mesh_max_levels[d])
-        pos.append(lo)
-    return (element.block, *pos)
-
-
-def _canonical_order(dim, elements):
-    max_levels = [
-        max((e.segments[d][0] for e in elements), default=0) for d in range(dim)
-    ]
-    return sorted(elements, key=lambda e: _element_sort_key(max_levels, e))
+def _canonical_order(elements):
+    """`elements` sorted by block, then by their boxes' lower corners, the
+    last dimension first; a stable sort, so equal keys keep their order."""
+    mid, half = _boxes([e.segments for e in elements])
+    # lexsort's last key is the first one sorted by
+    order = np.lexsort(np.vstack([mid - half, [e.block for e in elements]]))
+    return [elements[k] for k in order.tolist()]
 
 
 def _is_number(value, kind) -> bool:
@@ -270,7 +264,7 @@ def _uniform_mesh(dim, blocks, levels, degrees) -> Mesh:
     dimension d, every element of the given degrees."""
     grid = list(itertools.product(*[[(l, i) for i in range(1 << l)] for l in levels]))
     elements = [Element(b, s, degrees, block.map) for b, block in enumerate(blocks) for s in grid]
-    return Mesh(dim, blocks, _canonical_order(dim, elements))
+    return Mesh(dim, blocks, _canonical_order(elements))
 
 
 def build_rectilinear_mesh(bounds, levels, degrees) -> Mesh:
@@ -335,10 +329,17 @@ def build_annulus_mesh(r_inner, r_outer, n_wedges, levels, degrees) -> Mesh:
     return _uniform_mesh(2, blocks, levels, degrees)
 
 
+def _children(e: Element) -> list[Element]:
+    """The 2^d elements that halve `e` in every dimension."""
+    return [Element(e.block, s, e.degrees, e.block_map)
+            for s in itertools.product(*map(_halves, e.segments))]
+
+
 def refine_uniform(mesh: Mesh, mode: str) -> Mesh:
     """One global refinement step: "h" splits every element in every
     dimension, "p" raises every degree by one. Per-element degree offsets and
-    relative h-refinement are preserved."""
+    relative h-refinement are preserved. ResourceCapError if "h" would make
+    over MAX_ELEMENTS elements."""
     if mode == "p":
         elements = [
             replace(e, degrees=tuple(p + 1 for p in e.degrees))
@@ -347,12 +348,11 @@ def refine_uniform(mesh: Mesh, mode: str) -> Mesh:
         return Mesh(mesh.dim, mesh.blocks, elements)
     if mode != "h":
         raise ValueError(f"refinement mode must be 'h' or 'p', got {mode!r}")
-    elements = [
-        Element(e.block, combo, e.degrees, e.block_map)
-        for e in mesh.elements
-        for combo in itertools.product(*[_children(s) for s in e.segments])
-    ]
-    return Mesh(mesh.dim, mesh.blocks, _canonical_order(mesh.dim, elements))
+    n = mesh.n_elements
+    if n << mesh.dim > MAX_ELEMENTS:  # refused before any child is made, as in a build
+        raise ResourceCapError(f"h-refinement: {n} x 2^{mesh.dim} elements, over {MAX_ELEMENTS}")
+    elements = [c for e in mesh.elements for c in _children(e)]
+    return Mesh(mesh.dim, mesh.blocks, _canonical_order(elements))
 
 
 def _element_index(mesh: Mesh, index: int) -> int:
@@ -365,15 +365,14 @@ def _element_index(mesh: Mesh, index: int) -> int:
 
 
 def split_element(mesh: Mesh, index: int) -> Mesh:
-    """Replace one element by its 2^d children (for nonconforming meshes)."""
+    """Replace one element by its 2^d children (for nonconforming meshes);
+    ResourceCapError if that makes over MAX_ELEMENTS elements."""
     index = _element_index(mesh, index)
-    e = mesh.elements[index]
-    children = [
-        Element(e.block, combo, e.degrees, e.block_map)
-        for combo in itertools.product(*[_children(s) for s in e.segments])
-    ]
-    elements = mesh.elements[:index] + children + mesh.elements[index + 1 :]
-    return Mesh(mesh.dim, mesh.blocks, _canonical_order(mesh.dim, elements))
+    n = mesh.n_elements
+    if n + (1 << mesh.dim) - 1 > MAX_ELEMENTS:
+        raise ResourceCapError(f"split: {n} - 1 + 2^{mesh.dim} elements, over {MAX_ELEMENTS}")
+    elements = mesh.elements[:index] + _children(mesh.elements[index]) + mesh.elements[index + 1 :]
+    return Mesh(mesh.dim, mesh.blocks, _canonical_order(elements))
 
 
 def with_degrees(mesh: Mesh, index: int, degrees) -> Mesh:
@@ -442,7 +441,9 @@ def jacobian_at(elements, xi):
     return x, jac, det, np.divide(adj, det, out=np.empty_like(jac))
 
 
-def face_shape(grid_shape: tuple[int, ...], dim: int) -> tuple[int, ...]:
+def face_shape(grid_shape: tuple, dim: int) -> tuple:
+    """A per-dimension tuple without dimension `dim`: a face's grid shape, or
+    its transverse segments."""
     return grid_shape[:dim] + grid_shape[dim + 1 :]
 
 
@@ -484,21 +485,9 @@ def _transverse_matches(seg: Segment):
     if level > 0:
         half = "lower" if index % 2 == 0 else "upper"
         out.append(((level - 1, index >> 1), ("full", half)))
-    for child in _children(seg):
+    for child in _halves(seg):
         out.append((child, ("lower" if child[1] % 2 == 0 else "upper", "full")))
     return out
-
-
-def _dyadic(numerator: int, level: int) -> tuple[int, int]:
-    """The fraction numerator / 2^level in lowest terms, as (numerator, level)."""
-    while level > 0 and numerator % 2 == 0:
-        numerator //= 2
-        level -= 1
-    return numerator, level
-
-
-def _at_block_boundary(seg: Segment, side: int) -> bool:
-    return seg[1] == 0 if side < 0 else seg[1] == (1 << seg[0]) - 1
 
 
 def mortar_topology(mesh: Mesh) -> MeshTopology:
@@ -506,8 +495,10 @@ def mortar_topology(mesh: Mesh) -> MeshTopology:
 
     Every internal face is covered exactly once by its mortars (validated);
     mortar point counts take the maximum degree of the two sides per
-    transverse dimension. Blocks must share logical-axis orientation, which
-    the builders guarantee.
+    transverse dimension. A face lies on a plane of its block's logical
+    cube, its box's bound (`_boxes`): an exact dyadic float, -1 or 1 on the
+    block's own faces, and -1 and 1 swap across into the neighboring block.
+    Blocks must share logical-axis orientation, which the builders guarantee.
     """
     dim = mesh.dim
     mortars: list[Mortar] = []
@@ -515,25 +506,22 @@ def mortar_topology(mesh: Mesh) -> MeshTopology:
     # (element, dim, side) of each internal face -> the fraction of it that
     # its mortars cover, summed as they are created
     covered: dict[tuple, float] = {}
-    seen: set[frozenset] = set()
 
-    def trans(segments, face_dim):
-        return segments[:face_dim] + segments[face_dim + 1:]
-
+    mid, half = _boxes([e.segments for e in mesh.elements])
+    # per element and dim, the planes of its faces on sides -1 and 1
+    planes = np.array([mid - half, mid + half]).T.tolist()
     # (block, dim, side, plane, transverse segments) -> elements, in mesh
-    # order, whose face on that side lies on the plane and spans those
-    # segments; planes are dyadic fractions of the block
+    # order, whose face on that side lies on the plane and spans those segments
     faces_at: dict[tuple, list[int]] = {}
     for k, e in enumerate(mesh.elements):
-        for face_dim, (level, index) in enumerate(e.segments):
-            for side, plane in ((-1, index), (1, index + 1)):
-                key = (e.block, face_dim, side, _dyadic(plane, level),
-                       trans(e.segments, face_dim))
-                faces_at.setdefault(key, []).append(k)
+        for face_dim, bounds in enumerate(planes[k]):
+            segments = face_shape(e.segments, face_dim)
+            for side, plane in zip((-1, 1), bounds):
+                faces_at.setdefault((e.block, face_dim, side, plane, segments), []).append(k)
 
     conforming = [("full", "full")] * (dim - 1)
 
-    def neighbors(elem_index, face_dim, side):
+    def neighbors(elem_index, face_dim, side, plane):
         """(element, coverages per transverse dim) of each balanced neighbor
         across this face, in mesh order; None and the tag when external.
 
@@ -544,16 +532,13 @@ def mortar_topology(mesh: Mesh) -> MeshTopology:
         with the same segments is the only neighbor.
         """
         e = mesh.elements[elem_index]
-        level, index = e.segments[face_dim]
         block = e.block
-        if _at_block_boundary(e.segments[face_dim], side):
+        if plane == side:  # on the block's own face
             kind, block = mesh.blocks[e.block].boundary[(face_dim, side)]
             if kind == "external":
                 return None, block
-            plane = (0, 0) if side > 0 else (1, 0)
-        else:
-            plane = _dyadic(index + (side > 0), level)
-        segments = trans(e.segments, face_dim)
+            plane = -plane
+        segments = face_shape(e.segments, face_dim)
         same = faces_at.get((block, face_dim, -side, plane, segments), [])
         found = [(kk, conforming) for kk in same if kk != elem_index]
         if found:
@@ -568,10 +553,10 @@ def mortar_topology(mesh: Mesh) -> MeshTopology:
         return sorted(found), None
 
     for k, e in enumerate(mesh.elements):
-        for face_dim in range(dim):
-            trans_dims = trans(tuple(range(dim)), face_dim)
-            for side in (-1, 1):
-                found, tag = neighbors(k, face_dim, side)
+        for face_dim, bounds in enumerate(planes[k]):
+            trans_dims = face_shape(tuple(range(dim)), face_dim)
+            for side, plane in zip((-1, 1), bounds):
+                found, tag = neighbors(k, face_dim, side, plane)
                 if found is None:
                     external.append(ExternalFace(k, face_dim, side, tag))
                     continue
@@ -580,11 +565,12 @@ def mortar_topology(mesh: Mesh) -> MeshTopology:
                         f"face {face_dim}/{side:+d} of element "
                         f"{e.id_string()} has no neighbor and no boundary tag"
                     )
+                # checked even if no mortar reaches it, as when overlapping
+                # elements hide it from the neighbors that it finds
+                covered.setdefault((k, face_dim, side), 0.0)
                 for kk, rel in found:
-                    key = frozenset([(k, face_dim, side), (kk, face_dim, -side)])
-                    if key in seen:
+                    if kk < k:  # made from kk's side: balanced neighbors find each other
                         continue
-                    seen.add(key)
                     other = mesh.elements[kk]
                     counts = tuple(
                         max(e.degrees[t], other.degrees[t]) + 1 for t in trans_dims

@@ -919,12 +919,14 @@ class OperatorHandle:
 
     def _background_fields(self):
         """The background fields per group, on the face buffer and at the
-        external points: evaluated once per handle family, which shares the list."""
+        dirichlet-kind external points, the only ones the penalty ghost reads:
+        evaluated once per handle family, which shares the list."""
         if not self._fields:
             groups = [self.system.background_fields(g.coords, self.background)
                       for g in self._cache.groups]
             face = [self._cache.face_values(f) for f in zip(*groups)]
-            self._fields.extend((groups, face, [f.take(self._external, axis=-1) for f in face]))
+            d = self._external[:self._n_dirichlet]
+            self._fields.extend((groups, face, [f.take(d, axis=-1) for f in face]))
         return self._fields
 
     def _source_maps(self, fields):
@@ -1017,7 +1019,7 @@ class OperatorHandle:
         auxiliary one None unless `given_v` is set.
         """
         cache, sys_ = self._cache, self.system
-        fields, face_fields, ext_fields = self._background_fields()
+        fields, face_fields, dirichlet_fields = self._background_fields()
         if self._sources is None:  # on the first application
             self._sources = self._source_maps(fields)
         strong = self.form == "strong"
@@ -1045,7 +1047,7 @@ class OperatorHandle:
             nd = self._n_dirichlet
             d, n = self._external[:nd], self._external[nd:]
             ext[0][..., n] = exterior_ghost_data(ext[0].take(n, axis=-1), flux_b)
-            fluxes = sys_.primal_flux(aux_star.take(d, axis=-1), [f[..., :nd] for f in ext_fields])
+            fluxes = sys_.primal_flux(aux_star.take(d, axis=-1), dirichlet_fields)
             ext[1][..., d] += 2.0 * _contract_normal(self._normal[:, :nd], fluxes)
 
         _, jumps = self._exchange([deriv, pen], self._signs[1],

@@ -6,16 +6,19 @@ annulus is checked by integrating its area with the mesh quadrature.
 
 import dataclasses
 import itertools
+import random
 import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ipdg.background import FlatBackground
 from ipdg.boundaries import BoundaryMap, DirichletBC
 from ipdg.errors import ConfigurationError, DegenerateGeometryError, TopologyError
 from ipdg.mesh import (
-    _at_block_boundary,
+    _canonical_order,
     AffineMap,
     AnnulusWedgeMap,
     Mesh,
@@ -433,6 +436,16 @@ class TestTopology:
         with pytest.raises(TopologyError, match="covered 2.0x by mortars"):
             mortar_topology(repeated)
 
+    def test_overlapping_parent_is_rejected(self):
+        # the right column's parent beside its two elements: the left
+        # column's faces at x = 1/2 find their equals only, so the parent's
+        # face, which finds them, gets no mortar
+        mesh = build_rectilinear_mesh([(0, 1), (0, 1)], (1, 1), (2, 2))
+        parent = dataclasses.replace(mesh.elements[1], segments=((1, 1), (0, 0)))
+        message = r"^face 0/-1 of element B0\[L1I1,L0I0\] is covered 0.0x by mortars$"
+        with pytest.raises(TopologyError, match=message):
+            mortar_topology(Mesh(mesh.dim, mesh.blocks, mesh.elements + [parent]))
+
     def test_annulus_is_periodic(self):
         mesh = build_annulus_mesh(1.0, 2.0, 4, (0, 0), (2, 2))
         topo = mortar_topology(mesh)
@@ -492,6 +505,11 @@ def transverse_relation(seg_a, seg_b):
     return coverage(lo, hi, a0, a1), coverage(lo, hi, b0, b1)
 
 
+def _at_block_boundary(seg, side):
+    """Whether a segment's face on `side` is its block's own face."""
+    return seg[1] == 0 if side < 0 else seg[1] == (1 << seg[0]) - 1
+
+
 def scan_topology(mesh):
     """Mortars and external faces found by testing every face against every
     element, the quadratic scan that the face-plane lookup replaces.
@@ -538,6 +556,17 @@ def scan_topology(mesh):
     return mortars, external
 
 
+def assert_matches_scan(mesh):
+    topo = mortar_topology(mesh)
+    mortars, external = scan_topology(mesh)
+
+    def side(s):
+        return (s.element, s.dim, s.side, s.coverage)
+
+    assert [(side(m.sides[0]), side(m.sides[1]), m.counts) for m in topo.mortars] == mortars
+    assert [(f.element, f.dim, f.side, f.tag) for f in topo.external_faces] == external
+
+
 @pytest.mark.parametrize("make", [
     lambda: build_rectilinear_mesh([(0, 1), (0, 1)], (5, 5), (4, 4)),
     lambda: with_degrees(split_element(split_element(
@@ -553,15 +582,89 @@ def scan_topology(mesh):
 ], ids=["32x32", "split-raised-2d", "split-raised-3d", "annulus-split", "two-wedges",
         "plane-neighbours-apart-3d"])
 def test_topology_matches_all_pairs_scan(make):
+    assert_matches_scan(make())
+
+
+def split_at_random(draw, mesh, max_splits=4, max_degree=4):
+    """`mesh` after a few random splits and degree changes; a split whose
+    mortars from the all-pairs scan do not tile every face once breaks
+    two-to-one balance, so `mortar_topology` must refuse it, and it is
+    skipped."""
+    for _ in range(draw(st.integers(0, max_splits))):
+        split = split_element(mesh, draw(st.integers(0, mesh.n_elements - 1)))
+        if scan_tiles(split):
+            mesh = split
+        else:
+            with pytest.raises(TopologyError):
+                mortar_topology(split)
+    for _ in range(draw(st.integers(0, 2))):
+        k = draw(st.integers(0, mesh.n_elements - 1))
+        degrees = tuple(draw(st.integers(1, max_degree)) for _ in range(mesh.dim))
+        mesh = with_degrees(mesh, k, degrees)
+    return mesh
+
+
+def scan_tiles(mesh):
+    """Whether the all-pairs scan's mortars cover every internal face once."""
+    mortars, _ = scan_topology(mesh)
+    covered = {}
+    for m in mortars:
+        for element, fd, side, coverage in m[:2]:
+            key = element, fd, side
+            covered[key] = covered.get(key, 0.0) + 0.5 ** sum(c != "full" for c in coverage)
+    return all(total == 1.0 for total in covered.values())
+
+
+@st.composite
+def random_meshes(draw, kind):
+    """A randomly split 1D, 2D or 3D box, or annulus of 2 to 5 wedges."""
+    if kind == "annulus":
+        levels = tuple(draw(st.integers(0, 1)) for _ in range(2))
+        mesh = build_annulus_mesh(1.0, 2.0, draw(st.integers(2, 5)), levels, (2, 2))
+    else:
+        dim = int(kind[0])
+        levels = tuple(draw(st.integers(1, 2 if dim < 3 else 1)) for _ in range(dim))
+        mesh = build_rectilinear_mesh([(0, 1)] * dim, levels, (2,) * dim)
+    return split_at_random(draw, mesh)
+
+
+@pytest.mark.parametrize("kind", ["1d", "2d", "3d", "annulus"])
+@settings(max_examples=5, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_topology_matches_all_pairs_scan_on_random_meshes(kind, data):
+    assert_matches_scan(data.draw(random_meshes(kind)))
+
+
+def interval_order(elements):
+    """The mesh order by integer intervals: block, then each segment's lower
+    end as an integer at the finest level of its dimension among `elements`,
+    the last dimension first."""
+    dim = len(elements[0].segments)
+    top = [max(e.segments[d][0] for e in elements) for d in range(dim)]
+
+    def key(e):
+        lower = [index << (top[d] - level) for d, (level, index) in enumerate(e.segments)]
+        return (e.block, *reversed(lower))
+
+    return sorted(elements, key=key)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: build_rectilinear_mesh([(0, 1)], (3,), (2,)),
+    lambda: build_rectilinear_mesh([(0, 1), (0, 2)], (2, 1), (2, 2)),
+    lambda: refine_uniform(build_rectilinear_mesh([(0, 1)] * 3, (1, 0, 1), (1, 1, 1)), "h"),
+    lambda: split_element(split_element(
+        build_rectilinear_mesh([(0, 1), (0, 1)], (2, 1), (2, 2)), 5), 0),
+    lambda: split_element(refine_uniform(build_rectilinear_mesh([(0, 1)] * 3, (1, 1, 0),
+                                                                (1, 1, 1)), "h"), 9),
+    lambda: split_element(build_annulus_mesh(1.0, 2.0, 3, (1, 1), (2, 2)), 7),
+], ids=["1d", "2d-built", "3d-refined", "2d-split", "3d-refined-split", "annulus-split"])
+def test_canonical_order_is_the_interval_order(make):
     mesh = make()
-    topo = mortar_topology(mesh)
-    mortars, external = scan_topology(mesh)
-
-    def side(s):
-        return (s.element, s.dim, s.side, s.coverage)
-
-    assert [(side(m.sides[0]), side(m.sides[1]), m.counts) for m in topo.mortars] == mortars
-    assert [(f.element, f.dim, f.side, f.tag) for f in topo.external_faces] == external
+    assert mesh.elements == interval_order(mesh.elements)
+    shuffled = list(mesh.elements)
+    random.Random(0).shuffle(shuffled)
+    assert _canonical_order(shuffled) == mesh.elements
 
 
 class TestIndexingHelpers:

@@ -18,7 +18,9 @@ from ipdg.background import FlatBackground
 from ipdg.boundaries import BoundaryMap, DirichletBC, FalloffDirichletBC
 from ipdg.cli import main
 from ipdg.errors import ConfigurationError, ResourceCapError
-from ipdg.mesh import MAX_ELEMENTS, build_annulus_mesh, build_rectilinear_mesh
+from ipdg.mesh import (
+    MAX_ELEMENTS, build_annulus_mesh, build_rectilinear_mesh, refine_uniform, split_element,
+)
 from ipdg.operators import OperatorHandle
 from ipdg.solutions import gaussian
 from ipdg.solver import solve_linear, solve_newton
@@ -162,4 +164,27 @@ def test_mesh_size_cap_names_the_level(tmp_path, capsys, levels, domain, path):
     assert main(["solve", "--config", write_config(tmp_path, changes)]) == 4
     err = capsys.readouterr().err
     assert err.startswith(f"resource cap exceeded: {path}: "), err
+    assert "Traceback" not in err
+
+
+def test_refinement_cap(tmp_path, capsys, monkeypatch):
+    # h-refinement and splits are held to the builders' cap, checked before
+    # any child is made; a cap of 16 stands in for 2^20
+    monkeypatch.setattr("ipdg.mesh.MAX_ELEMENTS", 16)
+    mesh = refine_uniform(build_rectilinear_mesh(SQUARE, (1, 1), (2, 2)), "h")
+    assert mesh.n_elements == 16
+    assert refine_uniform(mesh, "p").n_elements == 16
+    with pytest.raises(ResourceCapError, match=r"^h-refinement: 16 x 2\^2 elements, over 16$"):
+        refine_uniform(mesh, "h")
+    with pytest.raises(ResourceCapError, match=r"^split: 16 - 1 \+ 2\^2 elements, over 16$"):
+        split_element(mesh, 0)
+    mesh = build_rectilinear_mesh(SQUARE, (1, 1), (2, 2))
+    for _ in range(4):  # 4 + 4 x 3 elements, at the cap but not over it
+        mesh = split_element(mesh, 0)
+    assert mesh.n_elements == 16
+    # the study solves 4 and 16 elements, then refuses the third level
+    path = write_config(tmp_path, {})
+    assert main(["convergence", "--config", path, "--mode", "h", "--levels", "3"]) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("resource cap exceeded: h-refinement: 16 x 2^2 elements"), err
     assert "Traceback" not in err
