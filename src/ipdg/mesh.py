@@ -196,6 +196,10 @@ class Mesh:
     blocks: list
     elements: list
 
+    def __post_init__(self):
+        if len(self.elements) == 0:
+            raise ValueError("a mesh needs at least one element")
+
     @property
     def n_elements(self) -> int:
         return len(self.elements)

@@ -44,13 +44,17 @@ the element count:
   sigma = C (p+1)^2 / h is computed once per handle in one expression over
   the face buffer, with the larger normal degree and the smaller h of each
   point and its partner (an external point is its own);
-- mortars with a non-identity side replace the jump at their points: those
-  with the same face grids, mortar grid and coverages form a group that
-  gathers its sides from the face buffer with one index array each, prolongs
-  with one matrix product P, made once per group, and restricts with its
-  mass-weighted adjoint W_f^-1 P^T W_m (both skipped where P = I). Each
-  group computes its quadrature weights and penalty on the mortar points
-  once, from face data gathered through the same index arrays.
+- mortars with a non-identity side replace the jump at their points, all of
+  them in one pass per phase: one gather per face buffer and side, one flux
+  call on every such mortar's points and one `np.add.at` of the restricted
+  values into the face buffer. In between, mortars with the same face
+  grids, mortar grid and coverages (a kind, `_MortarGroup`) prolong with
+  one matrix product P, made once per kind, and restrict with its
+  mass-weighted adjoint W_f^-1 P^T W_m, each on a view of the stacked
+  arrays with the kind's own shapes (both skipped where P = I). The
+  scatter-add keeps the order (kind, side), in which a coarse face fed by
+  several mortars adds their terms. Each kind computes its quadrature
+  weights and penalty on the mortar points once, at set-up.
 
 A batch of vectors (FieldVector.batch) rides through the same code as one
 more leading point axis: volume arrays are (components, batch, elements,
@@ -345,6 +349,19 @@ def _lumped_mass(elements, background, coords, det, weights):
     return mass
 
 
+def _scatter_index(kept, array, stride, points, single):
+    """The flat index of `points` in every `stride`-long row of a C-contiguous
+    array, row after row: for one vector kept in `kept` per component count
+    (the array's first axis), for a batch built per call, so that no kept
+    state grows with the batch size."""
+    index = kept.get(len(array)) if single else None
+    if index is None:
+        index = (np.arange(0, array.size, stride)[:, None] + points).ravel()
+        if single:
+            kept[len(array)] = index
+    return index
+
+
 # a face key (dim, side) of a group: its points' `span` in the face buffer and
 # `shape` (elements, *face grid in point order)
 _GroupFace = namedtuple("_GroupFace", "key span shape")
@@ -449,20 +466,13 @@ class _Group:
     def lift(self, volume, buf, massive):
         """Add the lifted face-buffer values into a C-contiguous (..., *shape)
         volume array: one scatter-add on its flat view, indexed in face-key
-        order, which `np.add.at` keeps where faces share a point. The flat
-        index of one vector's (components, *shape) array is built once per
-        component count and kept; a batch's is built per call, so that no
-        kept state grows with the batch size."""
+        order, which `np.add.at` keeps where faces share a point
+        (`_scatter_index`)."""
         if not volume.flags.c_contiguous:
             raise ValueError("lifting needs a C-contiguous volume array")
         values = buf[..., self.face_start:self.face_end] * self._lift_weights[massive]
-        single = volume.ndim == self.dim + 2
-        index = self._scatter.get(len(volume)) if single else None
-        if index is None:
-            rows = np.arange(0, volume.size, math.prod(self.shape))
-            index = (rows[:, None] + self._face_points).ravel()
-            if single:
-                self._scatter[len(volume)] = index
+        index = _scatter_index(self._scatter, volume, math.prod(self.shape), self._face_points,
+                               volume.ndim == self.dim + 2)
         np.add.at(volume.reshape(-1), index, values.ravel())
 
     def gradient(self, u):
@@ -523,8 +533,10 @@ def _is_identity(mat):
 
 class _MortarGroup:
     """Mortars with a non-identity side and the same face grids, mortar grid
-    and coverages. Mortars whose sides are both the identity are exchanged
-    pointwise through `_MeshCache.partner` instead.
+    and coverages: one kind's data, which `_MeshCache` stacks with the other
+    kinds' for one exchange pass over all of them. Mortars whose sides are
+    both the identity are exchanged pointwise through `_MeshCache.partner`
+    instead.
 
     Per side: `index` (mortars, face points) into the face buffer, P^T and
     the lumped face mass W_f at `index`, both None where P = I (such a face
@@ -562,18 +574,11 @@ class _MortarGroup:
             *(prolonged(s, cache.face_h) for s in (0, 1)), 1.0,
         )
 
-    def to_mortar(self, side, buf):
-        """Gather one side's face values from the buffer onto the mortars."""
-        data = buf.take(self.index[side], axis=-1)
+    def restrict(self, side, values):
+        """Mortar values (..., mortars, mortar points) on one side's face
+        points: W_f^-1 P^T W_m v, or v itself where P = I."""
         p = self.prolong[side]
-        return data if p is None else data @ p
-
-    def add_restricted(self, side, values, buf):
-        """Restrict mortar values to one side's faces and add them to the buffer."""
-        p = self.prolong[side]
-        if p is not None:
-            values = (values * self.weights) @ p.T / self.face_mass[side]
-        buf[..., self.index[side]] += values
+        return values if p is None else (values * self.weights) @ p.T / self.face_mass[side]
 
 
 def _face_key(side):
@@ -597,12 +602,13 @@ class _MeshCache:
     TopologyError: paired points, where `partner` gives the matching point
     across a mortar whose prolongations are both the identity (elsewhere it
     is the point itself); external points, `external` per tag; and the
-    points of mortars with a non-identity side, `restricted`, exchanged by
-    `mortar_groups`. `face_sigma` is the penalty for C = 1 at every point,
+    points of mortars with a non-identity side, `restricted`, exchanged in
+    one pass over the stacked `mortar_groups` (`to_mortar`,
+    `add_restricted`). `face_sigma` is the penalty for C = 1 at every point,
     with the larger normal degree and the smaller h of the point and its
     partner, so the same on both points of a pair. Restricted points, which
     are their own partners, have a value too, but their jumps come from the
-    mortar groups, with the groups' own penalty.
+    mortars, with the penalty on the mortar points, `mortar_sigma`.
     """
 
     def __init__(self, mesh, background):
@@ -648,9 +654,7 @@ class _MeshCache:
                 paired += [a.ravel(), b.ravel()]
             else:
                 self.mortar_groups.append(_MortarGroup(members[0], index, prolongs, self))
-        self.restricted = np.unique(_concat(
-            [i.ravel() for mg in self.mortar_groups for i in mg.index]
-        ))
+        self._stack_mortars()
 
         external, faces = {}, []  # tag -> face-buffer indices
         for ef in topology.external_faces:
@@ -674,6 +678,67 @@ class _MeshCache:
         self.face_sigma = penalty_sigma(
             self.face_p, self.face_p[partner], self.face_h, self.face_h[partner], 1.0
         )
+
+    def _stack_mortars(self):
+        """Lay the mortar groups end to end for one pass over all of them.
+
+        Per side, `mortar_index` is the face-buffer index over every group,
+        kind by kind and mortar by mortar; the mortar points follow the same
+        order, one layout for both sides, on which `mortar_sigma` is the
+        penalty. Per side `_prolong` cuts the gather into pieces, a run of
+        groups whose P is the identity or one group's (span, mortars, P^T);
+        `_restrict` lists each group's mortar points per (kind, side), the
+        order in which `_scatter_points` adds them back.
+        """
+        groups = self.mortar_groups
+        self.mortar_index = [_concat([mg.index[s].ravel() for mg in groups]) for s in (0, 1)]
+        self.mortar_sigma = np.concatenate([mg.sigma.ravel() for mg in groups] or [np.zeros(0)])
+        self._prolong, self._restrict, ends = ([], []), [], [0, 0, 0]
+        for mg in groups:
+            n_m, n_q = mg.weights.shape
+            span = slice(ends[2], ends[2] + n_m * n_q)
+            for s, pieces in enumerate(self._prolong):
+                face = slice(ends[s], ends[s] + mg.index[s].size)
+                if mg.prolong[s] is None and pieces and pieces[-1][2] is None:
+                    face = slice(pieces.pop()[0].start, face.stop)
+                pieces.append((face, n_m, mg.prolong[s]))
+                self._restrict.append((span, mg, s))
+                ends[s] = face.stop
+            ends[2] = span.stop
+        self._scatter_points = _concat([mg.index[s].ravel() for mg in groups for s in (0, 1)])
+        self._scatter = {}  # component count -> one vector's scatter index
+        self.restricted = np.unique(self._scatter_points)
+
+    def to_mortar(self, side, buf):
+        """One side's values (..., mortar points) on every stacked mortar: one
+        gather from a (..., face points) buffer, prolonged per group where P
+        is not the identity, on a view with the group's own shapes."""
+        data = buf.take(self.mortar_index[side], axis=-1)
+        pieces = self._prolong[side]
+        if len(pieces) == 1 and pieces[0][2] is None:
+            return data
+        lead = data.shape[:-1]
+        return np.concatenate([
+            data[..., face] if p is None
+            else (data[..., face].reshape(lead + (n_m, -1)) @ p).reshape(lead + (-1,))
+            for face, n_m, p in pieces
+        ], axis=-1)
+
+    def add_restricted(self, values, buf):
+        """Add both sides' mortar values, restricted per group where P is not
+        the identity, to their face points in a new (..., face points) buffer:
+        one `np.add.at` in (kind, side) order, which it keeps where a face
+        takes several mortars (`_scatter_index`)."""
+        lead = values[0].shape[:-1]
+        parts = []
+        for span, mg, s in self._restrict:
+            part = values[s][..., span]
+            if mg.prolong[s] is not None:
+                part = mg.restrict(s, part.reshape(lead + mg.weights.shape)).reshape(lead + (-1,))
+            parts.append(part)
+        index = _scatter_index(self._scatter, buf, buf.shape[-1], self._scatter_points,
+                               len(lead) == 1)
+        np.add.at(buf.reshape(-1), index, np.concatenate(parts, axis=-1).ravel())
 
     def face_values(self, volumes):
         """The face buffer (..., face points) of per-group arrays (..., *group
@@ -747,9 +812,10 @@ class OperatorHandle:
                 )
         self._linearization_point = self._lin_groups = self._sources = None
         self._fields = []
-        # the penalty on the face buffer, then on each mortar group
-        sigmas = [cache.face_sigma] + [mg.sigma for mg in cache.mortar_groups]
-        self._sigma_args = [(self.penalty_parameter * s,) for s in sigmas]
+        # the penalty on the face buffer, then on the stacked mortar points
+        self._sigma_args = [
+            (self.penalty_parameter * s,) for s in (cache.face_sigma, cache.mortar_sigma)
+        ]
         # the boundary arrays over the external points, dirichlet-kind first
         # (`_external`): trace-free conditions fill their positions here,
         # once; the others (`_live`) overwrite theirs in every application
@@ -947,9 +1013,10 @@ class OperatorHandle:
         """One phase's numerical flux star (strong form only, else None) and jumps
         on the face buffer: star is flux(*own, *ext, *args) on its buffers `own`,
         ext being `sign` times the partner's value plus what `boundary`, unless
-        None, adds in place, and args flux_args[0], or flux_args[k] on mortar
-        group k's points, which set their jumps; elsewhere star - own[0] if
-        `strong`, else star."""
+        None, adds in place, and args flux_args[0]; the points of mortars with a
+        non-identity side take their jumps from one flux call on every such
+        mortar's points, with args flux_args[1]; elsewhere the jump is
+        star - own[0] if `strong`, else star."""
         cache = self._cache
         ext = [buf.take(cache.partner, axis=-1) for buf in own]
         if sign is not None:  # None: every sign is 1
@@ -961,11 +1028,11 @@ class OperatorHandle:
         jumps = star - own[0] if strong else star
         if cache.mortar_groups:
             jumps[..., cache.restricted] = 0.0
-            for mg, args in zip(cache.mortar_groups, flux_args[1:]):
-                sides = [mg.to_mortar(s, buf) for buf in own for s in (0, 1)]  # (buffer, side)
-                star_m = flux(*sides[::2], *sides[1::2], *args)
-                for s, f in enumerate((star_m, -star_m)):
-                    mg.add_restricted(s, f - sides[s] if strong else f, jumps)
+            sides = [cache.to_mortar(s, buf) for buf in own for s in (0, 1)]  # (buffer, side)
+            star_m = flux(*sides[::2], *sides[1::2], *flux_args[1])
+            cache.add_restricted(
+                [f - sides[s] if strong else f for s, f in enumerate((star_m, -star_m))], jumps
+            )
         return (star if strong else None), jumps
 
     def _phase1(self, u_rows):
@@ -1002,7 +1069,7 @@ class OperatorHandle:
             ext[0][..., d] = exterior_ghost_data(ext[0].take(d, axis=-1), aux_b)
 
         star, jumps = self._exchange([aux], self._signs[0], boundary if arrays else None,
-                                     auxiliary_numerical_flux, [()] * len(self._sigma_args),
+                                     auxiliary_numerical_flux, [(), ()],
                                      strong=True)
 
         # G(grad u) is new on every application: gathered first, then lifted

@@ -7,6 +7,7 @@ and Schur-complement checks and are guarded by a DoF cap.
 
 from __future__ import annotations
 
+import heapq
 import math
 import numbers
 import time
@@ -94,41 +95,90 @@ class ExplicitMatrix:
             ))
 
 
-# Entries (columns x rows) of one batched probe application. The operator's
-# temporaries take about ten times as many floats (about 5 MB), whatever the
-# DoF count up to the assembly cap; larger batches measured no faster.
+# Entries of one batched probe application, each row counted as the handle's
+# primal plus auxiliary DoFs in the compact and the full assembly alike,
+# since an apply's temporaries scale with both. On the nonconforming-assemble
+# mesh (496 + 992 DoFs) that is 44 rows, and tracemalloc reads a peak of
+# 3.1 MB for the compact assembly and 4.8 MB for the full one; counting
+# primal entries alone would pack 132 compact rows and raise it to 8.0 MB.
+# Larger batches measured no faster.
 _PROBE_BATCH_ENTRIES = 1 << 16
 
 
+def _distance3_colors(balls, base, weight):
+    """Colour elements so that no two at graph distance 1 or 2 (`balls`, a
+    symmetric relation) share a colour, each with the least colour its ball
+    does not hold yet, in increasing order of the key base[k] - weight *
+    saturation, where saturation counts the colours in k's ball so far and
+    base[k] % len(balls) == k: one priority queue of keys, whose stale
+    entries are skipped."""
+    n = len(balls)
+    colors, seen, keys = [-1] * n, [0] * n, list(base)  # seen: a bit per colour
+    heap = sorted(base)
+    while heap:
+        key = heapq.heappop(heap)
+        k = key % n
+        if key != keys[k] or colors[k] >= 0:
+            continue
+        free = ~seen[k] & (seen[k] + 1)  # the lowest clear bit
+        colors[k] = free.bit_length() - 1
+        for m in balls[k]:
+            if not seen[m] & free and colors[m] < 0:
+                seen[m] |= free
+                if weight:
+                    keys[m] -= weight
+                    heapq.heappush(heap, keys[m])
+    return colors
+
+
 def _element_color_groups(handle):
-    """Group elements so same-group members share no neighbor.
+    """Passes of elements whose closed neighbourhoods are disjoint, and each
+    element's face neighbours.
 
     Columns of the operator rooted in one element only reach its face
     neighbors, so elements at graph distance >= 3 can share one batched
-    unit-vector application.
+    unit-vector application, which costs as many probe columns as the pass's
+    largest element has points (column grouping for sparse Jacobians,
+    Coleman & More 1983). Of three deterministic colourings it takes the
+    one with the fewest probe columns, then the fewest passes, then the
+    first: greedy in mesh order, and DSatur (Brelaz 1979) by saturation
+    then size (points) and by size then saturation, ties to the larger ball
+    (the elements within distance 2), then to mesh order. The greedy stays a
+    candidate because DSatur alone can need more columns. A colouring that
+    reaches the lower bounds of both counts, the most points and the most
+    elements of a closed neighbourhood, cannot be beaten, and ends the
+    search.
     """
-    n = len(handle.mesh.elements)
+    mesh = handle.mesh
+    n = mesh.n_elements
     nbrs = [set() for _ in range(n)]
     for mortar in handle.topology.mortars:
         a, b = (s.element for s in mortar.sides)
         if a != b:
             nbrs[a].add(b)
             nbrs[b].add(a)
-    colors = []
-    for k in range(n):
-        ball = set(nbrs[k])
-        for m in nbrs[k]:
-            ball |= nbrs[m]
-        ball.discard(k)
-        used = {colors[m] for m in ball if m < k}
-        c = 0
-        while c in used:
-            c += 1
-        colors.append(c)
-    groups = [[] for _ in range(max(colors) + 1 if colors else 0)]
-    for k, c in enumerate(colors):
-        groups[c].append(k)
-    return groups, nbrs
+    balls = [list(nbrs[k].union(*(nbrs[m] for m in nbrs[k])) - {k}) for k in range(n)]
+    size = np.diff(mesh.point_offsets).tolist()
+    # keys in mixed radix, most significant first: saturation or size, then
+    # the other, then the ball's size, then k; a larger one comes first
+    ties = [-len(ball) * n + k for k, ball in enumerate(balls)]
+    by_sat = [-size[k] * n ** 2 + t for k, t in enumerate(ties)]
+    by_size = [-size[k] * n ** 3 + t for k, t in enumerate(ties)]
+    bound = (max(size[k] + sum(size[m] for m in nbrs[k]) for k in range(n)),
+             max(len(near) + 1 for near in nbrs))
+    best = None
+    for base, weight in ((list(range(n)), 0), (by_sat, (max(size) + 1) * n ** 2),
+                         (by_size, n ** 2)):
+        groups = [[] for _ in range(n)]
+        for k, c in enumerate(_distance3_colors(balls, base, weight)):
+            groups[c].append(k)
+        groups = [g for g in groups if g]
+        cost = (sum(max(size[k] for k in g) for g in groups), len(groups))
+        if best is None or cost < best[0]:
+            best = cost, groups
+        if cost == bound:
+            break
+    return best[1], nbrs
 
 
 def assemble_explicit(
@@ -139,18 +189,22 @@ def assemble_explicit(
     Each pass probes one set of elements and components; one probe vector
     sets the same point of every element of the set. An owner map names,
     for each element, the probed element whose column may reach its rows,
-    so each nonzero of the result belongs to one column. The probes of one
-    pass, for every component and point, go through the operator as
-    batches of columns.
+    so each nonzero of the result belongs to one column. The probes of all
+    passes, for every component and point, lie end to end in pass order,
+    each carrying its pass, and go through the operator in batches filled
+    to `_PROBE_BATCH_ENTRIES`, a batch crossing from one pass into the next.
+    A column's entries depend only on its own element's probe, and in 2D
+    and 3D a batch row gets the residual it gets alone, so there neither
+    the colouring nor the batches change the matrix by a bit.
 
     Primal columns reach the face neighbors of their element, so their
-    passes are the colors of a distance-3 coloring, each element owning its
-    closed neighborhood. Auxiliary columns reach only their own element: a
-    given v enters the auxiliary residual only as M v, and the primal
-    residual only through the element's own volume terms (the primal flux
-    and source at its points, then its stiffness). So the auxiliary
-    components of all elements form one pass whose owner map is each
-    element itself.
+    passes are the colors of a distance-3 coloring (`_element_color_groups`),
+    each element owning its closed neighborhood. Auxiliary columns reach
+    only their own element: a given v enters the auxiliary residual only as
+    M v, and the primal residual only through the element's own volume
+    terms (the primal flux and source at its points, then its stiffness).
+    So the auxiliary components of all elements form one pass whose owner
+    map is each element itself.
     """
     if not handle.is_linearized and not handle.system.linear:
         raise ConfigurationError(
@@ -174,57 +228,53 @@ def assemble_explicit(
     point_element = np.repeat(np.arange(n_elements), sizes)
     n_v = n_aux // total
     primal = np.arange(n_v, n // total)
-    # (probed elements, owner per element, probed components)
-    passes = []
-    for group in groups:
-        owner = np.full(n_elements, -1)
+    # per pass the owner of each element, -1 if none; a member owns itself
+    owner = np.full((len(groups) + include_auxiliary, n_elements), -1)
+    for j, group in enumerate(groups):
         for k in group:
-            owner[[k, *nbrs[k]]] = k
-        passes.append((np.array(group), owner, primal))
+            owner[j, [k, *nbrs[k]]] = k
     if include_auxiliary:
-        every = np.arange(n_elements)
-        passes.append((every, every, np.arange(n_v)))
-    chunk = max(1, _PROBE_BATCH_ENTRIES // n)
+        owner[-1] = np.arange(n_elements)
+    member = owner == np.arange(n_elements)
+    # every (pass, component, point index) probe, pass after pass
+    pass_of, comp, point = [], [], []
+    for j, is_member in enumerate(member):
+        components = primal if j < len(groups) else np.arange(n_v)
+        n_probe_points = sizes[is_member].max()
+        pass_of.append(np.full(components.size * n_probe_points, j))
+        comp.append(np.repeat(components, n_probe_points))
+        point.append(np.tile(np.arange(n_probe_points), components.size))
+    pass_of, comp, point = (np.concatenate(a) for a in (pass_of, comp, point))
+    row_owner = owner[:, point_element]
+    chunk = max(1, _PROBE_BATCH_ENTRIES // (handle.n_auxiliary_dofs + handle.n_primal_dofs))
     rows_out, cols_out, vals_out = [], [], []
-    for members, owner, components in passes:
-        row_owner = owner[point_element]
-        # every (component, point index) probe of this pass
-        n_probe_points = sizes[members].max()
-        comp = np.repeat(components, n_probe_points)
-        point = np.tile(np.arange(n_probe_points), components.size)
-        for start in range(0, comp.size, chunk):
-            c, p = comp[start:start + chunk], point[start:start + chunk]
-            probes = np.zeros((c.size, n))
-            b, m = np.nonzero(sizes[members] > p[:, None])
-            probes[b, c[b] * total + offsets[members[m]] + p[b]] = 1.0
-            if include_auxiliary:
-                rv, ru = lin.apply_full(
-                    FieldVector.batch(mesh, handle.system.n_auxiliary, probes[:, :n_aux]),
-                    FieldVector.batch(mesh, handle.system.n_primal, probes[:, n_aux:]),
-                )
-                result = np.concatenate([rv.data, ru.data], axis=1)
-            else:
-                result = lin.apply(
-                    FieldVector.batch(mesh, handle.system.n_primal, probes)
-                ).data
-            b, row = np.nonzero(result)
-            k = row_owner[row % total]
-            keep = (k >= 0) & (sizes[k] > p[b])
-            b, row, k = b[keep], row[keep], k[keep]
-            rows_out.append(row)
-            cols_out.append(c[b] * total + offsets[k] + p[b])
-            vals_out.append(result[b, row])
+    for start in range(0, comp.size, chunk):
+        j, c, p = (a[start:start + chunk] for a in (pass_of, comp, point))
+        probes = np.zeros((c.size, n))
+        b, k = np.nonzero(member[j] & (sizes > p[:, None]))
+        probes[b, c[b] * total + offsets[k] + p[b]] = 1.0
+        if include_auxiliary:
+            rv, ru = lin.apply_full(
+                FieldVector.batch(mesh, handle.system.n_auxiliary, probes[:, :n_aux]),
+                FieldVector.batch(mesh, handle.system.n_primal, probes[:, n_aux:]),
+            )
+            result = np.concatenate([rv.data, ru.data], axis=1)
+        else:
+            result = lin.apply(
+                FieldVector.batch(mesh, handle.system.n_primal, probes)
+            ).data
+        b, row = np.nonzero(result)
+        k = row_owner[j[b], row % total]
+        keep = (k >= 0) & (sizes[k] > p[b])
+        b, row, k = b[keep], row[keep], k[keep]
+        rows_out.append(row)
+        cols_out.append(c[b] * total + offsets[k] + p[b])
+        vals_out.append(result[b, row])
 
-    if rows_out:
-        mat = scipy.sparse.coo_matrix(
-            (
-                np.concatenate(vals_out),
-                (np.concatenate(rows_out), np.concatenate(cols_out)),
-            ),
-            shape=(n, n),
-        ).tocsr()
-    else:
-        mat = scipy.sparse.csr_matrix((n, n))
+    mat = scipy.sparse.coo_matrix(
+        (np.concatenate(vals_out), (np.concatenate(rows_out), np.concatenate(cols_out))),
+        shape=(n, n),
+    ).tocsr()
     mat.sort_indices()
     return ExplicitMatrix(mat, _FULL_ORDER if include_auxiliary else _PRIMAL_ORDER)
 

@@ -446,6 +446,13 @@ class TestTopology:
         with pytest.raises(TopologyError, match=message):
             mortar_topology(Mesh(mesh.dim, mesh.blocks, mesh.elements + [parent]))
 
+    def test_empty_mesh_rejected(self):
+        # it would fail later, in numpy, wherever the elements are stacked
+        blocks = build_rectilinear_mesh([(0, 1), (0, 1)], (1, 1), (2, 2)).blocks
+        for elements in ([], ()):
+            with pytest.raises(ValueError, match="^a mesh needs at least one element$"):
+                Mesh(2, blocks, elements)
+
     def test_annulus_is_periodic(self):
         mesh = build_annulus_mesh(1.0, 2.0, 4, (0, 0), (2, 2))
         topo = mortar_topology(mesh)

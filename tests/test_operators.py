@@ -1472,7 +1472,7 @@ def test_face_buffer_partition_rejects_uncovered_or_doubled_points(monkeypatch):
     "case", [split_square, raised_square, split_box_3d, split_annulus, raised_curved]
 )
 def test_mortar_restriction_is_the_adjoint_of_prolongation(case):
-    # the restriction as the operator applies it (`add_restricted`), against
+    # the restriction as the operator applies it per kind (`restrict`), against
     # P built from the topology and W_f read from the face buffer: W_f R =
     # P^T W_m on every non-identity side, and P is stored as None exactly
     # where it is the identity. Summed over a face's mortars, R 1 = 1: to
@@ -1494,10 +1494,11 @@ def test_mortar_restriction_is_the_adjoint_of_prolongation(case):
         n_m, q = mg.weights.shape
         mortars = [by_starts[(a[0], b[0])] for a, b in zip(*mg.index)]
         for side in (0, 1):
-            mg.add_restricted(side, np.ones((n_m, q)), constants)
+            constants[mg.index[side]] += mg.restrict(side, np.ones((n_m, q)))
             # R's columns: the restriction of every unit mortar vector
             columns = np.zeros((n_m * q, cache.n_face_points))
-            mg.add_restricted(side, np.eye(n_m * q).reshape(n_m * q, n_m, q), columns)
+            unit = np.eye(n_m * q).reshape(n_m * q, n_m, q)
+            columns[:, mg.index[side]] += mg.restrict(side, unit)
             for i, m in enumerate(mortars):
                 s = m.sides[side]
                 p = prolongation_matrix(

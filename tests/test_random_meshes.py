@@ -11,7 +11,12 @@ conformally flat background; on a cube away from the origin, for the puncture
 system linearized about a nonzero state:
 
 - batched colored assembly equals probing the operator one unit column at a
-  time, entry by entry;
+  time, entry by entry, also in batches so small that they cross from one
+  pass into the next and split passes;
+- the passes of the colouring hold elements with disjoint closed
+  neighbourhoods and need no more probe columns than the mesh-order greedy
+  colouring; 2D rectilinear boxes get the lower bound, 5 colours wherever
+  an element has four face neighbours;
 - every auxiliary column of the full first-order matrix has nonzeros only
   in its own element's rows, which lets assembly probe all elements'
   auxiliary columns at once;
@@ -28,6 +33,9 @@ system linearized about a nonzero state:
 """
 
 import dataclasses
+import itertools
+from types import SimpleNamespace
+from unittest import mock
 
 import numpy as np
 from hypothesis import HealthCheck, given, settings
@@ -51,10 +59,12 @@ from ipdg import (
     symmetry_defect,
     with_degrees,
 )
+from ipdg import solver
 from ipdg.background import sampled_face_geometry
 from ipdg.errors import TopologyError
 from ipdg.mesh import Mesh, jacobian_at, mortar_topology
 from ipdg.operators import _element_groups, _point_order, lumped_mass_diag
+from ipdg.solver import _element_color_groups
 from test_operators import QuadraticFluxBC, check_face_partition, interpolant
 
 BG = FlatBackground()
@@ -294,13 +304,19 @@ def check_invariants(handle, rtol=0.0):
 
     compact = assemble_explicit(handle)
     full = assemble_explicit(handle, include_auxiliary=True)
-    for assembled, columns in (
-        (compact, probe_columns(handle.matvec, handle.n_primal_dofs)),
-        (full, probe_columns(handle.matvec_full, n_aux + handle.n_primal_dofs)),
+    # batches of 7 probe rows, which cross from one pass into the next and
+    # split the passes with more rows
+    rows = mock.patch.object(solver, "_PROBE_BATCH_ENTRIES", 7 * (n_aux + handle.n_primal_dofs))
+    with rows:
+        small = [assemble_explicit(handle), assemble_explicit(handle, include_auxiliary=True)]
+    for assembled, batched, columns in (
+        (compact, small[0], probe_columns(handle.matvec, handle.n_primal_dofs)),
+        (full, small[1], probe_columns(handle.matvec_full, n_aux + handle.n_primal_dofs)),
     ):
-        np.testing.assert_allclose(
-            assembled.toarray(), columns, rtol=0.0, atol=rtol * np.abs(columns).max()
-        )
+        for matrix in (assembled, batched):
+            np.testing.assert_allclose(
+                matrix.toarray(), columns, rtol=0.0, atol=rtol * np.abs(columns).max()
+            )
     offsets = mesh.point_offsets
     point_element = np.repeat(np.arange(mesh.n_elements), np.diff(offsets))
     entries = full.matrix.tocoo()
@@ -318,3 +334,71 @@ def check_invariants(handle, rtol=0.0):
     assert abs(schur.matrix - a).max() <= 1e-12 * scale
     if handle.form == "strong-weak" and handle.massive and handle.system.symmetric_eligible:
         assert symmetry_defect(a) <= 1e-12
+
+
+def face_neighbours(mesh):
+    nbrs = [set() for _ in range(mesh.n_elements)]
+    for mortar in mortar_topology(mesh).mortars:
+        a, b = (side.element for side in mortar.sides)
+        if a != b:
+            nbrs[a].add(b)
+            nbrs[b].add(a)
+    return nbrs
+
+
+def greedy_columns(mesh):
+    """Probe columns of the distance-3 colouring greedy in mesh order, each
+    element taking the least colour of no element within distance 2 before
+    it: the colouring assembly had before it chose among several."""
+    nbrs, colors = face_neighbours(mesh), []
+    for k in range(mesh.n_elements):
+        ball = nbrs[k].union(*(nbrs[m] for m in nbrs[k])) - {k}
+        used = {colors[m] for m in ball if m < k}
+        colors.append(min(set(range(len(used) + 1)) - used))
+    size = np.diff(mesh.point_offsets)
+    return sum(size[np.equal(colors, c)].max() for c in set(colors))
+
+
+def check_coloring(mesh):
+    """The passes of `_element_color_groups`: each element in one, members'
+    closed neighbourhoods disjoint, no more probe columns than the greedy.
+    Returns the number of passes and the largest closed neighbourhood."""
+    groups, _ = _element_color_groups(SimpleNamespace(mesh=mesh, topology=mortar_topology(mesh)))
+    assert sorted(k for g in groups for k in g) == list(range(mesh.n_elements))
+    closed = [near | {k} for k, near in enumerate(face_neighbours(mesh))]
+    for group in groups:
+        assert sum(len(closed[k]) for k in group) == len(set().union(*(closed[k] for k in group)))
+    size = np.diff(mesh.point_offsets)
+    assert sum(size[g].max() for g in groups) <= greedy_columns(mesh)
+    return len(groups), max(map(len, closed))
+
+
+@st.composite
+def coloring_meshes(draw):
+    """Balanced boxes and annuli of up to 16 elements a side, split and
+    raised at random."""
+    kind = draw(st.sampled_from(["interval", "square", "cube", "annulus"]))
+    if kind == "annulus":
+        wedges, levels = draw(st.integers(2, 5)), draw(st.tuples(*[st.integers(0, 2)] * 2))
+        mesh = build_annulus_mesh(0.5, 1.0, wedges, levels, (2, 2))
+    else:
+        dim = {"interval": 1, "square": 2, "cube": 3}[kind]
+        levels = draw(st.tuples(*[st.integers(0, 4 if dim < 3 else 2)] * dim))
+        mesh = build_rectilinear_mesh([(0.0, 1.0)] * dim, levels, (2,) * dim)
+    return refined(draw, mesh, max_splits=3, max_degree=4)
+
+
+# 100 examples, well within a budget of about 3 s
+@settings(max_examples=100, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(mesh=coloring_meshes())
+def test_coloring_passes(mesh):
+    check_coloring(mesh)
+
+
+def test_rectilinear_boxes_reach_the_lower_bound():
+    # the lattice colouring (i + 2j) mod 5 shows that 5 suffice
+    for levels in itertools.product(range(5), repeat=2):
+        mesh = build_rectilinear_mesh([(0.0, 1.0), (0.0, 2.0)], levels, (3, 2))
+        passes, bound = check_coloring(mesh)
+        assert passes == bound == 5 if min(levels) >= 2 else passes <= 4

@@ -70,7 +70,7 @@ def test_tracer_installs_and_uninstalls(tracing):
         ipdg.BoundaryMap({"x-lower": ipdg.NeumannBC(0.0), "all": ipdg.DirichletBC(1.0)}),
     )
     n_groups = len(handle._cache.mortar_groups)
-    assert n_groups > 0
+    assert n_groups > 1
     tracer = tracing.Tracer()
     tracer.install(tracing.LAYERS)
     try:
@@ -81,9 +81,10 @@ def test_tracer_installs_and_uninstalls(tracing):
         tracer.uninstall()
     assert all(getattr(operators, n) is f for n, f in originals.items())
     assert operators.OperatorHandle.apply is apply
-    # per phase: one numerical flux over the face buffer and one per mortar
-    # group with a non-identity side; one ghost expression over every
-    # external point, whatever the conditions
+    # per phase: one numerical flux over the face buffer and one over the
+    # points of every mortar with a non-identity side, however many kinds
+    # there are; one ghost expression over every external point, whatever
+    # the conditions
     assert names.count("operators.apply") == 1
-    assert names.count("operators.face_flux") == 2 * (1 + n_groups)
+    assert names.count("operators.face_flux") == 2 * 2
     assert names.count("operators.ghost") == 2
