@@ -11,6 +11,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.sparse
 
 from .operators import _element_groups, _point_order
 
@@ -44,8 +45,15 @@ class ConvergenceSeries:
             raise ValueError(f"convergence mode must be h or p, got {self.mode!r}")
 
     def add(self, level, n_points, resolution, error):
+        """Append a level; it must have more points than the last one and, in
+        p-mode, a higher degree (the rate divides by the degree's step)."""
         if self.levels and n_points <= self.levels[-1].n_points:
             raise ValueError("levels must strictly increase in resolution")
+        if self.mode == "p" and self.levels and resolution <= self.levels[-1].resolution:
+            raise ValueError(
+                f"p-mode levels must raise the degree: {resolution} after "
+                f"{self.levels[-1].resolution}"
+            )
         self.levels.append(
             ConvergenceLevel(level, int(n_points), float(resolution), float(error))
         )
@@ -137,16 +145,18 @@ def convergence_rates(series: ConvergenceSeries):
 
 
 def symmetry_defect(matrix) -> float:
-    """max |A_ij - A_ji| / max |A_ij| for a square matrix."""
-    a = np.asarray(
-        matrix.toarray() if hasattr(matrix, "toarray") else matrix, dtype=float
-    )
+    """max |A_ij - A_ji| / max |A_ij| for a square matrix, dense or a scipy
+    sparse one; a sparse matrix is not densified, and gives the same float."""
+    if scipy.sparse.issparse(matrix):
+        a = matrix.tocsr().astype(float)
+    else:
+        a = np.asarray(matrix.toarray() if hasattr(matrix, "toarray") else matrix, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError("symmetry defect needs a square matrix")
-    scale = np.max(np.abs(a))
+    scale = abs(a).max()
     if scale == 0.0:
         return 0.0
-    return float(np.max(np.abs(a - a.T)) / scale)
+    return float(abs(a - a.T).max() / scale)
 
 
 def write_convergence_csv(series: ConvergenceSeries, path) -> None:

@@ -9,6 +9,11 @@ its points are the block map of that box (`jacobian_at`), the mesh order sorts
 by its lower corner, and its faces lie on the planes of its bounds. Meshes stay
 two-to-one balanced across faces, which keeps mortar coverages decidable from
 segment arithmetic alone.
+
+The mortar topology (`mortar_topology`, kept as `Mesh.topology`) is geometry
+only: which faces touch and how much of each a mortar covers. It reads no
+degree, so meshes that differ only in degrees have the same topology; the
+grid on which a mortar couples its two sides is the operator's choice.
 """
 
 from __future__ import annotations
@@ -47,6 +52,11 @@ _AXIS_NAMES = ("x", "y", "z")
 # the most elements a builder, refine_uniform or split_element makes: 2^20
 # take about 3 s and 300 MB to build
 MAX_ELEMENTS = 1 << 20
+# the highest degree per dimension an element may have: its LGL node set, 65
+# nodes, takes about 5 ms to make, where 400 nodes take 0.23 s and 1600 take
+# 5 s, and past about 850 nodes the barycentric weights overflow. The tests
+# use at most 12 nodes
+MAX_DEGREE = 64
 
 
 def _expand(v: np.ndarray, target_ndim: int) -> np.ndarray:
@@ -125,6 +135,27 @@ class AnnulusWedgeMap:
 Segment = tuple[int, int]  # (refinement level, index within 0 .. 2^level - 1)
 
 
+def _is_number(value, kind) -> bool:
+    """Whether `value` is a number of the `numbers` class `kind`, such as
+    Integral or Real: numpy's numbers are, a bool is not (int(2.7) and
+    int(True) would be read as counts without a word)."""
+    return isinstance(value, kind) and not isinstance(value, bool)
+
+
+def _segment_ok(seg) -> bool:
+    """Whether `seg` is a pair of integers (level, index) with level >= 0 and
+    0 <= index < 2^level."""
+    if not (isinstance(seg, tuple) and len(seg) == 2
+            and all(_is_number(v, numbers.Integral) for v in seg)):
+        return False
+    level, index = seg
+    return level >= 0 and index >= 0 and index >> level == 0
+
+
+def _degree_ok(p) -> bool:
+    return _is_number(p, numbers.Integral) and 1 <= p <= MAX_DEGREE
+
+
 def _boxes(segments):
     """Centers and half-widths, each (d, elements), of the boxes that
     elements' segments (elements, d) span in their blocks' logical cube:
@@ -197,8 +228,42 @@ class Mesh:
     elements: list
 
     def __post_init__(self):
-        if len(self.elements) == 0:
+        """Check the elements: each has `dim` segments and degrees, a block of
+        the mesh, segments (level, index) with level >= 0 and 0 <= index <
+        2^level, and integer degrees from 1 to MAX_DEGREE. The checks run
+        on sets made at C speed, so each distinct block, segment pair, number
+        of segments and degree tuple is checked once, and on the sum of all
+        degrees, an integer unless a degree is a float that an equal integer
+        hid in the set. Only when one fails are the elements scanned, to raise
+        a ValueError naming the first that breaks a rule."""
+        elements = self.elements
+        if len(elements) == 0:
             raise ValueError("a mesh needs at least one element")
+        segments = [e.segments for e in elements]
+        degrees = [e.degrees for e in elements]
+        chain = itertools.chain.from_iterable
+        if (set(map(len, segments)) == {self.dim}
+                and all(len(d) == self.dim and all(map(_degree_ok, d)) for d in set(degrees))
+                and _is_number(sum(chain(degrees)), numbers.Integral)
+                and all(map(self._block_ok, {e.block for e in elements}))
+                and all(map(_segment_ok, set(chain(segments))))):
+            return
+        for k, e in enumerate(elements):
+            if not len(e.segments) == len(e.degrees) == self.dim:
+                problem = f"has {len(e.segments)} segments and {len(e.degrees)} degrees"
+            elif not self._block_ok(e.block):
+                problem = f"has block {e.block!r}, not one of the mesh's {len(self.blocks)}"
+            elif not all(map(_segment_ok, e.segments)):
+                problem = (f"has segments {e.segments!r}: need (level, index) with "
+                           "level >= 0 and 0 <= index < 2^level")
+            elif not all(map(_degree_ok, e.degrees)):
+                problem = f"has degrees {e.degrees!r}: need integers from 1 to {MAX_DEGREE}"
+            else:
+                continue
+            raise ValueError(f"element {k} {problem}, in a {self.dim}D mesh")
+
+    def _block_ok(self, block) -> bool:
+        return _is_number(block, numbers.Integral) and 0 <= block < len(self.blocks)
 
     @property
     def n_elements(self) -> int:
@@ -214,6 +279,12 @@ class Mesh:
         total; computed once, as meshes are not modified after construction."""
         sizes = [e.n_points for e in self.elements]
         return np.concatenate([[0], np.cumsum(sizes, dtype=np.int64)])
+
+    @cached_property
+    def topology(self) -> "MeshTopology":
+        """The mesh's mortars and external faces (`mortar_topology`),
+        computed once, as meshes are not modified after construction."""
+        return mortar_topology(self)
 
     def characteristic_h(self) -> float:
         """Largest per-axis extent of any element's mapped corners (h, not
@@ -232,16 +303,10 @@ def _canonical_order(elements):
     return [elements[k] for k in order.tolist()]
 
 
-def _is_number(value, kind) -> bool:
-    """Whether `value` is a number of the `numbers` class `kind`, such as
-    Integral or Real: numpy's numbers are, a bool is not (int(2.7) and
-    int(True) would be read as counts without a word)."""
-    return isinstance(value, kind) and not isinstance(value, bool)
-
-
 def _levels_degrees(levels, degrees, dim, n_blocks=1):
     """Per-dimension refinement levels (>= 0) and degrees (>= 1) as int tuples;
-    ResourceCapError if n_blocks blocks of them make over MAX_ELEMENTS elements."""
+    ResourceCapError if a degree is over MAX_DEGREE or n_blocks blocks of them
+    make over MAX_ELEMENTS elements."""
     out = []
     for key, values, low in (("levels", levels, 0), ("degrees", degrees, 1)):
         values = tuple(values)
@@ -256,6 +321,9 @@ def _levels_degrees(levels, degrees, dim, n_blocks=1):
                     f"levels must be >= 0 and degrees >= 1, as integers, got {v!r}",
                 )
         out.append(tuple(map(int, values)))
+    if max(out[1]) > MAX_DEGREE:
+        i = out[1].index(max(out[1]))
+        raise ResourceCapError(f"refinement.degrees[{i}]: degree {out[1][i]}, over {MAX_DEGREE}")
     total = sum(out[0])  # 2^total is formed only below the cap
     if total >= MAX_ELEMENTS.bit_length() or n_blocks << total > MAX_ELEMENTS:
         key = f"refinement.levels[{out[0].index(max(out[0]))}]" if total else "domain.n_wedges"
@@ -265,10 +333,12 @@ def _levels_degrees(levels, degrees, dim, n_blocks=1):
 
 def _uniform_mesh(dim, blocks, levels, degrees) -> Mesh:
     """The mesh of `blocks`, each cut into 2^levels[d] segments along each
-    dimension d, every element of the given degrees."""
-    grid = list(itertools.product(*[[(l, i) for i in range(1 << l)] for l in levels]))
-    elements = [Element(b, s, degrees, block.map) for b, block in enumerate(blocks) for s in grid]
-    return Mesh(dim, blocks, _canonical_order(elements))
+    dimension d, every element of the given degrees, made in the mesh order
+    (`_canonical_order`): block by block, the last dimension slowest."""
+    grid = list(itertools.product(*[[(l, i) for i in range(1 << l)] for l in levels[::-1]]))
+    elements = [Element(b, s[::-1], degrees, block.map)
+                for b, block in enumerate(blocks) for s in grid]
+    return Mesh(dim, blocks, elements)
 
 
 def build_rectilinear_mesh(bounds, levels, degrees) -> Mesh:
@@ -343,8 +413,11 @@ def refine_uniform(mesh: Mesh, mode: str) -> Mesh:
     """One global refinement step: "h" splits every element in every
     dimension, "p" raises every degree by one. Per-element degree offsets and
     relative h-refinement are preserved. ResourceCapError if "h" would make
-    over MAX_ELEMENTS elements."""
+    over MAX_ELEMENTS elements or "p" a degree over MAX_DEGREE."""
     if mode == "p":
+        top = max(map(max, {e.degrees for e in mesh.elements}))
+        if top >= MAX_DEGREE:  # refused before any element is made
+            raise ResourceCapError(f"p-refinement: degree {top + 1}, over {MAX_DEGREE}")
         elements = [
             replace(e, degrees=tuple(p + 1 for p in e.degrees))
             for e in mesh.elements
@@ -380,12 +453,15 @@ def split_element(mesh: Mesh, index: int) -> Mesh:
 
 
 def with_degrees(mesh: Mesh, index: int, degrees) -> Mesh:
-    """Return a mesh with one element's degrees replaced."""
+    """Return a mesh with one element's degrees replaced; ResourceCapError if
+    one is over MAX_DEGREE."""
     degrees = tuple(degrees)
     if len(degrees) != mesh.dim or not all(
         _is_number(p, numbers.Integral) and p >= 1 for p in degrees
     ):
         raise ValueError(f"bad degrees {degrees} for dimension {mesh.dim}: need integers >= 1")
+    if max(degrees) > MAX_DEGREE:
+        raise ResourceCapError(f"degrees {degrees}: degree {max(degrees)}, over {MAX_DEGREE}")
     elements = list(mesh.elements)
     index = _element_index(mesh, index)
     elements[index] = replace(elements[index], degrees=tuple(map(int, degrees)))
@@ -464,7 +540,6 @@ class MortarSide:
 @dataclass(frozen=True)
 class Mortar:
     sides: tuple[MortarSide, MortarSide]
-    counts: tuple[int, ...]  # mortar collocation points per transverse dim
 
 
 @dataclass(frozen=True)
@@ -497,12 +572,13 @@ def _transverse_matches(seg: Segment):
 def mortar_topology(mesh: Mesh) -> MeshTopology:
     """Build the internal mortar list and external face list.
 
-    Every internal face is covered exactly once by its mortars (validated);
-    mortar point counts take the maximum degree of the two sides per
-    transverse dimension. A face lies on a plane of its block's logical
-    cube, its box's bound (`_boxes`): an exact dyadic float, -1 or 1 on the
-    block's own faces, and -1 and 1 swap across into the neighboring block.
-    Blocks must share logical-axis orientation, which the builders guarantee.
+    Every internal face is covered exactly once by its mortars (validated).
+    Only the blocks, the segments and the blocks' boundary maps are read, no
+    degree: a mortar is its two sides and their coverages. A face lies on a
+    plane of its block's logical cube, its box's bound (`_boxes`): an exact
+    dyadic float, -1 or 1 on the block's own faces, and -1 and 1 swap across
+    into the neighboring block. Blocks must share logical-axis orientation,
+    which the builders guarantee.
     """
     dim = mesh.dim
     mortars: list[Mortar] = []
@@ -558,7 +634,6 @@ def mortar_topology(mesh: Mesh) -> MeshTopology:
 
     for k, e in enumerate(mesh.elements):
         for face_dim, bounds in enumerate(planes[k]):
-            trans_dims = face_shape(tuple(range(dim)), face_dim)
             for side, plane in zip((-1, 1), bounds):
                 found, tag = neighbors(k, face_dim, side, plane)
                 if found is None:
@@ -575,15 +650,11 @@ def mortar_topology(mesh: Mesh) -> MeshTopology:
                 for kk, rel in found:
                     if kk < k:  # made from kk's side: balanced neighbors find each other
                         continue
-                    other = mesh.elements[kk]
-                    counts = tuple(
-                        max(e.degrees[t], other.degrees[t]) + 1 for t in trans_dims
-                    )
                     sides = (
                         MortarSide(k, face_dim, side, tuple(r[0] for r in rel)),
                         MortarSide(kk, face_dim, -side, tuple(r[1] for r in rel)),
                     )
-                    mortars.append(Mortar(sides=sides, counts=counts))
+                    mortars.append(Mortar(sides))
                     for ms in sides:
                         face = (ms.element, face_dim, ms.side)
                         covered[face] = covered.get(face, 0.0) + 0.5 ** sum(

@@ -44,14 +44,19 @@ the element count:
   sigma = C (p+1)^2 / h is computed once per handle in one expression over
   the face buffer, with the larger normal degree and the smaller h of each
   point and its partner (an external point is its own);
+- the mesh's topology (`Mesh.topology`) says which faces a mortar joins and
+  how much of each it covers; the operator chooses the grid. Mortars whose
+  two sides have the same face grids and coverages are a kind: its mortar
+  grid is the larger face grid per transverse dimension (Kopriva, Woodruff
+  & Hussaini 2002), and a side prolongs by the identity exactly when its
+  face grid is the mortar grid and it is fully covered;
 - mortars with a non-identity side replace the jump at their points, all of
   them in one pass per phase: one gather per face buffer and side, one flux
   call on every such mortar's points and one `np.add.at` of the restricted
-  values into the face buffer. In between, mortars with the same face
-  grids, mortar grid and coverages (a kind, `_MortarGroup`) prolong with
-  one matrix product P, made once per kind, and restrict with its
-  mass-weighted adjoint W_f^-1 P^T W_m, each on a view of the stacked
-  arrays with the kind's own shapes (both skipped where P = I). The
+  values into the face buffer. In between, each kind (`_MortarGroup`)
+  prolongs with one matrix product P, made once per kind, and restricts
+  with its mass-weighted adjoint W_f^-1 P^T W_m, each on a view of the
+  stacked arrays with the kind's own shapes (both skipped where P = I). The
   scatter-add keeps the order (kind, side), in which a coarse face fed by
   several mortars adds their terms. Each kind computes its quadrature
   weights and penalty on the mortar points once, at set-up.
@@ -132,7 +137,7 @@ from .errors import (
     TopologyError,
     config_section,
 )
-from .mesh import _is_number, face_shape, jacobian_at, mortar_topology
+from .mesh import _is_number, face_shape, jacobian_at
 from .mortars import mortar_logical_weights, prolongation_matrix
 from .systems import EllipticSystem
 
@@ -527,13 +532,10 @@ def lumped_mass_diag(element, background):
     return _lumped_mass([element], background, x[:, 0], det[0], _weight_product(weights))
 
 
-def _is_identity(mat):
-    return mat.shape[0] == mat.shape[1] and np.array_equal(mat, np.eye(mat.shape[0]))
-
-
 class _MortarGroup:
-    """Mortars with a non-identity side and the same face grids, mortar grid
-    and coverages: one kind's data, which `_MeshCache` stacks with the other
+    """Mortars of one kind with a non-identity side: the kind's mortar grid
+    `counts` and the two sides' `coverages`, `prolongs` P per side (None
+    where P = I), and the data that `_MeshCache` stacks with the other
     kinds' for one exchange pass over all of them. Mortars whose sides are
     both the identity are exchanged pointwise through `_MeshCache.partner`
     instead.
@@ -551,24 +553,24 @@ class _MortarGroup:
     and the smaller prolonged h of the two sides.
     """
 
-    def __init__(self, mortar, index, prolongs, cache):
+    def __init__(self, counts, coverages, index, prolongs, cache):
         self.index = index
-        self.prolong = [None if _is_identity(p) else p.T for p in prolongs]
+        self.prolong = [None if p is None else p.T for p in prolongs]
         self.face_mass = [
-            None if p is None else cache.face_mass[i] for p, i in zip(self.prolong, index)
+            None if p is None else cache.face_mass[i] for p, i in zip(prolongs, index)
         ]
-        partial = [any(c != "full" for c in s.coverage) for s in mortar.sides]
+        partial = [any(c != "full" for c in cov) for cov in coverages]
         sizes = [i.shape[1] for i in index]
         coarse = int(partial[1] if partial[0] != partial[1] else sizes[1] < sizes[0])
 
         def prolonged(side, values):
             # one P @ v per mortar: one matrix product over all of them would
             # round differently
-            return np.stack([prolongs[side] @ v for v in values[index[side]]])
+            values, p = values[index[side]], prolongs[side]
+            return values if p is None else np.stack([p @ v for v in values])
 
-        self.weights = mortar_logical_weights(
-            mortar.counts, mortar.sides[coarse].coverage
-        ) * prolonged(coarse, cache.face_measure)
+        self.weights = (mortar_logical_weights(counts, coverages[coarse])
+                        * prolonged(coarse, cache.face_measure))
         self.sigma = penalty_sigma(
             *(cache.face_p[i[:, :1]] for i in index),
             *(prolonged(s, cache.face_h) for s in (0, 1)), 1.0,
@@ -591,7 +593,7 @@ def _concat(indices):
 
 
 class _MeshCache:
-    """Geometry, topology and stacked transfer data shared between handles.
+    """Geometry and stacked transfer data shared between handles.
 
     Face geometry is kept in face-buffer order only: `face_coords`,
     `face_normal`, `face_h`, `face_measure`, `face_mass` (lumped) and
@@ -604,15 +606,24 @@ class _MeshCache:
     is the point itself); external points, `external` per tag; and the
     points of mortars with a non-identity side, `restricted`, exchanged in
     one pass over the stacked `mortar_groups` (`to_mortar`,
-    `add_restricted`). `face_sigma` is the penalty for C = 1 at every point,
-    with the larger normal degree and the smaller h of the point and its
-    partner, so the same on both points of a pair. Restricted points, which
-    are their own partners, have a value too, but their jumps come from the
-    mortars, with the penalty on the mortar points, `mortar_sigma`.
+    `add_restricted`).
+
+    The face grids decide the mortars: the mesh's topology has no degrees.
+    A kind is each side's (face grid, coverages); its mortar grid is the
+    per-dimension maximum of the two face grids, so the mortar's points per
+    transverse dimension take the larger degree of the two sides, plus one.
+    A side whose face grid is the mortar grid and whose coverages are all
+    "full" prolongs by the identity, decided from the kind alone, so no
+    prolongation is made for it.
+
+    `face_sigma` is the penalty for C = 1 at every point, with the larger
+    normal degree and the smaller h of the point and its partner, so the
+    same on both points of a pair. Restricted points, which are their own
+    partners, have a value too, but their jumps come from the mortars, with
+    the penalty on the mortar points, `mortar_sigma`.
     """
 
     def __init__(self, mesh, background):
-        self.topology = topology = mortar_topology(mesh)
         self.n_points = mesh.total_points
         self.groups = _element_groups(mesh, background)
         self.face_spans = spans = {}
@@ -629,35 +640,39 @@ class _MeshCache:
             for parts in zip(*(key for g in self.groups for key in g.face_geometry))
         )
 
-        # mortars of one kind share their face shapes, mortar grid and
-        # coverages, so their prolongations are made once per kind
+        # mortars of one kind share their face grids and coverages, so their
+        # mortar grid and prolongations are made once per kind
         by_kind, grids = {}, [e.grid_shape for e in mesh.elements]
-        for m in topology.mortars:
-            kind = (m.counts,) + tuple(
-                (face_shape(grids[s.element], s.dim), s.coverage) for s in m.sides
-            )
+        for m in mesh.topology.mortars:
+            kind = tuple((face_shape(grids[s.element], s.dim), s.coverage) for s in m.sides)
             by_kind.setdefault(kind, []).append(m)
         n = self.n_face_points
         self.partner = partner = np.arange(n)
         paired, self.mortar_groups = [], []
-        for (counts, *sides), members in by_kind.items():
+        for kind, members in by_kind.items():
+            grids, coverages = zip(*kind)
+            counts = tuple(map(max, *grids))
             index = [
                 np.array([spans[_face_key(m.sides[s])].start for m in members])[:, None]
-                + np.arange(math.prod(sides[s][0]))
+                + np.arange(math.prod(grids[s]))
                 for s in (0, 1)
             ]
-            prolongs = [prolongation_matrix(shape, counts, cov) for shape, cov in sides]
-            if all(_is_identity(p) for p in prolongs):
+            prolongs = [
+                None if grid == counts and all(c == "full" for c in cov)
+                else prolongation_matrix(grid, counts, cov)
+                for grid, cov in kind
+            ]
+            if all(p is None for p in prolongs):
                 # the mortar is the face itself: a pointwise swap
                 a, b = index
                 partner[a], partner[b] = b, a
                 paired += [a.ravel(), b.ravel()]
             else:
-                self.mortar_groups.append(_MortarGroup(members[0], index, prolongs, self))
+                self.mortar_groups.append(_MortarGroup(counts, coverages, index, prolongs, self))
         self._stack_mortars()
 
         external, faces = {}, []  # tag -> face-buffer indices
-        for ef in topology.external_faces:
+        for ef in mesh.topology.external_faces:
             sp = spans[_face_key(ef)]
             faces.append(np.arange(sp.start, sp.stop))
             external.setdefault(ef.tag, []).append(faces[-1])
@@ -867,11 +882,6 @@ class OperatorHandle:
     @property
     def n_auxiliary_dofs(self) -> int:
         return self.system.n_auxiliary * self._cache.n_points
-
-    @property
-    def topology(self):
-        """The mesh's mortars and external faces, computed once per mesh."""
-        return self._cache.topology
 
     @property
     def is_linearized(self) -> bool:

@@ -131,9 +131,9 @@ def _distance3_colors(balls, base, weight):
     return colors
 
 
-def _element_color_groups(handle):
-    """Passes of elements whose closed neighbourhoods are disjoint, and each
-    element's face neighbours.
+def _element_color_groups(mesh):
+    """Passes of the mesh's elements whose closed neighbourhoods are
+    disjoint, and each element's face neighbours (`Mesh.topology`).
 
     Columns of the operator rooted in one element only reach its face
     neighbors, so elements at graph distance >= 3 can share one batched
@@ -149,10 +149,9 @@ def _element_color_groups(handle):
     elements of a closed neighbourhood, cannot be beaten, and ends the
     search.
     """
-    mesh = handle.mesh
     n = mesh.n_elements
     nbrs = [set() for _ in range(n)]
-    for mortar in handle.topology.mortars:
+    for mortar in mesh.topology.mortars:
         a, b = (s.element for s in mortar.sides)
         if a != b:
             nbrs[a].add(b)
@@ -223,7 +222,7 @@ def assemble_explicit(
             f"operator has {n} DoFs, above the assembly cap {cap}"
         )
 
-    groups, nbrs = _element_color_groups(lin)
+    groups, nbrs = _element_color_groups(mesh)
     n_elements = len(sizes)
     point_element = np.repeat(np.arange(n_elements), sizes)
     n_v = n_aux // total

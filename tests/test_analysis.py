@@ -2,6 +2,7 @@
 
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -221,6 +222,13 @@ def test_levels_must_refine():
     s = series_from("h", [(16, 0.5, 1.0)])
     with pytest.raises(ValueError):
         s.add(1, 16, 0.25, 0.5)
+    # in p-mode a level must raise the degree, or the rate divides by zero
+    # (an h-refined level at the same degree used to pass here)
+    p = series_from("p", [(16, 3, 1e-3)])
+    for degree in (3, 2):
+        with pytest.raises(ValueError, match=f"must raise the degree: {degree} after 3"):
+            p.add(1, 64, degree, 1e-4)
+    assert len(p.levels) == 1
     with pytest.raises(ValueError):
         convergence_rates(s)
     with pytest.raises(ValueError):
@@ -243,6 +251,46 @@ def test_symmetry_defect_sparse_input():
     assert symmetry_defect(a) == 0.0
     with pytest.raises(ValueError):
         symmetry_defect(np.ones((2, 3)))
+    with pytest.raises(ValueError):
+        symmetry_defect(scipy.sparse.csr_matrix((2, 3)))
+
+
+def random_sparse(rng, n, nnz, symmetric):
+    """An n x n CSR matrix of about nnz entries, a tenth of them explicit
+    zeros; nearly symmetric, off by round-off, when `symmetric`."""
+    rows, cols = rng.integers(0, n, (2, nnz))
+    values = rng.standard_normal(nnz) * (rng.random(nnz) > 0.1)
+    a = scipy.sparse.csr_matrix((values, (rows, cols)), shape=(n, n))
+    if symmetric:
+        a = a + a.T * (1.0 + 1e-15 * rng.standard_normal())
+    return a.tocsr()
+
+
+def test_symmetry_defect_sparse_equals_dense():
+    # a sparse matrix is not densified, and gives the dense path's float
+    rng = np.random.default_rng(7)
+    cases = [random_sparse(rng, n, nnz, sym) for n, nnz in ((1, 1), (7, 20), (40, 300))
+             for sym in (False, True)]
+    cases += [scipy.sparse.csr_matrix((5, 5)),
+              scipy.sparse.csr_matrix((np.zeros(3), ([0, 1, 2], [1, 2, 0])), shape=(3, 3)),
+              scipy.sparse.coo_matrix(np.array([[1, 2], [3, 4]]))]
+    for a in cases:
+        assert symmetry_defect(a) == symmetry_defect(a.toarray())
+    assert symmetry_defect(cases[-2]) == 0.0
+
+
+def test_symmetry_defect_of_a_large_sparse_matrix_stays_sparse():
+    # 50,000^2 dense would be 20 GB per array; the sparse path holds a few
+    # copies of the 200,000 entries
+    a = random_sparse(np.random.default_rng(3), 50_000, 200_000, symmetric=True)
+    tracemalloc.start()
+    try:
+        defect = symmetry_defect(a)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert 0.0 < defect < 1e-14
+    assert peak < 50e6
 
 
 # -- csv ---------------------------------------------------------------

@@ -6,6 +6,7 @@ annulus is checked by integrating its area with the mesh quadrature.
 
 import dataclasses
 import itertools
+import math
 import random
 import re
 
@@ -16,8 +17,11 @@ from hypothesis import strategies as st
 
 from ipdg.background import FlatBackground
 from ipdg.boundaries import BoundaryMap, DirichletBC
-from ipdg.errors import ConfigurationError, DegenerateGeometryError, TopologyError
+from ipdg.errors import (
+    ConfigurationError, DegenerateGeometryError, ResourceCapError, TopologyError,
+)
 from ipdg.mesh import (
+    MAX_DEGREE,
     _canonical_order,
     AffineMap,
     AnnulusWedgeMap,
@@ -31,6 +35,7 @@ from ipdg.mesh import (
     split_element,
     with_degrees,
 )
+from ipdg.mortars import prolongation_matrix
 from ipdg.operators import OperatorHandle, _MeshCache
 from ipdg.systems import make_system
 from test_operators import face_slices
@@ -356,6 +361,57 @@ class TestBuildersAndRefinement:
         raised = with_degrees(mesh, np.int64(0), np.array([3, 4]))
         assert raised.elements[0].degrees == (3, 4) and type(raised.elements[0].degrees[0]) is int
 
+    def test_hand_made_mesh_checks_its_elements(self):
+        # each used to fail later and elsewhere without naming the element:
+        # numpy's "cannot reshape", an IndexError, "no neighbor and no
+        # boundary tag", or LGL's "need n >= 2" when a handle was built
+        mesh = build_rectilinear_mesh([(0, 1), (0, 1)], (1, 1), (2, 2))
+        e = mesh.elements[2]
+        for changes, problem in (
+            ({"segments": ((1, 0), (1, 1), (0, 0)), "degrees": (2, 2, 2)},
+             "has 3 segments and 3 degrees"),
+            ({"degrees": (2, 2, 2)}, "has 2 segments and 3 degrees"),
+            ({"block": 3}, "has block 3, not one of the mesh's 1"),
+            ({"block": True}, "has block True, not one of the mesh's 1"),
+            ({"segments": ((1, 5), (1, 1))}, r"has segments \(\(1, 5\), \(1, 1\)\): need"),
+            ({"segments": ((-1, 0), (1, 1))}, r"has segments \(\(-1, 0\), \(1, 1\)\): need"),
+            ({"segments": ((1, -1), (1, 1))}, r"has segments \(\(1, -1\), \(1, 1\)\): need"),
+            ({"segments": ((1, 0.5), (1, 1))}, r"has segments \(\(1, 0.5\), \(1, 1\)\): need"),
+            ({"degrees": (0, 2)}, r"has degrees \(0, 2\): need integers from 1 to 64"),
+            ({"degrees": (2, 65)}, r"has degrees \(2, 65\): need integers from 1 to 64"),
+            ({"degrees": (2.5, 2)}, r"has degrees \(2.5, 2\): need integers"),
+            # equal to the other elements' (2, 2), so one set holds both
+            ({"degrees": (2.0, 2)}, r"has degrees \(2.0, 2\): need integers"),
+        ):
+            elements = list(mesh.elements)
+            elements[2] = dataclasses.replace(e, **changes)
+            with pytest.raises(ValueError, match=rf"^element 2 {problem}.*, in a 2D mesh$"):
+                Mesh(2, mesh.blocks, elements)
+        # the first element that breaks a rule is named, whichever rule
+        elements = list(mesh.elements)
+        elements[1] = dataclasses.replace(e, degrees=(0, 2))
+        elements[3] = dataclasses.replace(e, block=1)
+        with pytest.raises(ValueError, match="^element 1 has degrees"):
+            Mesh(2, mesh.blocks, elements)
+        # numpy integers are integers
+        elements = [dataclasses.replace(e, block=np.int64(0), degrees=(np.int64(3), 2))]
+        assert Mesh(2, mesh.blocks, elements).n_elements == 1
+
+    def test_degree_cap(self):
+        # degrees: [20000] used to hang making the LGL node set
+        mesh = build_rectilinear_mesh([(0, 1), (0, 1)], (1, 0), (2, MAX_DEGREE))
+        assert mesh.elements[0].degrees == (2, MAX_DEGREE)
+        with pytest.raises(ResourceCapError, match=r"^p-refinement: degree 65, over 64$"):
+            refine_uniform(mesh, "p")
+        with pytest.raises(ResourceCapError, match=r"^degrees \(2, 65\): degree 65, over 64$"):
+            with_degrees(mesh, 1, (2, MAX_DEGREE + 1))
+        assert with_degrees(mesh, 1, (MAX_DEGREE, 1)).elements[1].degrees == (64, 1)
+        for build in (lambda d: build_rectilinear_mesh([(0, 1), (0, 1)], (0, 0), d),
+                      lambda d: build_annulus_mesh(1.0, 2.0, 4, (0, 0), d)):
+            with pytest.raises(ResourceCapError) as err:
+                build((2, 20000))
+            assert str(err.value) == "refinement.degrees[1]: degree 20000, over 64"
+
     def test_element_editors_range_check_the_index(self):
         # a negative index used to count from the end: split_element(mesh, -1)
         # kept every element and added the children of the last
@@ -385,14 +441,23 @@ class TestTopology:
         for m in topo.mortars:
             assert m.sides[0].coverage == ("full",)
             assert m.sides[1].coverage == ("full",)
-            assert m.counts == (3,)
+        # every mortar joins two 3-point faces, its mortar grid: a pointwise
+        # swap of 4 x 2 x 3 points, with no mortar kind to prolong
+        cache = _MeshCache(mesh, FlatBackground())
+        assert cache.mortar_groups == []
+        assert (cache.partner != np.arange(cache.n_face_points)).sum() == 24
 
     def test_mortar_counts_take_max_degree(self):
         mesh = build_rectilinear_mesh([(0, 1), (0, 1)], (1, 0), (2, 2))
         mesh = with_degrees(mesh, 0, (2, 5))
         topo = mortar_topology(mesh)
         (m,) = topo.mortars
-        assert m.counts == (6,)
+        assert [s.element for s in m.sides] == [0, 1]
+        # the mortar grid is element 0's 6-point face, which it does not
+        # prolong; element 1's 3-point face is prolonged onto it
+        (kind,) = _MeshCache(mesh, FlatBackground()).mortar_groups
+        assert kind.weights.shape == (1, 6)
+        assert kind.prolong[0] is None and kind.prolong[1].shape == (3, 6)
 
     def test_split_element_gives_half_coverages(self):
         mesh = build_rectilinear_mesh([(0, 1), (0, 1)], (1, 1), (2, 2))
@@ -521,8 +586,8 @@ def scan_topology(mesh):
     """Mortars and external faces found by testing every face against every
     element, the quadratic scan that the face-plane lookup replaces.
 
-    Returns ((side, side, counts) per mortar, (element, dim, side, tag) per
-    external face), each side as (element, dim, side, coverages).
+    Returns ((side, side) per mortar, (element, dim, side, tag) per external
+    face), each side as (element, dim, side, coverages).
     """
     els = mesh.elements
     level = np.array([[s[0] for s in e.segments] for e in els])
@@ -554,11 +619,9 @@ def scan_topology(mesh):
                     if None in rel or key in seen:
                         continue
                     seen.add(key)
-                    counts = tuple(max(e.degrees[t], els[kk].degrees[t]) + 1 for t in trans)
                     mortars.append((
                         (k, fd, side, tuple(r[0] for r in rel)),
                         (int(kk), fd, -side, tuple(r[1] for r in rel)),
-                        counts,
                     ))
     return mortars, external
 
@@ -570,8 +633,49 @@ def assert_matches_scan(mesh):
     def side(s):
         return (s.element, s.dim, s.side, s.coverage)
 
-    assert [(side(m.sides[0]), side(m.sides[1]), m.counts) for m in topo.mortars] == mortars
+    assert [(side(m.sides[0]), side(m.sides[1])) for m in topo.mortars] == mortars
     assert [(f.element, f.dim, f.side, f.tag) for f in topo.external_faces] == external
+    assert_mortar_grids(mesh)
+
+
+def degree_counts(mesh, mortar):
+    """The mortar grid as `Mortar.counts` held it before the topology lost
+    its degrees: per transverse dimension the larger degree of the two
+    sides, plus one."""
+    a, b = (mesh.elements[s.element] for s in mortar.sides)
+    return tuple(max(a.degrees[t], b.degrees[t]) + 1
+                 for t in range(mesh.dim) if t != mortar.sides[0].dim)
+
+
+def is_identity(mat):
+    """Whether a prolongation is the identity, as the mesh cache once decided
+    it from the matrix."""
+    return mat.shape[0] == mat.shape[1] and np.array_equal(mat, np.eye(mat.shape[0]))
+
+
+def assert_mortar_grids(mesh):
+    """The mesh cache keys a mortar kind by face grids and coverages. Its
+    mortar grid, their per-dimension maximum, and its identity sides, a face
+    that is the mortar grid and fully covered, are what the degrees and the
+    prolongation matrices gave: a kind with a non-identity side has P = None
+    exactly on the identity sides and prod(counts) mortar points, and a
+    mortar whose sides are both the identity is a pointwise swap."""
+    cache = _MeshCache(mesh, FlatBackground())
+    kinds = {(a[0], b[0]): mg for mg in cache.mortar_groups for a, b in zip(*mg.index)}
+    for m in mesh.topology.mortars:
+        counts = degree_counts(mesh, m)
+        grids = [face_shape(mesh.elements[s.element].grid_shape, s.dim) for s in m.sides]
+        assert tuple(map(max, *grids)) == counts
+        identity = [is_identity(prolongation_matrix(g, counts, s.coverage))
+                    for g, s in zip(grids, m.sides)]
+        starts = tuple(cache.face_spans[(s.element, s.dim, s.side)].start for s in m.sides)
+        if all(identity):
+            assert starts not in kinds and cache.partner[starts[0]] == starts[1]
+            continue
+        mg = kinds.pop(starts)
+        assert [p is None for p in mg.prolong] == identity
+        assert mg.weights.shape[1] == math.prod(counts)
+    assert not kinds
 
 
 @pytest.mark.parametrize("make", [
@@ -642,6 +746,22 @@ def test_topology_matches_all_pairs_scan_on_random_meshes(kind, data):
     assert_matches_scan(data.draw(random_meshes(kind)))
 
 
+@pytest.mark.parametrize("kind", ["1d", "2d", "3d", "annulus"])
+@settings(max_examples=5, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_topology_reads_no_degrees(kind, data):
+    # the same elements at other degrees have the same mortars and external
+    # faces: one element raised or lowered, and every degree raised
+    mesh = data.draw(random_meshes(kind))
+    k = data.draw(st.integers(0, mesh.n_elements - 1))
+    degrees = tuple(data.draw(st.integers(1, 5)) for _ in range(mesh.dim))
+    topology = mortar_topology(mesh)
+    for variant in (with_degrees(mesh, k, degrees), refine_uniform(mesh, "p")):
+        assert mortar_topology(variant) == topology
+        assert variant.topology == topology
+    assert mesh.topology is mesh.topology
+
+
 def interval_order(elements):
     """The mesh order by integer intervals: block, then each segment's lower
     end as an integer at the finest level of its dimension among `elements`,
@@ -665,7 +785,10 @@ def interval_order(elements):
     lambda: split_element(refine_uniform(build_rectilinear_mesh([(0, 1)] * 3, (1, 1, 0),
                                                                 (1, 1, 1)), "h"), 9),
     lambda: split_element(build_annulus_mesh(1.0, 2.0, 3, (1, 1), (2, 2)), 7),
-], ids=["1d", "2d-built", "3d-refined", "2d-split", "3d-refined-split", "annulus-split"])
+    lambda: build_annulus_mesh(1.0, 2.0, 3, (1, 2), (2, 2)),
+    lambda: build_rectilinear_mesh([(0, 1)] * 3, (1, 2, 1), (1, 1, 1)),
+], ids=["1d", "2d-built", "3d-refined", "2d-split", "3d-refined-split", "annulus-split",
+        "annulus-built", "3d-built"])
 def test_canonical_order_is_the_interval_order(make):
     mesh = make()
     assert mesh.elements == interval_order(mesh.elements)

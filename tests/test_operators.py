@@ -19,6 +19,7 @@ from ipdg.errors import (
     TopologyError,
 )
 from ipdg.mesh import (
+    Mesh,
     MeshTopology,
     build_annulus_mesh,
     build_rectilinear_mesh,
@@ -1344,6 +1345,13 @@ def raised_curved():
     return with_degrees(with_degrees(unit_mesh_2d(3, 1), 1, (2, 5)), 2, (4, 4)), curved
 
 
+def mortar_grids(mesh, mortar):
+    """The face grids of a mortar's two sides and its mortar grid, their
+    per-dimension maximum."""
+    grids = [face_shape(mesh.elements[s.element].grid_shape, s.dim) for s in mortar.sides]
+    return grids, tuple(map(max, *grids))
+
+
 def check_face_partition(handle):
     """Every face-buffer point is exactly one of: paired, external, or on a
     mortar with a non-identity side, each set as the topology gives it.
@@ -1361,14 +1369,10 @@ def check_face_partition(handle):
     n = cache.n_face_points
     want = {name: np.zeros(n, dtype=int) for name in ("paired", "external", "restricted")}
     partner, sigma, on_mortars = np.arange(n), np.zeros(n), {}
-    for m in handle.topology.mortars:
+    for m in mesh.topology.mortars:
         spans = [cache.face_spans[(s.element, s.dim, s.side)] for s in m.sides]
-        prolongs = [
-            prolongation_matrix(
-                face_shape(mesh.elements[s.element].grid_shape, s.dim), m.counts, s.coverage
-            )
-            for s in m.sides
-        ]
+        grids, counts = mortar_grids(mesh, m)
+        prolongs = [prolongation_matrix(g, counts, s.coverage) for g, s in zip(grids, m.sides)]
         p = max(mesh.elements[s.element].degrees[s.dim] for s in m.sides)
         if all(np.array_equal(P, np.eye(len(P))) for P in prolongs):
             a, b = (np.arange(sp.start, sp.stop) for sp in spans)
@@ -1385,13 +1389,13 @@ def check_face_partition(handle):
                 coarse = 0 if partial[0] else 1
             else:
                 coarse = 0 if sizes[0] <= sizes[1] else 1
-            weights = mortar_logical_weights(m.counts, m.sides[coarse].coverage) * (
+            weights = mortar_logical_weights(counts, m.sides[coarse].coverage) * (
                 prolongs[coarse] @ cache.face_measure[spans[coarse]]
             )
             hs = [P @ cache.face_h[sp] for P, sp in zip(prolongs, spans)]
             key = tuple(sp.start for sp in spans)
             on_mortars[key] = weights, penalty_sigma(p, p, hs[0], hs[1], 1.0)
-    for ef in handle.topology.external_faces:
+    for ef in mesh.topology.external_faces:
         sp = cache.face_spans[(ef.element, ef.dim, ef.side)]
         want["external"][sp] += 1
         p = mesh.elements[ef.element].degrees[ef.dim]
@@ -1452,7 +1456,9 @@ def test_face_buffer_partition(case, paired, restricted):
 
 def test_face_buffer_partition_rejects_uncovered_or_doubled_points(monkeypatch):
     # a topology that leaves a face out or lists it twice would leave its
-    # points without a flux or give them two: set-up refuses it
+    # points without a flux or give them two: set-up refuses it. A new mesh
+    # of the same elements computes its topology afresh, through the module's
+    # name, which the broken one replaces
     mesh = unit_mesh_2d(2, 1)
     topology = mortar_topology(mesh)
     bcs = BoundaryMap.everywhere(DirichletBC(0.0))
@@ -1463,9 +1469,11 @@ def test_face_buffer_partition_rejects_uncovered_or_doubled_points(monkeypatch):
         (topology.mortars + topology.mortars[:1], topology.external_faces),
     ):
         broken = MeshTopology(mortars, external)
-        monkeypatch.setattr("ipdg.operators.mortar_topology", lambda mesh: broken)
+        monkeypatch.setattr("ipdg.mesh.mortar_topology", lambda mesh: broken)
+        fresh = Mesh(mesh.dim, mesh.blocks, mesh.elements)
         with pytest.raises(TopologyError, match="not covered exactly once"):
-            OperatorHandle(mesh, POISSON_2D, BG, bcs)
+            OperatorHandle(fresh, POISSON_2D, BG, bcs)
+        assert fresh.topology is broken
 
 
 @pytest.mark.parametrize(
@@ -1486,7 +1494,7 @@ def test_mortar_restriction_is_the_adjoint_of_prolongation(case):
     cache = handle._cache
     by_starts = {
         tuple(cache.face_spans[(s.element, s.dim, s.side)].start for s in m.sides): m
-        for m in handle.topology.mortars
+        for m in mesh.topology.mortars
     }
     constants = np.zeros(cache.n_face_points)
     n_checked = 0
@@ -1500,10 +1508,8 @@ def test_mortar_restriction_is_the_adjoint_of_prolongation(case):
             unit = np.eye(n_m * q).reshape(n_m * q, n_m, q)
             columns[:, mg.index[side]] += mg.restrict(side, unit)
             for i, m in enumerate(mortars):
-                s = m.sides[side]
-                p = prolongation_matrix(
-                    face_shape(mesh.elements[s.element].grid_shape, s.dim), m.counts, s.coverage
-                )
+                grids, counts = mortar_grids(mesh, m)
+                p = prolongation_matrix(grids[side], counts, m.sides[side].coverage)
                 identity = p.shape[0] == p.shape[1] and np.array_equal(p, np.eye(len(p)))
                 assert (mg.prolong[side] is None) == identity
                 if identity:

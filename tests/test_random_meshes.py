@@ -29,12 +29,14 @@ system linearized about a nonzero state:
   prolongations are both the identity, external, or on a mortar with a
   non-identity side;
 - each element group's geometry, from one batched `jacobian_at` call, is
-  bit for bit the one from a call per member.
+  bit for bit the one from a call per member;
+- the mortar grid and the identity sides that the mesh cache derives from
+  face grids are those of the mortar's degrees, as the topology once carried
+  them.
 """
 
 import dataclasses
 import itertools
-from types import SimpleNamespace
 from unittest import mock
 
 import numpy as np
@@ -65,6 +67,7 @@ from ipdg.errors import TopologyError
 from ipdg.mesh import Mesh, jacobian_at, mortar_topology
 from ipdg.operators import _element_groups, _point_order, lumped_mass_diag
 from ipdg.solver import _element_color_groups
+from test_mesh import assert_mortar_grids
 from test_operators import QuadraticFluxBC, check_face_partition, interpolant
 
 BG = FlatBackground()
@@ -363,7 +366,7 @@ def check_coloring(mesh):
     """The passes of `_element_color_groups`: each element in one, members'
     closed neighbourhoods disjoint, no more probe columns than the greedy.
     Returns the number of passes and the largest closed neighbourhood."""
-    groups, _ = _element_color_groups(SimpleNamespace(mesh=mesh, topology=mortar_topology(mesh)))
+    groups, _ = _element_color_groups(mesh)
     assert sorted(k for g in groups for k in g) == list(range(mesh.n_elements))
     closed = [near | {k} for k, near in enumerate(face_neighbours(mesh))]
     for group in groups:
@@ -402,3 +405,11 @@ def test_rectilinear_boxes_reach_the_lower_bound():
         mesh = build_rectilinear_mesh([(0.0, 1.0), (0.0, 2.0)], levels, (3, 2))
         passes, bound = check_coloring(mesh)
         assert passes == bound == 5 if min(levels) >= 2 else passes <= 4
+
+
+# 60 examples in about 1 s
+@settings(max_examples=60, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(mesh=coloring_meshes())
+def test_mortar_grids_from_face_grids(mesh):
+    assert_mortar_grids(mesh)

@@ -188,3 +188,20 @@ def test_refinement_cap(tmp_path, capsys, monkeypatch):
     err = capsys.readouterr().err
     assert err.startswith("resource cap exceeded: h-refinement: 16 x 2^2 elements"), err
     assert "Traceback" not in err
+
+
+def test_degree_cap(tmp_path, capsys, monkeypatch):
+    # a degree over MAX_DEGREE is refused before any node set is made, as
+    # the element cap refuses a level: `degrees: [20000]` used to hang; a
+    # cap of 3 stands in for 64, so p-refinement meets it after two levels
+    assert main(["solve", "--config", write_config(
+        tmp_path, {"refinement": {"levels": [1, 1], "degrees": [2, 20000]}})]) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("resource cap exceeded: refinement.degrees[1]: degree 20000, over 64")
+    monkeypatch.setattr("ipdg.mesh.MAX_DEGREE", 3)
+    path = write_config(tmp_path, {})
+    assert main(["convergence", "--config", path, "--mode", "p", "--levels", "3"]) == 4
+    out, err = capsys.readouterr()
+    assert out.count("points, error") == 2, out
+    assert err.startswith("resource cap exceeded: p-refinement: degree 4, over 3"), err
+    assert "Traceback" not in err
