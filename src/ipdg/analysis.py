@@ -14,6 +14,7 @@ import numpy as np
 import scipy.sparse
 
 from .operators import _element_groups, _point_order
+from .solver import ExplicitMatrix
 
 __all__ = [
     "ConvergenceLevel",
@@ -146,7 +147,10 @@ def convergence_rates(series: ConvergenceSeries):
 
 def symmetry_defect(matrix) -> float:
     """max |A_ij - A_ji| / max |A_ij| for a square matrix, dense or a scipy
-    sparse one; a sparse matrix is not densified, and gives the same float."""
+    sparse one; a sparse matrix is not densified, and gives the same float.
+    An ExplicitMatrix is read through its sparse `matrix`."""
+    if isinstance(matrix, ExplicitMatrix):
+        matrix = matrix.matrix
     if scipy.sparse.issparse(matrix):
         a = matrix.tocsr().astype(float)
     else:

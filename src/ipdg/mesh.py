@@ -14,6 +14,12 @@ The mortar topology (`mortar_topology`, kept as `Mesh.topology`) is geometry
 only: which faces touch and how much of each a mortar covers. It reads no
 degree, so meshes that differ only in degrees have the same topology; the
 grid on which a mortar couples its two sides is the operator's choice.
+
+A mesh is edited along one of two paths. `_split` (`split_element`,
+`refine_uniform` "h") makes children, hence new faces and a topology of
+their own; `_regraded` (`with_degrees`, `refine_uniform` "p") changes
+degrees only, and hands over the parent's topology when it has one. Neither
+checks a degree: every `Mesh` checks its own elements.
 """
 
 from __future__ import annotations
@@ -235,7 +241,10 @@ class Mesh:
         of segments and degree tuple is checked once, and on the sum of all
         degrees, an integer unless a degree is a float that an equal integer
         hid in the set. Only when one fails are the elements scanned, to raise
-        a ValueError naming the first that breaks a rule."""
+        a ValueError naming the first that breaks a rule, or a
+        ResourceCapError if its only fault is an integer degree over
+        MAX_DEGREE: only a handle makes the node sets that such a degree
+        makes expensive."""
         elements = self.elements
         if len(elements) == 0:
             raise ValueError("a mesh needs at least one element")
@@ -249,6 +258,7 @@ class Mesh:
                 and all(map(_segment_ok, set(chain(segments))))):
             return
         for k, e in enumerate(elements):
+            error = ValueError
             if not len(e.segments) == len(e.degrees) == self.dim:
                 problem = f"has {len(e.segments)} segments and {len(e.degrees)} degrees"
             elif not self._block_ok(e.block):
@@ -256,11 +266,13 @@ class Mesh:
             elif not all(map(_segment_ok, e.segments)):
                 problem = (f"has segments {e.segments!r}: need (level, index) with "
                            "level >= 0 and 0 <= index < 2^level")
-            elif not all(map(_degree_ok, e.degrees)):
+            elif not all(_is_number(p, numbers.Integral) and p >= 1 for p in e.degrees):
                 problem = f"has degrees {e.degrees!r}: need integers from 1 to {MAX_DEGREE}"
+            elif max(e.degrees) > MAX_DEGREE:
+                error, problem = ResourceCapError, f"has degree {max(e.degrees)}, over {MAX_DEGREE}"
             else:
                 continue
-            raise ValueError(f"element {k} {problem}, in a {self.dim}D mesh")
+            raise error(f"element {k} {problem}, in a {self.dim}D mesh")
 
     def _block_ok(self, block) -> bool:
         return _is_number(block, numbers.Integral) and 0 <= block < len(self.blocks)
@@ -409,27 +421,43 @@ def _children(e: Element) -> list[Element]:
             for s in itertools.product(*map(_halves, e.segments))]
 
 
+def _split(mesh: Mesh, indices) -> Mesh:
+    """The mesh with each element at `indices` (distinct, a range or a
+    tuple) replaced by its 2^d children, in the mesh order; ResourceCapError,
+    before any child is made, if that makes over MAX_ELEMENTS elements."""
+    n, k = mesh.n_elements, len(indices)
+    total = n + k * ((1 << mesh.dim) - 1)
+    if total > MAX_ELEMENTS:
+        raise ResourceCapError(f"splitting {k} of {n} elements makes {total}, over {MAX_ELEMENTS}")
+    elements = [c for i, e in enumerate(mesh.elements)
+                for c in (_children(e) if i in indices else (e,))]
+    return Mesh(mesh.dim, mesh.blocks, _canonical_order(elements))
+
+
+def _regraded(mesh: Mesh, degrees) -> Mesh:
+    """The mesh with element k at degrees[k], one tuple per element (an
+    element given its own degrees object is kept). Order, blocks and
+    segments stay, and the topology reads no degree, so the parent's is
+    handed over when the parent has computed it, and never computed here."""
+    elements = [e if e.degrees is p else replace(e, degrees=p)
+                for e, p in zip(mesh.elements, degrees, strict=True)]
+    new = Mesh(mesh.dim, mesh.blocks, elements)
+    if "topology" in vars(mesh):  # a cached_property, stored on first read
+        new.topology = mesh.topology
+    return new
+
+
 def refine_uniform(mesh: Mesh, mode: str) -> Mesh:
     """One global refinement step: "h" splits every element in every
-    dimension, "p" raises every degree by one. Per-element degree offsets and
-    relative h-refinement are preserved. ResourceCapError if "h" would make
-    over MAX_ELEMENTS elements or "p" a degree over MAX_DEGREE."""
+    dimension (`_split`), "p" raises every degree by one (`_regraded`).
+    Per-element degree offsets and relative h-refinement are preserved.
+    ResourceCapError if "h" would make over MAX_ELEMENTS elements or "p" a
+    degree over MAX_DEGREE (from `Mesh`)."""
     if mode == "p":
-        top = max(map(max, {e.degrees for e in mesh.elements}))
-        if top >= MAX_DEGREE:  # refused before any element is made
-            raise ResourceCapError(f"p-refinement: degree {top + 1}, over {MAX_DEGREE}")
-        elements = [
-            replace(e, degrees=tuple(p + 1 for p in e.degrees))
-            for e in mesh.elements
-        ]
-        return Mesh(mesh.dim, mesh.blocks, elements)
+        return _regraded(mesh, [tuple(p + 1 for p in e.degrees) for e in mesh.elements])
     if mode != "h":
         raise ValueError(f"refinement mode must be 'h' or 'p', got {mode!r}")
-    n = mesh.n_elements
-    if n << mesh.dim > MAX_ELEMENTS:  # refused before any child is made, as in a build
-        raise ResourceCapError(f"h-refinement: {n} x 2^{mesh.dim} elements, over {MAX_ELEMENTS}")
-    elements = [c for e in mesh.elements for c in _children(e)]
-    return Mesh(mesh.dim, mesh.blocks, _canonical_order(elements))
+    return _split(mesh, range(mesh.n_elements))
 
 
 def _element_index(mesh: Mesh, index: int) -> int:
@@ -442,30 +470,19 @@ def _element_index(mesh: Mesh, index: int) -> int:
 
 
 def split_element(mesh: Mesh, index: int) -> Mesh:
-    """Replace one element by its 2^d children (for nonconforming meshes);
-    ResourceCapError if that makes over MAX_ELEMENTS elements."""
-    index = _element_index(mesh, index)
-    n = mesh.n_elements
-    if n + (1 << mesh.dim) - 1 > MAX_ELEMENTS:
-        raise ResourceCapError(f"split: {n} - 1 + 2^{mesh.dim} elements, over {MAX_ELEMENTS}")
-    elements = mesh.elements[:index] + _children(mesh.elements[index]) + mesh.elements[index + 1 :]
-    return Mesh(mesh.dim, mesh.blocks, _canonical_order(elements))
+    """Replace one element by its 2^d children (for nonconforming meshes,
+    `_split`); ResourceCapError if that makes over MAX_ELEMENTS elements."""
+    return _split(mesh, (_element_index(mesh, index),))
 
 
 def with_degrees(mesh: Mesh, index: int, degrees) -> Mesh:
-    """Return a mesh with one element's degrees replaced; ResourceCapError if
-    one is over MAX_DEGREE."""
-    degrees = tuple(degrees)
-    if len(degrees) != mesh.dim or not all(
-        _is_number(p, numbers.Integral) and p >= 1 for p in degrees
-    ):
-        raise ValueError(f"bad degrees {degrees} for dimension {mesh.dim}: need integers >= 1")
-    if max(degrees) > MAX_DEGREE:
-        raise ResourceCapError(f"degrees {degrees}: degree {max(degrees)}, over {MAX_DEGREE}")
-    elements = list(mesh.elements)
+    """Return a mesh with one element's degrees replaced (`_regraded`),
+    numpy integers read as int; the new `Mesh` raises ValueError unless they
+    are `dim` integers >= 1, ResourceCapError if one is over MAX_DEGREE."""
     index = _element_index(mesh, index)
-    elements[index] = replace(elements[index], degrees=tuple(map(int, degrees)))
-    return Mesh(mesh.dim, mesh.blocks, elements)
+    degrees = tuple(int(p) if _is_number(p, numbers.Integral) else p for p in degrees)
+    return _regraded(mesh, [degrees if k == index else e.degrees
+                            for k, e in enumerate(mesh.elements)])
 
 
 def jacobian_at(elements, xi):

@@ -205,6 +205,9 @@ def assemble_explicit(
     So the auxiliary components of all elements form one pass whose owner
     map is each element itself.
     """
+    # any other value would be read as a truth value, or fail deep in the passes
+    if not isinstance(include_auxiliary, (bool, np.bool_)):
+        raise ConfigurationError("include_auxiliary", f"must be a bool, got {include_auxiliary!r}")
     if not handle.is_linearized and not handle.system.linear:
         raise ConfigurationError(
             "assemble",
@@ -287,10 +290,13 @@ def schur_eliminate(full: ExplicitMatrix, n_auxiliary: int) -> ExplicitMatrix:
     scaling.
     """
     n = full.n_rows
-    if not 0 < n_auxiliary < n:
-        raise ValueError(f"auxiliary block size {n_auxiliary} out of range")
+    # a bool would be read as 1, and a float fails in numpy's slicing
+    if not (_is_number(n_auxiliary, numbers.Integral) and 0 < n_auxiliary < n):
+        raise ConfigurationError(
+            "n_auxiliary", f"must be an integer from 1 to {n - 1}, got {n_auxiliary!r}"
+        )
     a = full.matrix.tocsr()
-    na = n_auxiliary
+    na = int(n_auxiliary)
     avv = a[:na, :na].tocoo()
     avu = a[:na, na:]
     auv = a[na:, :na]

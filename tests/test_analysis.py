@@ -27,6 +27,7 @@ from ipdg.mesh import (
     with_degrees,
 )
 from ipdg.operators import FieldVector, OperatorHandle, lumped_mass_diag
+from ipdg.solver import ExplicitMatrix
 from ipdg.solutions import gaussian, sin_product, sin_product_vector
 from ipdg.systems import make_system
 from test_operators import interpolant
@@ -291,6 +292,22 @@ def test_symmetry_defect_of_a_large_sparse_matrix_stays_sparse():
         tracemalloc.stop()
     assert 0.0 < defect < 1e-14
     assert peak < 50e6
+
+
+def test_symmetry_defect_reads_an_explicit_matrix_sparsely():
+    # an ExplicitMatrix has `toarray`, so it was densified: 3000^2 is 72 MB
+    # per dense array, against about 150 KB for these 12,000 entries
+    rng = np.random.default_rng(5)
+    for symmetric in (False, True):
+        a = random_sparse(rng, 3000, 12_000, symmetric)
+        tracemalloc.start()
+        try:
+            defect = symmetry_defect(ExplicitMatrix(a, "test"))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert defect == symmetry_defect(a) and (defect > 1e-12) != symmetric
+        assert peak < 5e6
 
 
 # -- csv ---------------------------------------------------------------

@@ -6,7 +6,7 @@ import yaml
 
 import ipdg.cli
 from ipdg.cli import main
-from ipdg.mesh import refine_uniform
+from ipdg.mesh import mortar_topology, refine_uniform
 
 
 @pytest.fixture(autouse=True)
@@ -256,12 +256,18 @@ def test_convergence_refines_only_between_levels(tmp_path, monkeypatch, mode):
     assert calls == [mode, mode]
 
 
-def test_convergence_p_mode(tmp_path):
+def test_convergence_p_mode(tmp_path, monkeypatch):
+    # p-refinement keeps the elements, so their topology is derived once: it
+    # used to be derived again at every level
+    calls = []
+    monkeypatch.setattr("ipdg.mesh.mortar_topology",
+                        lambda mesh: calls.append(mesh) or mortar_topology(mesh))
     path = write_config(
         tmp_path, {"refinement": {"levels": [1, 1], "degrees": [2, 2]}}
     )
     code = main(["convergence", "--config", path, "--mode", "p", "--levels", "3"])
     assert code == 0
+    assert len(calls) == 1
     lines = (tmp_path / "test-convergence.csv").read_text().splitlines()
     degrees = [float(line.split(",")[3]) for line in lines[1:]]
     assert degrees == [2.0, 3.0, 4.0]

@@ -9,6 +9,7 @@ import itertools
 import math
 import random
 import re
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -347,16 +348,19 @@ class TestBuildersAndRefinement:
 
     def test_element_editors_require_integers(self):
         # split_element(mesh, True) split element 1 and with_degrees truncated
-        # degree 3.9 to 3
+        # degree 3.9 to 3; the new mesh checks the degrees, naming the element
         mesh = build_rectilinear_mesh([(0, 1), (0, 1)], (1, 1), (2, 2))
         for index in (True, 1.5, 1.0, "1"):
             with pytest.raises(ValueError, match="element index must be an integer, got"):
                 split_element(mesh, index)
             with pytest.raises(ValueError, match="element index must be an integer, got"):
                 with_degrees(mesh, index, (3, 3))
-        for degrees in ((3.9, 2), (True, 2), (3, "2")):
-            with pytest.raises(ValueError, match="need integers >= 1"):
-                with_degrees(mesh, 0, degrees)
+        for degrees in ((3.9, 2), (True, 2), (3, "2"), (0, 2)):
+            message = rf"^element 1 has degrees {re.escape(repr(degrees))}: need integers from 1"
+            with pytest.raises(ValueError, match=message):
+                with_degrees(mesh, 1, degrees)
+        with pytest.raises(ValueError, match=r"^element 1 has 2 segments and 3 degrees"):
+            with_degrees(mesh, 1, (3, 3, 3))
         assert split_element(mesh, np.int64(1)).n_elements == 7
         raised = with_degrees(mesh, np.int64(0), np.array([3, 4]))
         assert raised.elements[0].degrees == (3, 4) and type(raised.elements[0].degrees[0]) is int
@@ -378,7 +382,8 @@ class TestBuildersAndRefinement:
             ({"segments": ((1, -1), (1, 1))}, r"has segments \(\(1, -1\), \(1, 1\)\): need"),
             ({"segments": ((1, 0.5), (1, 1))}, r"has segments \(\(1, 0.5\), \(1, 1\)\): need"),
             ({"degrees": (0, 2)}, r"has degrees \(0, 2\): need integers from 1 to 64"),
-            ({"degrees": (2, 65)}, r"has degrees \(2, 65\): need integers from 1 to 64"),
+            # an integer over the cap is a ValueError when another degree is bad
+            ({"degrees": (0, 65)}, r"has degrees \(0, 65\): need integers from 1 to 64"),
             ({"degrees": (2.5, 2)}, r"has degrees \(2.5, 2\): need integers"),
             # equal to the other elements' (2, 2), so one set holds both
             ({"degrees": (2.0, 2)}, r"has degrees \(2.0, 2\): need integers"),
@@ -396,14 +401,24 @@ class TestBuildersAndRefinement:
         # numpy integers are integers
         elements = [dataclasses.replace(e, block=np.int64(0), degrees=(np.int64(3), 2))]
         assert Mesh(2, mesh.blocks, elements).n_elements == 1
+        # a degree over the cap is a resource cap, as from a builder or an editor
+        for degrees in ((2, 65), (np.int64(65), 1)):
+            elements = list(mesh.elements)
+            elements[2] = dataclasses.replace(e, degrees=degrees)
+            with pytest.raises(ResourceCapError,
+                               match=r"^element 2 has degree 65, over 64, in a 2D mesh$"):
+                Mesh(2, mesh.blocks, elements)
 
     def test_degree_cap(self):
-        # degrees: [20000] used to hang making the LGL node set
+        # degrees: [20000] used to hang making the LGL node set; the editors
+        # make the elements, and the new mesh refuses them before any node set
         mesh = build_rectilinear_mesh([(0, 1), (0, 1)], (1, 0), (2, MAX_DEGREE))
         assert mesh.elements[0].degrees == (2, MAX_DEGREE)
-        with pytest.raises(ResourceCapError, match=r"^p-refinement: degree 65, over 64$"):
+        with pytest.raises(ResourceCapError,
+                           match=r"^element 0 has degree 65, over 64, in a 2D mesh$"):
             refine_uniform(mesh, "p")
-        with pytest.raises(ResourceCapError, match=r"^degrees \(2, 65\): degree 65, over 64$"):
+        with pytest.raises(ResourceCapError,
+                           match=r"^element 1 has degree 65, over 64, in a 2D mesh$"):
             with_degrees(mesh, 1, (2, MAX_DEGREE + 1))
         assert with_degrees(mesh, 1, (MAX_DEGREE, 1)).elements[1].degrees == (64, 1)
         for build in (lambda d: build_rectilinear_mesh([(0, 1), (0, 1)], (0, 0), d),
@@ -432,6 +447,15 @@ class TestTopology:
         assert topo.mortars == []
         tags = sorted(f.tag for f in topo.external_faces)
         assert tags == ["x-lower", "x-upper", "y-lower", "y-upper"]
+
+    def test_split_derives_its_own_topology(self):
+        # new elements make new faces: a split or h-refined mesh does not
+        # take its parent's topology, even when the parent has derived one
+        mesh = build_rectilinear_mesh([(0, 1), (0, 1)], (1, 1), (2, 2))
+        assert len(mesh.topology.mortars) == 4
+        for split in (split_element(mesh, 0), refine_uniform(mesh, "h")):
+            assert "topology" not in vars(split)
+            assert split.topology == mortar_topology(split) != mesh.topology
 
     def test_two_by_two_mortar_count(self):
         mesh = build_rectilinear_mesh([(0, 1), (0, 1)], (1, 1), (2, 2))
@@ -756,10 +780,29 @@ def test_topology_reads_no_degrees(kind, data):
     k = data.draw(st.integers(0, mesh.n_elements - 1))
     degrees = tuple(data.draw(st.integers(1, 5)) for _ in range(mesh.dim))
     topology = mortar_topology(mesh)
-    for variant in (with_degrees(mesh, k, degrees), refine_uniform(mesh, "p")):
+
+    def regraded():
+        return with_degrees(mesh, k, degrees), refine_uniform(mesh, "p")
+
+    assert "topology" not in vars(mesh)
+    with mock.patch("ipdg.mesh.mortar_topology", wraps=mortar_topology) as calls:
+        # a parent that has not derived its topology hands none over and
+        # derives none; each variant derives its own when asked
+        variants = regraded()
+        assert calls.call_count == 0
+        assert not any("topology" in vars(m) for m in (mesh, *variants))
+        for variant in variants:
+            assert variant.topology == topology
+        assert calls.call_count == 2
+        # one that has shares it with every mesh re-degreed from it, and from
+        # those, with no further call
+        assert mesh.topology is mesh.topology
+        variants = regraded()
+        variants += (refine_uniform(variants[1], "p"),)
+        assert all(variant.topology is mesh.topology for variant in variants)
+        assert calls.call_count == 3
+    for variant in variants:
         assert mortar_topology(variant) == topology
-        assert variant.topology == topology
-    assert mesh.topology is mesh.topology
 
 
 def interval_order(elements):

@@ -168,25 +168,37 @@ def test_mesh_size_cap_names_the_level(tmp_path, capsys, levels, domain, path):
 
 
 def test_refinement_cap(tmp_path, capsys, monkeypatch):
-    # h-refinement and splits are held to the builders' cap, checked before
-    # any child is made; a cap of 16 stands in for 2^20
+    # h-refinement and splits are held to the builders' cap by one count, n
+    # + k (2^d - 1) for k of n elements split, checked before any child is
+    # made; a cap of 16 stands in for 2^20
+    square = build_rectilinear_mesh(SQUARE, (1, 1), (2, 2))
     monkeypatch.setattr("ipdg.mesh.MAX_ELEMENTS", 16)
-    mesh = refine_uniform(build_rectilinear_mesh(SQUARE, (1, 1), (2, 2)), "h")
+    mesh = refine_uniform(square, "h")  # 4 + 4 x 3 elements, at the cap
     assert mesh.n_elements == 16
     assert refine_uniform(mesh, "p").n_elements == 16
-    with pytest.raises(ResourceCapError, match=r"^h-refinement: 16 x 2\^2 elements, over 16$"):
+    with pytest.raises(ResourceCapError, match=r"^splitting 16 of 16 elements makes 64, over 16$"):
         refine_uniform(mesh, "h")
-    with pytest.raises(ResourceCapError, match=r"^split: 16 - 1 \+ 2\^2 elements, over 16$"):
+    with pytest.raises(ResourceCapError, match=r"^splitting 1 of 16 elements makes 19, over 16$"):
         split_element(mesh, 0)
-    mesh = build_rectilinear_mesh(SQUARE, (1, 1), (2, 2))
-    for _ in range(4):  # 4 + 4 x 3 elements, at the cap but not over it
+    mesh = square
+    for _ in range(4):  # 4 + 4 x 3 elements again, one split at a time
         mesh = split_element(mesh, 0)
     assert mesh.n_elements == 16
+    # one element fewer under the cap refuses both at the same count
+    monkeypatch.setattr("ipdg.mesh.MAX_ELEMENTS", 15)
+    with pytest.raises(ResourceCapError, match=r"^splitting 4 of 4 elements makes 16, over 15$"):
+        refine_uniform(square, "h")
+    mesh = square
+    for _ in range(3):
+        mesh = split_element(mesh, 0)
+    with pytest.raises(ResourceCapError, match=r"^splitting 1 of 13 elements makes 16, over 15$"):
+        split_element(mesh, 0)
     # the study solves 4 and 16 elements, then refuses the third level
+    monkeypatch.setattr("ipdg.mesh.MAX_ELEMENTS", 16)
     path = write_config(tmp_path, {})
     assert main(["convergence", "--config", path, "--mode", "h", "--levels", "3"]) == 4
     err = capsys.readouterr().err
-    assert err.startswith("resource cap exceeded: h-refinement: 16 x 2^2 elements"), err
+    assert err.startswith("resource cap exceeded: splitting 16 of 16 elements makes 64"), err
     assert "Traceback" not in err
 
 
@@ -203,5 +215,5 @@ def test_degree_cap(tmp_path, capsys, monkeypatch):
     assert main(["convergence", "--config", path, "--mode", "p", "--levels", "3"]) == 4
     out, err = capsys.readouterr()
     assert out.count("points, error") == 2, out
-    assert err.startswith("resource cap exceeded: p-refinement: degree 4, over 3"), err
+    assert err.startswith("resource cap exceeded: element 0 has degree 4, over 3"), err
     assert "Traceback" not in err

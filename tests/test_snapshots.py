@@ -28,8 +28,8 @@ the characteristic h and every element's `coords()`; for the cases in
 handle before linearization; the
 solution and report of the solves in `SOLVES`: CG on poisson-conforming,
 and Newton on puncture with every inner report, wall times left out; and
-the bytes of every file that `ipdg solve`, a 2-level h-`convergence` and
-compact and full `assemble` write for the configurations in `CLI_CONFIGS`:
+the bytes of every file that `ipdg solve`, a 2-level h- and p-`convergence`
+and compact and full `assemble` write for the configurations in `CLI_CONFIGS`:
 a rectilinear Poisson Gaussian, and a curved annulus on a conformally flat
 background with Neumann and Robin data. `--compare` lists every array that
 differs or is in one file only, and exits nonzero if there is any; it also
@@ -293,11 +293,14 @@ CLI_CONFIGS = {
         "solver": {"method": "gmres", "tolerance": 1.0e-10},
     },
 }
+# (output prefix, arguments): each convergence mode writes its CSV under its
+# own prefix
 CLI_RUNS = (
-    ["solve"],
-    ["convergence", "--mode", "h", "--levels", "2"],
-    ["assemble", "--out", "compact.txt"],
-    ["assemble", "--with-auxiliary", "--out", "full.txt"],
+    ("run", ["solve"]),
+    ("run", ["convergence", "--mode", "h", "--levels", "2"]),
+    ("run-p", ["convergence", "--mode", "p", "--levels", "2"]),
+    ("run", ["assemble", "--out", "compact.txt"]),
+    ("run", ["assemble", "--with-auxiliary", "--out", "full.txt"]),
 )
 
 
@@ -305,18 +308,20 @@ def cli_files(name):
     """File name -> bytes (uint8) of every file `CLI_RUNS` write for the case's
     configuration, run by `ipdg.cli.main` into a temporary directory."""
     with tempfile.TemporaryDirectory() as out:
-        path = os.path.join(out, "run.yaml")
-        with open(path, "w") as f:
-            yaml.safe_dump({**CLI_CONFIGS[name], "output": {"prefix": "run"}}, f)
+        configs = {}
+        for prefix in dict.fromkeys(prefix for prefix, _ in CLI_RUNS):
+            configs[prefix] = os.path.join(out, f"{prefix}.yaml")
+            with open(configs[prefix], "w") as f:
+                yaml.safe_dump({**CLI_CONFIGS[name], "output": {"prefix": prefix}}, f)
         with mock.patch.dict(os.environ, {"IPDG_OUTPUT_DIR": out}), \
                 contextlib.redirect_stdout(io.StringIO()):
-            for argv in CLI_RUNS:
-                code = ipdg.cli.main([argv[0], "--config", path] + argv[1:])
+            for prefix, argv in CLI_RUNS:
+                code = ipdg.cli.main([argv[0], "--config", configs[prefix]] + argv[1:])
                 if code != 0:
                     raise RuntimeError(f"{name}: ipdg {' '.join(argv)} exited {code}")
         return {
             file: np.fromfile(os.path.join(out, file), dtype=np.uint8)
-            for file in sorted(os.listdir(out)) if file != "run.yaml"
+            for file in sorted(os.listdir(out)) if not file.endswith(".yaml")
         }
 
 
@@ -556,7 +561,7 @@ def test_dump_records_the_solves_of_its_cases(tmp_path, monkeypatch):
     for name in CLI_CONFIGS:
         files = cli_files(name)
         assert sorted(files) == ["compact.txt", "full.txt", "run-convergence.csv",
-                                 "run-report.csv"]
+                                 "run-p-convergence.csv", "run-report.csv"]
         assert sorted(k for k in arrays if k.startswith(f"cli/{name}/")) == [
             f"cli/{name}/{file}" for file in files
         ]
@@ -565,6 +570,10 @@ def test_dump_records_the_solves_of_its_cases(tmp_path, monkeypatch):
         report = files["run-report.csv"].tobytes().decode().splitlines()
         assert report[0] == "error,iterations,residual_norm,converged"
         assert report[1].endswith(",true")
+        # each mode's two levels, in its own file
+        for prefix, mode in (("run", "h"), ("run-p", "p")):
+            rows = files[f"{prefix}-convergence.csv"].tobytes().decode().splitlines()[1:]
+            assert [row.split(",")[:2] for row in rows] == [[mode, "0"], [mode, "1"]]
 
 
 if __name__ == "__main__":

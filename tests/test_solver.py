@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import re
 
 import numpy as np
 import pytest
@@ -100,6 +101,25 @@ def test_assembly_cap():
     handle = poisson_handle(1, 3)
     with pytest.raises(ResourceCapError):
         assemble_explicit(handle, cap=10)
+
+
+def test_assembly_and_elimination_check_their_arguments():
+    # include_auxiliary=1 assembled the full operator and "yes" failed on an
+    # unnamed TypeError; n_auxiliary=True eliminated one row, and 72.5
+    # failed on numpy's "slice indices must be integers"
+    handle = poisson_handle(1, 2)
+    for flag in (1, 0, "yes", None):
+        with pytest.raises(ConfigurationError, match=r"^include_auxiliary: must be a bool, got"):
+            assemble_explicit(handle, include_auxiliary=flag)
+    full = assemble_explicit(handle, include_auxiliary=np.True_)
+    n = full.n_rows
+    assert n == 108 and full.ordering == assemble_explicit(handle, True).ordering
+    for n_aux in (True, 72.5, np.float64(72.0), "72", 0, n):
+        message = rf"^n_auxiliary: must be an integer from 1 to {n - 1}, got {re.escape(repr(n_aux))}$"
+        with pytest.raises(ConfigurationError, match=message):
+            schur_eliminate(full, n_aux)
+    schur = schur_eliminate(full, np.int64(handle.n_auxiliary_dofs))
+    assert schur.n_rows == handle.n_primal_dofs == 36
 
 
 def test_assembly_rejects_unlinearized_nonlinear():
