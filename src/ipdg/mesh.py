@@ -13,7 +13,11 @@ segment arithmetic alone.
 The mortar topology (`mortar_topology`, kept as `Mesh.topology`) is geometry
 only: which faces touch and how much of each a mortar covers. It reads no
 degree, so meshes that differ only in degrees have the same topology; the
-grid on which a mortar couples its two sides is the operator's choice.
+grid on which a mortar couples its two sides is the operator's choice. It is
+arrays over face numbers (`MeshTopology`, `face_parts`), found with no loop
+over faces: every face's key and the keys its neighbors may have are matched
+in one sort. The operator and the assembly's colouring read the arrays; the
+`Mortar` and `ExternalFace` objects are made only when read.
 
 A mesh is edited along one of two paths. `_split` (`split_element`,
 `refine_uniform` "h") makes children, hence new faces and a topology of
@@ -24,6 +28,7 @@ checks a degree: every `Mesh` checks its own elements.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import numbers
@@ -36,6 +41,7 @@ from .basis import gauss_lobatto_nodes_weights
 from .errors import ConfigurationError, DegenerateGeometryError, ResourceCapError, TopologyError
 
 __all__ = [
+    "COVERAGES",
     "AffineMap",
     "AnnulusWedgeMap",
     "Element",
@@ -51,7 +57,7 @@ __all__ = [
     "with_degrees",
     "jacobian_at",
     "mortar_topology",
-    "face_shape",
+    "face_parts",
 ]
 
 _AXIS_NAMES = ("x", "y", "z")
@@ -162,15 +168,20 @@ def _degree_ok(p) -> bool:
     return _is_number(p, numbers.Integral) and 1 <= p <= MAX_DEGREE
 
 
-def _boxes(segments):
-    """Centers and half-widths, each (d, elements), of the boxes that
-    elements' segments (elements, d) span in their blocks' logical cube:
-    segment (level, index) spans -1 + [index, index + 1] * 2 / 2^level. Every
-    number is dyadic, so the arithmetic is exact, and so are the bounds
-    mid -+ half, which are -1 and 1 on the block's own faces."""
+def _segment_arrays(segments):
+    """Levels and indices, each (d, elements) int64, of elements' segments
+    (elements, d)."""
     # one flat pass over the nested tuples, which np.array reads far slower
     chain = itertools.chain.from_iterable
-    level, index = np.fromiter(chain(chain(segments)), np.int64).reshape(len(segments), -1, 2).T
+    return np.fromiter(chain(chain(segments)), np.int64).reshape(len(segments), -1, 2).T
+
+
+def _boxes(level, index):
+    """Centers and half-widths, each (d, elements), of the boxes that
+    segments (`_segment_arrays`) span in their blocks' logical cube: segment
+    (level, index) spans -1 + [index, index + 1] * 2 / 2^level. Every
+    number is dyadic, so the arithmetic is exact, and so are the bounds
+    mid -+ half, which are -1 and 1 on the block's own faces."""
     half = np.ldexp(1.0, -level)
     return (2 * index + 1) * half - 1.0, half
 
@@ -309,7 +320,7 @@ class Mesh:
 def _canonical_order(elements):
     """`elements` sorted by block, then by their boxes' lower corners, the
     last dimension first; a stable sort, so equal keys keep their order."""
-    mid, half = _boxes([e.segments for e in elements])
+    mid, half = _boxes(*_segment_arrays([e.segments for e in elements]))
     # lexsort's last key is the first one sorted by
     order = np.lexsort(np.vstack([mid - half, [e.block for e in elements]]))
     return [elements[k] for k in order.tolist()]
@@ -505,7 +516,8 @@ def jacobian_at(elements, xi):
         maps.setdefault(id(el.block_map), (el.block_map, []))[1].append(k)
     # (d, elements, 1, ...): the boxes over the point axes
     mid, half = (
-        a.reshape((dim, n) + (1,) * len(pts)) for a in _boxes([el.segments for el in elements])
+        a.reshape((dim, n) + (1,) * len(pts))
+        for a in _boxes(*_segment_arrays([el.segments for el in elements]))
     )
     x = np.empty((dim, n) + pts)
     jac = np.empty((dim, dim, n) + pts)
@@ -538,10 +550,8 @@ def jacobian_at(elements, xi):
     return x, jac, det, np.divide(adj, det, out=np.empty_like(jac))
 
 
-def face_shape(grid_shape: tuple, dim: int) -> tuple:
-    """A per-dimension tuple without dimension `dim`: a face's grid shape, or
-    its transverse segments."""
-    return grid_shape[:dim] + grid_shape[dim + 1 :]
+# a mortar side's coverage codes, in `MeshTopology.coverage`
+COVERAGES = ("full", "lower", "upper")
 
 
 @dataclass(frozen=True)
@@ -567,122 +577,197 @@ class ExternalFace:
     tag: str
 
 
-@dataclass
+def face_parts(faces, dim):
+    """(element, face dim, side) of face numbers (`MeshTopology`)."""
+    return faces // (2 * dim), faces // 2 % dim, faces % 2 * 2 - 1
+
+
+@dataclass(eq=False)
 class MeshTopology:
-    mortars: list
-    external_faces: list
+    """A mesh's mortars and external faces as arrays over face numbers
+    (element * dim + face dim) * 2 + (side > 0), which count the faces in
+    (element, dim, side) order (`face_parts` reads one back):
+
+    - `faces` (mortars, 2): each mortar's two sides, the lower-indexed
+      element's face first;
+    - `coverage` (mortars, 2, dim - 1): per side and transverse dimension
+      (ascending, the normal one left out) the part of the side's face that
+      the mortar covers, an index into `COVERAGES`;
+    - `external` and `tags`: the external faces, ascending, and their tags.
+
+    `mortars` and `external_faces` list the same as `Mortar` and
+    `ExternalFace` objects, made on first read. Topologies are equal when
+    their arrays are."""
+
+    dim: int
+    faces: np.ndarray
+    coverage: np.ndarray
+    external: np.ndarray
+    tags: np.ndarray
+
+    def __eq__(self, other):
+        fields = ("dim", "faces", "coverage", "external", "tags")
+        return isinstance(other, MeshTopology) and all(
+            np.array_equal(getattr(self, f), getattr(other, f)) for f in fields
+        )
+
+    @cached_property
+    def mortars(self) -> list:
+        parts = (a.ravel().tolist() for a in face_parts(self.faces, self.dim))
+        coverage = np.array(COVERAGES)[self.coverage].reshape(self.faces.size, self.dim - 1)
+        sides = list(map(MortarSide, *parts, map(tuple, coverage.tolist())))
+        return list(map(Mortar, zip(sides[::2], sides[1::2])))
+
+    @cached_property
+    def external_faces(self) -> list:
+        parts = (a.tolist() for a in face_parts(self.external, self.dim))
+        return list(map(ExternalFace, *parts, self.tags.tolist()))
 
 
-def _transverse_matches(seg: Segment):
-    """The segments a two-to-one balanced neighbor's face may have across
-    `seg`, each with the coverages (this side, the neighbor's side)."""
-    level, index = seg
-    out = [(seg, ("full", "full"))]
-    if level > 0:
-        half = "lower" if index % 2 == 0 else "upper"
-        out.append(((level - 1, index >> 1), ("full", half)))
-    for child in _halves(seg):
-        out.append((child, ("lower" if child[1] % 2 == 0 else "upper", "full")))
-    return out
+# per relation (`mortar_topology`) the neighbor's segment 2s, 2s + 1 or s
+# from s, but for the parent s >> 1, and the part of this side's face that a
+# mortar covers
+_CHILD = np.array([[1, 0, 2, 2], [0, 0, 0, 1]])
+_COVERED = np.array([0, 0, 1, 2])
+
+
+@functools.cache
+def _transverse(dim):
+    """Per face dim the transverse dims, ascending, (dim, dim - 1); every
+    combination of one relation from 0 to 3 per transverse dim,
+    (4^(dim - 1), dim - 1); and the positions 0 .. dim - 2 of the
+    transverse dims."""
+    others = np.array([[t for t in range(dim) if t != d] for d in range(dim)], dtype=int)
+    combos = np.array(list(itertools.product(range(4), repeat=dim - 1)), dtype=int)
+    return others.reshape(dim, dim - 1), combos.reshape(4 ** (dim - 1), dim - 1), np.arange(dim - 1)
+
+
+def _block_targets(mesh):
+    """Per (block, dim, side > 0), the block across that face of a block of
+    the mesh, or -1 - i for an external face of tag tags[i]; and the tags.
+    TopologyError, naming the block, the face and the entry, unless each
+    face of each block has a boundary entry ("external", a str) or ("block",
+    the index of a block of the mesh)."""
+    n, tags, targets, sides = len(mesh.blocks), {}, [], (-1, 1)
+    for (b, block), dim, side in itertools.product(enumerate(mesh.blocks), range(mesh.dim), sides):
+        entry = block.boundary.get((dim, side))
+        kind, value = entry if isinstance(entry, (tuple, list)) and len(entry) == 2 else (0, 0)
+        if kind == "external" and isinstance(value, str):
+            targets.append(-1 - tags.setdefault(value, len(tags)))
+        elif kind == "block" and _is_number(value, numbers.Integral) and 0 <= value < n:
+            targets.append(value)
+        else:
+            what = f"entry {entry!r}" if (dim, side) in block.boundary else "no entry"
+            raise TopologyError(f"block {b} has {what} for face {dim}/{side:+d} in its boundary "
+                                "map: need ('external', tag) or ('block', index of one of the "
+                                f"mesh's {n} blocks)")
+    return np.reshape(targets, (n, mesh.dim, 2)), np.array(list(tags), dtype=str)
 
 
 def mortar_topology(mesh: Mesh) -> MeshTopology:
-    """Build the internal mortar list and external face list.
+    """The mesh's mortars and external faces (`MeshTopology`).
 
-    Every internal face is covered exactly once by its mortars (validated).
     Only the blocks, the segments and the blocks' boundary maps are read, no
-    degree: a mortar is its two sides and their coverages. A face lies on a
-    plane of its block's logical cube, its box's bound (`_boxes`): an exact
-    dyadic float, -1 or 1 on the block's own faces, and -1 and 1 swap across
-    into the neighboring block. Blocks must share logical-axis orientation,
-    which the builders guarantee.
+    degree: a mortar is its two sides and their coverages. Each face is keyed
+    by its block, dim, side, plane and transverse segments. The plane is a
+    bound of its box (`_boxes`), an exact dyadic float, -1 or 1 on the
+    block's own face, where the block's boundary map (`_block_targets`)
+    makes the face external or sends its key into the neighboring block,
+    with -1 and 1 swapped; blocks must share logical-axis orientation,
+    which the builders guarantee. A neighbor's face has the opposite side
+    and, under two-to-one balance, per transverse dimension the same
+    segment, its parent or a child: up to 4^(dim - 1) keys per face, all
+    matched with the faces' own keys in one sort of every key. A neighbor
+    with the same segments everywhere is the only one; other neighbors that
+    overlap leave the face uncovered, which the coverage check reports.
+
+    Mortars come in (element, face dim, side, neighbor) order, each made
+    from its lower-indexed element's side; external faces in (element, dim,
+    side) order. TopologyError names the first face in that order with no
+    neighbor and no boundary tag; else every internal face, and every face
+    a mortar reaches, must be covered exactly once by its mortars' pieces,
+    or it names the first that is not, in the order in which a loop over
+    the faces would first meet it: at its own turn, or at the turn of the
+    lower-indexed neighbor that makes its first mortar.
     """
-    dim = mesh.dim
-    mortars: list[Mortar] = []
-    external: list[ExternalFace] = []
-    # (element, dim, side) of each internal face -> the fraction of it that
-    # its mortars cover, summed as they are created
-    covered: dict[tuple, float] = {}
+    dim, n = mesh.dim, mesh.n_elements
+    targets, tag_names = _block_targets(mesh)
+    level, index = _segment_arrays([e.segments for e in mesh.elements])
+    mid, half = _boxes(level, index)
+    faces = np.arange(2 * dim * n)
+    (element, face_dim, side), up = face_parts(faces, dim), faces & 1
+    block = np.fromiter((e.block for e in mesh.elements), np.int64, n)[element]
+    plane = (mid.T[..., None] + half.T[..., None] * (-1.0, 1.0)).ravel()
+    crossing = plane == side  # on the block's own face
+    across = targets[block, face_dim, up]
+    external = crossing & (across < 0)
+    others, combos, slots = _transverse(dim)
+    # per transverse dimension the segment, as its heap number 2^level + index,
+    # and the neighbor's: the same, the parent, the lower or the upper child
+    # (relations 0 to 3), where some element may have it
+    heap = (1 << level) | index
+    segments = heap[others[face_dim], element[:, None]]
+    related = segments[..., None] * _CHILD[0] + _CHILD[1]
+    related[..., 1] = segments >> 1
+    possible = (heap.min() <= related) & (related <= heap.max())
+    face, combo = (possible[:, slots, combos].all(axis=2) & ~external[:, None]).nonzero()
+    relation = combos[combo]
+    # the faces' keys, then the neighbors' looked for: block, dim and side,
+    # the plane (its bits, as an integer; + 0.0 leaves no -0.0) and the
+    # segments; rows of one key end up together in one sort, own keys first
+    keys = np.empty((faces.size + face.size, dim + 1), dtype=np.int64)
+    own, looked_for = keys[:faces.size], keys[faces.size:]
+    own[:, 0] = faces + (block - element) * (2 * dim)
+    own[:, 1], own[:, 2:] = (plane + 0.0).view(np.int64), segments
+    looked_for[:, 0] = (own[:, 0] + crossing * (across - block) * (2 * dim) - side)[face]
+    looked_for[:, 1] = (np.where(crossing, -plane, plane) + 0.0).view(np.int64)[face]
+    looked_for[:, 2:] = related[face[:, None], slots, relation]
+    order = np.lexsort(keys.T)
+    keys = keys[order]
+    # each looked-for key's faces: the own rows that open its group
+    new = np.ones(len(keys), dtype=bool)
+    new[1:] = (keys[1:] != keys[:-1]).any(axis=1)
+    is_own = order < faces.size
+    owned, opens = is_own.cumsum(), np.maximum.accumulate(np.arange(len(keys)) * new)
+    at = (~is_own).nonzero()[0]
+    first = opens[at]
+    hits = owned[at] - owned[first] + is_own[first]
+    ends = hits.cumsum()
+    match = order[np.arange(hits.sum()) + (first - ends + hits).repeat(hits)]
+    looked_up = order[at].repeat(hits) - faces.size
+    face, relation, neighbor = face[looked_up], relation[looked_up], element[match]
+    # apart from the face's own element; a neighbor with the same segments
+    # is the only one
+    keep = neighbor != element[face]
+    same = ~relation.any(axis=1)
+    has_same, found = np.zeros((2, faces.size), dtype=bool)
+    has_same[face[keep & same]] = True
+    keep &= same | ~has_same[face]
+    found[face[keep]] = True
+    lonely = ~(external | found)
+    if lonely.any():
+        k, d, s = (int(a[lonely.argmax()]) for a in (element, face_dim, side))
+        raise TopologyError(f"face {d}/{s:+d} of element {mesh.elements[k].id_string()} has no "
+                            "neighbor and no boundary tag")
+    keep &= neighbor > element[face]
+    order = np.lexsort((neighbor[keep], face[keep]))
+    face, match, relation = face[keep][order], match[keep][order], relation[keep][order]
+    # the coverages (this side, the neighbor's) of each relation; a parent
+    # covers its child's half, lower for an even index
+    pairs = np.empty((face.size, 2), dtype=np.int64)
+    coverage = np.empty((face.size, 2, dim - 1), dtype=np.int64)
+    pairs[:, 0], pairs[:, 1], coverage[:, 0] = face, match, _COVERED[relation]
+    coverage[:, 1] = (relation == 1) * (1 + (segments[face] & 1))
 
-    mid, half = _boxes([e.segments for e in mesh.elements])
-    # per element and dim, the planes of its faces on sides -1 and 1
-    planes = np.array([mid - half, mid + half]).T.tolist()
-    # (block, dim, side, plane, transverse segments) -> elements, in mesh
-    # order, whose face on that side lies on the plane and spans those segments
-    faces_at: dict[tuple, list[int]] = {}
-    for k, e in enumerate(mesh.elements):
-        for face_dim, bounds in enumerate(planes[k]):
-            segments = face_shape(e.segments, face_dim)
-            for side, plane in zip((-1, 1), bounds):
-                faces_at.setdefault((e.block, face_dim, side, plane, segments), []).append(k)
-
-    conforming = [("full", "full")] * (dim - 1)
-
-    def neighbors(elem_index, face_dim, side, plane):
-        """(element, coverages per transverse dim) of each balanced neighbor
-        across this face, in mesh order; None and the tag when external.
-
-        Under two-to-one balance a neighbor's transverse segment is the
-        same, the parent or a child, per transverse dim; a neighbor that
-        overlaps otherwise leaves the face uncovered, which the coverage
-        check reports. Neighbor faces on the plane do not overlap, so one
-        with the same segments is the only neighbor.
-        """
-        e = mesh.elements[elem_index]
-        block = e.block
-        if plane == side:  # on the block's own face
-            kind, block = mesh.blocks[e.block].boundary[(face_dim, side)]
-            if kind == "external":
-                return None, block
-            plane = -plane
-        segments = face_shape(e.segments, face_dim)
-        same = faces_at.get((block, face_dim, -side, plane, segments), [])
-        found = [(kk, conforming) for kk in same if kk != elem_index]
-        if found:
-            return found, None
-        for combo in itertools.product(*map(_transverse_matches, segments)):
-            key = (block, face_dim, -side, plane, tuple(c[0] for c in combo))
-            found += [
-                (kk, [c[1] for c in combo])
-                for kk in faces_at.get(key, [])
-                if kk != elem_index
-            ]
-        return sorted(found), None
-
-    for k, e in enumerate(mesh.elements):
-        for face_dim, bounds in enumerate(planes[k]):
-            for side, plane in zip((-1, 1), bounds):
-                found, tag = neighbors(k, face_dim, side, plane)
-                if found is None:
-                    external.append(ExternalFace(k, face_dim, side, tag))
-                    continue
-                if not found:
-                    raise TopologyError(
-                        f"face {face_dim}/{side:+d} of element "
-                        f"{e.id_string()} has no neighbor and no boundary tag"
-                    )
-                # checked even if no mortar reaches it, as when overlapping
-                # elements hide it from the neighbors that it finds
-                covered.setdefault((k, face_dim, side), 0.0)
-                for kk, rel in found:
-                    if kk < k:  # made from kk's side: balanced neighbors find each other
-                        continue
-                    sides = (
-                        MortarSide(k, face_dim, side, tuple(r[0] for r in rel)),
-                        MortarSide(kk, face_dim, -side, tuple(r[1] for r in rel)),
-                    )
-                    mortars.append(Mortar(sides))
-                    for ms in sides:
-                        face = (ms.element, face_dim, ms.side)
-                        covered[face] = covered.get(face, 0.0) + 0.5 ** sum(
-                            cov != "full" for cov in ms.coverage
-                        )
-
-    # Coverage check: the mortar pieces of every internal face tile it once.
-    for (k, face_dim, side), total in covered.items():
-        if total != 1.0:
-            raise TopologyError(
-                f"face {face_dim}/{side:+d} of element "
-                f"{mesh.elements[k].id_string()} is covered {total}x by mortars"
-            )
-    return MeshTopology(mortars, external)
+    # the mortar pieces of every internal face tile it once
+    total = np.bincount(pairs.ravel(), 0.5 ** (coverage != 0).sum(axis=2).ravel(), faces.size)
+    turn = faces + external * faces.size
+    np.minimum.at(turn, pairs[:, 1], pairs[:, 0])
+    bad = ((turn < faces.size) & (total != 1.0)).nonzero()[0]
+    if bad.size:
+        f = bad[np.lexsort((element[bad], turn[bad]))[0]]
+        name = mesh.elements[element[f]].id_string()
+        raise TopologyError(f"face {face_dim[f]}/{side[f]:+d} of element {name} is covered "
+                            f"{float(total[f])}x by mortars")
+    tags = tag_names[-1 - across[external]]
+    return MeshTopology(dim, pairs, coverage, external.nonzero()[0], tags)

@@ -137,7 +137,7 @@ from .errors import (
     TopologyError,
     config_section,
 )
-from .mesh import _is_number, face_shape, jacobian_at
+from .mesh import COVERAGES, _is_number, face_parts, jacobian_at
 from .mortars import mortar_logical_weights, prolongation_matrix
 from .systems import EllipticSystem
 
@@ -583,13 +583,23 @@ class _MortarGroup:
         return values if p is None else (values * self.weights) @ p.T / self.face_mass[side]
 
 
-def _face_key(side):
-    return (side.element, side.dim, side.side)
-
-
 def _concat(indices):
     """One index array from a possibly empty list of them."""
     return np.concatenate(indices) if indices else np.zeros(0, dtype=int)
+
+
+def _distinct(values):
+    """The distinct values, ascending, by one sort: numpy 2.4's `np.unique`
+    hashes integers and took 3 to 15 times as long on 200 to 20,000 of them
+    (2-core Intel Xeon, Python 3.11)."""
+    values = np.sort(values)
+    return np.concatenate([values[:1], values[1:][values[1:] != values[:-1]]])
+
+
+def _ranges(starts, sizes):
+    """The ranges [start, start + size) end to end, one index array."""
+    ends = sizes.cumsum()
+    return np.arange(ends[-1] if ends.size else 0) + (starts - ends + sizes).repeat(sizes)
 
 
 class _MeshCache:
@@ -597,24 +607,26 @@ class _MeshCache:
 
     Face geometry is kept in face-buffer order only: `face_coords`,
     `face_normal`, `face_h`, `face_measure`, `face_mass` (lumped) and
-    `face_p`, the degree normal to the face, with `face_spans` mapping
-    (element, dim, side) to the face's points.
+    `face_p`, the degree normal to the face. `face_start` and `face_size`
+    give each face's first point and number of points, by the topology's
+    face number (`MeshTopology`).
 
     The face points fall into three disjoint sets, or set-up raises
     TopologyError: paired points, where `partner` gives the matching point
     across a mortar whose prolongations are both the identity (elsewhere it
-    is the point itself); external points, `external` per tag; and the
-    points of mortars with a non-identity side, `restricted`, exchanged in
-    one pass over the stacked `mortar_groups` (`to_mortar`,
-    `add_restricted`).
+    is the point itself); external points, `external` per tag, in the order
+    of first appearance; and the points of mortars with a non-identity side,
+    `restricted`, exchanged in one pass over the stacked `mortar_groups`
+    (`to_mortar`, `add_restricted`). All of it is read from the topology's
+    arrays, with a loop over element groups and over mortar kinds only.
 
     The face grids decide the mortars: the mesh's topology has no degrees.
-    A kind is each side's (face grid, coverages); its mortar grid is the
-    per-dimension maximum of the two face grids, so the mortar's points per
-    transverse dimension take the larger degree of the two sides, plus one.
-    A side whose face grid is the mortar grid and whose coverages are all
-    "full" prolongs by the identity, decided from the kind alone, so no
-    prolongation is made for it.
+    A kind is each side's (face grid, coverages), kinds in the order of
+    their first mortar; its mortar grid is the per-dimension maximum of the
+    two face grids, so the mortar's points per transverse dimension take the
+    larger degree of the two sides, plus one. A side whose face grid is the
+    mortar grid and whose coverages are all "full" prolongs by the identity,
+    decided from the kind alone, so no prolongation is made for it.
 
     `face_sigma` is the penalty for C = 1 at every point, with the larger
     normal degree and the smaller h of the point and its partner, so the
@@ -626,14 +638,19 @@ class _MeshCache:
     def __init__(self, mesh, background):
         self.n_points = mesh.total_points
         self.groups = _element_groups(mesh, background)
-        self.face_spans = spans = {}
+        dim, topology = mesh.dim, mesh.topology
+        # per face number: its first point, its number of points and its grid
+        self.face_start = start = np.empty(2 * dim * mesh.n_elements, dtype=int)
+        self.face_size = size = np.empty_like(start)
+        face_grid = np.empty((start.size, dim - 1), dtype=int)
         for group in self.groups:
-            for f in group.faces:
-                n = math.prod(f.shape[1:])
-                for e, k in enumerate(group.members):
-                    start = f.span.start + e * n
-                    spans[(k,) + f.key] = slice(start, start + n)
-        self.n_face_points = self.groups[-1].face_end
+            # a group's face keys come in (dim, side) order, as face numbers do
+            number = np.asarray(group.members)[:, None] * 2 * dim + np.arange(2 * dim)
+            size[number] = [math.prod(f.shape[1:]) for f in group.faces]
+            start[number] = (np.array([f.span.start for f in group.faces])
+                             + size[number] * np.arange(len(number))[:, None])
+            face_grid[number] = [f.shape[:0:-1] for f in group.faces]
+        self.n_face_points = n = self.groups[-1].face_end
         (self.face_coords, self.face_normal, self.face_h, self.face_measure, self.face_mass,
          self.face_p) = (
             np.concatenate(parts, axis=-1)
@@ -641,22 +658,24 @@ class _MeshCache:
         )
 
         # mortars of one kind share their face grids and coverages, so their
-        # mortar grid and prolongations are made once per kind
-        by_kind, grids = {}, [e.grid_shape for e in mesh.elements]
-        for m in mesh.topology.mortars:
-            kind = tuple((face_shape(grids[s.element], s.dim), s.coverage) for s in m.sides)
-            by_kind.setdefault(kind, []).append(m)
-        n = self.n_face_points
+        # mortar grid and prolongations are made once per kind. A kind's
+        # code packs (points * 4 + coverage) per side and transverse
+        # dimension, 9 bits each: a face grid has at most MAX_DEGREE + 1 = 65
+        # points
+        faces, coverage = topology.faces, topology.coverage
+        grids = face_grid[faces]
+        codes = (grids * 4 + coverage).reshape(len(faces), 2 * dim - 2) @ (
+            512 ** np.arange(2 * dim - 2))
         self.partner = partner = np.arange(n)
         paired, self.mortar_groups = [], []
-        for kind, members in by_kind.items():
-            grids, coverages = zip(*kind)
-            counts = tuple(map(max, *grids))
-            index = [
-                np.array([spans[_face_key(m.sides[s])].start for m in members])[:, None]
-                + np.arange(math.prod(grids[s]))
-                for s in (0, 1)
-            ]
+        for code in dict.fromkeys(codes.tolist()):
+            members = (codes == code).nonzero()[0]
+            kind = [(tuple(g), tuple(COVERAGES[c] for c in cov)) for g, cov in
+                    zip(grids[members[0]].tolist(), coverage[members[0]].tolist())]
+            face_grids, coverages = zip(*kind)
+            counts = tuple(map(max, *face_grids))
+            index = [start[faces[members, s], None] + np.arange(math.prod(face_grids[s]))
+                     for s in (0, 1)]
             prolongs = [
                 None if grid == counts and all(c == "full" for c in cov)
                 else prolongation_matrix(grid, counts, cov)
@@ -671,23 +690,22 @@ class _MeshCache:
                 self.mortar_groups.append(_MortarGroup(counts, coverages, index, prolongs, self))
         self._stack_mortars()
 
-        external, faces = {}, []  # tag -> face-buffer indices
-        for ef in mesh.topology.external_faces:
-            sp = spans[_face_key(ef)]
-            faces.append(np.arange(sp.start, sp.stop))
-            external.setdefault(ef.tag, []).append(faces[-1])
-        self.external = {tag: np.concatenate(idx) for tag, idx in external.items()}
+        # the external points, face after face, and per tag in the order of
+        # its first face
+        tags, sizes = topology.tags, size[topology.external]
+        points = _ranges(start[topology.external], sizes)
+        self.external = {tag: points[(tags == tag).repeat(sizes)]
+                         for tag in dict.fromkeys(tags.tolist())}
 
         # every point must be exactly one of: paired, external, or on mortars
         # with a non-identity side; any other point would get no flux
-        covered = np.bincount(
-            np.concatenate([_concat(paired), _concat(faces), self.restricted]), minlength=n
-        )
+        covered = np.bincount(np.concatenate([*paired, points, self.restricted]), minlength=n)
         if (covered != 1).any():
             bad = int(np.argmax(covered != 1))
-            k, dim, side = next(key for key, sp in spans.items() if sp.start <= bad < sp.stop)
+            number = np.flatnonzero((start <= bad) & (bad < start + size))[0]
+            k, d, side = (int(a) for a in face_parts(number, dim))
             raise TopologyError(
-                f"face (dim {dim}, side {side}) of element {mesh.elements[k].id_string()} "
+                f"face (dim {d}, side {side}) of element {mesh.elements[k].id_string()} "
                 "is not covered exactly once by mortars and external faces"
             )
         self.face_sigma = penalty_sigma(
@@ -722,7 +740,7 @@ class _MeshCache:
             ends[2] = span.stop
         self._scatter_points = _concat([mg.index[s].ravel() for mg in groups for s in (0, 1)])
         self._scatter = {}  # component count -> one vector's scatter index
-        self.restricted = np.unique(self._scatter_points)
+        self.restricted = _distinct(self._scatter_points)
 
     def to_mortar(self, side, buf):
         """One side's values (..., mortar points) on every stacked mortar: one

@@ -19,8 +19,8 @@ import scipy.linalg
 import scipy.sparse
 
 from .errors import ConfigurationError, ResourceCapError
-from .mesh import _is_number
-from .operators import FieldVector
+from .mesh import _is_number, face_parts
+from .operators import FieldVector, _distinct, _ranges
 
 __all__ = [
     "SolveReport",
@@ -106,13 +106,15 @@ _PROBE_BATCH_ENTRIES = 1 << 16
 
 
 def _distance3_colors(balls, base, weight):
-    """Colour elements so that no two at graph distance 1 or 2 (`balls`, a
-    symmetric relation) share a colour, each with the least colour its ball
-    does not hold yet, in increasing order of the key base[k] - weight *
-    saturation, where saturation counts the colours in k's ball so far and
-    base[k] % len(balls) == k: one priority queue of keys, whose stale
-    entries are skipped."""
-    n = len(balls)
+    """Colour elements so that no two at graph distance 1 or 2 share a
+    colour, each with the least colour its ball does not hold yet, in
+    increasing order of the key base[k] - weight * saturation, where
+    saturation counts the colours in k's ball so far and base[k] % n == k:
+    one priority queue of keys, whose stale entries are skipped. `balls` is
+    the symmetric relation "within distance 2" (`_relation`); a ball is a
+    set, so the order of its row does not matter."""
+    n = len(base)
+    indptr, indices = (a.tolist() for a in balls)
     colors, seen, keys = [-1] * n, [0] * n, list(base)  # seen: a bit per colour
     heap = sorted(base)
     while heap:
@@ -122,7 +124,7 @@ def _distance3_colors(balls, base, weight):
             continue
         free = ~seen[k] & (seen[k] + 1)  # the lowest clear bit
         colors[k] = free.bit_length() - 1
-        for m in balls[k]:
+        for m in indices[indptr[k]:indptr[k + 1]]:
             if not seen[m] & free and colors[m] < 0:
                 seen[m] |= free
                 if weight:
@@ -131,9 +133,19 @@ def _distance3_colors(balls, base, weight):
     return colors
 
 
+def _relation(rows, cols, n):
+    """The relation of the pairs (rows[i], cols[i]) of n elements, an
+    element's own pair left out, as CSR rows (indptr, indices): the indices
+    of each row ascending and distinct."""
+    pairs = _distinct(rows * n + cols)
+    rows, cols = np.divmod(pairs[pairs // n != pairs % n], n)
+    return np.concatenate([[0], np.bincount(rows, minlength=n).cumsum()]), cols
+
+
 def _element_color_groups(mesh):
     """Passes of the mesh's elements whose closed neighbourhoods are
-    disjoint, and each element's face neighbours (`Mesh.topology`).
+    disjoint, and the face-neighbour relation (`_relation`), from the
+    element pairs of the mortars (`Mesh.topology`).
 
     Columns of the operator rooted in one element only reach its face
     neighbors, so elements at graph distance >= 3 can share one batched
@@ -143,28 +155,29 @@ def _element_color_groups(mesh):
     one with the fewest probe columns, then the fewest passes, then the
     first: greedy in mesh order, and DSatur (Brelaz 1979) by saturation
     then size (points) and by size then saturation, ties to the larger ball
-    (the elements within distance 2), then to mesh order. The greedy stays a
-    candidate because DSatur alone can need more columns. A colouring that
-    reaches the lower bounds of both counts, the most points and the most
-    elements of a closed neighbourhood, cannot be beaten, and ends the
-    search.
+    (the elements within distance 2, from the relation's rows), then to mesh
+    order. The greedy stays a candidate because DSatur alone can need more
+    columns. A colouring that reaches the lower bounds of both counts, the
+    most points and the most elements of a closed neighbourhood, cannot be
+    beaten, and ends the search.
     """
     n = mesh.n_elements
-    nbrs = [set() for _ in range(n)]
-    for mortar in mesh.topology.mortars:
-        a, b = (s.element for s in mortar.sides)
-        if a != b:
-            nbrs[a].add(b)
-            nbrs[b].add(a)
-    balls = [list(nbrs[k].union(*(nbrs[m] for m in nbrs[k])) - {k}) for k in range(n)]
-    size = np.diff(mesh.point_offsets).tolist()
+    a, b = face_parts(mesh.topology.faces, mesh.dim)[0].T
+    nbrs = _relation(np.concatenate([a, b]), np.concatenate([b, a]), n)
+    # each element's neighbours, then their neighbours, make its ball
+    (indptr, near), degree = nbrs, np.diff(nbrs[0])
+    rows = np.arange(n).repeat(degree)
+    hops = degree[near]
+    balls = _relation(np.concatenate([rows, rows.repeat(hops)]),
+                      np.concatenate([near, near[_ranges(indptr[near], hops)]]), n)
+    sizes = np.diff(mesh.point_offsets)
+    size = sizes.tolist()
     # keys in mixed radix, most significant first: saturation or size, then
     # the other, then the ball's size, then k; a larger one comes first
-    ties = [-len(ball) * n + k for k, ball in enumerate(balls)]
+    ties = [-ball * n + k for k, ball in enumerate(np.diff(balls[0]).tolist())]
     by_sat = [-size[k] * n ** 2 + t for k, t in enumerate(ties)]
     by_size = [-size[k] * n ** 3 + t for k, t in enumerate(ties)]
-    bound = (max(size[k] + sum(size[m] for m in nbrs[k]) for k in range(n)),
-             max(len(near) + 1 for near in nbrs))
+    bound = (int((np.bincount(rows, sizes[near], n) + sizes).max()), int(degree.max()) + 1)
     best = None
     for base, weight in ((list(range(n)), 0), (by_sat, (max(size) + 1) * n ** 2),
                          (by_size, n ** 2)):
@@ -232,9 +245,12 @@ def assemble_explicit(
     primal = np.arange(n_v, n // total)
     # per pass the owner of each element, -1 if none; a member owns itself
     owner = np.full((len(groups) + include_auxiliary, n_elements), -1)
+    pass_of, k = np.empty(n_elements, dtype=int), np.arange(n_elements)
     for j, group in enumerate(groups):
-        for k in group:
-            owner[j, [k, *nbrs[k]]] = k
+        pass_of[group] = j
+    owner[pass_of, k] = k
+    k = k.repeat(np.diff(nbrs[0]))
+    owner[pass_of[k], nbrs[1]] = k
     if include_auxiliary:
         owner[-1] = np.arange(n_elements)
     member = owner == np.arange(n_elements)
@@ -324,6 +340,7 @@ def _gmres(matvec, b, tol, max_iter, restart, precond):
 
     Returns x, the iteration count, the residual history, convergence, and
     the true relative residual of x when it was computed (else None). The
+    first cycle starts from r = b, as x = 0; later ones from b - A x. The
     Hessenberg column, rotations and least-squares right-hand side are
     Python floats: each is a scalar operation, and numpy scalars cost more.
     """
@@ -335,7 +352,7 @@ def _gmres(matvec, b, tol, max_iter, restart, precond):
     rel = 1.0
     true_rel = None
     while total < max_iter:
-        r = b - matvec(x)
+        r = b - matvec(x) if total else b
         beta = float(np.linalg.norm(r))
         rel = beta / bnorm
         if rel <= tol:
@@ -351,9 +368,9 @@ def _gmres(matvec, b, tol, max_iter, restart, precond):
             w = matvec(precond(rows[j]))
             col = []
             for i in range(j + 1):
-                col.append(float(rows[i] @ w))
+                col.append(float(rows[i].dot(w)))
                 w -= np.multiply(col[i], rows[i], out=scratch)
-            col.append(float(np.linalg.norm(w)))
+            col.append(math.sqrt(w.dot(w)))
             if col[j + 1] > 0.0:
                 np.divide(w, col[j + 1], out=rows[j + 1])
             for i in range(j):

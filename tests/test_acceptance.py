@@ -48,7 +48,8 @@ from ipdg import (
     with_degrees,
 )
 from ipdg.basis import gauss_lobatto_nodes_weights
-from ipdg.mesh import face_shape, jacobian_at
+from ipdg.mesh import jacobian_at
+from test_operators import face_shape
 
 BG = FlatBackground()
 POISSON = make_system("poisson-flat", dim=2)

@@ -13,7 +13,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from ipdg.background import FlatBackground
@@ -23,13 +23,17 @@ from ipdg.errors import (
 )
 from ipdg.mesh import (
     MAX_DEGREE,
+    _boxes,
     _canonical_order,
+    _segment_arrays,
     AffineMap,
     AnnulusWedgeMap,
+    ExternalFace,
     Mesh,
+    Mortar,
+    MortarSide,
     build_annulus_mesh,
     build_rectilinear_mesh,
-    face_shape,
     jacobian_at,
     mortar_topology,
     refine_uniform,
@@ -38,8 +42,9 @@ from ipdg.mesh import (
 )
 from ipdg.mortars import prolongation_matrix
 from ipdg.operators import OperatorHandle, _MeshCache
+from ipdg.solver import assemble_explicit
 from ipdg.systems import make_system
-from test_operators import face_slices
+from test_operators import face_shape, face_slices, face_span
 
 
 def fd_jacobian(cmap, xi, eps=1e-6):
@@ -232,7 +237,7 @@ class TestNormals:
         # as the operator's face buffer holds it: unit and pointing along r
         mesh = build_annulus_mesh(1.0, 2.0, 4, (0, 0), (3, 3))
         cache = _MeshCache(mesh, FlatBackground())
-        span = cache.face_spans[(0, 0, 1)]
+        span = face_span(cache, 0, 0, 1)
         n, x = cache.face_normal[:, span], cache.face_coords[:, span]
         np.testing.assert_allclose(np.hypot(*n), 1.0, rtol=1e-14)
         np.testing.assert_allclose((n * x).sum(axis=0), np.hypot(*x), rtol=1e-12)
@@ -692,7 +697,7 @@ def assert_mortar_grids(mesh):
         assert tuple(map(max, *grids)) == counts
         identity = [is_identity(prolongation_matrix(g, counts, s.coverage))
                     for g, s in zip(grids, m.sides)]
-        starts = tuple(cache.face_spans[(s.element, s.dim, s.side)].start for s in m.sides)
+        starts = tuple(face_span(cache, s.element, s.dim, s.side).start for s in m.sides)
         if all(identity):
             assert starts not in kinds and cache.partner[starts[0]] == starts[1]
             continue
@@ -803,6 +808,192 @@ def test_topology_reads_no_degrees(kind, data):
         assert calls.call_count == 3
     for variant in variants:
         assert mortar_topology(variant) == topology
+
+
+def transverse_matches(seg):
+    """The segments a two-to-one balanced neighbor's face may have across
+    `seg`, each with the coverages (this side, the neighbor's side)."""
+    level, index = seg
+    out = [(seg, ("full", "full"))]
+    if level > 0:
+        half = "lower" if index % 2 == 0 else "upper"
+        out.append(((level - 1, index >> 1), ("full", half)))
+    for child in ((level + 1, 2 * index), (level + 1, 2 * index + 1)):
+        out.append((child, ("lower" if child[1] % 2 == 0 else "upper", "full")))
+    return out
+
+
+def reference_topology(mesh):
+    """(mortars, external faces) by a lookup per face, as `mortar_topology`
+    found them before it worked on arrays: each face's neighbors from a dict
+    of faces keyed by (block, dim, side, plane, transverse segments), in
+    (element, dim, side) order, and the coverages summed per face in a dict
+    in the order the loop first meets each face. Raises the TopologyError
+    the array version must raise."""
+    dim = mesh.dim
+    mortars, external, covered = [], [], {}
+    mid, half = _boxes(*_segment_arrays([e.segments for e in mesh.elements]))
+    planes = np.array([mid - half, mid + half]).T.tolist()
+    faces_at = {}
+    for k, e in enumerate(mesh.elements):
+        for face_dim, bounds in enumerate(planes[k]):
+            segments = face_shape(e.segments, face_dim)
+            for side, plane in zip((-1, 1), bounds):
+                faces_at.setdefault((e.block, face_dim, side, plane, segments), []).append(k)
+    conforming = [("full", "full")] * (dim - 1)
+
+    def neighbors(elem_index, face_dim, side, plane):
+        e = mesh.elements[elem_index]
+        block = e.block
+        if plane == side:
+            kind, block = mesh.blocks[e.block].boundary[(face_dim, side)]
+            if kind == "external":
+                return None, block
+            plane = -plane
+        segments = face_shape(e.segments, face_dim)
+        same = faces_at.get((block, face_dim, -side, plane, segments), [])
+        found = [(kk, conforming) for kk in same if kk != elem_index]
+        if found:
+            return found, None
+        for combo in itertools.product(*map(transverse_matches, segments)):
+            key = (block, face_dim, -side, plane, tuple(c[0] for c in combo))
+            found += [(kk, [c[1] for c in combo]) for kk in faces_at.get(key, [])
+                      if kk != elem_index]
+        return sorted(found), None
+
+    for k, e in enumerate(mesh.elements):
+        for face_dim, bounds in enumerate(planes[k]):
+            for side, plane in zip((-1, 1), bounds):
+                found, tag = neighbors(k, face_dim, side, plane)
+                if found is None:
+                    external.append(ExternalFace(k, face_dim, side, tag))
+                    continue
+                if not found:
+                    raise TopologyError(
+                        f"face {face_dim}/{side:+d} of element "
+                        f"{e.id_string()} has no neighbor and no boundary tag"
+                    )
+                covered.setdefault((k, face_dim, side), 0.0)
+                for kk, rel in found:
+                    if kk < k:
+                        continue
+                    sides = (
+                        MortarSide(k, face_dim, side, tuple(r[0] for r in rel)),
+                        MortarSide(kk, face_dim, -side, tuple(r[1] for r in rel)),
+                    )
+                    mortars.append(Mortar(sides))
+                    for ms in sides:
+                        face = (ms.element, face_dim, ms.side)
+                        covered[face] = covered.get(face, 0.0) + 0.5 ** sum(
+                            cov != "full" for cov in ms.coverage
+                        )
+    for (k, face_dim, side), total in covered.items():
+        if total != 1.0:
+            raise TopologyError(
+                f"face {face_dim}/{side:+d} of element "
+                f"{mesh.elements[k].id_string()} is covered {total}x by mortars"
+            )
+    return mortars, external
+
+
+def topology_outcome(find, mesh):
+    """The mortars and external faces `find` gives, or its TopologyError's message."""
+    try:
+        return find(mesh)
+    except TopologyError as error:
+        return str(error)
+
+
+@st.composite
+def any_meshes(draw):
+    """A 1D, 2D or 3D box or a 2- to 5-wedge annulus, split at random with
+    no regard to balance, then maybe with an element repeated or the parent
+    of an element added beside it."""
+    kind = draw(st.sampled_from(["1d", "2d", "3d", "annulus"]))
+    if kind == "annulus":
+        levels = tuple(draw(st.integers(0, 1)) for _ in range(2))
+        mesh = build_annulus_mesh(1.0, 2.0, draw(st.integers(2, 5)), levels, (1, 1))
+    else:
+        dim = int(kind[0])
+        levels = tuple(draw(st.integers(0, 2 if dim < 3 else 1)) for _ in range(dim))
+        mesh = build_rectilinear_mesh([(0, 1)] * dim, levels, (1,) * dim)
+    for _ in range(draw(st.integers(0, 4))):
+        mesh = split_element(mesh, draw(st.integers(0, mesh.n_elements - 1)))
+    extra = draw(st.sampled_from(["none"] * 4 + ["repeated", "parent"]))
+    e = mesh.elements[draw(st.integers(0, mesh.n_elements - 1))]
+    if extra == "repeated":
+        mesh = Mesh(mesh.dim, mesh.blocks, mesh.elements + [e])
+    elif extra == "parent" and max(level for level, _ in e.segments) > 0:
+        d = max(range(mesh.dim), key=lambda d: e.segments[d][0])
+        level, index = e.segments[d]
+        segments = e.segments[:d] + ((level - 1, index >> 1),) + e.segments[d + 1:]
+        parent = dataclasses.replace(e, segments=segments)
+        mesh = Mesh(mesh.dim, mesh.blocks, mesh.elements + [parent])
+    return mesh
+
+
+# about 400 examples in 4 s
+@settings(max_examples=400, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(mesh=any_meshes())
+def test_topology_matches_the_per_face_lookup(mesh):
+    # the same mortars and external faces in the same order, or the same
+    # error naming the same face, balanced or not
+    want = topology_outcome(reference_topology, mesh)
+    got = topology_outcome(lambda m: (lambda t: (t.mortars, t.external_faces))(
+        mortar_topology(m)), mesh)
+    assert got == want
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda b: b.pop((0, 1)), "no entry"),
+    (lambda b: b.update({(0, 1): ("wall", "x")}), "entry ('wall', 'x')"),
+    (lambda b: b.update({(1, -1): ("block", 5)}), "entry ('block', 5)"),
+])
+def test_block_boundary_maps_are_checked(edit, message):
+    # a face of a block with no entry, an unknown kind or a block the mesh
+    # does not have: refused with the block, the face and the entry, by the
+    # topology and so by a handle
+    mesh = build_rectilinear_mesh([(0, 1), (0, 1)], (1, 1), (2, 2))
+    boundary = dict(mesh.blocks[0].boundary)
+    edit(boundary)
+    bad = Mesh(2, [dataclasses.replace(mesh.blocks[0], boundary=boundary)], mesh.elements)
+    face = "1/-1" if "block" in message else "0/+1"
+    want = (f"^block 0 has {re.escape(message)} for face {re.escape(face)} in its boundary map: "
+            r"need \('external', tag\) or \('block', index of one of the mesh's 1 blocks\)$")
+    with pytest.raises(TopologyError, match=want):
+        mortar_topology(bad)
+    with pytest.raises(TopologyError, match=want):
+        OperatorHandle(bad, make_system("poisson-flat", dim=2), FlatBackground(),
+                       BoundaryMap.everywhere(DirichletBC(0.0)))
+
+
+def test_topology_arrays_and_objects_agree():
+    # the arrays and the objects made from them on first read say the same,
+    # and a topology equals another exactly when its arrays do
+    mesh = split_element(build_annulus_mesh(1.0, 2.0, 3, (1, 0), (2, 2)), 2)
+    t = mortar_topology(mesh)
+    assert t.mortars is t.mortars and t.external_faces is t.external_faces
+    codes = {"full": 0, "lower": 1, "upper": 2}
+    for m, faces, coverage in zip(t.mortars, t.faces.tolist(), t.coverage.tolist()):
+        for s, face, cov in zip(m.sides, faces, coverage):
+            assert face == (s.element * mesh.dim + s.dim) * 2 + (s.side > 0)
+            assert cov == [codes[c] for c in s.coverage]
+        assert m.sides[0].element < m.sides[1].element
+    assert [((f.element * 2 + f.dim) * 2 + (f.side > 0), f.tag) for f in t.external_faces] == list(
+        zip(t.external.tolist(), t.tags.tolist()))
+    assert t == mortar_topology(mesh) and t != mortar_topology(split_element(mesh, 0))
+    assert t != (t.mortars, t.external_faces)
+
+
+def test_set_up_reads_the_topology_as_arrays():
+    # a handle and an assembly use the arrays; the object lists are made
+    # only for a caller that reads them
+    mesh = split_element(build_rectilinear_mesh([(0, 1), (0, 1)], (2, 2), (2, 2)), 5)
+    handle = OperatorHandle(mesh, make_system("poisson-flat", dim=2), FlatBackground(),
+                            BoundaryMap.everywhere(DirichletBC(0.0)), form="strong-weak")
+    assemble_explicit(handle)
+    assert not {"mortars", "external_faces"} & set(vars(mesh.topology))
 
 
 def interval_order(elements):

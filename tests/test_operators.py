@@ -1,5 +1,7 @@
 """Element building blocks, flux exchange, and whole-operator properties."""
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -23,7 +25,6 @@ from ipdg.mesh import (
     MeshTopology,
     build_annulus_mesh,
     build_rectilinear_mesh,
-    face_shape,
     jacobian_at,
     mortar_topology,
     split_element,
@@ -1314,11 +1315,24 @@ def point_ordered(arr, k):
     return arr.transpose(order).reshape(arr.shape[:lead] + (-1,))
 
 
+def face_shape(grid_shape, dim):
+    """A per-dimension tuple without dimension `dim`: a face's grid shape, or
+    its transverse segments."""
+    return grid_shape[:dim] + grid_shape[dim + 1:]
+
+
 def face_slices(ndim_grid, dim, side):
     """Index tuple selecting one face of a grid-shaped array's last ndim axes."""
     idx = [slice(None)] * ndim_grid
     idx[dim] = 0 if side < 0 else -1
     return (Ellipsis, *idx)
+
+
+def face_span(cache, element, dim, side):
+    """One face's points in the face buffer, from `_MeshCache.face_start` and
+    `face_size` at its face number (`MeshTopology`)."""
+    number = (element * cache.groups[0].dim + dim) * 2 + (side > 0)
+    return slice(cache.face_start[number], cache.face_start[number] + cache.face_size[number])
 
 
 def face_geometry(background, element, dim, side):
@@ -1370,7 +1384,7 @@ def check_face_partition(handle):
     want = {name: np.zeros(n, dtype=int) for name in ("paired", "external", "restricted")}
     partner, sigma, on_mortars = np.arange(n), np.zeros(n), {}
     for m in mesh.topology.mortars:
-        spans = [cache.face_spans[(s.element, s.dim, s.side)] for s in m.sides]
+        spans = [face_span(cache, s.element, s.dim, s.side) for s in m.sides]
         grids, counts = mortar_grids(mesh, m)
         prolongs = [prolongation_matrix(g, counts, s.coverage) for g, s in zip(grids, m.sides)]
         p = max(mesh.elements[s.element].degrees[s.dim] for s in m.sides)
@@ -1396,7 +1410,7 @@ def check_face_partition(handle):
             key = tuple(sp.start for sp in spans)
             on_mortars[key] = weights, penalty_sigma(p, p, hs[0], hs[1], 1.0)
     for ef in mesh.topology.external_faces:
-        sp = cache.face_spans[(ef.element, ef.dim, ef.side)]
+        sp = face_span(cache, ef.element, ef.dim, ef.side)
         want["external"][sp] += 1
         p = mesh.elements[ef.element].degrees[ef.dim]
         sigma[sp] = penalty_sigma(p, p, cache.face_h[sp], cache.face_h[sp], 1.0)
@@ -1460,15 +1474,18 @@ def test_face_buffer_partition_rejects_uncovered_or_doubled_points(monkeypatch):
     # of the same elements computes its topology afresh, through the module's
     # name, which the broken one replaces
     mesh = unit_mesh_2d(2, 1)
-    topology = mortar_topology(mesh)
+    t = mortar_topology(mesh)
     bcs = BoundaryMap.everywhere(DirichletBC(0.0))
-    for mortars, external in (
-        (topology.mortars, topology.external_faces[1:]),
-        (topology.mortars[1:], topology.external_faces),
-        (topology.mortars, topology.external_faces + topology.external_faces[:1]),
-        (topology.mortars + topology.mortars[:1], topology.external_faces),
+    mortars, external = range(len(t.faces)), range(len(t.external))
+    # the positions of the mortars and external faces that each one keeps
+    for m, e in (
+        (mortars, external[1:]),
+        (mortars[1:], external),
+        (mortars, [*external, 0]),
+        ([*mortars, 0], external),
     ):
-        broken = MeshTopology(mortars, external)
+        m, e = list(m), list(e)
+        broken = MeshTopology(t.dim, t.faces[m], t.coverage[m], t.external[e], t.tags[e])
         monkeypatch.setattr("ipdg.mesh.mortar_topology", lambda mesh: broken)
         fresh = Mesh(mesh.dim, mesh.blocks, mesh.elements)
         with pytest.raises(TopologyError, match="not covered exactly once"):
@@ -1493,7 +1510,7 @@ def test_mortar_restriction_is_the_adjoint_of_prolongation(case):
                             BoundaryMap.everywhere(DirichletBC(0.0)))
     cache = handle._cache
     by_starts = {
-        tuple(cache.face_spans[(s.element, s.dim, s.side)].start for s in m.sides): m
+        tuple(face_span(cache, s.element, s.dim, s.side).start for s in m.sides): m
         for m in mesh.topology.mortars
     }
     constants = np.zeros(cache.n_face_points)
@@ -1531,9 +1548,15 @@ def test_face_buffer_geometry_matches_face_geometry(case):
     mesh, bg = case()
     system = make_system("poisson-flat", dim=mesh.dim)
     cache = OperatorHandle(mesh, system, bg, BoundaryMap.everywhere(DirichletBC(0.0)))._cache
-    assert len(cache.face_spans) == 2 * mesh.dim * mesh.n_elements
+    # one span per face, end to end over the whole face buffer
+    assert cache.face_start.shape == cache.face_size.shape == (2 * mesh.dim * mesh.n_elements,)
+    order = np.argsort(cache.face_start)
+    ends = np.cumsum(cache.face_size[order])
+    assert np.array_equal(cache.face_start[order], ends - cache.face_size[order])
+    assert ends[-1] == cache.n_face_points
     k = mesh.dim - 1
-    for (element, dim, side), span in cache.face_spans.items():
+    for element, dim, side in itertools.product(range(mesh.n_elements), range(mesh.dim), (-1, 1)):
+        span = face_span(cache, element, dim, side)
         fg = face_geometry(bg, mesh.elements[element], dim, side)
         pairs = [
             (cache.face_coords[:, span], fg.coords),

@@ -36,6 +36,7 @@ system linearized about a nonzero state:
 """
 
 import dataclasses
+import heapq
 import itertools
 from unittest import mock
 
@@ -349,6 +350,60 @@ def face_neighbours(mesh):
     return nbrs
 
 
+def reference_color_groups(mesh):
+    """`_element_color_groups` as it was built from Python sets: the face
+    neighbours and the balls (the elements within distance 2, self left
+    out) as sets, and the same three colourings over them."""
+    n = mesh.n_elements
+    nbrs = face_neighbours(mesh)
+    balls = [list(nbrs[k].union(*(nbrs[m] for m in nbrs[k])) - {k}) for k in range(n)]
+    size = np.diff(mesh.point_offsets).tolist()
+    ties = [-len(ball) * n + k for k, ball in enumerate(balls)]
+    by_sat = [-size[k] * n ** 2 + t for k, t in enumerate(ties)]
+    by_size = [-size[k] * n ** 3 + t for k, t in enumerate(ties)]
+    bound = (max(size[k] + sum(size[m] for m in nbrs[k]) for k in range(n)),
+             max(len(near) + 1 for near in nbrs))
+    best = None
+    for base, weight in ((list(range(n)), 0), (by_sat, (max(size) + 1) * n ** 2),
+                         (by_size, n ** 2)):
+        colors, seen, keys, heap = [-1] * n, [0] * n, list(base), sorted(base)
+        while heap:
+            key = heapq.heappop(heap)
+            k = key % n
+            if key != keys[k] or colors[k] >= 0:
+                continue
+            free = ~seen[k] & (seen[k] + 1)
+            colors[k] = free.bit_length() - 1
+            for m in balls[k]:
+                if not seen[m] & free and colors[m] < 0:
+                    seen[m] |= free
+                    if weight:
+                        keys[m] -= weight
+                        heapq.heappush(heap, keys[m])
+        groups = [[k for k in range(n) if colors[k] == c] for c in range(max(colors) + 1)]
+        groups = [g for g in groups if g]
+        cost = (sum(max(size[k] for k in g) for g in groups), len(groups))
+        if best is None or cost < best[0]:
+            best = cost, groups
+        if cost == bound:
+            break
+    return best[1], nbrs
+
+
+def check_coloring_matches_sets(mesh):
+    """The passes and face neighbours of `_element_color_groups` are those
+    of the set-based construction."""
+    groups, nbrs = _element_color_groups(mesh)
+    want_groups, want_nbrs = reference_color_groups(mesh)
+    assert groups == want_groups
+    indptr, indices = nbrs
+    assert [set(indices[a:b].tolist()) for a, b in zip(indptr, indptr[1:])] == want_nbrs
+
+
+def test_coloring_of_a_large_mesh_matches_sets():
+    check_coloring_matches_sets(build_rectilinear_mesh([(0.0, 1.0)] * 2, (6, 6), (1, 1)))
+
+
 def greedy_columns(mesh):
     """Probe columns of the distance-3 colouring greedy in mesh order, each
     element taking the least colour of no element within distance 2 before
@@ -366,6 +421,7 @@ def check_coloring(mesh):
     """The passes of `_element_color_groups`: each element in one, members'
     closed neighbourhoods disjoint, no more probe columns than the greedy.
     Returns the number of passes and the largest closed neighbourhood."""
+    check_coloring_matches_sets(mesh)
     groups, _ = _element_color_groups(mesh)
     assert sorted(k for g in groups for k in g) == list(range(mesh.n_elements))
     closed = [near | {k} for k, near in enumerate(face_neighbours(mesh))]

@@ -23,7 +23,8 @@ The dump holds, per case, the compact and the full matrix, one seeded batch
 applied to the case's handle and the L2 error of one of its vectors with and
 without the handle, and the mesh geometry (`geometry_arrays`): every
 element group's coordinates, J^-1 and mass, the mesh cache's face arrays,
-the characteristic h and every element's `coords()`; for the cases in
+the characteristic h and every element's `coords()`; the topology and the
+mesh cache's face starts and `partner` (`topology_arrays`); for the cases in
 `UNLINEARIZED`, a batch, a single vector and a full vector applied to the
 handle before linearization; the
 solution and report of the solves in `SOLVES`: CG on poisson-conforming,
@@ -34,11 +35,12 @@ a rectilinear Poisson Gaussian, and a curved annulus on a conformally flat
 background with Neumann and Robin data. `--compare` lists every array that
 differs or is in one file only, and exits nonzero if there is any; it also
 lists, without failing, every array that is equal but not byte for byte,
-such as one with a zero of the other sign.
+such as one with a zero of the other sign. A dump holds 287 arrays.
 """
 
 import contextlib
 import io
+import itertools
 import os
 import sys
 import tempfile
@@ -255,6 +257,33 @@ def geometry_arrays(name, handle):
     return arrays
 
 
+def topology_arrays(name, handle):
+    """The mesh's topology and where the mesh cache puts its faces, under
+    `name/topology/`: per mortar both sides' element, dim, side and coverage
+    codes (0 full, 1 lower, 2 upper), per external face its element, dim,
+    side and tag, and the cache's first point of each face, in (element,
+    dim, side) order, and `partner`. Read through the topology's objects and,
+    for trees that kept face spans in a dict keyed by (element, dim, side),
+    through that dict, so that every tree dumps the same arrays."""
+    mesh, cache = handle.mesh, handle._cache
+    codes = {"full": 0, "lower": 1, "upper": 2}
+    mortars, external = mesh.topology.mortars, mesh.topology.external_faces
+    sides = [[s.element, s.dim, s.side, *(codes[c] for c in s.coverage)]
+             for m in mortars for s in m.sides]
+    faces = itertools.product(range(mesh.n_elements), range(mesh.dim), (-1, 1))
+    starts = (np.array([cache.face_spans[face].start for face in faces])
+              if hasattr(cache, "face_spans") else cache.face_start)
+    prefix = f"{name}/topology"
+    return {
+        f"{prefix}/mortars": np.array(sides, dtype=int).reshape(len(mortars), 2, mesh.dim + 2),
+        f"{prefix}/external": np.array([[f.element, f.dim, f.side] for f in external],
+                                       dtype=int).reshape(-1, 3),
+        f"{prefix}/external_tags": np.array([f.tag for f in external], dtype=str),
+        f"{prefix}/face_start": np.asarray(starts),
+        f"{prefix}/partner": cache.partner,
+    }
+
+
 # case name -> a solve on that case that `--dump` records
 SOLVES = {"poisson-conforming": cg_solve, "puncture": newton_solve}
 
@@ -390,6 +419,7 @@ def dump_outputs(path):
             for part in ("data", "indices", "indptr"):
                 arrays[f"{name}/{block}/{part}"] = getattr(mat, part)
         arrays.update(geometry_arrays(name, handle))
+        arrays.update(topology_arrays(name, handle))
         mesh, n = handle.mesh, handle.system.n_primal
         rows = np.random.default_rng(0).standard_normal((3, handle.n_primal_dofs))
         arrays[f"{name}/apply"] = handle.apply(FieldVector.batch(mesh, n, rows)).data
@@ -504,7 +534,17 @@ def test_dump_and_compare(tmp_path, monkeypatch, capsys):
         + [f"elasticity/geometry/group0/{a}" for a in ("coords", "jinv", "mass")]
         + [f"elasticity/geometry/{a}" for a in FACE_ARRAYS]
         + ["elasticity/geometry/characteristic_h", "elasticity/geometry/element_coords"]
+        + [f"elasticity/topology/{a}" for a in (
+            "mortars", "external", "external_tags", "face_start", "partner")]
     )
+    # the topology as its arrays hold it
+    handle, topology = elasticity(), arrays["elasticity/topology/mortars"]
+    t = handle.mesh.topology
+    element, dim, side = topology[:, :, 0], topology[:, :, 1], topology[:, :, 2]
+    assert np.array_equal((element * 2 + dim) * 2 + (side > 0), t.faces)  # a 2D mesh
+    assert np.array_equal(topology[:, :, 3:], t.coverage)
+    assert np.array_equal(arrays["elasticity/topology/external_tags"], t.tags)
+    assert np.array_equal(arrays["elasticity/topology/face_start"], handle._cache.face_start)
     with pytest.raises(SystemExit) as exit_info:
         main(["--compare"] + paths[:2])
     assert exit_info.value.code == 0
